@@ -6,6 +6,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/coll"
@@ -421,9 +422,13 @@ func (c *Cluster) InstallGroup(id gm.GroupID, tr *tree.Tree, port, rootPort gm.P
 }
 
 // InstallCollGroup installs a collective group over every listed member's
-// collective engine. Like InstallGroup, installation is asynchronous
-// firmware work; poll the returned ready function only from outside a run.
+// collective engine. The member list is copied and sorted once here; every
+// engine shares that one slice. Like InstallGroup, installation is
+// asynchronous firmware work; poll the returned ready function only from
+// outside a run.
 func (c *Cluster) InstallCollGroup(id gm.GroupID, members []fabric.NodeID, port gm.PortID, opts ...coll.Option) (ready func() bool) {
+	members = slices.Clone(members)
+	slices.Sort(members)
 	total := int64(len(members))
 	done := new(atomic.Int64)
 	for _, n := range members {

@@ -29,14 +29,13 @@ package coll
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/tree"
 )
 
 // Op aliases the NIC-computable reduction operator defined in core (the
@@ -233,40 +232,46 @@ func (e *Engine) DebugLeaks() string {
 	return s
 }
 
-// Install preposts one collective group entry: the sorted member set plus
-// the per-collective algorithm selection. Members must be identical at
-// every node; id shares the multicast group identifier space, and the
-// tree-based collectives (reduce, allreduce, tree allgather) additionally
-// require a multicast group with the same id installed via
-// core.Ext.InstallGroup. port receives the group's completion events. fn,
-// if non-nil, runs (in firmware context) when the entry is live.
+// Install preposts one collective group entry: the member set plus the
+// per-collective algorithm selection. members must be in ascending ID
+// order and identical at every node; the engine keeps the slice instead of
+// copying it, so every member of a group can (and cluster.InstallCollGroup
+// does) pass the same one, which must not be modified afterwards. id
+// shares the multicast group identifier space, and the tree-based
+// collectives (reduce, allreduce, tree allgather) additionally require a
+// multicast group with the same id installed via core.Ext.InstallGroup.
+// port receives the group's completion events. fn, if non-nil, runs (in
+// firmware context) when the entry is live.
+//
+// Each member finds itself by binary search and checks its own two
+// neighbours in the list; once every member has installed, every adjacent
+// pair has been checked, so an unsorted list cannot survive a group
+// install — it panics here, or as ErrNotMember or ErrGroupInstalled.
 func (e *Engine) Install(id gm.GroupID, members []fabric.NodeID, port gm.PortID, fn func(), opts ...Option) {
-	ms := append([]fabric.NodeID(nil), members...)
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-	myIdx := -1
-	for i, m := range ms {
-		if m == e.nic.ID() {
-			myIdx = i
-		}
+	self := e.nic.ID()
+	n := len(members)
+	myIdx, found := slices.BinarySearch(members, self)
+	if !found {
+		panic(fmt.Errorf("%w: node %v installing collective group %d", core.ErrNotMember, self, id))
 	}
-	if myIdx < 0 {
-		panic(fmt.Errorf("%w: node %v installing collective group %d", core.ErrNotMember, e.nic.ID(), id))
+	if (myIdx > 0 && members[myIdx-1] >= self) || (myIdx+1 < n && members[myIdx+1] <= self) {
+		panic(fmt.Sprintf("coll: members of collective group %d not in ascending ID order around %v", id, self))
 	}
 	rounds := 0
-	for k := 1; k < len(ms); k <<= 1 {
+	for k := 1; k < n; k <<= 1 {
 		rounds++
 	}
 	e.nic.HW.HostPost(func() {
 		e.nic.HW.CPUDo(e.cfg.GroupInstallCost, func() {
 			g, exists := e.groups[id]
 			if exists && !g.auto {
-				panic(fmt.Errorf("%w: collective group %d at %v", core.ErrGroupInstalled, id, e.nic.ID()))
+				panic(fmt.Errorf("%w: collective group %d at %v", core.ErrGroupInstalled, id, self))
 			}
 			if !exists {
 				g = e.newGroup(id)
 			}
 			g.auto = false
-			g.members = ms
+			g.members = members
 			g.myIdx = myIdx
 			g.rounds = rounds
 			g.port = port
@@ -274,20 +279,29 @@ func (e *Engine) Install(id gm.GroupID, members []fabric.NodeID, port gm.PortID,
 				opt(g)
 			}
 			if g.barrierAlgo == BarrierTree {
-				tr := tree.Binomial(ms[0], ms)
-				self := e.nic.ID()
-				g.barChildren = append([]fabric.NodeID(nil), tr.Children(self)...)
-				if p, ok := tr.Parent(self); ok {
-					g.barParent = p
-				} else {
-					g.barParent = self
-				}
+				g.barParent, g.barChildren = binomialNeighbors(members, myIdx)
 			}
 			if fn != nil {
 				fn()
 			}
 		})
 	})
+}
+
+// binomialNeighbors reports position idx's parent and children (in send
+// order, farthest subtree first) in the binomial tree over the sorted
+// member list rooted at members[0] — what tree.Binomial(members[0],
+// members) links, computed from the index alone: the parent clears idx's
+// lowest set bit, the children set each bit below it. The root is its own
+// parent.
+func binomialNeighbors(members []fabric.NodeID, idx int) (parent fabric.NodeID, children []fabric.NodeID) {
+	n := len(members)
+	low := idx & -idx // 0 at the root, whose children set any bit
+	for stride := 1; idx+stride < n && (idx == 0 || stride < low); stride <<= 1 {
+		children = append(children, members[idx+stride])
+	}
+	slices.Reverse(children)
+	return members[idx&(idx-1)], children
 }
 
 // Remove deletes a collective group entry. Removal is collective and must
@@ -313,9 +327,13 @@ func (e *Engine) Remove(id gm.GroupID, fn func()) {
 }
 
 // InstallBarrier implements core.Collective; it is Install with the
-// default algorithm selection, preserving the pre-coll API surface.
+// default algorithm selection, preserving the pre-coll API surface —
+// including members in any order, which this per-node entry point copies
+// and sorts.
 func (e *Engine) InstallBarrier(id gm.GroupID, members []fabric.NodeID, port gm.PortID, fn func()) {
-	e.Install(id, members, port, fn)
+	ms := slices.Clone(members)
+	slices.Sort(ms)
+	e.Install(id, ms, port, fn)
 }
 
 // groupFor returns the group entry, auto-creating a memberless mirror

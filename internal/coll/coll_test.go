@@ -1,10 +1,12 @@
 package coll_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/coll"
+	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/sim"
 	"repro/internal/tree"
@@ -320,4 +322,39 @@ func TestShardedBarrierMatchesSerial(t *testing.T) {
 			t.Errorf("%d-shard barrier finished at %v, serial at %v", shards, got, serial)
 		}
 	}
+}
+
+// Engine.Install keeps the caller's member list and trusts it to be in ID
+// order, each member checking only its own place in it. Whatever the
+// order, some member of the group must refuse an unsorted list.
+func TestInstallRefusesUnsortedMembers(t *testing.T) {
+	c := cluster.New(4)
+	perm := []fabric.NodeID{0, 1, 2, 3}
+	var try func(k int)
+	try = func(k int) {
+		if k < len(perm) {
+			for i := k; i < len(perm); i++ {
+				perm[k], perm[i] = perm[i], perm[k]
+				try(k + 1)
+				perm[k], perm[i] = perm[i], perm[k]
+			}
+			return
+		}
+		members := slices.Clone(perm)
+		refused := 0
+		for _, n := range c.Nodes {
+			func() {
+				defer func() {
+					if recover() != nil {
+						refused++
+					}
+				}()
+				n.Coll.Install(collGID, members, 7, nil)
+			}()
+		}
+		if slices.IsSorted(members) != (refused == 0) {
+			t.Errorf("members %v: %d of 4 engines refused the list", members, refused)
+		}
+	}
+	try(0)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/gm"
@@ -60,7 +61,7 @@ type group struct {
 
 	// Sender side (root, or forwarder toward its children).
 	sendSeq uint32
-	acked   map[fabric.NodeID]uint32
+	acked   []uint32 // parallel to children
 	records []*mcastRecord
 	queue   []*mcastToken // root only: multicast send tokens by group
 	staging int
@@ -127,29 +128,36 @@ type pendingView struct {
 
 // localView extracts this NIC's tree neighborhood from a full tree.
 func localView(ext *Ext, id gm.GroupID, tr *tree.Tree, port, rootPort gm.PortID) *group {
-	self := ext.nic.ID()
 	g := &group{
 		ext:      ext,
 		id:       id,
-		root:     tr.Root,
-		children: append([]fabric.NodeID(nil), tr.Children(self)...),
 		port:     port,
 		rootPort: rootPort,
 		sendSeq:  0,
 		recvSeq:  1,
 		live:     true,
-		acked:    make(map[fabric.NodeID]uint32),
 	}
+	g.setNeighbors(tr)
 	g.timer = ext.nic.Engine().NewTimer(g.onTimeout)
 	if ext.cfg.AggregateAcks && ext.nic.Cfg.AckCoalescing() {
 		g.ackTimer = ext.nic.Engine().NewTimer(func() { ext.flushAckUp(g) })
 	}
+	return g
+}
+
+// setNeighbors points the entry at this NIC's place in tr with nothing
+// acknowledged. The child list is the tree's own (trees are immutable);
+// only the per-child ack array is allocated, and not at all for a leaf.
+func (g *group) setNeighbors(tr *tree.Tree) {
+	self := g.ext.nic.ID()
+	g.root = tr.Root
+	g.children = tr.Children(self)
+	g.acked = make([]uint32, len(g.children))
 	if p, ok := tr.Parent(self); ok {
 		g.parent = p
 	} else {
 		g.parent = self
 	}
-	return g
 }
 
 // windowOpen mirrors the unicast window: outstanding multicast packets per
@@ -363,8 +371,8 @@ func (g *group) recordSent(fr *gm.Frame, t *mcastToken) {
 // honoring acknowledgments that raced ahead of the transmit callback.
 func (g *group) pendingChildren(seq uint32) map[fabric.NodeID]bool {
 	pending := make(map[fabric.NodeID]bool, len(g.children))
-	for _, c := range g.children {
-		if gm.SeqBefore(g.acked[c], seq) {
+	for i, c := range g.children {
+		if gm.SeqBefore(g.acked[i], seq) {
 			pending[c] = true
 		}
 	}
@@ -377,8 +385,8 @@ func (g *group) pendingChildren(seq uint32) map[fabric.NodeID]bool {
 // aggregating node forwards upward (Config.AggregateAcks).
 func (g *group) ackBound() uint32 {
 	bound := g.recvSeq - 1
-	for _, c := range g.children {
-		if a := g.acked[c]; gm.SeqBefore(a, bound) {
+	for _, a := range g.acked {
+		if gm.SeqBefore(a, bound) {
 			bound = a
 		}
 	}
@@ -389,8 +397,9 @@ func (g *group) ackBound() uint32 {
 // Sequence comparisons use serial-number arithmetic so long-lived groups
 // survive the uint32 wrap.
 func (g *group) handleAck(child fabric.NodeID, ack uint32) {
-	if prev := g.acked[child]; gm.SeqAfter(ack, prev) {
-		g.acked[child] = ack
+	// Fan-outs are small: scanning the child list beats hashing the ID.
+	if i := slices.Index(g.children, child); i >= 0 && gm.SeqAfter(ack, g.acked[i]) {
+		g.acked[i] = ack
 	}
 	for _, r := range g.records {
 		if gm.SeqLEQ(r.seq, ack) {
@@ -565,19 +574,11 @@ func (g *group) checkQuiesce() {
 // epoch's tree neighborhood, with the per-epoch sequence space reset. The
 // entry must be drained (CommitGroupEpoch checks).
 func (g *group) activate(v *pendingView) {
-	self := g.ext.nic.ID()
-	g.root = v.tr.Root
-	g.children = append(g.children[:0], v.tr.Children(self)...)
-	if p, ok := v.tr.Parent(self); ok {
-		g.parent = p
-	} else {
-		g.parent = self
-	}
+	g.setNeighbors(v.tr)
 	g.port, g.rootPort = v.port, v.rootPort
 	g.epoch = v.epoch
 	g.live = true
 	g.sendSeq, g.recvSeq = 0, 1
-	g.acked = make(map[fabric.NodeID]uint32)
 	g.backoff = 0
 	g.fastArmed = false
 	g.lastFast = 0

@@ -103,8 +103,8 @@ func TestGroupSequenceWraparoundUnderLoss(t *testing.T) {
 		}
 		g.sendSeq = start - 1 // pump pre-increments: first packet gets start
 		g.recvSeq = start
-		for _, c := range g.children {
-			g.acked[c] = start - 1
+		for i := range g.acked {
+			g.acked[i] = start - 1
 		}
 	}
 

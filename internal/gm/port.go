@@ -18,9 +18,11 @@ type RecvEvent struct {
 	Data    []byte
 }
 
-// recvToken is one host-posted receive buffer awaiting a message.
+// recvToken is one host-posted receive buffer awaiting a message. Until a
+// message claims it the token is only its capacity; matchAssembly
+// allocates the buffer.
 type recvToken struct {
-	buf []byte // len(buf) is the capacity
+	capacity int
 }
 
 // asmKey identifies an in-progress message assembly.
@@ -95,7 +97,7 @@ type Port struct {
 	recvEvents []*RecvEvent
 	recvWaiter *sim.Waiter
 
-	recvTokens []*recvToken
+	recvTokens []recvToken
 	asms       map[asmKey]*Assembly
 
 	// regions are remotely writable registered buffers (directed sends).
@@ -130,7 +132,7 @@ func (p *Port) Provide(capacity int) {
 	if max := p.nic.Cfg.RecvTokensMax; max > 0 && len(p.recvTokens) >= max {
 		panic(fmt.Errorf("%w: port %d exceeds %d", ErrTokenExhausted, p.id, max))
 	}
-	p.recvTokens = append(p.recvTokens, &recvToken{buf: make([]byte, capacity)})
+	p.recvTokens = append(p.recvTokens, recvToken{capacity: capacity})
 }
 
 // ProvideN posts n receive buffers of the given capacity.
@@ -267,17 +269,17 @@ func (p *Port) matchAssembly(src fabric.NodeID, srcPort PortID, msgID uint64, ms
 	}
 	best := -1
 	for i, t := range p.recvTokens {
-		if len(t.buf) < msgLen {
+		if t.capacity < msgLen {
 			continue
 		}
-		if best == -1 || len(t.buf) < len(p.recvTokens[best].buf) {
+		if best == -1 || t.capacity < p.recvTokens[best].capacity {
 			best = i
 		}
 	}
 	if best == -1 {
 		return nil, false
 	}
-	buf := p.recvTokens[best].buf
+	buf := make([]byte, p.recvTokens[best].capacity)
 	p.recvTokens = append(p.recvTokens[:best], p.recvTokens[best+1:]...)
 	a := &Assembly{port: p, key: k, group: group, buf: buf, msgLen: msgLen}
 	p.asms[k] = a

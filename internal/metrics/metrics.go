@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -55,18 +54,35 @@ func (k Key) String() string {
 type Registry struct {
 	disabled bool
 	mu       sync.Mutex
-	counters map[Key]*Counter
-	gauges   map[Key]*Gauge
-	hists    map[Key]*Histogram
+	scopes   map[scopeKey]*scope
+	// last is the scope of the previous lookup. A component registers all
+	// its instruments for one node back to back, so building a cluster
+	// costs one map insertion per (component, node), not one per name.
+	last *scope
+}
+
+type scopeKey struct {
+	component string
+	node      int
+}
+
+// scope holds the instruments one component registered for one node, a
+// handful each, found by scanning for the name.
+type scope struct {
+	scopeKey
+	counters []named[*Counter]
+	gauges   []named[*Gauge]
+	hists    []named[*Histogram]
+}
+
+type named[T any] struct {
+	name string
+	inst T
 }
 
 // New returns an enabled registry.
 func New() *Registry {
-	return &Registry{
-		counters: make(map[Key]*Counter),
-		gauges:   make(map[Key]*Gauge),
-		hists:    make(map[Key]*Histogram),
-	}
+	return &Registry{scopes: make(map[scopeKey]*scope)}
 }
 
 // Disabled returns a registry whose instrument constructors all return
@@ -86,21 +102,44 @@ func Ensure(r *Registry) *Registry {
 // Enabled reports whether the registry hands out live instruments.
 func (r *Registry) Enabled() bool { return r != nil && !r.disabled }
 
+// scopeOf returns (creating on first use) the scope of one component on
+// one node. The caller holds r.mu.
+func (r *Registry) scopeOf(component string, node int) *scope {
+	k := scopeKey{component, node}
+	if r.last != nil && r.last.scopeKey == k {
+		return r.last
+	}
+	sc, ok := r.scopes[k]
+	if !ok {
+		sc = &scope{scopeKey: k}
+		r.scopes[k] = sc
+	}
+	r.last = sc
+	return sc
+}
+
+// instrument returns the named instrument of one of a scope's lists,
+// making and appending it on first use.
+func instrument[T any](list *[]named[T], name string, mk func() T) T {
+	for _, e := range *list {
+		if e.name == name {
+			return e.inst
+		}
+	}
+	inst := mk()
+	*list = append(*list, named[T]{name, inst})
+	return inst
+}
+
 // Counter returns (creating on first use) the named counter, or nil when
 // the registry is disabled.
 func (r *Registry) Counter(component string, node int, name string) *Counter {
 	if !r.Enabled() {
 		return nil
 	}
-	k := Key{component, node, name}
 	r.mu.Lock()
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{}
-		r.counters[k] = c
-	}
-	r.mu.Unlock()
-	return c
+	defer r.mu.Unlock()
+	return instrument(&r.scopeOf(component, node).counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns (creating on first use) the named gauge, or nil when the
@@ -109,15 +148,9 @@ func (r *Registry) Gauge(component string, node int, name string) *Gauge {
 	if !r.Enabled() {
 		return nil
 	}
-	k := Key{component, node, name}
 	r.mu.Lock()
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
-	r.mu.Unlock()
-	return g
+	defer r.mu.Unlock()
+	return instrument(&r.scopeOf(component, node).gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns (creating on first use) the named histogram, or nil
@@ -126,35 +159,20 @@ func (r *Registry) Histogram(component string, node int, name string) *Histogram
 	if !r.Enabled() {
 		return nil
 	}
-	k := Key{component, node, name}
 	r.mu.Lock()
-	h, ok := r.hists[k]
-	if !ok {
-		h = newHistogram()
-		r.hists[k] = h
-	}
-	r.mu.Unlock()
-	return h
+	defer r.mu.Unlock()
+	return instrument(&r.scopeOf(component, node).hists, name, newHistogram)
 }
 
-// sortedKeys returns map keys in deterministic (component, node, name)
-// order.
-func sortedKeys[V any](m map[Key]V) []Key {
-	out := make([]Key, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// less orders keys by (component, node, name), the order of a Snapshot.
+func (k Key) less(o Key) bool {
+	if k.Component != o.Component {
+		return k.Component < o.Component
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Component != b.Component {
-			return a.Component < b.Component
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Name < b.Name
-	})
-	return out
+	if k.Node != o.Node {
+		return k.Node < o.Node
+	}
+	return k.Name < o.Name
 }
 
 // Counter is a monotonically increasing count. All methods are no-ops on

@@ -190,3 +190,51 @@ func TestEnsure(t *testing.T) {
 		t.Fatal("Ensure replaced a disabled registry (explicit no-op must stick)")
 	}
 }
+
+// The registry files instruments per (component, node); a snapshot is
+// ordered by (component, node, name) all the same, whatever order the
+// instruments were registered in — node by node as a cluster build does,
+// or interleaved so consecutive lookups never share a scope — and its JSON
+// and table are byte-identical between the two.
+func TestSnapshotOrderIgnoresRegistrationOrder(t *testing.T) {
+	keys := []Key{
+		{"core", 0, "acks_sent"}, {"core", 0, "mcast_sent"}, {"core", 1, "acks_sent"}, {"core", 1, "mcast_sent"},
+		{"fabric", NodeFabric, "delivered"}, {"fabric", 0, "delivered"},
+		{"gm", 0, "data_sent"}, {"gm", 0, "retransmits"}, {"gm", 1, "data_sent"}, {"gm", 10, "data_sent"},
+	}
+	fill := func(order []int) (*Registry, Snapshot) {
+		r := New()
+		for _, i := range order {
+			k := keys[i]
+			r.Counter(k.Component, k.Node, k.Name).Add(uint64(i + 1))
+			r.Gauge(k.Component, k.Node, k.Name).Set(int64(i))
+			r.Histogram(k.Component, k.Node, k.Name).Observe(int64(100 * i))
+		}
+		return r, r.Snapshot()
+	}
+	r, grouped := fill([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	_, scattered := fill([]int{9, 2, 6, 4, 0, 8, 3, 7, 5, 1})
+	for i, k := range keys {
+		if grouped.Counters[i].Key != k || grouped.Gauges[i].Key != k || grouped.Histograms[i].Key != k {
+			t.Fatalf("snapshot entry %d is %v / %v / %v, want %v",
+				i, grouped.Counters[i].Key, grouped.Gauges[i].Key, grouped.Histograms[i].Key, k)
+		}
+		if got := grouped.Counters[i].Value; got != uint64(i+1) {
+			t.Errorf("%v = %d, want %d", k, got, i+1)
+		}
+		if r.Counter(k.Component, k.Node, k.Name).Value() != uint64(i+1) {
+			t.Errorf("second lookup of %v returned another counter", k)
+		}
+	}
+	render := func(s Snapshot) string {
+		var b bytes.Buffer
+		if err := s.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		s.WriteTable(&b)
+		return b.String()
+	}
+	if a, b := render(grouped), render(scattered); a != b {
+		t.Errorf("output depends on registration order:\n%s\nvs\n%s", a, b)
+	}
+}

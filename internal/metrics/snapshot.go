@@ -61,28 +61,34 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, k := range sortedKeys(r.counters) {
-		s.Counters = append(s.Counters, CounterVal{Key: k, Value: r.counters[k].Value()})
-	}
-	for _, k := range sortedKeys(r.gauges) {
-		g := r.gauges[k]
-		s.Gauges = append(s.Gauges, GaugeVal{Key: k, Value: g.Value(), High: g.High()})
-	}
-	for _, k := range sortedKeys(r.hists) {
-		h := r.hists[k]
-		hv := HistVal{Key: k, Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max()}
-		for i := range h.buckets {
-			if n := h.buckets[i].Load(); n > 0 {
-				if hv.Buckets == nil {
-					hv.Buckets = make(map[int]uint64)
-				}
-				hv.Buckets[i] = n
-			}
+	for _, sc := range r.scopes {
+		for _, e := range sc.counters {
+			s.Counters = append(s.Counters, CounterVal{Key: sc.key(e.name), Value: e.inst.Value()})
 		}
-		s.Histograms = append(s.Histograms, hv)
+		for _, e := range sc.gauges {
+			s.Gauges = append(s.Gauges, GaugeVal{Key: sc.key(e.name), Value: e.inst.Value(), High: e.inst.High()})
+		}
+		for _, e := range sc.hists {
+			h := e.inst
+			hv := HistVal{Key: sc.key(e.name), Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max()}
+			for i := range h.buckets {
+				if n := h.buckets[i].Load(); n > 0 {
+					if hv.Buckets == nil {
+						hv.Buckets = make(map[int]uint64)
+					}
+					hv.Buckets[i] = n
+				}
+			}
+			s.Histograms = append(s.Histograms, hv)
+		}
 	}
+	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Key.less(s.Counters[j].Key) })
+	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Key.less(s.Gauges[j].Key) })
+	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Key.less(s.Histograms[j].Key) })
 	return s
 }
+
+func (sc *scope) key(name string) Key { return Key{sc.component, sc.node, name} }
 
 // Diff returns the change from prev to s: counters and histogram
 // counts/sums subtract (instruments absent from prev count from zero);

@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"repro/internal/coll"
 	"repro/internal/fabric"
@@ -84,8 +85,10 @@ func (c *Comm) ensureCollTree() gm.GroupID {
 }
 
 // installColl preposts the collective group entry into the local NIC and
-// blocks until the firmware confirms it.
+// blocks until the firmware confirms it. nodes is this call's own copy, in
+// communicator rank order; the engine wants (and keeps) it in ID order.
 func (r *Rank) installColl(gid gm.GroupID, nodes []fabric.NodeID) {
+	slices.Sort(nodes)
 	eng := coll.FromExt(r.w.C.Nodes[r.id].Ext)
 	done := false
 	w := sim.NewWaiter(r.proc.Engine())

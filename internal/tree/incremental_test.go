@@ -93,6 +93,10 @@ func TestIncrementalRoundTripsThroughParents(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		rt := FromParents(tr.Root, tr.Parents())
+		// Both sides validated: the remembered verdict is part of a Tree.
+		if err := rt.Validate(); err != nil {
+			t.Fatalf("step %d: round-tripped tree: %v", step, err)
+		}
 		if !reflect.DeepEqual(tr, rt) {
 			t.Fatalf("step %d: tree does not round-trip through Parents()", step)
 		}
@@ -122,7 +126,7 @@ func TestIncrementalProperty(t *testing.T) {
 			}
 			a = Incremental(a, 0, members, 3)
 			b = Incremental(b, 0, members, 3)
-			if err := a.Validate(); err != nil {
+			if a.Validate() != nil || b.Validate() != nil {
 				return false
 			}
 			if !reflect.DeepEqual(a, b) {

@@ -9,20 +9,29 @@ package tree
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
 )
 
 // Tree is a rooted multicast spanning tree. Children of each node are
-// ordered: the first child is sent to first.
+// ordered: the first child is sent to first. A Tree's shape is immutable
+// once its constructor returns (link is private), so one tree is shared by
+// every member of a group, also across shard goroutines, and is validated
+// once however many members install it. The slices Children and Nodes
+// return are the tree's own; do not modify them.
 type Tree struct {
 	Root     fabric.NodeID
 	children map[fabric.NodeID][]fabric.NodeID
 	parent   map[fabric.NodeID]fabric.NodeID
 	nodes    []fabric.NodeID // all members, root first, then sorted
+
+	validated sync.Once
+	verdict   error // check's result, written once under validated
 }
 
 func newTree(root fabric.NodeID, dests []fabric.NodeID) *Tree {
@@ -115,15 +124,36 @@ func (t *Tree) Leaves() []fabric.NodeID {
 // Validate checks structural soundness and the deadlock-avoidance
 // invariant: every member except the root has exactly one parent, the
 // graph is a single tree, and each child's network ID exceeds its parent's
-// unless the parent is the root.
+// unless the parent is the root. The walk runs on the first call only; the
+// tree cannot change afterwards, so every later call — one per member when
+// a group is installed — returns the first call's verdict.
 func (t *Tree) Validate() error {
-	reached := map[fabric.NodeID]bool{}
-	var walk func(n fabric.NodeID) error
-	walk = func(n fabric.NodeID) error {
-		if reached[n] {
-			return fmt.Errorf("tree: node %v reached twice (cycle or diamond)", n)
-		}
-		reached[n] = true
+	t.validated.Do(func() { t.verdict = t.check() })
+	return t.verdict
+}
+
+// index reports n's position in t.nodes (root first, then the sorted
+// destinations), or -1 when n is not a member.
+func (t *Tree) index(n fabric.NodeID) int {
+	if n == t.Root {
+		return 0
+	}
+	if i, ok := slices.BinarySearch(t.nodes[1:], n); ok {
+		return i + 1
+	}
+	return -1
+}
+
+// check walks the tree from the root with an explicit stack, marking
+// members in a slice parallel to t.nodes.
+func (t *Tree) check() error {
+	seen := make([]bool, len(t.nodes))
+	seen[0] = true
+	reached := 1
+	stack := append(make([]fabric.NodeID, 0, len(t.nodes)), t.Root)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		for _, c := range t.children[n] {
 			if p, ok := t.parent[c]; !ok || p != n {
 				return fmt.Errorf("tree: child %v has inconsistent parent", c)
@@ -131,17 +161,20 @@ func (t *Tree) Validate() error {
 			if n != t.Root && c <= n {
 				return fmt.Errorf("tree: child %v not greater than non-root parent %v", c, n)
 			}
-			if err := walk(c); err != nil {
-				return err
+			i := t.index(c)
+			if i < 0 {
+				return fmt.Errorf("tree: child %v of %v is not a member", c, n)
 			}
+			if seen[i] {
+				return fmt.Errorf("tree: node %v reached twice (cycle or diamond)", c)
+			}
+			seen[i] = true
+			reached++
+			stack = append(stack, c)
 		}
-		return nil
 	}
-	if err := walk(t.Root); err != nil {
-		return err
-	}
-	if len(reached) != len(t.nodes) {
-		return fmt.Errorf("tree: reached %d of %d members", len(reached), len(t.nodes))
+	if reached != len(t.nodes) {
+		return fmt.Errorf("tree: reached %d of %d members", reached, len(t.nodes))
 	}
 	return nil
 }
@@ -242,7 +275,8 @@ func KAry(root fabric.NodeID, members []fabric.NodeID, k int) *Tree {
 // FromParents rebuilds a tree from its parent relation, attaching each
 // node's children in ascending ID order. Trees whose construction emits
 // children in ascending order per sender (Optimal, Chain, Flat) round-trip
-// exactly; use it to decode trees shipped over the wire.
+// exactly; use it to decode trees shipped over the wire. A relation that
+// is not a sound tree still yields a Tree; its Validate reports why.
 func FromParents(root fabric.NodeID, parents map[fabric.NodeID]fabric.NodeID) *Tree {
 	members := make([]fabric.NodeID, 0, len(parents)+1)
 	members = append(members, root)

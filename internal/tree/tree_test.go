@@ -422,3 +422,70 @@ func TestValidateCatchesIDInversion(t *testing.T) {
 		t.Fatal("validation accepted child <= non-root parent")
 	}
 }
+
+// Every constructor yields a tree that validates, at a sparse-ID
+// membership and a non-zero root.
+func TestEveryConstructorValidates(t *testing.T) {
+	members := ids(40, 3, 17, 8, 99, 1000, 21, 5)
+	const root = 17
+	base := Optimal(root, members, PostalParams{Lambda: 700, Gap: 100})
+	for name, tr := range map[string]*Tree{
+		"Binomial":    Binomial(root, members),
+		"Chain":       Chain(root, members),
+		"Flat":        Flat(root, members),
+		"KAry":        KAry(root, members, 3),
+		"Optimal":     base,
+		"FromParents": FromParents(root, base.Parents()),
+		"Incremental": Incremental(base, 8, append(ids(2, 64), members[2:]...), 2),
+	} {
+		if err := tr.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// A wire relation that is not a sound tree still decodes, and the decoded
+// tree fails validation — the check InstallGroupEpoch relies on.
+func TestFromParentsBadRelationsFailValidation(t *testing.T) {
+	for name, parents := range map[string]map[fabric.NodeID]fabric.NodeID{
+		"child below its non-root parent": {2: 0, 1: 2},
+		"child equal to its parent":       {2: 0, 3: 3},
+		"cycle off the root":              {1: 0, 2: 3, 3: 2},
+		"parent that is not a member":     {5: 0, 7: 5, 9: 99},
+	} {
+		if err := FromParents(0, parents).Validate(); err == nil {
+			t.Errorf("%s: passed validation", name)
+		}
+	}
+}
+
+// The walk runs once per tree: later calls allocate nothing and repeat the
+// first verdict, for sound and unsound trees alike, and a tree shared by
+// several goroutines (shards installing one group) is safe to validate
+// from all of them.
+func TestValidateRunsOnce(t *testing.T) {
+	good := Binomial(0, seq(512))
+	bad := FromParents(0, map[fabric.NodeID]fabric.NodeID{2: 0, 1: 2})
+	done := make(chan error)
+	for i := 0; i < 4; i++ {
+		go func() { done <- good.Validate() }()
+	}
+	for i := 0; i < 4; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := bad.Validate()
+	if first == nil {
+		t.Fatal("unsound tree passed validation")
+	}
+	for _, tr := range []*Tree{good, bad} {
+		tr := tr
+		if n := testing.AllocsPerRun(100, func() { _ = tr.Validate() }); n != 0 {
+			t.Errorf("a repeated Validate allocates %v objects, want 0", n)
+		}
+	}
+	if again := bad.Validate(); again != first {
+		t.Errorf("verdict changed between calls: %v, then %v", first, again)
+	}
+}
