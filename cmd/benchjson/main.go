@@ -5,8 +5,8 @@
 //	go run ./cmd/benchjson -rev $(git rev-parse --short HEAD) -o BENCH_sim.json
 //
 // The output records ns/op, bytes/op and allocs/op for each kernel
-// workload on both the live engine and the preserved legacy
-// (container/heap) engine, the packet-storm comparison against the seed
+// workload on the live engine next to the recorded numbers of the seed's
+// container/heap engine, the packet-storm comparison against the seed
 // baseline, the wall-clock ratio of the serial vs parallel sweep runner,
 // and serial-vs-sharded wall-clock pairs for the single-run multicast
 // storm (the conservative PDES mode). Committing the file gives later
@@ -49,6 +49,26 @@ var seedStorm = benchResult{
 	BytesPerOp:  2240,
 	AllocsPerOp: 48,
 }
+
+// legacySchedule and legacyCancel are the Schedule and CancelReschedule
+// workloads on the seed's container/heap engine (one heap-allocated event
+// per arm, no reusable timer), as last measured — BENCH_sim.json at
+// 12c14cd, 2 vCPU — before that engine was deleted. Recorded baselines
+// like seedStorm: the speedup ratios divide them by a fresh measurement.
+var (
+	legacySchedule = benchResult{
+		Name:        "LegacySchedule",
+		NsPerOp:     132.2728473294882,
+		BytesPerOp:  32,
+		AllocsPerOp: 1,
+	}
+	legacyCancel = benchResult{
+		Name:        "LegacyCancelReschedule",
+		NsPerOp:     81.78930389132353,
+		BytesPerOp:  64,
+		AllocsPerOp: 2,
+	}
+)
 
 type benchResult struct {
 	Name        string  `json:"name"`
@@ -413,9 +433,7 @@ func main() {
 	}
 
 	schedule := run("Schedule", benchkernel.Schedule)
-	legacySchedule := run("LegacySchedule", benchkernel.LegacySchedule)
 	cancel := run("CancelReschedule", benchkernel.CancelReschedule)
-	legacyCancel := run("LegacyCancelReschedule", benchkernel.LegacyCancelReschedule)
 	storm := run("PacketStorm", benchkernel.PacketStorm)
 
 	rep := report{
@@ -432,7 +450,9 @@ func main() {
 		},
 		PacketStorm: compare(seedStorm, storm),
 		SeedNote: "seed numbers measured at commit 3e4855e by running the identical " +
-			"PacketStorm body against the pre-arena engine; not re-measurable here",
+			"PacketStorm body against the pre-arena engine; not re-measurable here. " +
+			"The Legacy* kernel numbers are likewise recorded (last measured at 12c14cd), " +
+			"not re-measured: the seed engine is no longer in the tree",
 	}
 
 	if !*skipSweep {

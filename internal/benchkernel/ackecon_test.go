@@ -19,7 +19,7 @@ func TestAckEconomyCutsStormAckTraffic(t *testing.T) {
 	// 16-packet messages; the binomial root paces packets ~190µs apart at
 	// this scale, so the ack delay must span several packet arrivals for
 	// count-driven coalescing to engage (the retransmit timers budget for
-	// the hold, see conn.rto and group.armTimer).
+	// the hold, see gm.Window.rto).
 	const nodes, msgs, size = 2048, 3, 65536
 	baseVirt, base := MulticastStormCounters(fabric.Config{}, nodes, msgs, size)
 	econVirt, econ := MulticastStormCounters(fabric.Config{}, nodes, msgs, size,

@@ -13,7 +13,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/sim/legacy"
 	"repro/internal/tree"
 )
 
@@ -40,21 +39,6 @@ func Schedule(b *testing.B) {
 	}
 }
 
-// LegacySchedule is Schedule on the seed's container/heap engine.
-func LegacySchedule(b *testing.B) {
-	b.ReportAllocs()
-	eng := legacy.NewEngine()
-	fn := func() {}
-	for i := 0; i < window; i++ {
-		eng.After(sim.Time(i+1), fn)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step()
-		eng.After(window, fn)
-	}
-}
-
 // CancelReschedule measures the retransmit-timer pattern: arm, push the
 // deadline out, give up, and advance — the lifecycle every reliable-send
 // path puts its timer through.
@@ -68,23 +52,6 @@ func CancelReschedule(b *testing.B) {
 		tm.Reset(eng.Now() + 100)
 		tm.Reset(eng.Now() + 200)
 		tm.Stop()
-		eng.After(1, fn)
-		eng.Step()
-	}
-}
-
-// LegacyCancelReschedule is CancelReschedule on the seed's engine, which
-// had no reusable timer handle: each arm allocates a fresh event.
-func LegacyCancelReschedule(b *testing.B) {
-	b.ReportAllocs()
-	eng := legacy.NewEngine()
-	cb := func() {}
-	fn := func() {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := eng.After(100, cb)
-		eng.Reschedule(ev, eng.Now()+200)
-		eng.Cancel(ev)
 		eng.After(1, fn)
 		eng.Step()
 	}

@@ -46,7 +46,7 @@ type Config struct {
 	// Shards runs each scenario's clusters on a conservative parallel
 	// engine (0 or 1 = serial). Only stateless fault rules — unconditional
 	// drop windows, every-packet reordering, NIC pauses — are compatible;
-	// a stochastic scenario panics with ErrShardsStateful at install time.
+	// a stochastic scenario panics with fabric.ErrShardsStateful at install time.
 	Shards int
 
 	// Fabric selects the interconnect backend the campaign runs over (the

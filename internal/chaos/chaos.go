@@ -23,17 +23,6 @@ import (
 	"repro/internal/sim"
 )
 
-// ErrShardsStateful is the sentinel a rule-install panics with when the
-// fabric is sharded and the rule keeps cross-traversal state (stochastic
-// drops, Gilbert-Elliott, every-nth duplication or reordering): hook
-// callbacks run on whichever shard owns the link, so a shared RNG or
-// counter would be both racy and nondeterministic. Pure time-window rules
-// (unconditional drops, every-packet reordering) remain available.
-//
-// Deprecated: alias of fabric.ErrShardsStateful (the constraint belongs to
-// the sharded fabric, not this package); errors.Is works against either.
-var ErrShardsStateful = fabric.ErrShardsStateful
-
 // Match selects the packets/link traversals a rule applies to.
 type Match func(p *fabric.Packet, l *fabric.Link) bool
 
@@ -167,7 +156,7 @@ func (in *Injector) DropWindow(name string, from, until sim.Time, match Match) {
 // [from, until) (until 0 = forever).
 func (in *Injector) DropProb(name string, from, until sim.Time, prob float64, match Match) {
 	if prob < 1 && in.net.Shards() > 1 {
-		panic(ErrShardsStateful)
+		panic(fabric.ErrShardsStateful)
 	}
 	in.drops = append(in.drops, &dropRule{
 		name: name, win: window{from, until}, match: match, prob: prob,
@@ -181,7 +170,7 @@ func (in *Injector) DropProb(name string, from, until sim.Time, prob float64, ma
 // losses across a burst the way a real interference event does.
 func (in *Injector) GilbertElliott(name string, pGoodBad, pBadGood, lossGood, lossBad float64, match Match) {
 	if in.net.Shards() > 1 {
-		panic(ErrShardsStateful)
+		panic(fabric.ErrShardsStateful)
 	}
 	bad := false
 	step := func() bool {
@@ -208,7 +197,7 @@ func (in *Injector) Duplicate(name string, from, until sim.Time, every int, matc
 	if in.net.Shards() > 1 {
 		// Even every=1 duplication is off-limits sharded: the fabric's
 		// duplicate-delivery closure cannot cross a shard boundary.
-		panic(ErrShardsStateful)
+		panic(fabric.ErrShardsStateful)
 	}
 	if every < 1 {
 		every = 1
@@ -222,7 +211,7 @@ func (in *Injector) Duplicate(name string, from, until sim.Time, every int, matc
 // until), letting later packets overtake it — bounded reordering.
 func (in *Injector) Reorder(name string, from, until sim.Time, every int, delay sim.Time, match Match) {
 	if every > 1 && in.net.Shards() > 1 {
-		panic(ErrShardsStateful)
+		panic(fabric.ErrShardsStateful)
 	}
 	if every < 1 {
 		every = 1

@@ -62,8 +62,8 @@ type Config struct {
 	// is clamped to the node count). Sharded output is byte-identical to
 	// serial for the same seed. Sharding is incompatible with stochastic
 	// loss and tracing, whose shared state would make cross-shard order
-	// observable — build panics with ErrShardsWithLossRate /
-	// ErrShardsWithTrace.
+	// observable — build panics with fabric.ErrShardsWithLossRate /
+	// fabric.ErrShardsWithTrace.
 	Shards int
 
 	// PartitionObjective selects what the fabric partitioner optimizes when
@@ -135,17 +135,6 @@ type Cluster struct {
 	prevWait      []int64
 }
 
-// Sentinel errors for configurations sharding cannot honor; build panics
-// with values satisfying errors.Is against these.
-//
-// Deprecated: these are aliases of the fabric package's sentinels (the
-// incompatibility is a property of the sharded fabric, not of this
-// assembly layer); errors.Is works against either name.
-var (
-	ErrShardsWithLossRate = fabric.ErrShardsWithLossRate
-	ErrShardsWithTrace    = fabric.ErrShardsWithTrace
-)
-
 // New builds a cluster of n nodes: engine, fabric (single crossbar up to
 // 16 nodes, a Clos of 16-port crossbars beyond — the testbed's default
 // topology), and one full node per host, with the multicast extension
@@ -191,10 +180,10 @@ func build(cfg *Config) *Cluster {
 	}
 	if shards > 1 {
 		if cfg.LossRate > 0 {
-			panic(ErrShardsWithLossRate)
+			panic(fabric.ErrShardsWithLossRate)
 		}
 		if cfg.Trace != nil {
-			panic(ErrShardsWithTrace)
+			panic(fabric.ErrShardsWithTrace)
 		}
 	}
 	engines := make([]*sim.Engine, shards)

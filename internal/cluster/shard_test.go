@@ -170,7 +170,7 @@ func TestShardOptionValidation(t *testing.T) {
 		}()
 		build()
 	}
-	mustPanic("loss", cluster.ErrShardsWithLossRate, func() {
+	mustPanic("loss", fabric.ErrShardsWithLossRate, func() {
 		cluster.New(8, cluster.WithShards(2), cluster.WithLossRate(0.01))
 	})
 }

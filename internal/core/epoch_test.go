@@ -27,7 +27,7 @@ func TestRemoveGroupBusyDefersUntilDrained(t *testing.T) {
 		// defer, not panic and not drop the message.
 		ext.RemoveGroup(r.gid, func() {
 			removed = true
-			if ext.GroupOutstanding(r.gid) != 0 {
+			if ext.OutstandingRecords() != 0 {
 				t.Error("group removed while records were outstanding")
 			}
 		})
@@ -58,7 +58,7 @@ func TestQuiesceGroupWaitsForDrain(t *testing.T) {
 		ext.Mcast(p, r.ports[0], r.gid, pattern(16384))
 		ext.QuiesceGroup(r.gid, func() {
 			busyRan = true
-			if n := ext.GroupOutstanding(r.gid); n != 0 {
+			if n := ext.OutstandingRecords(); n != 0 {
 				t.Errorf("quiesce fired with %d records outstanding", n)
 			}
 		})

@@ -59,20 +59,6 @@ func (e *Ext) HasGroup(id gm.GroupID) bool {
 	return ok
 }
 
-// GroupOutstanding reports one group's unretired send records (0 for an
-// unknown group).
-//
-// Deprecated: polling this from the host to quiesce a group races the
-// firmware (records can be created between polls) and burns simulated
-// time. Use QuiesceGroup, which runs a callback exactly when the entry's
-// outstanding send work has drained.
-func (e *Ext) GroupOutstanding(id gm.GroupID) int {
-	if g, ok := e.groups[id]; ok {
-		return len(g.records)
-	}
-	return 0
-}
-
 // GroupEpoch reports a group's active epoch (0 for static groups and for
 // unknown groups) and whether the entry is live — a joining NIC's staged
 // entry exists but is not live until its first commit.
@@ -86,10 +72,8 @@ func (e *Ext) GroupEpoch(id gm.GroupID) (epoch uint32, live bool) {
 // QuiesceGroup runs fn (in firmware context) as soon as the group's
 // outstanding send-side work — unretired send records and packets still
 // staging or replicating — has drained; immediately if it already has, or
-// if the group is unknown. This replaces the old idiom of polling
-// GroupOutstanding from the host: the callback fires at the exact
-// firmware event that retires the last record, with no race window and
-// no polling traffic.
+// if the group is unknown. The callback fires at the exact firmware event
+// that retires the last record, with no race window and no polling traffic.
 func (e *Ext) QuiesceGroup(id gm.GroupID, fn func()) {
 	e.nic.HW.HostPost(func() {
 		e.nic.HW.CPUDo(e.cfg.GroupInstallCost, func() {
@@ -116,7 +100,7 @@ func (e *Ext) QuiesceGroup(id gm.GroupID, fn func()) {
 func (e *Ext) OutstandingRecords() int {
 	n := 0
 	for _, g := range e.groups {
-		n += len(g.records) + g.staging
+		n += g.win.Len() + g.staging
 	}
 	return n
 }
@@ -126,7 +110,7 @@ func (e *Ext) OutstandingRecords() int {
 func (e *Ext) PendingGroupTimers() int {
 	armed := 0
 	for _, g := range e.groups {
-		if g.timer.Pending() {
+		if g.win.Armed() {
 			armed++
 		}
 	}
@@ -139,7 +123,7 @@ func (e *Ext) PendingGroupTimers() int {
 func (e *Ext) PendingAckTimers() int {
 	armed := 0
 	for _, g := range e.groups {
-		if g.ackTimer != nil && g.ackTimer.Pending() {
+		if g.hold.Armed() {
 			armed++
 		}
 	}
@@ -243,23 +227,16 @@ func (e *Ext) CommitGroupEpoch(id gm.GroupID, epoch uint32, fn func()) {
 				panic(fmt.Errorf("%w: group %d at %v has no prepared view for epoch %d",
 					ErrNotPrepared, id, e.nic.ID(), epoch))
 			}
-			if len(g.records) > 0 || g.staging > 0 {
+			if g.win.Len() > 0 || g.staging > 0 {
 				panic(fmt.Errorf("%w: committing epoch %d of group %d at %v with %d records, %d staging",
-					ErrGroupBusy, epoch, id, e.nic.ID(), len(g.records), g.staging))
+					ErrGroupBusy, epoch, id, e.nic.ID(), g.win.Len(), g.staging))
 			}
 			if v.remove {
 				if len(g.queue) > 0 {
 					panic(fmt.Errorf("%w: removing group %d at %v with %d queued send tokens",
 						ErrGroupBusy, id, e.nic.ID(), len(g.queue)))
 				}
-				g.timer.Stop()
-				if g.ackTimer != nil {
-					// Flush a coalesced receipt floor before the entry goes:
-					// the final ack lets the old-epoch parent retire cleanly.
-					e.flushAckUp(g)
-					g.ackTimer.Stop()
-				}
-				delete(e.groups, id)
+				e.dropGroup(g)
 			} else {
 				g.activate(v)
 				e.m.epochCommits.Inc()
@@ -289,18 +266,22 @@ func (e *Ext) RemoveGroup(id gm.GroupID, fn func()) {
 				panic(fmt.Errorf("%w: removing group %d at %v", ErrNoSuchGroup, id, e.nic.ID()))
 			}
 			g.onQuiesce(func() {
-				g.timer.Stop()
-				if g.ackTimer != nil {
-					e.flushAckUp(g)
-					g.ackTimer.Stop()
-				}
-				delete(e.groups, id)
+				e.dropGroup(g)
 				if fn != nil {
 					fn()
 				}
 			})
 		})
 	})
+}
+
+// dropGroup deletes a drained entry from the table. A coalesced receipt
+// floor is flushed first: the final ack lets the (old-epoch) parent retire
+// cleanly. The retransmit timer needs no stop — the window disarms it when
+// its last record retires, and a drained entry has none.
+func (e *Ext) dropGroup(g *group) {
+	g.hold.Flush()
+	delete(e.groups, g.id)
 }
 
 // HandleRx implements gm.Extension: multicast frames are consumed here,
@@ -381,11 +362,7 @@ func (e *Ext) rxData(fr *gm.Frame) {
 			e.m.oooDrops.Inc()
 			if nic.Cfg.EnableNacks {
 				if e.cfg.AggregateAcks {
-					if g.ackPending > 0 {
-						e.m.acksSuppressed.Add(uint64(g.ackPending))
-						g.ackPending = 0
-						g.ackTimer.Stop()
-					}
+					g.hold.Absorb()
 					e.nackParent(g, g.ackBound())
 				} else {
 					e.nackParent(g, g.recvSeq-1)
@@ -473,11 +450,12 @@ func (e *Ext) forward(g *group, fr *gm.Frame, release func()) {
 				e.m.mcastSent.Inc()
 				e.m.mcastForwarded.Inc()
 				if i+1 == len(g.children) {
+					g.staging--
 					if e.cfg.Retransmit == RetransmitHoldBuffer {
-						g.recordForwarded(fr, release)
+						g.file(fr, mcastSent{release: release})
 					} else {
 						release()
-						g.recordForwarded(fr, nil)
+						g.file(fr, mcastSent{})
 					}
 					return
 				}
@@ -543,7 +521,8 @@ func (g *group) replicateForward(fr *gm.Frame, buf bufToken) {
 			g.ext.m.mcastForwarded.Inc()
 			if i+1 == len(g.children) {
 				buf.Release()
-				g.recordForwarded(fr, nil)
+				g.staging--
+				g.file(fr, mcastSent{})
 				g.nextChain()
 				return
 			}
@@ -552,27 +531,6 @@ func (g *group) replicateForward(fr *gm.Frame, buf bufToken) {
 		})
 	}
 	sendTo(0)
-}
-
-// recordForwarded files the forwarder's send record for a packet. release,
-// when non-nil, pins a NIC receive buffer until the record retires (the
-// RetransmitHoldBuffer ablation).
-func (g *group) recordForwarded(fr *gm.Frame, release func()) {
-	g.staging--
-	pending := g.pendingChildren(fr.Seq)
-	if len(pending) == 0 {
-		// All children acked before the last replica's callback ran.
-		if release != nil {
-			release()
-		}
-		g.checkQuiesce()
-		return
-	}
-	g.records = append(g.records, &mcastRecord{
-		seq: fr.Seq, frame: fr, sentAt: g.ext.nic.Engine().Now(),
-		pending: pending, release: release,
-	})
-	g.armTimer()
 }
 
 // dropEpochMismatch refuses a multicast data frame from another epoch.
@@ -630,14 +588,7 @@ func (e *Ext) noteDelivered(g *group) {
 		e.ackUp(g)
 		return
 	}
-	g.ackPending++
-	if g.ackPending >= e.nic.Cfg.AckEvery {
-		e.flushAckUp(g)
-		return
-	}
-	if !g.ackTimer.Pending() {
-		g.ackTimer.ResetAfter(e.nic.Cfg.EffectiveAckDelay())
-	}
+	g.hold.Note()
 }
 
 // ackUp emits the aggregate cumulative acknowledgment upward when the
@@ -651,29 +602,11 @@ func (e *Ext) ackUp(g *group) {
 	e.ackParent(g, bound)
 }
 
-// flushAckUp drains a leaf's coalesced receipt floor (count threshold,
-// delay timer, or teardown), counting the per-packet acks it avoided.
-func (e *Ext) flushAckUp(g *group) {
-	if g.ackPending == 0 {
-		return
-	}
-	if g.ackPending > 1 {
-		e.m.acksSuppressed.Add(uint64(g.ackPending - 1))
-	}
-	g.ackPending = 0
-	g.ackTimer.Stop()
-	e.ackUp(g)
-}
-
 // reAckAggregate answers a duplicate under aggregation: the parent is
 // retransmitting, so repeat the current subtree floor even when it has
 // not advanced, folding in any coalesced leaf pending first.
 func (e *Ext) reAckAggregate(g *group) {
-	if g.ackPending > 0 {
-		e.m.acksSuppressed.Add(uint64(g.ackPending))
-		g.ackPending = 0
-		g.ackTimer.Stop()
-	}
+	g.hold.Absorb()
 	bound := g.ackBound()
 	if gm.SeqAfter(bound, g.upAcked) {
 		g.upAcked = bound
@@ -697,8 +630,8 @@ func (e *Ext) ackParent(g *group, ack uint32) {
 	}, nil)
 }
 
-// nackParent asks the tree parent for an immediate per-group go-back
-// (fast recovery, mirroring the unicast nack path).
+// nackParent asks the tree parent for an immediate per-group go-back (fast
+// recovery; the parent's send window bounds how often it honours one).
 func (e *Ext) nackParent(g *group, lastGood uint32) {
 	if g.isRoot() {
 		return
@@ -733,7 +666,7 @@ func (e *Ext) rxNack(fr *gm.Frame) {
 		}
 		e.m.nacksRecv.Inc()
 		g.handleAck(fr.SrcNode, fr.Ack)
-		g.fastRetransmit()
+		g.win.Nack()
 		if e.cfg.AggregateAcks {
 			// Even a nack's cumulative part can advance the subtree floor.
 			e.ackUp(g)

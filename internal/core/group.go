@@ -30,16 +30,12 @@ type mcastToken struct {
 
 func (t *mcastToken) remaining() int { return len(t.data) - t.nextOff }
 
-// mcastRecord is the send record for one multicast packet: one sequence
-// number shared by every child, with the set of children that have not yet
-// acknowledged it. Retransmission reads the payload from the host-memory
-// replica (the frame keeps the registered host slice).
-type mcastRecord struct {
-	seq     uint32
-	frame   *gm.Frame
-	sentAt  sim.Time
-	pending map[fabric.NodeID]bool
-	tok     *mcastToken // non-nil at the root
+// mcastSent is what a multicast send record (one sequence number shared by
+// every child; see gm.Window) hands back when the packet retires.
+// Retransmission reads the payload from the host-memory replica (the
+// record's frame keeps the registered host slice).
+type mcastSent struct {
+	tok *mcastToken // non-nil at the root
 	// release, when non-nil, frees the pinned NIC receive buffer on
 	// retirement (RetransmitHoldBuffer ablation).
 	release func()
@@ -59,23 +55,12 @@ type group struct {
 	port     gm.PortID // local port receiving this group's messages
 	rootPort gm.PortID // port the root sends from (stable across hops)
 
-	// Sender side (root, or forwarder toward its children).
+	// Sender side (root, or forwarder toward its children): the go-back-N
+	// window whose ack vector runs parallel to children.
 	sendSeq uint32
-	acked   []uint32 // parallel to children
-	records []*mcastRecord
+	win     gm.Window[mcastSent]
 	queue   []*mcastToken // root only: multicast send tokens by group
 	staging int
-	// timer is the reusable group retransmit timer (see conn.timer in gm).
-	timer *sim.Timer
-
-	// lastFast is when the last nack-triggered retransmission fired;
-	// fastArmed distinguishes "never fired" from "fired at sim time 0"
-	// (a bare zero-check would let a t=0 nack burst defeat the holdoff).
-	lastFast  sim.Time
-	fastArmed bool
-	// backoff counts consecutive timeouts; the retransmit interval doubles
-	// with each until the configured cap, resetting on ack progress.
-	backoff int
 
 	// Replica chains (one per packet) execute strictly in sequence at the
 	// root: interleaving packet k+1's first replica ahead of packet k's
@@ -89,13 +74,11 @@ type group struct {
 
 	// Ack aggregation (Config.AggregateAcks). upAcked is the highest
 	// cumulative value this node has sent its parent; a leaf additionally
-	// coalesces its receipt floor — ackPending counts accepted packets not
-	// yet acknowledged upward, and ackTimer bounds the hold (gm's
-	// AckEvery/AckDelay). Interior nodes need no timer: their aggregate
-	// advances only when child acks arrive, and is emitted right then.
-	upAcked    uint32
-	ackPending int
-	ackTimer   *sim.Timer
+	// coalesces its receipt floor in hold (gm's AckEvery/AckDelay). Interior
+	// nodes never hold: their aggregate advances only when child acks
+	// arrive, and is emitted right then.
+	upAcked uint32
+	hold    gm.AckHold
 
 	// sf gathers per-message packets in the store-and-forward ablation.
 	sf map[uint64]*sfState
@@ -133,26 +116,30 @@ func localView(ext *Ext, id gm.GroupID, tr *tree.Tree, port, rootPort gm.PortID)
 		id:       id,
 		port:     port,
 		rootPort: rootPort,
-		sendSeq:  0,
-		recvSeq:  1,
 		live:     true,
 	}
-	g.setNeighbors(tr)
-	g.timer = ext.nic.Engine().NewTimer(g.onTimeout)
-	if ext.cfg.AggregateAcks && ext.nic.Cfg.AckCoalescing() {
-		g.ackTimer = ext.nic.Engine().NewTimer(func() { ext.flushAckUp(g) })
+	nic := ext.nic
+	var ackBudget sim.Time
+	if ext.cfg.AggregateAcks && nic.Cfg.AckCoalescing() {
+		// Only a coalescing leaf under aggregation ever sits on a group ack.
+		ackBudget = nic.Cfg.EffectiveAckDelay()
+		g.hold.Init(nic.Engine(), &nic.Cfg, ext.m.acksSuppressed, func() { ext.ackUp(g) })
 	}
+	g.win.Init(nic.Engine(), &nic.Cfg, ackBudget, ext.m.timeouts, g.resend, g.retire)
+	g.setNeighbors(tr)
 	return g
 }
 
-// setNeighbors points the entry at this NIC's place in tr with nothing
-// acknowledged. The child list is the tree's own (trees are immutable);
-// only the per-child ack array is allocated, and not at all for a leaf.
+// setNeighbors points the entry at this NIC's place in tr with a fresh
+// sequence space and nothing acknowledged. The child list is the tree's own
+// (trees are immutable); only the per-child ack vector is allocated, and
+// not at all for a leaf.
 func (g *group) setNeighbors(tr *tree.Tree) {
 	self := g.ext.nic.ID()
 	g.root = tr.Root
 	g.children = tr.Children(self)
-	g.acked = make([]uint32, len(g.children))
+	g.sendSeq, g.recvSeq = 0, 1
+	g.win.Reset(len(g.children), 0)
 	if p, ok := tr.Parent(self); ok {
 		g.parent = p
 	} else {
@@ -160,10 +147,10 @@ func (g *group) setNeighbors(tr *tree.Tree) {
 	}
 }
 
-// windowOpen mirrors the unicast window: outstanding multicast packets per
-// group are bounded by the same configuration.
+// windowOpen bounds outstanding multicast packets per group by the same
+// configuration as a unicast connection.
 func (g *group) windowOpen() bool {
-	return len(g.records)+g.staging < g.ext.nic.Cfg.Window
+	return g.win.Len()+g.staging < g.ext.nic.Cfg.Window
 }
 
 // enqueue admits a root send token and starts the pump.
@@ -243,7 +230,7 @@ func (g *group) stageRoot(fr *gm.Frame, t *mcastToken) {
 				g.enqueueChain(func() {
 					g.replicate(fr, buf, func() {
 						g.staging--
-						g.recordSent(fr, t)
+						g.file(fr, mcastSent{tok: t})
 						g.nextChain()
 						g.pump()
 					})
@@ -263,7 +250,7 @@ func (g *group) stageRootTokens(fr *gm.Frame, t *mcastToken) {
 	g.ext.m.fanout.Observe(int64(remaining))
 	if remaining == 0 {
 		g.staging--
-		g.recordSent(fr, t)
+		g.file(fr, mcastSent{tok: t})
 		g.pump()
 		return
 	}
@@ -282,7 +269,7 @@ func (g *group) stageRootTokens(fr *gm.Frame, t *mcastToken) {
 							remaining--
 							if remaining == 0 {
 								g.staging--
-								g.recordSent(fr, t)
+								g.file(fr, mcastSent{tok: t})
 								g.pump()
 							}
 						})
@@ -349,192 +336,86 @@ func (g *group) replicate(fr *gm.Frame, buf bufToken, done func()) {
 	sendTo(0)
 }
 
-// recordSent files the send record covering all children and arms the
-// group's retransmit timer.
-func (g *group) recordSent(fr *gm.Frame, t *mcastToken) {
-	r := &mcastRecord{
-		seq: fr.Seq, frame: fr, sentAt: g.ext.nic.Engine().Now(),
-		pending: g.pendingChildren(fr.Seq), tok: t,
-	}
-	if len(r.pending) == 0 {
+// file creates the send record covering all children for a packet whose
+// last replica has just left the NIC.
+func (g *group) file(fr *gm.Frame, sent mcastSent) {
+	if !g.win.Owed(fr.Seq) {
 		// No children (degenerate group), or every child acked before the
-		// transmit callback ran: complete immediately.
-		g.retire(r)
+		// last replica's transmit callback ran: complete immediately.
+		g.complete(sent)
 		g.checkQuiesce()
 		return
 	}
-	g.records = append(g.records, r)
-	g.armTimer()
-}
-
-// pendingChildren builds the unacknowledged-children set for a new record,
-// honoring acknowledgments that raced ahead of the transmit callback.
-func (g *group) pendingChildren(seq uint32) map[fabric.NodeID]bool {
-	pending := make(map[fabric.NodeID]bool, len(g.children))
-	for i, c := range g.children {
-		if gm.SeqBefore(g.acked[i], seq) {
-			pending[c] = true
-		}
-	}
-	return pending
+	g.win.File(fr, sent)
 }
 
 // ackBound reports the highest sequence number this node's entire subtree
 // is known to have delivered: the node's own receipt floor serial-min'd
 // with every child's cumulative acknowledgment. This is the value an
 // aggregating node forwards upward (Config.AggregateAcks).
-func (g *group) ackBound() uint32 {
-	bound := g.recvSeq - 1
-	for _, a := range g.acked {
-		if gm.SeqBefore(a, bound) {
-			bound = a
-		}
-	}
-	return bound
-}
+func (g *group) ackBound() uint32 { return g.win.Floor(g.recvSeq - 1) }
 
-// handleAck processes a cumulative group acknowledgment from one child.
-// Sequence comparisons use serial-number arithmetic so long-lived groups
-// survive the uint32 wrap.
+// handleAck processes a cumulative group acknowledgment from one child
+// (fan-outs are small: scanning the child list beats hashing the ID). The
+// timer is re-armed on every ack, progress or not: the deadline does not
+// move on a duplicate, but the timer's place among the events of its
+// instant does, and pinned timelines depend on that order.
 func (g *group) handleAck(child fabric.NodeID, ack uint32) {
-	// Fan-outs are small: scanning the child list beats hashing the ID.
-	if i := slices.Index(g.children, child); i >= 0 && gm.SeqAfter(ack, g.acked[i]) {
-		g.acked[i] = ack
-	}
-	for _, r := range g.records {
-		if gm.SeqLEQ(r.seq, ack) {
-			delete(r.pending, child)
-		}
-	}
-	// Cumulative acks make fully-acknowledged records a prefix, but retire
-	// by predicate anyway; order among survivors is preserved.
-	now := g.ext.nic.Engine().Now()
-	out := g.records[:0]
-	retired := false
-	for _, r := range g.records {
-		if len(r.pending) == 0 {
-			g.ext.m.ackLatencyNs.Observe(int64(now - r.sentAt))
-			g.retire(r)
-			retired = true
-			continue
-		}
-		out = append(out, r)
-	}
-	g.records = out
-	if retired {
-		g.backoff = 0 // forward progress resets the backoff
-	}
-	g.armTimer()
+	g.win.Ack(slices.Index(g.children, child), ack)
+	g.win.Arm()
 	if g.isRoot() {
 		g.pump()
 	}
 	g.checkQuiesce()
 }
 
-// retire completes a record; at the root this may finish the send token,
-// and in the hold-buffer ablation it frees the pinned receive buffer.
-func (g *group) retire(r *mcastRecord) {
-	if r.release != nil {
-		r.release()
-		r.release = nil
+// retire completes a record every child has acknowledged.
+func (g *group) retire(r *gm.SendRecord[mcastSent]) {
+	g.ext.m.ackLatencyNs.Observe(int64(g.win.Age(r)))
+	g.complete(r.Data)
+}
+
+// complete finishes one multicast packet; at the root this may finish the
+// send token, and in the hold-buffer ablation it frees the pinned receive
+// buffer.
+func (g *group) complete(sent mcastSent) {
+	if sent.release != nil {
+		sent.release()
 	}
-	if r.tok == nil {
+	t := sent.tok
+	if t == nil {
 		return
 	}
-	r.tok.pending--
-	if r.tok.staged && r.tok.pending == 0 && r.tok.onDone != nil {
-		r.tok.onDone()
+	t.pending--
+	if t.staged && t.pending == 0 && t.onDone != nil {
+		t.onDone()
 	}
 }
 
-// armTimer mirrors the unicast connection timer (including exponential
-// backoff) over group records.
-func (g *group) armTimer() {
-	eng := g.ext.nic.Engine()
-	if len(g.records) == 0 {
-		g.timer.Stop()
-		g.backoff = 0
-		return
-	}
-	capf := g.ext.nic.Cfg.BackoffCap
-	if capf <= 0 {
-		capf = 64
-	}
-	mult := 1 << min(g.backoff, 30)
-	if mult > capf {
-		mult = capf
-	}
-	rto := g.ext.nic.Cfg.RetransmitTimeout
-	if g.ext.cfg.AggregateAcks && g.ext.nic.Cfg.AckCoalescing() {
-		// A coalescing leaf may lawfully sit on its aggregate ack for the
-		// full delay; a timer that does not budget for it retransmits
-		// spuriously into a healthy tree.
-		rto += g.ext.nic.Cfg.EffectiveAckDelay()
-	}
-	deadline := g.records[0].sentAt + rto*sim.Time(mult)
-	if deadline < eng.Now() {
-		deadline = eng.Now()
-	}
-	g.timer.Reset(deadline)
-}
-
-// onTimeout retransmits, per child, every outstanding packet that child
-// has not acknowledged — "the retransmission of the packet and the
-// following ones will be performed only for the destinations which have
-// not acknowledged". Data comes back over SDMA from the host replica; the
-// NIC receive buffer was released long ago.
-func (g *group) onTimeout() {
-	if len(g.records) == 0 {
-		return
-	}
-	g.backoff++
+// resend retransmits one outstanding packet to one child that has not
+// acknowledged it. Data comes back over SDMA from the host replica; the NIC
+// receive buffer was released long ago.
+func (g *group) resend(fr *gm.Frame, i int) {
 	nic := g.ext.nic
-	g.ext.m.timeouts.Inc()
-	now := nic.Engine().Now()
-	for _, r := range g.records {
-		r.sentAt = now
-		for _, c := range g.children {
-			if !r.pending[c] {
-				continue
-			}
-			child := c
-			fr := r.frame
-			g.ext.m.retransmits.Inc()
-			if nic.Trace.Enabled() {
-				nic.Trace.Log(nic.Engine().Now(), nic.ID(), trace.Retrans,
-					"grp=%d seq=%d to unacked child %v", g.id, fr.Seq, child)
-			}
-			nic.HW.CPUDo(nic.Cfg.RetransmitCost, func() {
-				nic.HW.SendBufs.Acquire(func(buf bufToken) {
-					nic.HW.HostToNIC(len(fr.Payload), func() {
-						replica := fr.Clone()
-						replica.SrcNode = nic.ID()
-						replica.DstNode = child
-						nic.Inject(replica, func() {
-							buf.Release()
-							g.ext.m.mcastSent.Inc()
-						})
-					})
+	child := g.children[i]
+	g.ext.m.retransmits.Inc()
+	if nic.Trace.Enabled() {
+		nic.Trace.Log(nic.Engine().Now(), nic.ID(), trace.Retrans,
+			"grp=%d seq=%d to unacked child %v", g.id, fr.Seq, child)
+	}
+	nic.HW.CPUDo(nic.Cfg.RetransmitCost, func() {
+		nic.HW.SendBufs.Acquire(func(buf bufToken) {
+			nic.HW.HostToNIC(len(fr.Payload), func() {
+				replica := fr.Clone()
+				replica.SrcNode = nic.ID()
+				replica.DstNode = child
+				nic.Inject(replica, func() {
+					buf.Release()
+					g.ext.m.mcastSent.Inc()
 				})
 			})
-		}
-	}
-	g.armTimer()
-}
-
-// fastRetransmit performs an immediate per-child go-back in response to a
-// group nack, at most once per holdoff.
-func (g *group) fastRetransmit() {
-	now := g.ext.nic.Engine().Now()
-	if len(g.records) == 0 {
-		return
-	}
-	if g.fastArmed && now-g.lastFast < g.ext.nic.Cfg.NackHoldoff {
-		return
-	}
-	g.fastArmed = true
-	g.lastFast = now
-	g.onTimeout()
+		})
+	})
 }
 
 // quiescedNow reports whether the entry's outstanding send-side work has
@@ -543,7 +424,7 @@ func (g *group) fastRetransmit() {
 // change is prepared — a frozen pump holds whole messages back for the
 // next epoch, so they are not old-epoch work.
 func (g *group) quiescedNow() bool {
-	return len(g.records) == 0 && g.staging == 0 &&
+	return g.win.Len() == 0 && g.staging == 0 &&
 		(g.next != nil || len(g.queue) == 0)
 }
 
@@ -578,17 +459,10 @@ func (g *group) activate(v *pendingView) {
 	g.port, g.rootPort = v.port, v.rootPort
 	g.epoch = v.epoch
 	g.live = true
-	g.sendSeq, g.recvSeq = 0, 1
-	g.backoff = 0
-	g.fastArmed = false
-	g.lastFast = 0
 	// The aggregate floor belongs to the old epoch's sequence space; the
-	// coordinator's quiesce phase guarantees nothing is pending here.
+	// coordinator's quiesce phase guarantees nothing is held here.
 	g.upAcked = 0
-	g.ackPending = 0
-	if g.ackTimer != nil {
-		g.ackTimer.Stop()
-	}
+	g.hold.Absorb()
 	g.next = nil
 }
 

@@ -1,18 +1,21 @@
 package core
 
-// Internal regression tests for the group recovery path: the nack-holdoff
-// fix at t=0 and group sequence-number wraparound under loss. These build
-// the stack by hand (core cannot import cluster) so they can reach into
-// group state.
+// Internal regression test for the group recovery path: group
+// sequence-number wraparound under loss. It builds the stack by hand (core
+// cannot import cluster) so it can reach into group state. The send
+// window's own rules are pinned in gm's window_test.go.
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/lanai"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/tree"
 )
 
@@ -55,31 +58,6 @@ func (r *coreRig) installGroup(t *testing.T, tr *tree.Tree) {
 	}
 }
 
-// TestGroupFastRetransmitHoldoffAtTimeZero is the group-table counterpart
-// of the unicast holdoff fix: a multicast nack burst at simulation time
-// zero must trigger exactly one per-child go-back round, not one per nack.
-func TestGroupFastRetransmitHoldoffAtTimeZero(t *testing.T) {
-	r := newCoreRig(t, 2, nil)
-	tr := tree.Flat(0, []fabric.NodeID{0, 1})
-	g := localView(r.exts[0], 1, tr, 1, 1)
-	g.records = append(g.records, &mcastRecord{
-		seq: 1,
-		frame: &gm.Frame{
-			Kind: gm.KindMcastData, SrcNode: 0, SrcPort: 1, DstPort: 99,
-			Seq: 1, Group: 1,
-		},
-		pending: map[fabric.NodeID]bool{1: true},
-	})
-	if now := r.eng.Now(); now != 0 {
-		t.Fatalf("test requires virtual time 0, engine at %v", now)
-	}
-	g.fastRetransmit()
-	g.fastRetransmit() // second nack of the burst, same instant
-	if got := r.exts[0].m.timeouts.Value(); got != 1 {
-		t.Fatalf("t=0 group nack burst triggered %d go-back rounds, want 1 (holdoff ignored at time zero)", got)
-	}
-}
-
 // TestGroupSequenceWraparoundUnderLoss streams a multicast past the uint32
 // sequence wrap down a 2-ary tree with deterministic loss. Raw ordered
 // comparisons would strand the forwarders (post-wrap packets look "old"
@@ -96,16 +74,16 @@ func TestGroupSequenceWraparoundUnderLoss(t *testing.T) {
 	r.installGroup(t, tr)
 
 	const start = uint32(0xFFFFFFFB) // five packets before the wrap
+	rec := trace.NewRecorder()
 	for _, e := range r.exts {
+		e.nic.Trace = rec
 		g := e.groups[1]
 		if g == nil {
 			t.Fatal("group not installed")
 		}
 		g.sendSeq = start - 1 // pump pre-increments: first packet gets start
 		g.recvSeq = start
-		for i := range g.acked {
-			g.acked[i] = start - 1
-		}
+		g.win.Reset(len(g.children), start-1)
 	}
 
 	traversals := 0
@@ -165,5 +143,14 @@ func TestGroupSequenceWraparoundUnderLoss(t *testing.T) {
 		if i > 0 && gm.SeqAfter(start, g.recvSeq) {
 			t.Fatalf("node %d never crossed the wrap: recvSeq=%d", i, g.recvSeq)
 		}
+	}
+	// Packet timeline and event count of this run, captured before the group
+	// send window was shared with gm: the wrap must not just survive, it must
+	// recover by the same retransmissions at the same instants.
+	const golden = "21cee732966d3737f0e21d27275edb4cadab3a602f5d686d9cb0424c87f25255 ev=724"
+	var buf bytes.Buffer
+	rec.WriteTimeline(&buf)
+	if got := fmt.Sprintf("%x ev=%d", sha256.Sum256(buf.Bytes()), r.eng.EventsFired()); got != golden {
+		t.Errorf("wraparound timeline diverged from the pre-refactor capture:\n got %s\nwant %s", got, golden)
 	}
 }

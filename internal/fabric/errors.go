@@ -7,8 +7,7 @@ import "errors"
 // these surface either as returned errors from the validating setters or
 // as panics carrying error values: recover the value and test it with
 // errors.Is. They live here — not in a backend or in cluster — because
-// every fabric shares the same validation rules; the old myrinet/cluster
-// names remain as deprecated aliases.
+// every fabric shares the same validation rules.
 var (
 	// ErrLossRateWithoutRNG reports enabling stochastic loss on a fabric
 	// that has no randomness source installed (SetRNG).
@@ -24,7 +23,10 @@ var (
 	// attached: the shared recorder would observe cross-shard order.
 	ErrShardsWithTrace = errors.New("fabric: tracing requires the serial engine (shared trace recorder)")
 	// ErrShardsStateful reports installing a stateful fault-injection hook
-	// (one whose decisions depend on cross-packet state) on a sharded
-	// fabric, where packet observation order is not the serial order.
+	// (one whose decisions depend on cross-packet state: stochastic drops,
+	// Gilbert-Elliott, every-nth duplication or reordering) on a sharded
+	// fabric. Hook callbacks run on whichever shard owns the link, so a
+	// shared RNG or counter would be both racy and nondeterministic. Pure
+	// time-window rules remain available.
 	ErrShardsStateful = errors.New("fabric: stateful fault injection requires the serial engine")
 )

@@ -133,17 +133,17 @@ func TestCoalescedRTTEstimatorSane(t *testing.T) {
 	cfg := r.nics[0].Cfg
 	floor := cfg.MinRTO + cfg.EffectiveAckDelay()
 	for _, c := range r.nics[0].conns {
-		if c.srtt == 0 {
+		if c.win.srtt == 0 {
 			t.Fatal("estimator never sampled under coalesced acks")
 		}
-		if got := c.rto(); got < floor {
+		if got := c.win.rto(); got < floor {
 			t.Fatalf("RTO %v collapsed below the coalescing floor %v", got, floor)
 		}
-		if got := c.rto(); got > 4*cfg.RetransmitTimeout {
+		if got := c.win.rto(); got > 4*cfg.RetransmitTimeout {
 			t.Fatalf("RTO %v ran away (fixed timeout is %v)", got, cfg.RetransmitTimeout)
 		}
-		if c.backoff != 0 {
-			t.Fatalf("backoff %d not reset by ack progress", c.backoff)
+		if c.win.backoff != 0 {
+			t.Fatalf("backoff %d not reset by ack progress", c.win.backoff)
 		}
 	}
 	if rt := r.nics[0].Stats().Retransmits; rt != 0 {
@@ -167,11 +167,11 @@ func TestCoalescedAdaptiveRTOUnderLoss(t *testing.T) {
 		t.Fatalf("delivered %d of %d under loss", got, msgs)
 	}
 	for _, c := range r.nics[0].conns {
-		if len(c.records) != 0 {
-			t.Fatalf("%d send records leaked after recovery", len(c.records))
+		if c.win.Len() != 0 {
+			t.Fatalf("%d send records leaked after recovery", c.win.Len())
 		}
-		if c.backoff != 0 {
-			t.Fatalf("backoff %d not reset after recovery", c.backoff)
+		if c.win.backoff != 0 {
+			t.Fatalf("backoff %d not reset after recovery", c.win.backoff)
 		}
 	}
 	if n := r.nics[1].PendingAckTimers(); n != 0 {
@@ -203,6 +203,7 @@ func TestCumulativeAckSeqWraparound(t *testing.T) {
 	c := r.nics[0].sendConn(1, 1, 1)
 	rv := r.nics[1].recvConn(0, 1, 1)
 	c.nextSeq = jump
+	c.win.Reset(1, jump-1)
 	rv.expect = jump
 
 	delivered := 0
@@ -233,8 +234,8 @@ func TestCumulativeAckSeqWraparound(t *testing.T) {
 	if !SeqBefore(jump, rv.expect) || rv.expect != want {
 		t.Fatalf("receiver expect %#x, want %#x (serial advance across wrap)", rv.expect, want)
 	}
-	if len(c.records) != 0 {
-		t.Fatalf("%d send records not retired across wraparound", len(c.records))
+	if c.win.Len() != 0 {
+		t.Fatalf("%d send records not retired across wraparound", c.win.Len())
 	}
 	st := r.nics[0].Stats()
 	if st.Retransmits != 0 {

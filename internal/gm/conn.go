@@ -33,41 +33,19 @@ func (t *sendToken) allStaged() bool {
 	return t.staged
 }
 
-// sendRecord tracks one transmitted, unacknowledged packet — GM's "send
-// record": sequence number plus the time it was sent, kept until the
-// acknowledgment arrives, driving timeout retransmission.
-type sendRecord struct {
-	seq    uint32
-	frame  *Frame
-	sentAt sim.Time
-	tok    *sendToken
-	// retransmitted excludes the record from RTT sampling (Karn's rule).
-	retransmitted bool
-}
-
 // conn is the sender-side reliability state for one connection: FIFO send
-// queue, next sequence number, window of send records, retransmit timer.
+// queue, next sequence number, and the go-back-N send window over its one
+// destination.
 type conn struct {
 	nic     *NIC
 	key     connKey
 	nextSeq uint32
 	queue   []*sendToken
-	records []*sendRecord // ordered by seq
-	staging int           // packets between staging and record creation
-	// timer is the reusable retransmit timer; arming it allocates nothing,
-	// which matters because every ack progression re-arms it.
-	timer *sim.Timer
-	// lastFast is when the last nack-triggered retransmission fired;
-	// fastArmed distinguishes "never fired" from "fired at sim time 0"
-	// (a bare zero-check would let a t=0 nack burst defeat the holdoff).
-	lastFast  sim.Time
-	fastArmed bool
-	// backoff counts consecutive timeouts; the retransmit interval doubles
-	// with each until the configured cap, and resets on ack progress.
-	backoff int
-	// Round-trip estimation (AdaptiveRTO): smoothed RTT and variance in
-	// the style of TCP (Jacobson/Karels).
-	srtt, rttvar sim.Time
+	staging int // packets between staging and record creation
+	win     Window[*sendToken]
+	// sampled marks that the cumulative ack being processed has already
+	// fed the RTT estimator (see retire).
+	sampled bool
 	// Fused ack dispatch (ack economy): while one AckProcCost CPU event is
 	// queued for this connection, later (n)acks fold their cumulative
 	// values into fusedAck/fusedNack instead of scheduling more events, so
@@ -80,7 +58,12 @@ type conn struct {
 
 func newConn(n *NIC, k connKey) *conn {
 	c := &conn{nic: n, key: k, nextSeq: 1}
-	c.timer = n.Engine().NewTimer(c.onTimeout)
+	var ackBudget sim.Time
+	if n.Cfg.AckCoalescing() {
+		ackBudget = n.Cfg.EffectiveAckDelay()
+	}
+	c.win.Init(n.Engine(), &n.Cfg, ackBudget, n.m.timeouts, c.resend, c.retire)
+	c.win.Reset(1, 0)
 	if n.Cfg.ackEconomy() {
 		c.ackFuse = lanai.NewFuse(n.HW, c.dispatchFusedAck)
 	}
@@ -94,7 +77,7 @@ func (c *conn) dispatchFusedAck() {
 	c.fusedNack = false
 	c.handleAck(ack)
 	if nack {
-		c.fastRetransmit()
+		c.win.Nack()
 	}
 }
 
@@ -106,7 +89,7 @@ func (c *conn) enqueue(t *sendToken) {
 
 // windowOpen reports whether another packet may enter flight.
 func (c *conn) windowOpen() bool {
-	return len(c.records)+c.staging < c.nic.Cfg.Window
+	return c.win.Len()+c.staging < c.nic.Cfg.Window
 }
 
 // pump stages packets from the head token while the window allows: acquire
@@ -137,13 +120,10 @@ func (c *conn) pump() {
 			// Reverse-direction receiver state shares this connection's key
 			// (mirrored port pair); a pending coalesced ack rides out in
 			// this frame's header instead of a standalone ack packet.
-			if r, ok := c.nic.rcvrs[c.key]; ok && r.pending > 0 {
+			if r, ok := c.nic.rcvrs[c.key]; ok && r.hold.Absorb() {
 				fr.Piggy = true
 				fr.PiggyAck = r.expect - 1
 				c.nic.m.acksPiggybacked.Inc()
-				c.nic.m.acksSuppressed.Add(uint64(r.pending))
-				r.pending = 0
-				r.ackTimer.Stop()
 			}
 		}
 		if chunk > 0 {
@@ -172,7 +152,7 @@ func (c *conn) stage(fr *Frame, t *sendToken) {
 					buf.Release()
 					nic.m.dataSent.Inc()
 					c.staging--
-					c.recordSent(fr, t)
+					c.win.File(fr, t)
 					c.pump()
 				})
 			})
@@ -180,191 +160,68 @@ func (c *conn) stage(fr *Frame, t *sendToken) {
 	})
 }
 
-// recordSent files the send record and arms the retransmit timer.
-func (c *conn) recordSent(fr *Frame, t *sendToken) {
-	c.records = append(c.records, &sendRecord{
-		seq: fr.Seq, frame: fr, sentAt: c.nic.Engine().Now(), tok: t,
-	})
-	c.armTimer()
-}
-
 // handleAck retires records with seq <= ack (cumulative), completes tokens
-// whose last packet was acknowledged, and reopens the window.
+// whose last packet was acknowledged, and reopens the window. Only forward
+// progress re-arms the timer: a re-send restamps its record when it leaves
+// the NIC, and a duplicate ack must not turn that into a later deadline.
 func (c *conn) handleAck(ack uint32) {
-	now := c.nic.Engine().Now()
-	retired := 0
-	// Under ack coalescing one cumulative ack retires several records; take
-	// a single RTT sample (the oldest non-retransmitted record) per ack so
-	// the estimator sees the coalesce hold time once instead of averaging
-	// it down across the batch.
-	coalescing := c.nic.Cfg.AckCoalescing()
-	sampled := false
-	for _, r := range c.records {
-		if SeqAfter(r.seq, ack) {
-			break
-		}
-		if c.nic.Cfg.AdaptiveRTO && !r.retransmitted && !(coalescing && sampled) {
-			// Karn's rule: never sample retransmitted packets.
-			c.observeRTT(now - r.sentAt)
-			sampled = true
-		}
-		retired++
-		r.tok.pending--
-		if r.tok.allStaged() && r.tok.pending == 0 {
-			r.tok.onDone()
-		}
-	}
-	if retired == 0 {
+	c.sampled = false
+	if c.win.Ack(0, ack) == 0 {
 		return
 	}
-	c.backoff = 0 // forward progress resets the backoff
-	c.records = c.records[retired:]
-	c.armTimer()
+	c.win.Arm()
 	c.pump()
 }
 
-// armTimer (re)sets the retransmit timer to fire when the oldest
-// outstanding record expires (with exponential backoff after consecutive
-// timeouts), or cancels it when none remain.
-func (c *conn) armTimer() {
-	eng := c.nic.Engine()
-	if len(c.records) == 0 {
-		c.timer.Stop()
-		c.backoff = 0
-		return
+// retire completes one acknowledged packet. Under ack coalescing one
+// cumulative ack retires several records; only the oldest eligible one is
+// RTT-sampled so the estimator sees the coalesce hold time once instead of
+// averaging it down across the batch.
+func (c *conn) retire(r *SendRecord[*sendToken]) {
+	if !(c.sampled && c.nic.Cfg.AckCoalescing()) && c.win.Sample(r) {
+		c.sampled = true
 	}
-	deadline := c.records[0].sentAt + c.rto()
-	if deadline < eng.Now() {
-		deadline = eng.Now()
+	tok := r.Data
+	tok.pending--
+	if tok.allStaged() && tok.pending == 0 {
+		tok.onDone()
 	}
-	c.timer.Reset(deadline)
 }
 
-// rto reports the current retransmission interval under backoff, using
-// the measured round-trip estimate when adaptive timeouts are enabled.
-func (c *conn) rto() sim.Time {
-	base := c.nic.Cfg.RetransmitTimeout
-	if c.nic.Cfg.AckCoalescing() {
-		// Budget for the receiver's lawful ack hold — without this a
-		// configured AckDelay near the fixed timeout turns every coalesced
-		// ack into a spurious go-back-N.
-		base += c.nic.Cfg.EffectiveAckDelay()
-	}
-	if c.nic.Cfg.AdaptiveRTO && c.srtt > 0 {
-		base = c.srtt + 4*c.rttvar
-		floor := c.nic.Cfg.MinRTO
-		if c.nic.Cfg.AckCoalescing() {
-			// A receiver may lawfully sit on an ack for the full delay;
-			// keep the timer above it or clean runs retransmit spuriously.
-			floor += c.nic.Cfg.EffectiveAckDelay()
-		}
-		if base < floor {
-			base = floor
-		}
-	}
-	cap := c.nic.Cfg.BackoffCap
-	if cap <= 0 {
-		cap = 64
-	}
-	mult := 1 << min(c.backoff, 30)
-	if mult > cap {
-		mult = cap
-	}
-	return base * sim.Time(mult)
-}
-
-// observeRTT folds one acknowledgment round trip into the estimator
-// (alpha 1/8, beta 1/4, the classic constants).
-func (c *conn) observeRTT(sample sim.Time) {
-	if sample <= 0 {
-		return
-	}
-	if c.srtt == 0 {
-		c.srtt = sample
-		c.rttvar = sample / 2
-		return
-	}
-	diff := c.srtt - sample
-	if diff < 0 {
-		diff = -diff
-	}
-	c.rttvar += (diff - c.rttvar) / 4
-	c.srtt += (sample - c.srtt) / 8
-}
-
-// onTimeout performs go-back-N: retransmit the oldest unacknowledged
-// packet and every later one on this connection, in order.
-func (c *conn) onTimeout() {
-	if len(c.records) == 0 {
-		return
-	}
-	c.backoff++
+// resend retransmits one packet of a go-back-N round. Retransmission
+// re-reads the message from registered host memory — GM recycles NIC
+// buffers after transmit — and the record's send time moves to when the
+// copy actually leaves the NIC.
+func (c *conn) resend(fr *Frame, _ int) {
 	nic := c.nic
-	nic.m.timeouts.Inc()
-	now := nic.Engine().Now()
-	for _, r := range c.records {
-		r.sentAt = now // pushed forward again below as each re-send completes
-		r.retransmitted = true
-		fr := r.frame
-		nic.m.retransmits.Inc()
-		if nic.Trace.Enabled() {
-			nic.Trace.Log(nic.Engine().Now(), nic.ID(), trace.Retrans, "go-back-N seq=%d to %v", fr.Seq, fr.DstNode)
-		}
-		nic.HW.CPUDo(nic.Cfg.RetransmitCost, func() {
-			nic.HW.SendBufs.Acquire(func(buf *lanai.Buf) {
-				// Retransmission re-reads the message from registered host
-				// memory — GM recycles NIC buffers after transmit.
-				nic.HW.HostToNIC(len(fr.Payload), func() {
-					nic.Inject(fr, func() {
-						buf.Release()
-						r.sentAt = nic.Engine().Now()
-					})
+	nic.m.retransmits.Inc()
+	if nic.Trace.Enabled() {
+		nic.Trace.Log(nic.Engine().Now(), nic.ID(), trace.Retrans, "go-back-N seq=%d to %v", fr.Seq, fr.DstNode)
+	}
+	nic.HW.CPUDo(nic.Cfg.RetransmitCost, func() {
+		nic.HW.SendBufs.Acquire(func(buf *lanai.Buf) {
+			nic.HW.HostToNIC(len(fr.Payload), func() {
+				nic.Inject(fr, func() {
+					buf.Release()
+					c.win.Restamp(fr.Seq)
 				})
 			})
 		})
-	}
-	c.armTimer()
+	})
 }
 
 // rcvr is the receiver-side state of a connection: the next expected
-// sequence number, plus the delayed-ack state when coalescing is on.
+// sequence number, plus the delayed-ack hold when coalescing is on.
 type rcvr struct {
 	nic    *NIC
 	key    connKey
 	expect uint32
-	// pending counts accepted-but-unacknowledged packets (Config.AckEvery);
-	// ackTimer flushes them after the ack delay. The timer exists only when
-	// coalescing is configured.
-	pending  int
-	ackTimer *sim.Timer
+	hold   AckHold
 }
 
-// noteAccepted runs the delayed-ack state machine for one accepted
-// in-sequence packet: flush a cumulative ack at every AckEvery-th packet,
-// otherwise hold it and let the delay timer bound the wait.
-func (r *rcvr) noteAccepted() {
-	r.pending++
-	if r.pending >= r.nic.Cfg.AckEvery {
-		r.flushAck()
-		return
-	}
-	if !r.ackTimer.Pending() {
-		r.ackTimer.ResetAfter(r.nic.Cfg.EffectiveAckDelay())
-	}
-}
-
-// flushAck emits the cumulative acknowledgment covering every pending
-// packet (counting the avoided per-packet acks as suppressed) and disarms
-// the delay timer.
-func (r *rcvr) flushAck() {
-	if r.pending == 0 {
-		return
-	}
-	if r.pending > 1 {
-		r.nic.m.acksSuppressed.Add(uint64(r.pending - 1))
-	}
-	r.pending = 0
-	r.ackTimer.Stop()
+// sendHeldAck emits the cumulative acknowledgment covering every held
+// packet (the hold's emit).
+func (r *rcvr) sendHeldAck() {
 	r.nic.m.acksSent.Inc()
 	r.nic.Inject(&Frame{
 		Kind:    KindAck,
@@ -372,31 +229,4 @@ func (r *rcvr) flushAck() {
 		SrcPort: r.key.LocalP, DstPort: r.key.RemoteP,
 		Ack: r.expect - 1,
 	}, nil)
-}
-
-// absorbPending folds any pending coalesced ack into an acknowledgment
-// the caller is about to send anyway (a duplicate re-ack or a nack, whose
-// cumulative field covers the pending packets).
-func (r *rcvr) absorbPending() {
-	if r.pending == 0 {
-		return
-	}
-	r.nic.m.acksSuppressed.Add(uint64(r.pending))
-	r.pending = 0
-	r.ackTimer.Stop()
-}
-
-// fastRetransmit performs an immediate go-back-N in response to a nack,
-// at most once per NackHoldoff so nack bursts collapse into one resend.
-func (c *conn) fastRetransmit() {
-	now := c.nic.Engine().Now()
-	if len(c.records) == 0 {
-		return
-	}
-	if c.fastArmed && now-c.lastFast < c.nic.Cfg.NackHoldoff {
-		return
-	}
-	c.fastArmed = true
-	c.lastFast = now
-	c.onTimeout()
 }

@@ -127,7 +127,7 @@ func (n *NIC) Port(id PortID) *Port {
 func (n *NIC) OutstandingRecords() int {
 	total := 0
 	for _, c := range n.conns {
-		total += len(c.records) + c.staging
+		total += c.win.Len() + c.staging
 	}
 	return total
 }
@@ -137,7 +137,7 @@ func (n *NIC) OutstandingRecords() int {
 func (n *NIC) PendingRetransmitTimers() int {
 	armed := 0
 	for _, c := range n.conns {
-		if c.timer.Pending() {
+		if c.win.Armed() {
 			armed++
 		}
 	}
@@ -150,7 +150,7 @@ func (n *NIC) PendingRetransmitTimers() int {
 func (n *NIC) PendingAckTimers() int {
 	armed := 0
 	for _, r := range n.rcvrs {
-		if r.ackTimer != nil && r.ackTimer.Pending() {
+		if r.hold.Armed() {
 			armed++
 		}
 	}
@@ -219,7 +219,7 @@ func (n *NIC) recvConn(src fabric.NodeID, srcP, localP PortID) *rcvr {
 	if !ok {
 		r = &rcvr{nic: n, key: k, expect: 1}
 		if n.Cfg.AckCoalescing() {
-			r.ackTimer = n.Engine().NewTimer(r.flushAck)
+			r.hold.Init(n.Engine(), &n.Cfg, n.m.acksSuppressed, r.sendHeldAck)
 		}
 		n.rcvrs[k] = r
 	}

@@ -43,7 +43,7 @@ func (n *NIC) rxData(fr *Frame) {
 			// immediate cumulative ack also covers anything coalesced.
 			n.m.duplicates.Inc()
 			n.traceDrop("duplicate seq=%d expect=%d", fr.Seq, r.expect)
-			r.absorbPending()
+			r.hold.Absorb()
 			n.sendAck(fr, r.expect-1)
 			buf.Release()
 		case SeqAfter(fr.Seq, r.expect):
@@ -52,7 +52,7 @@ func (n *NIC) rxData(fr *Frame) {
 			n.m.oooDrops.Inc()
 			n.traceDrop("out-of-order seq=%d expect=%d", fr.Seq, r.expect)
 			if n.Cfg.EnableNacks {
-				r.absorbPending()
+				r.hold.Absorb()
 				n.sendNack(fr, r.expect-1)
 			}
 			buf.Release()
@@ -74,7 +74,7 @@ func (n *NIC) rxData(fr *Frame) {
 				n.Trace.Log(n.Engine().Now(), n.ID(), trace.RX, "%v", fr)
 			}
 			if n.Cfg.AckCoalescing() {
-				r.noteAccepted()
+				r.hold.Note()
 			} else {
 				n.sendAck(fr, fr.Seq)
 			}
@@ -159,6 +159,6 @@ func (n *NIC) rxNack(fr *Frame) {
 		n.m.nacksReceived.Inc()
 		c := n.sendConn(fr.DstPort, fr.SrcNode, fr.SrcPort)
 		c.handleAck(fr.Ack)
-		c.fastRetransmit()
+		c.win.Nack()
 	})
 }

@@ -1,72 +1,20 @@
 package gm
 
-// Regression tests for the sender-side recovery path: the nack-holdoff
-// fix at t=0, Karn's rule under adaptive timeouts, backoff reset
-// semantics, and sequence-number wraparound under loss.
+// End-to-end regression tests for the sender-side recovery path: Karn's
+// rule under adaptive timeouts and sequence-number wraparound under loss.
+// The window's own rules (hold-off, backoff reset, cumulative retire) are
+// pinned in window_test.go.
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
-
-// fakeToken returns a minimal unstaged token: handleAck can decrement
-// pending without ever completing it.
-func fakeToken(pending int) *sendToken {
-	return &sendToken{pending: pending}
-}
-
-// fakeRecord builds a send record whose retransmissions land on a closed
-// port at the destination, so running the engine after a forced go-back-N
-// is harmless.
-func fakeRecord(seq uint32, tok *sendToken) *sendRecord {
-	return &sendRecord{
-		seq: seq, tok: tok,
-		frame: &Frame{
-			Kind: KindData, SrcNode: 0, DstNode: 1,
-			SrcPort: 1, DstPort: 99, Seq: seq,
-		},
-	}
-}
-
-// TestFastRetransmitHoldoffAtTimeZero pins the holdoff fix: a nack burst
-// arriving at simulation time zero must still collapse into ONE go-back-N
-// round. The pre-fix code tracked holdoff arming with `lastFast != 0`,
-// which reads a t=0 retransmission as "never happened" and lets every
-// nack of the burst trigger its own full-window resend.
-func TestFastRetransmitHoldoffAtTimeZero(t *testing.T) {
-	r := newRig(t, 2, nil)
-	c := r.nics[0].sendConn(1, 1, 1)
-	c.records = append(c.records, fakeRecord(1, fakeToken(1)))
-	if now := r.eng.Now(); now != 0 {
-		t.Fatalf("test requires virtual time 0, engine at %v", now)
-	}
-	c.fastRetransmit()
-	c.fastRetransmit() // the second nack of the burst, same instant
-	if got := r.nics[0].m.timeouts.Value(); got != 1 {
-		t.Fatalf("t=0 nack burst triggered %d go-back-N rounds, want 1 (holdoff ignored at time zero)", got)
-	}
-}
-
-// TestFastRetransmitHoldoffExpiry verifies the other side of the fix: the
-// holdoff suppresses nacks only within NackHoldoff, and a later nack
-// triggers a fresh recovery round.
-func TestFastRetransmitHoldoffExpiry(t *testing.T) {
-	r := newRig(t, 2, nil)
-	c := r.nics[0].sendConn(1, 1, 1)
-	c.records = append(c.records, fakeRecord(1, fakeToken(1)))
-	hold := r.nics[0].Cfg.NackHoldoff
-	r.eng.At(0, c.fastRetransmit)
-	r.eng.At(hold/2, c.fastRetransmit)               // inside the holdoff: suppressed
-	r.eng.At(hold+sim.Microsecond, c.fastRetransmit) // past it: fires
-	r.eng.RunUntil(hold + 2*sim.Microsecond)
-	if got := r.nics[0].m.timeouts.Value(); got != 2 {
-		t.Fatalf("go-back-N rounds = %d, want 2 (one at t=0, one after the holdoff expired)", got)
-	}
-	r.eng.Kill()
-}
 
 // TestKarnRuleSkipsRetransmitRTTSample drops a message's first copy so the
 // ack that finally arrives belongs to a retransmission. Karn's rule says
@@ -93,7 +41,7 @@ func TestKarnRuleSkipsRetransmitRTTSample(t *testing.T) {
 	c := r.nics[0].sendConn(1, 1, 1)
 	r.eng.Spawn("send", func(p *sim.Proc) {
 		r.ports[0].SendSync(p, 1, 1, msg) // lost, recovered by timeout
-		srttAfterRetransmit = c.srtt
+		srttAfterRetransmit = c.win.srtt
 		r.ports[0].SendSync(p, 1, 1, msg) // clean: first legitimate sample
 	})
 	r.run(t)
@@ -103,35 +51,9 @@ func TestKarnRuleSkipsRetransmitRTTSample(t *testing.T) {
 	if srttAfterRetransmit != 0 {
 		t.Fatalf("retransmitted packet's ack was RTT-sampled: srtt=%v, want 0 (Karn's rule)", srttAfterRetransmit)
 	}
-	if c.srtt == 0 {
+	if c.win.srtt == 0 {
 		t.Fatal("clean send produced no RTT sample — estimator never primes")
 	}
-}
-
-// TestBackoffResetsOnlyOnAckProgress pins the backoff-reset rule: a
-// duplicate ack that retires nothing preserves the exponential backoff,
-// and only forward progress resets it. Resetting on every ack would let
-// duplicate-ack chatter defeat the backoff during congestion.
-func TestBackoffResetsOnlyOnAckProgress(t *testing.T) {
-	r := newRig(t, 2, nil)
-	c := r.nics[0].sendConn(1, 1, 1)
-	tok := fakeToken(2)
-	c.records = append(c.records, fakeRecord(1, tok), fakeRecord(2, tok))
-	c.nextSeq = 3
-	c.backoff = 3
-
-	c.handleAck(0) // duplicate ack: retires nothing
-	if c.backoff != 3 {
-		t.Fatalf("no-progress ack changed backoff to %d, want 3 preserved", c.backoff)
-	}
-	c.handleAck(1) // retires seq 1: forward progress
-	if c.backoff != 0 {
-		t.Fatalf("forward-progress ack left backoff at %d, want 0", c.backoff)
-	}
-	if len(c.records) != 1 || c.records[0].seq != 2 {
-		t.Fatalf("cumulative ack 1 left records %v, want exactly seq 2", len(c.records))
-	}
-	r.eng.Kill()
 }
 
 // TestSequenceWraparoundUnderLoss drives a connection across the uint32
@@ -144,7 +66,12 @@ func TestSequenceWraparoundUnderLoss(t *testing.T) {
 	const start = uint32(0xFFFFFFFA) // six packets before the wrap
 	c := r.nics[0].sendConn(1, 1, 1)
 	c.nextSeq = start
+	c.win.Reset(1, start-1)
 	r.nics[1].recvConn(0, 1, 1).expect = start
+	rec := trace.NewRecorder()
+	for _, n := range r.nics {
+		n.Trace = rec
+	}
 
 	traversals := 0
 	r.net.DropFn = func(p *fabric.Packet, _ *fabric.Link) bool {
@@ -188,7 +115,16 @@ func TestSequenceWraparoundUnderLoss(t *testing.T) {
 	if c.nextSeq >= start {
 		t.Fatalf("stream never wrapped: nextSeq=%d still >= start", c.nextSeq)
 	}
-	if len(c.records) != 0 {
-		t.Fatalf("%d send records leaked across the wrap", len(c.records))
+	if c.win.Len() != 0 {
+		t.Fatalf("%d send records leaked across the wrap", c.win.Len())
+	}
+	// Packet timeline and event count of this run, captured before the send
+	// window was shared with core: the wrap must not just survive, it must
+	// recover by the same retransmissions at the same instants.
+	const golden = "f968f250ee049aeecf4d31cebce06f270c57610864436c432c00baa83c32d061 ev=290"
+	var buf bytes.Buffer
+	rec.WriteTimeline(&buf)
+	if got := fmt.Sprintf("%x ev=%d", sha256.Sum256(buf.Bytes()), r.eng.EventsFired()); got != golden {
+		t.Errorf("wraparound timeline diverged from the pre-refactor capture:\n got %s\nwant %s", got, golden)
 	}
 }

@@ -101,8 +101,8 @@ func TestKarnsRuleExcludesRetransmittedSamples(t *testing.T) {
 	// Inspect the estimator: a poisoned sample would push SRTT toward the
 	// 500µs first-retry latency; the true ack RTT here is ~10µs.
 	for _, c := range r.nics[0].conns {
-		if c.srtt > 50*sim.Microsecond {
-			t.Fatalf("SRTT %v poisoned by a retransmitted sample", c.srtt)
+		if c.win.srtt > 50*sim.Microsecond {
+			t.Fatalf("SRTT %v poisoned by a retransmitted sample", c.win.srtt)
 		}
 	}
 }

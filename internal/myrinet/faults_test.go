@@ -7,6 +7,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -15,7 +16,7 @@ func TestSetLossRateValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewSingleSwitch(eng, 2, DefaultLinkParams())
 
-	if err := n.SetLossRate(0.1); !errors.Is(err, ErrLossRateWithoutRNG) {
+	if err := n.SetLossRate(0.1); !errors.Is(err, fabric.ErrLossRateWithoutRNG) {
 		t.Fatalf("loss without RNG accepted: err=%v, want ErrLossRateWithoutRNG", err)
 	}
 	if err := n.SetLossRate(0); err != nil {
@@ -23,7 +24,7 @@ func TestSetLossRateValidation(t *testing.T) {
 	}
 	n.SetRNG(sim.NewRNG(1))
 	for _, bad := range []float64{-0.1, 1.5} {
-		if err := n.SetLossRate(bad); !errors.Is(err, ErrBadLossRate) {
+		if err := n.SetLossRate(bad); !errors.Is(err, fabric.ErrBadLossRate) {
 			t.Fatalf("loss rate %v accepted: err=%v, want ErrBadLossRate", bad, err)
 		}
 	}
@@ -50,10 +51,10 @@ func TestDupFnDeliversTwiceAndBalances(t *testing.T) {
 		t.Fatalf("duplicate at %v not after original at %v", (*log)[1].at, (*log)[0].at)
 	}
 	s := reg.Snapshot()
-	injected := s.Counter(Component, metrics.NodeFabric, "injected")
-	duplicated := s.Counter(Component, metrics.NodeFabric, "duplicated")
-	delivered := s.Counter(Component, metrics.NodeFabric, "delivered")
-	dropped := s.Counter(Component, metrics.NodeFabric, "dropped")
+	injected := s.Counter(fabric.Component, metrics.NodeFabric, "injected")
+	duplicated := s.Counter(fabric.Component, metrics.NodeFabric, "duplicated")
+	delivered := s.Counter(fabric.Component, metrics.NodeFabric, "delivered")
+	dropped := s.Counter(fabric.Component, metrics.NodeFabric, "dropped")
 	if injected != 1 || duplicated != 1 || delivered != 2 || dropped != 0 {
 		t.Fatalf("accounting injected=%d duplicated=%d delivered=%d dropped=%d, want 1/1/2/0",
 			injected, duplicated, delivered, dropped)

@@ -29,18 +29,6 @@ type (
 	Plan       = fabric.Plan
 )
 
-// Component is the metrics component name for the fabric layer.
-//
-// Deprecated: use fabric.Component.
-const Component = fabric.Component
-
-// Deprecated: use the fabric package's sentinels; these aliases are the
-// same error values, so errors.Is works against either name.
-var (
-	ErrLossRateWithoutRNG = fabric.ErrLossRateWithoutRNG
-	ErrBadLossRate        = fabric.ErrBadLossRate
-)
-
 // DefaultLinkParams returns Myrinet-2000-like link characteristics:
 // 2 Gb/s (4 ns per byte) and 300 ns of per-hop latency, no PFC (the
 // wormhole fabric backpressures in hardware; the simulation's FIFO link

@@ -1,8 +1,7 @@
 package sim_test
 
 // Event-kernel micro-benchmarks. The bodies live in internal/benchkernel
-// so cmd/benchjson records the same workloads into BENCH_sim.json; the
-// Legacy variants run the seed's container/heap engine for comparison.
+// so cmd/benchjson records the same workloads into BENCH_sim.json.
 //
 //	go test ./internal/sim -bench . -benchmem
 
@@ -12,8 +11,6 @@ import (
 	"repro/internal/benchkernel"
 )
 
-func BenchmarkSchedule(b *testing.B)               { benchkernel.Schedule(b) }
-func BenchmarkLegacySchedule(b *testing.B)         { benchkernel.LegacySchedule(b) }
-func BenchmarkCancelReschedule(b *testing.B)       { benchkernel.CancelReschedule(b) }
-func BenchmarkLegacyCancelReschedule(b *testing.B) { benchkernel.LegacyCancelReschedule(b) }
-func BenchmarkPacketStorm(b *testing.B)            { benchkernel.PacketStorm(b) }
+func BenchmarkSchedule(b *testing.B)         { benchkernel.Schedule(b) }
+func BenchmarkCancelReschedule(b *testing.B) { benchkernel.CancelReschedule(b) }
+func BenchmarkPacketStorm(b *testing.B)      { benchkernel.PacketStorm(b) }

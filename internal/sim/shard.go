@@ -219,12 +219,6 @@ func (s *Sharded) Engines() []*Engine { return s.engines }
 // finite pair lookahead after transitive closure).
 func (s *Sharded) Lookahead() Time { return s.lookahead }
 
-// EnableWallStats is a no-op kept for compatibility: adaptive windows made
-// barriers rare enough that wall-clock busy/wait accounting is always on.
-//
-// Deprecated: wall statistics are collected unconditionally.
-func (s *Sharded) EnableWallStats() {}
-
 // windowEnds computes each shard's conservative window end from the
 // engines' earliest pending timestamps: the earliest time any cross-shard
 // input could still arrive at the shard, per the transitively-closed
