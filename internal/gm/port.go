@@ -220,8 +220,7 @@ func (p *Port) Recv(proc *sim.Proc) *RecvEvent {
 	for len(p.recvEvents) == 0 {
 		p.recvWaiter.Wait(proc)
 	}
-	ev := p.recvEvents[0]
-	p.recvEvents = p.recvEvents[1:]
+	ev, _ := p.TryRecv()
 	proc.Compute(p.nic.Cfg.HostRecvCost)
 	return ev
 }
@@ -232,7 +231,12 @@ func (p *Port) TryRecv() (*RecvEvent, bool) {
 		return nil, false
 	}
 	ev := p.recvEvents[0]
-	p.recvEvents = p.recvEvents[1:]
+	// Copy down rather than slide off the front: recvEvents[1:] would
+	// abandon the backing array, so the next event would allocate a new one,
+	// and would keep the array's last message alive until then.
+	n := copy(p.recvEvents, p.recvEvents[1:])
+	p.recvEvents[n] = nil
+	p.recvEvents = p.recvEvents[:n]
 	return ev, true
 }
 

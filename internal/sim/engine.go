@@ -465,7 +465,7 @@ func (e *Engine) RunBefore(end Time) {
 
 // Run fires events until none remain. Parked processes do not keep Run
 // going: a simulation that ends with processes still waiting has simply
-// gone quiet (use Kill to release their goroutines).
+// gone quiet (use Kill to release their coroutines).
 func (e *Engine) Run() {
 	for e.Step() {
 	}

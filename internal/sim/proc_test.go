@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -147,24 +149,160 @@ func TestWaitTimeoutWoken(t *testing.T) {
 	}
 }
 
-func TestKillReleasesParkedProcs(t *testing.T) {
+// parkKinds are the three ways a process gives up control, each as a body
+// that parks once and must never get past it.
+var parkKinds = []struct {
+	name string
+	park func(p *Proc, w *Waiter)
+}{
+	{"Sleep", func(p *Proc, _ *Waiter) { p.Sleep(100) }},
+	{"Wait", func(p *Proc, w *Waiter) { w.Wait(p) }},
+	{"WaitTimeout", func(p *Proc, w *Waiter) { w.WaitTimeout(p, 100) }},
+}
+
+func TestKillUnwindsEveryParkKind(t *testing.T) {
+	for _, k := range parkKinds {
+		t.Run(k.name, func(t *testing.T) {
+			e := NewEngine()
+			w := NewWaiter(e)
+			var unwound, resumed bool
+			p := e.Spawn("victim", func(p *Proc) {
+				defer func() { unwound = true }()
+				k.park(p, w)
+				resumed = true
+			})
+			e.RunUntil(50)
+			if p.Done() || e.LiveProcs() != 1 {
+				t.Fatalf("before Kill: done=%v live=%d, want a parked process", p.Done(), e.LiveProcs())
+			}
+			e.Kill()
+			if !unwound || resumed {
+				t.Fatalf("unwound=%v resumed=%v, want the body unwound from its park", unwound, resumed)
+			}
+			if !p.Done() || e.LiveProcs() != 0 {
+				t.Fatalf("after Kill: done=%v live=%d", p.Done(), e.LiveProcs())
+			}
+			e.Kill() // a second Kill finds nothing to do
+			// The wake-up and the timeout the dead process left behind
+			// still fire; neither may resume it.
+			e.Run()
+			if resumed {
+				t.Fatal("a stale wake-up resumed a killed process")
+			}
+		})
+	}
+}
+
+func TestKillNeverStartedProc(t *testing.T) {
+	e := NewEngine()
+	ran := false
+	var child *Proc
+	parent := e.Spawn("parent", func(p *Proc) {
+		child = e.Spawn("child", func(*Proc) { ran = true })
+		p.Sleep(10)
+	})
+	orphan := e.Spawn("orphan", func(*Proc) { ran = true })
+	e.Step() // starts parent only: child and orphan still await their start event
+	if child == nil || e.LiveProcs() != 3 {
+		t.Fatalf("child=%v live=%d, want parent parked and two unstarted", child, e.LiveProcs())
+	}
+	e.Kill()
+	if e.LiveProcs() != 0 || !parent.Done() || !child.Done() || !orphan.Done() {
+		t.Fatalf("after Kill: live=%d parent=%v child=%v orphan=%v",
+			e.LiveProcs(), parent.Done(), child.Done(), orphan.Done())
+	}
+	e.Run() // the start events are still queued
+	if ran {
+		t.Fatal("a process killed before its start event ran anyway")
+	}
+}
+
+func TestProcPanicSurfacesFromRun(t *testing.T) {
 	e := NewEngine()
 	w := NewWaiter(e)
-	finished := false
-	e.Spawn("stuck", func(p *Proc) {
-		w.Wait(p)
-		finished = true // must never run
+	boom := errors.New("boom")
+	for i := 0; i < 2; i++ {
+		e.Spawn("bystander", func(p *Proc) { w.Wait(p) })
+	}
+	e.Spawn("faulty", func(p *Proc) {
+		p.Sleep(10)
+		panic(boom)
 	})
-	e.Run()
-	if e.LiveProcs() != 1 {
-		t.Fatalf("live procs = %d, want 1", e.LiveProcs())
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.Run()
+		return nil
+	}()
+	if got != boom {
+		t.Fatalf("recovered %v from Run, want the process's own panic value", got)
+	}
+	if e.Now() != 10 {
+		t.Fatalf("panic surfaced at %v, want 10", e.Now())
+	}
+	if e.LiveProcs() != 2 {
+		t.Fatalf("live procs = %d after the panic, want 2", e.LiveProcs())
 	}
 	e.Kill()
 	if e.LiveProcs() != 0 {
-		t.Fatalf("live procs after Kill = %d, want 0", e.LiveProcs())
+		t.Fatalf("live procs = %d after Kill, want 0", e.LiveProcs())
 	}
-	if finished {
-		t.Fatal("killed process ran past its wait")
+}
+
+// TestProcResumedInlineThenByShardWorker moves one process's resumes from
+// the coordinator's goroutine to a shard worker's and back: never two at
+// once, which is all a coroutine asks (run it under -race).
+func TestProcResumedInlineThenByShardWorker(t *testing.T) {
+	e0, e1 := NewEngine(), NewEngine()
+	s := NewSharded([]*Engine{e0, e1}, 100, nil)
+	wakes := 0
+	e0.Spawn("mover", func(p *Proc) {
+		for p.Now() < 1500 {
+			p.Sleep(10)
+			wakes++
+		}
+	})
+	// Shard 1 is empty, so the mover's shard is the lone busy one and the
+	// coordinator runs its windows inline.
+	s.RunUntil(500)
+	if st := s.Stats(); wakes != 50 || st.Inline == 0 || st.Inline != st.Windows {
+		t.Fatalf("to 500: %d wakes, %d of %d windows inline; want 50 wakes, every window inline",
+			wakes, st.Inline, st.Windows)
+	}
+	// A peer in step with the mover keeps both shards busy in every window
+	// to 1000, so shard workers run them; after that the mover is alone again.
+	inline := s.Stats().Inline
+	e1.Spawn("peer", func(p *Proc) {
+		for p.Now() < 1000 {
+			p.Sleep(10)
+		}
+	})
+	s.Run()
+	st := s.Stats()
+	if wakes != 150 || s.LiveProcs() != 0 {
+		t.Fatalf("mover woke %d times with %d procs left, want 150 and 0", wakes, s.LiveProcs())
+	}
+	if worker := st.Windows - st.Inline; worker < 5 || st.Inline == inline {
+		t.Fatalf("after 500: %d worker-run and %d more inline windows, want both", worker, st.Inline-inline)
+	}
+}
+
+func TestKillReturnsEveryGoroutine(t *testing.T) {
+	e := NewEngine()
+	w := NewWaiter(e)
+	for i := 0; i < 1000; i++ {
+		k := parkKinds[i%len(parkKinds)]
+		e.Spawn("p", func(p *Proc) { k.park(p, w) })
+	}
+	e.RunUntil(50)
+	for i := 0; i < 100; i++ {
+		e.Spawn("unstarted", func(*Proc) {})
+	}
+	// Measured against the count just before Kill, not one taken before
+	// the spawns: a goroutine an earlier test left exiting may go at any time.
+	before := runtime.NumGoroutine()
+	e.Kill()
+	if after := runtime.NumGoroutine(); after > before-1100 {
+		t.Fatalf("%d goroutines before Kill, %d after: 1100 processes should have gone", before, after)
 	}
 }
 

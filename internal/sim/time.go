@@ -3,7 +3,7 @@
 //
 // The engine maintains a virtual clock and a priority queue of events.
 // Exactly one unit of work executes at a time: either an event callback or
-// a simulated process (a goroutine that the engine resumes and that parks
+// a simulated process (a coroutine that the engine resumes and that parks
 // itself back to the engine), so simulations are single-threaded in effect
 // and fully deterministic for a given seed.
 package sim

@@ -62,7 +62,7 @@ func (w *Waiter) WaitTimeout(p *Proc, d Time) bool {
 				break
 			}
 		}
-		w.eng.step(p, false)
+		w.eng.step(p)
 	})
 	// Mark the entry so a Wake cancels the timer. We detect wake-vs-timeout
 	// by whether the timer is still pending when we resume.
