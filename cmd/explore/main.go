@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/chaos"
 	"repro/internal/explore"
 	"repro/internal/metrics"
 )
@@ -38,8 +39,10 @@ func main() {
 	showMetrics := flag.Bool("metrics", false, "report explorer metrics after the campaign")
 	flag.Parse()
 
-	if *nodes < 2 || *msgs < 1 || *transitions < 1 || *schedules < 1 || *shrink < 1 {
-		fmt.Fprintln(os.Stderr, "explore: -nodes >= 2, -msgs/-transitions/-schedules/-shrink >= 1")
+	// A cluster too small for the churn workload is a usage error, not a
+	// campaign of counterexamples.
+	if min := (chaos.Churn{}).MinNodes(); *nodes < min || *msgs < 1 || *transitions < 1 || *schedules < 1 || *shrink < 1 {
+		fmt.Fprintf(os.Stderr, "explore: -nodes >= %d, -msgs/-transitions/-schedules/-shrink >= 1\n", min)
 		os.Exit(2)
 	}
 

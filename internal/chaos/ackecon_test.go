@@ -22,58 +22,35 @@ func economyConfig() chaos.Config {
 // piggybacked, and tree-aggregated acks. Exactly-once in-order delivery,
 // resource return, and timer hygiene must all survive the economy: a
 // coalesced cumulative ack that is lost or delayed must never wedge the
-// go-back-N recovery machinery.
+// go-back-N recovery machinery. The churn scenarios follow the multicast
+// ones: epochs must roll with the economy on too.
 func TestLibraryScenariosPassWithAckEconomy(t *testing.T) {
-	for _, sc := range chaos.Library() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			res := chaos.RunScenario(sc, economyConfig())
-			for _, v := range res.Violations {
-				t.Errorf("violation: %s", v)
-			}
-			if !res.Pass {
-				t.Fatalf("scenario %s failed the invariant checker with the ack economy on", sc.Name)
-			}
-		})
-	}
+	requireLibraryPasses(t, multicast(), economyConfig(), nil)
+	requireLibraryPasses(t, churn(), economyConfig(), nil)
+}
+
+// TestCollLibraryScenariosPassWithAckEconomy does the same for the
+// collective workload (under the name its subtests have always had): the
+// stop-and-wait substrate under barrier/allreduce/allgather traffic reuses
+// the same cumulative-ack discipline, so every collective scenario must
+// still produce correct results at every node and leak no timers or
+// records.
+func TestCollLibraryScenariosPassWithAckEconomy(t *testing.T) {
+	requireLibraryPasses(t, collective(), economyConfig(), nil)
 }
 
 // TestAckEconomyScenarioDeterminism pins that the economy's delayed-ack
 // timers and fused ack processing do not perturb the deterministic
 // schedule: the same seeded scenario must produce bit-identical results.
 func TestAckEconomyScenarioDeterminism(t *testing.T) {
-	sc, ok := chaos.Find("burst-loss")
-	if !ok {
-		t.Fatal("burst-loss scenario missing from library")
-	}
-	a := chaos.RunScenario(sc, economyConfig())
-	b := chaos.RunScenario(sc, economyConfig())
+	c := multicast()
+	sc := find(t, c.lib, "burst-loss")
+	a := chaos.Run(c.w, sc, economyConfig())
+	b := chaos.Run(c.w, sc, economyConfig())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different results with ack economy:\n%+v\nvs\n%+v", a, b)
 	}
 	if !a.Pass {
 		t.Fatalf("burst-loss failed with ack economy: %v", a.Violations)
-	}
-}
-
-// TestCollLibraryScenariosPassWithAckEconomy runs the collective chaos
-// campaign with the ack economy on: the stop-and-wait substrate under
-// barrier/allreduce/allgather traffic reuses the same cumulative-ack
-// discipline, so every collective scenario must still produce correct
-// results at every node and leak no timers or records.
-func TestCollLibraryScenariosPassWithAckEconomy(t *testing.T) {
-	cfg := collTestConfig()
-	cfg.AckEvery = 4
-	for _, sc := range chaos.CollLibrary() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			res := chaos.RunCollScenario(sc, cfg)
-			for _, v := range res.Violations {
-				t.Errorf("violation: %s", v)
-			}
-			if !res.Pass {
-				t.Fatalf("scenario %s failed the invariant checker with the ack economy on", sc.Name)
-			}
-		})
 	}
 }

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/cluster"
@@ -12,35 +11,28 @@ import (
 	"repro/internal/tree"
 )
 
-// Port and Group are the GM endpoint ids every campaign uses.
-const (
-	Port  gm.PortID  = 1
-	Group gm.GroupID = 1
-)
+// dataPort is the GM port every workload moves its data over.
+const dataPort gm.PortID = 1
 
-// Config parameterizes one scenario run. The zero value gets sensible
-// campaign defaults from withDefaults.
+// Config parameterizes one scenario run, whatever the workload. The zero
+// value gets campaign defaults; a workload's own parameters (message
+// count, rounds, churn rate) are fields of the Workload value.
 type Config struct {
-	// Nodes is the cluster size; Msgs multicast messages of Size bytes are
-	// streamed from node 0 down a Fanout-ary tree (fanout 2 guarantees
-	// interior forwarding nodes from 4 nodes up).
-	Nodes  int
-	Msgs   int
-	Size   int
-	Fanout int
+	// Nodes is the cluster size (default 8).
+	Nodes int
 
-	// Seed feeds both the cluster RNG and (hashed with the scenario name)
-	// the injector RNG. Same seed, same scenario, same result — always.
+	// Seed feeds the cluster RNG and (hashed with the scenario name) the
+	// injector RNG. Same seed, same scenario, same result — always.
 	Seed int64
 
-	// Deadline bounds the faulted run in virtual time; a protocol that has
-	// not quiesced by then failed to recover.
+	// Deadline bounds each run in virtual time; a protocol that has not
+	// quiesced by then failed to recover. Zero takes the workload's default.
 	Deadline sim.Time
 
 	// Metrics, when non-nil, also receives the faulted run's instrument
 	// traffic (for -metrics reporting). The invariant checker always uses
-	// a private registry-backed snapshot diff, so this is optional — but a
-	// shared registry is unsynchronized, so it forces serial campaigns.
+	// a snapshot diff, so this is optional — but a shared registry is
+	// unsynchronized, so it forces serial campaigns.
 	Metrics *metrics.Registry
 
 	// Shards runs each scenario's clusters on a conservative parallel
@@ -61,31 +53,88 @@ type Config struct {
 	AckEvery int
 }
 
-func (c Config) withDefaults() Config {
+func (c Config) withDefaults(w Workload) Config {
 	if c.Nodes <= 0 {
 		c.Nodes = 8
-	}
-	if c.Msgs <= 0 {
-		c.Msgs = 12
-	}
-	if c.Size <= 0 {
-		c.Size = 10000
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = 2
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.Deadline <= 0 {
-		c.Deadline = 500 * sim.Millisecond
+		c.Deadline = w.Deadline()
 	}
 	return c
 }
 
+// Workload is the traffic a campaign holds to its invariant under faults:
+// the multicast stream (Multicast), rounds of NIC collectives (Collective)
+// or a multicast stream under membership churn (Churn). The runner owns
+// everything a run repeats — cluster, injector, baseline, counters and the
+// quiescence, resource and conservation checks — and asks the workload
+// only for what differs.
+type Workload interface {
+	// MinNodes is the smallest cluster the workload can run on; a CLI
+	// rejects anything smaller as a usage error.
+	MinNodes() int
+	// Deadline is the default bound on one run in virtual time.
+	Deadline() sim.Time
+	// Params reports the parameters that tell this workload's campaign
+	// points apart beyond scenario and cluster size, defaults applied —
+	// they become columns of the campaign table.
+	Params() []Stat
+	// Plan builds one run's inputs — everything that needs no cluster — so
+	// an unusable parameter is reported before a cluster exists.
+	Plan(cfg Config) (Job, error)
+}
+
+// Job is one run of a workload, on the cluster in the Env it is handed.
+type Job interface {
+	// Prepare opens ports and installs and settles groups, and calls
+	// env.Inject once, at the point of that sequence where the scenario's
+	// faults go in. The order is the workload's and is load-bearing:
+	// PauseNIC schedules its events at inject time, and an event's key is
+	// (time, domain<<48|seq). It returns the data ports, one per node, for
+	// the runner's resource audit.
+	Prepare(env *Env) ([]*gm.Port, error)
+	// Drive spawns the workload's processes and runs the cluster to
+	// env.Cfg.Deadline, returning when the last of them finished (zero if
+	// the deadline came first) and every delivery violation it saw.
+	Drive(env *Env) (finish sim.Time, violations []string)
+	// Check holds the finished run to the workload's own invariant, given
+	// the run's metrics delta, and reports its named counters.
+	Check(env *Env, diff metrics.Snapshot) (violations []string, counters []Stat)
+}
+
+// Stat is one named number of a run: a workload parameter or counter.
+type Stat struct {
+	Name  string
+	Value uint64
+}
+
+// Env is the runner's side of one run.
+type Env struct {
+	Cluster *cluster.Cluster
+	Cfg     Config // defaults applied
+
+	sc        Scenario
+	cleanSpan sim.Time
+	inj       *Injector
+}
+
+// Inject installs the scenario's faults, aimed at root and — when the
+// workload has one static multicast tree — tr. It does nothing on a
+// fault-free run, so no injector hook slows the baseline.
+func (e *Env) Inject(root fabric.NodeID, tr *tree.Tree) {
+	if e.sc.Inject == nil {
+		return
+	}
+	e.inj = NewInjector(e.Cluster.Net, ScenarioSeed(e.Cfg.Seed, e.sc.Name))
+	e.sc.Inject(&Fault{Inj: e.inj, Cluster: e.Cluster, Root: root, Tree: tr, CleanSpan: e.cleanSpan})
+}
+
 // Scenario is one named fault script. Inject installs the faults; the
-// runner supplies the cluster, the multicast tree, and a seeded injector
-// through the Fault context. A nil Inject is a fault-free baseline.
+// runner supplies the cluster, the workload's root and tree, and a seeded
+// injector through the Fault context. A nil Inject is a fault-free run.
 type Scenario struct {
 	Name string
 	Desc string
@@ -98,18 +147,36 @@ type Scenario struct {
 	Inject func(f *Fault)
 }
 
+// Find returns the scenario of lib with the given name.
+func Find(lib []Scenario, name string) (Scenario, bool) {
+	for _, sc := range lib {
+		if sc.Name == name {
+			return sc, true
+		}
+	}
+	return Scenario{}, false
+}
+
 // Fault is the context a scenario's Inject runs in.
 type Fault struct {
 	Inj     *Injector
 	Cluster *cluster.Cluster
-	Tree    *tree.Tree
-	Cfg     Config
+
+	// Root is the node the workload's traffic hangs off: the multicast
+	// source, the collective trees' root, the membership coordinator.
+	Root fabric.NodeID
+	// Tree is the workload's static multicast tree. It is nil where there
+	// is no single one to aim at — churn rebuilds the tree every epoch —
+	// and those scenarios target nodes, links or the whole fabric.
+	Tree *tree.Tree
 
 	// CleanSpan is the fault-free baseline's completion time on this exact
 	// cluster, measured by the run that always precedes fault injection.
 	// Scenarios place their windows relative to it (see At), so the same
 	// script stresses live traffic on a microsecond-scale Clos run and a
-	// millisecond-scale Myrinet one alike.
+	// millisecond-scale Myrinet one alike. A scenario may instead place a
+	// window in absolute virtual time, as the churn scenarios do: their
+	// transitions are scheduled in absolute time too.
 	CleanSpan sim.Time
 }
 
@@ -134,12 +201,12 @@ func (f *Fault) InteriorNode() fabric.NodeID {
 	return f.LeafNode()
 }
 
-// RootSwitch returns the label of the switch the multicast root attaches
-// to — the fabric-generic spelling of "the crossbar goes dark" ("xbar0"
-// on a single-switch Myrinet fabric, "tor0" or a leaf on a Clos), so
+// RootSwitch returns the label of the switch the root attaches to — the
+// fabric-generic spelling of "the crossbar goes dark" ("xbar0" on a
+// single-switch Myrinet fabric, "tor0" or a leaf on a Clos), so
 // switch-outage scenarios bite on every backend.
 func (f *Fault) RootSwitch() string {
-	return f.Cluster.Net.Iface(f.Tree.Root).Uplink().ToLabel()
+	return f.Cluster.Net.Iface(f.Root).Uplink().ToLabel()
 }
 
 // LeafNode returns the last tree node without children — deterministic,
@@ -154,88 +221,94 @@ func (f *Fault) LeafNode() fabric.NodeID {
 	return nodes[len(nodes)-1]
 }
 
-// Result is one scenario's verdict: the invariant violations (empty on
-// pass), recovery latency versus the fault-free baseline, and the fault
-// and recovery traffic observed.
-type Result struct {
-	Scenario string
-	Desc     string
-	Nodes    int
-	Msgs     int
-	Size     int
-
-	Pass       bool
+// Outcome is one run's observations: when it finished, the invariant
+// violations (empty on pass), and the fault and recovery traffic.
+type Outcome struct {
+	Finish     sim.Time
 	Violations []string
 
-	// CleanFinish is the fault-free completion time, FaultFinish the
-	// faulted one; Recovery is the difference — the time the fault cost.
-	CleanFinish sim.Time
-	FaultFinish sim.Time
-	Recovery    sim.Time
-
-	// Fault-run traffic: fabric drops and duplicates, NIC-paused discards,
-	// receive-buffer overruns, and the protocol's recovery work.
+	// Fabric drops and duplicates, NIC-paused discards, and the recovery
+	// work of every reliability layer (collective stop-and-wait, multicast
+	// tree, unicast).
 	Drops       uint64
 	Dups        uint64
 	PausedDrops uint64
-	RxNoBuffer  uint64
 	Retransmits uint64
 	Timeouts    uint64
 	Nacks       uint64
+
+	// Counters are the workload's own, in its fixed order.
+	Counters []Stat
 
 	// Rules reports per-fault-rule activation counts.
 	Rules []RuleHit
 }
 
-// RunScenario executes one scenario: a fault-free baseline run (for the
-// recovery-latency reference) and the faulted run, both checked against
-// the full invariant set.
-func RunScenario(sc Scenario, cfg Config) Result {
-	cfg = cfg.withDefaults()
-	clean := runOnce(sc, cfg, false, 0)
-	fault := runOnce(sc, cfg, true, clean.finish)
+// Counter returns the workload counter with the given name, 0 if the
+// workload reports none.
+func (o Outcome) Counter(name string) uint64 {
+	for _, s := range o.Counters {
+		if s.Name == name {
+			return s.Value
+		}
+	}
+	return 0
+}
+
+// Result is one scenario's verdict. The embedded Outcome is the faulted
+// run's, except that Violations also lists the baseline's, prefixed
+// "baseline: ".
+type Result struct {
+	Scenario string
+	Desc     string
+	Nodes    int
+	Params   []Stat
+
+	Pass bool
+
+	// CleanFinish is the fault-free completion time; Recovery is how much
+	// later the faulted run finished — the time the fault cost.
+	CleanFinish sim.Time
+	Recovery    sim.Time
+
+	Outcome
+}
+
+// Run executes one scenario against a workload: a fault-free baseline (the
+// recovery-latency reference, on a registry of its own) and the faulted
+// run, both held to the full invariant set.
+func Run(w Workload, sc Scenario, cfg Config) Result {
+	cfg = cfg.withDefaults(w)
+	// The baseline keeps the scenario's recovery configuration and name,
+	// injects nothing, and never touches a shared registry.
+	baseline, private := sc, cfg
+	baseline.Inject, private.Metrics = nil, nil
+	clean := RunOnce(w, baseline, private, 0)
+	fault := RunOnce(w, sc, cfg, clean.Finish)
 
 	res := Result{
 		Scenario:    sc.Name,
 		Desc:        sc.Desc,
 		Nodes:       cfg.Nodes,
-		Msgs:        cfg.Msgs,
-		Size:        cfg.Size,
-		CleanFinish: clean.finish,
-		FaultFinish: fault.finish,
-		Drops:       fault.drops,
-		Dups:        fault.dups,
-		PausedDrops: fault.pausedDrops,
-		RxNoBuffer:  fault.rxNoBuffer,
-		Retransmits: fault.retransmits,
-		Timeouts:    fault.timeouts,
-		Nacks:       fault.nacks,
-		Rules:       fault.rules,
+		Params:      w.Params(),
+		CleanFinish: clean.Finish,
+		Outcome:     fault,
 	}
-	if res.FaultFinish > res.CleanFinish {
-		res.Recovery = res.FaultFinish - res.CleanFinish
+	if fault.Finish > clean.Finish {
+		res.Recovery = fault.Finish - clean.Finish
 	}
-	for _, v := range clean.violations {
+	res.Violations = nil
+	for _, v := range clean.Violations {
 		res.Violations = append(res.Violations, "baseline: "+v)
 	}
-	res.Violations = append(res.Violations, fault.violations...)
+	res.Violations = append(res.Violations, fault.Violations...)
 	res.Pass = len(res.Violations) == 0
 	return res
 }
 
-// outcome is one run's raw observations.
-type outcome struct {
-	finish     sim.Time
-	violations []string
-
-	drops, dups, pausedDrops, rxNoBuffer uint64
-	retransmits, timeouts, nacks         uint64
-	rules                                []RuleHit
-}
-
-// scenarioSeed mixes the campaign seed with an FNV-1a hash of the scenario
+// ScenarioSeed mixes the campaign seed with an FNV-1a hash of the scenario
 // name so each scenario gets an independent but reproducible fault stream.
-func scenarioSeed(seed int64, name string) int64 {
+func ScenarioSeed(seed int64, name string) int64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])
@@ -244,26 +317,18 @@ func scenarioSeed(seed int64, name string) int64 {
 	return seed ^ int64(h&0x7fffffffffffffff)
 }
 
-// Payload builds the deterministic byte pattern of message idx — receivers
-// recompute it to verify every byte arrived intact and in the right
-// message slot.
-func Payload(idx, size int) []byte {
-	b := make([]byte, size)
-	for i := range b {
-		b[i] = byte(idx*131 + i*29 + 7)
+// RunOnce is a single run: it builds a fresh cluster, lets the workload
+// prepare it and install sc's faults (windows placed against cleanSpan),
+// drives it to the deadline and checks every invariant — the workload's
+// own, and the ones every workload shares.
+func RunOnce(w Workload, sc Scenario, cfg Config, cleanSpan sim.Time) Outcome {
+	cfg = cfg.withDefaults(w)
+	job, err := w.Plan(cfg)
+	if err != nil {
+		return Outcome{Violations: []string{err.Error()}}
 	}
-	return b
-}
 
-// runOnce builds a fresh cluster, streams the multicast workload under the
-// scenario's faults (if faulted), and checks the invariant set.
-func runOnce(sc Scenario, cfg Config, faulted bool, cleanSpan sim.Time) outcome {
-	// The baseline always uses a private registry; the faulted run uses
-	// the caller's shared one when provided (counter diffs isolate it).
-	reg := cfg.Metrics
-	if reg == nil || !faulted {
-		reg = metrics.New()
-	}
+	reg := metrics.Ensure(cfg.Metrics)
 	ccfg := cluster.DefaultConfig(cfg.Nodes)
 	if cfg.Fabric.Valid() {
 		ccfg.Fabric = cfg.Fabric
@@ -276,98 +341,62 @@ func runOnce(sc Scenario, cfg Config, faulted bool, cleanSpan sim.Time) outcome 
 	ccfg.GM.AdaptiveRTO = sc.Adaptive
 	cluster.WithAckEconomy(cfg.AckEvery)(ccfg)
 	c := cluster.NewFromConfig(ccfg)
-	ports := c.OpenPorts(Port)
-	tr := tree.KAry(0, c.Members(), cfg.Fanout)
-	c.InstallGroup(Group, tr, Port, Port)
+	defer c.Kill()
 
-	var inj *Injector
-	if faulted && sc.Inject != nil {
-		inj = NewInjector(c.Net, scenarioSeed(cfg.Seed, sc.Name))
-		sc.Inject(&Fault{Inj: inj, Cluster: c, Tree: tr, Cfg: cfg, CleanSpan: cleanSpan})
+	env := &Env{Cluster: c, Cfg: cfg, sc: sc, cleanSpan: cleanSpan}
+	ports, err := job.Prepare(env)
+	if err != nil {
+		return Outcome{Violations: []string{err.Error()}}
 	}
 
-	msgs := make([][]byte, cfg.Msgs)
-	for i := range msgs {
-		msgs[i] = Payload(i, cfg.Size)
-	}
-
-	// Per-node violation lists, merged in node order after the run so the
-	// report is deterministic regardless of event interleaving.
-	nodeViol := make([][]string, cfg.Nodes)
-	finish := make([]sim.Time, cfg.Nodes)
-	for _, n := range tr.Nodes() {
-		if n == tr.Root {
-			continue
-		}
-		n := n
-		c.SpawnOn(n, "chaos-recv", func(p *sim.Proc) {
-			ports[n].ProvideN(cfg.Msgs, cfg.Size)
-			for i := 0; i < cfg.Msgs; i++ {
-				ev := ports[n].Recv(p)
-				if ev.MsgID != uint64(i+1) {
-					nodeViol[n] = append(nodeViol[n], fmt.Sprintf(
-						"node %d: delivery %d carried msg id %d — lost, duplicated, or reordered message",
-						n, i+1, ev.MsgID))
-				} else if !bytes.Equal(ev.Data, msgs[i]) {
-					nodeViol[n] = append(nodeViol[n], fmt.Sprintf(
-						"node %d: msg %d payload corrupted", n, i+1))
-				}
-			}
-			finish[n] = p.Now()
-		})
-	}
-	c.SpawnOn(tr.Root, "chaos-root", func(p *sim.Proc) {
-		ext := c.Nodes[0].Ext
-		for i := 0; i < cfg.Msgs; i++ {
-			ext.Mcast(p, ports[0], Group, msgs[i])
-		}
-		for i := 0; i < cfg.Msgs; i++ {
-			ports[0].WaitSendDone(p)
-		}
-		finish[0] = p.Now()
-	})
-
+	var out Outcome
 	before := reg.Snapshot()
-	c.RunUntil(cfg.Deadline)
+	out.Finish, out.Violations = job.Drive(env)
+	d := reg.Snapshot().Diff(before)
 
-	var out outcome
+	out.Violations = append(out.Violations, checkQuiescence(c, cfg.Deadline)...)
+	out.Violations = append(out.Violations, checkResources(c, ports)...)
+	out.Violations = append(out.Violations, checkConservation(d)...)
+	v, counters := job.Check(env, d)
+	out.Violations = append(out.Violations, v...)
+	out.Counters = counters
+
+	out.Drops = d.CounterSum("net", "dropped")
+	out.Dups = d.CounterSum("net", "duplicated")
+	out.PausedDrops = d.CounterSum("lanai", "rx_paused_drops")
+	out.Retransmits = d.CounterSum("coll", "retransmits") +
+		d.CounterSum("core", "retransmits") + d.CounterSum("gm", "retransmits")
+	out.Timeouts = d.CounterSum("core", "timeouts") + d.CounterSum("gm", "timeouts")
+	out.Nacks = d.CounterSum("core", "mcast_nacks_sent") + d.CounterSum("gm", "nacks_sent")
+	if env.inj != nil {
+		out.Rules = env.inj.RuleHits()
+	}
+	return out
+}
+
+// collect folds per-node finish times and violation lists into the run's:
+// the latest finish, and the violations in node order.
+func collect(finish []sim.Time, nodeViol [][]string) (last sim.Time, violations []string) {
 	for _, t := range finish {
-		if t > out.finish {
-			out.finish = t
+		if t > last {
+			last = t
 		}
 	}
 	for _, vs := range nodeViol {
-		out.violations = append(out.violations, vs...)
+		violations = append(violations, vs...)
 	}
-	out.violations = append(out.violations, checkQuiescence(c, cfg)...)
-	out.violations = append(out.violations, checkResources(c, ports, ccfg)...)
-
-	d := reg.Snapshot().Diff(before)
-	out.violations = append(out.violations, checkAccounting(d, cfg, ccfg)...)
-	out.drops = d.CounterSum("net", "dropped")
-	out.dups = d.CounterSum("net", "duplicated")
-	out.pausedDrops = d.CounterSum("lanai", "rx_paused_drops")
-	out.rxNoBuffer = d.CounterSum("lanai", "rx_nobuffer")
-	out.retransmits = d.CounterSum("core", "retransmits") + d.CounterSum("gm", "retransmits")
-	out.timeouts = d.CounterSum("core", "timeouts") + d.CounterSum("gm", "timeouts")
-	out.nacks = d.CounterSum("core", "mcast_nacks_sent") + d.CounterSum("gm", "nacks_sent")
-	if inj != nil {
-		out.rules = inj.RuleHits()
-	}
-
-	c.Kill()
-	return out
+	return last, violations
 }
 
 // checkQuiescence verifies the run fully drained before the deadline: no
 // process still blocked (a starved receiver means a lost message; a stuck
 // root means send tokens never came back) and no event still scheduled (an
 // armed retransmit timer past quiescence means a leaked send record).
-func checkQuiescence(c *cluster.Cluster, cfg Config) []string {
+func checkQuiescence(c *cluster.Cluster, deadline sim.Time) []string {
 	var v []string
 	if n := c.LiveProcs(); n != 0 {
 		v = append(v, fmt.Sprintf(
-			"did not recover by deadline %v: %d processes still blocked", cfg.Deadline, n))
+			"did not recover by deadline %v: %d processes still blocked", deadline, n))
 	}
 	if n := c.Pending(); n != 0 {
 		v = append(v, fmt.Sprintf(
@@ -380,7 +409,7 @@ func checkQuiescence(c *cluster.Cluster, cfg Config) []string {
 // state: all send records retired, all retransmit timers disarmed, all
 // lanai packet buffers back in their pools, and every host-level send
 // token returned.
-func checkResources(c *cluster.Cluster, ports []*gm.Port, ccfg *cluster.Config) []string {
+func checkResources(c *cluster.Cluster, ports []*gm.Port) []string {
 	var v []string
 	for i, n := range c.Nodes {
 		if r := n.NIC.OutstandingRecords(); r != 0 {
@@ -415,7 +444,7 @@ func checkResources(c *cluster.Cluster, ports []*gm.Port, ccfg *cluster.Config) 
 		if n.HW.Paused() {
 			v = append(v, fmt.Sprintf("node %d: NIC still paused after run", i))
 		}
-		if got, want := ports[i].FreeSendTokens(), ccfg.GM.SendTokens; got != want {
+		if got, want := ports[i].FreeSendTokens(), c.Cfg.GM.SendTokens; got != want {
 			v = append(v, fmt.Sprintf("node %d: %d/%d send tokens not returned", i, want-got, want))
 		}
 		if r := ports[i].PendingRecvs(); r != 0 {
@@ -425,26 +454,28 @@ func checkResources(c *cluster.Cluster, ports []*gm.Port, ccfg *cluster.Config) 
 	return v
 }
 
-// checkAccounting verifies the metrics agree with the workload: the fabric
-// conserved packets (every injected or duplicated packet was either
-// delivered or dropped) and the receivers accepted exactly the workload's
-// packet count — no more (duplicates accepted), no less (loss papered
-// over).
-func checkAccounting(d metrics.Snapshot, cfg Config, ccfg *cluster.Config) []string {
-	var v []string
+// checkConservation verifies the fabric conserved packets: every injected
+// or duplicated packet was either delivered or dropped.
+func checkConservation(d metrics.Snapshot) []string {
 	injected := d.CounterSum("net", "injected")
 	duplicated := d.CounterSum("net", "duplicated")
 	delivered := d.CounterSum("net", "delivered")
 	dropped := d.CounterSum("net", "dropped")
 	if injected+duplicated != delivered+dropped {
-		v = append(v, fmt.Sprintf(
+		return []string{fmt.Sprintf(
 			"fabric accounting broken: injected %d + duplicated %d != delivered %d + dropped %d",
-			injected, duplicated, delivered, dropped))
+			injected, duplicated, delivered, dropped)}
 	}
-	want := uint64(cfg.Nodes-1) * uint64(cfg.Msgs) * uint64(ccfg.GM.Packets(cfg.Size))
+	return nil
+}
+
+// checkCensus verifies the NICs accepted exactly the multicast packets the
+// workload's deliveries require — no more (duplicates accepted), no less
+// (loss papered over).
+func checkCensus(d metrics.Snapshot, want uint64) []string {
 	if got := d.CounterSum("core", "mcast_received"); got != want {
-		v = append(v, fmt.Sprintf(
-			"receivers accepted %d multicast packets, workload requires exactly %d", got, want))
+		return []string{fmt.Sprintf(
+			"NICs accepted %d multicast packets, the workload's deliveries require exactly %d", got, want)}
 	}
-	return v
+	return nil
 }

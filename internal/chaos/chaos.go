@@ -6,7 +6,11 @@
 // that assert a reliability invariant set after every run: each receiver
 // got every byte exactly once and in order, sender buffers were fully
 // released, no lanai packet buffers or retransmit timers leaked, and the
-// fabric's packet accounting balances.
+// fabric's packet accounting balances. One runner (Run, RunOnce) serves
+// every campaign; what runs under the faults is a Workload — the
+// multicast stream, rounds of NIC collectives, or the stream under
+// membership churn — which supplies only its own set-up, traffic and
+// invariant.
 //
 // Everything is deterministic: rules draw randomness from a private RNG
 // seeded per scenario, so two campaigns with the same seed produce

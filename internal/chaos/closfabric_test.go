@@ -9,7 +9,9 @@ import (
 )
 
 func closConfig() chaos.Config {
-	return chaos.Config{Nodes: 8, Msgs: 10, Size: 10000, Seed: 7, Fabric: clos.Default()}
+	cfg := testConfig()
+	cfg.Fabric = clos.Default()
+	return cfg
 }
 
 // TestLibraryScenariosPassOnClos runs the entire fault-scenario library on
@@ -18,18 +20,7 @@ func closConfig() chaos.Config {
 // returned, no leaked timers, balanced packet accounting, now over ECMP
 // paths and PFC backpressure instead of the Myrinet crossbar.
 func TestLibraryScenariosPassOnClos(t *testing.T) {
-	for _, sc := range chaos.Library() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			res := chaos.RunScenario(sc, closConfig())
-			for _, v := range res.Violations {
-				t.Errorf("violation: %s", v)
-			}
-			if !res.Pass {
-				t.Fatalf("scenario %s failed the invariant checker on clos", sc.Name)
-			}
-		})
-	}
+	requireLibraryPasses(t, multicast(), closConfig(), nil)
 }
 
 // TestLibraryScenariosPassOnMultiLeafClos repeats the sweep at a size that
@@ -41,19 +32,9 @@ func TestLibraryScenariosPassOnMultiLeafClos(t *testing.T) {
 	}
 	cfg := closConfig()
 	cfg.Nodes = 40
-	cfg.Msgs = 6
-	for _, sc := range chaos.Library() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			res := chaos.RunScenario(sc, cfg)
-			for _, v := range res.Violations {
-				t.Errorf("violation: %s", v)
-			}
-			if !res.Pass {
-				t.Fatalf("scenario %s failed the invariant checker on 40-node clos", sc.Name)
-			}
-		})
-	}
+	c := multicast()
+	c.w = chaos.Multicast{Msgs: 6, Size: 10000}
+	requireLibraryPasses(t, c, cfg, nil)
 }
 
 // TestMemberLibraryPassesOnClos runs every membership-churn scenario on
@@ -61,21 +42,9 @@ func TestLibraryScenariosPassOnMultiLeafClos(t *testing.T) {
 // stream, and the membership invariant — epoch-E payloads reach exactly
 // E's members, exactly once, in order — must hold on the new fabric.
 func TestMemberLibraryPassesOnClos(t *testing.T) {
-	for _, sc := range chaos.MemberLibrary() {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			res := chaos.RunMemberScenario(sc, chaos.MemberConfig{
-				Nodes: 8, Msgs: 12, Size: 4096, Transitions: 6, Seed: 7,
-				Fabric: clos.Default(),
-			})
-			for _, v := range res.Violations {
-				t.Errorf("violation: %s", v)
-			}
-			if !res.Pass {
-				t.Fatalf("scenario %s failed the membership invariants on clos", sc.Name)
-			}
-		})
-	}
+	c := churn()
+	c.w = chaos.Churn{Msgs: 12, Size: 4096, Transitions: 6}
+	requireLibraryPasses(t, c, closConfig(), nil)
 }
 
 // TestScenariosActuallyInjectOnClos guards the cross-fabric campaign
@@ -84,8 +53,9 @@ func TestMemberLibraryPassesOnClos(t *testing.T) {
 // root's switch by label and would silently miss if it still assumed the
 // Myrinet crossbar's name.
 func TestScenariosActuallyInjectOnClos(t *testing.T) {
-	for _, sc := range chaos.Library() {
-		res := chaos.RunScenario(sc, closConfig())
+	c := multicast()
+	for _, sc := range c.lib {
+		res := chaos.Run(c.w, sc, closConfig())
 		var ruleHits uint64
 		for _, r := range res.Rules {
 			ruleHits += r.Hits
@@ -100,18 +70,16 @@ func TestScenariosActuallyInjectOnClos(t *testing.T) {
 // backend: the most stochastic scenario, run twice at the same seed on
 // Clos, must produce identical results down to every counter.
 func TestClosCampaignDeterminism(t *testing.T) {
-	sc, ok := chaos.Find("burst-loss")
-	if !ok {
-		t.Fatal("burst-loss scenario missing from library")
-	}
-	a := chaos.RunScenario(sc, closConfig())
-	b := chaos.RunScenario(sc, closConfig())
+	c := multicast()
+	sc := find(t, c.lib, "burst-loss")
+	a := chaos.Run(c.w, sc, closConfig())
+	b := chaos.Run(c.w, sc, closConfig())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed on clos, different results:\n%+v\nvs\n%+v", a, b)
 	}
-	myr := chaos.RunScenario(sc, testConfig())
-	if a.FaultFinish == myr.FaultFinish && a.Drops == myr.Drops {
+	myr := chaos.Run(c.w, sc, testConfig())
+	if a.Finish == myr.Finish && a.Drops == myr.Drops {
 		t.Fatalf("clos and myrinet campaigns identical (finish %v, %d drops) — Fabric config ignored",
-			a.FaultFinish, a.Drops)
+			a.Finish, a.Drops)
 	}
 }

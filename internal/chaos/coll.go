@@ -1,9 +1,10 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
-	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/fabric"
 	"repro/internal/gm"
@@ -12,19 +13,15 @@ import (
 	"repro/internal/tree"
 )
 
-// The GM endpoints collective campaigns use. Both collective contexts
-// share one port, the way internal/mpi multiplexes its port across
-// communicators.
+// The collective workload's two contexts share one port, the way
+// internal/mpi multiplexes its port across communicators. collGroupTree
+// pairs the dissemination barrier with the concatenate-and-forward tree
+// allgather; collGroupRing pairs the binomial tree barrier with the ring
+// allgather. Alternating rounds between them puts every collective
+// algorithm the engine implements under fire in one campaign.
 const (
-	CollPort gm.PortID = 1
-
-	// CollGroupTree pairs the dissemination barrier with the
-	// concatenate-and-forward tree allgather; CollGroupRing pairs the
-	// binomial tree barrier with the ring allgather. Alternating rounds
-	// between them puts every collective algorithm the engine implements
-	// under fire in one campaign.
-	CollGroupTree gm.GroupID = 1
-	CollGroupRing gm.GroupID = 2
+	collGroupTree gm.GroupID = 1
+	collGroupRing gm.GroupID = 2
 )
 
 // MatchKinds builds a Match selecting exactly the given frame kinds —
@@ -45,113 +42,25 @@ func MatchKinds(kinds ...gm.Kind) Match {
 	}
 }
 
-// MatchCollData matches collective protocol frames (barrier rounds,
-// reduce vectors, allgather chunks, ring hops), leaving their acks and
-// all point-to-point/multicast traffic untouched.
-func MatchCollData(p *fabric.Packet, l *fabric.Link) bool {
-	return MatchKinds(gm.KindBarrier, gm.KindReduce, gm.KindGather, gm.KindRing)(p, l)
-}
+var (
+	// MatchCollData matches collective protocol frames (barrier rounds,
+	// reduce vectors, allgather chunks, ring hops), leaving their acks and
+	// all point-to-point/multicast traffic untouched.
+	MatchCollData = MatchKinds(gm.KindBarrier, gm.KindReduce, gm.KindGather, gm.KindRing)
 
-// MatchCollAcks matches collective acknowledgments — losing these
-// exercises the stop-and-wait retransmit and duplicate-rejection paths
-// on the receiving side.
-func MatchCollAcks(p *fabric.Packet, l *fabric.Link) bool {
-	return MatchKinds(gm.KindBarrierAck, gm.KindReduceAck, gm.KindGatherAck, gm.KindRingAck)(p, l)
-}
-
-// CollConfig parameterizes one collective scenario run.
-type CollConfig struct {
-	// Nodes is the cluster size; every node runs Rounds rounds of
-	// barrier + allreduce + allgather over Veclen-element vectors,
-	// alternating between the tree-algorithm and ring-algorithm groups.
-	Nodes  int
-	Rounds int
-	Veclen int
-
-	// Seed feeds the cluster RNG and (hashed with the scenario name) the
-	// injector RNG — same seed, same scenario, same result.
-	Seed int64
-
-	// Deadline bounds each run in virtual time; collectives that have not
-	// quiesced by then failed to recover.
-	Deadline sim.Time
-
-	// Metrics optionally receives the faulted run's instrument traffic.
-	// The checks always use a private snapshot diff.
-	Metrics *metrics.Registry
-
-	// Shards runs each scenario's clusters on a conservative parallel
-	// engine (0 or 1 = serial); stateless fault rules only, as with
-	// Config.Shards.
-	Shards int
-
-	// Fabric selects the interconnect backend (zero value: Myrinet).
-	Fabric fabric.Config
-
-	// AckEvery > 1 runs every scenario with the full ack economy enabled
-	// (cumulative acks, piggybacking, tree aggregation, windowed gather);
-	// 0 or 1 keeps the per-packet ack default.
-	AckEvery int
-}
-
-func (c CollConfig) withDefaults() CollConfig {
-	if c.Nodes <= 0 {
-		c.Nodes = 8
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 4
-	}
-	if c.Veclen <= 0 {
-		c.Veclen = 4
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 500 * sim.Millisecond
-	}
-	return c
-}
-
-// CollScenario is one named fault script for a collective run.
-type CollScenario struct {
-	Name string
-	Desc string
-
-	Inject func(f *CollFault)
-}
-
-// CollFault is the context a collective scenario's Inject runs in.
-type CollFault struct {
-	Inj     *Injector
-	Cluster *cluster.Cluster
-	Cfg     CollConfig
-
-	// CleanSpan is the fault-free baseline's completion time on this
-	// exact cluster; windows are placed relative to it via At, as in the
-	// multicast campaigns.
-	CleanSpan sim.Time
-}
-
-// At maps a fraction of the fault-free run's span to an absolute virtual
-// time (see Fault.At).
-func (f *CollFault) At(frac float64) sim.Time {
-	return sim.Time(float64(f.CleanSpan) * frac)
-}
-
-// Root returns the node rooting both collective trees (the lowest member
-// id) — the node whose outage every tree collective must survive.
-func (f *CollFault) Root() fabric.NodeID {
-	return f.Cluster.Nodes[0].ID
-}
+	// MatchCollAcks matches collective acknowledgments — losing these
+	// exercises the stop-and-wait retransmit and duplicate-rejection paths
+	// on the receiving side.
+	MatchCollAcks = MatchKinds(gm.KindBarrierAck, gm.KindReduceAck, gm.KindGatherAck, gm.KindRingAck)
+)
 
 // CollLibrary returns the collective scenario set, in fixed order.
-func CollLibrary() []CollScenario {
-	return []CollScenario{
+func CollLibrary() []Scenario {
+	return []Scenario{
 		{
 			Name: "coll-barrier-burst-loss",
 			Desc: "every barrier round frame dropped for the first half of live traffic; the shared stop-and-wait timer must carry both barrier algorithms through",
-			Inject: func(f *CollFault) {
+			Inject: func(f *Fault) {
 				f.Inj.DropWindow("barrier-burst", f.At(0.05), f.At(0.5),
 					MatchKinds(gm.KindBarrier))
 			},
@@ -159,7 +68,7 @@ func CollLibrary() []CollScenario {
 		{
 			Name: "coll-reduce-dup-storm",
 			Desc: "every 2nd reduce frame and reduce ack duplicated all run; the contribution bitsets and done-set must reject every copy during the combine",
-			Inject: func(f *CollFault) {
+			Inject: func(f *Fault) {
 				f.Inj.Duplicate("reduce-dup", 0, 0, 2,
 					MatchKinds(gm.KindReduce, gm.KindReduceAck))
 			},
@@ -167,7 +76,7 @@ func CollLibrary() []CollScenario {
 		{
 			Name: "coll-gather-burst-loss",
 			Desc: "allgather chunk and ring hop frames dropped through the middle of the run; chunked batch transfers must resume where the ack left off",
-			Inject: func(f *CollFault) {
+			Inject: func(f *Fault) {
 				f.Inj.DropWindow("gather-burst", f.At(0.2), f.At(0.7),
 					MatchKinds(gm.KindGather, gm.KindRing))
 			},
@@ -175,113 +84,78 @@ func CollLibrary() []CollScenario {
 		{
 			Name: "coll-ack-loss",
 			Desc: "collective acks of every class dropped early in the run; retransmitted rounds, vectors and chunks must be re-acked and deduplicated",
-			Inject: func(f *CollFault) {
+			Inject: func(f *Fault) {
 				f.Inj.DropWindow("ack-loss", f.At(0.05), f.At(0.6), MatchCollAcks)
 			},
 		},
 		{
 			Name: "coll-root-pause",
 			Desc: "the tree root's NIC goes deaf mid-run; contributions queued at the children must survive on stop-and-wait until the firmware returns",
-			Inject: func(f *CollFault) {
-				f.Inj.PauseNIC(f.Cluster.Nodes[f.Root()].HW, f.At(0.15), f.At(0.45))
+			Inject: func(f *Fault) {
+				f.Inj.PauseNIC(f.Cluster.Nodes[f.Root].HW, f.At(0.15), f.At(0.45))
 			},
 		},
 		{
 			Name: "coll-bursty-links",
 			Desc: "Gilbert–Elliott bursty loss over collective data frames on all links, all run",
-			Inject: func(f *CollFault) {
+			Inject: func(f *Fault) {
 				f.Inj.GilbertElliott("ge-coll", 0.02, 0.25, 0.001, 0.5, MatchCollData)
 			},
 		},
 		{
 			Name: "coll-dup-storm",
 			Desc: "every 3rd packet of any kind duplicated all run; collective and multicast dedup must agree that nothing is delivered twice",
-			Inject: func(f *CollFault) {
+			Inject: func(f *Fault) {
 				f.Inj.Duplicate("dup3", 0, 0, 3, MatchAll)
 			},
 		},
 	}
 }
 
-// FindColl returns the collective scenario with the given name.
-func FindColl(name string) (CollScenario, bool) {
-	for _, sc := range CollLibrary() {
-		if sc.Name == name {
-			return sc, true
+// Collective is the NIC-collective workload: every node runs Rounds rounds
+// of barrier + allreduce + allgather over Veclen-element vectors,
+// alternating between the tree-algorithm and ring-algorithm groups. Its
+// invariant is correct results at every node every round and a drained
+// collective engine; there is no packet census, because how many frames a
+// collective takes is the algorithm's business.
+type Collective struct {
+	Rounds int
+	Veclen int
+}
+
+func (w Collective) withDefaults() Collective {
+	if w.Rounds <= 0 {
+		w.Rounds = 4
+	}
+	if w.Veclen <= 0 {
+		w.Veclen = 4
+	}
+	return w
+}
+
+// MinNodes: the smallest cluster a collective means anything on.
+func (Collective) MinNodes() int { return 2 }
+
+func (Collective) Deadline() sim.Time { return 500 * sim.Millisecond }
+
+func (Collective) Params() []Stat { return nil }
+
+// Plan works out the expected results per round: the allreduce sum and the
+// flat allgather concatenation over every member's contribution.
+func (w Collective) Plan(cfg Config) (Job, error) {
+	w = w.withDefaults()
+	j := &collJob{Collective: w, wantSum: make([][]int64, w.Rounds), wantFlat: make([][]int64, w.Rounds)}
+	for r := 0; r < w.Rounds; r++ {
+		j.wantSum[r] = make([]int64, w.Veclen)
+		for i := 0; i < cfg.Nodes; i++ {
+			v := collVec(r, i, w.Veclen)
+			j.wantFlat[r] = append(j.wantFlat[r], v...)
+			for k := range v {
+				j.wantSum[r][k] += v[k]
+			}
 		}
 	}
-	return CollScenario{}, false
-}
-
-// CollResult is one collective scenario's verdict.
-type CollResult struct {
-	Scenario string
-	Desc     string
-	Nodes    int
-	Rounds   int
-
-	Pass       bool
-	Violations []string
-
-	CleanFinish sim.Time
-	FaultFinish sim.Time
-	Recovery    sim.Time
-
-	// Faulted-run observations. Retransmits sums every reliability layer
-	// (collective stop-and-wait, multicast tree, unicast); CollDups counts
-	// duplicate collective frames the engine rejected.
-	Drops       uint64
-	Dups        uint64
-	PausedDrops uint64
-	Retransmits uint64
-	CollDups    uint64
-
-	Rules []RuleHit
-}
-
-// RunCollScenario executes one collective scenario: a fault-free baseline
-// and the faulted run, both checked against the collective invariant set
-// (correct results at every node every round, full quiescence, no leaked
-// collective records, timers or instances, all NIC resources returned,
-// balanced fabric accounting).
-func RunCollScenario(sc CollScenario, cfg CollConfig) CollResult {
-	cfg = cfg.withDefaults()
-	clean := collRunOnce(sc, cfg, false, 0)
-	fault := collRunOnce(sc, cfg, true, clean.finish)
-
-	res := CollResult{
-		Scenario:    sc.Name,
-		Desc:        sc.Desc,
-		Nodes:       cfg.Nodes,
-		Rounds:      cfg.Rounds,
-		CleanFinish: clean.finish,
-		FaultFinish: fault.finish,
-		Drops:       fault.drops,
-		Dups:        fault.dups,
-		PausedDrops: fault.pausedDrops,
-		Retransmits: fault.retransmits,
-		CollDups:    fault.collDups,
-		Rules:       fault.rules,
-	}
-	if res.FaultFinish > res.CleanFinish {
-		res.Recovery = res.FaultFinish - res.CleanFinish
-	}
-	for _, v := range clean.violations {
-		res.Violations = append(res.Violations, "baseline: "+v)
-	}
-	res.Violations = append(res.Violations, fault.violations...)
-	res.Pass = len(res.Violations) == 0
-	return res
-}
-
-// collOutcome is one collective run's raw observations.
-type collOutcome struct {
-	finish     sim.Time
-	violations []string
-
-	drops, dups, pausedDrops uint64
-	retransmits, collDups    uint64
-	rules                    []RuleHit
+	return j, nil
 }
 
 // collVec is the deterministic contribution of node i in round r.
@@ -293,92 +167,67 @@ func collVec(r, i, veclen int) []int64 {
 	return v
 }
 
-// collRunOnce builds a fresh cluster with both collective contexts
-// installed, drives the alternating-group collective workload under the
-// scenario's faults, and checks every invariant.
-func collRunOnce(sc CollScenario, cfg CollConfig, faulted bool, cleanSpan sim.Time) collOutcome {
-	reg := cfg.Metrics
-	if reg == nil || !faulted {
-		reg = metrics.New()
-	}
-	ccfg := cluster.DefaultConfig(cfg.Nodes)
-	if cfg.Fabric.Valid() {
-		ccfg.Fabric = cfg.Fabric
-		ccfg.Link = cfg.Fabric.Links
-	}
-	ccfg.Seed = cfg.Seed
-	ccfg.Metrics = reg
-	ccfg.Shards = cfg.Shards
-	cluster.WithAckEconomy(cfg.AckEvery)(ccfg)
-	c := cluster.NewFromConfig(ccfg)
-	ports := c.OpenPorts(CollPort)
+type collJob struct {
+	Collective
+	wantSum, wantFlat [][]int64
+	ports             []*gm.Port
+}
 
+// Prepare installs both collective contexts and, unlike the other
+// workloads, runs the cluster until their group tables settle — before any
+// fault exists, so a scenario can only disturb collective traffic, never
+// set-up.
+func (j *collJob) Prepare(env *Env) ([]*gm.Port, error) {
+	c := env.Cluster
+	j.ports = c.OpenPorts(dataPort)
 	// Both groups need the multicast tree (reduce/allgather neighborhoods
 	// and the downward result multicasts) alongside the collective entry.
-	c.InstallGroup(CollGroupTree, tree.Binomial(0, c.Members()), CollPort, CollPort)
-	c.InstallGroup(CollGroupRing, tree.Binomial(0, c.Members()), CollPort, CollPort)
-	readyTree := c.InstallCollGroup(CollGroupTree, c.Members(), CollPort)
-	readyRing := c.InstallCollGroup(CollGroupRing, c.Members(), CollPort,
+	c.InstallGroup(collGroupTree, tree.Binomial(0, c.Members()), dataPort, dataPort)
+	c.InstallGroup(collGroupRing, tree.Binomial(0, c.Members()), dataPort, dataPort)
+	readyTree := c.InstallCollGroup(collGroupTree, c.Members(), dataPort)
+	readyRing := c.InstallCollGroup(collGroupRing, c.Members(), dataPort,
 		coll.WithBarrierAlgo(coll.BarrierTree), coll.WithGatherAlgo(coll.GatherRing))
-	c.Run() // settle both group tables before traffic and fault windows
-	var out collOutcome
+	c.Run()
 	if !readyTree() || !readyRing() {
-		out.violations = append(out.violations, "collective group installation did not settle")
-		c.Kill()
-		return out
+		return nil, errors.New("collective group installation did not settle")
 	}
+	// Both trees are rooted at the lowest member id; there are two of them,
+	// so no single Tree to aim at.
+	env.Inject(c.Nodes[0].ID, nil)
+	return j.ports, nil
+}
 
-	var inj *Injector
-	if faulted && sc.Inject != nil {
-		inj = NewInjector(c.Net, scenarioSeed(cfg.Seed, sc.Name))
-		sc.Inject(&CollFault{Inj: inj, Cluster: c, Cfg: cfg, CleanSpan: cleanSpan})
-	}
-
-	// Expected results per round: the allreduce sum and the flat
-	// allgather concatenation over every member's contribution.
-	wantSum := make([][]int64, cfg.Rounds)
-	wantFlat := make([][]int64, cfg.Rounds)
-	for r := 0; r < cfg.Rounds; r++ {
-		wantSum[r] = make([]int64, cfg.Veclen)
-		for i := 0; i < cfg.Nodes; i++ {
-			v := collVec(r, i, cfg.Veclen)
-			wantFlat[r] = append(wantFlat[r], v...)
-			for j := range v {
-				wantSum[r][j] += v[j]
-			}
-		}
-	}
-
-	nodeViol := make([][]string, cfg.Nodes)
-	finish := make([]sim.Time, cfg.Nodes)
-	before := reg.Snapshot()
-	for i := 0; i < cfg.Nodes; i++ {
+func (j *collJob) Drive(env *Env) (sim.Time, []string) {
+	c, ports, nodes := env.Cluster, j.ports, len(env.Cluster.Nodes)
+	nodeViol := make([][]string, nodes)
+	finish := make([]sim.Time, nodes)
+	for i := 0; i < nodes; i++ {
 		i := i
 		c.SpawnOn(fabric.NodeID(i), "coll-chaos", func(p *sim.Proc) {
 			nd := c.Nodes[i]
-			for r := 0; r < cfg.Rounds; r++ {
-				gid := CollGroupTree
+			for r := 0; r < j.Rounds; r++ {
+				gid := collGroupTree
 				if r%2 == 1 {
-					gid = CollGroupRing
+					gid = collGroupRing
 				}
 				// Rotating per-round skew so a different member is last
 				// into every barrier.
-				p.Compute(sim.Micros(float64(((i + r) % cfg.Nodes) * 11)))
+				p.Compute(sim.Micros(float64(((i + r) % nodes) * 11)))
 				nd.Coll.Barrier(p, ports[i], gid)
 
 				if i != 0 {
 					// The root multicasts the allreduce result down the
 					// tree; size a receive token for it before entering.
-					ports[i].Provide(8 * cfg.Veclen)
+					ports[i].Provide(8 * j.Veclen)
 				}
-				sum := nd.Coll.Allreduce(p, ports[i], gid, collVec(r, i, cfg.Veclen), coll.OpSum)
-				if !vecEqual(sum, wantSum[r]) {
+				sum := nd.Coll.Allreduce(p, ports[i], gid, collVec(r, i, j.Veclen), coll.OpSum)
+				if !slices.Equal(sum, j.wantSum[r]) {
 					nodeViol[i] = append(nodeViol[i], fmt.Sprintf(
-						"node %d round %d: allreduce = %v, want %v", i, r, sum, wantSum[r]))
+						"node %d round %d: allreduce = %v, want %v", i, r, sum, j.wantSum[r]))
 				}
 
-				flat := nd.Coll.Allgather(p, ports[i], gid, collVec(r, i, cfg.Veclen))
-				if !vecEqual(flat, wantFlat[r]) {
+				flat := nd.Coll.Allgather(p, ports[i], gid, collVec(r, i, j.Veclen))
+				if !slices.Equal(flat, j.wantFlat[r]) {
 					nodeViol[i] = append(nodeViol[i], fmt.Sprintf(
 						"node %d round %d: allgather result corrupted", i, r))
 				}
@@ -386,74 +235,17 @@ func collRunOnce(sc CollScenario, cfg CollConfig, faulted bool, cleanSpan sim.Ti
 			finish[i] = p.Now()
 		})
 	}
-	c.RunUntil(cfg.Deadline)
-
-	for _, t := range finish {
-		if t > out.finish {
-			out.finish = t
-		}
-	}
-	for _, vs := range nodeViol {
-		out.violations = append(out.violations, vs...)
-	}
-	d := reg.Snapshot().Diff(before)
-	out.violations = append(out.violations, CheckCollRun(c, ccfg, ports, d, cfg.Deadline)...)
-	out.drops = d.CounterSum("net", "dropped")
-	out.dups = d.CounterSum("net", "duplicated")
-	out.pausedDrops = d.CounterSum("lanai", "rx_paused_drops")
-	out.retransmits = d.CounterSum("coll", "retransmits") +
-		d.CounterSum("core", "retransmits") + d.CounterSum("gm", "retransmits")
-	out.collDups = d.CounterSum("coll", "duplicates")
-	if inj != nil {
-		out.rules = inj.RuleHits()
-	}
-
-	c.Kill()
-	return out
+	c.RunUntil(env.Cfg.Deadline)
+	return collect(finish, nodeViol)
 }
 
-func vecEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// CheckCollRun evaluates the collective invariant set against a finished
-// run: full-cluster quiescence, NIC/port resource return, the collective
-// engine's own state (no unacked records, no armed retransmit timers, no
-// open barrier/reduce/allgather instances), and fabric packet
-// conservation. diff must be the run's metrics delta on a registry
-// private to the run. Exported so other harnesses can hold collective
-// workloads to the same bar.
-func CheckCollRun(c *cluster.Cluster, ccfg *cluster.Config, ports []*gm.Port, diff metrics.Snapshot, deadline sim.Time) []string {
+// Check verifies every NIC's collective engine drained: stop-and-wait
+// recovery must leave no unacked records, no armed timers, and no open
+// collective instances behind. It reports the duplicate collective frames
+// the engines rejected.
+func (j *collJob) Check(env *Env, d metrics.Snapshot) ([]string, []Stat) {
 	var v []string
-	v = append(v, checkQuiescence(c, Config{Deadline: deadline})...)
-	v = append(v, checkResources(c, ports, ccfg)...)
-	v = append(v, checkCollState(c)...)
-	injected := diff.CounterSum("net", "injected")
-	duplicated := diff.CounterSum("net", "duplicated")
-	delivered := diff.CounterSum("net", "delivered")
-	dropped := diff.CounterSum("net", "dropped")
-	if injected+duplicated != delivered+dropped {
-		v = append(v, fmt.Sprintf(
-			"fabric accounting broken: injected %d + duplicated %d != delivered %d + dropped %d",
-			injected, duplicated, delivered, dropped))
-	}
-	return v
-}
-
-// checkCollState verifies every NIC's collective engine drained: stop-
-// and-wait recovery must leave no unacked records, no armed timers, and
-// no open collective instances behind.
-func checkCollState(c *cluster.Cluster) []string {
-	var v []string
-	for i, n := range c.Nodes {
+	for i, n := range env.Cluster.Nodes {
 		if n.Coll == nil {
 			continue
 		}
@@ -467,5 +259,5 @@ func checkCollState(c *cluster.Cluster) []string {
 			v = append(v, fmt.Sprintf("node %d: %d collective retransmit timers still armed", i, t))
 		}
 	}
-	return v
+	return v, []Stat{{"colldups", d.CounterSum("coll", "duplicates")}}
 }

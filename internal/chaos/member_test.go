@@ -1,69 +1,32 @@
 package chaos_test
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/chaos"
 	"repro/internal/sim"
 )
 
-func memberConfig() chaos.MemberConfig {
-	return chaos.MemberConfig{Nodes: 8, Msgs: 16, Size: 4096, Transitions: 10, Seed: 7}
-}
-
 // Every membership scenario must satisfy the membership invariant (each
 // payload delivered exactly once, in order, to exactly its epoch's
 // members) plus the full quiescence/resource/accounting invariant set —
-// including churn-under-loss, the ISSUE's required Gilbert–Elliott run
-// with at least 8 transitions.
+// including churn-under-loss, the Gilbert–Elliott run, with the campaign
+// floor of at least 8 transitions.
 func TestMemberLibraryScenariosPass(t *testing.T) {
-	lib := chaos.MemberLibrary()
-	if len(lib) < 4 {
-		t.Fatalf("membership scenario library has %d scenarios, want at least 4", len(lib))
+	c := churn()
+	if len(c.lib) < 4 {
+		t.Fatalf("membership scenario library has %d scenarios, want at least 4", len(c.lib))
 	}
-	for _, sc := range lib {
-		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
-			res := chaos.RunMemberScenario(sc, memberConfig())
-			for _, v := range res.Violations {
-				t.Errorf("violation: %s", v)
-			}
-			if !res.Pass {
-				t.Fatalf("scenario %s failed the invariant checker", sc.Name)
-			}
-			// Finalize always commits, so a full run records more epochs
-			// than the initial one alone.
-			if res.Epochs < 2 {
-				t.Fatalf("scenario %s committed only %d epochs — churn never ran", sc.Name, res.Epochs)
-			}
-		})
+	if churn := c.w.Params()[0].Value; churn < 8 {
+		t.Fatalf("campaign config schedules %d transitions, the floor is 8", churn)
 	}
-}
-
-// The loss scenarios must actually engage their faults while the group
-// churns, and the ISSUE's transition floor must hold.
-func TestMemberScenariosActuallyInject(t *testing.T) {
-	cfg := memberConfig()
-	if cfg.Transitions < 8 {
-		t.Fatalf("campaign config schedules %d transitions, ISSUE floor is 8", cfg.Transitions)
-	}
-	for _, sc := range chaos.MemberLibrary() {
-		if sc.Inject == nil {
-			continue
+	requireLibraryPasses(t, c, testConfig(), func(t *testing.T, res chaos.Result) {
+		// Finalize always commits, so a full run records more epochs
+		// than the initial one alone.
+		if n := res.Counter("epochs"); n < 2 {
+			t.Fatalf("scenario %s committed only %d epochs — churn never ran", res.Scenario, n)
 		}
-		res := chaos.RunMemberScenario(sc, cfg)
-		var ruleHits uint64
-		for _, r := range res.Rules {
-			ruleHits += r.Hits
-		}
-		if ruleHits == 0 && sc.Name != "churn-coordinator-outage" {
-			t.Errorf("scenario %s: no fault rule ever fired", sc.Name)
-		}
-		if sc.Name == "churn-under-loss" && res.Drops == 0 {
-			t.Errorf("churn-under-loss dropped nothing — the burst channel missed the run")
-		}
-	}
+	})
 }
 
 // Regression: PauseNIC events armed before member.RunOn must fire DURING
@@ -75,43 +38,19 @@ func TestMemberScenariosActuallyInject(t *testing.T) {
 // outlasted the deadline still "passed"). A faulted run that truly hits
 // a 1ms outage cannot finish before the NIC resumes.
 func TestCoordinatorOutageOverlapsRun(t *testing.T) {
-	sc, ok := chaos.FindMember("churn-coordinator-outage")
-	if !ok {
-		t.Fatal("churn-coordinator-outage missing from membership library")
-	}
-	res := chaos.RunMemberScenario(sc, memberConfig())
+	c := churn()
+	res := chaos.Run(c.w, find(t, c.lib, "churn-coordinator-outage"), testConfig())
 	if !res.Pass {
 		t.Fatalf("scenario failed: %v", res.Violations)
 	}
 	const pauseEnd = sim.Millisecond
-	if res.FaultFinish < pauseEnd {
+	if res.Finish < pauseEnd {
 		t.Fatalf("faulted run finished at %v, before the outage lifted at %v — the pause never overlapped the run",
-			res.FaultFinish, pauseEnd)
+			res.Finish, pauseEnd)
 	}
-	if res.FaultFinish <= res.CleanFinish {
+	if res.Finish <= res.CleanFinish {
 		t.Fatalf("faulted finish %v not after clean finish %v — the outage cost nothing",
-			res.FaultFinish, res.CleanFinish)
-	}
-}
-
-// Same seed, same verdict — the membership campaigns must be exactly
-// reproducible, faults and all.
-func TestMemberScenarioDeterminism(t *testing.T) {
-	sc, ok := chaos.FindMember("churn-under-loss")
-	if !ok {
-		t.Fatal("churn-under-loss missing from membership library")
-	}
-	a := chaos.RunMemberScenario(sc, memberConfig())
-	b := chaos.RunMemberScenario(sc, memberConfig())
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different results:\n%+v\nvs\n%+v", a, b)
-	}
-	cfg := memberConfig()
-	cfg.Seed = 8
-	c := chaos.RunMemberScenario(sc, cfg)
-	if c.Drops == a.Drops && c.FaultFinish == a.FaultFinish {
-		t.Fatalf("different seeds produced identical drops %d and finish %v — seed ignored",
-			a.Drops, a.FaultFinish)
+			res.Finish, res.CleanFinish)
 	}
 }
 
@@ -124,19 +63,17 @@ func TestMemberScenarioDeterminism(t *testing.T) {
 // least once across them (the stale-epoch and acked-as-dropped rules
 // are pinned directly by internal/core's epoch tests).
 func TestMemberEpochFiltersEngage(t *testing.T) {
-	sc, ok := chaos.FindMember("churn-under-loss")
-	if !ok {
-		t.Fatal("churn-under-loss missing from membership library")
-	}
+	c := churn()
+	sc := find(t, c.lib, "churn-under-loss")
 	var filtered uint64
 	for seed := int64(1); seed <= 4 && filtered == 0; seed++ {
-		cfg := memberConfig()
+		cfg := testConfig()
 		cfg.Seed = seed
-		res := chaos.RunMemberScenario(sc, cfg)
+		res := chaos.Run(c.w, sc, cfg)
 		if !res.Pass {
 			t.Fatalf("seed %d: churn-under-loss failed: %v", seed, res.Violations)
 		}
-		filtered += res.StaleEpochDrops + res.FutureDrops + res.AckedAsDropped
+		filtered += res.Counter("stale") + res.Counter("future") + res.Counter("ackdrop")
 	}
 	if filtered == 0 {
 		t.Error("no seed ever exercised the epoch rejection path under churn+loss")

@@ -9,8 +9,8 @@ package chaos
 // run that still misses the deadline has a recovery bug, not a tight
 // schedule.
 
-// Library returns the named scenario set, in fixed order. Campaigns run
-// all of them unless filtered.
+// Library returns the multicast scenario set, in fixed order. Campaigns
+// run all of them unless filtered.
 func Library() []Scenario {
 	return []Scenario{
 		{
@@ -18,7 +18,7 @@ func Library() []Scenario {
 			Desc: "root's host link dark through most of the stream; every packet and ack in transit dies",
 			Inject: func(f *Fault) {
 				f.Inj.DropWindow("root-link", f.At(0.3), f.At(1.3),
-					MatchHostLink(f.Tree.Root))
+					MatchHostLink(f.Root))
 			},
 		},
 		{
@@ -80,7 +80,7 @@ func Library() []Scenario {
 			Name: "root-nic-pause",
 			Desc: "the root NIC goes deaf mid-stream; every ack in flight is discarded",
 			Inject: func(f *Fault) {
-				f.Inj.PauseNIC(f.Cluster.Nodes[f.Tree.Root].HW, f.At(0.3), f.At(1.2))
+				f.Inj.PauseNIC(f.Cluster.Nodes[f.Root].HW, f.At(0.3), f.At(1.2))
 			},
 		},
 		{
@@ -102,14 +102,4 @@ func Library() []Scenario {
 			},
 		},
 	}
-}
-
-// Find returns the library scenario with the given name.
-func Find(name string) (Scenario, bool) {
-	for _, sc := range Library() {
-		if sc.Name == name {
-			return sc, true
-		}
-	}
-	return Scenario{}, false
 }

@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/chaos"
-	"repro/internal/cluster"
-	"repro/internal/member"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Config parameterizes an exploration: the workload shape every schedule
@@ -90,81 +87,42 @@ type Outcome struct {
 	Transitions int
 }
 
-// plan regenerates cfg's churn plan with sched's shifts applied. The base
-// plan derives from the seed exactly as the chaos membership campaigns
-// derive theirs, so schedule seed s explores the same workload chaosbench
-// scripts at seed s.
-func (cfg Config) plan(sched Schedule) (workload.ChurnPlan, error) {
-	plan, err := workload.GenerateChurn(workload.ChurnSpec{
-		Nodes:        cfg.Nodes,
-		Transitions:  cfg.Transitions,
-		Msgs:         cfg.Msgs,
-		MeanSize:     cfg.Size,
-		MeanGap:      15 * sim.Microsecond,
-		MeanChurnGap: 60 * sim.Microsecond,
-	}, sim.NewRNG(chaos.ScenarioSeed(sched.Seed, "member-plan")))
-	if err != nil {
-		return plan, err
-	}
-	for _, sh := range sched.Shifts {
-		if sh.Event < 0 || sh.Event >= len(plan.Events) {
-			continue // shrinking may orphan a shift; it just stops mattering
-		}
-		plan.Events[sh.Event].At += sh.By
-	}
-	return plan, nil
+// shifted is the membership workload under one schedule's churn shifts.
+// The base plan derives from the seed exactly as in the chaos membership
+// campaigns, so schedule seed s explores the same workload
+// `chaosbench -workload member` scripts at seed s.
+type shifted struct {
+	chaos.Churn
+	shifts []Shift
 }
 
-// Run executes one schedule from scratch — fresh serial cluster, fresh
-// churn plan, the schedule's faults installed, the schedule's tie-break
-// decisions fed to the engine chooser — and evaluates the full membership
-// invariant on the trace. Identical (Config, Schedule) pairs produce
-// identical Outcomes, which is what makes the printed repro command a
-// faithful replay.
+func (w shifted) Plan(cfg chaos.Config) (chaos.Job, error) {
+	job, err := w.NewJob(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, sh := range w.shifts {
+		if sh.Event < 0 || sh.Event >= len(job.Plan.Events) {
+			continue // shrinking may orphan a shift; it just stops mattering
+		}
+		job.Plan.Events[sh.Event].At += sh.By
+	}
+	return job, nil
+}
+
+// Run executes one schedule from scratch as a single run of the chaos
+// campaign runner — fresh serial cluster, fresh churn plan with the
+// schedule's shifts, the schedule's faults installed, the schedule's
+// tie-break decisions fed to the engine chooser — which holds the trace
+// to the full membership invariant set. Identical (Config, Schedule)
+// pairs produce identical Outcomes, which is what makes the printed repro
+// command a faithful replay.
 func Run(cfg Config, sched Schedule) Outcome {
 	cfg = cfg.withDefaults()
 	if sched.Seed == 0 {
 		sched.Seed = cfg.Seed
 	}
 	out := Outcome{Schedule: sched}
-
-	plan, err := cfg.plan(sched)
-	if err != nil {
-		out.Violations = []string{err.Error()}
-		return out
-	}
-
-	reg := metrics.New()
-	ccfg := cluster.DefaultConfig(cfg.Nodes)
-	ccfg.Seed = sched.Seed
-	ccfg.Metrics = reg
-	c := cluster.NewFromConfig(ccfg)
-	if c.Eng == nil {
-		panic("explore: schedule exploration requires a serial cluster")
-	}
-
-	inj := chaos.NewInjector(c.Net, chaos.ScenarioSeed(sched.Seed, "explore-faults"))
-	for i, f := range sched.Faults {
-		name := fmt.Sprintf("%s-%d", f.Kind, i)
-		until := f.At + f.Dur
-		switch f.Kind {
-		case FaultDropData:
-			inj.DropWindow(name, f.At, until, chaos.MatchData)
-		case FaultDropAcks:
-			inj.DropWindow(name, f.At, until, chaos.MatchAcks)
-		case FaultDup:
-			inj.Duplicate(name, f.At, until, 3, chaos.MatchAll)
-		case FaultPause:
-			n := f.Node
-			if n < 0 || n >= cfg.Nodes {
-				n = cfg.Nodes - 1
-			}
-			inj.PauseNIC(c.Nodes[n].HW, f.At, until)
-		default:
-			out.Violations = []string{fmt.Sprintf("explore: unknown fault kind %q", f.Kind)}
-			return out
-		}
-	}
 
 	// The chooser consumes the schedule's sparse tick overrides by choice
 	// position; every position not named fires the default (FIFO) pick.
@@ -173,7 +131,7 @@ func Run(cfg Config, sched Schedule) Outcome {
 		ticks[t.Pos] = t.Val
 	}
 	points, maxBranch, nonDefault := 0, 0, 0
-	c.Eng.SetChooser(func(n int) int {
+	chooser := func(n int) int {
 		pos := uint32(points)
 		points++
 		if n > maxBranch {
@@ -187,19 +145,40 @@ func Run(cfg Config, sched Schedule) Outcome {
 			return pick
 		}
 		return 0
-	})
+	}
 
-	data := c.OpenPorts(chaos.MemberDataPort)
-	ctrl := c.OpenPorts(chaos.MemberCtrlPort)
-	before := reg.Snapshot()
-	res := member.RunOn(c, member.Config{
-		DataPort: chaos.MemberDataPort,
-		CtrlPort: chaos.MemberCtrlPort,
-		Deadline: cfg.Deadline,
-	}, plan, data, ctrl)
-	diff := reg.Snapshot().Diff(before)
+	// The scenario's name seeds the injector. Config.Shards stays zero: the
+	// chooser needs the serial engine.
+	inject := func(f *chaos.Fault) {
+		for i, fp := range sched.Faults {
+			name := fmt.Sprintf("%s-%d", fp.Kind, i)
+			until := fp.At + fp.Dur
+			switch fp.Kind {
+			case FaultDropData:
+				f.Inj.DropWindow(name, fp.At, until, chaos.MatchData)
+			case FaultDropAcks:
+				f.Inj.DropWindow(name, fp.At, until, chaos.MatchAcks)
+			case FaultDup:
+				f.Inj.Duplicate(name, fp.At, until, 3, chaos.MatchAll)
+			case FaultPause:
+				n := fp.Node
+				if n < 0 || n >= cfg.Nodes {
+					n = cfg.Nodes - 1
+				}
+				f.Inj.PauseNIC(f.Cluster.Nodes[n].HW, fp.At, until)
+			default:
+				// Parse admits only the kinds above.
+				panic(fmt.Sprintf("explore: unknown fault kind %q", fp.Kind))
+			}
+		}
+		f.Cluster.Eng.SetChooser(chooser)
+	}
+	run := chaos.RunOnce(
+		shifted{chaos.Churn{Msgs: cfg.Msgs, Size: cfg.Size, Transitions: cfg.Transitions}, sched.Shifts},
+		chaos.Scenario{Name: "explore-faults", Inject: inject},
+		chaos.Config{Nodes: cfg.Nodes, Seed: sched.Seed, Deadline: cfg.Deadline}, 0)
 
-	out.Violations = chaos.CheckMemberRun(c, ccfg, res, data, ctrl, diff, cfg.Deadline)
+	out.Violations = run.Violations
 	if cfg.failNonDefault > 0 && nonDefault >= cfg.failNonDefault {
 		out.Violations = append(out.Violations, fmt.Sprintf(
 			"injected mutation: %d non-default decisions taken (threshold %d)", nonDefault, cfg.failNonDefault))
@@ -208,13 +187,12 @@ func Run(cfg Config, sched Schedule) Outcome {
 	out.ChoicePoints = points
 	out.MaxBranch = maxBranch
 	out.NonDefault = nonDefault
-	out.Finish = res.Finish
-	out.Epochs = len(res.Epochs)
-	out.Rejected = res.Rejected
-	out.Transitions = res.Transitions
-
-	c.Eng.SetChooser(nil)
-	c.Kill()
+	out.Finish = run.Finish
+	out.Epochs = int(run.Counter("epochs"))
+	out.Rejected = int(run.Counter("rejected"))
+	if out.Epochs > 0 {
+		out.Transitions = out.Epochs - 1 // every epoch but the initial view was a transition
+	}
 	return out
 }
 

@@ -5,8 +5,9 @@
 // to the engine's controlled scheduler (sim.Engine.SetChooser), a set of
 // fault actions reusing the chaos injector's deterministic rules, and a
 // set of churn-timing shifts. The explorer enumerates and samples
-// schedules, holds every resulting trace to the full membership invariant
-// (chaos.CheckMemberRun), delta-debugs any failure down to a minimal
+// schedules, runs each as one run of the chaos campaign runner's churn
+// workload — so every trace is held to the full membership invariant set
+// the campaigns apply — delta-debugs any failure down to a minimal
 // counterexample, and prints a one-line command that replays it
 // byte-identically.
 package explore
