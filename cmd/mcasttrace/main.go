@@ -41,7 +41,7 @@ func main() {
 		n := n
 		c.Eng.Spawn("dest", func(p *sim.Proc) {
 			ports[n].Provide(*size)
-			ports[n].Recv(p)
+			ports[n].Release(ports[n].Recv(p))
 		})
 	}
 	msg := make([]byte, *size)

@@ -56,6 +56,7 @@ func main() {
 				if !bytes.Equal(ev.Data, sent[i]) {
 					corrupted++
 				}
+				ports[n].Release(ev) // done with ev.Data: the port reuses the buffer
 			}
 		})
 	}

@@ -77,7 +77,7 @@ func hostBarrier() float64 {
 			for r := 0; r < rounds; r++ {
 				for k := 1; k < nodes; k <<= 1 {
 					ports[i].Send(p, fabric.NodeID((i+k)%nodes), port, []byte{1})
-					ports[i].Recv(p)
+					ports[i].Release(ports[i].Recv(p))
 				}
 			}
 			if i == 0 {

@@ -53,6 +53,7 @@ func nicBased(message []byte) sim.Time {
 			ports[n].Provide(len(message)) // receive token
 			ev := ports[n].Recv(p)
 			fmt.Printf("  node %d received %q at t=%v\n", n, ev.Data, p.Now())
+			ports[n].Release(ev) // done with ev.Data: the port reuses the buffer
 			if p.Now() > last {
 				last = p.Now()
 			}
@@ -86,7 +87,9 @@ func hostBased(message []byte) sim.Time {
 		c.Eng.Spawn("node", func(p *sim.Proc) {
 			ports[n].Provide(len(message))
 			ev := ports[n].Recv(p)
-			forward(p, n, ev.Data) // host-based forwarding
+			// Host-based forwarding. The sends read ev.Data until they
+			// complete, so the event is not released here.
+			forward(p, n, ev.Data)
 			if p.Now() > last {
 				last = p.Now()
 			}

@@ -178,7 +178,7 @@ func stormRun(fc fabric.Config, nodes, shards, msgs, size int, extra []cluster.O
 		c.SpawnOn(fabric.NodeID(i), "recv", func(p *sim.Proc) {
 			port.ProvideN(msgs+2, size+256)
 			for got := 0; got < msgs; got++ {
-				port.Recv(p)
+				port.Release(port.Recv(p))
 			}
 		})
 	}

@@ -104,10 +104,13 @@ func (e *Engine) Allgather(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []i
 	for {
 		ev := port.Recv(proc)
 		if ev.Group == id && len(ev.Data) > 0 {
+			res := DecodeVec(ev.Data)
 			if root {
-				e.ext.Mcast(proc, port, id, ev.Data)
+				e.ext.Mcast(proc, port, id, ev.Data) // in flight: not released
+			} else {
+				port.Release(ev)
 			}
-			return DecodeVec(ev.Data)
+			return res
 		}
 		panic("coll: unexpected traffic on allgather port")
 	}

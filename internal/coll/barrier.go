@@ -25,6 +25,7 @@ func (e *Engine) Barrier(proc *sim.Proc, port *gm.Port, id gm.GroupID) {
 	for {
 		ev := port.Recv(proc)
 		if ev.Group == id && len(ev.Data) == 0 {
+			port.Release(ev)
 			return
 		}
 		panic("coll: unexpected traffic on barrier port")

@@ -37,7 +37,9 @@ func (e *Engine) Reduce(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []int6
 	for {
 		ev := port.Recv(proc)
 		if ev.Group == id && len(ev.Data) > 0 {
-			return DecodeVec(ev.Data)
+			res := DecodeVec(ev.Data)
+			port.Release(ev)
+			return res
 		}
 		panic("coll: unexpected traffic on reduce port")
 	}
@@ -180,7 +182,9 @@ func (e *Engine) Allreduce(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []i
 	for {
 		ev := port.Recv(proc)
 		if ev.Group == id && len(ev.Data) > 0 {
-			return DecodeVec(ev.Data)
+			res := DecodeVec(ev.Data)
+			port.Release(ev)
+			return res
 		}
 		panic("coll: unexpected traffic on allreduce port")
 	}

@@ -439,11 +439,13 @@ func (e *Ext) forward(g *group, fr *gm.Frame, release func()) {
 		e.m.fwdBeforeFull.Inc()
 	}
 	e.m.fanout.Observe(int64(len(g.children)))
-	out := fr.Clone() // header rewrite; payload shared with the host replica
 	nic.HW.CPUDo(e.cfg.ForwardSetupCost, func() {
 		var sendTo func(i int)
 		sendTo = func(i int) {
-			replica := out.Clone()
+			// fr is immutable from here on (g.file keeps it for resend), so
+			// each child's header rewrite is a clone of it; the payload is
+			// shared.
+			replica := fr.Clone()
 			replica.SrcNode = nic.ID()
 			replica.DstNode = g.children[i]
 			nic.Inject(replica, func() {

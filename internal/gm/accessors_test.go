@@ -134,13 +134,23 @@ func TestAssemblyAccessors(t *testing.T) {
 		}
 	})
 	r.run(t)
-	if a.MsgLen() != 10 || a.Done() || len(a.Bytes()) != 64 {
-		t.Fatalf("assembly accessors wrong: len=%d done=%v buf=%d",
-			a.MsgLen(), a.Done(), len(a.Bytes()))
+	if a.MsgLen() != 10 || a.Done() {
+		t.Fatalf("assembly accessors wrong: len=%d done=%v", a.MsgLen(), a.Done())
 	}
-	a.Deposit(0, make([]byte, 10))
+	a.Deposit(0, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	if !a.Done() {
 		t.Fatal("assembly not done after full deposit")
+	}
+	r.run(t)
+	ev, ok := r.ports[1].TryRecv()
+	if !ok {
+		t.Fatal("completed assembly delivered no event")
+	}
+	if len(ev.Data) != a.MsgLen() || ev.Data[9] != 9 {
+		t.Fatalf("event carries %d bytes %v, want the %d deposited", len(ev.Data), ev.Data, a.MsgLen())
+	}
+	if ev.Src != 0 || ev.SrcPort != 1 || ev.MsgID != 1 || ev.Group != 0 {
+		t.Fatalf("event names the wrong message: %+v", ev)
 	}
 }
 

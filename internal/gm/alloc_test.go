@@ -1,0 +1,76 @@
+//go:build !race
+
+package gm
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// Counts, not time (the race detector allocates on its own, so these are
+// left out of -race builds).
+
+// On a warm port the whole receive cycle — match a token, deposit, deliver
+// the event, Recv, Release, Provide — allocates nothing: the assembly, the
+// event and the buffer come back from the port's released list, and the
+// delivery closure was bound when the assembly was made.
+func TestAllocReceiveCycleIsFree(t *testing.T) {
+	r := newRig(t, 2, nil)
+	port := r.ports[1]
+	const capacity = 16300
+	payload := pattern(1024)
+	port.Provide(capacity)
+	allocs := -1.0
+	r.eng.Spawn("host", func(p *sim.Proc) {
+		id := uint64(0)
+		allocs = testing.AllocsPerRun(200, func() {
+			id++
+			asm, ok := port.MatchAssembly(0, 1, id, len(payload), 0)
+			if !ok {
+				t.Fatal("no token for the message")
+			}
+			asm.Deposit(0, payload)
+			// Let the event record reach the host first, so Recv finds the
+			// message queued and parks only for HostRecvCost (parking on a
+			// sim.Waiter appends to its queue).
+			p.Sleep(sim.Microsecond)
+			ev := port.Recv(p)
+			if len(ev.Data) != len(payload) || ev.MsgID != id {
+				t.Fatalf("cycle %d delivered msg %d with %d bytes", id, ev.MsgID, len(ev.Data))
+			}
+			port.Release(ev)
+			port.Provide(capacity)
+		})
+	})
+	r.run(t)
+	if allocs != 0 {
+		t.Errorf("a warm receive cycle allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// The token is an admission test, not a buffer size: a 4-byte message that
+// claims an MPI-sized eager token costs its assembly and 4 bytes, not 16 KB.
+func TestAllocSmallMessageOnLargeTokenIsSmall(t *testing.T) {
+	r := newRig(t, 2, nil)
+	port := r.ports[1]
+	const msgs, capacity = 256, 16300
+	port.ProvideN(msgs+1, capacity)
+	land(t, r, port, 1, 4) // the port's queues and the engine's arena exist now
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < msgs; i++ {
+		// Held, not released: every message is a cold one.
+		asm, _ := port.MatchAssembly(0, 1, uint64(i+2), 4, 0)
+		asm.Deposit(0, []byte{1, 2, 3, 4})
+		r.eng.Run()
+		port.TryRecv()
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / msgs
+	t.Logf("%.1f B and %.2f objects per 4-byte message on a %d-byte token", per, float64(after.Mallocs-before.Mallocs)/msgs, capacity)
+	if per >= 128 {
+		t.Errorf("a 4-byte message on a %d-byte token allocates %.0f B, want under 128", capacity, per)
+	}
+}

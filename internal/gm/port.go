@@ -9,18 +9,27 @@ import (
 )
 
 // RecvEvent is delivered to the host when a complete message has arrived.
-// Data is the host receive buffer, filled to the message length.
+// Data is the host receive buffer, exactly the message long.
+//
+// Ownership: the event and Data belong to the receiver from Recv until it
+// hands them back with Port.Release, after which neither may be touched
+// again — the port gives the same event and buffer to a later message. Data
+// passed on to Port.Send (a host-based forwarder) is still in use until that
+// send completes, so the event may not be released before then. An event
+// that is never released is ordinary garbage.
 type RecvEvent struct {
 	Src     fabric.NodeID
 	SrcPort PortID
 	MsgID   uint64
 	Group   GroupID
 	Data    []byte
+
+	asm *Assembly // what Release recycles; nil on a firmware-generated event
 }
 
-// recvToken is one host-posted receive buffer awaiting a message. Until a
-// message claims it the token is only its capacity; matchAssembly
-// allocates the buffer.
+// recvToken is one host-posted receive token awaiting a message: a
+// capacity, the largest message it admits. The buffer is the port's business
+// (matchAssembly), sized to the message that claims the token.
 type recvToken struct {
 	capacity int
 }
@@ -34,24 +43,24 @@ type asmKey struct {
 
 // Assembly is a message being gathered into a host receive buffer. It is
 // exported (with accessor methods) because the multicast extension
-// deposits forwarded packets into assemblies and retransmits from their
-// host-memory replica — the paper's "use the message replica in the host
-// memory for retransmission".
+// deposits forwarded packets into assemblies. The assembly embeds the
+// receive event it becomes, so assembly, event and buffer reach the host
+// and come back through Port.Release as one object.
 type Assembly struct {
+	ev       RecvEvent // ev.Data is the host buffer, the message long
 	port     *Port
-	key      asmKey
-	group    GroupID
-	buf      []byte
-	msgLen   int
 	received int
-	done     bool
+	done     bool   // delivered: the host owns ev until it releases it
+	free     bool   // released: on port.free
+	post     func() // a.deliver, bound once so a delivery allocates nothing
 }
 
-// Bytes exposes the registered host buffer backing the assembly.
-func (a *Assembly) Bytes() []byte { return a.buf }
+func (a *Assembly) key() asmKey {
+	return asmKey{src: a.ev.Src, srcPort: a.ev.SrcPort, msgID: a.ev.MsgID}
+}
 
 // MsgLen reports the total message length being assembled.
-func (a *Assembly) MsgLen() int { return a.msgLen }
+func (a *Assembly) MsgLen() int { return len(a.ev.Data) }
 
 // Done reports whether the message completed and was delivered.
 func (a *Assembly) Done() bool { return a.done }
@@ -64,23 +73,20 @@ func (a *Assembly) Deposit(off int, data []byte) {
 	if a.done {
 		panic("gm: deposit into completed assembly")
 	}
-	copy(a.buf[off:], data)
+	copy(a.ev.Data[off:], data)
 	a.received += len(data)
-	if a.received > a.msgLen {
-		panic(fmt.Sprintf("gm: assembly overflow: %d > %d", a.received, a.msgLen))
+	if a.received > len(a.ev.Data) {
+		panic(fmt.Sprintf("gm: assembly overflow: %d > %d", a.received, len(a.ev.Data)))
 	}
-	if a.received == a.msgLen {
+	if a.received == len(a.ev.Data) {
 		a.done = true
-		delete(a.port.asms, a.key)
-		a.port.postRecvEvent(&RecvEvent{
-			Src:     a.key.src,
-			SrcPort: a.key.srcPort,
-			MsgID:   a.key.msgID,
-			Group:   a.group,
-			Data:    a.buf[:a.msgLen],
-		})
+		delete(a.port.asms, a.key())
+		hw := a.port.nic.HW
+		hw.RDMA.Do(hw.P.EventPostCost, a.post)
 	}
 }
+
+func (a *Assembly) deliver() { a.port.deliver(&a.ev) }
 
 // Port is a host process's protected endpoint: the user-visible half of
 // GM. All blocking methods take the calling simulated process.
@@ -99,6 +105,7 @@ type Port struct {
 
 	recvTokens []recvToken
 	asms       map[asmKey]*Assembly
+	free       []*Assembly // released by the host, reused by matchAssembly
 
 	// regions are remotely writable registered buffers (directed sends).
 	regions    map[RegionID]*region
@@ -126,8 +133,12 @@ func (p *Port) ID() PortID { return p.id }
 // Node reports the port's network ID.
 func (p *Port) Node() fabric.NodeID { return p.nic.ID() }
 
-// Provide posts a receive buffer of the given capacity — a receive token.
-// Like GM, receiving is impossible without posted tokens.
+// Provide posts a receive token: permission to deliver one message of up
+// to capacity bytes. Like GM, receiving is impossible without posted tokens.
+// The token carries no memory — the port lands the message in a buffer of
+// the message's own length, a released one (see Release) when one is large
+// enough — so a loop that is done with an event releases it and then
+// provides the token again.
 func (p *Port) Provide(capacity int) {
 	if max := p.nic.Cfg.RecvTokensMax; max > 0 && len(p.recvTokens) >= max {
 		panic(fmt.Errorf("%w: port %d exceeds %d", ErrTokenExhausted, p.id, max))
@@ -246,26 +257,80 @@ func (p *Port) PendingRecvs() int { return len(p.recvEvents) }
 // postRecvEvent DMAs a receive event record to the host and wakes readers.
 func (p *Port) postRecvEvent(ev *RecvEvent) {
 	hw := p.nic.HW
-	hw.RDMA.Do(hw.P.EventPostCost, func() {
-		if p.nic.Trace.Enabled() {
-			p.nic.Trace.Log(p.nic.Engine().Now(), p.nic.ID(), trace.Host,
-				"delivered %d bytes from %v (msg %d, group %d)", len(ev.Data), ev.Src, ev.MsgID, ev.Group)
-		}
-		p.recvEvents = append(p.recvEvents, ev)
-		p.recvWaiter.WakeAll()
-	})
+	hw.RDMA.Do(hw.P.EventPostCost, func() { p.deliver(ev) })
+}
+
+// deliver queues an event whose record has reached host memory.
+func (p *Port) deliver(ev *RecvEvent) {
+	if p.nic.Trace.Enabled() {
+		p.nic.Trace.Log(p.nic.Engine().Now(), p.nic.ID(), trace.Host,
+			"delivered %d bytes from %v (msg %d, group %d)", len(ev.Data), ev.Src, ev.MsgID, ev.Group)
+	}
+	p.recvEvents = append(p.recvEvents, ev)
+	p.recvWaiter.WakeAll()
 }
 
 // PostGroupEvent posts a firmware-generated group event (e.g. a barrier
 // completion) to the host through the normal event-DMA path.
 func (p *Port) PostGroupEvent(ev *RecvEvent) { p.postRecvEvent(ev) }
 
+// Release hands a received event, and the buffer behind its Data, back to
+// the port: the next message that fits lands in that buffer and is
+// delivered as that event, so the caller must be finished with both (see
+// RecvEvent for the rule). Only the receiving port may release an event,
+// and only once; anything else panics. A firmware-generated event has no
+// buffer and releasing it does nothing. Releasing posts no token — that is
+// still Provide.
+func (p *Port) Release(ev *RecvEvent) {
+	a := ev.asm
+	if a == nil {
+		return
+	}
+	if a.port != p {
+		panic(fmt.Sprintf("gm: port %d releases an event received on port %d of node %v", p.id, a.port.id, a.port.Node()))
+	}
+	if !a.done || a.free {
+		panic("gm: release of an event the host does not hold")
+	}
+	poison(ev.Data)
+	a.free = true
+	p.free = append(p.free, a)
+}
+
+// takeFree removes and returns the released assembly whose buffer fits
+// msgLen most tightly. When none is large enough it returns the last one on
+// the list anyway, to be given a new buffer, so a port never holds more
+// assemblies than it had messages outstanding at once; nil when nothing is
+// released.
+func (p *Port) takeFree(msgLen int) *Assembly {
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	best := -1
+	for i, a := range p.free {
+		if c := cap(a.ev.Data); c >= msgLen && (best == -1 || c < cap(p.free[best].ev.Data)) {
+			best = i
+		}
+	}
+	if best == -1 {
+		best = n - 1
+	}
+	a := p.free[best]
+	p.free[best] = p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return a
+}
+
 // matchAssembly finds the in-progress assembly for a message, or matches a
 // new receive token and opens one. Matching is best-fit (the smallest
-// posted buffer that holds the message, oldest on ties), standing in for
-// GM's size-class token matching: a large rendezvous landing buffer is
-// never consumed by a small eager message. It reports false when no token
-// fits — the caller must then refuse the packet.
+// posted token that admits the message, oldest on ties), standing in for
+// GM's size-class token matching: a large rendezvous landing token is
+// never consumed by a small eager message. The token's capacity is the
+// admission test and nothing else; the host buffer is msgLen long, taken
+// from the released ones when one is large enough. It reports false when no
+// token fits — the caller must then refuse the packet.
 func (p *Port) matchAssembly(src fabric.NodeID, srcPort PortID, msgID uint64, msgLen int, group GroupID) (*Assembly, bool) {
 	k := asmKey{src: src, srcPort: srcPort, msgID: msgID}
 	if a, ok := p.asms[k]; ok {
@@ -283,9 +348,17 @@ func (p *Port) matchAssembly(src fabric.NodeID, srcPort PortID, msgID uint64, ms
 	if best == -1 {
 		return nil, false
 	}
-	buf := make([]byte, p.recvTokens[best].capacity)
 	p.recvTokens = append(p.recvTokens[:best], p.recvTokens[best+1:]...)
-	a := &Assembly{port: p, key: k, group: group, buf: buf, msgLen: msgLen}
+	a := p.takeFree(msgLen)
+	if a == nil {
+		a = &Assembly{port: p}
+		a.post = a.deliver
+	}
+	if cap(a.ev.Data) < msgLen {
+		a.ev.Data = make([]byte, msgLen)
+	}
+	a.ev = RecvEvent{Src: src, SrcPort: srcPort, MsgID: msgID, Group: group, Data: a.ev.Data[:msgLen], asm: a}
+	a.received, a.done, a.free = 0, false, false
 	p.asms[k] = a
 	return a, true
 }

@@ -30,9 +30,11 @@ func TestPostedTokenHoldsNoBuffer(t *testing.T) {
 	runtime.KeepAlive(r)
 }
 
-// Matching is best-fit over the posted sizes, the claimed buffer has the
-// token's full capacity, and a claimed token frees its slot under
-// RecvTokensMax.
+// Matching is best-fit over the posted capacities, proven by outcome: the
+// four messages can all be admitted only if each takes the smallest token
+// that fits it (32 B or 200 B landing on a 16 KB token would leave the
+// 16 KB message, or the 300 B one, with none). A claimed token frees its
+// slot under RecvTokensMax.
 func TestMatchTakesSmallestFittingToken(t *testing.T) {
 	r := newRig(t, 2, func(c *Config) { c.RecvTokensMax = 4 })
 	p := r.ports[1]
@@ -42,18 +44,18 @@ func TestMatchTakesSmallestFittingToken(t *testing.T) {
 	if err := recoverErr(t, func() { p.Provide(64) }); !errors.Is(err, ErrTokenExhausted) {
 		t.Fatalf("fifth token under RecvTokensMax=4: got %v, want ErrTokenExhausted", err)
 	}
-	for i, c := range []struct{ msgLen, wantCap int }{
-		{32, 64},        // the eager message leaves both landing buffers alone
-		{200, 256},      // so does the next one
-		{300, 16 << 10}, // only now is a large buffer the smallest that fits
-		{16 << 10, 16 << 10},
+	for i, msgLen := range []int{
+		32,       // the eager message leaves both landing tokens alone
+		200,      // so does the next one
+		300,      // only now is a large token the smallest that fits
+		16 << 10, // and the other large one is still there for this
 	} {
-		asm, ok := p.MatchAssembly(0, 1, uint64(i+1), c.msgLen, 0)
+		asm, ok := p.MatchAssembly(0, 1, uint64(i+1), msgLen, 0)
 		if !ok {
-			t.Fatalf("message of %d bytes matched no token", c.msgLen)
+			t.Fatalf("message %d of %d bytes matched no token", i+1, msgLen)
 		}
-		if got := len(asm.Bytes()); got != c.wantCap {
-			t.Errorf("message of %d bytes landed in a %d-byte buffer, want %d", c.msgLen, got, c.wantCap)
+		if asm.MsgLen() != msgLen {
+			t.Errorf("message of %d bytes is assembled as %d", msgLen, asm.MsgLen())
 		}
 		if got := p.RecvTokens(); got != 3-i {
 			t.Errorf("%d tokens posted after %d matches, want %d", got, i+1, 3-i)

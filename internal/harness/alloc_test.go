@@ -1,0 +1,63 @@
+//go:build !race
+
+package harness
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/mpi"
+)
+
+// Counts, not time (and not under the race detector, which allocates on its
+// own).
+
+// bytesPerIteration reports what one more iteration of run allocates, early
+// in a run and late in it: differences between runs of 8, 24 and 40
+// iterations, so building the cluster and warming its ports and queues
+// cancels out. It fails the test if the late figure is above the early one —
+// a receive path that recycles costs the same however long it has run.
+func bytesPerIteration(t *testing.T, run func(o Options)) float64 {
+	t.Helper()
+	cost := func(iters int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(Options{Warmup: 2, Iters: iters, Workers: 1})
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	c8, c24, c40 := cost(8), cost(24), cost(40)
+	early, late := (c24-c8)/16, (c40-c24)/16
+	if late > 1.1*early {
+		t.Errorf("an iteration allocates %.0f B early in the run and %.0f B late: the cost grows with Iters", early, late)
+	}
+	return late
+}
+
+// A 16 KB NIC-based multicast to 15 receivers used to allocate 15 landing
+// buffers per iteration (≈ 280 KB with the frames); a released buffer is
+// reused, so what is left is the per-packet frames and closures.
+func TestAllocMulticastNBReusesReceiveBuffers(t *testing.T) {
+	const nodes, size = 16, 16384
+	per := bytesPerIteration(t, func(o Options) { o.multicastNBOnce(nodes, size, nodes-1) })
+	t.Logf("MulticastNB(%d, %d): %.0f B per iteration", nodes, size, per)
+	if per > 4*size {
+		t.Errorf("one iteration allocates %.0f B, over %d: the %d receivers are not reusing their %d-byte buffers",
+			per, 4*size, nodes-1, size)
+	}
+}
+
+// A 4-byte MPI_Bcast used to cost every rank an EagerMax-sized bounce buffer
+// per message (≈ 16 KB × 15 per iteration): the buffer is the message's
+// size now, and replenish hands it back.
+func TestAllocMPIBcastSmallMessageIsSmall(t *testing.T) {
+	const nodes, size = 16, 4
+	for _, nb := range []bool{true, false} {
+		per := bytesPerIteration(t, func(o Options) { o.mpiBcastOnce(nodes, size, nb, nodes-1) })
+		t.Logf("MPIBcast(%d, %d, nb=%v): %.0f B per iteration", nodes, size, nb, per)
+		if per > 2*mpi.EagerMax {
+			t.Errorf("nb=%v: one iteration allocates %.0f B, over two eager buffers of %d: a %d-byte message still costs a bounce buffer",
+				nb, per, mpi.EagerMax, size)
+		}
+	}
+}

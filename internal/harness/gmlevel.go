@@ -30,7 +30,7 @@ func (o Options) MultisendNB(ndest, size int) float64 {
 		c.SpawnOn(fabric.NodeID(d), "dest", func(p *sim.Proc) {
 			ports[d].ProvideN(total, size)
 			for i := 0; i < total; i++ {
-				ports[d].Recv(p)
+				ports[d].Release(ports[d].Recv(p))
 			}
 		})
 	}
@@ -63,7 +63,7 @@ func (o Options) MultisendHB(ndest, size int) float64 {
 		c.SpawnOn(fabric.NodeID(d), "dest", func(p *sim.Proc) {
 			ports[d].ProvideN(total, size)
 			for i := 0; i < total; i++ {
-				ports[d].Recv(p)
+				ports[d].Release(ports[d].Recv(p))
 			}
 		})
 	}
@@ -118,7 +118,7 @@ func (o Options) multicastNBOnce(nodes, size int, designated fabric.NodeID) floa
 		c.SpawnOn(n, "dest", func(p *sim.Proc) {
 			ports[n].ProvideN(total, size)
 			for i := 0; i < total; i++ {
-				ports[n].Recv(p)
+				ports[n].Release(ports[n].Recv(p))
 				if n == designated {
 					ports[n].Send(p, 0, benchPort, ack1)
 				}
@@ -132,7 +132,7 @@ func (o Options) multicastNBOnce(nodes, size int, designated fabric.NodeID) floa
 		ports[0].ProvideN(total, 4)
 		iter := func() {
 			ext.Mcast(p, ports[0], gmGroup, msg)
-			ports[0].Recv(p) // designated leaf's acknowledgment
+			ports[0].Release(ports[0].Recv(p)) // designated leaf's acknowledgment
 		}
 		for i := 0; i < o.Warmup; i++ {
 			iter()
@@ -167,6 +167,11 @@ func (o Options) multicastHBOnce(nodes, size int, designated fabric.NodeID) floa
 				for _, ch := range children {
 					ports[n].Send(p, ch, benchPort, ev.Data)
 				}
+				if len(children) == 0 {
+					// A forwarder's sends read ev.Data until they complete,
+					// and it does not wait for them; only a leaf is finished.
+					ports[n].Release(ev)
+				}
 				if n == designated {
 					ports[n].Send(p, 0, benchPort, ack1)
 				}
@@ -182,7 +187,7 @@ func (o Options) multicastHBOnce(nodes, size int, designated fabric.NodeID) floa
 			for _, ch := range children {
 				ports[0].Send(p, ch, benchPort, msg)
 			}
-			ports[0].Recv(p)
+			ports[0].Release(ports[0].Recv(p))
 		}
 		for i := 0; i < o.Warmup; i++ {
 			iter()
@@ -250,7 +255,7 @@ func (o Options) UnicastOneWay(size int, withExtension bool) float64 {
 	c.SpawnOn(1, "echo", func(p *sim.Proc) {
 		ports[1].ProvideN(total, size)
 		for i := 0; i < total; i++ {
-			ports[1].Recv(p)
+			ports[1].Release(ports[1].Recv(p))
 			ports[1].Send(p, 0, benchPort, ack1)
 		}
 	})
@@ -259,7 +264,7 @@ func (o Options) UnicastOneWay(size int, withExtension bool) float64 {
 		ports[0].ProvideN(total, 4)
 		iter := func() {
 			ports[0].Send(p, 1, benchPort, msg)
-			ports[0].Recv(p)
+			ports[0].Release(ports[0].Recv(p))
 		}
 		for i := 0; i < o.Warmup; i++ {
 			iter()
@@ -336,7 +341,7 @@ func (o Options) HostBarrier(nodes int) float64 {
 				for k := 1; k < nodes; k <<= 1 {
 					dst := fabric.NodeID((i + k) % nodes)
 					ports[i].Send(p, dst, benchPort, ack1)
-					ports[i].Recv(p)
+					ports[i].Release(ports[i].Recv(p))
 				}
 			}
 			if i == 0 {
@@ -385,7 +390,7 @@ func (o Options) UnicastBandwidth(size int) float64 {
 	c.SpawnOn(1, "recv", func(p *sim.Proc) {
 		ports[1].ProvideN(total, size)
 		for i := 0; i < total; i++ {
-			ports[1].Recv(p)
+			ports[1].Release(ports[1].Recv(p))
 		}
 	})
 	msg := payload(size)
@@ -429,7 +434,7 @@ func (o Options) MulticastAggregateBandwidth(nodes, size int) float64 {
 		c.SpawnOn(n, "recv", func(p *sim.Proc) {
 			ports[n].ProvideN(total, size)
 			for i := 0; i < total; i++ {
-				ports[n].Recv(p)
+				ports[n].Release(ports[n].Recv(p))
 			}
 			finished[n] = p.Now()
 		})

@@ -69,6 +69,10 @@ func (o Options) lastDelivery(nodes, size int, nb bool) float64 {
 						ports[n].Send(p, ch, benchPort, ev.Data)
 					}
 				}
+				if nb || len(children) == 0 {
+					// A host-based forwarder's sends still read ev.Data.
+					ports[n].Release(ev)
+				}
 				row[i] = p.Now()
 				if n == designated {
 					ports[n].Send(p, 0, benchPort, ack1)
@@ -88,7 +92,7 @@ func (o Options) lastDelivery(nodes, size int, nb bool) float64 {
 					ports[0].Send(p, ch, benchPort, msg)
 				}
 			}
-			ports[0].Recv(p) // the designated node's acknowledgment
+			ports[0].Release(ports[0].Recv(p)) // the designated node's acknowledgment
 		}
 	})
 	runToCompletion(c)

@@ -33,8 +33,9 @@ func (s *System) agentLoop(p *sim.Proc, n fabric.NodeID) {
 	// prepare can never overtake an install of the same group.
 	for {
 		ev := port.Recv(p)
+		m, err := decodeCtrl(ev.Data) // copies what it keeps
+		port.Release(ev)
 		port.Provide(s.ctrlBufCap())
-		m, err := decodeCtrl(ev.Data)
 		if err != nil {
 			s.res.fail("node %d: %v", n, err)
 			continue

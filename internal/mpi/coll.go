@@ -112,7 +112,7 @@ func (c *Comm) bcastNB(root int, data []byte) []byte {
 	out := make([]byte, len(ev.Data))
 	copy(out, ev.Data)
 	r.proc.Compute(r.w.C.Cfg.HostMemcpyTime(len(ev.Data)))
-	r.replenish()
+	r.replenish(ev)
 	return out
 }
 
@@ -144,8 +144,7 @@ func (c *Comm) createGroupContext(root int, key bcastKey) *bcastGroup {
 		r.installGroup(gid, tr)
 		for dst := 0; dst < c.Size(); dst++ {
 			if dst != root {
-				r.awaitMatch(c.id, c.members[dst], tagCtl, 0, kCtlAck)
-				r.replenish()
+				r.replenish(r.awaitMatch(c.id, c.members[dst], tagCtl, 0, kCtlAck))
 			}
 		}
 	} else {
@@ -156,7 +155,7 @@ func (c *Comm) createGroupContext(root int, key bcastKey) *bcastGroup {
 			panic("mpi: group id mismatch in control message")
 		}
 		r.installGroup(gid, tr)
-		r.replenish()
+		r.replenish(ev)
 		r.sendKind(c.id, c.members[root], tagCtl, kCtlAck, nil)
 	}
 	bg := &bcastGroup{gid: gid}

@@ -145,7 +145,7 @@ func (c *Comm) allreduceVecNB(vec []int64, op coll.Op) []int64 {
 		r.w.C.Nodes[r.id].Ext.Mcast(r.proc, r.port, gid, ev.Data)
 	} else {
 		r.proc.Compute(r.w.C.Cfg.HostMemcpyTime(len(ev.Data)))
-		r.replenish() // the downward multicast consumed an eager token
+		r.replenish(ev) // the downward multicast consumed an eager token
 	}
 	return res
 }
@@ -277,7 +277,7 @@ func (c *Comm) allgatherVecNB(mine []int64) []int64 {
 		r.w.C.Nodes[r.id].Ext.Mcast(r.proc, r.port, gid, ev.Data)
 	} else {
 		r.proc.Compute(r.w.C.Cfg.HostMemcpyTime(len(ev.Data)))
-		r.replenish()
+		r.replenish(ev)
 	}
 	return res
 }

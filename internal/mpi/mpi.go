@@ -162,9 +162,13 @@ func (r *Rank) nextSeq(comm uint32, peer int, tag int32) uint32 {
 	return r.sendSeq[k]
 }
 
-// replenish reposts one eager receive token after an eager buffer was
-// consumed, keeping the preposted pool full — this is why a NIC can accept
-// and forward broadcast packets before the host process calls MPI_Bcast.
-func (r *Rank) replenish() {
+// replenish hands a consumed eager message's bounce buffer back to the port
+// and reposts its receive token, keeping the preposted pool full — this is
+// why a NIC can accept and forward broadcast packets before the host
+// process calls MPI_Bcast. The caller has copied out or decoded what it
+// needs: ev and ev.Data are the port's again. Events parked in unexpected
+// are still owned by the rank and come here only once matched.
+func (r *Rank) replenish(ev *gm.RecvEvent) {
+	r.port.Release(ev)
 	r.port.Provide(EagerMax + envelopeBytes)
 }

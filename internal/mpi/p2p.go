@@ -55,7 +55,7 @@ func (r *Rank) send(comm uint32, dst int, tag int32, data []byte) {
 	cts := r.awaitMatch(comm, dst, tag, seq, kCTS)
 	_, ctsBody := decodeEnvelope(cts.Data)
 	region := gm.RegionID(decodeU64(ctsBody))
-	r.replenish() // the CTS consumed an eager token
+	r.replenish(cts) // the CTS consumed an eager token
 	r.port.DirectedSendSync(r.proc, r.node(dst), mpiPort, region, 0, data)
 	// The FIN echoes the rendezvous sequence number so the receiver can
 	// pair it with its CTS.
@@ -73,17 +73,16 @@ func (r *Rank) recv(comm uint32, src int, tag int32) []byte {
 		// Copying from the bounce buffer to the final location is host CPU
 		// work — the cost behind the 16,287-byte dip in Figure 4.
 		r.proc.Compute(r.w.C.Cfg.HostMemcpyTime(len(body)))
-		r.replenish()
+		r.replenish(ev)
 		return out
 	case kRTS:
 		size := int(decodeU32(body))
 		// Register the landing region and clear the sender to put.
 		region, landing := r.port.RegisterRegion(size)
-		r.replenish() // the RTS consumed an eager token
+		r.replenish(ev) // the RTS consumed an eager token
 		r.port.Send(r.proc, r.node(src), mpiPort,
 			encodeEnvelope(envelope{kCTS, comm, tag, env.seq}, encodeU64(uint64(region))))
-		r.awaitMatch(comm, src, tag, env.seq, kFin)
-		r.replenish() // ... as did the FIN
+		r.replenish(r.awaitMatch(comm, src, tag, env.seq, kFin)) // ... as did the FIN
 		// The remote DMA landed in place: no bounce-buffer copy charged.
 		r.port.DeregisterRegion(region)
 		return landing
