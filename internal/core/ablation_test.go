@@ -165,3 +165,78 @@ func TestAblationModeTokensUnderLoss(t *testing.T) {
 		t.Fatalf("token mode under loss delivered %d, want 5", ok)
 	}
 }
+
+// The hold-buffer and store-and-forward ablations hand a packet's NIC buffer
+// on — to a send record that pins it until every child has acknowledged, or
+// to a second, host-side descriptor — and no benchmark workload runs them.
+// A lossy stream through each (drops, duplicates and go-back rounds
+// included) must end with every receive buffer back, every send record
+// retired and every descriptor ever made on its free list.
+func TestAblationLossyRunLeaksNothing(t *testing.T) {
+	muts := map[string]func(*core.Config){
+		"per-packet":        func(*core.Config) {},
+		"hold-buffer":       func(c *core.Config) { c.Retransmit = core.RetransmitHoldBuffer },
+		"store-and-forward": func(c *core.Config) { c.Forward = core.ForwardStoreAndForward },
+	}
+	for name, mut := range muts {
+		t.Run(name, func(t *testing.T) {
+			const nodes, count = 8, 12
+			cfg := cluster.DefaultConfig(nodes)
+			mut(&cfg.Mcast)
+			cfg.LossRate = 0.03
+			cfg.Seed = 5
+			c := cluster.NewFromConfig(cfg)
+			ports := c.OpenPorts(testPort)
+			c.InstallGroup(14, tree.Binomial(0, c.Members()), testPort, testPort)
+			msg := pattern(3*4096 + 100) // four packets
+			ok := 0
+			for n := 1; n < nodes; n++ {
+				n := n
+				c.Eng.Spawn("recv", func(p *sim.Proc) {
+					ports[n].ProvideN(count, 1<<14)
+					for i := 0; i < count; i++ {
+						ev := ports[n].Recv(p)
+						if bytes.Equal(ev.Data, msg) {
+							ok++
+						}
+						ports[n].Release(ev)
+					}
+				})
+			}
+			c.Eng.Spawn("root", func(p *sim.Proc) {
+				for i := 0; i < count; i++ {
+					c.Nodes[0].Ext.McastSync(p, ports[0], 14, msg)
+				}
+			})
+			c.Eng.Run()
+			c.Eng.Kill()
+			if ok != count*(nodes-1) {
+				t.Fatalf("delivered %d intact messages, want %d", ok, count*(nodes-1))
+			}
+			retrans, made := uint64(0), 0
+			for _, n := range c.Nodes {
+				retrans += n.Ext.Stats().Retransmits
+				if free, cap := n.HW.RecvBufs.Free(), n.HW.RecvBufs.Cap(); free != cap {
+					t.Errorf("%v: %d of %d receive buffers free after the run", n.ID, free, cap)
+				}
+				if free, cap := n.HW.SendBufs.Free(), n.HW.SendBufs.Cap(); free != cap {
+					t.Errorf("%v: %d of %d send buffers free after the run", n.ID, free, cap)
+				}
+				if out := n.Ext.OutstandingRecords(); out != 0 {
+					t.Errorf("%v: %d send records outstanding after the run", n.ID, out)
+				}
+				free, all := n.Ext.Descriptors()
+				if free != all {
+					t.Errorf("%v: %d of %d descriptors on the free list after the run", n.ID, free, all)
+				}
+				made += all
+			}
+			if retrans == 0 {
+				t.Error("no retransmission: the run exercised no recovery path")
+			}
+			if made == 0 {
+				t.Error("no descriptor was ever made")
+			}
+		})
+	}
+}

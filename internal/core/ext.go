@@ -4,14 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/gm"
-	"repro/internal/lanai"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
-
-// bufToken aliases the NIC packet-buffer handle.
-type bufToken = *lanai.Buf
 
 // Ext is the multicast firmware extension for one NIC. Install installs it
 // into the GM firmware's extension hook; the unicast paths never touch it.
@@ -21,6 +17,13 @@ type Ext struct {
 	groups map[gm.GroupID]*group
 	coll   Collective // NIC-resident collective engine (internal/coll)
 	m      instruments
+
+	// descFree holds the packet descriptors not in use; descMade counts
+	// every one ever made, so a drained NIC can prove none leaked. The list
+	// grows to the most packets this NIC ever worked on at once.
+	descFree []*desc
+	descMade int
+	tokFree  []*mcastToken // root send descriptors not in use
 }
 
 // install is the option-independent core of Install and the deprecated
@@ -291,11 +294,8 @@ func (e *Ext) HandleRx(fr *gm.Frame) bool {
 	case gm.KindMcastData:
 		e.rxData(fr)
 		return true
-	case gm.KindMcastAck:
+	case gm.KindMcastAck, gm.KindMcastNack:
 		e.rxAck(fr)
-		return true
-	case gm.KindMcastNack:
-		e.rxNack(fr)
 		return true
 	case gm.KindBarrier, gm.KindBarrierAck, gm.KindReduce, gm.KindReduceAck,
 		gm.KindGather, gm.KindGatherAck, gm.KindRing, gm.KindRingAck:
@@ -315,7 +315,8 @@ func (e *Ext) HandleRx(fr *gm.Frame) bool {
 // the group's receive sequence number, deliver to the local host buffer,
 // and — the heart of the scheme — requeue it to this node's children
 // straight from the NIC receive buffer, without host involvement and
-// without waiting for the rest of the message.
+// without waiting for the rest of the message. The packet's descriptor
+// carries it from here on (desc.rxStep, then look).
 func (e *Ext) rxData(fr *gm.Frame) {
 	nic := e.nic
 	buf, ok := nic.HW.RecvBufs.TryAcquire()
@@ -323,103 +324,100 @@ func (e *Ext) rxData(fr *gm.Frame) {
 		nic.HW.CountRxNoBuffer()
 		return
 	}
-	nic.HW.CPUDo(nic.Cfg.RecvProcCost, func() {
-		g, member := e.groups[fr.Group]
-		if !member {
-			// A departed NIC has no entry at all; a dynamic-epoch frame
-			// reaching one is acked-as-dropped so the sender's window never
-			// deadlocks on a node that left. Static (epoch 0) traffic keeps
-			// the silent not-a-member drop. Epoch 0 is RESERVED for static
-			// groups — the membership coordinator skips it when its epoch
-			// counter wraps past MaxUint32 — so this test stays a correct
-			// static/dynamic discriminator for arbitrarily long-lived groups.
-			e.m.notMemberDrops.Inc()
-			if fr.Epoch != 0 {
-				e.ackDropped(fr)
-			}
-			buf.Release()
-			return
-		}
-		if !g.live || fr.Epoch != g.epoch {
-			e.dropEpochMismatch(g, fr)
-			buf.Release()
-			return
-		}
-		switch {
-		case gm.SeqBefore(fr.Seq, g.recvSeq):
-			e.m.duplicates.Inc()
-			if e.cfg.AggregateAcks {
-				// The cumulative field must carry the subtree floor, never
-				// the local receipt floor: re-acking recvSeq-1 would retire
-				// parent records for packets this subtree has not delivered,
-				// and root completion would stop implying tree delivery.
-				e.reAckAggregate(g)
-			} else {
-				e.ackParent(g, g.recvSeq-1)
-			}
-			buf.Release()
-		case gm.SeqAfter(fr.Seq, g.recvSeq):
-			e.m.oooDrops.Inc()
-			if nic.Cfg.EnableNacks {
-				if e.cfg.AggregateAcks {
-					g.hold.Absorb()
-					e.nackParent(g, g.ackBound())
-				} else {
-					e.nackParent(g, g.recvSeq-1)
-				}
-			}
-			buf.Release()
-		default:
-			port := nic.Port(g.port)
-			asm, ok := port.MatchAssembly(g.root, fr.SrcPort, fr.MsgID, fr.MsgLen, g.id)
-			if !ok {
-				// No receive token: refuse; the parent retransmits.
-				// "The responsibility of making receive tokens available
-				// ... is left to client programs."
-				e.m.noTokenDrops.Inc()
-				buf.Release()
-				return
-			}
-			g.recvSeq++
-			e.m.mcastReceived.Inc()
-			if nic.Trace.Enabled() {
-				nic.Trace.Log(nic.Engine().Now(), nic.ID(), trace.RX, "%v", fr)
-			}
-			if e.cfg.AggregateAcks {
-				e.noteDelivered(g)
-			} else {
-				e.ackParent(g, fr.Seq)
-			}
+	d := e.newDesc(fr, fromWire)
+	d.buf = buf
+	nic.HW.CPUDo(nic.Cfg.RecvProcCost, d.rxFn())
+}
 
-			// The NIC buffer stays busy until the payload reaches host
-			// memory AND (for per-packet forwarding) the last child
-			// replica has been transmitted.
-			forwarding := len(g.children) > 0 && e.cfg.Forward == ForwardPerPacket
-			uses := 1
-			if forwarding {
-				uses++
-			}
-			release := func() {
-				uses--
-				if uses == 0 {
-					buf.Release()
-				}
-			}
-			payload, off := fr.Payload, fr.Offset
-			nic.HW.NICToHost(len(payload), func() {
-				asm.Deposit(off, payload)
-				release()
-			})
-			switch {
-			case forwarding:
-				e.forward(g, fr, release)
-			case len(g.children) > 0:
-				// Store-and-forward ablation: queue until the whole
-				// message has arrived, then forward from host memory.
-				e.storeAndForward(g, fr)
+// look is the receive processing of a descriptor's data frame. Every path
+// that does not accept the packet returns buffer and descriptor together.
+func (e *Ext) look(d *desc) {
+	nic, fr := e.nic, d.fr
+	g, member := e.groups[fr.Group]
+	if !member {
+		// A departed NIC has no entry at all; a dynamic-epoch frame
+		// reaching one is acked-as-dropped so the sender's window never
+		// deadlocks on a node that left. Static (epoch 0) traffic keeps
+		// the silent not-a-member drop. Epoch 0 is RESERVED for static
+		// groups — the membership coordinator skips it when its epoch
+		// counter wraps past MaxUint32 — so this test stays a correct
+		// static/dynamic discriminator for arbitrarily long-lived groups.
+		e.m.notMemberDrops.Inc()
+		if fr.Epoch != 0 {
+			e.ackDropped(fr)
+		}
+		d.drop()
+		return
+	}
+	if !g.accepts(fr) {
+		e.dropEpochMismatch(g, fr)
+		d.drop()
+		return
+	}
+	switch {
+	case gm.SeqBefore(fr.Seq, g.recvSeq):
+		e.m.duplicates.Inc()
+		if e.cfg.AggregateAcks {
+			// The cumulative field must carry the subtree floor, never
+			// the local receipt floor: re-acking recvSeq-1 would retire
+			// parent records for packets this subtree has not delivered,
+			// and root completion would stop implying tree delivery.
+			e.reAckAggregate(g)
+		} else {
+			e.ackParent(g, g.recvSeq-1)
+		}
+		d.drop()
+	case gm.SeqAfter(fr.Seq, g.recvSeq):
+		e.m.oooDrops.Inc()
+		if nic.Cfg.EnableNacks {
+			if e.cfg.AggregateAcks {
+				g.hold.Absorb()
+				e.nackParent(g, g.ackBound())
+			} else {
+				e.nackParent(g, g.recvSeq-1)
 			}
 		}
-	})
+		d.drop()
+	default:
+		port := nic.Port(g.port)
+		asm, ok := port.MatchAssembly(g.root, fr.SrcPort, fr.MsgID, fr.MsgLen, g.id)
+		if !ok {
+			// No receive token: refuse; the parent retransmits.
+			// "The responsibility of making receive tokens available
+			// ... is left to client programs."
+			e.m.noTokenDrops.Inc()
+			d.drop()
+			return
+		}
+		g.recvSeq++
+		e.m.mcastReceived.Inc()
+		if nic.Trace.Enabled() {
+			nic.Trace.Log(nic.Engine().Now(), nic.ID(), trace.RX, "%v", fr)
+		}
+		if e.cfg.AggregateAcks {
+			e.noteDelivered(g)
+		} else {
+			e.ackParent(g, fr.Seq)
+		}
+
+		// The NIC buffer stays busy until the payload reaches host
+		// memory AND (for per-packet forwarding) the last child
+		// replica has been transmitted.
+		forwarding := len(g.children) > 0 && e.cfg.Forward == ForwardPerPacket
+		d.g, d.asm, d.landed, d.uses = g, asm, true, 1
+		if forwarding {
+			d.uses++
+		}
+		nic.HW.NICToHost(len(fr.Payload), d.rx)
+		switch {
+		case forwarding:
+			e.forward(d)
+		case len(g.children) > 0:
+			// Store-and-forward ablation: queue until the whole
+			// message has arrived, then forward from host memory.
+			e.storeAndForward(g, fr)
+		}
+	}
 }
 
 // forward requeues a received packet to the node's children. The receive
@@ -428,45 +426,19 @@ func (e *Ext) rxData(fr *gm.Frame) {
 // its group sequence number, and a send record per child is created so
 // timeouts retransmit from the host replica. In the RetransmitHoldBuffer
 // ablation the NIC receive buffer is instead pinned until every child
-// acknowledges.
-func (e *Ext) forward(g *group, fr *gm.Frame, release func()) {
-	nic := e.nic
+// acknowledges. The replica chain is the descriptor's transmit handler.
+func (e *Ext) forward(d *desc) {
+	g, fr := d.g, d.fr
 	g.sendSeq = fr.Seq
-	g.staging++ // in flight toward children until recordForwarded files it
+	g.staging++ // in flight toward children until g.file files it
 	if fr.Offset+len(fr.Payload) < fr.MsgLen {
 		// The message's tail has not arrived yet — this forward is the
 		// per-packet pipelining the paper's scheme exists to enable.
 		e.m.fwdBeforeFull.Inc()
 	}
 	e.m.fanout.Observe(int64(len(g.children)))
-	nic.HW.CPUDo(e.cfg.ForwardSetupCost, func() {
-		var sendTo func(i int)
-		sendTo = func(i int) {
-			// fr is immutable from here on (g.file keeps it for resend), so
-			// each child's header rewrite is a clone of it; the payload is
-			// shared.
-			replica := fr.Clone()
-			replica.SrcNode = nic.ID()
-			replica.DstNode = g.children[i]
-			nic.Inject(replica, func() {
-				e.m.mcastSent.Inc()
-				e.m.mcastForwarded.Inc()
-				if i+1 == len(g.children) {
-					g.staging--
-					if e.cfg.Retransmit == RetransmitHoldBuffer {
-						g.file(fr, mcastSent{release: release})
-					} else {
-						release()
-						g.file(fr, mcastSent{})
-					}
-					return
-				}
-				e.m.headerRewrites.Inc()
-				nic.HW.CPUDo(e.cfg.HeaderRewriteCost, func() { sendTo(i + 1) })
-			})
-		}
-		sendTo(0)
-	})
+	d.txs = txSend
+	e.nic.HW.CPUDo(e.cfg.ForwardSetupCost, d.txFn())
 }
 
 // sfState gathers a message's packets in the store-and-forward ablation.
@@ -493,46 +465,13 @@ func (e *Ext) storeAndForward(g *group, fr *gm.Frame) {
 		return
 	}
 	delete(g.sf, fr.MsgID)
-	nic := e.nic
-	for _, qf := range st.frames {
-		f := qf
+	for _, f := range st.frames {
 		g.sendSeq = f.Seq
 		g.staging++
-		nic.HW.SendBufs.Acquire(func(buf bufToken) {
-			nic.HW.HostToNIC(len(f.Payload), func() {
-				nic.HW.CPUDo(e.cfg.ForwardSetupCost, func() {
-					g.enqueueChain(func() {
-						g.replicateForward(f, buf)
-					})
-				})
-			})
-		})
+		d := e.newDesc(f, fromHost)
+		d.g = g
+		e.nic.HW.SendBufs.Acquire(&d.buf, d.txFn())
 	}
-}
-
-// replicateForward transmits one store-and-forward packet to all children.
-func (g *group) replicateForward(fr *gm.Frame, buf bufToken) {
-	nic := g.ext.nic
-	var sendTo func(i int)
-	sendTo = func(i int) {
-		replica := fr.Clone()
-		replica.SrcNode = nic.ID()
-		replica.DstNode = g.children[i]
-		nic.Inject(replica, func() {
-			g.ext.m.mcastSent.Inc()
-			g.ext.m.mcastForwarded.Inc()
-			if i+1 == len(g.children) {
-				buf.Release()
-				g.staging--
-				g.file(fr, mcastSent{})
-				g.nextChain()
-				return
-			}
-			g.ext.m.headerRewrites.Inc()
-			nic.HW.CPUDo(g.ext.cfg.HeaderRewriteCost, func() { sendTo(i + 1) })
-		})
-	}
-	sendTo(0)
 }
 
 // dropEpochMismatch refuses a multicast data frame from another epoch.
@@ -649,51 +588,43 @@ func (e *Ext) nackParent(g *group, lastGood uint32) {
 	}, nil)
 }
 
-// rxNack processes a group negative acknowledgment from one child: honor
-// the cumulative part, then retransmit to the unacknowledged children
-// immediately, bounded by the holdoff.
-func (e *Ext) rxNack(fr *gm.Frame) {
-	nic := e.nic
-	nic.HW.CPUDo(nic.Cfg.AckProcCost, func() {
-		g, ok := e.groups[fr.Group]
-		if !ok {
-			return
-		}
-		if !g.live || fr.Epoch != g.epoch {
-			// An ack or nack minted under another epoch must not touch this
-			// epoch's sequence space — each commit resets it, so the raw
-			// numbers would alias.
-			e.m.staleEpochAcks.Inc()
-			return
-		}
-		e.m.nacksRecv.Inc()
-		g.handleAck(fr.SrcNode, fr.Ack)
-		g.win.Nack()
-		if e.cfg.AggregateAcks {
-			// Even a nack's cumulative part can advance the subtree floor.
-			e.ackUp(g)
-		}
-	})
+// rxAck takes in a group acknowledgment or negative acknowledgment from one
+// child; a descriptor carries it through its turn on the LANai (ackStep).
+func (e *Ext) rxAck(fr *gm.Frame) {
+	e.nic.HW.CPUDo(e.nic.Cfg.AckProcCost, e.newDesc(fr, fromWire).rxFn())
 }
 
-// rxAck processes a group acknowledgment from one child.
-func (e *Ext) rxAck(fr *gm.Frame) {
-	nic := e.nic
-	nic.HW.CPUDo(nic.Cfg.AckProcCost, func() {
-		g, ok := e.groups[fr.Group]
-		if !ok {
-			return // stale ack for a group we no longer know
-		}
-		if !g.live || fr.Epoch != g.epoch {
-			e.m.staleEpochAcks.Inc()
-			return
-		}
+// ackStep processes a descriptor's acknowledgment: honor the cumulative
+// part and, for a nack, retransmit to the unacknowledged children
+// immediately, bounded by the holdoff.
+func (e *Ext) ackStep(d *desc) {
+	fr := d.fr
+	d.free()
+	g, ok := e.groups[fr.Group]
+	if !ok {
+		return // stale ack for a group we no longer know
+	}
+	if !g.accepts(fr) {
+		// An ack or nack minted under another epoch must not touch this
+		// epoch's sequence space — each commit resets it, so the raw
+		// numbers would alias.
+		e.m.staleEpochAcks.Inc()
+		return
+	}
+	nack := fr.Kind == gm.KindMcastNack
+	if nack {
+		e.m.nacksRecv.Inc()
+	} else {
 		e.m.acksRecv.Inc()
-		g.handleAck(fr.SrcNode, fr.Ack)
-		if e.cfg.AggregateAcks {
-			// A child's progress may advance this subtree's floor; forward
-			// the aggregate right away so the root's window keeps moving.
-			e.ackUp(g)
-		}
-	})
+	}
+	g.handleAck(fr.SrcNode, fr.Ack)
+	if nack {
+		g.win.Nack()
+	}
+	if e.cfg.AggregateAcks {
+		// A child's progress (even a nack's cumulative part) may advance
+		// this subtree's floor; forward the aggregate right away so the
+		// root's window keeps moving.
+		e.ackUp(g)
+	}
 }

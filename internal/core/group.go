@@ -6,29 +6,84 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/gm"
+	"repro/internal/lanai"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
 
 // mcastToken is the firmware descriptor for one outgoing multicast message
-// at the root — the analogue of a GM send token, "queued by group".
+// at the root — the analogue of a GM send token, "queued by group". Like
+// gm's, it is pooled per NIC (a message holds one of its port's host-level
+// send tokens, which bounds the pool) and carries the message from the
+// host's post through the LANai's send-event processing into the group's
+// queue on one callback bound once.
 type mcastToken struct {
+	ext     *Ext
+	port    *gm.Port // gets its send token back when the message completes
+	group   gm.GroupID
 	data    []byte
 	msgID   uint64
 	nextOff int
 	pending int // packets with at least one unacknowledged child
 	staged  bool
-	onDone  func()
 	// onEpoch, when non-nil, fires once with the group epoch the message
 	// stages under. A token never straddles epochs: an epoch change freezes
 	// the pump at message boundaries, so the first chunk's epoch is the
 	// whole message's epoch.
 	onEpoch func(epoch uint32)
 	stamped bool
+
+	seen bool   // the LANai has started on the send event
+	step func() // run, bound once
 }
 
 func (t *mcastToken) remaining() int { return len(t.data) - t.nextOff }
+
+// newToken takes a send descriptor off the free list, or makes one.
+func (e *Ext) newToken() *mcastToken {
+	if k := len(e.tokFree); k > 0 {
+		t := e.tokFree[k-1]
+		e.tokFree = e.tokFree[:k-1]
+		return t
+	}
+	t := &mcastToken{ext: e}
+	t.step = t.run
+	return t
+}
+
+// run is the descriptor's callback: the host's post has reached the NIC
+// (queue the send-event processing), then that processing has finished
+// (name the message and queue it on its group).
+func (t *mcastToken) run() {
+	nic := t.ext.nic
+	if t.port == nil {
+		panic(fmt.Sprintf("core: send descriptor on the free list stepped at %v", nic.ID()))
+	}
+	if !t.seen {
+		t.seen = true
+		nic.HW.CPUDo(nic.Cfg.SendEventCost, t.step)
+		return
+	}
+	g, ok := t.ext.groups[t.group]
+	if !ok {
+		panic(fmt.Errorf("%w: Mcast on group %d at %v", ErrNoSuchGroup, t.group, nic.ID()))
+	}
+	if !g.isRoot() {
+		panic(fmt.Errorf("%w: group %d at %v", ErrNotRoot, t.group, nic.ID()))
+	}
+	t.msgID = nic.NewMsgID()
+	g.enqueue(t)
+}
+
+// done completes the message: the descriptor goes back to the NIC and the
+// host gets its send token back.
+func (t *mcastToken) done() {
+	port := t.port
+	*t = mcastToken{ext: t.ext, step: t.step}
+	t.ext.tokFree = append(t.ext.tokFree, t)
+	port.ReturnSendToken()
+}
 
 // mcastSent is what a multicast send record (one sequence number shared by
 // every child; see gm.Window) hands back when the packet retires.
@@ -36,9 +91,9 @@ func (t *mcastToken) remaining() int { return len(t.data) - t.nextOff }
 // record's frame keeps the registered host slice).
 type mcastSent struct {
 	tok *mcastToken // non-nil at the root
-	// release, when non-nil, frees the pinned NIC receive buffer on
-	// retirement (RetransmitHoldBuffer ablation).
-	release func()
+	// held, when non-nil, is the descriptor whose NIC receive buffer stays
+	// pinned until retirement (RetransmitHoldBuffer ablation).
+	held *desc
 }
 
 // group is one NIC's group-table entry: this node's place in the preposted
@@ -66,7 +121,7 @@ type group struct {
 	// root: interleaving packet k+1's first replica ahead of packet k's
 	// later replicas would starve the later children's subtrees of early
 	// packets and defeat pipelined forwarding.
-	chains      []func()
+	chains      []*desc
 	chainActive bool
 
 	// Receiver side.
@@ -98,6 +153,10 @@ type group struct {
 }
 
 func (g *group) isRoot() bool { return g.root == g.ext.nic.ID() }
+
+// accepts reports whether a frame belongs to the entry's active view: the
+// entry is live and the frame was minted under its epoch.
+func (g *group) accepts(fr *gm.Frame) bool { return g.live && fr.Epoch == g.epoch }
 
 // pendingView is a prepared-but-uncommitted group-table update: the next
 // epoch's tree neighborhood (or, with a nil tree, the node's departure).
@@ -205,7 +264,7 @@ func (g *group) pump() {
 		t.pending++
 		if t.remaining() == 0 {
 			t.staged = true
-			g.queue = g.queue[1:]
+			g.queue = popFront(g.queue)
 		}
 		g.staging++
 		g.stageRoot(fr, t)
@@ -215,29 +274,18 @@ func (g *group) pump() {
 // stageRoot runs one packet through the root's multisend path. In the
 // implemented ModeCallback, it acquires one send buffer, downloads the
 // chunk from the host once (the SDMA of the next chunk overlaps the
-// previous chunk's replica chain), then replicates in strict packet order.
-// In the ModeTokens ablation, each destination gets its own firmware send
-// token with its own buffer, DMA and per-token processing.
+// previous chunk's replica chain), then replicates in strict packet order —
+// all on the packet's descriptor (desc.txStep). In the ModeTokens ablation,
+// each destination gets its own firmware send token with its own buffer,
+// DMA and per-token processing.
 func (g *group) stageRoot(fr *gm.Frame, t *mcastToken) {
 	if g.ext.cfg.Multisend == ModeTokens {
 		g.stageRootTokens(fr, t)
 		return
 	}
-	nic := g.ext.nic
-	nic.HW.SendBufs.Acquire(func(buf bufToken) {
-		nic.HW.HostToNIC(len(fr.Payload), func() {
-			nic.HW.CPUDo(nic.Cfg.TxSetupCost, func() {
-				g.enqueueChain(func() {
-					g.replicate(fr, buf, func() {
-						g.staging--
-						g.file(fr, mcastSent{tok: t})
-						g.nextChain()
-						g.pump()
-					})
-				})
-			})
-		})
-	})
+	d := g.ext.newDesc(fr, fromRoot)
+	d.g, d.tok = g, t
+	g.ext.nic.HW.SendBufs.Acquire(&d.buf, d.txFn())
 }
 
 // stageRootTokens implements design alternative 1: one send token per
@@ -257,7 +305,8 @@ func (g *group) stageRootTokens(fr *gm.Frame, t *mcastToken) {
 	for _, c := range g.children {
 		child := c
 		nic.HW.CPUDo(nic.Cfg.SendEventCost, func() { // per-token processing
-			nic.HW.SendBufs.Acquire(func(buf bufToken) {
+			var buf lanai.Buf
+			nic.HW.SendBufs.Acquire(&buf, func() {
 				nic.HW.HostToNIC(len(fr.Payload), func() {
 					nic.HW.CPUDo(nic.Cfg.TxSetupCost, func() {
 						replica := fr.Clone()
@@ -280,16 +329,18 @@ func (g *group) stageRootTokens(fr *gm.Frame, t *mcastToken) {
 	}
 }
 
-// enqueueChain runs fn now if no replica chain is active, else queues it.
-// Chains enqueue in packet order (the SDMA and CPU stages are FIFO), so
-// packets replicate to the children strictly in sequence.
-func (g *group) enqueueChain(fn func()) {
+// enqueueChain starts d's replica chain now if none is active, else queues
+// it. Chains enqueue in packet order (the SDMA and CPU stages are FIFO), so
+// packets replicate to the children strictly in sequence: when the transmit
+// engine finishes one replica, the callback handler rewrites the header
+// (HeaderRewriteCost) and requeues the same buffer for the next destination.
+func (g *group) enqueueChain(d *desc) {
 	if g.chainActive {
-		g.chains = append(g.chains, fn)
+		g.chains = append(g.chains, d)
 		return
 	}
 	g.chainActive = true
-	fn()
+	d.startChain()
 }
 
 // nextChain starts the next queued replica chain, if any.
@@ -298,42 +349,17 @@ func (g *group) nextChain() {
 		g.chainActive = false
 		return
 	}
-	fn := g.chains[0]
-	g.chains = g.chains[1:]
-	fn()
+	d := g.chains[0]
+	g.chains = popFront(g.chains)
+	d.startChain()
 }
 
-// replicate transmits fr to every child in tree order from a single NIC
-// buffer: when the transmit engine finishes one replica, the callback
-// handler rewrites the header (HeaderRewriteCost) and requeues the buffer
-// for the next destination. The buffer is released after the last replica,
-// then done runs.
-func (g *group) replicate(fr *gm.Frame, buf bufToken, done func()) {
-	nic := g.ext.nic
-	children := g.children
-	g.ext.m.fanout.Observe(int64(len(children)))
-	if len(children) == 0 {
-		buf.Release()
-		done()
-		return
-	}
-	var sendTo func(i int)
-	sendTo = func(i int) {
-		replica := fr.Clone()
-		replica.SrcNode = nic.ID()
-		replica.DstNode = children[i]
-		nic.Inject(replica, func() {
-			g.ext.m.mcastSent.Inc()
-			if i+1 == len(children) {
-				buf.Release()
-				done()
-				return
-			}
-			g.ext.m.headerRewrites.Inc()
-			nic.HW.CPUDo(g.ext.cfg.HeaderRewriteCost, func() { sendTo(i + 1) })
-		})
-	}
-	sendTo(0)
+// popFront removes a queue's first element in place, so the queue keeps its
+// backing array and the next append allocates nothing.
+func popFront[T any](q []T) []T {
+	n := copy(q, q[1:])
+	clear(q[n:])
+	return q[:n]
 }
 
 // file creates the send record covering all children for a packet whose
@@ -379,16 +405,16 @@ func (g *group) retire(r *gm.SendRecord[mcastSent]) {
 // send token, and in the hold-buffer ablation it frees the pinned receive
 // buffer.
 func (g *group) complete(sent mcastSent) {
-	if sent.release != nil {
-		sent.release()
+	if sent.held != nil {
+		sent.held.unref()
 	}
 	t := sent.tok
 	if t == nil {
 		return
 	}
 	t.pending--
-	if t.staged && t.pending == 0 && t.onDone != nil {
-		t.onDone()
+	if t.staged && t.pending == 0 {
+		t.done()
 	}
 }
 
@@ -404,7 +430,8 @@ func (g *group) resend(fr *gm.Frame, i int) {
 			"grp=%d seq=%d to unacked child %v", g.id, fr.Seq, child)
 	}
 	nic.HW.CPUDo(nic.Cfg.RetransmitCost, func() {
-		nic.HW.SendBufs.Acquire(func(buf bufToken) {
+		var buf lanai.Buf
+		nic.HW.SendBufs.Acquire(&buf, func() {
 			nic.HW.HostToNIC(len(fr.Payload), func() {
 				replica := fr.Clone()
 				replica.SrcNode = nic.ID()

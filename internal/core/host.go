@@ -33,24 +33,9 @@ func (e *Ext) McastEpoch(proc *sim.Proc, port *gm.Port, id gm.GroupID, data []by
 	}
 	port.TakeSendToken(proc)
 	proc.Compute(e.nic.Cfg.HostSendPost)
-	nic := e.nic
-	nic.HW.HostPost(func() {
-		nic.HW.CPUDo(nic.Cfg.SendEventCost, func() {
-			g, ok := e.groups[id]
-			if !ok {
-				panic(fmt.Errorf("%w: Mcast on group %d at %v", ErrNoSuchGroup, id, nic.ID()))
-			}
-			if !g.isRoot() {
-				panic(fmt.Errorf("%w: group %d at %v", ErrNotRoot, id, nic.ID()))
-			}
-			g.enqueue(&mcastToken{
-				data:    data,
-				msgID:   nic.NewMsgID(),
-				onDone:  port.ReturnSendToken,
-				onEpoch: onEpoch,
-			})
-		})
-	})
+	t := e.newToken()
+	t.port, t.group, t.data, t.onEpoch = port, id, data, onEpoch
+	e.nic.HW.HostPost(t.step)
 }
 
 // McastSync multicasts and waits until every child of every packet in the

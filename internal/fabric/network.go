@@ -47,17 +47,20 @@ type Network struct {
 	// transmission.
 	LossRate float64
 	// DropFn, when non-nil, is consulted per link traversal; returning
-	// true drops the packet. It is the test hook for targeted loss.
+	// true drops the packet. It is the test hook for targeted loss. Like
+	// every hook here it may read p only during the call: the packet rides
+	// in a pooled traversal record that the next packet overwrites.
 	DropFn func(p *Packet, l *Link) bool
 	// DupFn, when non-nil, is consulted once per packet as its final
 	// delivery is scheduled; returning true delivers a second copy of the
 	// packet one serialization time after the first (a fault-injection
-	// hook: real fabrics duplicate under retransmitting switches).
+	// hook: real fabrics duplicate under retransmitting switches). p is
+	// valid only during the call.
 	DupFn func(p *Packet, l *Link) bool
 	// DelayFn, when non-nil, reports extra delivery delay for a packet at
 	// its destination — the bounded-reordering fault-injection hook. A
 	// packet held back long enough for a later one to overtake it arrives
-	// out of order without being lost.
+	// out of order without being lost. p is valid only during the call.
 	DelayFn func(p *Packet, l *Link) sim.Time
 
 	rng *sim.RNG
@@ -72,7 +75,10 @@ type Network struct {
 }
 
 // Iface is a host's attachment to the fabric. The NIC model sets Deliver;
-// the fabric calls it when a packet has fully arrived.
+// the fabric calls it when a packet has fully arrived. The *Packet is the
+// fabric's own traversal record and is valid only for the duration of the
+// call: a receiver that needs anything later copies it out (the Payload it
+// carries is the upper layer's and may be kept).
 type Iface struct {
 	net     *Network
 	id      NodeID
@@ -159,7 +165,9 @@ func (n *Network) HopCount(src, dst NodeID) int { return len(n.Route(src, dst)) 
 // Inject begins transmitting p from its source interface. The caller is
 // the NIC transmit engine; the injection link's FIFO discipline serializes
 // concurrent transmissions from one NIC. Delivery (or silent loss) happens
-// entirely through scheduled events.
+// entirely through scheduled events. The packet is copied into the
+// traversal record, so p may live on the caller's stack and be reused as
+// soon as Inject returns.
 func (ifc *Iface) Inject(p *Packet) {
 	n := ifc.net
 	if p.Src != ifc.id {
@@ -172,7 +180,7 @@ func (ifc *Iface) Inject(p *Packet) {
 	srcV := ifc.up.from
 	sh := &n.sh[srcV.shard]
 	tr := sh.newTransit(n)
-	tr.p = p
+	tr.p = *p
 	tr.route = n.routeShard(sh, p.Src, p.Dst)
 	tr.i = 0
 	tr.headAt = sh.eng.Now()
@@ -180,8 +188,9 @@ func (ifc *Iface) Inject(p *Packet) {
 	sh.eng.AtDomain(srcV.domain, tr.headAt, tr.step)
 }
 
-// transit is the traversal state of one packet in flight: which hop it is
-// on and when its head arrives there. Exactly one event is outstanding per
+// transit is the traversal state of one packet in flight: the packet
+// itself (by value — the pointer hooks and Deliver see is into this
+// record), which hop it is on and when its head arrives there. Exactly one event is outstanding per
 // transit at any instant — except while parked under PFC backpressure,
 // when the link's drain event owns the wakeup — so the state advances in
 // place and the same pre-bound step callback serves every hop. A transit
@@ -191,7 +200,7 @@ func (ifc *Iface) Inject(p *Packet) {
 type transit struct {
 	net        *Network
 	sh         *shardState
-	p          *Packet
+	p          Packet
 	route      []*Link
 	i          int
 	headAt     sim.Time
@@ -216,7 +225,7 @@ func (sh *shardState) newTransit(n *Network) *transit {
 
 // release drops the packet references and returns tr to its shard's pool.
 func (tr *transit) release() {
-	tr.p = nil
+	scrub(&tr.p)
 	tr.route = nil
 	tr.sh.transitFree = append(tr.sh.transitFree, tr)
 }
@@ -230,13 +239,12 @@ func (tr *transit) run() {
 	if tr.delivering {
 		// Final hop: the destination NIC needs the whole packet (its
 		// receive DMA is store-and-forward), so this fires at tail arrival.
-		p := tr.p
-		tr.release()
 		n.mDelivered.Inc()
-		n.deliver(p)
+		n.deliver(&tr.p)
+		tr.release()
 		return
 	}
-	p, l := tr.p, tr.route[tr.i]
+	p, l := &tr.p, tr.route[tr.i]
 	if l.params.PauseBytes > 0 && (len(l.waiters) > 0 || l.queued >= l.params.PauseBytes) {
 		// PFC pause: the link's backlog is past the pause threshold (or
 		// earlier senders are already parked, whom FIFO fairness must not
@@ -302,10 +310,11 @@ func (tr *transit) run() {
 		if dstV.shard != tr.sh.id {
 			panic("fabric: duplicate injection across shard boundary unsupported")
 		}
+		dup := *p // the original's transit is recycled before the copy lands
 		tr.sh.eng.AtDomain(dstV.domain, tailIn+ser, func() {
 			n.mDuplicated.Inc()
 			n.mDelivered.Inc()
-			n.deliver(p)
+			n.deliver(&dup)
 		})
 	}
 	if dstV.shard == tr.sh.id {
@@ -493,7 +502,7 @@ type crossMsg struct {
 	owner uint32
 	kind  uint8 // crossHop or crossDeliver
 	hop   int32 // route index to resume at (crossHop)
-	p     *Packet
+	p     Packet
 }
 
 const (

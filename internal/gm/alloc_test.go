@@ -74,3 +74,38 @@ func TestAllocSmallMessageOnLargeTokenIsSmall(t *testing.T) {
 		t.Errorf("a 4-byte message on a %d-byte token allocates %.0f B, want under 128", capacity, per)
 	}
 }
+
+// A warm unicast message — host post, send-event processing, buffer, SDMA,
+// wire, receive processing, RDMA, event; and back: ack, window, send-done —
+// allocates two objects: the data frame and the ack frame, each made on one
+// NIC and dead on the other, so neither has a free list to go back to.
+// Every firmware step in between runs on a pooled descriptor.
+func TestAllocUnicastCycleIsTwoFrames(t *testing.T) {
+	r := newRig(t, 2, nil)
+	src, dst := r.ports[0], r.ports[1]
+	msg := pattern(1024)
+	dst.Provide(len(msg))
+	allocs := -1.0
+	r.eng.Spawn("host", func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(200, func() {
+			src.Send(p, 1, 1, msg)
+			// Long enough for the message and its ack to cross, so neither
+			// wait below parks (parking on a sim.Waiter appends to its queue).
+			p.Sleep(100 * sim.Microsecond)
+			src.WaitSendDone(p)
+			ev := dst.Recv(p)
+			if len(ev.Data) != len(msg) {
+				t.Fatalf("delivered %d bytes, want %d", len(ev.Data), len(msg))
+			}
+			dst.Release(ev)
+			dst.Provide(len(msg))
+		})
+	})
+	r.run(t)
+	if allocs != 2 {
+		t.Errorf("a warm unicast send → ack → done cycle allocates %.1f objects, want 2 (data frame, ack frame)", allocs)
+	}
+	if free := len(r.nics[0].descFree) + len(r.nics[1].descFree); free == 0 || len(r.nics[0].tokFree) != 1 {
+		t.Errorf("free lists hold %d packet and %d send descriptors, want some and 1", free, len(r.nics[0].tokFree))
+	}
+}

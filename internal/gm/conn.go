@@ -1,16 +1,24 @@
 package gm
 
 import (
+	"repro/internal/fabric"
 	"repro/internal/lanai"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 // sendToken is the firmware-side descriptor for one outgoing message,
-// translated from a host send event — GM's "send token".
+// translated from a host send event — GM's "send token". A NIC owns as many
+// as its ports have host-level send tokens: Send takes one off the NIC's
+// free list, the descriptor carries the message from the host's post
+// through the LANai's send-event processing into its connection's queue
+// (step, bound once, so none of that allocates), and it goes back when the
+// last packet is acknowledged.
 type sendToken struct {
 	port    *Port
 	conn    *conn
+	dst     fabric.NodeID
+	dstPort PortID
 	msgID   uint64
 	data    []byte
 	nextOff int // next byte offset to stage
@@ -21,9 +29,12 @@ type sendToken struct {
 	directed bool
 	region   RegionID
 	base     int
-	// onDone is posted to the host when every packet is acknowledged
-	// (returns the host-level send token).
+	// onDone, when non-nil, runs after the host-level send token has been
+	// returned — every packet is acknowledged.
 	onDone func()
+
+	seen bool   // the LANai has started on the send event
+	step func() // run, bound once
 }
 
 func (t *sendToken) remaining() int { return len(t.data) - t.nextOff }
@@ -31,6 +42,36 @@ func (t *sendToken) remaining() int { return len(t.data) - t.nextOff }
 // allStaged reports whether every chunk has been handed to the DMA engine.
 func (t *sendToken) allStaged() bool {
 	return t.staged
+}
+
+// run is the descriptor's callback: the host's post has reached the NIC
+// (queue the send-event processing), then that processing has finished
+// (find the connection, name the message, join its queue).
+func (t *sendToken) run() {
+	if t.port == nil {
+		panic("gm: send descriptor on the free list stepped")
+	}
+	n := t.port.nic
+	if !t.seen {
+		t.seen = true
+		n.HW.CPUDo(n.Cfg.SendEventCost, t.step)
+		return
+	}
+	t.conn = n.sendConn(t.port.id, t.dst, t.dstPort)
+	t.msgID = n.NewMsgID()
+	t.conn.enqueue(t)
+}
+
+// done completes the message: the host gets its send token back, and the
+// descriptor returns to the NIC.
+func (t *sendToken) done() {
+	p, onDone := t.port, t.onDone
+	*t = sendToken{step: t.step}
+	p.nic.tokFree = append(p.nic.tokFree, t)
+	p.ReturnSendToken()
+	if onDone != nil {
+		onDone()
+	}
 }
 
 // conn is the sender-side reliability state for one connection: FIFO send
@@ -134,30 +175,20 @@ func (c *conn) pump() {
 		t.pending++
 		if t.remaining() == 0 {
 			t.staged = true
-			c.queue = c.queue[1:]
+			c.queue = popFront(c.queue)
 		}
 		c.staging++
 		c.stage(fr, t)
 	}
 }
 
-// stage moves one packet through buffer acquisition, SDMA, and transmit.
+// stage moves one packet through buffer acquisition, SDMA, and transmit,
+// on a descriptor (see desc.run's tx stages); when the transmit engine is
+// done with the NIC buffer the packet's send record is filed.
 func (c *conn) stage(fr *Frame, t *sendToken) {
-	nic := c.nic
-	nic.HW.SendBufs.Acquire(func(buf *lanai.Buf) {
-		nic.HW.HostToNIC(len(fr.Payload), func() {
-			nic.HW.CPUDo(nic.Cfg.TxSetupCost, func() {
-				nic.Inject(fr, func() {
-					// Transmit engine done with the NIC buffer.
-					buf.Release()
-					nic.m.dataSent.Inc()
-					c.staging--
-					c.win.File(fr, t)
-					c.pump()
-				})
-			})
-		})
-	})
+	d := c.nic.newDesc(fr, txBuffer)
+	d.conn, d.tok = c, t
+	c.nic.HW.SendBufs.Acquire(&d.buf, d.step)
 }
 
 // handleAck retires records with seq <= ack (cumulative), completes tokens
@@ -184,7 +215,7 @@ func (c *conn) retire(r *SendRecord[*sendToken]) {
 	tok := r.Data
 	tok.pending--
 	if tok.allStaged() && tok.pending == 0 {
-		tok.onDone()
+		tok.done()
 	}
 }
 
@@ -199,7 +230,8 @@ func (c *conn) resend(fr *Frame, _ int) {
 		nic.Trace.Log(nic.Engine().Now(), nic.ID(), trace.Retrans, "go-back-N seq=%d to %v", fr.Seq, fr.DstNode)
 	}
 	nic.HW.CPUDo(nic.Cfg.RetransmitCost, func() {
-		nic.HW.SendBufs.Acquire(func(buf *lanai.Buf) {
+		var buf lanai.Buf
+		nic.HW.SendBufs.Acquire(&buf, func() {
 			nic.HW.HostToNIC(len(fr.Payload), func() {
 				nic.Inject(fr, func() {
 					buf.Release()

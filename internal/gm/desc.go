@@ -1,0 +1,105 @@
+package gm
+
+import (
+	"fmt"
+
+	"repro/internal/lanai"
+)
+
+// desc is the firmware's packet descriptor: GM-2's "packet descriptor with
+// a callback handler", one per packet the NIC is working on. It carries the
+// packet through its receive path (first look on the LANai, then the RDMA
+// that lands the payload in host memory), through an acknowledgment's turn
+// on the processor, or through the send path (buffer, SDMA, transmit
+// set-up, wire), and goes back to the NIC's free list when that is over. The
+// one callback is bound when the descriptor is made and dispatches on stage,
+// so a packet schedules its steps without allocating.
+type desc struct {
+	nic   *NIC
+	fr    *Frame // nil exactly while the descriptor is on the free list
+	buf   lanai.Buf
+	stage stage
+	asm   *Assembly  // receive: where the payload lands
+	conn  *conn      // send: the connection the packet belongs to
+	tok   *sendToken // send: the message it is a chunk of
+	step  func()     // run, bound once
+}
+
+// stage says what a descriptor's next step is.
+type stage uint8
+
+const (
+	rxLook   stage = iota // receive processing of an arrived frame is due
+	rxLanded              // the payload's RDMA into host memory has finished
+	txBuffer              // a send buffer has been granted
+	txLoaded              // the chunk's SDMA into the buffer has finished
+	txReady               // transmit set-up is done: put it on the wire
+	txLeft                // the transmit engine is done with the buffer
+)
+
+// newDesc takes a descriptor for fr off the free list, or makes one.
+func (n *NIC) newDesc(fr *Frame, st stage) *desc {
+	var d *desc
+	if k := len(n.descFree); k > 0 {
+		d = n.descFree[k-1]
+		n.descFree = n.descFree[:k-1]
+	} else {
+		d = &desc{nic: n}
+		d.step = d.run
+	}
+	d.fr, d.stage = fr, st
+	return d
+}
+
+// free returns the descriptor to the NIC, blank but for its binding. Its
+// buffer must already be back.
+func (d *desc) free() {
+	*d = desc{nic: d.nic, step: d.step}
+	d.nic.descFree = append(d.nic.descFree, d)
+}
+
+// drop ends a refused packet: receive buffer and descriptor go back together.
+func (d *desc) drop() {
+	d.buf.Release()
+	d.free()
+}
+
+// run is every descriptor's callback.
+func (d *desc) run() {
+	if d.fr == nil {
+		panic(fmt.Sprintf("gm: packet descriptor on the free list stepped at %v", d.nic.ID()))
+	}
+	switch d.stage {
+	case rxLook:
+		switch d.fr.Kind {
+		case KindData:
+			d.rxData()
+		case KindAck, KindNack:
+			d.rxAck()
+		default:
+			panic(fmt.Sprintf("gm: descriptor receiving a %v frame", d.fr.Kind))
+		}
+	case rxLanded:
+		d.buf.Release()
+		asm, fr := d.asm, d.fr
+		d.free()
+		asm.Deposit(fr.Offset, fr.Payload)
+	case txBuffer:
+		d.stage = txLoaded
+		d.nic.HW.HostToNIC(len(d.fr.Payload), d.step)
+	case txLoaded:
+		d.stage = txReady
+		d.nic.HW.CPUDo(d.nic.Cfg.TxSetupCost, d.step)
+	case txReady:
+		d.stage = txLeft
+		d.nic.Inject(d.fr, d.step)
+	case txLeft:
+		d.buf.Release()
+		c, fr, tok := d.conn, d.fr, d.tok
+		d.free()
+		c.nic.m.dataSent.Inc()
+		c.staging--
+		c.win.File(fr, tok)
+		c.pump()
+	}
+}

@@ -140,14 +140,15 @@ func (f *Frame) Clone() *Frame {
 	return &g
 }
 
-// packet wraps f for the fabric, computing its wire size.
-func (f *Frame) packet(cfg Config, txDone func()) *fabric.Packet {
+// packet wraps f for the fabric, computing its wire size. The packet is a
+// value: the fabric copies it at injection, so it never reaches the heap.
+func (f *Frame) packet(cfg *Config, txDone func()) fabric.Packet {
 	size := cfg.WireSize(len(f.Payload))
 	switch f.Kind {
 	case KindAck, KindMcastAck, KindNack, KindMcastNack, KindBarrier, KindBarrierAck, KindReduceAck, KindGatherAck, KindRingAck:
 		size = cfg.AckBytes
 	}
-	return &fabric.Packet{
+	return fabric.Packet{
 		Src:     f.SrcNode,
 		Dst:     f.DstNode,
 		Size:    size,

@@ -57,6 +57,18 @@ type NIC struct {
 	ext   Extension
 	m     instruments
 
+	// descFree holds the packet descriptors not in use, tokFree the send
+	// descriptors. Each grows to the most packets (messages) this NIC ever
+	// worked on at once and no further.
+	descFree []*desc
+	tokFree  []*sendToken
+
+	// groupEvents are firmware-generated events whose records are on their
+	// way to host memory; groupPost (landGroupEvent, bound on first use) is
+	// what each record's DMA runs on landing.
+	groupEvents []groupEvent
+	groupPost   func()
+
 	nextMsgID uint64
 }
 
@@ -173,7 +185,8 @@ func (n *NIC) Inject(fr *Frame, txDone func()) {
 	if n.Trace.Enabled() {
 		n.Trace.Log(n.Engine().Now(), n.ID(), trace.TX, "%v", fr)
 	}
-	n.HW.Ifc.Inject(fr.packet(n.Cfg, txDone))
+	pkt := fr.packet(&n.Cfg, txDone)
+	n.HW.Ifc.Inject(&pkt)
 }
 
 // rxDispatch is the wire entry point: every arriving packet lands here.
@@ -188,10 +201,8 @@ func (n *NIC) rxDispatch(pkt *fabric.Packet) {
 	switch fr.Kind {
 	case KindData:
 		n.rxData(fr)
-	case KindAck:
+	case KindAck, KindNack:
 		n.rxAck(fr)
-	case KindNack:
-		n.rxNack(fr)
 	case KindDirected:
 		n.rxDirected(fr)
 	default:

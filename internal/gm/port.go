@@ -81,8 +81,7 @@ func (a *Assembly) Deposit(off int, data []byte) {
 	if a.received == len(a.ev.Data) {
 		a.done = true
 		delete(a.port.asms, a.key())
-		hw := a.port.nic.HW
-		hw.RDMA.Do(hw.P.EventPostCost, a.post)
+		a.port.nic.HW.PostHostEvent(a.post)
 	}
 }
 
@@ -192,22 +191,24 @@ func (p *Port) Send(proc *sim.Proc, dst fabric.NodeID, dstPort PortID, data []by
 	}
 	p.TakeSendToken(proc)
 	proc.Compute(p.nic.Cfg.HostSendPost)
+	p.nic.HW.HostPost(p.newToken(dst, dstPort, data).step)
+}
+
+// newToken takes a send descriptor for one message off the NIC's free list,
+// or makes one. The caller holds a host-level send token, so a NIC never
+// owns more descriptors than Config.SendTokens for each of its ports.
+func (p *Port) newToken(dst fabric.NodeID, dstPort PortID, data []byte) *sendToken {
 	n := p.nic
-	n.HW.HostPost(func() {
-		n.HW.CPUDo(n.Cfg.SendEventCost, func() {
-			c := n.sendConn(p.id, dst, dstPort)
-			tok := &sendToken{
-				port:  p,
-				conn:  c,
-				msgID: n.NewMsgID(),
-				data:  data,
-				onDone: func() {
-					p.ReturnSendToken()
-				},
-			}
-			c.enqueue(tok)
-		})
-	})
+	var t *sendToken
+	if k := len(n.tokFree); k > 0 {
+		t = n.tokFree[k-1]
+		n.tokFree = n.tokFree[:k-1]
+	} else {
+		t = new(sendToken)
+		t.step = t.run
+	}
+	t.port, t.dst, t.dstPort, t.data = p, dst, dstPort, data
+	return t
 }
 
 // WaitSendDone blocks until one previously-posted send has been fully
@@ -242,23 +243,22 @@ func (p *Port) TryRecv() (*RecvEvent, bool) {
 		return nil, false
 	}
 	ev := p.recvEvents[0]
-	// Copy down rather than slide off the front: recvEvents[1:] would
-	// abandon the backing array, so the next event would allocate a new one,
-	// and would keep the array's last message alive until then.
-	n := copy(p.recvEvents, p.recvEvents[1:])
-	p.recvEvents[n] = nil
-	p.recvEvents = p.recvEvents[:n]
+	p.recvEvents = popFront(p.recvEvents)
 	return ev, true
+}
+
+// popFront removes a queue's first element by copying the rest down rather
+// than sliding off the front: q[1:] would abandon the backing array, so the
+// next append would allocate a new one, and would keep the array's last
+// element alive until then.
+func popFront[T any](q []T) []T {
+	n := copy(q, q[1:])
+	clear(q[n:])
+	return q[:n]
 }
 
 // PendingRecvs reports the receive-event queue depth.
 func (p *Port) PendingRecvs() int { return len(p.recvEvents) }
-
-// postRecvEvent DMAs a receive event record to the host and wakes readers.
-func (p *Port) postRecvEvent(ev *RecvEvent) {
-	hw := p.nic.HW
-	hw.RDMA.Do(hw.P.EventPostCost, func() { p.deliver(ev) })
-}
 
 // deliver queues an event whose record has reached host memory.
 func (p *Port) deliver(ev *RecvEvent) {
@@ -272,7 +272,28 @@ func (p *Port) deliver(ev *RecvEvent) {
 
 // PostGroupEvent posts a firmware-generated group event (e.g. a barrier
 // completion) to the host through the normal event-DMA path.
-func (p *Port) PostGroupEvent(ev *RecvEvent) { p.postRecvEvent(ev) }
+func (p *Port) PostGroupEvent(ev *RecvEvent) {
+	n := p.nic
+	if n.groupPost == nil {
+		n.groupPost = n.landGroupEvent
+	}
+	n.groupEvents = append(n.groupEvents, groupEvent{p, ev})
+	n.HW.PostHostEvent(n.groupPost)
+}
+
+// groupEvent is a firmware-generated event on its way to a port's host.
+type groupEvent struct {
+	port *Port
+	ev   *RecvEvent
+}
+
+// landGroupEvent delivers the oldest posted group event: the NIC's RDMA
+// engine is FIFO, so the record that has just landed is the one posted first.
+func (n *NIC) landGroupEvent() {
+	ge := n.groupEvents[0]
+	n.groupEvents = popFront(n.groupEvents)
+	ge.port.deliver(ge.ev)
+}
 
 // Release hands a received event, and the buffer behind its Data, back to
 // the port: the next message that fits lands in that buffer and is

@@ -91,28 +91,9 @@ func (p *Port) directedSend(proc *sim.Proc, dst fabric.NodeID, dstPort PortID, r
 	}
 	p.TakeSendToken(proc)
 	proc.Compute(p.nic.Cfg.HostSendPost)
-	n := p.nic
-	n.HW.HostPost(func() {
-		n.HW.CPUDo(n.Cfg.SendEventCost, func() {
-			c := n.sendConn(p.id, dst, dstPort)
-			tok := &sendToken{
-				port:     p,
-				conn:     c,
-				msgID:    n.NewMsgID(),
-				data:     data,
-				directed: true,
-				region:   remote,
-				base:     offset,
-				onDone: func() {
-					p.ReturnSendToken()
-					if onDone != nil {
-						onDone()
-					}
-				},
-			}
-			c.enqueue(tok)
-		})
-	})
+	t := p.newToken(dst, dstPort, data)
+	t.directed, t.region, t.base, t.onDone = true, remote, offset, onDone
+	p.nic.HW.HostPost(t.step)
 }
 
 // rxDirected handles an arriving directed-write packet: the same sequence

@@ -15,11 +15,10 @@ type BufPool struct {
 	cap     int
 	free    int
 	waiters []bufWaiter
-	// granted holds acquisition callbacks whose buffer has been handed
-	// over but whose grant event has not yet fired; deliverGrant (via the
-	// pre-bound grantFn) pops them FIFO, so a release schedules no
-	// per-grant closure.
-	granted []func(*Buf)
+	// granted holds acquisitions whose buffer has been handed over but
+	// whose grant event has not yet fired; deliverGrant (via the pre-bound
+	// grantFn) pops them FIFO, so a release schedules no per-grant closure.
+	granted []bufWaiter
 	grantFn func()
 	// MaxQueued tracks the high-water mark of waiters, a resource
 	// pressure diagnostic.
@@ -31,13 +30,17 @@ type BufPool struct {
 	mStallNs *metrics.Counter
 }
 
-// bufWaiter is one queued acquisition and the time it began waiting.
+// bufWaiter is one queued acquisition — where the token goes and what runs
+// once it is there — and the time it began waiting.
 type bufWaiter struct {
-	fn    func(*Buf)
+	b     *Buf
+	fn    func()
 	since sim.Time
 }
 
-// Buf is a token for one NIC packet buffer.
+// Buf is a token for one NIC packet buffer. It is a value: the firmware
+// keeps it inside the packet descriptor that owns the buffer, so acquiring
+// one allocates nothing. The zero Buf holds no buffer.
 type Buf struct {
 	pool     *BufPool
 	released bool
@@ -60,19 +63,20 @@ func (p *BufPool) Free() int { return p.free }
 // Queued reports how many acquisitions are waiting.
 func (p *BufPool) Queued() int { return len(p.waiters) }
 
-// Acquire grants a buffer to fn, immediately if one is free, otherwise
-// when one is released (FIFO). An empty pool counts as an exhaustion
-// stall; the wait is charged to the stall-time counter when the grant
-// finally arrives.
-func (p *BufPool) Acquire(fn func(*Buf)) {
+// Acquire writes a buffer token into *b and runs fn, immediately if a
+// buffer is free, otherwise when one is released (FIFO). An empty pool
+// counts as an exhaustion stall; the wait is charged to the stall-time
+// counter when the grant finally arrives.
+func (p *BufPool) Acquire(b *Buf, fn func()) {
 	if p.free > 0 {
 		p.free--
 		p.mInUse.Add(1)
-		fn(&Buf{pool: p})
+		*b = Buf{pool: p}
+		fn()
 		return
 	}
 	p.mStalls.Inc()
-	p.waiters = append(p.waiters, bufWaiter{fn: fn, since: p.eng.Now()})
+	p.waiters = append(p.waiters, bufWaiter{b: b, fn: fn, since: p.eng.Now()})
 	if len(p.waiters) > p.MaxQueued {
 		p.MaxQueued = len(p.waiters)
 	}
@@ -80,20 +84,24 @@ func (p *BufPool) Acquire(fn func(*Buf)) {
 
 // TryAcquire grants a buffer only if one is free right now; the receive
 // path uses it so a full NIC drops rather than blocks the wire.
-func (p *BufPool) TryAcquire() (*Buf, bool) {
+func (p *BufPool) TryAcquire() (Buf, bool) {
 	if p.free == 0 {
-		return nil, false
+		return Buf{}, false
 	}
 	p.free--
 	p.mInUse.Add(1)
-	return &Buf{pool: p}, true
+	return Buf{pool: p}, true
 }
 
 // Release returns b to its pool. The longest-waiting acquirer, if any, is
 // granted the buffer at the current virtual time (the buffer stays in use,
 // so the occupancy gauge is untouched). Double release panics: it means
-// the firmware's buffer lifetime accounting is broken.
+// the firmware's buffer lifetime accounting is broken. So does releasing a
+// token that never held a buffer.
 func (b *Buf) Release() {
+	if b.pool == nil {
+		panic("lanai: release of a buffer token that holds no buffer")
+	}
 	if b.released {
 		panic("lanai: double release of " + b.pool.name + " buffer")
 	}
@@ -104,7 +112,7 @@ func (b *Buf) Release() {
 		p.waiters[0] = bufWaiter{}
 		p.waiters = p.waiters[1:]
 		p.mStallNs.AddInt(int64(p.eng.Now() - w.since))
-		p.granted = append(p.granted, w.fn)
+		p.granted = append(p.granted, w)
 		p.eng.After(0, p.grantFn)
 		return
 	}
@@ -115,12 +123,13 @@ func (b *Buf) Release() {
 	}
 }
 
-// deliverGrant fires one queued grant event: the longest-waiting callback
+// deliverGrant fires one queued grant event: the longest-waiting acquirer
 // receives its buffer. Grant events and the granted queue are both FIFO,
-// so the front callback always belongs to the event now firing.
+// so the front entry always belongs to the event now firing.
 func (p *BufPool) deliverGrant() {
-	fn := p.granted[0]
-	p.granted[0] = nil
+	w := p.granted[0]
+	p.granted[0] = bufWaiter{}
 	p.granted = p.granted[1:]
-	fn(&Buf{pool: p})
+	*w.b = Buf{pool: p}
+	w.fn()
 }

@@ -76,21 +76,14 @@ type NIC struct {
 	RecvBufs *BufPool
 
 	// RxDispatch is installed by the firmware; it receives every packet
-	// that arrives from the wire.
+	// that arrives from the wire. The *fabric.Packet is valid only for the
+	// duration of the call (see fabric.Iface.Deliver).
 	RxDispatch func(*fabric.Packet)
 
 	// paused, when set, makes the NIC deaf: packets arriving from the wire
 	// are discarded before the firmware sees them, as during a firmware
 	// reload. Reliability above recovers the lost traffic after Resume.
 	paused bool
-
-	hostEvents []any
-	// pendingPost stages event records whose RDMA is still in flight;
-	// deliverHostEvent (via the pre-bound postFn) pops them FIFO, so
-	// posting an event schedules no per-event closure.
-	pendingPost []any
-	postFn      func()
-	hostWaiter  *sim.Waiter
 
 	// Cached instruments, set by SetMetrics; nil (no-op) otherwise.
 	reg            *metrics.Registry
@@ -99,7 +92,6 @@ type NIC struct {
 	mSDMABusyNs    *metrics.Counter
 	mRDMABusyNs    *metrics.Counter
 	mHostEvents    *metrics.Counter
-	mHostQueue     *metrics.Gauge
 	mRxNoBuffer    *metrics.Counter
 	mRxPausedDrops *metrics.Counter
 }
@@ -107,18 +99,16 @@ type NIC struct {
 // New attaches a NIC model to a network interface.
 func New(eng *sim.Engine, ifc *fabric.Iface, p Params) *NIC {
 	n := &NIC{
-		Eng:        eng,
-		ID:         ifc.ID(),
-		P:          p,
-		CPU:        sim.NewFacility(eng, fmt.Sprintf("nic%d.cpu", ifc.ID())),
-		SDMA:       sim.NewFacility(eng, fmt.Sprintf("nic%d.sdma", ifc.ID())),
-		RDMA:       sim.NewFacility(eng, fmt.Sprintf("nic%d.rdma", ifc.ID())),
-		Ifc:        ifc,
-		SendBufs:   NewBufPool(eng, fmt.Sprintf("nic%d.sendbufs", ifc.ID()), p.SendBuffers),
-		RecvBufs:   NewBufPool(eng, fmt.Sprintf("nic%d.recvbufs", ifc.ID()), p.RecvBuffers),
-		hostWaiter: sim.NewWaiter(eng),
+		Eng:      eng,
+		ID:       ifc.ID(),
+		P:        p,
+		CPU:      sim.NewFacility(eng, fmt.Sprintf("nic%d.cpu", ifc.ID())),
+		SDMA:     sim.NewFacility(eng, fmt.Sprintf("nic%d.sdma", ifc.ID())),
+		RDMA:     sim.NewFacility(eng, fmt.Sprintf("nic%d.rdma", ifc.ID())),
+		Ifc:      ifc,
+		SendBufs: NewBufPool(eng, fmt.Sprintf("nic%d.sendbufs", ifc.ID()), p.SendBuffers),
+		RecvBufs: NewBufPool(eng, fmt.Sprintf("nic%d.recvbufs", ifc.ID()), p.RecvBuffers),
 	}
-	n.postFn = n.deliverHostEvent
 	ifc.Deliver = func(pkt *fabric.Packet) {
 		if n.paused {
 			n.mRxPausedDrops.Inc()
@@ -198,50 +188,12 @@ func (n *NIC) HostPost(fn func()) {
 	n.Eng.After(n.P.HostPostLatency, fn)
 }
 
-// PostHostEvent DMAs an event record to the host event queue and wakes any
-// process blocked in WaitHostEvent. The RDMA engine carries the record.
-func (n *NIC) PostHostEvent(ev any) {
+// PostHostEvent DMAs one event record into the host's receive queue: the
+// RDMA engine carries it, and fn runs when it has landed — fn is what makes
+// the event visible to the host (the firmware's port queues it and wakes
+// the reader). Callers pass a pre-bound fn, so posting allocates nothing.
+func (n *NIC) PostHostEvent(fn func()) {
 	n.mRDMABusyNs.AddInt(int64(n.P.EventPostCost))
-	n.pendingPost = append(n.pendingPost, ev)
-	n.RDMA.Do(n.P.EventPostCost, n.postFn)
-}
-
-// deliverHostEvent completes one event-record DMA: the oldest staged
-// record becomes visible to the host. The RDMA facility is FIFO and every
-// record costs the same, so completions fire in posting order and the
-// front of pendingPost is always the record whose DMA just finished.
-func (n *NIC) deliverHostEvent() {
-	ev := n.pendingPost[0]
-	n.pendingPost[0] = nil
-	n.pendingPost = n.pendingPost[1:]
-	n.hostEvents = append(n.hostEvents, ev)
 	n.mHostEvents.Inc()
-	n.mHostQueue.Set(int64(len(n.hostEvents)))
-	n.hostWaiter.WakeAll()
+	n.RDMA.Do(n.P.EventPostCost, fn)
 }
-
-// PollHostEvent removes and returns the oldest pending host event.
-func (n *NIC) PollHostEvent() (any, bool) {
-	if len(n.hostEvents) == 0 {
-		return nil, false
-	}
-	ev := n.hostEvents[0]
-	n.hostEvents = n.hostEvents[1:]
-	return ev, true
-}
-
-// WaitHostEvent blocks the calling process until an event is available,
-// then returns it. This is the busy-poll receive loop of a GM host program
-// (wall time spent here counts as host CPU time, as in the paper's skew
-// measurements).
-func (n *NIC) WaitHostEvent(p *sim.Proc) any {
-	for {
-		if ev, ok := n.PollHostEvent(); ok {
-			return ev
-		}
-		n.hostWaiter.Wait(p)
-	}
-}
-
-// PendingHostEvents reports the host-queue depth.
-func (n *NIC) PendingHostEvents() int { return len(n.hostEvents) }

@@ -20,7 +20,6 @@ func (n *NIC) SetMetrics(reg *metrics.Registry) {
 	n.mSDMABusyNs = reg.Counter(Component, id, "sdma_busy_ns")
 	n.mRDMABusyNs = reg.Counter(Component, id, "rdma_busy_ns")
 	n.mHostEvents = reg.Counter(Component, id, "host_events")
-	n.mHostQueue = reg.Gauge(Component, id, "host_queue_depth")
 	n.mRxNoBuffer = reg.Counter(Component, id, "rx_nobuffer")
 	n.mRxPausedDrops = reg.Counter(Component, id, "rx_paused_drops")
 	n.SendBufs.setMetrics(reg, id, "sendbuf")

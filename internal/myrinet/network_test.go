@@ -14,13 +14,15 @@ func testNet(t *testing.T, hosts int) (*sim.Engine, *Network) {
 	return eng, n
 }
 
-// attach installs a delivery recorder on every interface.
+// attach installs a delivery recorder on every interface. It records the
+// packet's value inside the hook: the pointer is the fabric's traversal
+// record, valid only during the call.
 func attach(n *Network) *[]delivery {
 	var log []delivery
 	for i := 0; i < n.Hosts(); i++ {
 		id := NodeID(i)
 		n.Iface(id).Deliver = func(p *Packet) {
-			log = append(log, delivery{at: n.Engine().Now(), pkt: p})
+			log = append(log, delivery{at: n.Engine().Now(), pkt: *p})
 		}
 	}
 	return &log
@@ -28,7 +30,7 @@ func attach(n *Network) *[]delivery {
 
 type delivery struct {
 	at  sim.Time
-	pkt *Packet
+	pkt Packet
 }
 
 func TestSingleSwitchLatencyModel(t *testing.T) {
