@@ -58,29 +58,15 @@ func MatchSwitch(label string) Match {
 // MatchData matches data-bearing frames (unicast, directed, multicast),
 // leaving control traffic untouched.
 func MatchData(p *fabric.Packet, _ *fabric.Link) bool {
-	fr, ok := p.Payload.(*gm.Frame)
-	if !ok {
-		return false
-	}
-	switch fr.Kind {
-	case gm.KindData, gm.KindDirected, gm.KindMcastData:
-		return true
-	}
-	return false
+	k, ok := gm.KindOf(p)
+	return ok && (k == gm.KindData || k == gm.KindDirected || k == gm.KindMcastData)
 }
 
 // MatchAcks matches acknowledgment and nack frames — losing these
 // exercises the duplicate-detection and re-ack paths.
 func MatchAcks(p *fabric.Packet, _ *fabric.Link) bool {
-	fr, ok := p.Payload.(*gm.Frame)
-	if !ok {
-		return false
-	}
-	switch fr.Kind {
-	case gm.KindAck, gm.KindMcastAck, gm.KindNack, gm.KindMcastNack:
-		return true
-	}
-	return false
+	k, ok := gm.KindOf(p)
+	return ok && (k == gm.KindAck || k == gm.KindMcastAck || k == gm.KindNack || k == gm.KindMcastNack)
 }
 
 // window is a half-open activity interval [from, until); until zero means

@@ -29,16 +29,8 @@ const (
 // while leaving the rest of the stack clean.
 func MatchKinds(kinds ...gm.Kind) Match {
 	return func(p *fabric.Packet, _ *fabric.Link) bool {
-		fr, ok := p.Payload.(*gm.Frame)
-		if !ok {
-			return false
-		}
-		for _, k := range kinds {
-			if fr.Kind == k {
-				return true
-			}
-		}
-		return false
+		kind, ok := gm.KindOf(p)
+		return ok && slices.Contains(kinds, kind)
 	}
 }
 

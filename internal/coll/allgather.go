@@ -325,7 +325,7 @@ func (g *Group) gatherChunkAcked(seq uint32) {
 
 // rxGather reassembles a child's chunked batch, merging it into the open
 // instance once complete.
-func (e *Engine) rxGather(fr *gm.Frame) {
+func (e *Engine) rxGather(src fabric.NodeID, fr *gm.Frame) {
 	nic := e.nic
 	buf, ok := nic.HW.RecvBufs.TryAcquire()
 	if !ok {
@@ -346,16 +346,7 @@ func (e *Engine) rxGather(fr *gm.Frame) {
 		// Default acks echo the chunk offset (exact-match retire); economy
 		// acks carry the cumulative contiguous byte mark instead, so one
 		// covers a whole window of chunks.
-		ackAt := func(off int) {
-			nic.Inject(&gm.Frame{
-				Kind:    gm.KindGatherAck,
-				SrcNode: nic.ID(),
-				DstNode: fr.SrcNode,
-				Group:   fr.Group,
-				Seq:     fr.Seq,
-				Offset:  off,
-			}, nil)
-		}
+		ackAt := func(off int) { e.ack(gm.KindGatherAck, src, fr.Group, fr.Seq, off) }
 		if g.agDone.has(fr.Seq) {
 			// Late chunk retransmit of a completed instance.
 			if coalesce {
@@ -366,7 +357,7 @@ func (e *Engine) rxGather(fr *gm.Frame) {
 			e.m.duplicates.Inc()
 			return
 		}
-		key := asmKey{child: fr.SrcNode, seq: fr.Seq}
+		key := asmKey{child: src, seq: fr.Seq}
 		casm := g.asm[key]
 		if casm == nil {
 			casm = &chunkAsm{buf: make([]byte, 0, fr.MsgLen)}
@@ -415,7 +406,7 @@ func (e *Engine) rxGather(fr *gm.Frame) {
 			return
 		}
 		delete(g.asm, key)
-		idx := childIndex(children, fr.SrcNode)
+		idx := childIndex(children, src)
 		if idx < 0 {
 			e.m.duplicates.Inc()
 			return
@@ -528,7 +519,7 @@ func (g *Group) ringFinishMaybe(seq uint32, st *ringInst) {
 
 // rxRing handles a predecessor's chunk: place it, forward it onward
 // unless it originated at our successor (it has gone full circle).
-func (e *Engine) rxRing(fr *gm.Frame) {
+func (e *Engine) rxRing(src fabric.NodeID, fr *gm.Frame) {
 	nic := e.nic
 	buf, ok := nic.HW.RecvBufs.TryAcquire()
 	if !ok {
@@ -542,14 +533,7 @@ func (e *Engine) rxRing(fr *gm.Frame) {
 			e.m.notMemberDrops.Inc()
 			return
 		}
-		nic.Inject(&gm.Frame{
-			Kind:    gm.KindRingAck,
-			SrcNode: nic.ID(),
-			DstNode: fr.SrcNode,
-			Group:   fr.Group,
-			Seq:     fr.Seq,
-			Offset:  fr.Offset,
-		}, nil)
+		e.ack(gm.KindRingAck, src, fr.Group, fr.Seq, fr.Offset)
 		if g.ringDone.has(fr.Seq) {
 			e.m.duplicates.Inc()
 			return

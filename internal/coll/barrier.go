@@ -139,7 +139,7 @@ func (g *Group) completeBarrier() {
 }
 
 // rxBarrier handles an arriving barrier message of either algorithm.
-func (e *Engine) rxBarrier(fr *gm.Frame) {
+func (e *Engine) rxBarrier(src fabric.NodeID, fr *gm.Frame) {
 	nic := e.nic
 	nic.HW.CPUDo(nic.Cfg.AckProcCost, func() {
 		g, ok := e.groups[fr.Group]
@@ -151,20 +151,13 @@ func (e *Engine) rxBarrier(fr *gm.Frame) {
 		}
 		// Always acknowledge — duplicates included — so the peer's
 		// stop-and-wait stops waiting.
-		nic.Inject(&gm.Frame{
-			Kind:    gm.KindBarrierAck,
-			SrcNode: nic.ID(),
-			DstNode: fr.SrcNode,
-			Group:   fr.Group,
-			Seq:     fr.Seq,
-			Offset:  fr.Offset,
-		}, nil)
+		e.ack(gm.KindBarrierAck, src, fr.Group, fr.Seq, fr.Offset)
 		aux := int32(fr.Offset)
 		switch {
 		case aux == auxTreeDown:
 			g.rxTreeDown(fr)
 		case aux == auxTreeUp:
-			g.rxTreeUp(fr)
+			g.rxTreeUp(src, fr)
 		default:
 			g.rxDissemination(fr, int(aux))
 		}
@@ -191,8 +184,8 @@ func (g *Group) rxDissemination(fr *gm.Frame, round int) {
 }
 
 // rxTreeUp files a child's arrival in the tree barrier.
-func (g *Group) rxTreeUp(fr *gm.Frame) {
-	idx := childIndex(g.barChildren, fr.SrcNode)
+func (g *Group) rxTreeUp(src fabric.NodeID, fr *gm.Frame) {
+	idx := childIndex(g.barChildren, src)
 	if idx < 0 {
 		g.eng.m.duplicates.Inc()
 		return

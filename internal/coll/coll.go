@@ -155,30 +155,46 @@ func WithBarrierAlgo(a BarrierAlgo) Option { return func(g *Group) { g.barrierAl
 // WithGatherAlgo selects the group's allgather algorithm.
 func WithGatherAlgo(a GatherAlgo) Option { return func(g *Group) { g.gatherAlgo = a } }
 
-// HandleRx consumes one collective wire frame (called by core's extension
-// hook in firmware context).
-func (e *Engine) HandleRx(fr *gm.Frame) bool {
+// HandleRx consumes one collective wire frame from src (called by core's
+// extension hook in firmware context).
+func (e *Engine) HandleRx(src fabric.NodeID, fr *gm.Frame) bool {
 	switch fr.Kind {
 	case gm.KindBarrier:
-		e.rxBarrier(fr)
-	case gm.KindBarrierAck:
-		e.rxAck(skBarrier, fr)
+		e.rxBarrier(src, fr)
 	case gm.KindReduce:
-		e.rxReduce(fr)
-	case gm.KindReduceAck:
-		e.rxAck(skReduce, fr)
+		e.rxReduce(src, fr)
 	case gm.KindGather:
-		e.rxGather(fr)
-	case gm.KindGatherAck:
-		e.rxAck(skGather, fr)
+		e.rxGather(src, fr)
 	case gm.KindRing:
-		e.rxRing(fr)
-	case gm.KindRingAck:
-		e.rxAck(skRing, fr)
+		e.rxRing(src, fr)
 	default:
 		return false
 	}
 	return true
+}
+
+// HandleCtl consumes one collective acknowledgment from src — a control
+// packet: Seq echoes the instance, Offset what the acknowledged frame
+// carried there (or, for a windowed gather, the cumulative byte mark).
+func (e *Engine) HandleCtl(src fabric.NodeID, c fabric.Ctl) bool {
+	switch gm.Kind(c.Kind) {
+	case gm.KindBarrierAck:
+		e.rxAck(skBarrier, src, c)
+	case gm.KindReduceAck:
+		e.rxAck(skReduce, src, c)
+	case gm.KindGatherAck:
+		e.rxAck(skGather, src, c)
+	case gm.KindRingAck:
+		e.rxAck(skRing, src, c)
+	default:
+		return false
+	}
+	return true
+}
+
+// ack acknowledges one collective frame to the NIC it came from.
+func (e *Engine) ack(kind gm.Kind, to fabric.NodeID, group gm.GroupID, seq uint32, off int) {
+	e.nic.InjectCtl(to, fabric.Ctl{Kind: uint8(kind), Group: uint32(group), Seq: seq, Offset: int32(off)})
 }
 
 // Outstanding reports unacknowledged collective send records across all

@@ -107,8 +107,6 @@ func (g *Group) sendRel(class uint8, kind gm.Kind, dst fabric.NodeID, seq uint32
 	rec.class, rec.seq, rec.aux, rec.dst = class, seq, aux, dst
 	rec.frame = gm.Frame{
 		Kind:    kind,
-		SrcNode: nic.ID(),
-		DstNode: dst,
 		Group:   g.id,
 		Seq:     seq,
 		Offset:  off,
@@ -117,7 +115,7 @@ func (g *Group) sendRel(class uint8, kind gm.Kind, dst fabric.NodeID, seq uint32
 	}
 	rec.sentAt = nic.Engine().Now()
 	g.out = append(g.out, rec)
-	nic.Inject(rec.frame.Clone(), nil)
+	nic.Inject(rec.frame.Clone(), dst, nil)
 	g.armTimer()
 }
 
@@ -157,7 +155,7 @@ func (g *Group) onTimeout() {
 		}
 		rec.sentAt = now
 		g.eng.m.retransmits.Inc()
-		nic.Inject(rec.frame.Clone(), nil)
+		nic.Inject(rec.frame.Clone(), rec.dst, nil)
 	}
 	g.armTimer()
 }
@@ -211,32 +209,33 @@ func (g *Group) ackRecordsCumulative(class uint8, seq uint32, upTo int32, src fa
 // rxAck handles any collective acknowledgment kind: retire the record,
 // then run per-class continuation (the tree allgather sends its next
 // batch chunk when the previous one is acknowledged).
-func (e *Engine) rxAck(class uint8, fr *gm.Frame) {
+func (e *Engine) rxAck(class uint8, src fabric.NodeID, c fabric.Ctl) {
 	nic := e.nic
+	group, seq, off := gm.GroupID(c.Group), c.Seq, int(c.Offset)
 	nic.HW.CPUDo(nic.Cfg.AckProcCost, func() {
-		g, ok := e.groups[fr.Group]
+		g, ok := e.groups[group]
 		if !ok {
 			return // stale ack for a group we no longer know
 		}
 		if class == skGather && nic.Cfg.AckCoalescing() {
 			// Windowed gather: the ack's Offset is the receiver's cumulative
 			// contiguous byte count, retiring every chunk below it at once.
-			g.ackRecordsCumulative(skGather, fr.Seq, int32(fr.Offset), fr.SrcNode)
-			g.gatherWindowAcked(fr.Seq, fr.Offset)
+			g.ackRecordsCumulative(skGather, seq, int32(off), src)
+			g.gatherWindowAcked(seq, off)
 			return
 		}
-		aux := int32(fr.Offset)
+		aux := int32(off)
 		if class == skReduce {
 			aux = 0 // reduce acks echo only the instance
 		}
-		if !g.ackRecord(class, fr.Seq, aux, fr.SrcNode) {
+		if !g.ackRecord(class, seq, aux, src) {
 			return // duplicate ack
 		}
 		switch class {
 		case skGather:
-			g.gatherChunkAcked(fr.Seq)
+			g.gatherChunkAcked(seq)
 		case skRing:
-			g.ringHopAcked(fr.Seq)
+			g.ringHopAcked(seq)
 		}
 	})
 }

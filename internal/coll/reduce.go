@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/sim"
 )
@@ -134,7 +135,7 @@ func (g *Group) contribute(seq uint32, op Op, vec []int64, fromChild int) {
 }
 
 // rxReduce handles a child's combined contribution.
-func (e *Engine) rxReduce(fr *gm.Frame) {
+func (e *Engine) rxReduce(src fabric.NodeID, fr *gm.Frame) {
 	nic := e.nic
 	buf, ok := nic.HW.RecvBufs.TryAcquire()
 	if !ok {
@@ -149,19 +150,13 @@ func (e *Engine) rxReduce(fr *gm.Frame) {
 			return
 		}
 		// Ack unconditionally; duplicates must stop the child's timer too.
-		nic.Inject(&gm.Frame{
-			Kind:    gm.KindReduceAck,
-			SrcNode: nic.ID(),
-			DstNode: fr.SrcNode,
-			Group:   fr.Group,
-			Seq:     fr.Seq,
-		}, nil)
+		e.ack(gm.KindReduceAck, src, fr.Group, fr.Seq, 0)
 		g := e.groupFor(fr.Group)
 		if g.redDone.has(fr.Seq) {
 			e.m.duplicates.Inc()
 			return
 		}
-		idx := childIndex(children, fr.SrcNode)
+		idx := childIndex(children, src)
 		if idx < 0 {
 			e.m.duplicates.Inc() // not our child under the current view
 			return

@@ -56,15 +56,18 @@ func streamAllocs(t *testing.T, msgs int) (objects, bytes uint64) {
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
-// One multicast packet crossing one hop of the tree costs the heap three
-// objects — its replica frame at the sender, its ack frame at the receiver
-// and the receiving process's place in its wait queue — plus the root's
-// per-message costs, the chunk's frame and the root process's own wait
-// (half an object per hop here): 3.5 objects and about 250 B,
-// not a closure per firmware step, a *lanai.Buf and a *fabric.Packet on top
-// (16 objects and 752 B before descriptors). Differencing runs of three
-// lengths takes set-up and warm-up out, and shows the cost does not creep
-// as the run goes on.
+// One multicast packet crossing one hop of the tree costs the heap one
+// object, the receiving process's place in its wait queue, plus its share of
+// the root's per-message costs: the packet's one frame — the pointer every
+// forwarder passes on and every leaf reads — and the root process's own waits
+// (a third of an object per hop here). Not a replica frame per child and an
+// ack frame per receiver on top (3.5 objects and 253 B), nor a closure per
+// firmware step, a *lanai.Buf and a *fabric.Packet on top of those (16 objects
+// and 752 B before descriptors). Differencing runs of three lengths takes
+// set-up and warm-up out; holding the early and the late window to the same
+// bound shows the cost does not creep as the run goes on (the bytes are wait-
+// queue slots, which come in doubling sizes, so the two windows differ by a
+// few bytes either way).
 func TestAllocPerPacketHop(t *testing.T) {
 	const hops = 6 // per message: one per non-root member
 	o50, b50 := streamAllocs(t, 50)
@@ -75,12 +78,13 @@ func TestAllocPerPacketHop(t *testing.T) {
 	earlyB, lateB := per(b100, b50), per(b150, b100)
 	t.Logf("per packet-hop: messages 51-100 %.2f objects %.0f B, messages 101-150 %.2f objects %.0f B",
 		earlyObj, earlyB, lateObj, lateB)
-	if lateObj > 4 || lateB > 300 {
-		t.Errorf("a packet-hop allocates %.2f objects / %.0f B, want at most 4 / 300", lateObj, lateB)
-	}
-	if lateObj > earlyObj+0.25 || lateB > earlyB+16 {
-		t.Errorf("a packet-hop costs more late (%.2f objects, %.0f B) than early (%.2f, %.0f)",
-			lateObj, lateB, earlyObj, earlyB)
+	for _, w := range []struct {
+		window   string
+		obj, byt float64
+	}{{"early", earlyObj, earlyB}, {"late", lateObj, lateB}} {
+		if w.obj > 1.5 || w.byt > 32 {
+			t.Errorf("%s in the run a packet-hop allocates %.2f objects / %.0f B, want at most 1.50 / 32", w.window, w.obj, w.byt)
+		}
 	}
 }
 

@@ -16,8 +16,10 @@ import (
 // Mcast for result distribution. The split keeps the import direction
 // one-way: coll imports core, never the reverse.
 type Collective interface {
-	// HandleRx consumes one collective wire frame (firmware context).
-	HandleRx(fr *gm.Frame) bool
+	// HandleRx consumes one collective wire frame from src (firmware
+	// context); HandleCtl one collective acknowledgment, a control packet.
+	HandleRx(src fabric.NodeID, fr *gm.Frame) bool
+	HandleCtl(src fabric.NodeID, c fabric.Ctl) bool
 	// InstallBarrier preposts a barrier group (member set, no tree).
 	InstallBarrier(id gm.GroupID, members []fabric.NodeID, port gm.PortID, fn func())
 	// Barrier blocks until every member has entered the barrier.

@@ -229,7 +229,7 @@ func TestRetransmitOnlyToUnackedChildren(t *testing.T) {
 	dropped := false
 	r.c.Net.DropFn = func(p *fabric.Packet, l *fabric.Link) bool {
 		fr, ok := p.Payload.(*gm.Frame)
-		if ok && fr.Kind == gm.KindMcastData && fr.DstNode == 2 && !dropped {
+		if ok && fr.Kind == gm.KindMcastData && p.Dst == 2 && !dropped {
 			dropped = true
 			return true
 		}
@@ -617,5 +617,51 @@ func TestMulticastAcrossFatTree(t *testing.T) {
 	c.Eng.Kill()
 	if delivered != 199 {
 		t.Fatalf("delivered %d/199 across the fat tree", delivered)
+	}
+}
+
+// A forwarder makes no copy of the packet for its children: it "changes the
+// packet header and queues it for transmission again", and the header fields
+// that change — where the packet comes from and goes to — are the wire
+// packet's, not the frame's. So the frame the root made is the one pointer on
+// every edge of the tree, here root → forwarder → four leaves.
+func TestAllocForwarderInjectsTheFrameItReceived(t *testing.T) {
+	const forwarder = 1
+	r := newRig(t, 6, func(root fabric.NodeID, members []fabric.NodeID) *tree.Tree {
+		parents := map[fabric.NodeID]fabric.NodeID{forwarder: root}
+		for _, m := range members {
+			if m != root && m != forwarder {
+				parents[m] = forwarder
+			}
+		}
+		return tree.FromParents(root, parents)
+	}, nil)
+	if kids := r.tr.Children(forwarder); len(kids) != 4 {
+		t.Fatalf("the forwarder has children %v, want four", kids)
+	}
+	onEdge := make(map[[2]fabric.NodeID]*gm.Frame)
+	r.c.Net.DropFn = func(p *fabric.Packet, _ *fabric.Link) bool {
+		if fr, ok := p.Payload.(*gm.Frame); ok && fr.Kind == gm.KindMcastData {
+			onEdge[[2]fabric.NodeID{p.Src, p.Dst}] = fr
+		}
+		return false
+	}
+	msg := pattern(1024)
+	got := r.spawnReceivers(1, len(msg))
+	r.c.Eng.Spawn("root", func(p *sim.Proc) {
+		r.c.Nodes[0].Ext.McastSync(p, r.ports[0], r.gid, msg)
+	})
+	r.run(t)
+	fromRoot := onEdge[[2]fabric.NodeID{0, forwarder}]
+	if fromRoot == nil || len(onEdge) != 5 {
+		t.Fatalf("saw multicast data on edges %v, want the root's and the forwarder's four", onEdge)
+	}
+	for _, child := range r.tr.Children(forwarder) {
+		if fr := onEdge[[2]fabric.NodeID{forwarder, child}]; fr != fromRoot {
+			t.Errorf("the forwarder sent %v frame %p, not the %p it received", child, fr, fromRoot)
+		}
+		if d := (*got)[child]; len(d) != 1 || !bytes.Equal(d[0], msg) {
+			t.Errorf("%v did not receive the message intact", child)
+		}
 	}
 }

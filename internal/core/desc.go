@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/lanai"
 )
@@ -15,9 +16,11 @@ import (
 // it is needed and dispatching on the descriptor's state, so no step of a
 // packet's life allocates:
 //
-//   - rx, the receive handler: first look at an arrived frame (data: sequence
-//     check, token match, ack; ack or nack: window update), then — data only —
-//     the deposit once the payload's RDMA into host memory has finished;
+//   - rx, the receive handler: first look at an arrived frame (sequence check,
+//     token match, ack), then the deposit once the payload's RDMA into host
+//     memory has finished; for an arrived ack or nack — which has no frame: the
+//     few header fields it consists of were copied out of the packet — the
+//     window update when its turn on the LANai comes;
 //   - tx, the transmit handler: staging (send buffer, SDMA, set-up) for a
 //     packet that starts in host memory, then the replica chain — transmit to
 //     one child and, when that replica has left, "change the packet header
@@ -29,11 +32,18 @@ import (
 // every NIC (DESIGN.md §7).
 type desc struct {
 	ext *Ext
-	fr  *gm.Frame // nil exactly while the descriptor is on the free list
+	fr  *gm.Frame     // the data frame; nil for an ack or nack
+	src fabric.NodeID // from the wire: the NIC that transmitted the packet
 	buf lanai.Buf
 	g   *group
 	asm *gm.Assembly // from the wire: where the payload lands
 	tok *mcastToken  // from the root's host: the message this is a chunk of
+
+	// An ack's or nack's content (from == fromChild).
+	group gm.GroupID
+	epoch uint32
+	ack   uint32
+	nack  bool
 
 	from   origin
 	landed bool    // rx: the payload is in host memory (else: first look)
@@ -49,9 +59,11 @@ type desc struct {
 type origin uint8
 
 const (
-	fromWire origin = iota // arrived from the parent; forwarded out of its receive buffer
-	fromRoot               // a chunk of a host send at the root
-	fromHost               // re-read from the host replica (store-and-forward ablation)
+	onFreeList origin = iota // nobody holds the descriptor
+	fromWire                 // arrived from the parent; forwarded out of its receive buffer
+	fromRoot                 // a chunk of a host send at the root
+	fromHost                 // re-read from the host replica (store-and-forward ablation)
+	fromChild                // an ack or nack from a child: no frame, no buffer
 )
 
 // txStage is the transmit handler's state.
@@ -65,7 +77,8 @@ const (
 	txLeft                  // that replica has left the NIC
 )
 
-// newDesc takes a descriptor for fr off the free list, or makes one.
+// newDesc takes a descriptor off the free list, or makes one, for fr (nil
+// when from is fromChild).
 func (e *Ext) newDesc(fr *gm.Frame, from origin) *desc {
 	var d *desc
 	if k := len(e.descFree); k > 0 {
@@ -117,7 +130,7 @@ func (d *desc) txFn() func() {
 
 // live panics when a callback fires for a descriptor nobody holds.
 func (d *desc) live() {
-	if d.fr == nil {
+	if d.from == onFreeList {
 		panic(fmt.Sprintf("core: packet descriptor on the free list stepped at %v", d.ext.nic.ID()))
 	}
 }
@@ -126,7 +139,7 @@ func (d *desc) live() {
 func (d *desc) rxStep() {
 	d.live()
 	switch {
-	case d.fr.Kind != gm.KindMcastData:
+	case d.from == fromChild:
 		d.ext.ackStep(d)
 	case d.landed:
 		d.asm.Deposit(d.fr.Offset, d.fr.Payload)
@@ -155,14 +168,11 @@ func (d *desc) txStep() {
 	case txReady:
 		g.enqueueChain(d)
 	case txSend:
-		// fr is immutable once it is on its way (g.file keeps it for
-		// resend), so each child's header rewrite is a clone of it; the
-		// payload is shared.
-		replica := d.fr.Clone()
-		replica.SrcNode = e.nic.ID()
-		replica.DstNode = g.children[d.child]
+		// The header rewrite between replicas changes only where the packet
+		// goes, which is the wire packet's business: every child is sent
+		// the frame itself — at a forwarder, the one its parent sent it.
 		d.txs = txLeft
-		e.nic.Inject(replica, d.tx)
+		e.nic.Inject(d.fr, g.children[d.child], d.tx)
 	case txLeft:
 		e.m.mcastSent.Inc()
 		if d.from != fromRoot {

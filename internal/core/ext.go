@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -289,21 +290,35 @@ func (e *Ext) dropGroup(g *group) {
 
 // HandleRx implements gm.Extension: multicast frames are consumed here,
 // everything else passes through to the base protocol untouched.
-func (e *Ext) HandleRx(fr *gm.Frame) bool {
+func (e *Ext) HandleRx(src fabric.NodeID, fr *gm.Frame) bool {
 	switch fr.Kind {
 	case gm.KindMcastData:
-		e.rxData(fr)
+		e.rxData(src, fr)
 		return true
-	case gm.KindMcastAck, gm.KindMcastNack:
-		e.rxAck(fr)
-		return true
-	case gm.KindBarrier, gm.KindBarrierAck, gm.KindReduce, gm.KindReduceAck,
-		gm.KindGather, gm.KindGatherAck, gm.KindRing, gm.KindRingAck:
+	case gm.KindBarrier, gm.KindReduce, gm.KindGather, gm.KindRing:
 		if e.coll != nil {
-			return e.coll.HandleRx(fr)
+			return e.coll.HandleRx(src, fr)
 		}
 		// No collective engine wired: consume (these kinds belong to the
 		// extension's identifier space) and count the drop.
+		e.m.notMemberDrops.Inc()
+		return true
+	default:
+		return false
+	}
+}
+
+// HandleCtl implements gm.Extension for control packets: group (n)acks are
+// consumed here, collective acks by the collective engine.
+func (e *Ext) HandleCtl(src fabric.NodeID, c fabric.Ctl) bool {
+	switch gm.Kind(c.Kind) {
+	case gm.KindMcastAck, gm.KindMcastNack:
+		e.rxAck(src, c)
+		return true
+	case gm.KindBarrierAck, gm.KindReduceAck, gm.KindGatherAck, gm.KindRingAck:
+		if e.coll != nil {
+			return e.coll.HandleCtl(src, c)
+		}
 		e.m.notMemberDrops.Inc()
 		return true
 	default:
@@ -317,7 +332,7 @@ func (e *Ext) HandleRx(fr *gm.Frame) bool {
 // straight from the NIC receive buffer, without host involvement and
 // without waiting for the rest of the message. The packet's descriptor
 // carries it from here on (desc.rxStep, then look).
-func (e *Ext) rxData(fr *gm.Frame) {
+func (e *Ext) rxData(src fabric.NodeID, fr *gm.Frame) {
 	nic := e.nic
 	buf, ok := nic.HW.RecvBufs.TryAcquire()
 	if !ok {
@@ -325,7 +340,7 @@ func (e *Ext) rxData(fr *gm.Frame) {
 		return
 	}
 	d := e.newDesc(fr, fromWire)
-	d.buf = buf
+	d.src, d.buf = src, buf
 	nic.HW.CPUDo(nic.Cfg.RecvProcCost, d.rxFn())
 }
 
@@ -344,13 +359,13 @@ func (e *Ext) look(d *desc) {
 		// static/dynamic discriminator for arbitrarily long-lived groups.
 		e.m.notMemberDrops.Inc()
 		if fr.Epoch != 0 {
-			e.ackDropped(fr)
+			e.ackDropped(d.src, fr)
 		}
 		d.drop()
 		return
 	}
-	if !g.accepts(fr) {
-		e.dropEpochMismatch(g, fr)
+	if !g.accepts(fr.Epoch) {
+		e.dropEpochMismatch(g, d.src, fr)
 		d.drop()
 		return
 	}
@@ -380,7 +395,7 @@ func (e *Ext) look(d *desc) {
 		d.drop()
 	default:
 		port := nic.Port(g.port)
-		asm, ok := port.MatchAssembly(g.root, fr.SrcPort, fr.MsgID, fr.MsgLen, g.id)
+		asm, ok := port.MatchAssembly(g.root, fr)
 		if !ok {
 			// No receive token: refuse; the parent retransmits.
 			// "The responsibility of making receive tokens available
@@ -392,7 +407,7 @@ func (e *Ext) look(d *desc) {
 		g.recvSeq++
 		e.m.mcastReceived.Inc()
 		if nic.Trace.Enabled() {
-			nic.Trace.Log(nic.Engine().Now(), nic.ID(), trace.RX, "%v", fr)
+			nic.Trace.Log(nic.Engine().Now(), nic.ID(), trace.RX, "%s", fr.Wire(d.src, nic.ID()))
 		}
 		if e.cfg.AggregateAcks {
 			e.noteDelivered(g)
@@ -486,30 +501,23 @@ func (e *Ext) storeAndForward(g *group, fr *gm.Frame) {
 // group whose epoch counter wraps past MaxUint32 keeps classifying
 // correctly — a raw < here would ack brand-new post-wrap frames as stale
 // and silently starve the group.
-func (e *Ext) dropEpochMismatch(g *group, fr *gm.Frame) {
+func (e *Ext) dropEpochMismatch(g *group, src fabric.NodeID, fr *gm.Frame) {
 	if g.live && gm.EpochBefore(fr.Epoch, g.epoch) {
 		e.m.staleEpochDrops.Inc()
-		e.ackDropped(fr)
+		e.ackDropped(src, fr)
 		return
 	}
 	e.m.futureEpochDrops.Inc()
 }
 
-// ackDropped acknowledges a refused stale-epoch frame to its transmitter
-// under the frame's own epoch — "acked as dropped". The cumulative ack
-// retires the sender's record for this packet (and everything before it,
-// which the departed receiver equally will never take).
-func (e *Ext) ackDropped(fr *gm.Frame) {
+// ackDropped acknowledges a refused stale-epoch frame to src, the NIC that
+// transmitted it, under the frame's own epoch — "acked as dropped". The
+// cumulative ack retires the sender's record for this packet (and everything
+// before it, which the departed receiver equally will never take).
+func (e *Ext) ackDropped(src fabric.NodeID, fr *gm.Frame) {
 	e.m.ackedAsDropped.Inc()
 	e.m.acksSent.Inc()
-	e.nic.Inject(&gm.Frame{
-		Kind:    gm.KindMcastAck,
-		SrcNode: e.nic.ID(),
-		DstNode: fr.SrcNode,
-		Group:   fr.Group,
-		Epoch:   fr.Epoch,
-		Ack:     fr.Seq,
-	}, nil)
+	e.sendCtl(gm.KindMcastAck, src, fr.Group, fr.Epoch, fr.Seq)
 }
 
 // noteDelivered runs the aggregation state machine after this node
@@ -561,14 +569,7 @@ func (e *Ext) ackParent(g *group, ack uint32) {
 		return
 	}
 	e.m.acksSent.Inc()
-	e.nic.Inject(&gm.Frame{
-		Kind:    gm.KindMcastAck,
-		SrcNode: e.nic.ID(),
-		DstNode: g.parent,
-		Group:   g.id,
-		Epoch:   g.epoch,
-		Ack:     ack,
-	}, nil)
+	e.sendCtl(gm.KindMcastAck, g.parent, g.id, g.epoch, ack)
 }
 
 // nackParent asks the tree parent for an immediate per-group go-back (fast
@@ -578,46 +579,49 @@ func (e *Ext) nackParent(g *group, lastGood uint32) {
 		return
 	}
 	e.m.nacksSent.Inc()
-	e.nic.Inject(&gm.Frame{
-		Kind:    gm.KindMcastNack,
-		SrcNode: e.nic.ID(),
-		DstNode: g.parent,
-		Group:   g.id,
-		Epoch:   g.epoch,
-		Ack:     lastGood,
-	}, nil)
+	e.sendCtl(gm.KindMcastNack, g.parent, g.id, g.epoch, lastGood)
+}
+
+// sendCtl transmits a group ack or nack: a control packet, its few fields
+// by value in the wire packet (gm.NIC.InjectCtl), so there is nothing to
+// allocate here and nothing for the receiver to hand back.
+func (e *Ext) sendCtl(kind gm.Kind, to fabric.NodeID, group gm.GroupID, epoch, ack uint32) {
+	e.nic.InjectCtl(to, fabric.Ctl{Kind: uint8(kind), Group: uint32(group), Epoch: epoch, Ack: ack})
 }
 
 // rxAck takes in a group acknowledgment or negative acknowledgment from one
-// child; a descriptor carries it through its turn on the LANai (ackStep).
-func (e *Ext) rxAck(fr *gm.Frame) {
-	e.nic.HW.CPUDo(e.nic.Cfg.AckProcCost, e.newDesc(fr, fromWire).rxFn())
+// child: a descriptor carries what it says through its turn on the LANai
+// (ackStep).
+func (e *Ext) rxAck(src fabric.NodeID, c fabric.Ctl) {
+	d := e.newDesc(nil, fromChild)
+	d.src, d.group, d.epoch, d.ack = src, gm.GroupID(c.Group), c.Epoch, c.Ack
+	d.nack = gm.Kind(c.Kind) == gm.KindMcastNack
+	e.nic.HW.CPUDo(e.nic.Cfg.AckProcCost, d.rxFn())
 }
 
 // ackStep processes a descriptor's acknowledgment: honor the cumulative
 // part and, for a nack, retransmit to the unacknowledged children
 // immediately, bounded by the holdoff.
 func (e *Ext) ackStep(d *desc) {
-	fr := d.fr
+	child, group, epoch, ack, nack := d.src, d.group, d.epoch, d.ack, d.nack
 	d.free()
-	g, ok := e.groups[fr.Group]
+	g, ok := e.groups[group]
 	if !ok {
 		return // stale ack for a group we no longer know
 	}
-	if !g.accepts(fr) {
+	if !g.accepts(epoch) {
 		// An ack or nack minted under another epoch must not touch this
 		// epoch's sequence space — each commit resets it, so the raw
 		// numbers would alias.
 		e.m.staleEpochAcks.Inc()
 		return
 	}
-	nack := fr.Kind == gm.KindMcastNack
 	if nack {
 		e.m.nacksRecv.Inc()
 	} else {
 		e.m.acksRecv.Inc()
 	}
-	g.handleAck(fr.SrcNode, fr.Ack)
+	g.handleAck(child, ack)
 	if nack {
 		g.win.Nack()
 	}

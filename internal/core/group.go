@@ -154,9 +154,9 @@ type group struct {
 
 func (g *group) isRoot() bool { return g.root == g.ext.nic.ID() }
 
-// accepts reports whether a frame belongs to the entry's active view: the
-// entry is live and the frame was minted under its epoch.
-func (g *group) accepts(fr *gm.Frame) bool { return g.live && fr.Epoch == g.epoch }
+// accepts reports whether a frame or (n)ack minted under epoch belongs to the
+// entry's active view: the entry is live and that is its epoch.
+func (g *group) accepts(epoch uint32) bool { return g.live && epoch == g.epoch }
 
 // pendingView is a prepared-but-uncommitted group-table update: the next
 // epoch's tree neighborhood (or, with a nil tree, the node's departure).
@@ -247,7 +247,6 @@ func (g *group) pump() {
 		g.sendSeq++
 		fr := &gm.Frame{
 			Kind:    gm.KindMcastData,
-			SrcNode: nic.ID(),
 			SrcPort: g.rootPort,
 			DstPort: g.port,
 			Seq:     g.sendSeq,
@@ -309,10 +308,7 @@ func (g *group) stageRootTokens(fr *gm.Frame, t *mcastToken) {
 			nic.HW.SendBufs.Acquire(&buf, func() {
 				nic.HW.HostToNIC(len(fr.Payload), func() {
 					nic.HW.CPUDo(nic.Cfg.TxSetupCost, func() {
-						replica := fr.Clone()
-						replica.SrcNode = nic.ID()
-						replica.DstNode = child
-						nic.Inject(replica, func() {
+						nic.Inject(fr, child, func() {
 							buf.Release()
 							g.ext.m.mcastSent.Inc()
 							remaining--
@@ -433,10 +429,7 @@ func (g *group) resend(fr *gm.Frame, i int) {
 		var buf lanai.Buf
 		nic.HW.SendBufs.Acquire(&buf, func() {
 			nic.HW.HostToNIC(len(fr.Payload), func() {
-				replica := fr.Clone()
-				replica.SrcNode = nic.ID()
-				replica.DstNode = child
-				nic.Inject(replica, func() {
+				nic.Inject(fr, child, func() {
 					buf.Release()
 					g.ext.m.mcastSent.Inc()
 				})

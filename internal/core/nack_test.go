@@ -24,7 +24,7 @@ func mcastLossyRun(t *testing.T, nacks bool) (sim.Time, uint64) {
 	dropped := false
 	c.Net.DropFn = func(p *fabric.Packet, l *fabric.Link) bool {
 		fr, ok := p.Payload.(*gm.Frame)
-		if ok && fr.Kind == gm.KindMcastData && fr.Seq == 2 && fr.DstNode == 1 && !dropped {
+		if ok && fr.Kind == gm.KindMcastData && fr.Seq == 2 && p.Dst == 1 && !dropped {
 			dropped = true
 			return true
 		}

@@ -28,7 +28,8 @@ func (id NodeID) String() string { return fmt.Sprintf("n%d", int(id)) }
 
 // Packet is one network packet in flight. Size is the total wire size in
 // bytes (headers included) and determines serialization time; Payload is
-// the upper-layer frame and is not interpreted by the fabric.
+// the upper-layer frame and is not interpreted by the fabric. A packet with
+// no payload at all — an acknowledgment — has its whole content in Ctl.
 //
 // TxDone, when non-nil, fires when the packet's tail leaves the source
 // NIC's injection link — the moment the transmit DMA engine is done with
@@ -40,7 +41,24 @@ type Packet struct {
 	Src, Dst NodeID
 	Size     int
 	Payload  any
+	Ctl      Ctl
 	TxDone   func()
+}
+
+// Ctl is the whole content of a control packet: one that carries a header
+// and no payload, which is every acknowledgment of the protocols above. It
+// rides in the Packet by value, so sending one allocates nothing and nobody
+// owns it afterwards — every copy of the packet (a traversal record, a
+// cross-shard message, an injected duplicate) has its own. Like Payload it is
+// the upper layer's: the fabric copies it and never reads it, and the fields
+// are the upper layers' common header vocabulary (package gm says which kind
+// uses which). Kind zero means the packet is not a control packet.
+type Ctl struct {
+	Kind             uint8
+	SrcPort, DstPort int32
+	Group, Epoch     uint32
+	Seq, Ack         uint32
+	Offset           int32
 }
 
 // Stats are fabric-wide packet counters.

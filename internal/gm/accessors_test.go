@@ -24,18 +24,18 @@ func TestKindStrings(t *testing.T) {
 
 func TestFrameStringAndClone(t *testing.T) {
 	fr := &Frame{
-		Kind: KindData, SrcNode: 1, DstNode: 2, SrcPort: 3, DstPort: 4,
+		Kind: KindData, SrcPort: 3, DstPort: 4,
 		Seq: 5, MsgID: 6, MsgLen: 100, Offset: 0, Payload: []byte{1, 2, 3},
 	}
-	s := fr.String()
+	s := fr.Wire(1, 2)
 	for _, want := range []string{"DATA", "n1:3->n2:4", "seq=5", "len=3"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("frame string %q missing %q", s, want)
 		}
 	}
 	cl := fr.Clone()
-	cl.DstNode = 9
-	if fr.DstNode != 2 {
+	cl.DstPort = 9
+	if fr.DstPort != 4 {
 		t.Fatal("Clone aliases the original header")
 	}
 	if &cl.Payload[0] != &fr.Payload[0] {
@@ -112,23 +112,13 @@ func TestTryRecvReturnsArrivedMessage(t *testing.T) {
 	}
 }
 
-func TestInjectWrongSourcePanics(t *testing.T) {
-	r := newRig(t, 2, nil)
-	defer func() {
-		if recover() == nil {
-			t.Error("foreign-source inject did not panic")
-		}
-	}()
-	r.nics[0].Inject(&Frame{Kind: KindData, SrcNode: 1, DstNode: 0}, nil)
-}
-
 func TestAssemblyAccessors(t *testing.T) {
 	r := newRig(t, 2, nil)
 	var a *Assembly
 	r.eng.Spawn("recv", func(p *sim.Proc) {
 		r.ports[1].Provide(64)
 		var ok bool
-		a, ok = r.ports[1].MatchAssembly(0, 1, 1, 10, 0)
+		a, ok = r.ports[1].MatchAssembly(0, &Frame{SrcPort: 1, MsgID: 1, MsgLen: 10})
 		if !ok {
 			t.Error("match failed with a posted token")
 		}
@@ -159,7 +149,7 @@ func TestAssemblyDoubleCompletePanics(t *testing.T) {
 	var a *Assembly
 	r.eng.Spawn("p", func(p *sim.Proc) {
 		r.ports[1].Provide(64)
-		a, _ = r.ports[1].MatchAssembly(0, 1, 1, 4, 0)
+		a, _ = r.ports[1].MatchAssembly(0, &Frame{SrcPort: 1, MsgID: 1, MsgLen: 4})
 	})
 	r.run(t)
 	a.Deposit(0, []byte{1, 2, 3, 4})

@@ -146,7 +146,6 @@ func (c *conn) pump() {
 		}
 		fr := &Frame{
 			Kind:    KindData,
-			SrcNode: c.nic.ID(), DstNode: c.key.Node,
 			SrcPort: c.key.LocalP, DstPort: c.key.RemoteP,
 			Seq:    c.nextSeq,
 			MsgID:  t.msgID,
@@ -227,13 +226,13 @@ func (c *conn) resend(fr *Frame, _ int) {
 	nic := c.nic
 	nic.m.retransmits.Inc()
 	if nic.Trace.Enabled() {
-		nic.Trace.Log(nic.Engine().Now(), nic.ID(), trace.Retrans, "go-back-N seq=%d to %v", fr.Seq, fr.DstNode)
+		nic.Trace.Log(nic.Engine().Now(), nic.ID(), trace.Retrans, "go-back-N seq=%d to %v", fr.Seq, c.key.Node)
 	}
 	nic.HW.CPUDo(nic.Cfg.RetransmitCost, func() {
 		var buf lanai.Buf
 		nic.HW.SendBufs.Acquire(&buf, func() {
 			nic.HW.HostToNIC(len(fr.Payload), func() {
-				nic.Inject(fr, func() {
+				nic.Inject(fr, c.key.Node, func() {
 					buf.Release()
 					c.win.Restamp(fr.Seq)
 				})
@@ -253,12 +252,28 @@ type rcvr struct {
 
 // sendHeldAck emits the cumulative acknowledgment covering every held
 // packet (the hold's emit).
-func (r *rcvr) sendHeldAck() {
+func (r *rcvr) sendHeldAck() { r.sendAck(r.expect - 1) }
+
+// sendAck emits a cumulative acknowledgment to the connection's sender. Acks
+// are NIC-generated control packets (NIC.InjectCtl) and ride the same wire as
+// data.
+func (r *rcvr) sendAck(ack uint32) {
 	r.nic.m.acksSent.Inc()
-	r.nic.Inject(&Frame{
-		Kind:    KindAck,
-		SrcNode: r.nic.ID(), DstNode: r.key.Node,
-		SrcPort: r.key.LocalP, DstPort: r.key.RemoteP,
-		Ack: r.expect - 1,
-	}, nil)
+	r.emit(KindAck, ack)
+}
+
+// sendNack emits a negative acknowledgment carrying the last in-order
+// sequence number, asking the sender to go back without waiting for its
+// timer (fast recovery; GM-2 rejects out-of-sequence packets similarly).
+func (r *rcvr) sendNack(lastGood uint32) {
+	r.nic.m.nacksSent.Inc()
+	r.emit(KindNack, lastGood)
+}
+
+func (r *rcvr) emit(kind Kind, ack uint32) {
+	r.nic.InjectCtl(r.key.Node, fabric.Ctl{
+		Kind:    uint8(kind),
+		SrcPort: int32(r.key.LocalP), DstPort: int32(r.key.RemoteP),
+		Ack: ack,
+	})
 }

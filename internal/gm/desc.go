@@ -3,6 +3,7 @@ package gm
 import (
 	"fmt"
 
+	"repro/internal/fabric"
 	"repro/internal/lanai"
 )
 
@@ -15,29 +16,36 @@ import (
 // one callback is bound when the descriptor is made and dispatches on stage,
 // so a packet schedules its steps without allocating.
 type desc struct {
-	nic   *NIC
-	fr    *Frame // nil exactly while the descriptor is on the free list
-	buf   lanai.Buf
+	nic  *NIC
+	fr   *Frame        // the data frame; an acknowledgment's descriptor has none
+	src  fabric.NodeID // receive: the NIC the packet came from
+	buf  lanai.Buf
+	asm  *Assembly  // receive: where the payload lands
+	conn *conn      // send: the packet's connection; ack: the one it acknowledges
+	tok  *sendToken // send: the message it is a chunk of
+	step func()     // run, bound once
+
+	ack   uint32 // ack: the cumulative sequence number, copied out of the packet
+	nack  bool   // ack: it is a negative one
 	stage stage
-	asm   *Assembly  // receive: where the payload lands
-	conn  *conn      // send: the connection the packet belongs to
-	tok   *sendToken // send: the message it is a chunk of
-	step  func()     // run, bound once
 }
 
 // stage says what a descriptor's next step is.
 type stage uint8
 
 const (
-	rxLook   stage = iota // receive processing of an arrived frame is due
-	rxLanded              // the payload's RDMA into host memory has finished
-	txBuffer              // a send buffer has been granted
-	txLoaded              // the chunk's SDMA into the buffer has finished
-	txReady               // transmit set-up is done: put it on the wire
-	txLeft                // the transmit engine is done with the buffer
+	onFreeList stage = iota // nobody holds the descriptor
+	rxLook                  // receive processing of an arrived data frame is due
+	rxLanded                // the payload's RDMA into host memory has finished
+	rxAckTurn               // an acknowledgment's turn on the LANai has come
+	txBuffer                // a send buffer has been granted
+	txLoaded                // the chunk's SDMA into the buffer has finished
+	txReady                 // transmit set-up is done: put it on the wire
+	txLeft                  // the transmit engine is done with the buffer
 )
 
-// newDesc takes a descriptor for fr off the free list, or makes one.
+// newDesc takes a descriptor off the free list, or makes one, for fr (nil
+// for an acknowledgment) at stage st.
 func (n *NIC) newDesc(fr *Frame, st stage) *desc {
 	var d *desc
 	if k := len(n.descFree); k > 0 {
@@ -66,24 +74,24 @@ func (d *desc) drop() {
 
 // run is every descriptor's callback.
 func (d *desc) run() {
-	if d.fr == nil {
-		panic(fmt.Sprintf("gm: packet descriptor on the free list stepped at %v", d.nic.ID()))
-	}
 	switch d.stage {
+	case onFreeList:
+		panic(fmt.Sprintf("gm: packet descriptor on the free list stepped at %v", d.nic.ID()))
 	case rxLook:
-		switch d.fr.Kind {
-		case KindData:
-			d.rxData()
-		case KindAck, KindNack:
-			d.rxAck()
-		default:
-			panic(fmt.Sprintf("gm: descriptor receiving a %v frame", d.fr.Kind))
-		}
+		d.rxData()
 	case rxLanded:
 		d.buf.Release()
 		asm, fr := d.asm, d.fr
 		d.free()
 		asm.Deposit(fr.Offset, fr.Payload)
+	case rxAckTurn:
+		c, ack, nack := d.conn, d.ack, d.nack
+		d.free()
+		c.nic.countAck(nack)
+		c.handleAck(ack)
+		if nack {
+			c.win.Nack()
+		}
 	case txBuffer:
 		d.stage = txLoaded
 		d.nic.HW.HostToNIC(len(d.fr.Payload), d.step)
@@ -92,7 +100,7 @@ func (d *desc) run() {
 		d.nic.HW.CPUDo(d.nic.Cfg.TxSetupCost, d.step)
 	case txReady:
 		d.stage = txLeft
-		d.nic.Inject(d.fr, d.step)
+		d.nic.Inject(d.fr, d.conn.key.Node, d.step)
 	case txLeft:
 		d.buf.Release()
 		c, fr, tok := d.conn, d.fr, d.tok

@@ -13,9 +13,6 @@ var (
 	ErrPortInUse = errors.New("gm: port already open")
 	// ErrNoSuchPort reports looking up a port that was never opened.
 	ErrNoSuchPort = errors.New("gm: port not open")
-	// ErrForeignSource reports injecting a frame whose source is not the
-	// injecting NIC.
-	ErrForeignSource = errors.New("gm: frame source is not this NIC")
 	// ErrTokenExhausted reports posting more receive tokens than the
 	// configured cap allows.
 	ErrTokenExhausted = errors.New("gm: receive token limit exceeded")

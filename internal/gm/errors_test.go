@@ -35,11 +35,6 @@ func TestSentinelErrorsAreIsable(t *testing.T) {
 	if err := recoverErr(t, func() { n.Port(9) }); !errors.Is(err, ErrNoSuchPort) {
 		t.Errorf("Port(9): got %v, want ErrNoSuchPort", err)
 	}
-	if err := recoverErr(t, func() {
-		n.Inject(&Frame{SrcNode: 1, DstNode: 0, Kind: KindData}, nil)
-	}); !errors.Is(err, ErrForeignSource) {
-		t.Errorf("foreign inject: got %v, want ErrForeignSource", err)
-	}
 
 	ext := extFunc(func(*Frame) bool { return false })
 	n.SetExtension(ext)

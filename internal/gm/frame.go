@@ -93,19 +93,25 @@ func (k Kind) String() string {
 // Frame is the protocol header plus payload carried inside a
 // fabric.Packet. One frame is one wire packet.
 //
-// A Frame is immutable once injected except through Clone — the NIC-based
-// multisend "changes the packet header and queues it for transmission
-// again", which Clone models without aliasing the in-flight copy.
+// A Frame says what the packet is, not where it is going: source and
+// destination node belong to the fabric.Packet that carries it (NIC.Inject
+// takes the destination, the receive path hands on the packet's source). So
+// a frame is written once, by the NIC that makes it, before its first
+// Inject, and is read-only from then on. That is what lets one multicast
+// frame serve its whole tree: the paper's multisend and forwarding "change
+// the packet header and queue it for transmission again", and the only
+// header fields that differ per hop are the two the frame does not have. The
+// root, every forwarder and every leaf hold the same *Frame, the send
+// windows keep it for retransmission, and NICs on different shards read it at
+// once; under -race a checksum taken at the first Inject is verified at every
+// delivery (seal_race.go). Acknowledgments are not frames at all: see Ctl.
 type Frame struct {
 	Kind             Kind
-	SrcNode, DstNode fabric.NodeID
 	SrcPort, DstPort PortID
 
 	// Seq is the connection sequence number (per source port → destination
 	// port pair) for unicast, or the group sequence number for multicast.
 	Seq uint32
-	// Ack is the cumulative acknowledged sequence number (KindAck/McastAck).
-	Ack uint32
 
 	// Message framing: a message is MsgLen bytes split into MTU chunks;
 	// this frame carries Payload at Offset.
@@ -130,37 +136,45 @@ type Frame struct {
 	Group GroupID
 	Epoch uint32
 
+	guard frameSeal // -race builds: the header checksum; otherwise empty
+
 	Payload []byte
 }
 
-// Clone returns a copy of f sharing the payload bytes (the NIC replicates
-// the header, not the data, when multisending).
+// Clone returns a copy of f sharing the payload bytes, for a sender whose
+// header lives in a record it will overwrite (the collective engine's pooled
+// stop-and-wait records): the copy, not the record, goes on the wire.
 func (f *Frame) Clone() *Frame {
 	g := *f
+	g.guard = frameSeal{}
 	return &g
 }
 
-// packet wraps f for the fabric, computing its wire size. The packet is a
-// value: the fabric copies it at injection, so it never reaches the heap.
-func (f *Frame) packet(cfg *Config, txDone func()) fabric.Packet {
-	size := cfg.WireSize(len(f.Payload))
-	switch f.Kind {
-	case KindAck, KindMcastAck, KindNack, KindMcastNack, KindBarrier, KindBarrierAck, KindReduceAck, KindGatherAck, KindRingAck:
-		size = cfg.AckBytes
+// wireSize reports the frame's size on the wire.
+func (f *Frame) wireSize(cfg *Config) int {
+	if f.Kind == KindBarrier {
+		return cfg.AckBytes // a header and no payload, like an acknowledgment
 	}
-	return fabric.Packet{
-		Src:     f.SrcNode,
-		Dst:     f.DstNode,
-		Size:    size,
-		Payload: f,
-		TxDone:  txDone,
-	}
+	return cfg.WireSize(len(f.Payload))
 }
 
-func (f *Frame) String() string {
+// Wire formats f as the packet src sent to dst carrying it — a trace line.
+func (f *Frame) Wire(src, dst fabric.NodeID) string { return f.wire(src, dst, 0) }
+
+// ctlWire is Wire for a control packet: the same line, its header's fields
+// where a frame's would be and the one a frame lacks, the cumulative ack.
+func ctlWire(c *fabric.Ctl, src, dst fabric.NodeID) string {
+	hdr := Frame{
+		Kind: Kind(c.Kind), SrcPort: PortID(c.SrcPort), DstPort: PortID(c.DstPort),
+		Seq: c.Seq, Offset: int(c.Offset), Group: GroupID(c.Group), Epoch: c.Epoch,
+	}
+	return hdr.wire(src, dst, c.Ack)
+}
+
+func (f *Frame) wire(src, dst fabric.NodeID, ack uint32) string {
 	s := fmt.Sprintf("%s %v:%d->%v:%d seq=%d ack=%d msg=%d off=%d/%d grp=%d len=%d",
-		f.Kind, f.SrcNode, f.SrcPort, f.DstNode, f.DstPort,
-		f.Seq, f.Ack, f.MsgID, f.Offset, f.MsgLen, f.Group, len(f.Payload))
+		f.Kind, src, f.SrcPort, dst, f.DstPort,
+		f.Seq, ack, f.MsgID, f.Offset, f.MsgLen, f.Group, len(f.Payload))
 	if f.Epoch != 0 {
 		s += fmt.Sprintf(" ep=%d", f.Epoch)
 	}
@@ -168,4 +182,17 @@ func (f *Frame) String() string {
 		s += fmt.Sprintf(" pack=%d", f.PiggyAck)
 	}
 	return s
+}
+
+// KindOf reports the protocol kind of a packet on the wire, whether it
+// carries a Frame or is a control packet with its header in the packet
+// itself; false for a packet that is neither.
+func KindOf(p *fabric.Packet) (Kind, bool) {
+	if fr, ok := p.Payload.(*Frame); ok {
+		return fr.Kind, true
+	}
+	if p.Payload == nil && p.Ctl.Kind != 0 {
+		return Kind(p.Ctl.Kind), true
+	}
+	return 0, false
 }

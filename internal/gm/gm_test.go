@@ -212,7 +212,7 @@ func TestAckLossTriggersDuplicateHandling(t *testing.T) {
 	r := newRig(t, 2, nil)
 	dropped := false
 	r.net.DropFn = func(p *fabric.Packet, l *fabric.Link) bool {
-		if fr, ok := p.Payload.(*Frame); ok && fr.Kind == KindAck && !dropped {
+		if k, ok := KindOf(p); ok && k == KindAck && !dropped {
 			dropped = true
 			return true
 		}
@@ -289,14 +289,14 @@ func TestWindowLimitsInflightPackets(t *testing.T) {
 	// simultaneous data packets between send and ack.
 	inflight := 0
 	r.net.DropFn = func(p *fabric.Packet, l *fabric.Link) bool {
-		if fr, ok := p.Payload.(*Frame); ok {
-			if fr.Kind == KindData && l.String() == "host0->xbar0" {
+		if k, ok := KindOf(p); ok {
+			if k == KindData && l.String() == "host0->xbar0" {
 				inflight++
 				if inflight > maxInflight {
 					maxInflight = inflight
 				}
 			}
-			if fr.Kind == KindAck && l.String() == "host1->xbar0" {
+			if k == KindAck && l.String() == "host1->xbar0" {
 				inflight--
 			}
 		}
@@ -342,7 +342,8 @@ func TestExtensionInterceptsFrames(t *testing.T) {
 
 type extFunc func(*Frame) bool
 
-func (f extFunc) HandleRx(fr *Frame) bool { return f(fr) }
+func (f extFunc) HandleRx(_ fabric.NodeID, fr *Frame) bool { return f(fr) }
+func (f extFunc) HandleCtl(fabric.NodeID, fabric.Ctl) bool { return false }
 
 func TestDoubleExtensionPanics(t *testing.T) {
 	r := newRig(t, 2, nil)

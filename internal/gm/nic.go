@@ -16,8 +16,12 @@ import (
 // base protocol untouched.
 type Extension interface {
 	// HandleRx sees every frame arriving from the wire before the base
-	// protocol does. Returning true consumes the frame.
-	HandleRx(fr *Frame) bool
+	// protocol does; src is the NIC that transmitted the packet. Returning
+	// true consumes the frame.
+	HandleRx(src fabric.NodeID, fr *Frame) bool
+	// HandleCtl is HandleRx for a control packet, whose header arrives by
+	// value.
+	HandleCtl(src fabric.NodeID, c fabric.Ctl) bool
 }
 
 // Stats count protocol-level incidents on one NIC.
@@ -175,36 +179,68 @@ func (n *NIC) NewMsgID() uint64 {
 	return n.nextMsgID
 }
 
-// Inject wraps fr in a wire packet and starts transmitting it. txDone
-// (optional) fires when the transmit engine releases the packet buffer.
-// Exposed for the core extension, which transmits through the same engine.
-func (n *NIC) Inject(fr *Frame, txDone func()) {
-	if fr.SrcNode != n.ID() {
-		panic(fmt.Errorf("%w: frame src %v injected at %v", ErrForeignSource, fr.SrcNode, n.ID()))
-	}
+// Inject wraps fr in a wire packet for dst and starts transmitting it.
+// txDone (optional) fires when the transmit engine releases the packet
+// buffer. The frame must not be written again: the receiver, the send window
+// and — for a multicast frame — every NIC further down the tree hold this
+// same pointer. Exposed for the core extension, which transmits through the
+// same engine.
+func (n *NIC) Inject(fr *Frame, dst fabric.NodeID, txDone func()) {
+	fr.seal(n.ID())
 	if n.Trace.Enabled() {
-		n.Trace.Log(n.Engine().Now(), n.ID(), trace.TX, "%v", fr)
+		n.Trace.Log(n.Engine().Now(), n.ID(), trace.TX, "%s", fr.Wire(n.ID(), dst))
 	}
-	pkt := fr.packet(&n.Cfg, txDone)
+	pkt := fabric.Packet{Src: n.ID(), Dst: dst, Size: fr.wireSize(&n.Cfg), Payload: fr, TxDone: txDone}
 	n.HW.Ifc.Inject(&pkt)
 }
 
-// rxDispatch is the wire entry point: every arriving packet lands here.
+// InjectCtl transmits a control packet — an acknowledgment — to dst. Its
+// whole content is c, which rides in the fabric's packet by value: nothing
+// is allocated, nothing is shared with the receiver, and a later
+// acknowledgment cannot overwrite one still in flight. The unicast (n)ack
+// uses Kind, SrcPort, DstPort and Ack; the group (n)ack Kind, Group, Epoch
+// and Ack; a collective ack Kind, Group, Seq and Offset. NIC-generated: no
+// host memory is touched and no send buffer consumed.
+func (n *NIC) InjectCtl(dst fabric.NodeID, c fabric.Ctl) {
+	if n.Trace.Enabled() {
+		n.Trace.Log(n.Engine().Now(), n.ID(), trace.TX, "%s", ctlWire(&c, n.ID(), dst))
+	}
+	pkt := fabric.Packet{Src: n.ID(), Dst: dst, Size: n.Cfg.AckBytes, Ctl: c}
+	n.HW.Ifc.Inject(&pkt)
+}
+
+// rxDispatch is the wire entry point: every arriving packet lands here. The
+// packet is the fabric's and valid only during the call; what the receive
+// path keeps is the frame (the sender's, read-only) or a copy of the control
+// header, and the packet's source.
 func (n *NIC) rxDispatch(pkt *fabric.Packet) {
+	src := pkt.Src
+	if pkt.Payload == nil {
+		c := pkt.Ctl
+		if n.ext != nil && n.ext.HandleCtl(src, c) {
+			return
+		}
+		switch Kind(c.Kind) {
+		case KindAck, KindNack:
+			n.rxAck(src, c)
+		default:
+			panic(fmt.Sprintf("gm: unhandled control packet kind %v at %v (no extension?)", Kind(c.Kind), n.ID()))
+		}
+		return
+	}
 	fr, ok := pkt.Payload.(*Frame)
 	if !ok {
 		panic(fmt.Sprintf("gm: non-frame payload %T at %v", pkt.Payload, n.ID()))
 	}
-	if n.ext != nil && n.ext.HandleRx(fr) {
+	fr.verify(n.ID())
+	if n.ext != nil && n.ext.HandleRx(src, fr) {
 		return
 	}
 	switch fr.Kind {
 	case KindData:
-		n.rxData(fr)
-	case KindAck, KindNack:
-		n.rxAck(fr)
+		n.rxData(src, fr)
 	case KindDirected:
-		n.rxDirected(fr)
+		n.rxDirected(src, fr)
 	default:
 		panic(fmt.Sprintf("gm: unhandled frame kind %v at %v (no extension?)", fr.Kind, n.ID()))
 	}

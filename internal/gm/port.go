@@ -29,7 +29,7 @@ type RecvEvent struct {
 
 // recvToken is one host-posted receive token awaiting a message: a
 // capacity, the largest message it admits. The buffer is the port's business
-// (matchAssembly), sized to the message that claims the token.
+// (MatchAssembly), sized to the message that claims the token.
 type recvToken struct {
 	capacity int
 }
@@ -52,6 +52,7 @@ type Assembly struct {
 	received int
 	done     bool   // delivered: the host owns ev until it releases it
 	free     bool   // released: on port.free
+	tabled   bool   // in port.asms, where the message's later packets find it
 	post     func() // a.deliver, bound once so a delivery allocates nothing
 }
 
@@ -80,7 +81,9 @@ func (a *Assembly) Deposit(off int, data []byte) {
 	}
 	if a.received == len(a.ev.Data) {
 		a.done = true
-		delete(a.port.asms, a.key())
+		if a.tabled {
+			delete(a.port.asms, a.key())
+		}
 		a.port.nic.HW.PostHostEvent(a.post)
 	}
 }
@@ -104,7 +107,7 @@ type Port struct {
 
 	recvTokens []recvToken
 	asms       map[asmKey]*Assembly
-	free       []*Assembly // released by the host, reused by matchAssembly
+	free       []*Assembly // released by the host, reused by MatchAssembly
 
 	// regions are remotely writable registered buffers (directed sends).
 	regions    map[RegionID]*region
@@ -344,18 +347,31 @@ func (p *Port) takeFree(msgLen int) *Assembly {
 	return a
 }
 
-// matchAssembly finds the in-progress assembly for a message, or matches a
-// new receive token and opens one. Matching is best-fit (the smallest
-// posted token that admits the message, oldest on ties), standing in for
-// GM's size-class token matching: a large rendezvous landing token is
-// never consumed by a small eager message. The token's capacity is the
-// admission test and nothing else; the host buffer is msgLen long, taken
-// from the released ones when one is large enough. It reports false when no
-// token fits — the caller must then refuse the packet.
-func (p *Port) matchAssembly(src fabric.NodeID, srcPort PortID, msgID uint64, msgLen int, group GroupID) (*Assembly, bool) {
-	k := asmKey{src: src, srcPort: srcPort, msgID: msgID}
-	if a, ok := p.asms[k]; ok {
-		return a, true
+// MatchAssembly finds the in-progress assembly for the message fr is a packet
+// of, or matches a new receive token and opens one. src is the message's
+// source: the NIC the packet came from for unicast; the multicast extension
+// (which this is exported for) names the tree's root, not the forwarder.
+// Matching is best-fit (the smallest posted token that admits the message,
+// oldest on ties), standing in for GM's size-class token matching: a large
+// rendezvous landing token is never consumed by a small eager message. The
+// token's capacity is the admission test and nothing else; the host buffer is
+// MsgLen long, taken from the released ones when one is large enough. It
+// reports false when no token fits — the caller must then refuse the packet.
+//
+// A packet that carries its whole message never enters the assembly table:
+// the table exists so a message's later packets find what its first one
+// opened, and this message has no later packet. No duplicate can open a second
+// assembly for it either — both callers (desc.rxData here, the multicast
+// extension's look) match only a packet whose sequence number is the one
+// expected, and accepting it advances that number, so a repeat is refused by
+// the sequence check before it reaches this function.
+func (p *Port) MatchAssembly(src fabric.NodeID, fr *Frame) (*Assembly, bool) {
+	msgLen := fr.MsgLen
+	whole := fr.Offset == 0 && len(fr.Payload) == msgLen
+	if !whole {
+		if a, ok := p.asms[asmKey{src: src, srcPort: fr.SrcPort, msgID: fr.MsgID}]; ok {
+			return a, true
+		}
 	}
 	best := -1
 	for i, t := range p.recvTokens {
@@ -378,13 +394,10 @@ func (p *Port) matchAssembly(src fabric.NodeID, srcPort PortID, msgID uint64, ms
 	if cap(a.ev.Data) < msgLen {
 		a.ev.Data = make([]byte, msgLen)
 	}
-	a.ev = RecvEvent{Src: src, SrcPort: srcPort, MsgID: msgID, Group: group, Data: a.ev.Data[:msgLen], asm: a}
-	a.received, a.done, a.free = 0, false, false
-	p.asms[k] = a
+	a.ev = RecvEvent{Src: src, SrcPort: fr.SrcPort, MsgID: fr.MsgID, Group: fr.Group, Data: a.ev.Data[:msgLen], asm: a}
+	a.received, a.done, a.free, a.tabled = 0, false, false, !whole
+	if a.tabled {
+		p.asms[a.key()] = a
+	}
 	return a, true
-}
-
-// MatchAssembly exposes assembly matching to the multicast extension.
-func (p *Port) MatchAssembly(src fabric.NodeID, srcPort PortID, msgID uint64, msgLen int, group GroupID) (*Assembly, bool) {
-	return p.matchAssembly(src, srcPort, msgID, msgLen, group)
 }

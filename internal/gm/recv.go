@@ -1,6 +1,9 @@
 package gm
 
-import "repro/internal/trace"
+import (
+	"repro/internal/fabric"
+	"repro/internal/trace"
+)
 
 // traceDrop records a refused packet when tracing is enabled.
 func (n *NIC) traceDrop(format string, args ...any) {
@@ -17,14 +20,14 @@ func (n *NIC) traceDrop(format string, args ...any) {
 // into the matched host buffer; a NIC with no free receive buffer drops
 // the packet at the wire (go-back-N recovers it). Buffer and descriptor
 // travel together: whichever path ends the packet returns both.
-func (n *NIC) rxData(fr *Frame) {
+func (n *NIC) rxData(src fabric.NodeID, fr *Frame) {
 	buf, ok := n.HW.RecvBufs.TryAcquire()
 	if !ok {
 		n.HW.CountRxNoBuffer()
 		return
 	}
 	d := n.newDesc(fr, rxLook)
-	d.buf = buf
+	d.src, d.buf = src, buf
 	n.HW.CPUDo(n.Cfg.RecvProcCost, d.step)
 }
 
@@ -36,9 +39,9 @@ func (d *desc) rxData() {
 		// The frame carries the reverse direction's cumulative ack;
 		// retire those send records inside this same CPU event — the
 		// standalone ack's wire crossing and AckProcCost are the saving.
-		n.sendConn(fr.DstPort, fr.SrcNode, fr.SrcPort).handleAck(fr.PiggyAck)
+		n.sendConn(fr.DstPort, d.src, fr.SrcPort).handleAck(fr.PiggyAck)
 	}
-	r := n.recvConn(fr.SrcNode, fr.SrcPort, fr.DstPort)
+	r := n.recvConn(d.src, fr.SrcPort, fr.DstPort)
 	port, open := n.ports[fr.DstPort]
 	if !open {
 		// No such port; silently dropping models a misdirected packet.
@@ -53,7 +56,7 @@ func (d *desc) rxData() {
 		n.m.duplicates.Inc()
 		n.traceDrop("duplicate seq=%d expect=%d", fr.Seq, r.expect)
 		r.hold.Absorb()
-		n.sendAck(fr, r.expect-1)
+		r.sendAck(r.expect - 1)
 		d.drop()
 	case SeqAfter(fr.Seq, r.expect):
 		// Hole ahead of us: drop; the sender's timeout resends in
@@ -62,11 +65,11 @@ func (d *desc) rxData() {
 		n.traceDrop("out-of-order seq=%d expect=%d", fr.Seq, r.expect)
 		if n.Cfg.EnableNacks {
 			r.hold.Absorb()
-			n.sendNack(fr, r.expect-1)
+			r.sendNack(r.expect - 1)
 		}
 		d.drop()
 	default:
-		asm, ok := port.matchAssembly(fr.SrcNode, fr.SrcPort, fr.MsgID, fr.MsgLen, fr.Group)
+		asm, ok := port.MatchAssembly(d.src, fr)
 		if !ok {
 			// In sequence but the host has posted no receive buffer
 			// large enough. Don't ack: the sender will retransmit,
@@ -80,60 +83,40 @@ func (d *desc) rxData() {
 		r.expect++
 		n.m.dataReceived.Inc()
 		if n.Trace.Enabled() {
-			n.Trace.Log(n.Engine().Now(), n.ID(), trace.RX, "%v", fr)
+			n.Trace.Log(n.Engine().Now(), n.ID(), trace.RX, "%s", fr.Wire(d.src, n.ID()))
 		}
 		if n.Cfg.AckCoalescing() {
 			r.hold.Note()
 		} else {
-			n.sendAck(fr, fr.Seq)
+			r.sendAck(fr.Seq)
 		}
 		d.asm, d.stage = asm, rxLanded
 		n.HW.NICToHost(len(fr.Payload), d.step)
 	}
 }
 
-// sendAck emits a cumulative acknowledgment for the connection the data
-// frame arrived on. Acks are NIC-generated (no host memory touched, no
-// send buffer consumed) and ride the same wire as data.
-func (n *NIC) sendAck(data *Frame, ack uint32) {
-	n.m.acksSent.Inc()
-	n.Inject(&Frame{
-		Kind:    KindAck,
-		SrcNode: n.ID(), DstNode: data.SrcNode,
-		SrcPort: data.DstPort, DstPort: data.SrcPort,
-		Ack: ack,
-	}, nil)
-}
-
 // rxAck handles an arriving unicast acknowledgment or negative
 // acknowledgment: retire everything the cumulative field covers and, for a
 // nack, go-back-N immediately (bounded by the per-connection holdoff so a
-// burst of nacks triggers one resend). Under the ack economy the processing
-// is fused per connection; otherwise each one takes its own turn on the
-// LANai, carried by a descriptor.
-func (n *NIC) rxAck(fr *Frame) {
+// burst of nacks triggers one resend). The packet is gone when this returns,
+// so what the processing needs — the connection, the cumulative value, which
+// of the two it is — is taken out of the header now. Under the ack economy
+// the processing is fused per connection; otherwise each one takes its own
+// turn on the LANai, carried by a descriptor.
+func (n *NIC) rxAck(src fabric.NodeID, h fabric.Ctl) {
+	c, nack := n.sendConn(PortID(h.DstPort), src, PortID(h.SrcPort)), Kind(h.Kind) == KindNack
 	if n.Cfg.ackEconomy() {
-		n.countAck(fr)
-		n.fuseAck(fr, fr.Kind == KindNack)
+		n.countAck(nack)
+		c.fuseAck(h.Ack, nack)
 		return
 	}
-	n.HW.CPUDo(n.Cfg.AckProcCost, n.newDesc(fr, rxLook).step)
+	d := n.newDesc(nil, rxAckTurn)
+	d.conn, d.ack, d.nack = c, h.Ack, nack
+	n.HW.CPUDo(n.Cfg.AckProcCost, d.step)
 }
 
-// rxAck is the processing of the descriptor's (negative) acknowledgment.
-func (d *desc) rxAck() {
-	n, fr := d.nic, d.fr
-	d.free()
-	n.countAck(fr)
-	c := n.sendConn(fr.DstPort, fr.SrcNode, fr.SrcPort)
-	c.handleAck(fr.Ack)
-	if fr.Kind == KindNack {
-		c.win.Nack()
-	}
-}
-
-func (n *NIC) countAck(fr *Frame) {
-	if fr.Kind == KindNack {
+func (n *NIC) countAck(nack bool) {
+	if nack {
 		n.m.nacksReceived.Inc()
 	} else {
 		n.m.acksReceived.Inc()
@@ -144,29 +127,15 @@ func (n *NIC) countAck(fr *Frame) {
 // the first arms a single AckProcCost event; any that land while it is
 // queued fold in their cumulative values (serial max) and are absorbed
 // without a CPU event or an allocation of their own.
-func (n *NIC) fuseAck(fr *Frame, nack bool) {
-	c := n.sendConn(fr.DstPort, fr.SrcNode, fr.SrcPort)
+func (c *conn) fuseAck(ack uint32, nack bool) {
 	if c.ackFuse.Pending() {
-		if SeqAfter(fr.Ack, c.fusedAck) {
-			c.fusedAck = fr.Ack
+		if SeqAfter(ack, c.fusedAck) {
+			c.fusedAck = ack
 		}
 		c.fusedNack = c.fusedNack || nack
 		return
 	}
-	c.fusedAck = fr.Ack
+	c.fusedAck = ack
 	c.fusedNack = nack
-	c.ackFuse.Arm(n.Cfg.AckProcCost)
-}
-
-// sendNack emits a negative acknowledgment carrying the last in-order
-// sequence number, asking the sender to go back without waiting for its
-// timer (fast recovery; GM-2 rejects out-of-sequence packets similarly).
-func (n *NIC) sendNack(data *Frame, lastGood uint32) {
-	n.m.nacksSent.Inc()
-	n.Inject(&Frame{
-		Kind:    KindNack,
-		SrcNode: n.ID(), DstNode: data.SrcNode,
-		SrcPort: data.DstPort, DstPort: data.SrcPort,
-		Ack: lastGood,
-	}, nil)
+	c.ackFuse.Arm(c.nic.Cfg.AckProcCost)
 }

@@ -101,14 +101,14 @@ func (p *Port) directedSend(proc *sim.Proc, dst fabric.NodeID, dstPort PortID, r
 // registered region — no receive token, no assembly, no host event.
 // Writes outside the region's bounds are refused: this is the protection
 // GM's registered memory provides.
-func (n *NIC) rxDirected(fr *Frame) {
+func (n *NIC) rxDirected(src fabric.NodeID, fr *Frame) {
 	buf, ok := n.HW.RecvBufs.TryAcquire()
 	if !ok {
 		n.HW.CountRxNoBuffer()
 		return
 	}
 	n.HW.CPUDo(n.Cfg.RecvProcCost, func() {
-		r := n.recvConn(fr.SrcNode, fr.SrcPort, fr.DstPort)
+		r := n.recvConn(src, fr.SrcPort, fr.DstPort)
 		port, open := n.ports[fr.DstPort]
 		if !open {
 			buf.Release()
@@ -117,13 +117,13 @@ func (n *NIC) rxDirected(fr *Frame) {
 		switch {
 		case fr.Seq < r.expect:
 			n.m.duplicates.Inc()
-			n.sendAck(fr, r.expect-1)
+			r.sendAck(r.expect - 1)
 			buf.Release()
 		case fr.Seq > r.expect:
 			n.m.oooDrops.Inc()
 			n.traceDrop("directed out-of-order seq=%d expect=%d", fr.Seq, r.expect)
 			if n.Cfg.EnableNacks {
-				n.sendNack(fr, r.expect-1)
+				r.sendNack(r.expect - 1)
 			}
 			buf.Release()
 		default:
@@ -140,7 +140,7 @@ func (n *NIC) rxDirected(fr *Frame) {
 			}
 			r.expect++
 			n.m.directedReceived.Inc()
-			n.sendAck(fr, fr.Seq)
+			r.sendAck(fr.Seq)
 			payload, off := fr.Payload, fr.Offset
 			n.HW.NICToHost(len(payload), func() {
 				copy(reg.buf[off:], payload)

@@ -13,7 +13,7 @@ import (
 // and returns the event the host would receive.
 func land(t *testing.T, r *rig, p *Port, msgID uint64, msgLen int) *RecvEvent {
 	t.Helper()
-	asm, ok := p.MatchAssembly(0, 1, msgID, msgLen, 0)
+	asm, ok := p.MatchAssembly(0, &Frame{SrcPort: 1, MsgID: msgID, MsgLen: msgLen})
 	if !ok {
 		t.Fatalf("message %d of %d bytes matched no token", msgID, msgLen)
 	}
@@ -98,7 +98,7 @@ func TestReleaseMisusePanics(t *testing.T) {
 
 	// The event is back with the host once a new message lands in it, and
 	// can be released again — but not while that message is still arriving.
-	asm, _ := p.MatchAssembly(0, 1, 2, 8, 0)
+	asm, _ := p.MatchAssembly(0, &Frame{SrcPort: 1, MsgID: 2, MsgLen: 8})
 	mustPanic("release of an event being assembled", "does not hold", func() { p.Release(ev) })
 	asm.Deposit(0, pattern(8))
 	r.eng.Run()
@@ -123,7 +123,7 @@ func TestReleasePostsNoToken(t *testing.T) {
 	if p.RecvTokens() != 0 {
 		t.Fatalf("%d tokens posted after a release, want 0", p.RecvTokens())
 	}
-	if _, ok := p.MatchAssembly(0, 1, 2, 8, 0); ok {
+	if _, ok := p.MatchAssembly(0, &Frame{SrcPort: 1, MsgID: 2, MsgLen: 8}); ok {
 		t.Fatal("a message matched with no token posted")
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+
+	"repro/internal/fabric"
+	"repro/internal/sim"
 )
 
 // A posted receive token is a size until a message claims it: preposting
@@ -50,7 +53,7 @@ func TestMatchTakesSmallestFittingToken(t *testing.T) {
 		300,      // only now is a large token the smallest that fits
 		16 << 10, // and the other large one is still there for this
 	} {
-		asm, ok := p.MatchAssembly(0, 1, uint64(i+1), msgLen, 0)
+		asm, ok := p.MatchAssembly(0, &Frame{SrcPort: 1, MsgID: uint64(i + 1), MsgLen: msgLen})
 		if !ok {
 			t.Fatalf("message %d of %d bytes matched no token", i+1, msgLen)
 		}
@@ -61,8 +64,55 @@ func TestMatchTakesSmallestFittingToken(t *testing.T) {
 			t.Errorf("%d tokens posted after %d matches, want %d", got, i+1, 3-i)
 		}
 	}
-	if _, ok := p.MatchAssembly(0, 1, 9, 1, 0); ok {
+	if _, ok := p.MatchAssembly(0, &Frame{SrcPort: 1, MsgID: 9, MsgLen: 1}); ok {
 		t.Error("matched a message with no token posted")
 	}
 	p.Provide(64) // the claimed slots are free again
+}
+
+// A packet that is its whole message claims a token and a buffer but no place
+// in the port's assembly table — there is no later packet to look it up — and
+// a fabric-duplicated copy of it cannot open a second assembly: the sequence
+// check refuses the copy before matching. A multi-packet message is tabled
+// from its first packet to its last.
+func TestWholeMessageSkipsAssemblyTable(t *testing.T) {
+	r := newRig(t, 2, nil)
+	p := r.ports[1]
+	p.ProvideN(2, 64)
+	whole := &Frame{SrcPort: 1, MsgID: 1, MsgLen: 4, Payload: []byte{1, 2, 3, 4}}
+	a, ok := p.MatchAssembly(0, whole)
+	if !ok || len(p.asms) != 0 {
+		t.Fatalf("whole-message packet: matched %v, %d assemblies tabled, want true and 0", ok, len(p.asms))
+	}
+	a.Deposit(0, whole.Payload)
+	first := &Frame{SrcPort: 1, MsgID: 2, MsgLen: 8, Payload: []byte{1, 2, 3, 4}}
+	last := &Frame{SrcPort: 1, MsgID: 2, MsgLen: 8, Offset: 4, Payload: []byte{5, 6, 7, 8}}
+	b, _ := p.MatchAssembly(0, first)
+	if again, _ := p.MatchAssembly(0, last); again != b || len(p.asms) != 1 || p.RecvTokens() != 0 {
+		t.Fatalf("the second packet of a message did not find the assembly its first one opened")
+	}
+	b.Deposit(0, first.Payload)
+	b.Deposit(4, last.Payload)
+	if !a.Done() || !b.Done() || len(p.asms) != 0 {
+		t.Fatalf("done %v %v with %d assemblies still tabled", a.Done(), b.Done(), len(p.asms))
+	}
+
+	const msgs = 3
+	r = newRig(t, 2, nil)
+	r.net.DupFn = func(pkt *fabric.Packet, _ *fabric.Link) bool {
+		k, _ := KindOf(pkt)
+		return k == KindData
+	}
+	p = r.ports[1]
+	p.ProvideN(2*msgs, 64)
+	r.eng.Spawn("send", func(proc *sim.Proc) {
+		for i := 0; i < msgs; i++ {
+			r.ports[0].SendSync(proc, 1, 1, []byte{byte(i)})
+		}
+	})
+	r.run(t)
+	if got, dups := p.PendingRecvs(), r.nics[1].Stats().Duplicates; got != msgs || dups != msgs || p.RecvTokens() != msgs || len(p.asms) != 0 {
+		t.Errorf("%d messages delivered, %d duplicates refused, %d tokens left, %d assemblies tabled; want %d, %d, %d, 0",
+			got, dups, p.RecvTokens(), len(p.asms), msgs, msgs, msgs)
+	}
 }

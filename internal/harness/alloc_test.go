@@ -16,7 +16,11 @@ import (
 // in a run and late in it: differences between runs of 8, 24 and 40
 // iterations, so building the cluster and warming its ports and queues
 // cancels out. It fails the test if the late figure is above the early one —
-// a receive path that recycles costs the same however long it has run.
+// a receive path that recycles costs the same however long it has run. Above
+// means by more than a tenth plus 1 KB: the run's own sample slices grow by
+// doubling, and the doubling that falls between iterations 24 and 40 reads as
+// 0.7 KB per iteration there, which is more than an iteration of the
+// NIC-based multicast allocates otherwise.
 func bytesPerIteration(t *testing.T, run func(o Options)) float64 {
 	t.Helper()
 	cost := func(iters int) float64 {
@@ -28,7 +32,7 @@ func bytesPerIteration(t *testing.T, run func(o Options)) float64 {
 	}
 	c8, c24, c40 := cost(8), cost(24), cost(40)
 	early, late := (c24-c8)/16, (c40-c24)/16
-	if late > 1.1*early {
+	if late > 1.1*early+1024 {
 		t.Errorf("an iteration allocates %.0f B early in the run and %.0f B late: the cost grows with Iters", early, late)
 	}
 	return late
@@ -36,7 +40,8 @@ func bytesPerIteration(t *testing.T, run func(o Options)) float64 {
 
 // A 16 KB NIC-based multicast to 15 receivers used to allocate 15 landing
 // buffers per iteration (≈ 280 KB with the frames); a released buffer is
-// reused, so what is left is the per-packet frames and closures.
+// reused, so what is left is the root's four data frames (one per packet for
+// the whole tree, 0.6 KB per iteration with the processes' wait-queue slots).
 func TestAllocMulticastNBReusesReceiveBuffers(t *testing.T) {
 	const nodes, size = 16, 16384
 	per := bytesPerIteration(t, func(o Options) { o.multicastNBOnce(nodes, size, nodes-1) })

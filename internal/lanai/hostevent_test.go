@@ -28,7 +28,7 @@ func eventRig(t *testing.T) (*sim.Engine, *lanai.NIC, *gm.Port, *metrics.Registr
 func land(t *testing.T, port *gm.Port, msgID uint64, data []byte) {
 	t.Helper()
 	port.Provide(len(data))
-	asm, ok := port.MatchAssembly(1, 1, msgID, len(data), 0)
+	asm, ok := port.MatchAssembly(1, &gm.Frame{SrcPort: 1, MsgID: msgID, MsgLen: len(data)})
 	if !ok {
 		t.Fatalf("no receive token for message %d", msgID)
 	}
