@@ -50,11 +50,13 @@ type Config struct {
 	// rendered as a packet timeline.
 	Trace *trace.Recorder
 
-	// Metrics, when non-nil, is wired through every layer (fabric, NIC
-	// hardware, GM firmware, multicast extension). Leave nil for the
-	// legacy behaviour (per-NIC private registries backing the deprecated
-	// Stats accessors); set metrics.Disabled() for true no-op
-	// instruments.
+	// Metrics, when non-nil, is the registry every layer (fabric, NIC
+	// hardware, GM firmware, multicast extension, collective engine) files
+	// its instrument blocks in, one per (layer, node); clusters that share
+	// a registry share the blocks, so it accumulates over all of them.
+	// With nil the cluster files them in a registry of its own, which the
+	// deprecated Stats accessors and Node.HW.Registry() read and
+	// Cluster.Registry() does not report.
 	Metrics *metrics.Registry
 
 	// Shards partitions the fabric over this many engines for conservative
@@ -166,7 +168,8 @@ func NewPlain(cfg *Config) *Cluster {
 }
 
 // build assembles the cluster described by cfg, wiring the metrics
-// registry (if any) through every layer before firmware is attached.
+// registry (cfg's, or the cluster's own) through every layer before
+// firmware is attached.
 // Sharded and serial builds follow the identical code path — same fabric,
 // same domain registration, same construction order — so event tiebreak
 // keys (and therefore timelines) agree bit for bit across shard counts.
@@ -207,7 +210,11 @@ func build(cfg *Config) *Cluster {
 	if err := net.SetLossRate(cfg.LossRate); err != nil {
 		panic(err) // errors.Is-testable sentinel (ErrBadLossRate)
 	}
-	net.SetMetrics(cfg.Metrics)
+	// With none wired the layers still file their blocks, in a registry of
+	// the cluster's own that Node.HW.Registry() reports: a reader of one
+	// counter (the benchmark's loss-free check) finds it either way.
+	reg := metrics.Ensure(cfg.Metrics)
+	net.SetMetrics(reg)
 	c := &Cluster{Cfg: cfg, Net: net, RNG: rng, engines: engines, fab: fab, plan: plan}
 	if plan.Shards == 1 {
 		c.Eng = engines[0]
@@ -224,7 +231,7 @@ func build(cfg *Config) *Cluster {
 		// sequences live per engine and would diverge across shard counts.
 		eng.WithDomain(net.HostDomain(id), func() {
 			hw := lanai.New(eng, net.Iface(id), cfg.NIC)
-			hw.SetMetrics(cfg.Metrics)
+			hw.SetMetrics(reg)
 			nic := gm.NewNIC(hw, cfg.GM)
 			nic.Trace = cfg.Trace
 			node = &Node{ID: id, HW: hw, NIC: nic}
@@ -353,7 +360,7 @@ func (c *Cluster) EventsFired() uint64 {
 // checks already exclude.
 func (c *Cluster) foldShardMetrics() {
 	reg := c.Cfg.Metrics
-	if c.sh == nil || !reg.Enabled() {
+	if c.sh == nil || reg == nil {
 		return
 	}
 	st := c.sh.Stats()

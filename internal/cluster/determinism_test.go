@@ -12,9 +12,9 @@ import (
 )
 
 // runTraced drives one multicast workload (with retransmission pressure
-// from a lossy fabric) and returns the full packet timeline. The metrics
-// option is the only thing varied between runs.
-func runTraced(t *testing.T, opt cluster.Option) []byte {
+// from a lossy fabric) and returns the finished cluster and the full packet
+// timeline. The metrics option is the only thing varied between runs.
+func runTraced(t *testing.T, opt cluster.Option) (*cluster.Cluster, []byte) {
 	t.Helper()
 	tr := trace.NewRecorder()
 	c := cluster.New(8, opt,
@@ -50,23 +50,56 @@ func runTraced(t *testing.T, opt cluster.Option) []byte {
 	}
 	var buf bytes.Buffer
 	tr.WriteTimeline(&buf)
-	return buf.Bytes()
+	return c, buf.Bytes()
 }
 
 // TestMetricsDoNotPerturbSimulation proves the observability layer is pure
 // measurement: the packet-level timeline of a lossy multicast run is
-// byte-identical whether metrics are fully enabled or compiled down to
-// no-ops. Instrument updates never touch the engine, so any divergence
-// here is a bug in the metrics threading.
+// byte-identical whether the layers' blocks are filed in a registry, in one
+// another cluster has filled already, or nowhere. Instrument updates never
+// touch the engine, so any divergence here is a bug in the metrics
+// threading.
 func TestMetricsDoNotPerturbSimulation(t *testing.T) {
-	on := runTraced(t, cluster.WithMetrics(metrics.New()))
-	off := runTraced(t, cluster.WithoutMetrics())
-	legacy := runTraced(t, cluster.WithMutate(func(cfg *cluster.Config) { cfg.Metrics = nil }))
+	shared := metrics.New()
+	_, on := runTraced(t, cluster.WithMetrics(shared))
+	_, again := runTraced(t, cluster.WithMetrics(shared))
+	_, off := runTraced(t, cluster.WithMetrics(nil))
 
-	if !bytes.Equal(on, off) {
-		t.Errorf("timeline with metrics enabled differs from disabled (%d vs %d bytes)", len(on), len(off))
+	if !bytes.Equal(on, again) {
+		t.Errorf("timeline of a second cluster on the same registry differs from the first (%d vs %d bytes)", len(again), len(on))
 	}
-	if !bytes.Equal(on, legacy) {
-		t.Errorf("timeline with metrics enabled differs from legacy private registries (%d vs %d bytes)", len(on), len(legacy))
+	if !bytes.Equal(on, off) {
+		t.Errorf("timeline with a registry wired differs from none (%d vs %d bytes)", len(on), len(off))
+	}
+}
+
+// A cluster that is given no registry still answers a by-name read through
+// a NIC's Registry() with the layer's own counter — a runner checks "a
+// loss-free fabric never retransmits" that way — and reports none of its
+// own as Cluster.Registry().
+func TestNICRegistryReadsLayerCountersWithNoneWired(t *testing.T) {
+	c, _ := runTraced(t, cluster.WithMetrics(nil))
+	if c.Registry() != nil {
+		t.Error("a cluster given no registry reports one")
+	}
+	var retransmits uint64
+	for _, n := range c.Nodes {
+		reg, id := n.HW.Registry(), int(n.ID)
+		for _, r := range []struct {
+			layer, name string
+			want        uint64
+		}{
+			{"lanai", "host_events", n.HW.Stats().HostEvents},
+			{"gm", "data_sent", n.NIC.Stats().DataSent},
+			{"core", "mcast_sent", n.Ext.Stats().McastSent},
+		} {
+			if got := reg.Counter(r.layer, id, r.name).Value(); got != r.want {
+				t.Errorf("node %d: %s.%s reads %d through the NIC's registry, the layer counted %d", id, r.layer, r.name, got, r.want)
+			}
+		}
+		retransmits += reg.Counter("core", id, "retransmits").Value()
+	}
+	if retransmits == 0 {
+		t.Error("a 2 % lossy run read no multicast retransmission through the NICs' registries")
 	}
 }

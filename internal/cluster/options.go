@@ -45,16 +45,9 @@ func WithFabric(fc fabric.Config) Option {
 
 // WithMetrics wires the registry through every layer of every node:
 // fabric link counters, LANai busy time and buffer-pool occupancy, GM
-// protocol counters, and multicast forwarding statistics.
+// protocol counters, multicast forwarding and collective statistics.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(c *Config) { c.Metrics = reg }
-}
-
-// WithoutMetrics wires a disabled registry through the stack: every
-// instrument is a true no-op and the legacy Stats accessors read zero.
-// Benchmarks use it to pin down the cost of the instrumentation itself.
-func WithoutMetrics() Option {
-	return func(c *Config) { c.Metrics = metrics.Disabled() }
 }
 
 // WithShards partitions the cluster over n engines for conservative

@@ -109,7 +109,7 @@ type Engine struct {
 	nic    *gm.NIC
 	cfg    Config
 	groups map[gm.GroupID]*Group
-	m      instruments
+	m      *instruments
 }
 
 // Install creates the collective engine for one NIC and wires it into the
@@ -122,7 +122,7 @@ func Install(ext *core.Ext, cfg Config) *Engine {
 		cfg:    cfg,
 		groups: make(map[gm.GroupID]*Group),
 	}
-	e.initMetrics(metrics.Ensure(e.nic.HW.Registry()))
+	e.m = metrics.Attach[instruments](e.nic.HW.Registry(), Component, int(e.nic.ID()))
 	ext.SetCollective(e)
 	return e
 }

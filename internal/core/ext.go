@@ -17,7 +17,7 @@ type Ext struct {
 	cfg    Config
 	groups map[gm.GroupID]*group
 	coll   Collective // NIC-resident collective engine (internal/coll)
-	m      instruments
+	m      *instruments
 
 	// descFree holds the packet descriptors not in use; descMade counts
 	// every one ever made, so a drained NIC can prove none leaked. The list
@@ -28,8 +28,8 @@ type Ext struct {
 }
 
 // install is the option-independent core of Install and the deprecated
-// shims. Multicast counters go to the registry wired via the hardware
-// NIC's SetMetrics; when none is wired, a private always-on registry
+// shims. Multicast counters are filed in the registry wired via the
+// hardware NIC's SetMetrics; when none is wired, the extension's own block
 // backs the legacy Stats accessor.
 func install(nic *gm.NIC, cfg Config) *Ext {
 	e := &Ext{
@@ -37,7 +37,7 @@ func install(nic *gm.NIC, cfg Config) *Ext {
 		cfg:    cfg,
 		groups: make(map[gm.GroupID]*group),
 	}
-	e.initMetrics(metrics.Ensure(nic.HW.Registry()))
+	e.m = metrics.Attach[instruments](nic.HW.Registry(), Component, int(nic.ID()))
 	nic.SetExtension(e)
 	return e
 }

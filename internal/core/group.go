@@ -182,9 +182,9 @@ func localView(ext *Ext, id gm.GroupID, tr *tree.Tree, port, rootPort gm.PortID)
 	if ext.cfg.AggregateAcks && nic.Cfg.AckCoalescing() {
 		// Only a coalescing leaf under aggregation ever sits on a group ack.
 		ackBudget = nic.Cfg.EffectiveAckDelay()
-		g.hold.Init(nic.Engine(), &nic.Cfg, ext.m.acksSuppressed, func() { ext.ackUp(g) })
+		g.hold.Init(nic.Engine(), &nic.Cfg, &ext.m.acksSuppressed, func() { ext.ackUp(g) })
 	}
-	g.win.Init(nic.Engine(), &nic.Cfg, ackBudget, ext.m.timeouts, g.resend, g.retire)
+	g.win.Init(nic.Engine(), &nic.Cfg, ackBudget, &ext.m.timeouts, g.resend, g.retire)
 	g.setNeighbors(tr)
 	return g
 }

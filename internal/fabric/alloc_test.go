@@ -62,3 +62,22 @@ func TestAllocPacketSize(t *testing.T) {
 		t.Errorf("a traversal record is %d bytes, was 160", got)
 	}
 }
+
+// One block per host and one per switch, so their sizes are heap at every
+// vertex: eight counters for a host's two links, four for a switch's output
+// ports. A new instrument shows here.
+func TestAllocInstrumentsSize(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"fabric-wide", unsafe.Sizeof(instruments{}), 40},
+		{"host", unsafe.Sizeof(hostInstruments{}), 64},
+		{"switch", unsafe.Sizeof(switchInstruments{}), 32},
+		{"trunk", unsafe.Sizeof(trunkInstruments{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("the %s block is %d bytes, was %d", c.name, c.got, c.want)
+		}
+	}
+}

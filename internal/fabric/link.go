@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -81,14 +80,11 @@ type Link struct {
 	waiters  []*transit
 	drainFn  func()
 
-	// Cached metric instruments, set by Network.SetMetrics; nil (no-op)
-	// until then or when metrics are disabled.
-	mTxBytes   *metrics.Counter
-	mStallNs   *metrics.Counter
-	mContended *metrics.Counter
-	mDrops     *metrics.Counter
-	mPauses    *metrics.Counter
-	mPauseNs   *metrics.Counter
+	// The link's groups of its owners' blocks, set by Network.SetMetrics:
+	// wire is this link's class at its host (or the trunks' one), port the
+	// from-vertex's output contention.
+	wire *wireInstruments
+	port *portInstruments
 }
 
 // String labels the link for diagnostics.

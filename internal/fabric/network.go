@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -65,13 +64,8 @@ type Network struct {
 
 	rng *sim.RNG
 
-	// Cached fabric-wide instruments, set by SetMetrics; nil (no-op)
-	// when the registry is disabled.
-	mInjected   *metrics.Counter
-	mDelivered  *metrics.Counter
-	mDropped    *metrics.Counter
-	mDuplicated *metrics.Counter
-	mLinkBusyNs *metrics.Counter
+	// m is the fabric-wide block, set by SetMetrics.
+	m *instruments
 }
 
 // Iface is a host's attachment to the fabric. The NIC model sets Deliver;
@@ -106,13 +100,12 @@ func (n *Network) Iface(id NodeID) *Iface { return n.hosts[id] }
 
 // Stats returns a snapshot of fabric counters.
 //
-// Deprecated: read the metrics registry wired via SetMetrics instead;
-// this shim reports zeros when the registry is disabled.
+// Deprecated: read the metrics registry wired via SetMetrics instead.
 func (n *Network) Stats() Stats {
 	return Stats{
-		Injected:  n.mInjected.Value(),
-		Delivered: n.mDelivered.Value(),
-		Dropped:   n.mDropped.Value(),
+		Injected:  n.m.injected.Value(),
+		Delivered: n.m.delivered.Value(),
+		Dropped:   n.m.dropped.Value(),
 	}
 }
 
@@ -176,7 +169,7 @@ func (ifc *Iface) Inject(p *Packet) {
 	if p.Size <= 0 {
 		panic("fabric: packet with nonpositive size")
 	}
-	n.mInjected.Inc()
+	n.m.injected.Inc()
 	srcV := ifc.up.from
 	sh := &n.sh[srcV.shard]
 	tr := sh.newTransit(n)
@@ -239,7 +232,7 @@ func (tr *transit) run() {
 	if tr.delivering {
 		// Final hop: the destination NIC needs the whole packet (its
 		// receive DMA is store-and-forward), so this fires at tail arrival.
-		n.mDelivered.Inc()
+		n.m.delivered.Inc()
 		n.deliver(&tr.p)
 		tr.release()
 		return
@@ -254,17 +247,17 @@ func (tr *transit) run() {
 		// so parking cannot deadlock.
 		tr.parkedAt = tr.sh.eng.Now()
 		l.waiters = append(l.waiters, tr)
-		l.mPauses.Inc()
+		l.port.pauses.Inc()
 		return
 	}
 	ser := l.params.SerializationTime(p.Size)
 	start := l.fac.Reserve(ser)
 	if stall := start - tr.headAt; stall > 0 {
-		l.mStallNs.AddInt(int64(stall))
-		l.mContended.Inc()
+		l.port.stallNs.AddInt(int64(stall))
+		l.port.contended.Inc()
 	}
-	l.mTxBytes.Add(uint64(p.Size))
-	n.mLinkBusyNs.AddInt(int64(ser))
+	l.wire.txBytes.Add(uint64(p.Size))
+	n.m.linkBusyNs.AddInt(int64(ser))
 	if l.params.PauseBytes > 0 {
 		l.queued += p.Size
 		l.inflight = append(l.inflight, p.Size)
@@ -277,8 +270,8 @@ func (tr *transit) run() {
 	}
 	if n.dropped(p, l) {
 		l.Drops++
-		l.mDrops.Inc()
-		n.mDropped.Inc()
+		l.wire.drops.Inc()
+		n.m.dropped.Inc()
 		tr.release()
 		return
 	}
@@ -312,8 +305,8 @@ func (tr *transit) run() {
 		}
 		dup := *p // the original's transit is recycled before the copy lands
 		tr.sh.eng.AtDomain(dstV.domain, tailIn+ser, func() {
-			n.mDuplicated.Inc()
-			n.mDelivered.Inc()
+			n.m.duplicated.Inc()
+			n.m.delivered.Inc()
 			n.deliver(&dup)
 		})
 	}
@@ -347,7 +340,7 @@ func (l *Link) drain() {
 		// refilled the backlog), so iterating the old slice is safe and
 		// FIFO order is preserved.
 		for _, tr := range w {
-			l.mPauseNs.AddInt(int64(tr.sh.eng.Now() - tr.parkedAt))
+			l.port.pauseNs.AddInt(int64(tr.sh.eng.Now() - tr.parkedAt))
 			tr.step()
 		}
 	}

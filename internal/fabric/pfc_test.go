@@ -33,7 +33,7 @@ func incast(t *testing.T, params LinkParams, senders, msgs int) (deliveries []si
 		}
 	}
 	for _, l := range net.links {
-		pauses += l.mPauses.Value()
+		pauses += l.port.pauses.Value()
 		if len(l.waiters) != 0 {
 			t.Fatalf("link %s finished with %d parked transits", l, len(l.waiters))
 		}
@@ -160,8 +160,8 @@ func TestPFCPauseTimeAccounted(t *testing.T) {
 	var pauses uint64
 	var pauseNs int64
 	for _, l := range net.links {
-		pauses += l.mPauses.Value()
-		pauseNs += int64(l.mPauseNs.Value())
+		pauses += l.port.pauses.Value()
+		pauseNs += int64(l.port.pauseNs.Value())
 	}
 	if pauses == 0 {
 		t.Fatal("ten back-to-back packets against a two-packet threshold never paused")

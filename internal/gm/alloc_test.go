@@ -127,3 +127,11 @@ func TestAllocFrameAndDescriptorSize(t *testing.T) {
 		t.Errorf("a packet descriptor is %d bytes, was 80", got)
 	}
 }
+
+// The protocol block is allocated once per NIC, so its size is heap on every
+// node: fifteen counters and one histogram. A new instrument shows here.
+func TestAllocInstrumentsSize(t *testing.T) {
+	if got := unsafe.Sizeof(instruments{}); got != 672 {
+		t.Errorf("the gm block is %d bytes, was 672", got)
+	}
+}

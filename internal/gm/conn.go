@@ -103,7 +103,7 @@ func newConn(n *NIC, k connKey) *conn {
 	if n.Cfg.AckCoalescing() {
 		ackBudget = n.Cfg.EffectiveAckDelay()
 	}
-	c.win.Init(n.Engine(), &n.Cfg, ackBudget, n.m.timeouts, c.resend, c.retire)
+	c.win.Init(n.Engine(), &n.Cfg, ackBudget, &n.m.timeouts, c.resend, c.retire)
 	c.win.Reset(1, 0)
 	if n.Cfg.ackEconomy() {
 		c.ackFuse = lanai.NewFuse(n.HW, c.dispatchFusedAck)

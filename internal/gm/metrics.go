@@ -5,50 +5,47 @@ import "repro/internal/metrics"
 // Component is the metrics component name for the GM protocol layer.
 const Component = "gm"
 
-// instruments are the protocol counters for one NIC, cached so hot paths
-// do no registry lookups. When the stack is wired with a disabled registry
-// every field is nil and updates are no-ops; when no registry is wired at
-// all, NewNIC falls back to a private enabled registry so the legacy
-// Stats accessor still counts.
+// instruments is one NIC's protocol block: the instruments themselves, by
+// value, so hot paths update a field and do no lookup. NewNIC takes the
+// block filed under its node in the hardware NIC's registry, or makes a
+// private one when none is wired, which only the legacy Stats accessor
+// reads.
 type instruments struct {
-	dataSent         *metrics.Counter
-	dataReceived     *metrics.Counter
-	acksSent         *metrics.Counter
-	acksReceived     *metrics.Counter
-	acksSuppressed   *metrics.Counter
-	acksPiggybacked  *metrics.Counter
-	retransmits      *metrics.Counter
-	timeouts         *metrics.Counter
-	duplicates       *metrics.Counter
-	oooDrops         *metrics.Counter
-	noTokenDrops     *metrics.Counter
-	nacksSent        *metrics.Counter
-	nacksReceived    *metrics.Counter
-	directedReceived *metrics.Counter
-	directedRefused  *metrics.Counter
-	tokenWaitNs      *metrics.Histogram
+	dataSent         metrics.Counter
+	dataReceived     metrics.Counter
+	acksSent         metrics.Counter
+	acksReceived     metrics.Counter
+	acksSuppressed   metrics.Counter
+	acksPiggybacked  metrics.Counter
+	retransmits      metrics.Counter
+	timeouts         metrics.Counter
+	duplicates       metrics.Counter
+	oooDrops         metrics.Counter
+	noTokenDrops     metrics.Counter
+	nacksSent        metrics.Counter
+	nacksReceived    metrics.Counter
+	directedReceived metrics.Counter
+	directedRefused  metrics.Counter
+	tokenWaitNs      metrics.Histogram
 }
 
-func (n *NIC) initMetrics(reg *metrics.Registry) {
-	id := int(n.ID())
-	n.m = instruments{
-		dataSent:         reg.Counter(Component, id, "data_sent"),
-		dataReceived:     reg.Counter(Component, id, "data_received"),
-		acksSent:         reg.Counter(Component, id, "acks_sent"),
-		acksReceived:     reg.Counter(Component, id, "acks_received"),
-		acksSuppressed:   reg.Counter(Component, id, "acks_suppressed"),
-		acksPiggybacked:  reg.Counter(Component, id, "acks_piggybacked"),
-		retransmits:      reg.Counter(Component, id, "retransmits"),
-		timeouts:         reg.Counter(Component, id, "timeouts"),
-		duplicates:       reg.Counter(Component, id, "duplicates"),
-		oooDrops:         reg.Counter(Component, id, "out_of_order_drops"),
-		noTokenDrops:     reg.Counter(Component, id, "no_token_drops"),
-		nacksSent:        reg.Counter(Component, id, "nacks_sent"),
-		nacksReceived:    reg.Counter(Component, id, "nacks_received"),
-		directedReceived: reg.Counter(Component, id, "directed_received"),
-		directedRefused:  reg.Counter(Component, id, "directed_refused"),
-		tokenWaitNs:      reg.Histogram(Component, id, "token_wait_ns"),
-	}
+func (m *instruments) Each(v *metrics.Visitor) {
+	v.Counter("data_sent", &m.dataSent)
+	v.Counter("data_received", &m.dataReceived)
+	v.Counter("acks_sent", &m.acksSent)
+	v.Counter("acks_received", &m.acksReceived)
+	v.Counter("acks_suppressed", &m.acksSuppressed)
+	v.Counter("acks_piggybacked", &m.acksPiggybacked)
+	v.Counter("retransmits", &m.retransmits)
+	v.Counter("timeouts", &m.timeouts)
+	v.Counter("duplicates", &m.duplicates)
+	v.Counter("out_of_order_drops", &m.oooDrops)
+	v.Counter("no_token_drops", &m.noTokenDrops)
+	v.Counter("nacks_sent", &m.nacksSent)
+	v.Counter("nacks_received", &m.nacksReceived)
+	v.Counter("directed_received", &m.directedReceived)
+	v.Counter("directed_refused", &m.directedRefused)
+	v.Histogram("token_wait_ns", &m.tokenWaitNs)
 }
 
 // Stats returns a snapshot of protocol counters.

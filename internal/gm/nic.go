@@ -59,7 +59,7 @@ type NIC struct {
 	conns map[connKey]*conn // sender-side connections
 	rcvrs map[connKey]*rcvr // receiver-side connection state
 	ext   Extension
-	m     instruments
+	m     *instruments
 
 	// descFree holds the packet descriptors not in use, tokFree the send
 	// descriptors. Each grows to the most packets (messages) this NIC ever
@@ -83,9 +83,9 @@ type connKey struct {
 	LocalP, RemoteP PortID
 }
 
-// NewNIC loads the GM firmware onto a hardware NIC. Protocol counters go
-// to the registry wired via hw.SetMetrics; when none is wired, a private
-// always-on registry backs the legacy Stats accessor.
+// NewNIC loads the GM firmware onto a hardware NIC. Protocol counters are
+// filed in the registry wired via hw.SetMetrics; when none is wired, the
+// NIC's own block backs the legacy Stats accessor.
 func NewNIC(hw *lanai.NIC, cfg Config) *NIC {
 	n := &NIC{
 		HW:    hw,
@@ -94,7 +94,7 @@ func NewNIC(hw *lanai.NIC, cfg Config) *NIC {
 		conns: make(map[connKey]*conn),
 		rcvrs: make(map[connKey]*rcvr),
 	}
-	n.initMetrics(metrics.Ensure(hw.Registry()))
+	n.m = metrics.Attach[instruments](hw.Registry(), Component, int(hw.ID))
 	hw.RxDispatch = n.rxDispatch
 	return n
 }
@@ -266,7 +266,7 @@ func (n *NIC) recvConn(src fabric.NodeID, srcP, localP PortID) *rcvr {
 	if !ok {
 		r = &rcvr{nic: n, key: k, expect: 1}
 		if n.Cfg.AckCoalescing() {
-			r.hold.Init(n.Engine(), &n.Cfg, n.m.acksSuppressed, r.sendHeldAck)
+			r.hold.Init(n.Engine(), &n.Cfg, &n.m.acksSuppressed, r.sendHeldAck)
 		}
 		n.rcvrs[k] = r
 	}

@@ -66,3 +66,18 @@ func TestAllocMPIBcastSmallMessageIsSmall(t *testing.T) {
 		}
 	}
 }
+
+// A 16 KB host-based multicast over 16 nodes has seven forwarders, which
+// cannot release a message while their sends read it: each used to take a
+// fresh 16 KB landing buffer per iteration (≈ 115 KB in all). They hold what
+// they forwarded until their send tokens are all back and release it then, so
+// an iteration costs the frames of its unicasts.
+func TestAllocMulticastHBReleasesForwardedBuffers(t *testing.T) {
+	const nodes, size = 16, 16384
+	per := bytesPerIteration(t, func(o Options) { o.multicastHBOnce(nodes, size, nodes-1) })
+	t.Logf("MulticastHB(%d, %d): %.0f B per iteration", nodes, size, per)
+	if per > 2*size {
+		t.Errorf("one iteration allocates %.0f B, over %d: the forwarders are not reusing their %d-byte buffers",
+			per, 2*size, size)
+	}
+}

@@ -154,6 +154,7 @@ func (o Options) multicastHBOnce(nodes, size int, designated fabric.NodeID) floa
 	ports := c.OpenPorts(benchPort)
 	tr := tree.Binomial(0, c.Members())
 	total := o.Warmup + o.Iters
+	msg := payload(size)
 	for _, n := range tr.Nodes() {
 		if n == 0 {
 			continue
@@ -162,15 +163,29 @@ func (o Options) multicastHBOnce(nodes, size int, designated fabric.NodeID) floa
 		children := tr.Children(n)
 		c.SpawnOn(n, "node", func(p *sim.Proc) {
 			ports[n].ProvideN(total, size)
+			// A forwarder's sends read ev.Data until they are acknowledged,
+			// and it does not wait for them: it holds what it has forwarded
+			// and releases the lot once every send token is back, when
+			// nothing it posted can still be reading.
+			var held []*gm.RecvEvent
 			for i := 0; i < total; i++ {
 				ev := ports[n].Recv(p)
+				if len(held) > 0 && ports[n].FreeSendTokens() == c.Cfg.GM.SendTokens {
+					for _, h := range held {
+						ports[n].Release(h)
+					}
+					held = held[:0]
+				}
 				for _, ch := range children {
 					ports[n].Send(p, ch, benchPort, ev.Data)
 				}
 				if len(children) == 0 {
-					// A forwarder's sends read ev.Data until they complete,
-					// and it does not wait for them; only a leaf is finished.
+					// What a leaf holds has crossed every forwarder above
+					// it; one that let go of its buffer early shows here.
+					checkLeaf(n, ev.Data, msg)
 					ports[n].Release(ev)
+				} else {
+					held = append(held, ev)
 				}
 				if n == designated {
 					ports[n].Send(p, 0, benchPort, ack1)
@@ -179,7 +194,6 @@ func (o Options) multicastHBOnce(nodes, size int, designated fabric.NodeID) floa
 		})
 	}
 	var avg float64
-	msg := payload(size)
 	children := tr.Children(0)
 	c.SpawnOn(0, "root", func(p *sim.Proc) {
 		ports[0].ProvideN(total, 4)

@@ -32,9 +32,10 @@ type Options struct {
 	// tree.
 	NBTree func(cfg *cluster.Config, root fabric.NodeID, members []fabric.NodeID, size int) *tree.Tree
 	// Metrics, when non-nil, is wired through every cluster the harness
-	// builds, so a Reporter can diff it between experiments. Because the
-	// registry is unsynchronized, a non-nil Metrics forces sweeps serial
-	// regardless of Workers.
+	// builds, so a Reporter can diff it between experiments. What is read
+	// out of a shared registry is a difference between snapshots, which
+	// concurrent points would mix, so a non-nil Metrics forces sweeps serial
+	// regardless of Workers (see parallel.go).
 	Metrics *metrics.Registry
 	// Workers bounds the goroutines a sweep fans its points across:
 	// 0 means GOMAXPROCS, 1 forces serial. Results are identical either

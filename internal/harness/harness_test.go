@@ -198,6 +198,27 @@ func TestMulticastUnderLossStillMeasurable(t *testing.T) {
 	}
 }
 
+// A host-based forwarder hands the buffer it received to its unicasts and
+// does not wait for them; on a lossy fabric a retransmission reads that
+// buffer long after the forwarder has gone on to later messages. It may
+// release a buffer only when every send it posted is acknowledged. Every
+// message carries the same bytes, so an early release shows only under -race,
+// where a released buffer is overwritten at once and the leaves of
+// multicastHBOnce compare every delivery with the message the root sent
+// (checkLeaf, which panics on a difference); a plain build checks just that
+// the lossy run did retransmit.
+func TestMulticastHBForwardersKeepBuffersUntilAcknowledged(t *testing.T) {
+	o := fast()
+	o.Iters = 30
+	o.Warmup = 5
+	clean := o.multicastHBOnce(16, 9000, 15)
+	o.Mut = func(c *cluster.Config) { c.LossRate = 0.02; c.Seed = 5 }
+	lossy := o.multicastHBOnce(16, 9000, 15)
+	if lossy <= clean {
+		t.Errorf("lossy run (%.1fus) no slower than the clean one (%.1fus): nothing was retransmitted", lossy, clean)
+	}
+}
+
 func TestSkewSweepShape(t *testing.T) {
 	s := SkewSweep()
 	if s[0] != 0 || s[len(s)-1] != 400 {

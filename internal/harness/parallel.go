@@ -14,9 +14,15 @@ import (
 // because each point's result is a pure function of (Options, point
 // parameters) — the reassembled output is byte-identical to a serial run.
 //
-// The one shared-state exception is Options.Metrics: the metrics package
-// is deliberately unsynchronized (one engine runs at a time), so wiring a
-// shared Registry through every cluster forces the sweep serial.
+// The one shared-state exception is Options.Metrics. Every cluster built
+// on a shared Registry counts into the same blocks, and what is read back
+// out of it is a difference between two snapshots: a fault-campaign point
+// checks conservation and its delivery census on the registry's growth over
+// its own run, and a Reporter prints the growth since the last mark. Points
+// running at once would land in each other's differences (and a gauge's
+// level would be whichever cluster set it last), so wiring a shared
+// Registry forces the sweep serial. The instruments themselves are atomics
+// and would not mind.
 
 // workerCount resolves how many goroutines a sweep over n points may use:
 // Options.Workers when positive, else GOMAXPROCS, clamped to n, and forced

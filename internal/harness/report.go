@@ -24,10 +24,10 @@ type Reporter struct {
 	prev metrics.Snapshot
 }
 
-// NewReporter returns a reporter over reg, or nil when reg is nil or
-// disabled (every method on a nil Reporter is a no-op).
+// NewReporter returns a reporter over reg, or nil when reg is nil (every
+// method on a nil Reporter is a no-op).
 func NewReporter(reg *metrics.Registry) *Reporter {
-	if !reg.Enabled() {
+	if reg == nil {
 		return nil
 	}
 	return &Reporter{reg: reg, prev: reg.Snapshot()}

@@ -1,9 +1,6 @@
 package lanai
 
-import (
-	"repro/internal/metrics"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // BufPool manages a fixed number of NIC SRAM packet buffers. Firmware
 // acquires a buffer before staging a packet and releases it when the
@@ -24,10 +21,8 @@ type BufPool struct {
 	// pressure diagnostic.
 	MaxQueued int
 
-	// Cached instruments, set via NIC.SetMetrics; nil (no-op) otherwise.
-	mInUse   *metrics.Gauge
-	mStalls  *metrics.Counter
-	mStallNs *metrics.Counter
+	// m points at the pool's fields of its NIC's block (NIC.SetMetrics).
+	m *poolInstruments
 }
 
 // bufWaiter is one queued acquisition — where the token goes and what runs
@@ -46,12 +41,13 @@ type Buf struct {
 	released bool
 }
 
-// NewBufPool returns a pool of n buffers.
-func NewBufPool(eng *sim.Engine, name string, n int) *BufPool {
+// newBufPool returns a pool of n buffers that counts into m; a NIC passes
+// nil and points its pools at their fields of its block in SetMetrics.
+func newBufPool(eng *sim.Engine, name string, n int, m *poolInstruments) *BufPool {
 	if n < 1 {
 		panic("lanai: buffer pool needs at least one buffer")
 	}
-	p := &BufPool{eng: eng, name: name, cap: n, free: n}
+	p := &BufPool{eng: eng, name: name, cap: n, free: n, m: m}
 	p.grantFn = p.deliverGrant
 	return p
 }
@@ -70,12 +66,12 @@ func (p *BufPool) Queued() int { return len(p.waiters) }
 func (p *BufPool) Acquire(b *Buf, fn func()) {
 	if p.free > 0 {
 		p.free--
-		p.mInUse.Add(1)
+		p.m.inUse.Add(1)
 		*b = Buf{pool: p}
 		fn()
 		return
 	}
-	p.mStalls.Inc()
+	p.m.stalls.Inc()
 	p.waiters = append(p.waiters, bufWaiter{b: b, fn: fn, since: p.eng.Now()})
 	if len(p.waiters) > p.MaxQueued {
 		p.MaxQueued = len(p.waiters)
@@ -89,7 +85,7 @@ func (p *BufPool) TryAcquire() (Buf, bool) {
 		return Buf{}, false
 	}
 	p.free--
-	p.mInUse.Add(1)
+	p.m.inUse.Add(1)
 	return Buf{pool: p}, true
 }
 
@@ -111,13 +107,13 @@ func (b *Buf) Release() {
 		w := p.waiters[0]
 		p.waiters[0] = bufWaiter{}
 		p.waiters = p.waiters[1:]
-		p.mStallNs.AddInt(int64(p.eng.Now() - w.since))
+		p.m.stallNs.AddInt(int64(p.eng.Now() - w.since))
 		p.granted = append(p.granted, w)
 		p.eng.After(0, p.grantFn)
 		return
 	}
 	p.free++
-	p.mInUse.Add(-1)
+	p.m.inUse.Add(-1)
 	if p.free > p.cap {
 		panic("lanai: pool " + p.name + " over capacity")
 	}

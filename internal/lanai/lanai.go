@@ -85,15 +85,10 @@ type NIC struct {
 	// reload. Reliability above recovers the lost traffic after Resume.
 	paused bool
 
-	// Cached instruments, set by SetMetrics; nil (no-op) otherwise.
-	reg            *metrics.Registry
-	mCPUBusyNs     *metrics.Counter
-	mCPUBacklogNs  *metrics.Gauge
-	mSDMABusyNs    *metrics.Counter
-	mRDMABusyNs    *metrics.Counter
-	mHostEvents    *metrics.Counter
-	mRxNoBuffer    *metrics.Counter
-	mRxPausedDrops *metrics.Counter
+	// m is the block the NIC counts into, never nil: its own, or the one
+	// filed in reg (SetMetrics).
+	reg *metrics.Registry
+	m   *instruments
 }
 
 // New attaches a NIC model to a network interface.
@@ -106,12 +101,12 @@ func New(eng *sim.Engine, ifc *fabric.Iface, p Params) *NIC {
 		SDMA:     sim.NewFacility(eng, fmt.Sprintf("nic%d.sdma", ifc.ID())),
 		RDMA:     sim.NewFacility(eng, fmt.Sprintf("nic%d.rdma", ifc.ID())),
 		Ifc:      ifc,
-		SendBufs: NewBufPool(eng, fmt.Sprintf("nic%d.sendbufs", ifc.ID()), p.SendBuffers),
-		RecvBufs: NewBufPool(eng, fmt.Sprintf("nic%d.recvbufs", ifc.ID()), p.RecvBuffers),
+		SendBufs: newBufPool(eng, fmt.Sprintf("nic%d.sendbufs", ifc.ID()), p.SendBuffers, nil),
+		RecvBufs: newBufPool(eng, fmt.Sprintf("nic%d.recvbufs", ifc.ID()), p.RecvBuffers, nil),
 	}
 	ifc.Deliver = func(pkt *fabric.Packet) {
 		if n.paused {
-			n.mRxPausedDrops.Inc()
+			n.m.rxPausedDrops.Inc()
 			return
 		}
 		if n.RxDispatch == nil {
@@ -125,18 +120,17 @@ func New(eng *sim.Engine, ifc *fabric.Iface, p Params) *NIC {
 
 // Stats returns a snapshot of the NIC's hardware counters.
 //
-// Deprecated: read the metrics registry wired via SetMetrics instead;
-// this shim reports zeros when the registry is disabled.
+// Deprecated: read the metrics registry wired via SetMetrics instead.
 func (n *NIC) Stats() Stats {
 	return Stats{
-		RxNoBuffer: n.mRxNoBuffer.Value(),
-		HostEvents: n.mHostEvents.Value(),
+		RxNoBuffer: n.m.rxNoBuffer.Value(),
+		HostEvents: n.m.hostEvents.Value(),
 	}
 }
 
 // CountRxNoBuffer records a packet dropped for want of a receive buffer.
 func (n *NIC) CountRxNoBuffer() {
-	n.mRxNoBuffer.Inc()
+	n.m.rxNoBuffer.Inc()
 }
 
 // Pause makes the NIC stop receiving: every packet arriving from the wire
@@ -157,9 +151,9 @@ func (n *NIC) Paused() bool { return n.paused }
 // simulation's analogue of task-queue depth.
 func (n *NIC) CPUDo(cost sim.Time, fn func()) {
 	if backlog := n.CPU.FreeAt() - n.Eng.Now(); backlog > 0 {
-		n.mCPUBacklogNs.Set(int64(backlog))
+		n.m.cpuBacklogNs.Set(int64(backlog))
 	}
-	n.mCPUBusyNs.AddInt(int64(cost))
+	n.m.cpuBusyNs.AddInt(int64(cost))
 	n.CPU.Do(cost, fn)
 }
 
@@ -171,14 +165,14 @@ func (n *NIC) DMATime(size int) sim.Time {
 // HostToNIC schedules an SDMA of size bytes and runs fn at completion.
 func (n *NIC) HostToNIC(size int, fn func()) {
 	d := n.DMATime(size)
-	n.mSDMABusyNs.AddInt(int64(d))
+	n.m.sdmaBusyNs.AddInt(int64(d))
 	n.SDMA.Do(d, fn)
 }
 
 // NICToHost schedules an RDMA of size bytes and runs fn at completion.
 func (n *NIC) NICToHost(size int, fn func()) {
 	d := n.DMATime(size)
-	n.mRDMABusyNs.AddInt(int64(d))
+	n.m.rdmaBusyNs.AddInt(int64(d))
 	n.RDMA.Do(d, fn)
 }
 
@@ -193,7 +187,7 @@ func (n *NIC) HostPost(fn func()) {
 // the event visible to the host (the firmware's port queues it and wakes
 // the reader). Callers pass a pre-bound fn, so posting allocates nothing.
 func (n *NIC) PostHostEvent(fn func()) {
-	n.mRDMABusyNs.AddInt(int64(n.P.EventPostCost))
-	n.mHostEvents.Inc()
+	n.m.rdmaBusyNs.AddInt(int64(n.P.EventPostCost))
+	n.m.hostEvents.Inc()
 	n.RDMA.Do(n.P.EventPostCost, fn)
 }

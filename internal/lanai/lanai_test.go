@@ -62,7 +62,7 @@ func TestDMATimeModel(t *testing.T) {
 
 func TestBufPoolExhaustionQueuesFIFO(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewBufPool(eng, "test", 2)
+	p := newBufPool(eng, "test", 2, new(poolInstruments))
 	var granted []int
 	bufs := make([]Buf, 5)
 	hold := func(id int) {
@@ -93,7 +93,7 @@ func TestBufPoolExhaustionQueuesFIFO(t *testing.T) {
 
 func TestBufPoolTryAcquire(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewBufPool(eng, "rx", 1)
+	p := newBufPool(eng, "rx", 1, new(poolInstruments))
 	b, ok := p.TryAcquire()
 	if !ok {
 		t.Fatal("TryAcquire failed on full pool")
@@ -109,7 +109,7 @@ func TestBufPoolTryAcquire(t *testing.T) {
 
 func TestBufPoolDoubleReleasePanics(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewBufPool(eng, "x", 1)
+	p := newBufPool(eng, "x", 1, new(poolInstruments))
 	b, _ := p.TryAcquire()
 	b.Release()
 	defer func() {
@@ -124,7 +124,7 @@ func TestBufPoolReleaseChainDoesNotStarve(t *testing.T) {
 	// A release that grants to a waiter which immediately releases again
 	// must serve the whole chain without recursion blowups.
 	eng := sim.NewEngine()
-	p := NewBufPool(eng, "chain", 1)
+	p := newBufPool(eng, "chain", 1, new(poolInstruments))
 	served := 0
 	var first Buf
 	eng.At(0, func() {
@@ -180,7 +180,7 @@ func TestWirePacketReachesRxDispatch(t *testing.T) {
 
 func TestBufPoolAccessors(t *testing.T) {
 	eng := sim.NewEngine()
-	p := NewBufPool(eng, "acc", 3)
+	p := newBufPool(eng, "acc", 3, new(poolInstruments))
 	if p.Cap() != 3 || p.Free() != 3 || p.Queued() != 0 {
 		t.Fatalf("fresh pool cap=%d free=%d queued=%d", p.Cap(), p.Free(), p.Queued())
 	}
@@ -206,7 +206,7 @@ func TestBufPoolInvalidSizePanics(t *testing.T) {
 			t.Error("zero-buffer pool accepted")
 		}
 	}()
-	NewBufPool(eng, "bad", 0)
+	newBufPool(eng, "bad", 0, new(poolInstruments))
 }
 
 func TestNICToHostUsesRDMA(t *testing.T) {

@@ -7,26 +7,27 @@ import (
 	"testing"
 )
 
+// A nil registry is "off": the by-name constructors hand out nil
+// instruments, and a nil instrument is a no-op.
 func TestNilAndDisabledInstrumentsAreNoOps(t *testing.T) {
-	for name, reg := range map[string]*Registry{"nil": nil, "disabled": Disabled()} {
-		c := reg.Counter("gm", 0, "sends")
-		g := reg.Gauge("lanai", 0, "inuse")
-		h := reg.Histogram("core", 0, "latency_ns")
-		if c != nil || g != nil || h != nil {
-			t.Fatalf("%s registry handed out live instruments", name)
-		}
-		c.Inc()
-		c.Add(5)
-		c.AddInt(7)
-		g.Set(3)
-		g.Add(-1)
-		h.Observe(42)
-		if c.Value() != 0 || g.Value() != 0 || g.High() != 0 || h.Count() != 0 {
-			t.Fatalf("%s instruments accumulated state", name)
-		}
-		if snap := reg.Snapshot(); len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
-			t.Fatalf("%s registry produced a non-empty snapshot", name)
-		}
+	var reg *Registry
+	c := reg.Counter("gm", 0, "sends")
+	g := reg.Gauge("lanai", 0, "inuse")
+	h := reg.Histogram("core", 0, "latency_ns")
+	if c != nil || g != nil || h != nil {
+		t.Fatal("nil registry handed out live instruments")
+	}
+	c.Inc()
+	c.Add(5)
+	c.AddInt(7)
+	g.Set(3)
+	g.Add(-1)
+	h.Observe(42)
+	if c.Value() != 0 || g.Value() != 0 || g.High() != 0 || h.Count() != 0 {
+		t.Fatal("nil instruments accumulated state")
+	}
+	if snap := reg.Snapshot(); len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
+		t.Fatal("nil registry produced a non-empty snapshot")
 	}
 }
 
@@ -181,13 +182,8 @@ func TestEnsure(t *testing.T) {
 	if Ensure(r) != r {
 		t.Fatal("Ensure replaced a live registry")
 	}
-	e := Ensure(nil)
-	if !e.Enabled() {
-		t.Fatal("Ensure(nil) returned a dead registry")
-	}
-	d := Disabled()
-	if Ensure(d) != d {
-		t.Fatal("Ensure replaced a disabled registry (explicit no-op must stick)")
+	if Ensure(nil) == nil {
+		t.Fatal("Ensure(nil) returned no registry")
 	}
 }
 
@@ -236,5 +232,119 @@ func TestSnapshotOrderIgnoresRegistrationOrder(t *testing.T) {
 	}
 	if a, b := render(grouped), render(scattered); a != b {
 		t.Errorf("output depends on registration order:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// nicBlock is a layer's block in miniature: instruments by value, named in
+// Each.
+type nicBlock struct {
+	sends  Counter
+	inuse  Gauge
+	waitNs Histogram
+}
+
+func (b *nicBlock) Each(v *Visitor) {
+	v.Counter("sends", &b.sends)
+	v.Gauge("inuse", &b.inuse)
+	v.Histogram("wait_ns", &b.waitNs)
+}
+
+// swBlock shares nicBlock's key space the way a fabric switch shares a
+// host's number.
+type swBlock struct{ stalls Counter }
+
+func (b *swBlock) Each(v *Visitor) { v.Counter("stalls", &b.stalls) }
+
+func TestAttachFilesOneBlockPerKeyAndType(t *testing.T) {
+	r := New()
+	a := Attach[nicBlock](r, "gm", 3)
+	a.sends.Add(2)
+	a.inuse.Set(4)
+	a.waitNs.Observe(100)
+	// A second cluster on the same registry reports into the same block.
+	if b := Attach[nicBlock](r, "gm", 3); b != a {
+		t.Fatal("re-attaching a filed key made a second block")
+	}
+	if Attach[nicBlock](r, "gm", 4) == a || Attach[nicBlock](r, "core", 3) == a {
+		t.Fatal("another key returned the same block")
+	}
+	sw := Attach[swBlock](r, "gm", 3)
+	sw.stalls.Inc()
+
+	// By name, a filed field is found, not shadowed by a new instrument.
+	if r.Counter("gm", 3, "sends") != &a.sends || r.Gauge("gm", 3, "inuse") != &a.inuse ||
+		r.Histogram("gm", 3, "wait_ns") != &a.waitNs || r.Counter("gm", 3, "stalls") != &sw.stalls {
+		t.Fatal("by-name lookup missed a block's field")
+	}
+	// A node's blocks are one chain; a lookup stays within its component.
+	if r.Counter("core", 3, "sends") == &a.sends {
+		t.Fatal("by-name lookup under core[3] returned gm[3]'s field")
+	}
+	extra := r.Counter("gm", 3, "extra")
+	extra.Add(9)
+	if r.Counter("gm", 3, "extra") != extra {
+		t.Fatal("second by-name lookup made another counter")
+	}
+	s := r.Snapshot()
+	for name, want := range map[string]uint64{"sends": 2, "stalls": 1, "extra": 9} {
+		if got := s.Counter("gm", 3, name); got != want {
+			t.Errorf("gm[3].%s = %d, want %d", name, got, want)
+		}
+	}
+	if len(s.Counters) != 5 || len(s.Gauges) != 3 || len(s.Histograms) != 3 {
+		t.Errorf("snapshot has %d counters, %d gauges, %d histograms; want 5, 3, 3",
+			len(s.Counters), len(s.Gauges), len(s.Histograms))
+	}
+
+	// No registry: a block all the same, filed nowhere.
+	lone := Attach[nicBlock](nil, "gm", 3)
+	lone.sends.Inc()
+	if lone == a || lone.sends.Value() != 1 {
+		t.Fatal("a nil registry did not hand out a private working block")
+	}
+}
+
+// Entries are stored in chunks: filing past a chunk's end moves nothing, and
+// a Snapshot still sees every block.
+func TestRegistryFilesPastOneChunk(t *testing.T) {
+	r := New()
+	const n = 3*entryChunk + 1
+	blocks := make([]*swBlock, n)
+	for i := range blocks {
+		blocks[i] = Attach[swBlock](r, "fabric", i)
+		blocks[i].stalls.Add(uint64(i))
+	}
+	s := r.Snapshot()
+	if len(s.Counters) != n {
+		t.Fatalf("snapshot has %d counters, want %d", len(s.Counters), n)
+	}
+	for i, b := range blocks {
+		if Attach[swBlock](r, "fabric", i) != b || s.Counter("fabric", i, "stalls") != uint64(i) {
+			t.Fatalf("block %d was lost or moved when a later chunk was added", i)
+		}
+	}
+}
+
+// A histogram that is a struct field starts from its zero value: empty, and
+// right from the first observation on, whatever its sign.
+func TestHistogramZeroValue(t *testing.T) {
+	var h Histogram
+	if h.Count() != 0 || h.Min() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
+		t.Fatal("zero histogram is not empty")
+	}
+	h.Observe(700)
+	if h.Min() != 700 || h.Max() != 700 {
+		t.Fatalf("after one observation min=%d max=%d, want 700/700", h.Min(), h.Max())
+	}
+	h.Observe(-5)
+	h.Observe(9000)
+	if h.Min() != -5 || h.Max() != 9000 || h.Count() != 3 || h.Sum() != 9695 {
+		t.Fatalf("min=%d max=%d count=%d sum=%d", h.Min(), h.Max(), h.Count(), h.Sum())
+	}
+	var neg Histogram
+	neg.Observe(-8)
+	neg.Observe(-3)
+	if neg.Min() != -8 || neg.Max() != -3 {
+		t.Fatalf("all-negative histogram min=%d max=%d, want -8/-3", neg.Min(), neg.Max())
 	}
 }

@@ -50,37 +50,21 @@ type Snapshot struct {
 	Histograms []HistVal    `json:"histograms"`
 }
 
-// Snapshot copies the registry's current instrument values. A nil or
-// disabled registry yields an empty snapshot. Snapshot between runs, not
-// while shard goroutines are mid-window — a mid-run snapshot is race-free
-// but may catch an arbitrary interleaving.
+// Snapshot copies the registry's current instrument values. A nil registry
+// yields an empty snapshot. Snapshot between runs, not while shard
+// goroutines are mid-window — a mid-run snapshot is race-free but may catch
+// an arbitrary interleaving.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
-	if !r.Enabled() {
+	if r == nil {
 		return s
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, sc := range r.scopes {
-		for _, e := range sc.counters {
-			s.Counters = append(s.Counters, CounterVal{Key: sc.key(e.name), Value: e.inst.Value()})
-		}
-		for _, e := range sc.gauges {
-			s.Gauges = append(s.Gauges, GaugeVal{Key: sc.key(e.name), Value: e.inst.Value(), High: e.inst.High()})
-		}
-		for _, e := range sc.hists {
-			h := e.inst
-			hv := HistVal{Key: sc.key(e.name), Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max()}
-			for i := range h.buckets {
-				if n := h.buckets[i].Load(); n > 0 {
-					if hv.Buckets == nil {
-						hv.Buckets = make(map[int]uint64)
-					}
-					hv.Buckets[i] = n
-				}
-			}
-			s.Histograms = append(s.Histograms, hv)
-		}
+	for i := 0; i < r.n; i++ {
+		e := r.at(i)
+		v := Visitor{component: e.component, node: e.node, snap: &s}
+		e.block.Each(&v)
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Key.less(s.Counters[j].Key) })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Key.less(s.Gauges[j].Key) })
@@ -88,7 +72,19 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-func (sc *scope) key(name string) Key { return Key{sc.component, sc.node, name} }
+// val copies the histogram's shape into a snapshot entry under k.
+func (h *Histogram) val(k Key) HistVal {
+	hv := HistVal{Key: k, Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max()}
+	for i := range h.buckets {
+		if n := h.buckets[i].Load(); n > 0 {
+			if hv.Buckets == nil {
+				hv.Buckets = make(map[int]uint64)
+			}
+			hv.Buckets[i] = n
+		}
+	}
+	return hv
+}
 
 // Diff returns the change from prev to s: counters and histogram
 // counts/sums subtract (instruments absent from prev count from zero);
