@@ -9,6 +9,7 @@ import (
 	"repro/internal/benchkernel"
 	"repro/internal/clos"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -227,6 +228,34 @@ func TestReliabilityMatrixGoldens(t *testing.T) {
 			if got := goldenMixRun(t, opts...); got != want[name] {
 				t.Errorf("%s diverged from the pre-refactor capture:\n got %s\nwant %s", name, got, want[name])
 			}
+		}
+	}
+	// The three Section-5 design alternatives, captured before the
+	// multicast extension's packet descriptor and send token were merged
+	// into gm's: one token per destination, store-and-forward at interior
+	// NICs, and a receive buffer held until every child has acknowledged.
+	// With the stock 32 receive buffers a held buffer is never missed, so
+	// the hold-buffer row matches "myrinet" above; with 4 (still enough for
+	// the unablated mix, which is unchanged by the cut) holding them shows.
+	ablations := []struct {
+		name string
+		set  func(*cluster.Config)
+		want string
+	}{
+		{"myrinet+tokens", func(c *cluster.Config) { c.Mcast.Multisend = core.ModeTokens },
+			"3550f87143c6e5e457f48088253882e069286b4d96f413000cea91983d5eebcb t=4980202 ev=5444"},
+		{"myrinet+store-and-forward", func(c *cluster.Config) { c.Mcast.Forward = core.ForwardStoreAndForward },
+			"b8ab44e38697671f6f8f0d742f7151dc3ef4b3960ca70d6153d3b9bbbaa008b5 t=6799066 ev=5157"},
+		{"myrinet+hold-buffer", func(c *cluster.Config) { c.Mcast.Retransmit = core.RetransmitHoldBuffer },
+			"450e8b7c347eba0a8d174256a5ae517faa0b66b8bfa629309de4c1492e915bf1 t=2742778 ev=5010"},
+		{"myrinet+hold-buffer+4rxbufs", func(c *cluster.Config) {
+			c.Mcast.Retransmit = core.RetransmitHoldBuffer
+			c.NIC.RecvBuffers = 4
+		}, "674dc79e6ba308d502468e8b2affbf6016fe98aaa8d455067ae5667a7e8787ad t=3724934 ev=5019"},
+	}
+	for _, a := range ablations {
+		if got := goldenMixRun(t, cluster.WithMutate(a.set)); got != a.want {
+			t.Errorf("%s diverged from the pre-refactor capture:\n got %s\nwant %s", a.name, got, a.want)
 		}
 	}
 }
