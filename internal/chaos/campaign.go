@@ -407,8 +407,9 @@ func checkQuiescence(c *cluster.Cluster, deadline sim.Time) []string {
 
 // checkResources verifies every NIC-level resource returned to its idle
 // state: all send records retired, all retransmit timers disarmed, all
-// lanai packet buffers back in their pools, and every host-level send
-// token returned.
+// lanai packet buffers back in their pools, every packet descriptor back on
+// its NIC's free list (an acknowledgment's holds no buffer, so only this
+// sees it leak), and every host-level send token returned.
 func checkResources(c *cluster.Cluster, ports []*gm.Port) []string {
 	var v []string
 	for i, n := range c.Nodes {
@@ -437,6 +438,9 @@ func checkResources(c *cluster.Cluster, ports []*gm.Port) []string {
 		}
 		if free, cap := n.HW.RecvBufs.Free(), n.HW.RecvBufs.Cap(); free != cap {
 			v = append(v, fmt.Sprintf("node %d: %d/%d NIC recv buffers leaked", i, cap-free, cap))
+		}
+		if free, made := n.NIC.Descriptors(); free != made {
+			v = append(v, fmt.Sprintf("node %d: %d/%d packet descriptors leaked", i, made-free, made))
 		}
 		if q := n.HW.SendBufs.Queued() + n.HW.RecvBufs.Queued(); q != 0 {
 			v = append(v, fmt.Sprintf("node %d: %d buffer waiters still queued", i, q))

@@ -157,16 +157,6 @@ func New(n int, opts ...Option) *Cluster {
 // Deprecated: use New with WithConfig (or finer-grained options).
 func NewFromConfig(cfg *Config) *Cluster { return build(cfg) }
 
-// NewPlain builds a cluster without the multicast extension — the stock-GM
-// baseline used to verify the extension has no impact on unicast traffic.
-//
-// Deprecated: use New with WithoutExtension (plus WithConfig if needed).
-func NewPlain(cfg *Config) *Cluster {
-	c := *cfg
-	c.noExt = true
-	return build(&c)
-}
-
 // build assembles the cluster described by cfg, wiring the metrics
 // registry (cfg's, or the cluster's own) through every layer before
 // firmware is attached.
@@ -236,7 +226,7 @@ func build(cfg *Config) *Cluster {
 			nic.Trace = cfg.Trace
 			node = &Node{ID: id, HW: hw, NIC: nic}
 			if !cfg.noExt {
-				node.Ext = core.InstallWithConfig(nic, cfg.Mcast)
+				node.Ext = core.Install(nic, core.WithConfig(cfg.Mcast))
 				node.Coll = coll.Install(node.Ext, coll.FromCore(cfg.Mcast))
 			}
 		})

@@ -24,8 +24,8 @@ func TestNewBuildsFullNodes(t *testing.T) {
 	}
 }
 
-func TestNewPlainOmitsExtension(t *testing.T) {
-	c := NewPlain(DefaultConfig(2))
+func TestWithoutExtensionOmitsExtension(t *testing.T) {
+	c := New(2, WithoutExtension())
 	if c.Nodes[0].Ext != nil {
 		t.Fatal("plain cluster has multicast extension")
 	}

@@ -24,8 +24,9 @@
 //     trees are built over destinations sorted by network ID (package
 //     tree) so receive-token dependencies cannot form a cycle.
 //
-// The package installs itself into package gm as a firmware Extension,
-// leaving the unicast protocol untouched.
+// The package installs itself into package gm as a firmware Extension: its
+// packets run on gm's descriptors and send tokens, and it fills the slot
+// gm's stage machine leaves empty for unicast.
 package core
 
 import "repro/internal/sim"

@@ -319,13 +319,11 @@ func TestUnicastUnaffectedByExtension(t *testing.T) {
 	// Identical unicast workload on a plain cluster and on one with the
 	// multicast extension installed: completion times must match exactly.
 	run := func(plain bool) sim.Time {
-		cfg := cluster.DefaultConfig(2)
-		var c *cluster.Cluster
+		var opts []cluster.Option
 		if plain {
-			c = cluster.NewPlain(cfg)
-		} else {
-			c = cluster.NewFromConfig(cfg)
+			opts = append(opts, cluster.WithoutExtension())
 		}
+		c := cluster.New(2, opts...)
 		ports := c.OpenPorts(testPort)
 		c.Eng.Spawn("recv", func(p *sim.Proc) {
 			ports[1].ProvideN(5, 8192)

@@ -1,5 +1,4 @@
 package core
 
-// Descriptors reports how many packet descriptors sit on the extension's
-// free list and how many it ever made; equal on a drained NIC.
-func (e *Ext) Descriptors() (free, made int) { return len(e.descFree), e.descMade }
+// Descriptors reports the NIC's packet-descriptor free list (gm.NIC.Descriptors).
+func (e *Ext) Descriptors() (free, made int) { return e.nic.Descriptors() }

@@ -11,24 +11,18 @@ import (
 )
 
 // Ext is the multicast firmware extension for one NIC. Install installs it
-// into the GM firmware's extension hook; the unicast paths never touch it.
+// into the GM firmware's extension hook: its packets run on gm's packet
+// descriptors and send tokens, and it fills the slot gm's stage machine
+// leaves empty for unicast (Look, Left, AckTurn, Enqueue).
 type Ext struct {
 	nic    *gm.NIC
 	cfg    Config
 	groups map[gm.GroupID]*group
 	coll   Collective // NIC-resident collective engine (internal/coll)
 	m      *instruments
-
-	// descFree holds the packet descriptors not in use; descMade counts
-	// every one ever made, so a drained NIC can prove none leaked. The list
-	// grows to the most packets this NIC ever worked on at once.
-	descFree []*desc
-	descMade int
-	tokFree  []*mcastToken // root send descriptors not in use
 }
 
-// install is the option-independent core of Install and the deprecated
-// shims. Multicast counters are filed in the registry wired via the
+// install loads the extension with its final configuration. Multicast counters are filed in the registry wired via the
 // hardware NIC's SetMetrics; when none is wired, the extension's own block
 // backs the legacy Stats accessor.
 func install(nic *gm.NIC, cfg Config) *Ext {
@@ -288,13 +282,10 @@ func (e *Ext) dropGroup(g *group) {
 	delete(e.groups, g.id)
 }
 
-// HandleRx implements gm.Extension: multicast frames are consumed here,
-// everything else passes through to the base protocol untouched.
+// HandleRx implements gm.Extension: collective frames are consumed here;
+// multicast data goes on to gm, whose descriptor brings it to Look.
 func (e *Ext) HandleRx(src fabric.NodeID, fr *gm.Frame) bool {
 	switch fr.Kind {
-	case gm.KindMcastData:
-		e.rxData(src, fr)
-		return true
 	case gm.KindBarrier, gm.KindReduce, gm.KindGather, gm.KindRing:
 		if e.coll != nil {
 			return e.coll.HandleRx(src, fr)
@@ -308,13 +299,11 @@ func (e *Ext) HandleRx(src fabric.NodeID, fr *gm.Frame) bool {
 	}
 }
 
-// HandleCtl implements gm.Extension for control packets: group (n)acks are
-// consumed here, collective acks by the collective engine.
+// HandleCtl implements gm.Extension for control packets: collective acks
+// are consumed by the collective engine; group (n)acks go on to gm, whose
+// descriptor brings them to AckTurn.
 func (e *Ext) HandleCtl(src fabric.NodeID, c fabric.Ctl) bool {
 	switch gm.Kind(c.Kind) {
-	case gm.KindMcastAck, gm.KindMcastNack:
-		e.rxAck(src, c)
-		return true
 	case gm.KindBarrierAck, gm.KindReduceAck, gm.KindGatherAck, gm.KindRingAck:
 		if e.coll != nil {
 			return e.coll.HandleCtl(src, c)
@@ -326,28 +315,15 @@ func (e *Ext) HandleCtl(src fabric.NodeID, c fabric.Ctl) bool {
 	}
 }
 
-// rxData processes one arriving multicast packet: sequence-check against
-// the group's receive sequence number, deliver to the local host buffer,
-// and — the heart of the scheme — requeue it to this node's children
-// straight from the NIC receive buffer, without host involvement and
-// without waiting for the rest of the message. The packet's descriptor
-// carries it from here on (desc.rxStep, then look).
-func (e *Ext) rxData(src fabric.NodeID, fr *gm.Frame) {
-	nic := e.nic
-	buf, ok := nic.HW.RecvBufs.TryAcquire()
-	if !ok {
-		nic.HW.CountRxNoBuffer()
-		return
-	}
-	d := e.newDesc(fr, fromWire)
-	d.src, d.buf = src, buf
-	nic.HW.CPUDo(nic.Cfg.RecvProcCost, d.rxFn())
-}
-
-// look is the receive processing of a descriptor's data frame. Every path
-// that does not accept the packet returns buffer and descriptor together.
-func (e *Ext) look(d *desc) {
-	nic, fr := e.nic, d.fr
+// Look is the receive processing of one arriving multicast packet
+// (gm.Extension): sequence-check against the group's receive sequence
+// number, deliver to the local host buffer, and — the heart of the scheme —
+// requeue it to this node's children straight from the NIC receive buffer,
+// without host involvement and without waiting for the rest of the message.
+// Every path that does not accept the packet returns buffer and descriptor
+// together.
+func (e *Ext) Look(d *gm.Desc) {
+	nic, fr, src := e.nic, d.Frame(), d.Src()
 	g, member := e.groups[fr.Group]
 	if !member {
 		// A departed NIC has no entry at all; a dynamic-epoch frame
@@ -359,14 +335,14 @@ func (e *Ext) look(d *desc) {
 		// static/dynamic discriminator for arbitrarily long-lived groups.
 		e.m.notMemberDrops.Inc()
 		if fr.Epoch != 0 {
-			e.ackDropped(d.src, fr)
+			e.ackDropped(src, fr)
 		}
-		d.drop()
+		d.Done()
 		return
 	}
 	if !g.accepts(fr.Epoch) {
-		e.dropEpochMismatch(g, d.src, fr)
-		d.drop()
+		e.dropEpochMismatch(g, src, fr)
+		d.Done()
 		return
 	}
 	switch {
@@ -381,7 +357,7 @@ func (e *Ext) look(d *desc) {
 		} else {
 			e.ackParent(g, g.recvSeq-1)
 		}
-		d.drop()
+		d.Done()
 	case gm.SeqAfter(fr.Seq, g.recvSeq):
 		e.m.oooDrops.Inc()
 		if nic.Cfg.EnableNacks {
@@ -392,7 +368,7 @@ func (e *Ext) look(d *desc) {
 				e.nackParent(g, g.recvSeq-1)
 			}
 		}
-		d.drop()
+		d.Done()
 	default:
 		port := nic.Port(g.port)
 		asm, ok := port.MatchAssembly(g.root, fr)
@@ -401,13 +377,13 @@ func (e *Ext) look(d *desc) {
 			// "The responsibility of making receive tokens available
 			// ... is left to client programs."
 			e.m.noTokenDrops.Inc()
-			d.drop()
+			d.Done()
 			return
 		}
 		g.recvSeq++
 		e.m.mcastReceived.Inc()
 		if nic.Trace.Enabled() {
-			nic.Trace.Log(nic.Engine().Now(), nic.ID(), trace.RX, "%s", fr.Wire(d.src, nic.ID()))
+			nic.Trace.Log(nic.Engine().Now(), nic.ID(), trace.RX, "%s", fr.Wire(src, nic.ID()))
 		}
 		if e.cfg.AggregateAcks {
 			e.noteDelivered(g)
@@ -419,14 +395,10 @@ func (e *Ext) look(d *desc) {
 		// memory AND (for per-packet forwarding) the last child
 		// replica has been transmitted.
 		forwarding := len(g.children) > 0 && e.cfg.Forward == ForwardPerPacket
-		d.g, d.asm, d.landed, d.uses = g, asm, true, 1
-		if forwarding {
-			d.uses++
-		}
-		nic.HW.NICToHost(len(fr.Payload), d.rx)
+		d.Land(asm, forwarding)
 		switch {
 		case forwarding:
-			e.forward(d)
+			e.forward(g, d)
 		case len(g.children) > 0:
 			// Store-and-forward ablation: queue until the whole
 			// message has arrived, then forward from host memory.
@@ -441,9 +413,9 @@ func (e *Ext) look(d *desc) {
 // its group sequence number, and a send record per child is created so
 // timeouts retransmit from the host replica. In the RetransmitHoldBuffer
 // ablation the NIC receive buffer is instead pinned until every child
-// acknowledges. The replica chain is the descriptor's transmit handler.
-func (e *Ext) forward(d *desc) {
-	g, fr := d.g, d.fr
+// acknowledges. The replica chain is Left's.
+func (e *Ext) forward(g *group, d *gm.Desc) {
+	fr := d.Frame()
 	g.sendSeq = fr.Seq
 	g.staging++ // in flight toward children until g.file files it
 	if fr.Offset+len(fr.Payload) < fr.MsgLen {
@@ -452,8 +424,51 @@ func (e *Ext) forward(d *desc) {
 		e.m.fwdBeforeFull.Inc()
 	}
 	e.m.fanout.Observe(int64(len(g.children)))
-	d.txs = txSend
-	e.nic.HW.CPUDo(e.cfg.ForwardSetupCost, d.txFn())
+	d.SendAfter(e.cfg.ForwardSetupCost, 0, g.children[0])
+}
+
+// Left is the transmit callback of a multicast packet's descriptor
+// (gm.Extension). For a packet staged from host memory without a
+// destination (Child -1) the set-up is done: it joins the group's replica
+// chains. Otherwise the transmit engine is done with the replica for child
+// Child: "change the packet header and queue it for transmission again" for
+// the next child, or, after the last, file one send record covering them
+// all. A retransmission, and in the ModeTokens ablation each destination's
+// send, is one replica on a descriptor of its own.
+func (e *Ext) Left(d *gm.Desc) {
+	if d.Resent() {
+		d.Done()
+		e.m.mcastSent.Inc()
+		return
+	}
+	fr, tok, i := d.Frame(), d.Token(), d.Child()
+	g := e.groups[fr.Group] // staging holds the entry: no drop, no commit
+	if i < 0 {
+		g.enqueueChain(d)
+		return
+	}
+	e.m.mcastSent.Inc()
+	if tok == nil {
+		e.m.mcastForwarded.Inc()
+	}
+	last := i+1 == len(g.children)
+	if tok != nil && e.cfg.Multisend == ModeTokens {
+		// The replicas go in child order (every stage on the way is FIFO),
+		// so the last child's is the last to leave.
+		d.Done()
+		if last {
+			g.staging--
+			g.file(fr, mcastSent{tok: tok})
+			g.pump()
+		}
+		return
+	}
+	if last {
+		g.lastReplicaLeft(d)
+		return
+	}
+	e.m.headerRewrites.Inc()
+	d.SendAfter(e.cfg.HeaderRewriteCost, i+1, g.children[i+1])
 }
 
 // sfState gathers a message's packets in the store-and-forward ablation.
@@ -483,9 +498,7 @@ func (e *Ext) storeAndForward(g *group, fr *gm.Frame) {
 	for _, f := range st.frames {
 		g.sendSeq = f.Seq
 		g.staging++
-		d := e.newDesc(f, fromHost)
-		d.g = g
-		e.nic.HW.SendBufs.Acquire(&d.buf, d.txFn())
+		e.nic.Stage(f, nil, e.cfg.ForwardSetupCost)
 	}
 }
 
@@ -589,22 +602,11 @@ func (e *Ext) sendCtl(kind gm.Kind, to fabric.NodeID, group gm.GroupID, epoch, a
 	e.nic.InjectCtl(to, fabric.Ctl{Kind: uint8(kind), Group: uint32(group), Epoch: epoch, Ack: ack})
 }
 
-// rxAck takes in a group acknowledgment or negative acknowledgment from one
-// child: a descriptor carries what it says through its turn on the LANai
-// (ackStep).
-func (e *Ext) rxAck(src fabric.NodeID, c fabric.Ctl) {
-	d := e.newDesc(nil, fromChild)
-	d.src, d.group, d.epoch, d.ack = src, gm.GroupID(c.Group), c.Epoch, c.Ack
-	d.nack = gm.Kind(c.Kind) == gm.KindMcastNack
-	e.nic.HW.CPUDo(e.nic.Cfg.AckProcCost, d.rxFn())
-}
-
-// ackStep processes a descriptor's acknowledgment: honor the cumulative
-// part and, for a nack, retransmit to the unacknowledged children
+// AckTurn processes a group acknowledgment or negative acknowledgment from
+// one child when its turn on the LANai comes (gm.Extension): honor the
+// cumulative part and, for a nack, retransmit to the unacknowledged children
 // immediately, bounded by the holdoff.
-func (e *Ext) ackStep(d *desc) {
-	child, group, epoch, ack, nack := d.src, d.group, d.epoch, d.ack, d.nack
-	d.free()
+func (e *Ext) AckTurn(child fabric.NodeID, group gm.GroupID, epoch, ack uint32, nack bool) {
 	g, ok := e.groups[group]
 	if !ok {
 		return // stale ack for a group we no longer know
@@ -631,4 +633,18 @@ func (e *Ext) ackStep(d *desc) {
 		// root's window keeps moving.
 		e.ackUp(g)
 	}
+}
+
+// Enqueue admits a root send token to its group's queue once the LANai has
+// processed the send event (gm.Extension), and starts the pump.
+func (e *Ext) Enqueue(t *gm.Token) {
+	g, ok := e.groups[t.Group()]
+	if !ok {
+		panic(fmt.Errorf("%w: Mcast on group %d at %v", ErrNoSuchGroup, t.Group(), e.nic.ID()))
+	}
+	if !g.isRoot() {
+		panic(fmt.Errorf("%w: group %d at %v", ErrNotRoot, t.Group(), e.nic.ID()))
+	}
+	g.queue = append(g.queue, t)
+	g.pump()
 }

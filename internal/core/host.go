@@ -31,11 +31,7 @@ func (e *Ext) McastEpoch(proc *sim.Proc, port *gm.Port, id gm.GroupID, data []by
 	if port.NIC() != e.nic {
 		panic(fmt.Errorf("%w: Mcast", ErrWrongNIC))
 	}
-	port.TakeSendToken(proc)
-	proc.Compute(e.nic.Cfg.HostSendPost)
-	t := e.newToken()
-	t.port, t.group, t.data, t.onEpoch = port, id, data, onEpoch
-	e.nic.HW.HostPost(t.step)
+	port.SendGroup(proc, id, data, onEpoch)
 }
 
 // McastSync multicasts and waits until every child of every packet in the

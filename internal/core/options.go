@@ -50,11 +50,3 @@ func Install(nic *gm.NIC, opts ...Option) *Ext {
 	}
 	return install(nic, cfg)
 }
-
-// InstallWithConfig loads the multicast extension with an explicit
-// configuration.
-//
-// Deprecated: use Install with WithConfig.
-func InstallWithConfig(nic *gm.NIC, cfg Config) *Ext {
-	return install(nic, cfg)
-}

@@ -117,14 +117,16 @@ func TestAllocUnicastCycleIsTwoFrames(t *testing.T) {
 // Frames are the one per-packet allocation left and descriptors are pooled
 // per NIC at their high-water mark, so their sizes are heap: a Frame fills the
 // 96-byte class exactly (it was 112 with the two node IDs that now live in
-// the fabric's packet), a descriptor the 80-byte one, the packet's source and
-// an acknowledgment's cumulative value included.
+// the fabric's packet), a descriptor 104 bytes of the 112-byte class — the
+// one descriptor unicast and the multicast extension share, a group ack's
+// header, the replica being sent and the set-up cost included. It was two: 80
+// bytes for unicast's, 104 for the extension's.
 func TestAllocFrameAndDescriptorSize(t *testing.T) {
 	if got := unsafe.Sizeof(Frame{}); got != 96 {
 		t.Errorf("a Frame is %d bytes, was 96", got)
 	}
-	if got := unsafe.Sizeof(desc{}); got != 80 {
-		t.Errorf("a packet descriptor is %d bytes, was 80", got)
+	if got := unsafe.Sizeof(Desc{}); got != 104 {
+		t.Errorf("a packet descriptor is %d bytes, was 104", got)
 	}
 }
 

@@ -1,24 +1,30 @@
 package gm
 
 import (
+	"slices"
+
 	"repro/internal/fabric"
 	"repro/internal/lanai"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// sendToken is the firmware-side descriptor for one outgoing message,
-// translated from a host send event — GM's "send token". A NIC owns as many
-// as its ports have host-level send tokens: Send takes one off the NIC's
-// free list, the descriptor carries the message from the host's post
-// through the LANai's send-event processing into its connection's queue
-// (step, bound once, so none of that allocates), and it goes back when the
-// last packet is acknowledged.
-type sendToken struct {
+// Token is the firmware-side descriptor for one outgoing message, translated
+// from a host send event — GM's "send token": a unicast send, a directed
+// write, or a message the extension sends to one of its groups. A NIC owns as
+// many as its ports have host-level send tokens: a post takes one off the
+// NIC's free list, the token carries the message from the host's post through
+// the LANai's send-event processing into its connection's queue — or, for a
+// group, the extension's (Extension.Enqueue) — on its step, bound once, so
+// none of that allocates; and it goes back when the last packet is
+// acknowledged.
+type Token struct {
 	port    *Port
 	conn    *conn
 	dst     fabric.NodeID
 	dstPort PortID
+	group   GroupID // the extension's: the group the message goes to
+	mcast   bool
 	msgID   uint64
 	data    []byte
 	nextOff int // next byte offset to stage
@@ -32,24 +38,57 @@ type sendToken struct {
 	// onDone, when non-nil, runs after the host-level send token has been
 	// returned — every packet is acknowledged.
 	onDone func()
+	// onEpoch, when non-nil, is told the group epoch the message stages in.
+	onEpoch func(epoch uint32)
 
 	seen bool   // the LANai has started on the send event
 	step func() // run, bound once
 }
 
-func (t *sendToken) remaining() int { return len(t.data) - t.nextOff }
+// Group reports the group a message for the extension goes to.
+func (t *Token) Group() GroupID { return t.group }
 
-// allStaged reports whether every chunk has been handed to the DMA engine.
-func (t *sendToken) allStaged() bool {
-	return t.staged
+// Begun reports whether a chunk of the message has been staged.
+func (t *Token) Begun() bool { return t.nextOff > 0 }
+
+// StagesIn tells whoever posted the message the group epoch it stages in.
+func (t *Token) StagesIn(epoch uint32) {
+	if t.onEpoch != nil {
+		t.onEpoch(epoch)
+	}
 }
 
-// run is the descriptor's callback: the host's post has reached the NIC
-// (queue the send-event processing), then that processing has finished
-// (find the connection, name the message, join its queue).
-func (t *sendToken) run() {
+// NextFrame cuts the message's next packet of at most mtu bytes, counts it
+// pending, and reports whether it was the last; the frame carries the
+// message framing (MsgID, MsgLen, Offset, Payload) and the caller fills in
+// the rest.
+func (t *Token) NextFrame(mtu int) (fr *Frame, last bool) {
+	chunk := min(len(t.data)-t.nextOff, mtu)
+	fr = &Frame{MsgID: t.msgID, MsgLen: len(t.data), Offset: t.nextOff}
+	if chunk > 0 {
+		fr.Payload = t.data[t.nextOff : t.nextOff+chunk]
+	}
+	t.nextOff += chunk
+	t.pending++
+	t.staged = t.nextOff == len(t.data)
+	return fr, t.staged
+}
+
+// Acked completes one packet of the message; the last, once every packet has
+// been staged, completes the message.
+func (t *Token) Acked() {
+	t.pending--
+	if t.staged && t.pending == 0 {
+		t.done()
+	}
+}
+
+// run is the token's callback: the host's post has reached the NIC (queue
+// the send-event processing), then that processing has finished (name the
+// message and join its connection's queue, or its group's).
+func (t *Token) run() {
 	if t.port == nil {
-		panic("gm: send descriptor on the free list stepped")
+		panic("gm: send token on the free list stepped")
 	}
 	n := t.port.nic
 	if !t.seen {
@@ -57,18 +96,22 @@ func (t *sendToken) run() {
 		n.HW.CPUDo(n.Cfg.SendEventCost, t.step)
 		return
 	}
+	t.msgID = n.newMsgID()
+	if t.mcast {
+		n.ext.Enqueue(t)
+		return
+	}
 	t.conn = n.sendConn(t.port.id, t.dst, t.dstPort)
-	t.msgID = n.NewMsgID()
 	t.conn.enqueue(t)
 }
 
 // done completes the message: the host gets its send token back, and the
-// descriptor returns to the NIC.
-func (t *sendToken) done() {
+// NIC's token returns to its free list.
+func (t *Token) done() {
 	p, onDone := t.port, t.onDone
-	*t = sendToken{step: t.step}
+	*t = Token{step: t.step}
 	p.nic.tokFree = append(p.nic.tokFree, t)
-	p.ReturnSendToken()
+	p.returnSendToken()
 	if onDone != nil {
 		onDone()
 	}
@@ -81,9 +124,9 @@ type conn struct {
 	nic     *NIC
 	key     connKey
 	nextSeq uint32
-	queue   []*sendToken
+	queue   []*Token
 	staging int // packets between staging and record creation
-	win     Window[*sendToken]
+	win     Window[*Token]
 	// sampled marks that the cumulative ack being processed has already
 	// fed the RTT estimator (see retire).
 	sampled bool
@@ -123,7 +166,7 @@ func (c *conn) dispatchFusedAck() {
 }
 
 // enqueue admits a token and starts the pump.
-func (c *conn) enqueue(t *sendToken) {
+func (c *conn) enqueue(t *Token) {
 	c.queue = append(c.queue, t)
 	c.pump()
 }
@@ -135,27 +178,19 @@ func (c *conn) windowOpen() bool {
 
 // pump stages packets from the head token while the window allows: acquire
 // a send buffer, SDMA the chunk from host memory, then hand the packet to
-// the transmit engine. Stages are pipelined — the SDMA engine fills the
-// next buffer while the transmit engine drains the previous one.
+// the transmit engine — on one descriptor per packet (Desc.run). Stages are
+// pipelined: the SDMA engine fills the next buffer while the transmit engine
+// drains the previous one. When the transmit engine is done with the NIC
+// buffer the packet's send record is filed.
 func (c *conn) pump() {
 	for len(c.queue) > 0 && c.windowOpen() {
 		t := c.queue[0]
-		chunk := t.remaining()
-		if chunk > c.nic.Cfg.MTU {
-			chunk = c.nic.Cfg.MTU
-		}
-		fr := &Frame{
-			Kind:    KindData,
-			SrcPort: c.key.LocalP, DstPort: c.key.RemoteP,
-			Seq:    c.nextSeq,
-			MsgID:  t.msgID,
-			MsgLen: len(t.data),
-			Offset: t.nextOff,
-		}
+		fr, last := t.NextFrame(c.nic.Cfg.MTU)
+		fr.Kind, fr.SrcPort, fr.DstPort, fr.Seq = KindData, c.key.LocalP, c.key.RemoteP, c.nextSeq
 		if t.directed {
 			fr.Kind = KindDirected
 			fr.MsgID = uint64(t.region)
-			fr.Offset = t.base + t.nextOff
+			fr.Offset += t.base
 		} else if c.nic.Cfg.PiggybackAcks {
 			// Reverse-direction receiver state shares this connection's key
 			// (mirrored port pair); a pending coalesced ack rides out in
@@ -166,28 +201,13 @@ func (c *conn) pump() {
 				c.nic.m.acksPiggybacked.Inc()
 			}
 		}
-		if chunk > 0 {
-			fr.Payload = t.data[t.nextOff : t.nextOff+chunk]
-		}
 		c.nextSeq++
-		t.nextOff += chunk
-		t.pending++
-		if t.remaining() == 0 {
-			t.staged = true
-			c.queue = popFront(c.queue)
+		if last {
+			c.queue = slices.Delete(c.queue, 0, 1)
 		}
 		c.staging++
-		c.stage(fr, t)
+		c.nic.txDesc(fr, t, c, 0, c.key.Node, c.nic.Cfg.TxSetupCost).load()
 	}
-}
-
-// stage moves one packet through buffer acquisition, SDMA, and transmit,
-// on a descriptor (see desc.run's tx stages); when the transmit engine is
-// done with the NIC buffer the packet's send record is filed.
-func (c *conn) stage(fr *Frame, t *sendToken) {
-	d := c.nic.newDesc(fr, txBuffer)
-	d.conn, d.tok = c, t
-	c.nic.HW.SendBufs.Acquire(&d.buf, d.step)
 }
 
 // handleAck retires records with seq <= ack (cumulative), completes tokens
@@ -207,15 +227,11 @@ func (c *conn) handleAck(ack uint32) {
 // cumulative ack retires several records; only the oldest eligible one is
 // RTT-sampled so the estimator sees the coalesce hold time once instead of
 // averaging it down across the batch.
-func (c *conn) retire(r *SendRecord[*sendToken]) {
+func (c *conn) retire(r *SendRecord[*Token]) {
 	if !(c.sampled && c.nic.Cfg.AckCoalescing()) && c.win.Sample(r) {
 		c.sampled = true
 	}
-	tok := r.Data
-	tok.pending--
-	if tok.allStaged() && tok.pending == 0 {
-		tok.done()
-	}
+	r.Data.Acked()
 }
 
 // resend retransmits one packet of a go-back-N round. Retransmission
@@ -228,17 +244,7 @@ func (c *conn) resend(fr *Frame, _ int) {
 	if nic.Trace.Enabled() {
 		nic.Trace.Log(nic.Engine().Now(), nic.ID(), trace.Retrans, "go-back-N seq=%d to %v", fr.Seq, c.key.Node)
 	}
-	nic.HW.CPUDo(nic.Cfg.RetransmitCost, func() {
-		var buf lanai.Buf
-		nic.HW.SendBufs.Acquire(&buf, func() {
-			nic.HW.HostToNIC(len(fr.Payload), func() {
-				nic.Inject(fr, c.key.Node, func() {
-					buf.Release()
-					c.win.Restamp(fr.Seq)
-				})
-			})
-		})
-	})
+	nic.resend(fr, c, c.key.Node)
 }
 
 // rcvr is the receiver-side state of a connection: the next expected

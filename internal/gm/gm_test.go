@@ -345,6 +345,14 @@ type extFunc func(*Frame) bool
 func (f extFunc) HandleRx(_ fabric.NodeID, fr *Frame) bool { return f(fr) }
 func (f extFunc) HandleCtl(fabric.NodeID, fabric.Ctl) bool { return false }
 
+// The slot: unicast traffic never reaches it.
+func (extFunc) Look(*Desc) { panic("unicast frame in the extension's look") }
+func (extFunc) Left(*Desc) { panic("unicast packet in the extension's transmit") }
+func (extFunc) AckTurn(fabric.NodeID, GroupID, uint32, uint32, bool) {
+	panic("unicast ack in the extension's turn")
+}
+func (extFunc) Enqueue(*Token) { panic("unicast message in the extension's queue") }
+
 func TestDoubleExtensionPanics(t *testing.T) {
 	r := newRig(t, 2, nil)
 	r.nics[0].SetExtension(extFunc(func(*Frame) bool { return false }))

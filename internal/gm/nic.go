@@ -12,8 +12,20 @@ import (
 
 // Extension is the firmware extension hook. The paper's contribution is a
 // modification of GM firmware; package core implements this interface and
-// installs itself with NIC.SetExtension, leaving the unicast paths of the
-// base protocol untouched.
+// installs itself with NIC.SetExtension. Its packets run on the same
+// descriptors and send tokens as unicast's, through the same stage machine;
+// the extension fills the slot that machine leaves empty for unicast:
+//
+//   - Look, the receive look: an arrived multicast data frame's processing
+//     on the LANai (group table, sequence and epoch checks, ack, forward);
+//   - Left, transmit left: the transmit engine is done with one replica of
+//     the packet (next replica, or the last one gone) — and, for a packet
+//     staged without a destination, the set-up is done and none has left yet
+//     (Desc.Child -1);
+//   - AckTurn, the ack turn: a group acknowledgment's processing.
+//
+// Enqueue is the send token's counterpart: a message posted to a group
+// (Port.SendGroup) has had its send-event processing and joins the group.
 type Extension interface {
 	// HandleRx sees every frame arriving from the wire before the base
 	// protocol does; src is the NIC that transmitted the packet. Returning
@@ -22,6 +34,11 @@ type Extension interface {
 	// HandleCtl is HandleRx for a control packet, whose header arrives by
 	// value.
 	HandleCtl(src fabric.NodeID, c fabric.Ctl) bool
+
+	Look(d *Desc)
+	Left(d *Desc)
+	AckTurn(child fabric.NodeID, group GroupID, epoch, ack uint32, nack bool)
+	Enqueue(t *Token)
 }
 
 // Stats count protocol-level incidents on one NIC.
@@ -61,11 +78,15 @@ type NIC struct {
 	ext   Extension
 	m     *instruments
 
-	// descFree holds the packet descriptors not in use, tokFree the send
-	// descriptors. Each grows to the most packets (messages) this NIC ever
-	// worked on at once and no further.
-	descFree []*desc
-	tokFree  []*sendToken
+	// descFree holds the packet descriptors not in use (descMade counts
+	// every one ever made), tokFree the send tokens. Each grows to the most
+	// packets (messages) this NIC ever worked on at once, unicast and the
+	// extension's together, and no further.
+	descFree []*Desc
+	descMade int
+	tokFree  []*Token
+	landing  []*Desc // payloads on their way to host memory, in RDMA order
+	landFn   func()  // land, bound once
 
 	// groupEvents are firmware-generated events whose records are on their
 	// way to host memory; groupPost (landGroupEvent, bound on first use) is
@@ -95,6 +116,7 @@ func NewNIC(hw *lanai.NIC, cfg Config) *NIC {
 		rcvrs: make(map[connKey]*rcvr),
 	}
 	n.m = metrics.Attach[instruments](hw.Registry(), Component, int(hw.ID))
+	n.landFn = n.land
 	hw.RxDispatch = n.rxDispatch
 	return n
 }
@@ -173,8 +195,8 @@ func (n *NIC) PendingAckTimers() int {
 	return armed
 }
 
-// NewMsgID allocates a node-unique message identifier.
-func (n *NIC) NewMsgID() uint64 {
+// newMsgID allocates a node-unique message identifier.
+func (n *NIC) newMsgID() uint64 {
 	n.nextMsgID++
 	return n.nextMsgID
 }
@@ -183,8 +205,8 @@ func (n *NIC) NewMsgID() uint64 {
 // txDone (optional) fires when the transmit engine releases the packet
 // buffer. The frame must not be written again: the receiver, the send window
 // and — for a multicast frame — every NIC further down the tree hold this
-// same pointer. Exposed for the core extension, which transmits through the
-// same engine.
+// same pointer. Exposed for the collective engine, which transmits through
+// the same engine.
 func (n *NIC) Inject(fr *Frame, dst fabric.NodeID, txDone func()) {
 	fr.seal(n.ID())
 	if n.Trace.Enabled() {
@@ -220,11 +242,15 @@ func (n *NIC) rxDispatch(pkt *fabric.Packet) {
 		if n.ext != nil && n.ext.HandleCtl(src, c) {
 			return
 		}
-		switch Kind(c.Kind) {
-		case KindAck, KindNack:
+		switch k := Kind(c.Kind); {
+		case k == KindAck || k == KindNack:
 			n.rxAck(src, c)
+		case (k == KindMcastAck || k == KindMcastNack) && n.ext != nil:
+			d := n.newDesc(nil, ackTurn)
+			d.peer, d.group, d.epoch, d.ack, d.nack = src, GroupID(c.Group), c.Epoch, c.Ack, k == KindMcastNack
+			n.HW.CPUDo(n.Cfg.AckProcCost, d.step)
 		default:
-			panic(fmt.Sprintf("gm: unhandled control packet kind %v at %v (no extension?)", Kind(c.Kind), n.ID()))
+			panic(fmt.Sprintf("gm: unhandled control packet kind %v at %v (no extension?)", k, n.ID()))
 		}
 		return
 	}
@@ -236,10 +262,10 @@ func (n *NIC) rxDispatch(pkt *fabric.Packet) {
 	if n.ext != nil && n.ext.HandleRx(src, fr) {
 		return
 	}
-	switch fr.Kind {
-	case KindData:
+	switch {
+	case fr.Kind == KindData || fr.Kind == KindMcastData && n.ext != nil:
 		n.rxData(src, fr)
-	case KindDirected:
+	case fr.Kind == KindDirected:
 		n.rxDirected(src, fr)
 	default:
 		panic(fmt.Sprintf("gm: unhandled frame kind %v at %v (no extension?)", fr.Kind, n.ID()))

@@ -2,6 +2,7 @@ package gm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -162,11 +163,11 @@ func (p *Port) RecvTokens() int { return len(p.recvTokens) }
 // back to Config.SendTokens once every posted send has completed.
 func (p *Port) FreeSendTokens() int { return p.sendTokens }
 
-// TakeSendToken blocks the caller until a host-level send token is free
-// and consumes it. Exposed for the multicast extension's host API. The
-// wait (zero when a token is free) feeds the token_wait_ns histogram —
-// the host-visible cost of send-descriptor backpressure.
-func (p *Port) TakeSendToken(proc *sim.Proc) {
+// takeSendToken blocks the caller until a host-level send token is free
+// and consumes it. The wait (zero when a token is free) feeds the
+// token_wait_ns histogram — the host-visible cost of send-descriptor
+// backpressure.
+func (p *Port) takeSendToken(proc *sim.Proc) {
 	began := p.nic.Engine().Now()
 	for p.sendTokens == 0 {
 		p.sendWaiter.Wait(proc)
@@ -175,9 +176,9 @@ func (p *Port) TakeSendToken(proc *sim.Proc) {
 	p.nic.m.tokenWaitNs.Observe(int64(p.nic.Engine().Now() - began))
 }
 
-// ReturnSendToken releases a host-level send token and wakes waiters.
+// returnSendToken releases a host-level send token and wakes waiters.
 // The firmware calls it when a send completes.
-func (p *Port) ReturnSendToken() {
+func (p *Port) returnSendToken() {
 	p.sendTokens++
 	p.doneAvail++
 	p.sendWaiter.WakeOne()
@@ -192,22 +193,34 @@ func (p *Port) Send(proc *sim.Proc, dst fabric.NodeID, dstPort PortID, data []by
 	if dst == p.Node() {
 		panic(ErrSelfSend)
 	}
-	p.TakeSendToken(proc)
-	proc.Compute(p.nic.Cfg.HostSendPost)
-	p.nic.HW.HostPost(p.newToken(dst, dstPort, data).step)
+	p.nic.HW.HostPost(p.newToken(proc, dst, dstPort, data).step)
 }
 
-// newToken takes a send descriptor for one message off the NIC's free list,
-// or makes one. The caller holds a host-level send token, so a NIC never
-// owns more descriptors than Config.SendTokens for each of its ports.
-func (p *Port) newToken(dst fabric.NodeID, dstPort PortID, data []byte) *sendToken {
+// SendGroup posts a message to the extension's group id, exactly like a
+// unicast Send: one host send token, one send event. After the send-event
+// processing the NIC hands the message to the extension (Extension.Enqueue);
+// onEpoch, when non-nil, is told the group epoch it stages in. Completion is
+// observable via WaitSendDone.
+func (p *Port) SendGroup(proc *sim.Proc, id GroupID, data []byte, onEpoch func(epoch uint32)) {
+	t := p.newToken(proc, 0, 0, data)
+	t.mcast, t.group, t.onEpoch = true, id, onEpoch
+	p.nic.HW.HostPost(t.step)
+}
+
+// newToken is the host's half of a post: it takes a host-level send token
+// and builds the send event, then hands over the NIC's send token for the
+// message — off the NIC's free list, or made. A NIC never owns more tokens
+// than Config.SendTokens for each of its ports.
+func (p *Port) newToken(proc *sim.Proc, dst fabric.NodeID, dstPort PortID, data []byte) *Token {
+	p.takeSendToken(proc)
+	proc.Compute(p.nic.Cfg.HostSendPost)
 	n := p.nic
-	var t *sendToken
+	var t *Token
 	if k := len(n.tokFree); k > 0 {
 		t = n.tokFree[k-1]
 		n.tokFree = n.tokFree[:k-1]
 	} else {
-		t = new(sendToken)
+		t = new(Token)
 		t.step = t.run
 	}
 	t.port, t.dst, t.dstPort, t.data = p, dst, dstPort, data
@@ -246,18 +259,8 @@ func (p *Port) TryRecv() (*RecvEvent, bool) {
 		return nil, false
 	}
 	ev := p.recvEvents[0]
-	p.recvEvents = popFront(p.recvEvents)
+	p.recvEvents = slices.Delete(p.recvEvents, 0, 1)
 	return ev, true
-}
-
-// popFront removes a queue's first element by copying the rest down rather
-// than sliding off the front: q[1:] would abandon the backing array, so the
-// next append would allocate a new one, and would keep the array's last
-// element alive until then.
-func popFront[T any](q []T) []T {
-	n := copy(q, q[1:])
-	clear(q[n:])
-	return q[:n]
 }
 
 // PendingRecvs reports the receive-event queue depth.
@@ -294,7 +297,7 @@ type groupEvent struct {
 // engine is FIFO, so the record that has just landed is the one posted first.
 func (n *NIC) landGroupEvent() {
 	ge := n.groupEvents[0]
-	n.groupEvents = popFront(n.groupEvents)
+	n.groupEvents = slices.Delete(n.groupEvents, 0, 1)
 	ge.port.deliver(ge.ev)
 }
 
@@ -361,8 +364,8 @@ func (p *Port) takeFree(msgLen int) *Assembly {
 // A packet that carries its whole message never enters the assembly table:
 // the table exists so a message's later packets find what its first one
 // opened, and this message has no later packet. No duplicate can open a second
-// assembly for it either — both callers (desc.rxData here, the multicast
-// extension's look) match only a packet whose sequence number is the one
+// assembly for it either — both callers (Desc.rxData here, the multicast
+// extension's Look) match only a packet whose sequence number is the one
 // expected, and accepting it advances that number, so a repeat is refused by
 // the sequence check before it reaches this function.
 func (p *Port) MatchAssembly(src fabric.NodeID, fr *Frame) (*Assembly, bool) {

@@ -5,21 +5,24 @@ import (
 	"repro/internal/trace"
 )
 
-// traceDrop records a refused packet when tracing is enabled.
-func (n *NIC) traceDrop(format string, args ...any) {
+// traceDrop records a packet the sequence check refused when tracing is
+// enabled. The values are boxed for the trace only then: a duplicate that a
+// go-back-N round provokes allocates nothing.
+func (n *NIC) traceDrop(what string, seq, expect uint32) {
 	if n.Trace.Enabled() {
-		n.Trace.Log(n.Engine().Now(), n.ID(), trace.Drop, format, args...)
+		n.Trace.Log(n.Engine().Now(), n.ID(), trace.Drop, "%s seq=%d expect=%d", what, seq, expect)
 	}
 }
 
 // Receive-side firmware: sequence checking, receive-token matching,
 // RDMA to host memory, and acknowledgment generation.
 
-// rxData handles an arriving unicast data packet. The packet occupies a
-// NIC receive buffer from wire arrival until its payload has been RDMA'd
-// into the matched host buffer; a NIC with no free receive buffer drops
-// the packet at the wire (go-back-N recovers it). Buffer and descriptor
-// travel together: whichever path ends the packet returns both.
+// rxData handles an arriving data packet, unicast or multicast. The packet
+// occupies a NIC receive buffer from wire arrival until its payload has been
+// RDMA'd into the matched host buffer (and, forwarded, until its last replica
+// has left); a NIC with no free receive buffer drops the packet at the wire
+// (go-back-N recovers it). Buffer and descriptor travel together: whichever
+// path ends the packet returns both.
 func (n *NIC) rxData(src fabric.NodeID, fr *Frame) {
 	buf, ok := n.HW.RecvBufs.TryAcquire()
 	if !ok {
@@ -27,25 +30,26 @@ func (n *NIC) rxData(src fabric.NodeID, fr *Frame) {
 		return
 	}
 	d := n.newDesc(fr, rxLook)
-	d.src, d.buf = src, buf
+	d.peer, d.buf, d.uses = src, buf, 1
 	n.HW.CPUDo(n.Cfg.RecvProcCost, d.step)
 }
 
-// rxData is the receive processing of the descriptor's data frame: sequence
-// check, receive-token match, acknowledgment, and the RDMA to host memory.
-func (d *desc) rxData() {
+// rxData is the receive processing of the descriptor's unicast data frame:
+// sequence check, receive-token match, acknowledgment, and the RDMA to host
+// memory.
+func (d *Desc) rxData() {
 	n, fr := d.nic, d.fr
 	if fr.Piggy {
 		// The frame carries the reverse direction's cumulative ack;
 		// retire those send records inside this same CPU event — the
 		// standalone ack's wire crossing and AckProcCost are the saving.
-		n.sendConn(fr.DstPort, d.src, fr.SrcPort).handleAck(fr.PiggyAck)
+		n.sendConn(fr.DstPort, d.peer, fr.SrcPort).handleAck(fr.PiggyAck)
 	}
-	r := n.recvConn(d.src, fr.SrcPort, fr.DstPort)
+	r := n.recvConn(d.peer, fr.SrcPort, fr.DstPort)
 	port, open := n.ports[fr.DstPort]
 	if !open {
 		// No such port; silently dropping models a misdirected packet.
-		d.drop()
+		d.Done()
 		return
 	}
 	switch {
@@ -54,44 +58,45 @@ func (d *desc) rxData() {
 		// go-back-N resent it). Re-ack so the sender advances; the
 		// immediate cumulative ack also covers anything coalesced.
 		n.m.duplicates.Inc()
-		n.traceDrop("duplicate seq=%d expect=%d", fr.Seq, r.expect)
+		n.traceDrop("duplicate", fr.Seq, r.expect)
 		r.hold.Absorb()
 		r.sendAck(r.expect - 1)
-		d.drop()
+		d.Done()
 	case SeqAfter(fr.Seq, r.expect):
 		// Hole ahead of us: drop; the sender's timeout resends in
 		// order. With fast recovery enabled, tell the sender now.
 		n.m.oooDrops.Inc()
-		n.traceDrop("out-of-order seq=%d expect=%d", fr.Seq, r.expect)
+		n.traceDrop("out-of-order", fr.Seq, r.expect)
 		if n.Cfg.EnableNacks {
 			r.hold.Absorb()
 			r.sendNack(r.expect - 1)
 		}
-		d.drop()
+		d.Done()
 	default:
-		asm, ok := port.MatchAssembly(d.src, fr)
+		asm, ok := port.MatchAssembly(d.peer, fr)
 		if !ok {
 			// In sequence but the host has posted no receive buffer
 			// large enough. Don't ack: the sender will retransmit,
 			// and accepting would violate ordered delivery. Providing
 			// tokens in time is the client program's responsibility.
 			n.m.noTokenDrops.Inc()
-			n.traceDrop("no receive token for %d bytes", fr.MsgLen)
-			d.drop()
+			if n.Trace.Enabled() {
+				n.Trace.Log(n.Engine().Now(), n.ID(), trace.Drop, "no receive token for %d bytes", fr.MsgLen)
+			}
+			d.Done()
 			return
 		}
 		r.expect++
 		n.m.dataReceived.Inc()
 		if n.Trace.Enabled() {
-			n.Trace.Log(n.Engine().Now(), n.ID(), trace.RX, "%s", fr.Wire(d.src, n.ID()))
+			n.Trace.Log(n.Engine().Now(), n.ID(), trace.RX, "%s", fr.Wire(d.peer, n.ID()))
 		}
 		if n.Cfg.AckCoalescing() {
 			r.hold.Note()
 		} else {
 			r.sendAck(fr.Seq)
 		}
-		d.asm, d.stage = asm, rxLanded
-		n.HW.NICToHost(len(fr.Payload), d.step)
+		d.Land(asm, false)
 	}
 }
 
@@ -110,7 +115,7 @@ func (n *NIC) rxAck(src fabric.NodeID, h fabric.Ctl) {
 		c.fuseAck(h.Ack, nack)
 		return
 	}
-	d := n.newDesc(nil, rxAckTurn)
+	d := n.newDesc(nil, ackTurn)
 	d.conn, d.ack, d.nack = c, h.Ack, nack
 	n.HW.CPUDo(n.Cfg.AckProcCost, d.step)
 }

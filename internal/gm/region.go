@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Directed sends — GM's remote-DMA put (gm_directed_send), the transport
@@ -89,9 +90,7 @@ func (p *Port) directedSend(proc *sim.Proc, dst fabric.NodeID, dstPort PortID, r
 	if offset < 0 {
 		panic(ErrNegativeOffset)
 	}
-	p.TakeSendToken(proc)
-	proc.Compute(p.nic.Cfg.HostSendPost)
-	t := p.newToken(dst, dstPort, data)
+	t := p.newToken(proc, dst, dstPort, data)
 	t.directed, t.region, t.base, t.onDone = true, remote, offset, onDone
 	p.nic.HW.HostPost(t.step)
 }
@@ -121,7 +120,7 @@ func (n *NIC) rxDirected(src fabric.NodeID, fr *Frame) {
 			buf.Release()
 		case fr.Seq > r.expect:
 			n.m.oooDrops.Inc()
-			n.traceDrop("directed out-of-order seq=%d expect=%d", fr.Seq, r.expect)
+			n.traceDrop("directed out-of-order", fr.Seq, r.expect)
 			if n.Cfg.EnableNacks {
 				r.sendNack(r.expect - 1)
 			}
@@ -133,8 +132,10 @@ func (n *NIC) rxDirected(src fabric.NodeID, fr *Frame) {
 				// acknowledging. The sender retries; a misprogrammed peer
 				// cannot scribble on memory it was not granted.
 				n.m.directedRefused.Inc()
-				n.traceDrop("directed write refused: region=%d off=%d len=%d",
-					fr.MsgID, fr.Offset, len(fr.Payload))
+				if n.Trace.Enabled() {
+					n.Trace.Log(n.Engine().Now(), n.ID(), trace.Drop, "directed write refused: region=%d off=%d len=%d",
+						fr.MsgID, fr.Offset, len(fr.Payload))
+				}
 				buf.Release()
 				return
 			}

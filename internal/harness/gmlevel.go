@@ -256,13 +256,11 @@ func (o Options) Fig5(nodes int, sizes []int) Series {
 // UnicastOneWay measures the plain GM one-way latency, used for the
 // no-regression check of Section 6.1 and for calibration reporting.
 func (o Options) UnicastOneWay(size int, withExtension bool) float64 {
-	cfg := o.config(2)
-	var c *cluster.Cluster
-	if withExtension {
-		c = cluster.NewFromConfig(cfg)
-	} else {
-		c = cluster.NewPlain(cfg)
+	opts := []cluster.Option{cluster.WithConfig(o.config(2))}
+	if !withExtension {
+		opts = append(opts, cluster.WithoutExtension())
 	}
+	c := cluster.New(2, opts...)
 	ports := c.OpenPorts(benchPort)
 	total := o.Warmup + o.Iters
 	var avg float64
