@@ -30,17 +30,17 @@ type region struct {
 	written int
 }
 
-// RegisterRegion pins a buffer of the given size for remote directed
-// writes and returns its identifier and the backing memory.
-func (p *Port) RegisterRegion(size int) (RegionID, []byte) {
+// RegisterRegion pins memory the host already owns for remote directed
+// writes and returns its identifier, as gm_register_memory does: writes
+// land in buf itself, which the caller must not reuse until it deregisters.
+func (p *Port) RegisterRegion(buf []byte) RegionID {
 	p.nextRegion++
 	id := p.nextRegion
-	r := &region{id: id, buf: make([]byte, size)}
 	if p.regions == nil {
 		p.regions = make(map[RegionID]*region)
 	}
-	p.regions[id] = r
-	return id, r.buf
+	p.regions[id] = &region{id: id, buf: buf}
+	return id
 }
 
 // DeregisterRegion unpins a region. Packets that arrive for it afterwards

@@ -9,11 +9,11 @@ import (
 
 func TestDirectedSendWritesRemoteRegion(t *testing.T) {
 	r := newRig(t, 2, nil)
-	var landing []byte
 	var rid RegionID
 	data := pattern(10000) // multi-packet put
+	landing := make([]byte, len(data))
 	r.eng.Spawn("recv", func(p *sim.Proc) {
-		rid, landing = r.ports[1].RegisterRegion(len(data))
+		rid = r.ports[1].RegisterRegion(landing)
 	})
 	r.eng.Spawn("send", func(p *sim.Proc) {
 		p.Sleep(10 * sim.Microsecond) // let registration happen
@@ -34,9 +34,9 @@ func TestDirectedSendWritesRemoteRegion(t *testing.T) {
 
 func TestDirectedSendAtOffset(t *testing.T) {
 	r := newRig(t, 2, nil)
-	var landing []byte
+	landing := make([]byte, 100)
 	r.eng.Spawn("recv", func(p *sim.Proc) {
-		_, landing = r.ports[1].RegisterRegion(100)
+		r.ports[1].RegisterRegion(landing)
 	})
 	r.eng.Spawn("send", func(p *sim.Proc) {
 		p.Sleep(10 * sim.Microsecond)
@@ -58,7 +58,7 @@ func TestDirectedSendOutOfBoundsRefused(t *testing.T) {
 	r := newRig(t, 2, nil)
 	completed := false
 	r.eng.Spawn("recv", func(p *sim.Proc) {
-		r.ports[1].RegisterRegion(50)
+		r.ports[1].RegisterRegion(make([]byte, 50))
 	})
 	r.eng.Spawn("send", func(p *sim.Proc) {
 		p.Sleep(10 * sim.Microsecond)
@@ -94,9 +94,9 @@ func TestDirectedSendUnderLoss(t *testing.T) {
 	r.net.SetRNG(sim.NewRNG(31))
 	r.net.LossRate = 0.05
 	data := pattern(20000)
-	var landing []byte
+	landing := make([]byte, len(data))
 	r.eng.Spawn("recv", func(p *sim.Proc) {
-		_, landing = r.ports[1].RegisterRegion(len(data))
+		r.ports[1].RegisterRegion(landing)
 	})
 	done := false
 	r.eng.Spawn("send", func(p *sim.Proc) {
@@ -117,9 +117,10 @@ func TestDirectedAndNormalSendsShareOrdering(t *testing.T) {
 	// Directed and normal traffic between the same ports ride one
 	// sequence space; both complete and neither corrupts the other.
 	r := newRig(t, 2, nil)
-	var landing, msg []byte
+	landing := make([]byte, 5000)
+	var msg []byte
 	r.eng.Spawn("recv", func(p *sim.Proc) {
-		_, landing = r.ports[1].RegisterRegion(5000)
+		r.ports[1].RegisterRegion(landing)
 		r.ports[1].Provide(256)
 		msg = r.ports[1].Recv(p).Data
 	})
@@ -141,7 +142,7 @@ func TestDeregisterRegionRefusesLateWrites(t *testing.T) {
 	r := newRig(t, 2, nil)
 	var rid RegionID
 	r.eng.Spawn("recv", func(p *sim.Proc) {
-		rid, _ = r.ports[1].RegisterRegion(100)
+		rid = r.ports[1].RegisterRegion(make([]byte, 100))
 		p.Sleep(5 * sim.Microsecond)
 		r.ports[1].DeregisterRegion(rid)
 	})

@@ -67,6 +67,25 @@ func TestAllocMPIBcastSmallMessageIsSmall(t *testing.T) {
 	}
 }
 
+// An MPI_Bcast used to cost every receiver a fresh copy of the message and
+// every sender a fresh envelope per send (8–497 KB per iteration over 16
+// ranks). Receivers copy into the buffer they passed and envelopes are
+// encoded into rank-owned buffers, so what an iteration allocates is its
+// frames, at any size and on both paths.
+func TestAllocMPIBcastCopiesIntoCallerBuffers(t *testing.T) {
+	const nodes, limit = 16, 8 << 10
+	for _, size := range []int{512, 4096, mpi.EagerMax} {
+		for _, nb := range []bool{true, false} {
+			per := bytesPerIteration(t, func(o Options) { o.mpiBcastOnce(nodes, size, nb, nodes-1) })
+			t.Logf("MPIBcast(%d, %d, nb=%v): %.0f B per iteration", nodes, size, nb, per)
+			if per > limit {
+				t.Errorf("size %d nb=%v: one iteration allocates %.0f B, over %d: a copy-out or envelope per message is back",
+					size, nb, per, limit)
+			}
+		}
+	}
+}
+
 // A 16 KB host-based multicast over 16 nodes has seven forwarders, which
 // cannot release a message while their sends read it: each used to take a
 // fresh 16 KB landing buffer per iteration (≈ 115 KB in all). They hold what

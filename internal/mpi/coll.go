@@ -28,10 +28,12 @@ func (r *Rank) Allreduce(val float64, op func(a, b float64) float64) float64 {
 // AlltoallBcast has every world rank broadcast its buffer to all others.
 func (r *Rank) AlltoallBcast(mine []byte) [][]byte { return r.World().AlltoallBcast(mine) }
 
-// Bcast broadcasts data from communicator rank root to every member and
-// returns each member's copy (every member must pass a same-length
-// buffer, as MPI_Bcast requires a consistent count). With the world's
-// UseNB set and an eager-sized message it uses the NIC-based multicast,
+// Bcast broadcasts data from communicator rank root to every member. The
+// buffer is in/out, as MPI_Bcast's is: the root's is sent, every other
+// member's is overwritten with the root's message and returned. Every
+// member must pass a same-length buffer (MPI_Bcast's consistent count);
+// one that differs panics with ErrCountMismatch. With the world's UseNB
+// set and an eager-sized message it uses the NIC-based multicast,
 // creating the (communicator, root, size-class) group context on first
 // use; otherwise — including all rendezvous-sized messages, which
 // MPICH-GM moves by remote DMA — it runs the traditional host-based
@@ -39,6 +41,9 @@ func (r *Rank) AlltoallBcast(mine []byte) [][]byte { return r.World().AlltoallBc
 func (c *Comm) Bcast(root int, data []byte) []byte {
 	if c.Size() == 1 {
 		return data
+	}
+	if data == nil {
+		data = []byte{} // a zero count, not a request for a fresh buffer
 	}
 	if c.r.w.UseNB && len(data) <= EagerMax {
 		return c.bcastNB(root, data)
@@ -48,16 +53,15 @@ func (c *Comm) Bcast(root int, data []byte) []byte {
 
 // bcastHB is MPICH's binomial broadcast over point-to-point messages: each
 // process receives from its parent, then forwards to its children — the
-// host is involved at every hop.
+// host is involved at every hop. A non-root receives into data.
 func (c *Comm) bcastHB(root int, data []byte) []byte {
 	n := c.Size()
 	rel := (c.my - root + n) % n
-	buf := data
 	mask := 1
 	for mask < n {
 		if rel&mask != 0 {
 			parent := (c.my - mask + n) % n
-			buf = c.r.recv(c.id, c.members[parent], tagBcast)
+			c.r.recv(c.id, c.members[parent], tagBcast, data)
 			break
 		}
 		mask <<= 1
@@ -66,11 +70,11 @@ func (c *Comm) bcastHB(root int, data []byte) []byte {
 	for mask > 0 {
 		if rel+mask < n {
 			dst := (c.my + mask) % n
-			c.r.send(c.id, c.members[dst], tagBcast, buf)
+			c.r.send(c.id, c.members[dst], tagBcast, data)
 		}
 		mask >>= 1
 	}
-	return buf
+	return data
 }
 
 // sizeBucket groups message sizes into power-of-two classes so one group
@@ -95,7 +99,7 @@ func groupID(comm uint32, worldRoot int, bucket uint8) gm.GroupID {
 
 // bcastNB is the modified broadcast: the root initiates one NIC-based
 // multicast; intermediate NICs forward without host involvement; the
-// destinations perform blocking receives.
+// destinations perform blocking receives, copying into data.
 func (c *Comm) bcastNB(root int, data []byte) []byte {
 	r := c.r
 	key := bcastKey{comm: c.id, root: c.members[root], bucket: sizeBucket(len(data))}
@@ -109,11 +113,10 @@ func (c *Comm) bcastNB(root int, data []byte) []byte {
 		return data
 	}
 	ev := r.awaitGroup(bg.gid)
-	out := make([]byte, len(ev.Data))
-	copy(out, ev.Data)
+	copy(landing(data, len(ev.Data)), ev.Data)
 	r.proc.Compute(r.w.C.Cfg.HostMemcpyTime(len(ev.Data)))
 	r.replenish(ev)
-	return out
+	return data
 }
 
 // createGroupContext performs the demand-driven group creation the paper
@@ -205,7 +208,7 @@ func (c *Comm) barrierHB() {
 		dst := (c.my + k) % n
 		src := (c.my - k + n) % n
 		c.r.send(c.id, c.members[dst], tagBarrier, nil)
-		c.r.recv(c.id, c.members[src], tagBarrier)
+		c.r.recv(c.id, c.members[src], tagBarrier, nil)
 	}
 }
 
@@ -226,7 +229,7 @@ func (c *Comm) Allreduce(val float64, op func(a, b float64) float64) float64 {
 			break
 		}
 		if c.my+mask < n {
-			other := decodeF64(c.r.recv(c.id, c.members[c.my+mask], tagGather))
+			other := decodeF64(c.r.recv(c.id, c.members[c.my+mask], tagGather, nil))
 			acc = op(acc, other)
 		}
 		mask <<= 1
@@ -282,7 +285,7 @@ func (c *Comm) Gather(root int, mine []byte) [][]byte {
 		}
 		if rel+mask < n {
 			child := (c.my + mask) % n
-			buf = append(buf, c.r.recv(c.id, c.members[child], tagGather)...)
+			buf = append(buf, c.r.recv(c.id, c.members[child], tagGather, nil)...)
 		}
 		mask <<= 1
 	}
@@ -328,7 +331,7 @@ func (c *Comm) Scatter(root int, parts [][]byte) []byte {
 		for rel&mask == 0 {
 			mask <<= 1
 		}
-		span = c.r.recv(c.id, c.members[(c.my-mask+n)%n], tagScatter)
+		span = c.r.recv(c.id, c.members[(c.my-mask+n)%n], tagScatter, nil)
 		width := min(mask, n-rel)
 		chunk = len(span) / width
 		startMask = mask >> 1
@@ -368,7 +371,7 @@ func (c *Comm) Reduce(root int, val float64, op func(a, b float64) float64) floa
 		}
 		if rel+mask < n {
 			child := (c.my + mask) % n
-			acc = op(acc, decodeF64(c.r.recv(c.id, c.members[child], tagGather)))
+			acc = op(acc, decodeF64(c.r.recv(c.id, c.members[child], tagGather, nil)))
 		}
 		mask <<= 1
 	}

@@ -175,7 +175,7 @@ func (c *Comm) allreduceVecHB(vec []int64, op coll.Op) []int64 {
 	case c.my < 2*rem && c.my%2 == 0:
 		c.r.send(c.id, c.members[c.my+1], tagAllreduce, coll.EncodeVec(acc))
 	case c.my < 2*rem:
-		foldVec(acc, coll.DecodeVec(c.r.recv(c.id, c.members[c.my-1], tagAllreduce)), op)
+		foldVec(acc, coll.DecodeVec(c.r.recv(c.id, c.members[c.my-1], tagAllreduce, nil)), op)
 		newrank = c.my / 2
 	default:
 		newrank = c.my - rem
@@ -188,12 +188,12 @@ func (c *Comm) allreduceVecHB(vec []int64, op coll.Op) []int64 {
 				partner = pn*2 + 1
 			}
 			c.r.send(c.id, c.members[partner], tagAllreduce, coll.EncodeVec(acc))
-			foldVec(acc, coll.DecodeVec(c.r.recv(c.id, c.members[partner], tagAllreduce)), op)
+			foldVec(acc, coll.DecodeVec(c.r.recv(c.id, c.members[partner], tagAllreduce, nil)), op)
 		}
 	}
 	if c.my < 2*rem {
 		if c.my%2 == 0 {
-			acc = coll.DecodeVec(c.r.recv(c.id, c.members[c.my+1], tagAllreduce))
+			acc = coll.DecodeVec(c.r.recv(c.id, c.members[c.my+1], tagAllreduce, nil))
 		} else {
 			c.r.send(c.id, c.members[c.my-1], tagAllreduce, coll.EncodeVec(acc))
 		}
@@ -243,7 +243,7 @@ func (c *Comm) reduceVecHB(root int, vec []int64, op coll.Op) []int64 {
 		}
 		if rel+mask < n {
 			child := (c.my + mask) % n
-			foldVec(acc, coll.DecodeVec(c.r.recv(c.id, c.members[child], tagAllreduce)), op)
+			foldVec(acc, coll.DecodeVec(c.r.recv(c.id, c.members[child], tagAllreduce, nil)), op)
 		}
 		mask <<= 1
 	}
@@ -341,7 +341,7 @@ func (c *Comm) allgatherVecHB(mine []int64) []int64 {
 		dst := (c.my - pof2 + n) % n
 		src := (c.my + pof2) % n
 		c.r.send(c.id, c.members[dst], tagAllgather, coll.EncodeVec(buf[:cnt*veclen]))
-		buf = append(buf, coll.DecodeVec(c.r.recv(c.id, c.members[src], tagAllgather))...)
+		buf = append(buf, coll.DecodeVec(c.r.recv(c.id, c.members[src], tagAllgather, nil))...)
 	}
 	out := make([]int64, n*veclen)
 	for k := 0; k < n; k++ {

@@ -69,14 +69,14 @@ func (c *Comm) Recv(src int, tag int32) []byte {
 	if tag < 0 {
 		panic(ErrNegativeTag)
 	}
-	return c.r.recv(c.id, c.members[src], tag)
+	return c.r.recv(c.id, c.members[src], tag, nil)
 }
 
 // Sendrecv posts a send to dst then receives from src (both communicator
 // ranks) on the same tag.
 func (c *Comm) Sendrecv(dst int, sdata []byte, src int, tag int32) []byte {
 	c.r.send(c.id, c.members[dst], tag, sdata)
-	return c.r.recv(c.id, c.members[src], tag)
+	return c.r.recv(c.id, c.members[src], tag, nil)
 }
 
 // splitRecord is one member's contribution to a Split exchange.
@@ -104,7 +104,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	if c.my == 0 {
 		copy(blob[:12], mine)
 		for i := 1; i < c.Size(); i++ {
-			copy(blob[12*i:], c.r.recv(c.id, c.members[i], tagSplit))
+			copy(blob[12*i:], c.r.recv(c.id, c.members[i], tagSplit, nil))
 		}
 	} else {
 		c.r.send(c.id, c.members[0], tagSplit, mine)

@@ -16,4 +16,7 @@ var (
 	// ErrBadScatter reports malformed Scatter input: wrong part count or
 	// unequal part lengths.
 	ErrBadScatter = errors.New("mpi: malformed scatter")
+	// ErrCountMismatch reports a broadcast whose arriving message is not
+	// the length of the buffer the receiving member passed.
+	ErrCountMismatch = errors.New("mpi: message length differs from the buffer")
 )

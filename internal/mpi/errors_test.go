@@ -44,6 +44,24 @@ func TestSentinelErrorsAreIsable(t *testing.T) {
 	})
 }
 
+// An eager Bcast into a buffer of another length is an error on both
+// paths. 48 and 64 bytes share a size class, so under UseNB the ranks
+// agree on the multicast group and the message does arrive.
+func TestBcastCountMismatch(t *testing.T) {
+	for _, useNB := range []bool{false, true} {
+		w := newWorld(t, 2, useNB)
+		w.Run(func(r *Rank) {
+			if r.ID() == 0 {
+				r.Bcast(0, pattern(64))
+				return
+			}
+			if err := recoverErr(t, func() { r.Bcast(0, make([]byte, 48)) }); !errors.Is(err, ErrCountMismatch) {
+				t.Errorf("NB=%v: 64-byte bcast into 48 bytes: got %v, want ErrCountMismatch", useNB, err)
+			}
+		})
+	}
+}
+
 func TestScatterErrors(t *testing.T) {
 	w := newWorld(t, 2, false)
 	w.Run(func(r *Rank) {

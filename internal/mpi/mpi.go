@@ -126,6 +126,8 @@ type Rank struct {
 	proc *sim.Proc
 
 	unexpected  []*gm.RecvEvent
+	sendHeld    [][]byte // encoded envelopes a posted send may still read
+	sendSpare   [][]byte // envelope buffers free for reuse (encodeEnvelope)
 	sendSeq     map[sendSeqKey]uint32
 	bcastGroups map[bcastKey]*bcastGroup
 	collGroups  map[uint32]gm.GroupID // comm id -> NIC collective group

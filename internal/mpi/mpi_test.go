@@ -181,16 +181,22 @@ func TestBcastRendezvousFallsBackToHostBased(t *testing.T) {
 	w := newWorld(t, 4, true)
 	msg := pattern(50_000)
 	results := make([][]byte, 4)
+	bufs := make([][]byte, 4)
 	w.Run(func(r *Rank) {
 		buf := msg
 		if r.ID() != 0 {
 			buf = make([]byte, len(msg))
 		}
+		bufs[r.ID()] = buf
 		results[r.ID()] = r.Bcast(0, buf)
 	})
 	for i := range results {
 		if !bytes.Equal(results[i], msg) {
 			t.Fatalf("rank %d large bcast corrupted", i)
+		}
+		// The remote DMA lands in the caller's buffer, as eager data does.
+		if &results[i][0] != &bufs[i][0] {
+			t.Fatalf("rank %d large bcast returned a buffer other than its own", i)
 		}
 	}
 	// No group contexts should have been created.
@@ -263,6 +269,56 @@ func TestBcastRepeatedBackToBack(t *testing.T) {
 	}
 }
 
+// Back-to-back host-based broadcasts under loss: go-back-N re-reads a
+// send's buffer until the send completes, so an envelope buffer reused
+// before then would put a later round's pattern under an earlier round's
+// sequence number. The designated rank's reply each round is one more
+// pooled send, of another size.
+func TestEagerSendBuffersSurviveRetransmission(t *testing.T) {
+	const nodes, rounds, size = 4, 40, 1500
+	c := cluster.New(nodes, cluster.WithLossRate(0.05), cluster.WithSeed(1))
+	w := NewWorld(c, false)
+	round := func(i int) []byte {
+		b := make([]byte, size)
+		for j := range b {
+			b[j] = byte(i*53 + j*7 + 1)
+		}
+		return b
+	}
+	corrupted := 0
+	w.Run(func(r *Rank) {
+		for i := 0; i < rounds; i++ {
+			want := round(i)
+			buf := make([]byte, size)
+			if r.ID() == 0 {
+				copy(buf, want)
+			}
+			if !bytes.Equal(r.Bcast(0, buf), want) {
+				corrupted++
+			}
+			designated := 1 + i%(nodes-1)
+			switch r.ID() {
+			case designated:
+				r.Send(0, 1, want[:16])
+			case 0:
+				if !bytes.Equal(r.Recv(designated, 1), want[:16]) {
+					corrupted++
+				}
+			}
+		}
+	})
+	if corrupted != 0 {
+		t.Fatalf("%d of %d broadcast results and replies arrived corrupted", corrupted, rounds*(nodes+1))
+	}
+	var resent uint64
+	for _, n := range c.Nodes {
+		resent += n.NIC.Stats().Retransmits
+	}
+	if resent == 0 {
+		t.Fatal("no retransmissions: the loss rate did not exercise go-back-N")
+	}
+}
+
 func TestAllreduce(t *testing.T) {
 	for _, useNB := range []bool{false, true} {
 		w := newWorld(t, 9, useNB)
@@ -331,7 +387,7 @@ func TestSingletonWorld(t *testing.T) {
 
 func TestWireEnvelopeRoundTrip(t *testing.T) {
 	e := envelope{kRTS, 77, 1234, 56}
-	enc := encodeEnvelope(e, []byte("payload"))
+	enc := newWorld(t, 2, false).Rank(0).encodeEnvelope(e, []byte("payload"))
 	got, body := decodeEnvelope(enc)
 	if got != e || string(body) != "payload" {
 		t.Fatalf("envelope round trip: %+v %q", got, body)

@@ -27,13 +27,13 @@ func (r *Rank) Recv(src int, tag int32) []byte {
 	if tag < 0 {
 		panic(ErrNegativeTag)
 	}
-	return r.recv(worldCommID, src, tag)
+	return r.recv(worldCommID, src, tag, nil)
 }
 
 // Sendrecv exchanges messages with two world-rank peers (send first).
 func (r *Rank) Sendrecv(dst int, sdata []byte, src int, tag int32) []byte {
 	r.send(worldCommID, dst, tag, sdata)
-	return r.recv(worldCommID, src, tag)
+	return r.recv(worldCommID, src, tag, nil)
 }
 
 func (r *Rank) send(comm uint32, dst int, tag int32, data []byte) {
@@ -43,7 +43,7 @@ func (r *Rank) send(comm uint32, dst int, tag int32, data []byte) {
 	seq := r.nextSeq(comm, dst, tag)
 	if len(data) <= EagerMax {
 		r.port.Send(r.proc, r.node(dst), mpiPort,
-			encodeEnvelope(envelope{kEager, comm, tag, seq}, data))
+			r.encodeEnvelope(envelope{kEager, comm, tag, seq}, data))
 		return
 	}
 	// Rendezvous: RTS carries the length; the CTS answers with the
@@ -51,7 +51,7 @@ func (r *Rank) send(comm uint32, dst int, tag int32, data []byte) {
 	// remote-DMA put (gm_directed_send), followed by a FIN since directed
 	// writes are silent at the receiver.
 	r.port.Send(r.proc, r.node(dst), mpiPort,
-		encodeEnvelope(envelope{kRTS, comm, tag, seq}, encodeU32(uint32(len(data)))))
+		r.encodeEnvelope(envelope{kRTS, comm, tag, seq}, encodeU32(uint32(len(data)))))
 	cts := r.awaitMatch(comm, dst, tag, seq, kCTS)
 	_, ctsBody := decodeEnvelope(cts.Data)
 	region := gm.RegionID(decodeU64(ctsBody))
@@ -60,15 +60,19 @@ func (r *Rank) send(comm uint32, dst int, tag int32, data []byte) {
 	// The FIN echoes the rendezvous sequence number so the receiver can
 	// pair it with its CTS.
 	r.port.Send(r.proc, r.node(dst), mpiPort,
-		encodeEnvelope(envelope{kFin, comm, tag, seq}, nil))
+		r.encodeEnvelope(envelope{kFin, comm, tag, seq}, nil))
 }
 
-func (r *Rank) recv(comm uint32, src int, tag int32) []byte {
+// recv receives the next message from (comm, src, tag) into dst: eager data
+// is copied there and a rendezvous lands there directly. A nil dst means a
+// fresh buffer of the message's length; any other dst must be exactly that
+// long (ErrCountMismatch).
+func (r *Rank) recv(comm uint32, src int, tag int32, dst []byte) []byte {
 	ev := r.awaitMatch(comm, src, tag, 0, kEager, kRTS)
 	env, body := decodeEnvelope(ev.Data)
 	switch env.kind {
 	case kEager:
-		out := make([]byte, len(body))
+		out := landing(dst, len(body))
 		copy(out, body)
 		// Copying from the bounce buffer to the final location is host CPU
 		// work — the cost behind the 16,287-byte dip in Figure 4.
@@ -76,19 +80,31 @@ func (r *Rank) recv(comm uint32, src int, tag int32) []byte {
 		r.replenish(ev)
 		return out
 	case kRTS:
-		size := int(decodeU32(body))
+		out := landing(dst, int(decodeU32(body)))
 		// Register the landing region and clear the sender to put.
-		region, landing := r.port.RegisterRegion(size)
+		region := r.port.RegisterRegion(out)
 		r.replenish(ev) // the RTS consumed an eager token
 		r.port.Send(r.proc, r.node(src), mpiPort,
-			encodeEnvelope(envelope{kCTS, comm, tag, env.seq}, encodeU64(uint64(region))))
+			r.encodeEnvelope(envelope{kCTS, comm, tag, env.seq}, encodeU64(uint64(region))))
 		r.replenish(r.awaitMatch(comm, src, tag, env.seq, kFin)) // ... as did the FIN
 		// The remote DMA landed in place: no bounce-buffer copy charged.
 		r.port.DeregisterRegion(region)
-		return landing
+		return out
 	default:
 		panic(fmt.Sprintf("mpi: impossible match kind %d", env.kind))
 	}
+}
+
+// landing returns dst for an n-byte message, or a fresh buffer when dst is
+// nil.
+func landing(dst []byte, n int) []byte {
+	if dst == nil {
+		return make([]byte, n)
+	}
+	if len(dst) != n {
+		panic(fmt.Errorf("%w: %d-byte message, %d-byte buffer", ErrCountMismatch, n, len(dst)))
+	}
+	return dst
 }
 
 // sendKind posts an internal protocol message with an explicit kind,
@@ -96,7 +112,7 @@ func (r *Rank) recv(comm uint32, src int, tag int32) []byte {
 func (r *Rank) sendKind(comm uint32, dst int, tag int32, kind msgKind, body []byte) {
 	seq := r.nextSeq(comm, dst, tag)
 	r.port.Send(r.proc, r.node(dst), mpiPort,
-		encodeEnvelope(envelope{kind, comm, tag, seq}, body))
+		r.encodeEnvelope(envelope{kind, comm, tag, seq}, body))
 }
 
 // awaitMatch returns the first message from (comm, src, tag) whose kind is

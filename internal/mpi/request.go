@@ -60,7 +60,7 @@ func (c *Comm) Irecv(src int, tag int32) *Request {
 	}
 	r := c.r
 	return &Request{
-		finish: func() []byte { return r.recv(c.id, c.members[src], tag) },
+		finish: func() []byte { return r.recv(c.id, c.members[src], tag, nil) },
 		probe: func() bool {
 			r.drainPort()
 			return r.hasMatch(c.id, c.members[src], tag)

@@ -35,8 +35,34 @@ type envelope struct {
 	seq  uint32 // per (sender, comm, tag) counter; pairs RTS/CTS/RData legs
 }
 
-func encodeEnvelope(e envelope, body []byte) []byte {
-	out := make([]byte, envelopeBytes+len(body))
+// encodeEnvelope writes e and body into one of the rank's send buffers for
+// Port.Send, which reads it until that send completes. So a buffer is held
+// once encoded, and only when all the port's send tokens are back — every
+// send it posted has completed — do the held buffers become spare. It takes
+// the smallest spare that fits, or makes one.
+func (r *Rank) encodeEnvelope(e envelope, body []byte) []byte {
+	if r.port.FreeSendTokens() == r.w.C.Cfg.GM.SendTokens {
+		r.sendSpare = append(r.sendSpare, r.sendHeld...)
+		r.sendHeld = r.sendHeld[:0]
+	}
+	n := envelopeBytes + len(body)
+	best := -1
+	for i, b := range r.sendSpare {
+		if cap(b) >= n && (best == -1 || cap(b) < cap(r.sendSpare[best])) {
+			best = i
+		}
+	}
+	var out []byte
+	if best == -1 {
+		out = make([]byte, n)
+	} else {
+		out = r.sendSpare[best][:n]
+		last := len(r.sendSpare) - 1
+		r.sendSpare[best] = r.sendSpare[last]
+		r.sendSpare[last] = nil
+		r.sendSpare = r.sendSpare[:last]
+	}
+	r.sendHeld = append(r.sendHeld, out)
 	out[0] = byte(e.kind)
 	binary.LittleEndian.PutUint32(out[1:], e.comm)
 	binary.LittleEndian.PutUint32(out[5:], uint32(e.tag))

@@ -34,15 +34,23 @@ func (w *Waiter) WakeOne() bool {
 		return false
 	}
 	p := w.queue[0]
-	w.queue = w.queue[1:]
+	// Shift down in place rather than reslicing past the head: the array
+	// keeps its capacity, so the next Wait appends without allocating.
+	n := copy(w.queue, w.queue[1:])
+	w.queue[n] = nil
+	w.queue = w.queue[:n]
 	w.eng.At(w.eng.now, p.resumeFn)
 	return true
 }
 
-// WakeAll releases every waiting process in FIFO order.
+// WakeAll releases every waiting process in FIFO order, in one pass:
+// WakeOne's shift per process would make it quadratic in the queue length.
 func (w *Waiter) WakeAll() {
-	for w.WakeOne() {
+	for _, p := range w.queue {
+		w.eng.At(w.eng.now, p.resumeFn)
 	}
+	clear(w.queue)
+	w.queue = w.queue[:0]
 }
 
 // WaitTimeout parks p until woken or until d elapses. It reports true if
