@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/benchkernel"
 	"repro/internal/cluster"
+	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/harness"
@@ -301,8 +302,7 @@ func BenchmarkNICReduce(b *testing.B) {
 // measureAllreduce runs `rounds` NIC allreduces on a settled cluster and
 // returns the per-operation latency in microseconds.
 func measureAllreduce(nodes, elems, rounds int) float64 {
-	cfg := cluster.DefaultConfig(nodes)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(nodes)
 	ports := c.OpenPorts(1)
 	tr := tree.Binomial(0, c.Members())
 	c.InstallGroup(2, tr, 1, 1)
@@ -316,7 +316,7 @@ func measureAllreduce(nodes, elems, rounds int) float64 {
 			}
 			vec := make([]int64, elems)
 			for r := 0; r < rounds; r++ {
-				c.Nodes[i].Ext.AllreduceNIC(p, ports[i], 2, vec, core.OpSum)
+				c.Nodes[i].Coll.Allreduce(p, ports[i], 2, vec, coll.OpSum)
 			}
 			if i == 0 {
 				total = p.Now().Micros()

@@ -25,13 +25,9 @@ func main() {
 	flag.Parse()
 
 	rec := trace.NewRecorder()
-	cfg := cluster.DefaultConfig(*nodes)
-	cfg.Trace = rec
-	cfg.LossRate = *loss
-	cfg.Seed = *seed
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(*nodes, cluster.WithTrace(rec), cluster.WithLossRate(*loss), cluster.WithSeed(*seed))
 	ports := c.OpenPorts(1)
-	tr := cfg.OptimalTree(0, c.Members(), *size)
+	tr := c.Cfg.OptimalTree(0, c.Members(), *size)
 	c.InstallGroup(5, tr, 1, 1)
 
 	fmt.Printf("NIC-based multicast of %d bytes over %d nodes (tree depth %d, fanout %d)\n\n",

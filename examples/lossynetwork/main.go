@@ -11,7 +11,11 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/coll"
+	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/gm"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -25,10 +29,7 @@ const (
 )
 
 func main() {
-	cfg := cluster.DefaultConfig(nodes)
-	cfg.LossRate = lossRate
-	cfg.Seed = 2026
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(nodes, cluster.WithLossRate(lossRate), cluster.WithSeed(2026))
 	ports := c.OpenPorts(port)
 	tr := tree.Binomial(0, c.Members())
 	c.InstallGroup(group, tr, port, port)
@@ -71,14 +72,16 @@ func main() {
 	c.Eng.Run()
 	c.Eng.Kill()
 
-	st := c.Net.Stats()
-	var retrans, dups uint64
-	for _, n := range c.Nodes {
-		retrans += n.Ext.Stats().Retransmits
-		dups += n.Ext.Stats().Duplicates
+	// Every layer counts into the cluster's metrics registry; the multicast
+	// extension and the collective engine each count their own recovery.
+	snap := c.Nodes[0].HW.Registry().Snapshot()
+	net := func(name string) uint64 { return snap.Counter(fabric.Component, metrics.NodeFabric, name) }
+	both := func(name string) uint64 {
+		return snap.CounterSum(core.Component, name) + snap.CounterSum(coll.Component, name)
 	}
+	retrans, dups := both("retransmits"), both("duplicates")
 	fmt.Printf("fabric: %d packets injected, %d delivered, %d lost\n",
-		st.Injected, st.Delivered, st.Dropped)
+		net("injected"), net("delivered"), net("dropped"))
 	fmt.Printf("recovery: %d per-child retransmissions, %d duplicates suppressed\n", retrans, dups)
 	fmt.Printf("delivered %d/%d messages, %d corrupted\n",
 		delivered, messages*(nodes-1), corrupted)

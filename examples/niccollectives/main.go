@@ -12,7 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/coll"
 	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/sim"
@@ -42,15 +42,13 @@ func main() {
 func nicBarrier() float64 {
 	c := cluster.New(nodes)
 	ports := c.OpenPorts(port)
-	for _, n := range c.Nodes {
-		n.Ext.InstallBarrier(groupID, c.Members(), port, nil)
-	}
+	c.InstallCollGroup(groupID, c.Members(), port)
 	var total sim.Time
 	for i := 0; i < nodes; i++ {
 		i := i
 		c.Eng.Spawn("p", func(p *sim.Proc) {
 			for r := 0; r < rounds; r++ {
-				c.Nodes[i].Ext.Barrier(p, ports[i], groupID)
+				c.Nodes[i].Coll.Barrier(p, ports[i], groupID)
 			}
 			if i == 0 {
 				total = p.Now()
@@ -91,8 +89,7 @@ func hostBarrier() float64 {
 }
 
 func nicAllreduce() (float64, int64) {
-	cfg := cluster.DefaultConfig(nodes)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(nodes)
 	ports := c.OpenPorts(port)
 	tr := tree.Binomial(0, c.Members())
 	c.InstallGroup(groupID, tr, port, port)
@@ -108,7 +105,7 @@ func nicAllreduce() (float64, int64) {
 			}
 			var res []int64
 			for r := 0; r < rounds; r++ {
-				res = c.Nodes[i].Ext.AllreduceNIC(p, ports[i], groupID, []int64{int64(i)}, core.OpSum)
+				res = c.Nodes[i].Coll.Allreduce(p, ports[i], groupID, []int64{int64(i)}, coll.OpSum)
 			}
 			if i == 0 {
 				total = p.Now()

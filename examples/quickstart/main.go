@@ -36,13 +36,12 @@ func main() {
 
 // nicBased broadcasts via the NIC-based multicast over the optimal tree.
 func nicBased(message []byte) sim.Time {
-	cfg := cluster.DefaultConfig(nodes)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(nodes)
 	ports := c.OpenPorts(port)
 
 	// The host builds the size-specific optimal spanning tree and preposts
 	// it into every NIC's group table.
-	tr := cfg.OptimalTree(0, c.Members(), len(message))
+	tr := c.Cfg.OptimalTree(0, c.Members(), len(message))
 	c.InstallGroup(group, tr, port, port)
 	fmt.Printf("optimal tree (depth %d, max fanout %d):\n%s\n", tr.Depth(), tr.MaxFanout(), tr)
 

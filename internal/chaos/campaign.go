@@ -340,7 +340,7 @@ func RunOnce(w Workload, sc Scenario, cfg Config, cleanSpan sim.Time) Outcome {
 	ccfg.GM.EnableNacks = sc.Nacks
 	ccfg.GM.AdaptiveRTO = sc.Adaptive
 	cluster.WithAckEconomy(cfg.AckEvery)(ccfg)
-	c := cluster.NewFromConfig(ccfg)
+	c := cluster.New(ccfg.Nodes, cluster.WithConfig(ccfg))
 	defer c.Kill()
 
 	env := &Env{Cluster: c, Cfg: cfg, sc: sc, cleanSpan: cleanSpan}

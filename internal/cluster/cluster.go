@@ -54,9 +54,8 @@ type Config struct {
 	// hardware, GM firmware, multicast extension, collective engine) files
 	// its instrument blocks in, one per (layer, node); clusters that share
 	// a registry share the blocks, so it accumulates over all of them.
-	// With nil the cluster files them in a registry of its own, which the
-	// deprecated Stats accessors and Node.HW.Registry() read and
-	// Cluster.Registry() does not report.
+	// With nil the cluster files them in a registry of its own, which
+	// Node.HW.Registry() reports and Cluster.Registry() does not.
 	Metrics *metrics.Registry
 
 	// Shards partitions the fabric over this many engines for conservative
@@ -67,14 +66,6 @@ type Config struct {
 	// observable — build panics with fabric.ErrShardsWithLossRate /
 	// fabric.ErrShardsWithTrace.
 	Shards int
-
-	// PartitionObjective selects what the fabric partitioner optimizes when
-	// Shards > 1: the zero value (fabric.ObjectiveMaxLookahead) places cuts
-	// on the highest-latency links so conservative windows come out wide;
-	// fabric.ObjectiveMinCut is the original cut-count heuristic, kept for
-	// comparison. Either way timelines stay byte-identical to serial — the
-	// objective only moves the cuts, never the event order.
-	PartitionObjective fabric.Objective
 
 	// noExt skips installing the multicast extension (WithoutExtension).
 	noExt bool
@@ -152,11 +143,6 @@ func New(n int, opts ...Option) *Cluster {
 	return build(cfg)
 }
 
-// NewFromConfig builds a cluster from a fully-specified configuration.
-//
-// Deprecated: use New with WithConfig (or finer-grained options).
-func NewFromConfig(cfg *Config) *Cluster { return build(cfg) }
-
 // build assembles the cluster described by cfg, wiring the metrics
 // registry (cfg's, or the cluster's own) through every layer before
 // firmware is attached.
@@ -193,7 +179,7 @@ func build(cfg *Config) *Cluster {
 	// whichever backend builds the topology.
 	fab.Links = cfg.Link
 	net := fab.Build(engines[0], cfg.Nodes, fab)
-	plan := net.PartitionObjective(shards, cfg.PartitionObjective)
+	plan := net.Partition(shards)
 	net.ApplyPlan(plan, engines[:plan.Shards])
 	rng := sim.NewRNG(cfg.Seed)
 	net.SetRNG(rng)

@@ -85,7 +85,7 @@ func TestPostalRatioShrinksWithSize(t *testing.T) {
 
 func TestOptimalTreeShapes(t *testing.T) {
 	cfg := DefaultConfig(16)
-	members := NewFromConfig(cfg).Members()
+	members := New(cfg.Nodes, WithConfig(cfg)).Members()
 	smallTree := cfg.OptimalTree(0, members, 4)
 	if err := smallTree.Validate(); err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestOptimalTreeShapes(t *testing.T) {
 // model drifting from the simulated data path after recalibration.
 func TestPostalLambdaMatchesSimulatedHop(t *testing.T) {
 	cfg := DefaultConfig(3)
-	c := NewFromConfig(cfg)
+	c := New(cfg.Nodes, WithConfig(cfg))
 	ports := c.OpenPorts(1)
 	tr := tree.Chain(0, c.Members())
 	c.InstallGroup(3, tr, 1, 1)

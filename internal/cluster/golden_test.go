@@ -10,6 +10,7 @@ import (
 	"repro/internal/clos"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -151,7 +152,7 @@ func goldenMixRun(t *testing.T, extra ...cluster.Option) string {
 		}
 	})
 	for i := 0; i < nodes; i++ {
-		mport, uport, partner := mports[i], uports[i], myrinet.NodeID(i^1)
+		mport, uport, partner := mports[i], uports[i], fabric.NodeID(i^1)
 		if i > 0 {
 			c.Eng.Spawn("mrecv", func(p *sim.Proc) {
 				mport.ProvideN(mcasts, size)

@@ -59,15 +59,6 @@ func WithShards(n int) Option {
 	return func(c *Config) { c.Shards = n }
 }
 
-// WithPartitionObjective selects the fabric partitioner's objective for
-// sharded runs: fabric.ObjectiveMaxLookahead (the default — cut the
-// slowest links, widening conservative sync windows) or
-// fabric.ObjectiveMinCut (the original fewest-cut-links heuristic, kept as
-// a comparison knob). Timelines are byte-identical either way.
-func WithPartitionObjective(obj fabric.Objective) Option {
-	return func(c *Config) { c.PartitionObjective = obj }
-}
-
 // WithSeed sets the simulation RNG seed.
 func WithSeed(seed int64) Option {
 	return func(c *Config) { c.Seed = seed }

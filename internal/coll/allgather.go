@@ -127,7 +127,7 @@ func (e *Engine) PostAllgather(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec
 	}
 	g := e.requireMember(id, "Allgather")
 	if g.gatherAlgo == GatherRing && len(vec)*8 > e.nic.Cfg.MTU {
-		panic(fmt.Errorf("%w: ring allgather vector of %d elements exceeds one packet", core.ErrBadReduce, len(vec)))
+		panic(fmt.Errorf("%w: ring allgather vector of %d elements exceeds one packet", ErrBadReduce, len(vec)))
 	}
 	proc.Compute(e.nic.Cfg.HostSendPost)
 	nic := e.nic

@@ -28,6 +28,7 @@ package coll
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -38,14 +39,15 @@ import (
 	"repro/internal/sim"
 )
 
-// Op aliases the NIC-computable reduction operator defined in core (the
-// Collective interface names it, so it cannot live here).
-type Op = core.ReduceOp
-
-const (
-	OpSum = core.OpSum
-	OpMin = core.OpMin
-	OpMax = core.OpMax
+// Sentinel errors for misuse of the collective engine, raised as panics like
+// core's: recover the value and test it with errors.Is.
+var (
+	// ErrBadReduce reports a malformed reduction: unknown operator,
+	// oversized vector, or operator/length mismatch across contributions.
+	ErrBadReduce = errors.New("coll: malformed reduction")
+	// ErrNoCollective reports asking for the collective engine of a NIC
+	// whose extension has none wired (core.Ext.SetCollective).
+	ErrNoCollective = errors.New("coll: NIC has no collective engine")
 )
 
 // BarrierAlgo selects a group's barrier algorithm.
@@ -131,7 +133,7 @@ func Install(ext *core.Ext, cfg Config) *Engine {
 func FromExt(ext *core.Ext) *Engine {
 	e, ok := ext.CollectiveEngine().(*Engine)
 	if !ok {
-		panic(fmt.Errorf("%w: NIC %v", core.ErrNoCollective, ext.NIC().ID()))
+		panic(fmt.Errorf("%w: NIC %v", ErrNoCollective, ext.NIC().ID()))
 	}
 	return e
 }
@@ -340,16 +342,6 @@ func (e *Engine) Remove(id gm.GroupID, fn func()) {
 			}
 		})
 	})
-}
-
-// InstallBarrier implements core.Collective; it is Install with the
-// default algorithm selection, preserving the pre-coll API surface —
-// including members in any order, which this per-node entry point copies
-// and sorts.
-func (e *Engine) InstallBarrier(id gm.GroupID, members []fabric.NodeID, port gm.PortID, fn func()) {
-	ms := slices.Clone(members)
-	slices.Sort(ms)
-	e.Install(id, ms, port, fn)
 }
 
 // groupFor returns the group entry, auto-creating a memberless mirror

@@ -6,8 +6,10 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/coll"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gm"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -23,7 +25,7 @@ func rig(t *testing.T, nodes int, mut func(*cluster.Config), opts ...coll.Option
 	if mut != nil {
 		mut(cfg)
 	}
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(7)
 	c.InstallGroup(collGID, tree.Binomial(0, c.Members()), 7, 7)
 	ready := c.InstallCollGroup(collGID, c.Members(), 7, opts...)
@@ -32,6 +34,20 @@ func rig(t *testing.T, nodes int, mut func(*cluster.Config), opts ...coll.Option
 		t.Fatal("collective group installation did not settle")
 	}
 	return c, ports
+}
+
+// counter reads one counter out of a snapshot. A key no instrument reports
+// fails the test, so a misspelled name cannot pass as a zero count.
+func counter(t testing.TB, s metrics.Snapshot, component string, node int, name string) uint64 {
+	t.Helper()
+	k := metrics.Key{Component: component, Node: node, Name: name}
+	for _, c := range s.Counters {
+		if c.Key == k {
+			return c.Value
+		}
+	}
+	t.Fatalf("no counter %v in the snapshot", k)
+	return 0
 }
 
 // checkClean asserts every NIC's collective state drained: no unacked
@@ -97,8 +113,9 @@ func TestBarrierAlgos(t *testing.T) {
 				}
 			}
 			var sent uint64
+			snap := c.Nodes[0].HW.Registry().Snapshot()
 			for _, n := range c.Nodes {
-				sent += n.Ext.Stats().BarrierSent
+				sent += counter(t, snap, coll.Component, int(n.ID), "barrier_sent")
 			}
 			if sent == 0 {
 				t.Error("no barrier traffic recorded")
@@ -138,8 +155,10 @@ func TestBarrierUnderLoss(t *testing.T) {
 				}
 			}
 			var retrans uint64
+			snap := c.Nodes[0].HW.Registry().Snapshot()
 			for _, n := range c.Nodes {
-				retrans += n.Ext.Stats().Retransmits
+				retrans += counter(t, snap, core.Component, int(n.ID), "retransmits") +
+					counter(t, snap, coll.Component, int(n.ID), "retransmits")
 			}
 			if retrans == 0 {
 				t.Error("lossy run recorded no retransmissions — loss not exercised")

@@ -176,7 +176,7 @@ func runCollCase(t *testing.T, cc collCase, fb fabric.Config, shards int, seed i
 	cfg.Shards = shards
 	cfg.Fabric = fb
 	cfg.Link = fb.Links
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	tl := recordTimelines(c)
 	ports := c.OpenPorts(7)
 	c.InstallGroup(collGID, tree.Binomial(0, c.Members()), 7, 7)

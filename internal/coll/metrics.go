@@ -1,9 +1,6 @@
 package coll
 
-import (
-	"repro/internal/core"
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // Component is the metrics component name for the collective engine.
 const Component = "coll"
@@ -46,19 +43,4 @@ func (m *instruments) Each(v *metrics.Visitor) {
 	v.Counter("not_member_drops", &m.notMemberDrops)
 	v.Counter("bytes_forwarded", &m.bytesForwarded)
 	v.Histogram("combine_ns", &m.combineNs)
-}
-
-// CollStats snapshots the engine's counters for core's legacy Stats merge.
-func (e *Engine) CollStats() core.CollStats {
-	return core.CollStats{
-		BarrierSent:    e.m.barrierSent.Value(),
-		BarriersDone:   e.m.barriersDone.Value(),
-		ReduceSent:     e.m.reduceSent.Value(),
-		ReduceCombines: e.m.reduceCombines.Value(),
-		GatherSent:     e.m.gatherSent.Value() + e.m.ringSent.Value(),
-		GathersDone:    e.m.gathersDone.Value(),
-		Retransmits:    e.m.retransmits.Value(),
-		Duplicates:     e.m.duplicates.Value(),
-		NotMemberDrops: e.m.notMemberDrops.Value(),
-	}
 }

@@ -15,9 +15,41 @@ import (
 // and forwards one combined vector to its parent. The root's host
 // receives the result; Allreduce then multicasts it back down.
 
+// ReduceOp is a NIC-computable combining operation. Vectors are int64s: the
+// LANai has no floating-point unit, which is exactly the trade-off the
+// companion reduction paper ("NIC-Based Reduction in Myrinet Clusters: Is It
+// Beneficial?") investigates.
+type ReduceOp uint8
+
+const (
+	OpSum ReduceOp = iota + 1
+	OpMin
+	OpMax
+)
+
+// Apply combines two elements under the operator.
+func (op ReduceOp) Apply(a, b int64) int64 {
+	switch op {
+	case OpSum:
+		return a + b
+	case OpMin:
+		if b < a {
+			return b
+		}
+		return a
+	case OpMax:
+		if b > a {
+			return b
+		}
+		return a
+	default:
+		panic(fmt.Errorf("%w: unknown op %d", ErrBadReduce, op))
+	}
+}
+
 // reduceInst accumulates one reduction instance at one NIC.
 type reduceInst struct {
-	op   Op
+	op   ReduceOp
 	acc  []int64
 	got  int // contributions combined (children + own host)
 	need int
@@ -30,7 +62,7 @@ type reduceInst struct {
 // buffer is immediately reusable, like MPI_Reduce). All members must call
 // Reduce with equal-length vectors and the same op, in the same order.
 // Vectors must fit one packet (MTU/8 elements).
-func (e *Engine) Reduce(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []int64, op Op) []int64 {
+func (e *Engine) Reduce(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []int64, op ReduceOp) []int64 {
 	e.PostReduce(proc, port, id, vec, op)
 	if !e.isGroupRoot(id) {
 		return nil
@@ -49,12 +81,12 @@ func (e *Engine) Reduce(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []int6
 // PostReduce contributes without blocking — the split entry point for
 // callers multiplexing a port. The root observes the result as a group
 // event carrying the encoded vector.
-func (e *Engine) PostReduce(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []int64, op Op) {
+func (e *Engine) PostReduce(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []int64, op ReduceOp) {
 	if port.NIC() != e.nic {
 		panic(fmt.Errorf("%w: Reduce", core.ErrWrongNIC))
 	}
 	if len(vec)*8 > e.nic.Cfg.MTU {
-		panic(fmt.Errorf("%w: vector of %d elements exceeds one packet", core.ErrBadReduce, len(vec)))
+		panic(fmt.Errorf("%w: vector of %d elements exceeds one packet", ErrBadReduce, len(vec)))
 	}
 	proc.Compute(e.nic.Cfg.HostSendPost)
 	nic := e.nic
@@ -81,7 +113,7 @@ func (e *Engine) isGroupRoot(id gm.GroupID) bool {
 // contribute merges one vector into the instance's accumulator, charging
 // the LANai's per-element cost, and forwards when complete. fromChild is
 // the contributing child's index (-1 for the local host's contribution).
-func (g *Group) contribute(seq uint32, op Op, vec []int64, fromChild int) {
+func (g *Group) contribute(seq uint32, op ReduceOp, vec []int64, fromChild int) {
 	e := g.eng
 	root, parent, children, port, ok := e.treeView(g.id)
 	if !ok {
@@ -97,7 +129,7 @@ func (g *Group) contribute(seq uint32, op Op, vec []int64, fromChild int) {
 		g.red[seq] = st
 	}
 	if st.op != op {
-		panic(fmt.Errorf("%w: op mismatch on group %d instance %d", core.ErrBadReduce, g.id, seq))
+		panic(fmt.Errorf("%w: op mismatch on group %d instance %d", ErrBadReduce, g.id, seq))
 	}
 	if fromChild >= 0 && st.from.setBit(fromChild) {
 		e.m.duplicates.Inc()
@@ -109,7 +141,7 @@ func (g *Group) contribute(seq uint32, op Op, vec []int64, fromChild int) {
 			st.acc = append([]int64(nil), vec...)
 		} else {
 			if len(vec) != len(st.acc) {
-				panic(fmt.Errorf("%w: length mismatch on group %d", core.ErrBadReduce, g.id))
+				panic(fmt.Errorf("%w: length mismatch on group %d", ErrBadReduce, g.id))
 			}
 			for i := range st.acc {
 				st.acc[i] = op.Apply(st.acc[i], vec[i])
@@ -161,7 +193,7 @@ func (e *Engine) rxReduce(src fabric.NodeID, fr *gm.Frame) {
 			e.m.duplicates.Inc() // not our child under the current view
 			return
 		}
-		g.contribute(fr.Seq, Op(fr.Offset), DecodeVec(fr.Payload), idx)
+		g.contribute(fr.Seq, ReduceOp(fr.Offset), DecodeVec(fr.Payload), idx)
 	})
 }
 
@@ -169,7 +201,7 @@ func (e *Engine) rxReduce(src fabric.NodeID, fr *gm.Frame) {
 // back down it: every member returns the combined vector. The caller must
 // have preposted a receive token (>= 8*len(vec) bytes) on non-root
 // members for the downward multicast.
-func (e *Engine) Allreduce(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []int64, op Op) []int64 {
+func (e *Engine) Allreduce(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []int64, op ReduceOp) []int64 {
 	if res := e.Reduce(proc, port, id, vec, op); res != nil {
 		e.ext.Mcast(proc, port, id, EncodeVec(res))
 		return res

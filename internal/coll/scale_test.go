@@ -25,7 +25,7 @@ func runGatherAtScale(t *testing.T, fb fabric.Config, nodes, shards int) ([]tlRe
 	cfg.Shards = shards
 	cfg.Fabric = fb
 	cfg.Link = fb.Links
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	tl := recordTimelines(c)
 	ports := c.OpenPorts(7)
 	c.InstallGroup(collGID, tree.Binomial(0, c.Members()), 7, 7)

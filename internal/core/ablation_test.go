@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/tree"
@@ -16,7 +17,7 @@ func ablationRun(t *testing.T, mut func(*core.Config), size, nodes int) (sim.Tim
 	t.Helper()
 	cfg := cluster.DefaultConfig(nodes)
 	mut(&cfg.Mcast)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(testPort)
 	tr := tree.Binomial(0, c.Members())
 	c.InstallGroup(11, tr, testPort, testPort)
@@ -97,7 +98,7 @@ func TestAblationHoldBufferThrottlesStreaming(t *testing.T) {
 		cfg := cluster.DefaultConfig(4)
 		cfg.NIC.RecvBuffers = 2
 		cfg.Mcast.Retransmit = mode
-		c := cluster.NewFromConfig(cfg)
+		c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 		ports := c.OpenPorts(testPort)
 		tr := tree.Chain(0, c.Members())
 		c.InstallGroup(12, tr, testPort, testPort)
@@ -141,7 +142,7 @@ func TestAblationModeTokensUnderLoss(t *testing.T) {
 	cfg.Mcast.Multisend = core.ModeTokens
 	cfg.LossRate = 0.04
 	cfg.Seed = 11
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(testPort)
 	tr := tree.Flat(0, c.Members())
 	c.InstallGroup(13, tr, testPort, testPort)
@@ -185,7 +186,7 @@ func TestAblationLossyRunLeaksNothing(t *testing.T) {
 			mut(&cfg.Mcast)
 			cfg.LossRate = 0.03
 			cfg.Seed = 5
-			c := cluster.NewFromConfig(cfg)
+			c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 			ports := c.OpenPorts(testPort)
 			c.InstallGroup(14, tree.Binomial(0, c.Members()), testPort, testPort)
 			msg := pattern(3*4096 + 100) // four packets
@@ -215,7 +216,8 @@ func TestAblationLossyRunLeaksNothing(t *testing.T) {
 			}
 			retrans, made := uint64(0), 0
 			for _, n := range c.Nodes {
-				retrans += n.Ext.Stats().Retransmits
+				retrans += counter(t, c, core.Component, int(n.ID), "retransmits") +
+					counter(t, c, coll.Component, int(n.ID), "retransmits")
 				if free, cap := n.HW.RecvBufs.Free(), n.HW.RecvBufs.Cap(); free != cap {
 					t.Errorf("%v: %d of %d receive buffers free after the run", n.ID, free, cap)
 				}

@@ -22,7 +22,7 @@ import (
 func streamAllocs(t *testing.T, msgs int) (objects, bytes uint64) {
 	t.Helper()
 	const nodes = 7
-	c := cluster.NewFromConfig(cluster.DefaultConfig(nodes))
+	c := cluster.New(nodes)
 	ports := c.OpenPorts(testPort)
 	c.InstallGroup(21, tree.KAry(0, c.Members(), 2), testPort, testPort)
 	c.Run()
@@ -94,7 +94,7 @@ func TestAllocPerPacketHop(t *testing.T) {
 // more descriptors than it has receive buffers, and all of them idle.
 func TestAllocDescriptorFreeListIsBoundedByBuffers(t *testing.T) {
 	const nodes, groups, msgs = 16, 4, 1
-	c := cluster.NewFromConfig(cluster.DefaultConfig(nodes))
+	c := cluster.New(nodes)
 	ports := c.OpenPorts(testPort)
 	for g := 0; g < groups; g++ {
 		// A different root per group, so most NICs forward for some group.

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/coll"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/sim"
@@ -12,18 +14,12 @@ import (
 const barrierGID gm.GroupID = 50
 
 // barrierRig builds a cluster with a barrier group over all nodes on a
-// dedicated port.
+// dedicated port, installed in every node's collective engine.
 func barrierRig(t *testing.T, nodes int, mut func(*cluster.Config)) (*cluster.Cluster, []*gm.Port) {
 	t.Helper()
-	cfg := cluster.DefaultConfig(nodes)
-	if mut != nil {
-		mut(cfg)
-	}
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(nodes, cluster.WithMutate(mut))
 	ports := c.OpenPorts(9) // dedicated barrier port
-	for _, n := range c.Nodes {
-		n.Ext.InstallBarrier(barrierGID, c.Members(), 9, nil)
-	}
+	c.InstallCollGroup(barrierGID, c.Members(), 9)
 	return c, ports
 }
 
@@ -37,7 +33,7 @@ func TestNICBarrierSynchronizes(t *testing.T) {
 		c.Eng.Spawn("p", func(p *sim.Proc) {
 			p.Sleep(sim.Time(i) * 40 * sim.Microsecond) // staggered arrival
 			entry[i] = p.Now()
-			c.Nodes[i].Ext.Barrier(p, ports[i], barrierGID)
+			c.Nodes[i].Coll.Barrier(p, ports[i], barrierGID)
 			exit[i] = p.Now()
 		})
 	}
@@ -65,7 +61,7 @@ func TestNICBarrierRepeated(t *testing.T) {
 		c.Eng.Spawn("p", func(p *sim.Proc) {
 			for r := 0; r < rounds; r++ {
 				p.Sleep(sim.Time((i*7+r*13)%50) * sim.Microsecond)
-				c.Nodes[i].Ext.Barrier(p, ports[i], barrierGID)
+				c.Nodes[i].Coll.Barrier(p, ports[i], barrierGID)
 				done[i]++
 			}
 		})
@@ -80,7 +76,7 @@ func TestNICBarrierRepeated(t *testing.T) {
 			t.Fatalf("node %d completed %d barriers, want %d", i, d, rounds)
 		}
 	}
-	if got := c.Nodes[0].Ext.Stats().BarriersDone; got != rounds {
+	if got := counter(t, c, coll.Component, 0, "barriers_done"); got != rounds {
 		t.Fatalf("node 0 counted %d barrier completions, want %d", got, rounds)
 	}
 }
@@ -95,7 +91,7 @@ func TestNICBarrierUnderLoss(t *testing.T) {
 		i := i
 		c.Eng.Spawn("p", func(p *sim.Proc) {
 			for r := 0; r < 4; r++ {
-				c.Nodes[i].Ext.Barrier(p, ports[i], barrierGID)
+				c.Nodes[i].Coll.Barrier(p, ports[i], barrierGID)
 				completed++
 			}
 		})
@@ -110,7 +106,8 @@ func TestNICBarrierUnderLoss(t *testing.T) {
 	}
 	retr := uint64(0)
 	for _, n := range c.Nodes {
-		retr += n.Ext.Stats().Retransmits
+		retr += counter(t, c, core.Component, int(n.ID), "retransmits") +
+			counter(t, c, coll.Component, int(n.ID), "retransmits")
 	}
 	if retr == 0 {
 		t.Fatal("5% loss produced no barrier retransmissions — reliability untested")
@@ -128,7 +125,7 @@ func TestNICBarrierFasterThanHostDissemination(t *testing.T) {
 			i := i
 			c.Eng.Spawn("p", func(p *sim.Proc) {
 				for r := 0; r < 10; r++ {
-					c.Nodes[i].Ext.Barrier(p, ports[i], barrierGID)
+					c.Nodes[i].Coll.Barrier(p, ports[i], barrierGID)
 				}
 				if p.Now() > done {
 					done = p.Now()
@@ -140,8 +137,7 @@ func TestNICBarrierFasterThanHostDissemination(t *testing.T) {
 		return done
 	}()
 	host := func() sim.Time {
-		cfg := cluster.DefaultConfig(nodes)
-		c := cluster.NewFromConfig(cfg)
+		c := cluster.New(nodes)
 		ports := c.OpenPorts(9)
 		var done sim.Time
 		for i := 0; i < nodes; i++ {
@@ -170,8 +166,7 @@ func TestNICBarrierFasterThanHostDissemination(t *testing.T) {
 }
 
 func TestBarrierValidation(t *testing.T) {
-	cfg := cluster.DefaultConfig(3)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(3)
 	ports := c.OpenPorts(9)
 	// Installing a barrier this node is not a member of panics.
 	func() {
@@ -180,11 +175,11 @@ func TestBarrierValidation(t *testing.T) {
 				t.Error("non-member install did not panic")
 			}
 		}()
-		c.Nodes[0].Ext.InstallBarrier(60, []fabric.NodeID{1, 2}, 9, nil)
+		c.Nodes[0].Coll.Install(60, []fabric.NodeID{1, 2}, 9, nil)
 	}()
 	// Barrier on an uninstalled group panics (inside the firmware event).
 	c.Eng.Spawn("p", func(p *sim.Proc) {
-		c.Nodes[0].Ext.Barrier(p, ports[0], 61)
+		c.Nodes[0].Coll.Barrier(p, ports[0], 61)
 	})
 	defer func() {
 		if recover() == nil {
@@ -198,7 +193,7 @@ func TestSingletonBarrier(t *testing.T) {
 	c, ports := barrierRig(t, 1, nil)
 	passed := false
 	c.Eng.Spawn("p", func(p *sim.Proc) {
-		c.Nodes[0].Ext.Barrier(p, ports[0], barrierGID)
+		c.Nodes[0].Coll.Barrier(p, ports[0], barrierGID)
 		passed = true
 	})
 	c.Eng.Run()

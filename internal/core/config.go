@@ -122,33 +122,3 @@ func DefaultConfig() Config {
 		ReduceElemCost:    sim.Micros(0.08),
 	}
 }
-
-// Stats count multicast-specific incidents on one NIC.
-type Stats struct {
-	McastSent      uint64 // multicast data packets transmitted (replicas counted)
-	McastReceived  uint64 // multicast data packets accepted in sequence
-	McastForwarded uint64 // packets requeued to children without host involvement
-	McastAcksSent  uint64
-	McastAcksRecv  uint64
-	// McastAcksSuppressed counts leaf per-packet acks held back by
-	// coalescing; McastAcksAggregated counts interior per-packet acks
-	// absorbed into subtree aggregates (Config.AggregateAcks).
-	McastAcksSuppressed uint64
-	McastAcksAggregated uint64
-	Retransmits         uint64 // per destination per packet
-	Duplicates          uint64
-	OutOfOrderDrops     uint64
-	NoTokenDrops        uint64
-	NotMemberDrops      uint64 // packets for groups this NIC has no entry for
-	McastNacksSent      uint64
-	McastNacksRecv      uint64
-	StaleEpochDrops     uint64 // data frames from an epoch the entry moved past
-	FutureEpochDrops    uint64 // data frames ahead of this NIC's commit
-	StaleEpochAcks      uint64 // acks/nacks ignored for carrying another epoch
-	AckedAsDropped      uint64 // stale frames refused but acknowledged
-	EpochCommits        uint64 // epoch activations applied to the group table
-	BarrierSent         uint64 // NIC-level barrier round messages transmitted
-	BarriersDone        uint64 // barrier instances completed at this NIC
-	ReduceSent          uint64 // combined reduction vectors sent up the tree
-	ReduceCombines      uint64 // per-contribution combining steps performed
-}

@@ -6,8 +6,11 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/coll"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gm"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -25,11 +28,7 @@ type rig struct {
 
 func newRig(t *testing.T, nodes int, build func(root fabric.NodeID, members []fabric.NodeID) *tree.Tree, mut func(*cluster.Config)) *rig {
 	t.Helper()
-	cfg := cluster.DefaultConfig(nodes)
-	if mut != nil {
-		mut(cfg)
-	}
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(nodes, cluster.WithMutate(mut))
 	r := &rig{c: c, ports: c.OpenPorts(testPort), gid: 7}
 	r.tr = build(0, c.Members())
 	ready := c.InstallGroup(r.gid, r.tr, testPort, testPort)
@@ -48,6 +47,21 @@ func (r *rig) run(t *testing.T) {
 	t.Helper()
 	r.c.Eng.Run()
 	r.c.Eng.Kill()
+}
+
+// counter reads one counter out of c's metrics registry. A key no
+// instrument reports fails the test, so a misspelled name cannot pass as a
+// zero count.
+func counter(t testing.TB, c *cluster.Cluster, component string, node int, name string) uint64 {
+	t.Helper()
+	k := metrics.Key{Component: component, Node: node, Name: name}
+	for _, v := range c.Nodes[0].HW.Registry().Snapshot().Counters {
+		if v.Key == k {
+			return v.Value
+		}
+	}
+	t.Fatalf("no counter %v in the snapshot", k)
+	return 0
 }
 
 func pattern(n int) []byte {
@@ -97,11 +111,11 @@ func TestMultisendFlatDeliversToAll(t *testing.T) {
 	}
 	// Flat tree: no forwarding anywhere.
 	for _, n := range r.c.Nodes {
-		if n.Ext.Stats().McastForwarded != 0 {
+		if counter(t, r.c, core.Component, int(n.ID), "mcast_forwarded") != 0 {
 			t.Fatalf("flat multisend forwarded packets at %v", n.ID)
 		}
 	}
-	if sent := r.c.Nodes[0].Ext.Stats().McastSent; sent != 8 {
+	if sent := counter(t, r.c, core.Component, 0, "mcast_sent"); sent != 8 {
 		t.Fatalf("root sent %d replicas, want 8", sent)
 	}
 }
@@ -124,7 +138,7 @@ func TestMulticastBinomialForwarding(t *testing.T) {
 	}
 	forwarded := uint64(0)
 	for _, n := range r.c.Nodes {
-		forwarded += n.Ext.Stats().McastForwarded
+		forwarded += counter(t, r.c, core.Component, int(n.ID), "mcast_forwarded")
 	}
 	if forwarded == 0 {
 		t.Fatal("binomial multicast never used NIC-based forwarding")
@@ -215,7 +229,8 @@ func TestMulticastUnderRandomLoss(t *testing.T) {
 		}
 	}
 	for _, n := range r.c.Nodes {
-		retrans += n.Ext.Stats().Retransmits
+		retrans += counter(t, r.c, core.Component, int(n.ID), "retransmits") +
+			counter(t, r.c, coll.Component, int(n.ID), "retransmits")
 	}
 	if retrans == 0 {
 		t.Fatal("3% loss over 12 nodes produced zero retransmissions — loss not exercised")
@@ -243,13 +258,12 @@ func TestRetransmitOnlyToUnackedChildren(t *testing.T) {
 	if len(*got) != 3 {
 		t.Fatalf("delivered to %d nodes, want 3", len(*got))
 	}
-	st := r.c.Nodes[0].Ext.Stats()
-	if st.Retransmits != 1 {
-		t.Fatalf("root retransmitted %d packets, want exactly 1 (only the unacked child)", st.Retransmits)
+	if rt := counter(t, r.c, core.Component, 0, "retransmits") + counter(t, r.c, coll.Component, 0, "retransmits"); rt != 1 {
+		t.Fatalf("root retransmitted %d packets, want exactly 1 (only the unacked child)", rt)
 	}
 	// 3 first transmissions + 1 retransmission.
-	if st.McastSent != 4 {
-		t.Fatalf("root sent %d replicas, want 4", st.McastSent)
+	if sent := counter(t, r.c, core.Component, 0, "mcast_sent"); sent != 4 {
+		t.Fatalf("root sent %d replicas, want 4", sent)
 	}
 }
 
@@ -277,7 +291,7 @@ func TestLateReceiveTokenStallsOnlySubtree(t *testing.T) {
 	if at1 < 3*sim.Millisecond || at2 == 0 {
 		t.Fatalf("deliveries at %v and %v; recovery after late token failed", at1, at2)
 	}
-	if r.c.Nodes[1].Ext.Stats().NoTokenDrops == 0 {
+	if counter(t, r.c, core.Component, 1, "no_token_drops") == 0 {
 		t.Fatal("expected tokenless drops at the intermediate node")
 	}
 }
@@ -353,7 +367,7 @@ func TestConcurrentBroadcastsNoDeadlock(t *testing.T) {
 	cfg := cluster.DefaultConfig(nodes)
 	cfg.NIC.SendBuffers = 2
 	cfg.NIC.RecvBuffers = 2
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(testPort)
 	roots := []fabric.NodeID{0, 3, 5}
 	for i, root := range roots {
@@ -416,7 +430,7 @@ func TestNonMemberDropsMcast(t *testing.T) {
 	// A group over nodes {0,1,2} of a 4-node cluster: node 3 must never
 	// see a delivery, and stray packets to it are counted.
 	cfg := cluster.DefaultConfig(4)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(testPort)
 	members := []fabric.NodeID{0, 1, 2}
 	tr := tree.Flat(0, members)
@@ -440,7 +454,7 @@ func TestNonMemberDropsMcast(t *testing.T) {
 
 func TestGroupInstallValidatesTree(t *testing.T) {
 	cfg := cluster.DefaultConfig(4)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	c.OpenPorts(testPort)
 	// Hand-build an invalid tree (child < parent under non-root).
 	defer func() {
@@ -463,7 +477,7 @@ func TestMulticastIntegrityProperty(t *testing.T) {
 		size := int(rawSize) % 20000
 		cfg := cluster.DefaultConfig(nodes)
 		cfg.Seed = int64(seed) + 1
-		c := cluster.NewFromConfig(cfg)
+		c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 		ports := c.OpenPorts(testPort)
 		tr := tree.Binomial(0, c.Members())
 		c.InstallGroup(3, tr, testPort, testPort)
@@ -553,7 +567,7 @@ func TestMcastAfterRemovalDropsAsNonMember(t *testing.T) {
 	})
 	r.c.Eng.RunUntil(20 * sim.Millisecond)
 	r.c.Eng.Kill()
-	if r.c.Nodes[2].Ext.Stats().NotMemberDrops == 0 {
+	if counter(t, r.c, core.Component, 2, "not_member_drops")+counter(t, r.c, coll.Component, 2, "not_member_drops") == 0 {
 		t.Fatal("stale multicast to removed group not counted as non-member drop")
 	}
 }
@@ -562,7 +576,7 @@ func TestMulticastAcrossClosFabric(t *testing.T) {
 	// 64 nodes span a two-level Clos: the multicast tree crosses leaf and
 	// spine switches; everything must still deliver intact and in order.
 	cfg := cluster.DefaultConfig(64)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(testPort)
 	tr := cfg.OptimalTree(0, c.Members(), 512)
 	c.InstallGroup(31, tr, testPort, testPort)
@@ -595,7 +609,7 @@ func TestMulticastAcrossFatTree(t *testing.T) {
 	// 200 nodes need the three-level fat tree; cross-pod forwarding hops
 	// through six links.
 	cfg := cluster.DefaultConfig(200)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(testPort)
 	tr := cfg.OptimalTree(0, c.Members(), 64)
 	c.InstallGroup(32, tr, testPort, testPort)

@@ -118,7 +118,7 @@ func TestEpochRollCarriesTraffic(t *testing.T) {
 		}
 	}
 	for _, n := range []int{0, 1, 2, 3} {
-		if c := r.c.Nodes[n].Ext.Stats().EpochCommits; c != 1 {
+		if c := counter(t, r.c, core.Component, n, "epoch_commits"); c != 1 {
 			t.Fatalf("node %d counted %d epoch commits, want 1", n, c)
 		}
 	}
@@ -142,9 +142,9 @@ func TestStaleEpochFrameAckedAsDropped(t *testing.T) {
 	if _, ok := (*got)[2]; ok {
 		t.Fatal("stale-epoch frame was delivered at the node that moved ahead")
 	}
-	st := r.c.Nodes[2].Ext.Stats()
-	if st.StaleEpochDrops == 0 || st.AckedAsDropped == 0 {
-		t.Fatalf("stale frame not counted: %+v", st)
+	stale, acked := counter(t, r.c, core.Component, 2, "stale_epoch_drops"), counter(t, r.c, core.Component, 2, "acked_as_dropped")
+	if stale == 0 || acked == 0 {
+		t.Fatalf("stale frame not counted: %d stale drops, %d acked as dropped", stale, acked)
 	}
 }
 
@@ -158,7 +158,7 @@ func TestFutureEpochFrameDeliveredAfterCommit(t *testing.T) {
 		rollEpoch(p, r, 1, 0, 1, 3) // node 2 lags at epoch 0
 		r.c.Nodes[0].Ext.Mcast(p, r.ports[0], r.gid, pattern(64))
 		p.Sleep(300 * sim.Microsecond)
-		if r.c.Nodes[2].Ext.Stats().FutureEpochDrops == 0 {
+		if counter(t, r.c, core.Component, 2, "future_epoch_drops") == 0 {
 			t.Error("lagging node accepted (or never saw) a future-epoch frame")
 		}
 		rollEpoch(p, r, 1, 2) // node 2 catches up; retransmits now land
@@ -175,7 +175,7 @@ func TestFutureEpochFrameDeliveredAfterCommit(t *testing.T) {
 // epoch space.
 func newRigEpoch(t *testing.T, nodes int, epoch uint32) *rig {
 	t.Helper()
-	c := cluster.NewFromConfig(cluster.DefaultConfig(nodes))
+	c := cluster.New(nodes)
 	r := &rig{c: c, ports: c.OpenPorts(testPort), gid: 7}
 	r.tr = tree.Flat(0, c.Members())
 	left := 0
@@ -215,12 +215,12 @@ func TestStaleClassificationAcrossEpochWrap(t *testing.T) {
 	if _, ok := (*got)[2]; ok {
 		t.Fatal("pre-wrap frame was delivered at the node that wrapped ahead")
 	}
-	st := r.c.Nodes[2].Ext.Stats()
-	if st.StaleEpochDrops == 0 || st.AckedAsDropped == 0 {
-		t.Fatalf("pre-wrap frame not classified stale across the wrap: %+v", st)
+	stale, acked := counter(t, r.c, core.Component, 2, "stale_epoch_drops"), counter(t, r.c, core.Component, 2, "acked_as_dropped")
+	if stale == 0 || acked == 0 {
+		t.Fatalf("pre-wrap frame not classified stale across the wrap: %d stale drops, %d acked as dropped", stale, acked)
 	}
-	if st.FutureEpochDrops != 0 {
-		t.Fatalf("pre-wrap frame misclassified as future %d times", st.FutureEpochDrops)
+	if future := counter(t, r.c, core.Component, 2, "future_epoch_drops"); future != 0 {
+		t.Fatalf("pre-wrap frame misclassified as future %d times", future)
 	}
 }
 
@@ -240,11 +240,10 @@ func TestFutureClassificationAcrossEpochWrap(t *testing.T) {
 		}
 		r.c.Nodes[0].Ext.Mcast(p, r.ports[0], r.gid, pattern(64))
 		p.Sleep(300 * sim.Microsecond)
-		st := r.c.Nodes[2].Ext.Stats()
-		if st.FutureEpochDrops == 0 {
+		if counter(t, r.c, core.Component, 2, "future_epoch_drops") == 0 {
 			t.Error("laggard accepted (or never saw) a post-wrap future-epoch frame")
 		}
-		if st.AckedAsDropped != 0 {
+		if counter(t, r.c, core.Component, 2, "acked_as_dropped") != 0 {
 			t.Error("laggard acked-as-dropped a future frame — wrap misclassification")
 		}
 		rollEpoch(p, r, 1, 2) // node 2 wraps too; retransmits now land

@@ -28,15 +28,9 @@ var (
 	ErrWrongNIC = errors.New("core: port belongs to a different NIC")
 	// ErrNotRoot reports a multicast send from a non-root member.
 	ErrNotRoot = errors.New("core: multicast send from non-root")
-	// ErrBadReduce reports a malformed reduction: unknown operator,
-	// oversized vector, or operator/length mismatch across contributions.
-	ErrBadReduce = errors.New("core: malformed reduction")
 	// ErrEpochRegressed reports preparing a group epoch that does not
 	// advance the entry's live epoch.
 	ErrEpochRegressed = errors.New("core: group epoch did not advance")
 	// ErrNotPrepared reports committing an epoch no prepare staged.
 	ErrNotPrepared = errors.New("core: no prepared view for epoch")
-	// ErrNoCollective reports a collective call on a NIC whose extension
-	// has no collective engine wired (SetCollective).
-	ErrNoCollective = errors.New("core: NIC has no collective engine")
 )

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -83,12 +84,13 @@ func TestHostCallSynchronousErrors(t *testing.T) {
 		if err := recoverErr(t, func() { ext0.Mcast(p, ports[1], 7, []byte("x")) }); !errors.Is(err, core.ErrWrongNIC) {
 			t.Errorf("wrong-NIC mcast: got %v, want ErrWrongNIC", err)
 		}
-		if err := recoverErr(t, func() { ext0.Barrier(p, ports[1], 7) }); !errors.Is(err, core.ErrWrongNIC) {
+		coll0 := c.Nodes[0].Coll
+		if err := recoverErr(t, func() { coll0.Barrier(p, ports[1], 7) }); !errors.Is(err, core.ErrWrongNIC) {
 			t.Errorf("wrong-NIC barrier: got %v, want ErrWrongNIC", err)
 		}
 		// A reduce vector larger than one packet is refused up front.
 		huge := make([]int64, c.Cfg.GM.MTU)
-		if err := recoverErr(t, func() { ext0.Reduce(p, ports[0], 7, huge, core.OpSum) }); !errors.Is(err, core.ErrBadReduce) {
+		if err := recoverErr(t, func() { coll0.Reduce(p, ports[0], 7, huge, coll.OpSum) }); !errors.Is(err, coll.ErrBadReduce) {
 			t.Errorf("oversized reduce: got %v, want ErrBadReduce", err)
 		}
 	})
@@ -126,14 +128,14 @@ func TestBarrierErrors(t *testing.T) {
 	c := cluster.New(4)
 	members := c.Members()
 	if err := recoverErr(t, func() {
-		c.Nodes[3].Ext.InstallBarrier(5, members[:2], 1, nil)
+		c.Nodes[3].Coll.Install(5, members[:2], 1, nil)
 	}); !errors.Is(err, core.ErrNotMember) {
 		t.Errorf("non-member barrier install: got %v, want ErrNotMember", err)
 	}
 
 	ports := c.OpenPorts(1)
 	c.Eng.Spawn("b", func(p *sim.Proc) {
-		c.Nodes[0].Ext.Barrier(p, ports[0], 5)
+		c.Nodes[0].Coll.Barrier(p, ports[0], 5)
 	})
 	if err := recoverErr(t, func() { c.Eng.Run() }); !errors.Is(err, core.ErrNoSuchGroup) {
 		t.Errorf("barrier on uninstalled group: got %v, want ErrNoSuchGroup", err)

@@ -14,7 +14,7 @@ import (
 // receive tokens, and multicast from the root with one host request.
 func Example() {
 	cfg := cluster.DefaultConfig(4)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(1)
 
 	// The host constructs the tree (here binomial) and preposts it.

@@ -22,9 +22,10 @@ type Ext struct {
 	m      *instruments
 }
 
-// install loads the extension with its final configuration. Multicast counters are filed in the registry wired via the
-// hardware NIC's SetMetrics; when none is wired, the extension's own block
-// backs the legacy Stats accessor.
+// install loads the extension with its final configuration. Multicast
+// counters are filed in the registry wired via the hardware NIC's
+// SetMetrics; when none is wired, the extension counts into a block of its
+// own.
 func install(nic *gm.NIC, cfg Config) *Ext {
 	e := &Ext{
 		nic:    nic,

@@ -8,8 +8,7 @@ const Component = "core"
 // instruments is one NIC's multicast block: the counters and distributions
 // themselves, by value, so the forwarding hot path updates a field and does
 // no lookup. Install takes the block filed under its node in the hardware
-// NIC's registry, or makes a private one when none is wired, which only the
-// legacy Stats accessor reads.
+// NIC's registry, or makes a private one when none is wired.
 type instruments struct {
 	mcastSent        metrics.Counter
 	mcastReceived    metrics.Counter
@@ -72,45 +71,4 @@ func (m *instruments) Each(v *metrics.Visitor) {
 	v.Counter("forwards_before_full", &m.fwdBeforeFull)
 	v.Histogram("fanout", &m.fanout)
 	v.Histogram("ack_latency_ns", &m.ackLatencyNs)
-}
-
-// Stats returns a snapshot of multicast counters, merged with the
-// collective engine's counters when one is wired (the collective fields —
-// BarrierSent, BarriersDone, ReduceSent, ReduceCombines — lived here
-// before internal/coll subsumed those paths, and Retransmits, Duplicates
-// and NotMemberDrops each cover both subsystems).
-//
-// Deprecated: the counters now live in the metrics registry (components
-// "core" and "coll"); read them through a Snapshot. This accessor remains
-// for callers that predate the registry.
-func (e *Ext) Stats() Stats {
-	var cs CollStats
-	if e.coll != nil {
-		cs = e.coll.CollStats()
-	}
-	return Stats{
-		McastSent:           e.m.mcastSent.Value(),
-		McastReceived:       e.m.mcastReceived.Value(),
-		McastForwarded:      e.m.mcastForwarded.Value(),
-		McastAcksSent:       e.m.acksSent.Value(),
-		McastAcksRecv:       e.m.acksRecv.Value(),
-		McastAcksSuppressed: e.m.acksSuppressed.Value(),
-		McastAcksAggregated: e.m.acksAggregated.Value(),
-		Retransmits:         e.m.retransmits.Value() + cs.Retransmits,
-		Duplicates:          e.m.duplicates.Value() + cs.Duplicates,
-		OutOfOrderDrops:     e.m.oooDrops.Value(),
-		NoTokenDrops:        e.m.noTokenDrops.Value(),
-		NotMemberDrops:      e.m.notMemberDrops.Value() + cs.NotMemberDrops,
-		McastNacksSent:      e.m.nacksSent.Value(),
-		McastNacksRecv:      e.m.nacksRecv.Value(),
-		StaleEpochDrops:     e.m.staleEpochDrops.Value(),
-		FutureEpochDrops:    e.m.futureEpochDrops.Value(),
-		StaleEpochAcks:      e.m.staleEpochAcks.Value(),
-		AckedAsDropped:      e.m.ackedAsDropped.Value(),
-		EpochCommits:        e.m.epochCommits.Value(),
-		BarrierSent:         cs.BarrierSent,
-		BarriersDone:        cs.BarriersDone,
-		ReduceSent:          cs.ReduceSent,
-		ReduceCombines:      cs.ReduceCombines,
-	}
 }

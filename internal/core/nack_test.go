@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/sim"
@@ -17,7 +18,7 @@ func mcastLossyRun(t *testing.T, nacks bool) (sim.Time, uint64) {
 	t.Helper()
 	cfg := cluster.DefaultConfig(3)
 	cfg.GM.EnableNacks = nacks
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(testPort)
 	tr := tree.Chain(0, c.Members())
 	c.InstallGroup(21, tr, testPort, testPort)
@@ -50,7 +51,7 @@ func mcastLossyRun(t *testing.T, nacks bool) (sim.Time, uint64) {
 	})
 	c.Eng.Run()
 	c.Eng.Kill()
-	return leafAt, c.Nodes[1].Ext.Stats().McastNacksSent
+	return leafAt, counter(t, c, core.Component, 1, "mcast_nacks_sent")
 }
 
 func TestMcastNacksSpeedUpRecovery(t *testing.T) {
@@ -72,7 +73,7 @@ func TestMcastNacksUnderRandomLossStillCorrect(t *testing.T) {
 	cfg.GM.EnableNacks = true
 	cfg.LossRate = 0.04
 	cfg.Seed = 17
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(testPort)
 	tr := tree.Binomial(0, c.Members())
 	c.InstallGroup(22, tr, testPort, testPort)

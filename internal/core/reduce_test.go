@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/coll"
 	"repro/internal/gm"
 	"repro/internal/sim"
 	"repro/internal/tree"
@@ -15,11 +15,7 @@ const reduceGID gm.GroupID = 70
 // reduceRig builds a cluster with a binomial group installed and settled.
 func reduceRig(t *testing.T, nodes int, mut func(*cluster.Config)) (*cluster.Cluster, []*gm.Port) {
 	t.Helper()
-	cfg := cluster.DefaultConfig(nodes)
-	if mut != nil {
-		mut(cfg)
-	}
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(nodes, cluster.WithMutate(mut))
 	ports := c.OpenPorts(8)
 	tr := tree.Binomial(0, c.Members())
 	c.InstallGroup(reduceGID, tr, 8, 8)
@@ -35,7 +31,7 @@ func TestNICReduceSum(t *testing.T) {
 		i := i
 		c.Eng.Spawn("p", func(p *sim.Proc) {
 			vec := []int64{int64(i + 1), int64(10 * (i + 1))}
-			res := c.Nodes[i].Ext.Reduce(p, ports[i], reduceGID, vec, core.OpSum)
+			res := c.Nodes[i].Coll.Reduce(p, ports[i], reduceGID, vec, coll.OpSum)
 			if i == 0 {
 				result = res
 			} else if res != nil {
@@ -54,15 +50,15 @@ func TestNICReduceSum(t *testing.T) {
 func TestNICReduceMinMax(t *testing.T) {
 	const nodes = 6
 	for _, tc := range []struct {
-		op   core.ReduceOp
+		op   coll.ReduceOp
 		want int64
-	}{{core.OpMin, -5}, {core.OpMax, 0}} {
+	}{{coll.OpMin, -5}, {coll.OpMax, 0}} {
 		c, ports := reduceRig(t, nodes, nil)
 		var result []int64
 		for i := 0; i < nodes; i++ {
 			i := i
 			c.Eng.Spawn("p", func(p *sim.Proc) {
-				res := c.Nodes[i].Ext.Reduce(p, ports[i], reduceGID, []int64{int64(-i)}, tc.op)
+				res := c.Nodes[i].Coll.Reduce(p, ports[i], reduceGID, []int64{int64(-i)}, tc.op)
 				if i == 0 {
 					result = res
 				}
@@ -86,7 +82,7 @@ func TestNICAllreduce(t *testing.T) {
 			if i != 0 {
 				ports[i].Provide(64) // token for the downward multicast
 			}
-			results[i] = c.Nodes[i].Ext.AllreduceNIC(p, ports[i], reduceGID, []int64{1}, core.OpSum)
+			results[i] = c.Nodes[i].Coll.Allreduce(p, ports[i], reduceGID, []int64{1}, coll.OpSum)
 		})
 	}
 	c.Eng.Run()
@@ -109,7 +105,7 @@ func TestNICReduceRepeatedInstances(t *testing.T) {
 		i := i
 		c.Eng.Spawn("p", func(p *sim.Proc) {
 			for r := 0; r < rounds; r++ {
-				res := c.Nodes[i].Ext.Reduce(p, ports[i], reduceGID, []int64{int64(r)}, core.OpSum)
+				res := c.Nodes[i].Coll.Reduce(p, ports[i], reduceGID, []int64{int64(r)}, coll.OpSum)
 				if i == 0 {
 					sums = append(sums, res[0])
 				}
@@ -138,7 +134,7 @@ func TestNICReduceUnderLoss(t *testing.T) {
 	for i := 0; i < nodes; i++ {
 		i := i
 		c.Eng.Spawn("p", func(p *sim.Proc) {
-			res := c.Nodes[i].Ext.Reduce(p, ports[i], reduceGID, []int64{1}, core.OpSum)
+			res := c.Nodes[i].Coll.Reduce(p, ports[i], reduceGID, []int64{1}, coll.OpSum)
 			if i == 0 {
 				result = res
 			}
@@ -162,7 +158,7 @@ func TestNICReduceVectorTooLargePanics(t *testing.T) {
 				t.Error("oversized reduce vector did not panic")
 			}
 		}()
-		c.Nodes[0].Ext.Reduce(p, ports[0], reduceGID, make([]int64, 4096), core.OpSum)
+		c.Nodes[0].Coll.Reduce(p, ports[0], reduceGID, make([]int64, 4096), coll.OpSum)
 	})
 	c.Eng.Run()
 	c.Eng.Kill()
@@ -176,7 +172,7 @@ func TestNICReduceChargesLANaiCost(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			i := i
 			c.Eng.Spawn("p", func(p *sim.Proc) {
-				c.Nodes[i].Ext.Reduce(p, ports[i], reduceGID, make([]int64, elems), core.OpSum)
+				c.Nodes[i].Coll.Reduce(p, ports[i], reduceGID, make([]int64, elems), coll.OpSum)
 			})
 		}
 		c.Eng.Run()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gm"
@@ -42,7 +43,7 @@ func TestSoakMixedTraffic(t *testing.T) {
 	cfg := cluster.DefaultConfig(nodes)
 	cfg.LossRate = lossRate
 	cfg.Seed = 2003
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 
 	portsA := c.OpenPorts(mcPortA)
 	portsB := c.OpenPorts(mcPortB)
@@ -54,9 +55,7 @@ func TestSoakMixedTraffic(t *testing.T) {
 	treeB := cfg.OptimalTree(fabric.NodeID(rootB), c.Members(), 2000)
 	c.InstallGroup(groupB, treeB, mcPortB, mcPortB)
 	c.InstallGroup(redGroup, tree.Binomial(0, c.Members()), redPort, redPort)
-	for _, n := range c.Nodes {
-		n.Ext.InstallBarrier(barGroup, c.Members(), barPort, nil)
-	}
+	c.InstallCollGroup(barGroup, c.Members(), barPort)
 
 	msgsA := make([][]byte, rounds)
 	msgsB := make([][]byte, rounds)
@@ -149,8 +148,8 @@ func TestSoakMixedTraffic(t *testing.T) {
 				portsRed[n].ProvideN(rounds, 128)
 			}
 			for i := 0; i < rounds; i++ {
-				c.Nodes[n].Ext.Barrier(p, portsBar[n], barGroup)
-				res := c.Nodes[n].Ext.AllreduceNIC(p, portsRed[n], redGroup, []int64{int64(n)}, core.OpSum)
+				c.Nodes[n].Coll.Barrier(p, portsBar[n], barGroup)
+				res := c.Nodes[n].Coll.Allreduce(p, portsRed[n], redGroup, []int64{int64(n)}, coll.OpSum)
 				if n == 0 {
 					redResults = append(redResults, res[0])
 				}
@@ -186,7 +185,9 @@ func TestSoakMixedTraffic(t *testing.T) {
 	// The loss rate must actually have exercised recovery somewhere.
 	var retrans uint64
 	for _, n := range c.Nodes {
-		retrans += n.Ext.Stats().Retransmits + n.NIC.Stats().Retransmits
+		for _, comp := range []string{core.Component, coll.Component, gm.Component} {
+			retrans += counter(t, c, comp, int(n.ID), "retransmits")
+		}
 	}
 	if retrans == 0 {
 		t.Error("soak with 1.5% loss saw zero retransmissions")

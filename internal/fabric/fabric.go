@@ -60,10 +60,3 @@ type Ctl struct {
 	Seq, Ack         uint32
 	Offset           int32
 }
-
-// Stats are fabric-wide packet counters.
-type Stats struct {
-	Injected  uint64
-	Delivered uint64
-	Dropped   uint64
-}

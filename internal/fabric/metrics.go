@@ -89,13 +89,13 @@ func (m *trunkInstruments) Each(v *metrics.Visitor) {
 // per host, one per switch, each the one filed under its key (a new one
 // unless another fabric sharing reg filed it first); every link is pointed
 // at its groups, so the per-packet path does no lookup. A nil reg gives the
-// fabric blocks of its own, which only the deprecated Stats accessor reads —
-// every topology builder ends with SetMetrics(nil), since a link counts from
-// its first packet. Bytes and drops are attributed to the host endpoint of
-// host-attached links (trunk links fall to the fabric pseudo node);
-// serialization stalls are attributed to the vertex whose output port was
-// busy — the injecting host, or the contended switch. PFC pause counts and
-// pause time follow the stall attribution.
+// fabric blocks of its own — every topology builder ends with
+// SetMetrics(nil), since a link counts from its first packet. Bytes and
+// drops are attributed to the host endpoint of host-attached links (trunk
+// links fall to the fabric pseudo node); serialization stalls are
+// attributed to the vertex whose output port was busy — the injecting host,
+// or the contended switch. PFC pause counts and pause time follow the stall
+// attribution.
 func (n *Network) SetMetrics(reg *metrics.Registry) {
 	n.m = metrics.Attach[instruments](reg, Component, metrics.NodeFabric)
 	hosts := make([]*hostInstruments, len(n.hosts))

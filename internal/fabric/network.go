@@ -98,17 +98,6 @@ func (n *Network) Hosts() int { return len(n.hosts) }
 // Iface returns the interface for a node.
 func (n *Network) Iface(id NodeID) *Iface { return n.hosts[id] }
 
-// Stats returns a snapshot of fabric counters.
-//
-// Deprecated: read the metrics registry wired via SetMetrics instead.
-func (n *Network) Stats() Stats {
-	return Stats{
-		Injected:  n.m.injected.Value(),
-		Delivered: n.m.delivered.Value(),
-		Dropped:   n.m.dropped.Value(),
-	}
-}
-
 // SetRNG installs the randomness source used for loss injection.
 func (n *Network) SetRNG(rng *sim.RNG) { n.rng = rng }
 

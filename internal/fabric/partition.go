@@ -37,43 +37,9 @@ type Plan struct {
 	CutLatency sim.Time
 }
 
-// Objective selects what the partitioning heuristic optimizes when it
-// assigns switches to shards.
-type Objective int
-
-const (
-	// ObjectiveMaxLookahead (the default) places cuts on the
-	// highest-latency links: each switch joins the shard it is attached to
-	// by the largest total inverse link latency (fast links pull hardest),
-	// so the links that do get cut are the slow ones — which directly
-	// widens the per-pair conservative windows. Ties break toward the shard
-	// with fewer vertices (balance), then rotate by vertex index. On a
-	// fabric with uniform link latency the score is proportional to the
-	// link count, so it degenerates to min-cut (modulo tie-breaking).
-	ObjectiveMaxLookahead Objective = iota
-	// ObjectiveMinCut is the original heuristic: each switch joins the
-	// shard it has the most links to, minimizing the number of cut links
-	// regardless of their latency. Kept as the fallback knob for
-	// experiments comparing the two objectives.
-	ObjectiveMinCut
-)
-
-// String names the objective for reports.
-func (o Objective) String() string {
-	if o == ObjectiveMinCut {
-		return "mincut"
-	}
-	return "maxlookahead"
-}
-
 // Partition assigns the fabric's vertices to the given number of shards
-// with the default lookahead-maximizing objective. See PartitionObjective.
-func (n *Network) Partition(shards int) Plan {
-	return n.PartitionObjective(shards, ObjectiveMaxLookahead)
-}
-
-// PartitionObjective assigns the fabric's vertices to the given number of
-// shards with a deterministic greedy heuristic:
+// with a deterministic greedy heuristic that places cuts on the
+// highest-latency links:
 //
 //   - Hosts are split into contiguous balanced blocks (shard =
 //     host*shards/hosts). Topology builders lay hosts out so that
@@ -81,11 +47,12 @@ func (n *Network) Partition(shards int) Plan {
 //     contiguous blocks keep the short host<->leaf links interior.
 //   - Each switch then joins a shard scored over its already-assigned
 //     neighbors, processed in BFS-from-hosts order so leaves commit before
-//     spines. ObjectiveMaxLookahead scores by total inverse link latency
-//     into the shard (the fast links pull hardest, so cuts land on the
-//     slowest links, widening the conservative windows), tie-breaking by
-//     shard balance then vertex-index rotation; ObjectiveMinCut scores by
-//     link count with index rotation, the original behavior.
+//     spines. The score is the total inverse link latency into the shard
+//     (the fast links pull hardest, so cuts land on the slowest links,
+//     widening the conservative windows); ties break toward the shard with
+//     fewer vertices (balance), then rotate by vertex index. On a fabric
+//     with uniform link latency the score is proportional to the link
+//     count, so it degenerates to min-cut (modulo tie-breaking).
 //
 // The request is clamped to [1, hosts]: more shards than hosts would leave
 // empty engines (the shard-count-exceeds-nodes edge case degenerates to one
@@ -93,7 +60,8 @@ func (n *Network) Partition(shards int) Plan {
 //
 // The heuristic is topology-agnostic: it sees only the vertex/link graph,
 // so any backend built through the fabric builder API shards the same way.
-func (n *Network) PartitionObjective(shards int, obj Objective) Plan {
+// Where the cuts fall never changes event order, only window widths.
+func (n *Network) Partition(shards int) Plan {
 	if shards < 1 {
 		shards = 1
 	}
@@ -119,9 +87,7 @@ func (n *Network) PartitionObjective(shards int, obj Objective) Plan {
 	}
 
 	// BFS from the hosts so each switch is placed after the neighbors that
-	// anchor it; weight[s] scores links into already-assigned members of s
-	// (latency-weighted under ObjectiveMaxLookahead, counted under
-	// ObjectiveMinCut).
+	// anchor it; weight[s] scores links into already-assigned members of s.
 	weight := make([]int64, shards)
 	for len(frontier) > 0 {
 		var next []*Vertex
@@ -136,22 +102,18 @@ func (n *Network) PartitionObjective(shards int, obj Objective) Plan {
 				}
 				for _, wl := range w.out {
 					if assigned[wl.to.idx] {
-						if obj == ObjectiveMaxLookahead {
-							// Inverse-latency weight: joining the shard the
-							// fast links lead to keeps them interior, so the
-							// links that do get cut are the slow ones — which
-							// is what widens the windows (lookahead is the
-							// minimum latency among cut links). A zero-latency
-							// link weighs ~2^40: it must never be cut, since
-							// it would zero the lookahead.
-							lat := int64(wl.params.Latency)
-							if lat < 1 {
-								lat = 1
-							}
-							weight[plan.VertexShard[wl.to.idx]] += (int64(1) << 40) / lat
-						} else {
-							weight[plan.VertexShard[wl.to.idx]]++
+						// Inverse-latency weight: joining the shard the fast
+						// links lead to keeps them interior, so the links
+						// that do get cut are the slow ones — which is what
+						// widens the windows (lookahead is the minimum
+						// latency among cut links). A zero-latency link
+						// weighs ~2^40: it must never be cut, since it would
+						// zero the lookahead.
+						lat := int64(wl.params.Latency)
+						if lat < 1 {
+							lat = 1
 						}
+						weight[plan.VertexShard[wl.to.idx]] += (int64(1) << 40) / lat
 					}
 				}
 				best := int64(0)
@@ -165,7 +127,7 @@ func (n *Network) PartitionObjective(shards int, obj Objective) Plan {
 						ties = append(ties, s)
 					}
 				}
-				if obj == ObjectiveMaxLookahead && len(ties) > 1 {
+				if len(ties) > 1 {
 					// Balance tie-break: keep only the least-loaded tied
 					// shards, then rotate among those.
 					minC := vcount[ties[0]]

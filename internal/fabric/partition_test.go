@@ -7,7 +7,7 @@ import (
 	"repro/internal/sim"
 )
 
-// dumbbell builds the heterogeneous-latency fixture the objective tests
+// dumbbell builds the heterogeneous-latency fixture the partition tests
 // share: two leaf switches with two hosts each (so two shards split the
 // hosts leaf-per-leaf), joined through a middle switch that has one fast
 // link pair to leaf 0 and two slow link pairs to leaf 1.
@@ -16,9 +16,9 @@ import (
 //	       L0 ══fast══ M ──slow×2── L1
 //	host1 ─┘                       └─ host3
 //
-// Min-cut joins M to leaf 1 (two links beat one) and cuts the fast pair;
-// max-lookahead joins M to leaf 0 (inverse latency: one fast link outpulls
-// two slow ones) and cuts both slow pairs.
+// Counting links would join M to leaf 1 (two links beat one) and cut the
+// fast pair; the partitioner weighs by inverse latency, so one fast link
+// outpulls two slow ones, M joins leaf 0, and both slow pairs are cut.
 func dumbbell(fast, slow sim.Time) *Network {
 	base := LinkParams{Latency: fast, NsPerByte: 4.0}
 	n := New(sim.NewEngine(), base)
@@ -39,26 +39,16 @@ func dumbbell(fast, slow sim.Time) *Network {
 }
 
 // TestPartitionObjectivesPlaceCutsDifferently pins the heterogeneous-
-// latency behavior of both objectives on the dumbbell: min-cut minimizes
-// the number of cut links and lands the cut on the fast pair; the default
-// max-lookahead objective keeps the fast pair interior and cuts the slow
-// pairs, trading one extra cut link for a 10x wider window.
+// latency behavior on the dumbbell: the partitioner keeps the fast pair
+// interior and cuts the two slow pairs, trading one extra cut link for a
+// 10x wider window than a fewest-links cut would give.
 func TestPartitionObjectivesPlaceCutsDifferently(t *testing.T) {
 	const fast, slow = 100 * sim.Nanosecond, 1000 * sim.Nanosecond
 
-	mc := dumbbell(fast, slow).PartitionObjective(2, ObjectiveMinCut)
-	if mc.CutLinks != 2 || mc.Lookahead != fast {
-		t.Fatalf("mincut: %d cut links, lookahead %v; want 2 cut links at %v",
-			mc.CutLinks, mc.Lookahead, fast)
-	}
-
-	ml := dumbbell(fast, slow).PartitionObjective(2, ObjectiveMaxLookahead)
+	ml := dumbbell(fast, slow).Partition(2)
 	if ml.CutLinks != 4 || ml.Lookahead != slow {
 		t.Fatalf("maxlookahead: %d cut links, lookahead %v; want 4 cut links at %v",
 			ml.CutLinks, ml.Lookahead, slow)
-	}
-	if ml.Lookahead <= mc.Lookahead {
-		t.Fatalf("maxlookahead window %v not wider than mincut %v", ml.Lookahead, mc.Lookahead)
 	}
 	// The per-pair matrix carries the directed cut latencies the adaptive
 	// coordinator consumes.
@@ -78,44 +68,44 @@ func TestPartitionObjectivesPlaceCutsDifferently(t *testing.T) {
 	}
 }
 
-// TestPartitionDefaultIsMaxLookahead pins that Partition is the
-// max-lookahead objective.
+// TestPartitionDefaultIsMaxLookahead pins that Partition maximizes the
+// lookahead, and does so deterministically.
 func TestPartitionDefaultIsMaxLookahead(t *testing.T) {
 	const fast, slow = 100 * sim.Nanosecond, 1000 * sim.Nanosecond
 	def := dumbbell(fast, slow).Partition(2)
-	obj := dumbbell(fast, slow).PartitionObjective(2, ObjectiveMaxLookahead)
-	if !reflect.DeepEqual(def, obj) {
-		t.Fatalf("Partition(2) != PartitionObjective(2, ObjectiveMaxLookahead):\n%+v\nvs\n%+v", def, obj)
+	again := dumbbell(fast, slow).Partition(2)
+	if !reflect.DeepEqual(def, again) {
+		t.Fatalf("Partition(2) differs between identical fabrics:\n%+v\nvs\n%+v", def, again)
 	}
 	if def.Lookahead != slow {
-		t.Fatalf("default objective lookahead = %v, want %v", def.Lookahead, slow)
+		t.Fatalf("lookahead = %v, want %v", def.Lookahead, slow)
 	}
 }
 
 // TestPartitionUniformLatencyObjectivesAgree checks the degenerate case
 // that protects every calibrated topology: with one latency everywhere,
-// inverse-latency weights are proportional to link counts, so both
-// objectives produce the same cut structure (cut counts and lookahead; the
-// exact assignment may differ by tie-breaking).
+// inverse-latency weights are proportional to link counts, so the cut is
+// the fewest-links one. Eight hosts on one crossbar in four shards: the
+// switch keeps its two hosts' link pairs interior and cuts the other six.
 func TestPartitionUniformLatencyObjectivesAgree(t *testing.T) {
-	build := func() *Network {
-		return SingleSwitch(sim.NewEngine(), 8, DefaultLinkParams())
-	}
-	a := build().PartitionObjective(4, ObjectiveMaxLookahead)
-	b := build().PartitionObjective(4, ObjectiveMinCut)
-	if a.Lookahead != b.Lookahead || a.CutLinks != b.CutLinks {
-		t.Fatalf("uniform fabric: maxlookahead (%d cuts, %v) vs mincut (%d cuts, %v) disagree",
-			a.CutLinks, a.Lookahead, b.CutLinks, b.Lookahead)
+	params := DefaultLinkParams()
+	a := SingleSwitch(sim.NewEngine(), 8, params).Partition(4)
+	if a.Lookahead != params.Latency || a.CutLinks != 12 {
+		t.Fatalf("uniform fabric: %d cuts at %v, want 12 at %v", a.CutLinks, a.Lookahead, params.Latency)
 	}
 }
 
-// TestObjectiveString pins the report labels.
+// TestObjectiveString pins the cut placement link by link: on the dumbbell
+// every cut link is a slow trunk and the fast pair stays interior.
 func TestObjectiveString(t *testing.T) {
-	if got := ObjectiveMaxLookahead.String(); got != "maxlookahead" {
-		t.Fatalf("ObjectiveMaxLookahead = %q", got)
-	}
-	if got := ObjectiveMinCut.String(); got != "mincut" {
-		t.Fatalf("ObjectiveMinCut = %q", got)
+	const fast, slow = 100 * sim.Nanosecond, 1000 * sim.Nanosecond
+	n := dumbbell(fast, slow)
+	plan := n.Partition(2)
+	for _, l := range n.links {
+		cut := plan.VertexShard[l.from.idx] != plan.VertexShard[l.to.idx]
+		if cut != (l.params.Latency == slow) {
+			t.Fatalf("link %v (latency %v): cut = %v", l, l.params.Latency, cut)
+		}
 	}
 }
 
@@ -141,7 +131,7 @@ func TestPartitionHeterogeneousBalanceTieBreak(t *testing.T) {
 	n.Connect(m, l1)
 	n.UseBFSRoute()
 	n.SetMetrics(nil)
-	plan := n.PartitionObjective(2, ObjectiveMaxLookahead)
+	plan := n.Partition(2)
 	// M has one equal-latency link to each side; shard 0 holds an extra
 	// vertex (X0), so balance sends M to shard 1.
 	if got := plan.VertexShard[m.idx]; got != 1 {

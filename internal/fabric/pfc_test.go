@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -19,6 +20,8 @@ func incast(t *testing.T, params LinkParams, senders, msgs int) (deliveries []si
 	t.Helper()
 	eng := sim.NewEngine()
 	net := SingleSwitch(eng, senders+1, params)
+	reg := metrics.New()
+	net.SetMetrics(reg)
 	net.Iface(0).Deliver = func(*Packet) { deliveries = append(deliveries, eng.Now()) }
 	for s := 1; s <= senders; s++ {
 		for m := 0; m < msgs; m++ {
@@ -41,14 +44,28 @@ func incast(t *testing.T, params LinkParams, senders, msgs int) (deliveries []si
 			t.Fatalf("link %s finished with %d queued bytes", l, l.queued)
 		}
 	}
-	st := net.Stats()
-	if st.Dropped != 0 {
-		t.Fatalf("lossless fabric dropped %d packets", st.Dropped)
+	snap := reg.Snapshot()
+	if dropped := counter(t, snap, Component, metrics.NodeFabric, "dropped"); dropped != 0 {
+		t.Fatalf("lossless fabric dropped %d packets", dropped)
 	}
-	if got, want := int(st.Delivered), senders*msgs; got != want {
+	if got, want := int(counter(t, snap, Component, metrics.NodeFabric, "delivered")), senders*msgs; got != want {
 		t.Fatalf("delivered %d packets, want %d", got, want)
 	}
 	return deliveries, maxQueued, pauses
+}
+
+// counter reads one counter out of a snapshot. A key no instrument reports
+// fails the test, so a misspelled name cannot pass as a zero count.
+func counter(t testing.TB, s metrics.Snapshot, component string, node int, name string) uint64 {
+	t.Helper()
+	k := metrics.Key{Component: component, Node: node, Name: name}
+	for _, c := range s.Counters {
+		if c.Key == k {
+			return c.Value
+		}
+	}
+	t.Fatalf("no counter %v in the snapshot", k)
+	return 0
 }
 
 // TestPFCBoundsBacklogWithoutLoss is the backpressure contract: under an

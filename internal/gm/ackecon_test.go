@@ -41,18 +41,18 @@ func TestCoalescedAcksCutAckTraffic(t *testing.T) {
 	if got := streamMsgs(t, r, msgs, 64); got != msgs {
 		t.Fatalf("delivered %d of %d", got, msgs)
 	}
-	st := r.nics[1].Stats()
+	sent, suppressed := r.counter(t, 1, "acks_sent"), r.counter(t, 1, "acks_suppressed")
 	// Every accepted packet is either acknowledged or folded into a
 	// cumulative ack — the economy may never lose one.
-	if st.AcksSent+st.AcksSuppressed != msgs {
+	if sent+suppressed != msgs {
 		t.Fatalf("acks sent %d + suppressed %d != %d packets accepted",
-			st.AcksSent, st.AcksSuppressed, msgs)
+			sent, suppressed, msgs)
 	}
-	if st.AcksSent > msgs/2 {
+	if sent > msgs/2 {
 		t.Fatalf("coalescing sent %d acks for %d packets (expected <= %d)",
-			st.AcksSent, msgs, msgs/2)
+			sent, msgs, msgs/2)
 	}
-	if rt := r.nics[0].Stats().Retransmits; rt != 0 {
+	if rt := r.counter(t, 0, "retransmits"); rt != 0 {
 		t.Fatalf("delayed acks caused %d spurious retransmits", rt)
 	}
 	if n := r.nics[1].PendingAckTimers(); n != 0 {
@@ -101,16 +101,15 @@ func TestPiggybackAcksRideReverseData(t *testing.T) {
 	if replies != msgs/replyEvery {
 		t.Fatalf("got %d replies, want %d", replies, msgs/replyEvery)
 	}
-	st1 := r.nics[1].Stats()
-	if st1.AcksPiggybacked == 0 {
+	if r.counter(t, 1, "acks_piggybacked") == 0 {
 		t.Fatal("reverse data carried no piggybacked acks")
 	}
-	if st1.AcksSent+st1.AcksSuppressed != msgs {
+	if sent, suppressed := r.counter(t, 1, "acks_sent"), r.counter(t, 1, "acks_suppressed"); sent+suppressed != msgs {
 		t.Fatalf("acks sent %d + suppressed %d != %d requests accepted",
-			st1.AcksSent, st1.AcksSuppressed, msgs)
+			sent, suppressed, msgs)
 	}
-	for i, nic := range r.nics {
-		if rt := nic.Stats().Retransmits; rt != 0 {
+	for i := range r.nics {
+		if rt := r.counter(t, i, "retransmits"); rt != 0 {
 			t.Fatalf("node %d: %d spurious retransmits under piggybacking", i, rt)
 		}
 	}
@@ -146,7 +145,7 @@ func TestCoalescedRTTEstimatorSane(t *testing.T) {
 			t.Fatalf("backoff %d not reset by ack progress", c.win.backoff)
 		}
 	}
-	if rt := r.nics[0].Stats().Retransmits; rt != 0 {
+	if rt := r.counter(t, 0, "retransmits"); rt != 0 {
 		t.Fatalf("clean coalesced run retransmitted %d times (RTO below ack delay?)", rt)
 	}
 }
@@ -237,9 +236,8 @@ func TestCumulativeAckSeqWraparound(t *testing.T) {
 	if c.win.Len() != 0 {
 		t.Fatalf("%d send records not retired across wraparound", c.win.Len())
 	}
-	st := r.nics[0].Stats()
-	if st.Retransmits != 0 {
-		t.Fatalf("%d retransmits on a clean wraparound run", st.Retransmits)
+	if rt := r.counter(t, 0, "retransmits"); rt != 0 {
+		t.Fatalf("%d retransmits on a clean wraparound run", rt)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/lanai"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -13,6 +14,7 @@ import (
 type rig struct {
 	eng   *sim.Engine
 	net   *fabric.Network
+	reg   *metrics.Registry
 	nics  []*NIC
 	ports []*Port
 }
@@ -25,14 +27,35 @@ func newRig(t *testing.T, nodes int, mut func(*Config)) *rig {
 	if mut != nil {
 		mut(&cfg)
 	}
-	r := &rig{eng: eng, net: net}
+	r := &rig{eng: eng, net: net, reg: metrics.New()}
 	for i := 0; i < nodes; i++ {
 		hw := lanai.New(eng, net.Iface(fabric.NodeID(i)), lanai.DefaultParams())
+		hw.SetMetrics(r.reg)
 		nic := NewNIC(hw, cfg)
 		r.nics = append(r.nics, nic)
 		r.ports = append(r.ports, nic.OpenPort(1))
 	}
 	return r
+}
+
+// counter reads one counter out of a snapshot. A key no instrument reports
+// fails the test, so a misspelled name cannot pass as a zero count.
+func counter(t testing.TB, s metrics.Snapshot, component string, node int, name string) uint64 {
+	t.Helper()
+	k := metrics.Key{Component: component, Node: node, Name: name}
+	for _, c := range s.Counters {
+		if c.Key == k {
+			return c.Value
+		}
+	}
+	t.Fatalf("no counter %v in the snapshot", k)
+	return 0
+}
+
+// counter reads one of node's gm counters.
+func (r *rig) counter(t testing.TB, node int, name string) uint64 {
+	t.Helper()
+	return counter(t, r.reg.Snapshot(), Component, node, name)
 }
 
 func (r *rig) run(t *testing.T) {
@@ -89,8 +112,8 @@ func TestUnicastLargeMessageMultiPacket(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("multi-packet message corrupted")
 	}
-	if s := r.nics[0].Stats(); s.DataSent != 4 {
-		t.Fatalf("sent %d packets, want 4", s.DataSent)
+	if sent := r.counter(t, 0, "data_sent"); sent != 4 {
+		t.Fatalf("sent %d packets, want 4", sent)
 	}
 }
 
@@ -168,7 +191,7 @@ func TestRetransmissionRecoversLoss(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("message corrupted after loss recovery")
 	}
-	if r.nics[0].Stats().Retransmits == 0 {
+	if r.counter(t, 0, "retransmits") == 0 {
 		t.Fatal("loss recovered without any retransmission?")
 	}
 }
@@ -230,8 +253,7 @@ func TestAckLossTriggersDuplicateHandling(t *testing.T) {
 	if !bytes.Equal(got, pattern(32)) {
 		t.Fatal("message lost after ack drop")
 	}
-	s := r.nics[1].Stats()
-	if s.Duplicates == 0 {
+	if r.counter(t, 1, "duplicates") == 0 {
 		t.Fatal("expected duplicate delivery after ack loss, saw none")
 	}
 	if r.ports[1].PendingRecvs() != 0 {
@@ -255,7 +277,7 @@ func TestNoReceiveTokenDelaysDelivery(t *testing.T) {
 	if deliveredAt < 2*sim.Millisecond {
 		t.Fatalf("delivered at %v before a token existed", deliveredAt)
 	}
-	if r.nics[1].Stats().NoTokenDrops == 0 {
+	if r.counter(t, 1, "no_token_drops") == 0 {
 		t.Fatal("expected tokenless drops, saw none")
 	}
 }
@@ -474,15 +496,14 @@ func TestStatsAccounting(t *testing.T) {
 		r.ports[0].SendSync(p, 1, 1, pattern(100))
 	})
 	r.run(t)
-	s0, s1 := r.nics[0].Stats(), r.nics[1].Stats()
-	if s0.DataSent != 1 || s1.DataReceived != 1 {
-		t.Errorf("data counters: sent=%d received=%d, want 1/1", s0.DataSent, s1.DataReceived)
+	if sent, received := r.counter(t, 0, "data_sent"), r.counter(t, 1, "data_received"); sent != 1 || received != 1 {
+		t.Errorf("data counters: sent=%d received=%d, want 1/1", sent, received)
 	}
-	if s1.AcksSent != 1 || s0.AcksReceived != 1 {
-		t.Errorf("ack counters: sent=%d received=%d, want 1/1", s1.AcksSent, s0.AcksReceived)
+	if sent, received := r.counter(t, 1, "acks_sent"), r.counter(t, 0, "acks_received"); sent != 1 || received != 1 {
+		t.Errorf("ack counters: sent=%d received=%d, want 1/1", sent, received)
 	}
-	if s0.Retransmits != 0 {
-		t.Errorf("lossless run retransmitted %d times", s0.Retransmits)
+	if rt := r.counter(t, 0, "retransmits"); rt != 0 {
+		t.Errorf("lossless run retransmitted %d times", rt)
 	}
 }
 

@@ -8,8 +8,7 @@ const Component = "gm"
 // instruments is one NIC's protocol block: the instruments themselves, by
 // value, so hot paths update a field and do no lookup. NewNIC takes the
 // block filed under its node in the hardware NIC's registry, or makes a
-// private one when none is wired, which only the legacy Stats accessor
-// reads.
+// private one when none is wired.
 type instruments struct {
 	dataSent         metrics.Counter
 	dataReceived     metrics.Counter
@@ -46,28 +45,4 @@ func (m *instruments) Each(v *metrics.Visitor) {
 	v.Counter("directed_received", &m.directedReceived)
 	v.Counter("directed_refused", &m.directedRefused)
 	v.Histogram("token_wait_ns", &m.tokenWaitNs)
-}
-
-// Stats returns a snapshot of protocol counters.
-//
-// Deprecated: the counters now live in the metrics registry (component
-// "gm"); read them through a Snapshot. This accessor remains for callers
-// that predate the registry.
-func (n *NIC) Stats() Stats {
-	return Stats{
-		DataSent:         n.m.dataSent.Value(),
-		DataReceived:     n.m.dataReceived.Value(),
-		AcksSent:         n.m.acksSent.Value(),
-		AcksReceived:     n.m.acksReceived.Value(),
-		AcksSuppressed:   n.m.acksSuppressed.Value(),
-		AcksPiggybacked:  n.m.acksPiggybacked.Value(),
-		Retransmits:      n.m.retransmits.Value(),
-		Duplicates:       n.m.duplicates.Value(),
-		OutOfOrderDrops:  n.m.oooDrops.Value(),
-		NoTokenDrops:     n.m.noTokenDrops.Value(),
-		NacksSent:        n.m.nacksSent.Value(),
-		NacksReceived:    n.m.nacksReceived.Value(),
-		DirectedReceived: n.m.directedReceived.Value(),
-		DirectedRefused:  n.m.directedRefused.Value(),
-	}
 }

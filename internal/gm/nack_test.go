@@ -9,8 +9,8 @@ import (
 )
 
 // lossyRun sends a multi-packet message with the second data packet
-// dropped and returns the delivery time.
-func lossyRun(t *testing.T, nacks bool) (sim.Time, Stats, Stats) {
+// dropped and returns the delivery time and the rig it ran on.
+func lossyRun(t *testing.T, nacks bool) (sim.Time, *rig) {
 	t.Helper()
 	r := newRig(t, 2, func(c *Config) { c.EnableNacks = nacks })
 	dropped := false
@@ -37,15 +37,14 @@ func lossyRun(t *testing.T, nacks bool) (sim.Time, Stats, Stats) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("message corrupted")
 	}
-	return at, r.nics[0].Stats(), r.nics[1].Stats()
+	return at, r
 }
 
 func TestNacksSpeedUpRecovery(t *testing.T) {
-	slow, _, _ := lossyRun(t, false)
-	fast, sender, receiver := lossyRun(t, true)
-	if receiver.NacksSent == 0 || sender.NacksReceived == 0 {
-		t.Fatalf("nack counters empty: sent=%d received=%d",
-			receiver.NacksSent, sender.NacksReceived)
+	slow, _ := lossyRun(t, false)
+	fast, r := lossyRun(t, true)
+	if sent, received := r.counter(t, 1, "nacks_sent"), r.counter(t, 0, "nacks_received"); sent == 0 || received == 0 {
+		t.Fatalf("nack counters empty: sent=%d received=%d", sent, received)
 	}
 	if fast >= slow {
 		t.Fatalf("nack recovery (%v) not faster than timeout recovery (%v)", fast, slow)
@@ -84,21 +83,20 @@ func TestNackHoldoffCollapsesBursts(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatal("message corrupted")
 	}
-	s := r.nics[1].Stats()
-	if s.NacksSent < 2 {
-		t.Fatalf("expected a burst of nacks, saw %d", s.NacksSent)
+	nacks := r.counter(t, 1, "nacks_sent")
+	if nacks < 2 {
+		t.Fatalf("expected a burst of nacks, saw %d", nacks)
 	}
 	// Retransmits should be bounded by roughly one window, not
 	// nacks × window.
-	if r.nics[0].Stats().Retransmits > 2*uint64(r.nics[0].Cfg.Window) {
-		t.Fatalf("%d retransmits for %d nacks: holdoff not effective",
-			r.nics[0].Stats().Retransmits, s.NacksSent)
+	if rt := r.counter(t, 0, "retransmits"); rt > 2*uint64(r.nics[0].Cfg.Window) {
+		t.Fatalf("%d retransmits for %d nacks: holdoff not effective", rt, nacks)
 	}
 }
 
 func TestNacksDisabledByDefault(t *testing.T) {
-	_, sender, receiver := lossyRun(t, false)
-	if receiver.NacksSent != 0 || sender.NacksReceived != 0 {
+	_, r := lossyRun(t, false)
+	if r.counter(t, 1, "nacks_sent") != 0 || r.counter(t, 0, "nacks_received") != 0 {
 		t.Fatal("nacks flowed while disabled")
 	}
 }

@@ -41,29 +41,6 @@ type Extension interface {
 	Enqueue(t *Token)
 }
 
-// Stats count protocol-level incidents on one NIC.
-type Stats struct {
-	DataSent     uint64
-	DataReceived uint64
-	AcksSent     uint64
-	AcksReceived uint64
-	// AcksSuppressed counts per-packet acknowledgments avoided by the
-	// coalescing/piggyback economy; AcksPiggybacked counts data frames
-	// that carried one.
-	AcksSuppressed  uint64
-	AcksPiggybacked uint64
-	Retransmits     uint64
-	Duplicates      uint64 // in-window duplicates re-acked
-	OutOfOrderDrops uint64
-	NoTokenDrops    uint64 // in-sequence packets dropped: no receive token
-	NacksSent       uint64
-	NacksReceived   uint64
-	// DirectedReceived counts accepted remote-DMA writes; DirectedRefused
-	// counts writes refused for unknown regions or bounds violations.
-	DirectedReceived uint64
-	DirectedRefused  uint64
-}
-
 // NIC is the GM firmware state for one lanai NIC.
 type NIC struct {
 	HW  *lanai.NIC
@@ -106,7 +83,7 @@ type connKey struct {
 
 // NewNIC loads the GM firmware onto a hardware NIC. Protocol counters are
 // filed in the registry wired via hw.SetMetrics; when none is wired, the
-// NIC's own block backs the legacy Stats accessor.
+// NIC counts into a block of its own.
 func NewNIC(hw *lanai.NIC, cfg Config) *NIC {
 	n := &NIC{
 		HW:    hw,

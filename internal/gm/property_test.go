@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/lanai"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -131,6 +132,8 @@ func TestPacketConservationProperty(t *testing.T) {
 		const nodes = 5
 		eng := sim.NewEngine()
 		net := fabric.SingleSwitch(eng, nodes, fabric.DefaultLinkParams())
+		reg := metrics.New()
+		net.SetMetrics(reg)
 		net.SetRNG(sim.NewRNG(seed))
 		net.LossRate = 0.1
 		delivered := uint64(0)
@@ -148,8 +151,11 @@ func TestPacketConservationProperty(t *testing.T) {
 			}
 		})
 		eng.Run()
-		st := net.Stats()
-		return st.Injected == st.Delivered+st.Dropped && st.Delivered == delivered
+		snap := reg.Snapshot()
+		injected := counter(t, snap, fabric.Component, metrics.NodeFabric, "injected")
+		fabDelivered := counter(t, snap, fabric.Component, metrics.NodeFabric, "delivered")
+		dropped := counter(t, snap, fabric.Component, metrics.NodeFabric, "dropped")
+		return injected == fabDelivered+dropped && fabDelivered == delivered
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -69,7 +69,7 @@ func TestDirectedSendOutOfBoundsRefused(t *testing.T) {
 	if completed {
 		t.Fatal("out-of-bounds directed send completed")
 	}
-	if r.nics[1].Stats().DirectedRefused == 0 {
+	if r.counter(t, 1, "directed_refused") == 0 {
 		t.Fatal("out-of-bounds write not counted as refused")
 	}
 	if got := r.ports[1].RegionWritten(1); got != 0 {
@@ -84,7 +84,7 @@ func TestDirectedSendUnknownRegionRefused(t *testing.T) {
 	})
 	r.eng.RunUntil(3 * sim.Millisecond)
 	r.eng.Kill()
-	if r.nics[1].Stats().DirectedRefused == 0 {
+	if r.counter(t, 1, "directed_refused") == 0 {
 		t.Fatal("write to unknown region not refused")
 	}
 }
@@ -152,7 +152,7 @@ func TestDeregisterRegionRefusesLateWrites(t *testing.T) {
 	})
 	r.eng.RunUntil(3 * sim.Millisecond)
 	r.eng.Kill()
-	if r.nics[1].Stats().DirectedRefused == 0 {
+	if r.counter(t, 1, "directed_refused") == 0 {
 		t.Fatal("write to deregistered region not refused")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gm"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -32,10 +33,10 @@ func allocsPerResend(t *testing.T, nodes, msgs int, drive func(c *cluster.Cluste
 			t.Fatalf("%d processes never finished at loss %v", live, loss)
 		}
 		c.Eng.Kill()
+		snap := c.Nodes[0].HW.Registry().Snapshot()
 		for _, n := range c.Nodes {
-			reg := n.HW.Registry()
-			retransmits += reg.Counter(gm.Component, int(n.ID), "retransmits").Value() +
-				reg.Counter(core.Component, int(n.ID), "retransmits").Value()
+			retransmits += counter(t, snap, gm.Component, int(n.ID), "retransmits") +
+				counter(t, snap, core.Component, int(n.ID), "retransmits")
 		}
 		return after.Mallocs - before.Mallocs, retransmits
 	}
@@ -98,4 +99,18 @@ func TestAllocResend(t *testing.T) {
 			t.Errorf("a %s retransmission allocates %.2f objects, want at most 0.1", name, per)
 		}
 	}
+}
+
+// counter reads one counter out of a snapshot. A key no instrument reports
+// fails the test, so a misspelled name cannot pass as a zero count.
+func counter(t testing.TB, s metrics.Snapshot, component string, node int, name string) uint64 {
+	t.Helper()
+	k := metrics.Key{Component: component, Node: node, Name: name}
+	for _, c := range s.Counters {
+		if c.Key == k {
+			return c.Value
+		}
+	}
+	t.Fatalf("no counter %v in the snapshot", k)
+	return 0
 }

@@ -68,7 +68,7 @@ func TestAdaptiveRTOFloorsAtMinRTO(t *testing.T) {
 	if !bytes.Equal(got, pattern(64)) {
 		t.Fatal("traffic corrupted")
 	}
-	if rt := r.nics[0].Stats().Retransmits; rt != 0 {
+	if rt := r.counter(t, 0, "retransmits"); rt != 0 {
 		t.Fatalf("clean adaptive run retransmitted %d times (timer below the RTT?)", rt)
 	}
 }

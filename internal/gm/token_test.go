@@ -111,7 +111,7 @@ func TestWholeMessageSkipsAssemblyTable(t *testing.T) {
 		}
 	})
 	r.run(t)
-	if got, dups := p.PendingRecvs(), r.nics[1].Stats().Duplicates; got != msgs || dups != msgs || p.RecvTokens() != msgs || len(p.asms) != 0 {
+	if got, dups := p.PendingRecvs(), r.counter(t, 1, "duplicates"); got != msgs || dups != msgs || p.RecvTokens() != msgs || len(p.asms) != 0 {
 		t.Errorf("%d messages delivered, %d duplicates refused, %d tokens left, %d assemblies tabled; want %d, %d, %d, 0",
 			got, dups, p.RecvTokens(), len(p.asms), msgs, msgs, msgs)
 	}

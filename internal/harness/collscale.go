@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -60,7 +59,7 @@ func (o Options) CollLatency(collective string, nodes, veclen int, useNB bool) f
 		// process goroutine would be unrecoverable for the caller.
 		panic(fmt.Sprintf("harness: unknown collective %q", collective))
 	}
-	c := cluster.NewFromConfig(o.config(nodes))
+	c := o.build(nodes)
 	w := mpi.NewWorld(c, useNB)
 	total := o.Warmup + o.Iters
 	perRank := make([]sim.Time, nodes)
@@ -130,7 +129,7 @@ func CollScaleNodeCounts() []int { return []int{512, 1024, 2048} }
 // independently of the protocol under test, so the host-based and
 // NIC-based runs see identical skew patterns.
 func (o Options) BarrierSkewCPUTime(nodes int, avgSkewUs float64, useNB bool) float64 {
-	c := cluster.NewFromConfig(o.config(nodes))
+	c := o.build(nodes)
 	w := mpi.NewWorld(c, useNB)
 	maxSkew := sim.Micros(4 * avgSkewUs)
 	perRank := make([]sim.Time, nodes)

@@ -20,7 +20,7 @@ const gmGroup gm.GroupID = 1
 // acknowledged). Returns the averaged latency in microseconds — Figure 3's
 // NB curves.
 func (o Options) MultisendNB(ndest, size int) float64 {
-	c := cluster.NewFromConfig(o.config(ndest + 1))
+	c := o.build(ndest + 1)
 	ports := c.OpenPorts(benchPort)
 	tr := tree.Flat(0, c.Members())
 	c.InstallGroup(gmGroup, tr, benchPort, benchPort)
@@ -55,7 +55,7 @@ func (o Options) MultisendNB(ndest, size int) float64 {
 // Figure 3 compares against: ndest send requests posted per iteration,
 // waiting for all acknowledgments.
 func (o Options) MultisendHB(ndest, size int) float64 {
-	c := cluster.NewFromConfig(o.config(ndest + 1))
+	c := o.build(ndest + 1)
 	ports := c.OpenPorts(benchPort)
 	total := o.Warmup + o.Iters
 	for d := 1; d <= ndest; d++ {
@@ -104,10 +104,9 @@ func (o Options) Fig3(ndest int, sizes []int) Series {
 // optimal tree with one designated leaf returning an application-level
 // 1-byte acknowledgment, the paper's Figure 5 protocol.
 func (o Options) multicastNBOnce(nodes, size int, designated fabric.NodeID) float64 {
-	cfg := o.config(nodes)
-	c := cluster.NewFromConfig(cfg)
+	c := o.build(nodes)
 	ports := c.OpenPorts(benchPort)
-	tr := o.nbTree(cfg, 0, c.Members(), size)
+	tr := o.nbTree(c.Cfg, 0, c.Members(), size)
 	c.InstallGroup(gmGroup, tr, benchPort, benchPort)
 	total := o.Warmup + o.Iters
 	for _, n := range tr.Nodes() {
@@ -150,7 +149,7 @@ func (o Options) multicastNBOnce(nodes, size int, designated fabric.NodeID) floa
 // multicastHBOnce measures the traditional host-based multicast: unicasts
 // forwarded by the host process at every node of a binomial tree.
 func (o Options) multicastHBOnce(nodes, size int, designated fabric.NodeID) float64 {
-	c := cluster.NewFromConfig(o.config(nodes))
+	c := o.build(nodes)
 	ports := c.OpenPorts(benchPort)
 	tr := tree.Binomial(0, c.Members())
 	total := o.Warmup + o.Iters
@@ -312,18 +311,16 @@ func membersOf(n int) []fabric.NodeID {
 // NICBarrier measures the average latency of the NIC-level barrier — the
 // future-work collective — over the given node count.
 func (o Options) NICBarrier(nodes int) float64 {
-	c := cluster.NewFromConfig(o.config(nodes))
+	c := o.build(nodes)
 	ports := c.OpenPorts(benchPort)
-	for _, n := range c.Nodes {
-		n.Ext.InstallBarrier(gmGroup, c.Members(), benchPort, nil)
-	}
+	c.InstallCollGroup(gmGroup, c.Members(), benchPort)
 	total := o.Warmup + o.Iters
 	var avg float64
 	for i := 0; i < nodes; i++ {
 		i := i
 		c.SpawnOn(fabric.NodeID(i), "p", func(p *sim.Proc) {
 			for r := 0; r < total; r++ {
-				c.Nodes[i].Ext.Barrier(p, ports[i], gmGroup)
+				c.Nodes[i].Coll.Barrier(p, ports[i], gmGroup)
 			}
 			if i == 0 {
 				avg = p.Now().Micros() / float64(total)
@@ -337,7 +334,7 @@ func (o Options) NICBarrier(nodes int) float64 {
 // HostBarrier measures a host-level dissemination barrier over GM
 // unicasts, the baseline for the NIC-level barrier.
 func (o Options) HostBarrier(nodes int) float64 {
-	c := cluster.NewFromConfig(o.config(nodes))
+	c := o.build(nodes)
 	ports := c.OpenPorts(benchPort)
 	total := o.Warmup + o.Iters
 	rounds := 0
@@ -395,7 +392,7 @@ func (o Options) LossRecovery(nodes, size int, lossRate float64, mode string) fl
 // messages of one size over a single connection — the classic GM
 // bandwidth microbenchmark.
 func (o Options) UnicastBandwidth(size int) float64 {
-	c := cluster.NewFromConfig(o.config(2))
+	c := o.build(2)
 	ports := c.OpenPorts(benchPort)
 	total := o.Warmup + o.Iters
 	var mbps float64
@@ -428,10 +425,9 @@ func (o Options) UnicastBandwidth(size int) float64 {
 // a NIC-based multicast stream: payload bytes times receivers, divided by
 // the streaming time — the fabric-level win of forwarding at the NICs.
 func (o Options) MulticastAggregateBandwidth(nodes, size int) float64 {
-	cfg := o.config(nodes)
-	c := cluster.NewFromConfig(cfg)
+	c := o.build(nodes)
 	ports := c.OpenPorts(benchPort)
-	tr := o.nbTree(cfg, 0, c.Members(), size)
+	tr := o.nbTree(c.Cfg, 0, c.Members(), size)
 	c.InstallGroup(gmGroup, tr, benchPort, benchPort)
 	total := o.Warmup + o.Iters
 	// Per-node finish times: receivers run on different engines when the

@@ -88,6 +88,11 @@ func (o Options) config(nodes int) *cluster.Config {
 	return cfg
 }
 
+// build assembles a cluster of nodes on the run's configuration.
+func (o Options) build(nodes int) *cluster.Cluster {
+	return cluster.New(nodes, cluster.WithConfig(o.config(nodes)))
+}
+
 // Point is one (message size, host-based, NIC-based) measurement; the unit
 // is microseconds.
 type Point struct {

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/stats"
 )
@@ -12,7 +11,7 @@ const ackTag int32 = 1
 // mpiBcastOnce measures MPI_Bcast latency with one designated rank
 // returning an application-level acknowledgment to the root.
 func (o Options) mpiBcastOnce(nodes, size int, useNB bool, designated int) float64 {
-	c := cluster.NewFromConfig(o.config(nodes))
+	c := o.build(nodes)
 	w := mpi.NewWorld(c, useNB)
 	total := o.Warmup + o.Iters
 	msg := payload(size)

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -33,12 +32,11 @@ func (p ScalePoint) Factor() float64 {
 // replicas still being transmitted and distort the very thing being
 // measured, which is why the paper's methodology uses a single leaf ack.
 func (o Options) lastDelivery(nodes, size int, nb bool) float64 {
-	cfg := o.config(nodes)
-	c := cluster.NewFromConfig(cfg)
+	c := o.build(nodes)
 	ports := c.OpenPorts(benchPort)
 	var tr *tree.Tree
 	if nb {
-		tr = o.nbTree(cfg, 0, c.Members(), size)
+		tr = o.nbTree(c.Cfg, 0, c.Members(), size)
 		c.InstallGroup(gmGroup, tr, benchPort, benchPort)
 	} else {
 		tr = tree.Binomial(0, c.Members())

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -34,7 +33,7 @@ func (p SkewPoint) Factor() float64 {
 // Skew draws come from per-rank generators seeded independently of the
 // protocol under test, so the HB and NB runs see identical skew patterns.
 func (o Options) SkewCPUTime(nodes, size int, avgSkewUs float64, useNB bool) float64 {
-	c := cluster.NewFromConfig(o.config(nodes))
+	c := o.build(nodes)
 	w := mpi.NewWorld(c, useNB)
 	maxSkew := sim.Micros(4 * avgSkewUs)
 	msg := payload(size)

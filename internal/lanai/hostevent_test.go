@@ -10,6 +10,20 @@ import (
 	"repro/internal/sim"
 )
 
+// counter reads one counter out of a snapshot. A key no instrument reports
+// fails the test, so a misspelled name cannot pass as a zero count.
+func counter(t testing.TB, s metrics.Snapshot, component string, node int, name string) uint64 {
+	t.Helper()
+	k := metrics.Key{Component: component, Node: node, Name: name}
+	for _, c := range s.Counters {
+		if c.Key == k {
+			return c.Value
+		}
+	}
+	t.Fatalf("no counter %v in the snapshot", k)
+	return 0
+}
+
 // The host event queue is the firmware's: a gm.Port's receive events, each
 // DMA'd to the host by lanai.NIC.PostHostEvent. These tests drive that path.
 
@@ -59,10 +73,11 @@ func TestHostEventQueueFIFO(t *testing.T) {
 	if len(landed) != 1 || landed[0] != 3*cost {
 		t.Fatalf("third record landed at %v, want %v", landed, 3*cost)
 	}
-	if hw.Stats().HostEvents != 3 {
-		t.Fatalf("HostEvents = %d, want 3", hw.Stats().HostEvents)
+	snap := reg.Snapshot()
+	if got := counter(t, snap, lanai.Component, 0, "host_events"); got != 3 {
+		t.Fatalf("host_events = %d, want 3", got)
 	}
-	if got := reg.Counter(lanai.Component, 0, "rdma_busy_ns").Value(); got != uint64(3*cost) {
+	if got := counter(t, snap, lanai.Component, 0, "rdma_busy_ns"); got != uint64(3*cost) {
 		t.Fatalf("rdma_busy_ns = %d, want %d", got, 3*cost)
 	}
 }

@@ -49,15 +49,6 @@ func DefaultParams() Params {
 	}
 }
 
-// Stats count hardware-level incidents.
-type Stats struct {
-	// RxNoBuffer counts packets dropped at the wire because no receive
-	// buffer was free. Reliability above recovers them.
-	RxNoBuffer uint64
-	// HostEvents counts event records posted to the host.
-	HostEvents uint64
-}
-
 // NIC is the hardware model for one network interface.
 type NIC struct {
 	Eng *sim.Engine
@@ -116,16 +107,6 @@ func New(eng *sim.Engine, ifc *fabric.Iface, p Params) *NIC {
 	}
 	n.SetMetrics(nil)
 	return n
-}
-
-// Stats returns a snapshot of the NIC's hardware counters.
-//
-// Deprecated: read the metrics registry wired via SetMetrics instead.
-func (n *NIC) Stats() Stats {
-	return Stats{
-		RxNoBuffer: n.m.rxNoBuffer.Value(),
-		HostEvents: n.m.hostEvents.Value(),
-	}
 }
 
 // CountRxNoBuffer records a packet dropped for want of a receive buffer.

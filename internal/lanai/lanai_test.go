@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -146,10 +147,12 @@ func TestBufPoolReleaseChainDoesNotStarve(t *testing.T) {
 
 func TestRxNoBufferAccounting(t *testing.T) {
 	_, a, _ := testNIC(t)
+	reg := metrics.New()
+	a.SetMetrics(reg)
 	a.CountRxNoBuffer()
 	a.CountRxNoBuffer()
-	if a.Stats().RxNoBuffer != 2 {
-		t.Fatalf("RxNoBuffer = %d, want 2", a.Stats().RxNoBuffer)
+	if got := counter(t, reg.Snapshot(), Component, 0, "rx_nobuffer"); got != 2 {
+		t.Fatalf("rx_nobuffer = %d, want 2", got)
 	}
 }
 

@@ -47,9 +47,9 @@ func (m *instruments) Each(v *metrics.Visitor) {
 // SetMetrics makes the NIC count into reg, under this NIC's node ID: its
 // block is the one filed there (a new one unless another cluster sharing
 // reg has filed it already), and the hot paths update its fields directly.
-// A nil reg leaves the NIC counting into a block of its own, which only the
-// deprecated Stats accessor reads. Call before attaching firmware so no
-// events go uncounted, and so the firmware finds the registry.
+// A nil reg leaves the NIC counting into a block of its own. Call before
+// attaching firmware so no events go uncounted, and so the firmware finds
+// the registry.
 func (n *NIC) SetMetrics(reg *metrics.Registry) {
 	n.reg = reg
 	n.m = metrics.Attach[instruments](reg, Component, int(n.ID))

@@ -20,7 +20,7 @@ func churnPlan(t *testing.T, spec workload.ChurnSpec, seed int64) workload.Churn
 
 func runPlan(t *testing.T, nodes int, plan workload.ChurnPlan) *Result {
 	t.Helper()
-	c := cluster.NewFromConfig(cluster.DefaultConfig(nodes))
+	c := cluster.New(nodes)
 	res := Run(c, Config{}, plan)
 	if errs := res.Verify(); errs != nil {
 		for _, e := range errs {
@@ -189,7 +189,7 @@ func TestEpochWraparoundUnderChurn(t *testing.T) {
 		Nodes: 8, Transitions: 8, Msgs: 20, MeanSize: 1024,
 		MeanGap: 10 * sim.Microsecond, MeanChurnGap: 40 * sim.Microsecond,
 	}, 11)
-	c := cluster.NewFromConfig(cluster.DefaultConfig(8))
+	c := cluster.New(8)
 	res := Run(c, Config{FirstEpoch: first}, plan)
 	if errs := res.Verify(); errs != nil {
 		for _, e := range errs {

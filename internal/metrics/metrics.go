@@ -15,16 +15,15 @@
 // block, or — when the key already holds one, a second cluster reporting
 // into a shared registry — hands back the filed one, so a key has one value.
 // With no registry (nil: a NIC or fabric built outside a cluster) Attach
-// files nothing and the layer keeps a block of its own, which counts all the
-// same for the legacy Stats accessors. A cluster always has a registry — its
-// own when the caller wires none — which costs a run without metrics one
-// entry per block and one index slot per node. The few instruments that are not part
-// of a layer's block (the shard coordinator's fold, membership, the
-// explorer) are made by name with Registry.Counter, Gauge and Histogram;
-// those return nil on a nil registry, and every method on a nil instrument
-// is a no-op. Instrument updates never touch the simulation engine, so
-// wiring a registry cannot change any simulated timestamp — a property the
-// determinism tests pin down.
+// files nothing and the layer keeps a block of its own. A cluster always has
+// a registry — its own when the caller wires none — which costs a run
+// without metrics one entry per block and one index slot per node. The few
+// instruments that are not part of a layer's block (the shard coordinator's
+// fold, membership, the explorer) are made by name with Registry.Counter,
+// Gauge and Histogram; those return nil on a nil registry, and every method
+// on a nil instrument is a no-op. Instrument updates never touch the
+// simulation engine, so wiring a registry cannot change any simulated
+// timestamp — a property the determinism tests pin down.
 //
 // Instruments are lock-free atomics: a sharded run (cluster.WithShards)
 // updates one registry from several engine goroutines concurrently, and

@@ -123,7 +123,7 @@ func (c *Comm) barrierNB() {
 // vectors reduce NIC-resident up the group's tree with the result
 // multicast back down; otherwise MPICH's recursive-doubling algorithm
 // runs on the hosts.
-func (c *Comm) AllreduceVec(vec []int64, op coll.Op) []int64 {
+func (c *Comm) AllreduceVec(vec []int64, op coll.ReduceOp) []int64 {
 	if c.Size() == 1 {
 		return append([]int64(nil), vec...)
 	}
@@ -133,7 +133,7 @@ func (c *Comm) AllreduceVec(vec []int64, op coll.Op) []int64 {
 	return c.allreduceVecHB(vec, op)
 }
 
-func (c *Comm) allreduceVecNB(vec []int64, op coll.Op) []int64 {
+func (c *Comm) allreduceVecNB(vec []int64, op coll.ReduceOp) []int64 {
 	gid := c.ensureCollTree()
 	r := c.r
 	r.collEngine().PostReduce(r.proc, r.port, gid, vec, op)
@@ -154,7 +154,7 @@ func (c *Comm) allreduceVecNB(vec []int64, op coll.Op) []int64 {
 // fold that reduces a non-power-of-two member count to the nearest power
 // (large vectors fold to the tree root and broadcast instead, keeping
 // every exchange acyclic under the rendezvous protocol).
-func (c *Comm) allreduceVecHB(vec []int64, op coll.Op) []int64 {
+func (c *Comm) allreduceVecHB(vec []int64, op coll.ReduceOp) []int64 {
 	n := c.Size()
 	if 8*len(vec) > EagerMax {
 		root := c.minMemberRank()
@@ -201,7 +201,7 @@ func (c *Comm) allreduceVecHB(vec []int64, op coll.Op) []int64 {
 	return acc
 }
 
-func foldVec(acc, other []int64, op coll.Op) {
+func foldVec(acc, other []int64, op coll.ReduceOp) {
 	if len(other) != len(acc) {
 		panic(fmt.Sprintf("mpi: allreduce vector length mismatch (%d vs %d)", len(other), len(acc)))
 	}
@@ -214,7 +214,7 @@ func foldVec(acc, other []int64, op coll.Op) {
 // returns the result (others return nil). The NIC path applies when the
 // root is the collective tree's root (the lowest-world-rank member) and
 // the vector fits one packet; otherwise a host binomial tree runs.
-func (c *Comm) ReduceVec(root int, vec []int64, op coll.Op) []int64 {
+func (c *Comm) ReduceVec(root int, vec []int64, op coll.ReduceOp) []int64 {
 	if c.Size() == 1 {
 		return append([]int64(nil), vec...)
 	}
@@ -230,7 +230,7 @@ func (c *Comm) ReduceVec(root int, vec []int64, op coll.Op) []int64 {
 	return c.reduceVecHB(root, vec, op)
 }
 
-func (c *Comm) reduceVecHB(root int, vec []int64, op coll.Op) []int64 {
+func (c *Comm) reduceVecHB(root int, vec []int64, op coll.ReduceOp) []int64 {
 	n := c.Size()
 	rel := (c.my - root + n) % n
 	acc := append([]int64(nil), vec...)
@@ -352,10 +352,10 @@ func (c *Comm) allgatherVecHB(mine []int64) []int64 {
 }
 
 // World-communicator conveniences.
-func (r *Rank) AllreduceVec(vec []int64, op coll.Op) []int64 {
+func (r *Rank) AllreduceVec(vec []int64, op coll.ReduceOp) []int64 {
 	return r.World().AllreduceVec(vec, op)
 }
-func (r *Rank) ReduceVec(root int, vec []int64, op coll.Op) []int64 {
+func (r *Rank) ReduceVec(root int, vec []int64, op coll.ReduceOp) []int64 {
 	return r.World().ReduceVec(root, vec, op)
 }
 func (r *Rank) AllgatherVec(mine []int64) []int64 { return r.World().AllgatherVec(mine) }

@@ -54,7 +54,7 @@ func TestAllreduceVecBothPaths(t *testing.T) {
 func TestAllreduceVecMinMax(t *testing.T) {
 	const nodes = 5
 	for _, tc := range []struct {
-		op   coll.Op
+		op   coll.ReduceOp
 		want int64
 	}{{coll.OpMin, 0}, {coll.OpMax, int64(100 * (nodes - 1))}} {
 		w := newWorld(t, nodes, true)

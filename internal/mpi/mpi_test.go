@@ -5,12 +5,28 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/gm"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
 func newWorld(t *testing.T, nodes int, useNB bool) *World {
 	t.Helper()
 	return NewWorld(cluster.New(nodes), useNB)
+}
+
+// counter reads one counter out of a snapshot. A key no instrument reports
+// fails the test, so a misspelled name cannot pass as a zero count.
+func counter(t testing.TB, s metrics.Snapshot, component string, node int, name string) uint64 {
+	t.Helper()
+	k := metrics.Key{Component: component, Node: node, Name: name}
+	for _, c := range s.Counters {
+		if c.Key == k {
+			return c.Value
+		}
+	}
+	t.Fatalf("no counter %v in the snapshot", k)
+	return 0
 }
 
 func pattern(n int) []byte {
@@ -311,8 +327,9 @@ func TestEagerSendBuffersSurviveRetransmission(t *testing.T) {
 		t.Fatalf("%d of %d broadcast results and replies arrived corrupted", corrupted, rounds*(nodes+1))
 	}
 	var resent uint64
+	snap := c.Nodes[0].HW.Registry().Snapshot()
 	for _, n := range c.Nodes {
-		resent += n.NIC.Stats().Retransmits
+		resent += counter(t, snap, gm.Component, int(n.ID), "retransmits")
 	}
 	if resent == 0 {
 		t.Fatal("no retransmissions: the loss rate did not exercise go-back-N")
@@ -396,7 +413,7 @@ func TestWireEnvelopeRoundTrip(t *testing.T) {
 
 func TestTreeEncodingRoundTrip(t *testing.T) {
 	cfg := cluster.DefaultConfig(16)
-	tr := cfg.OptimalTree(3, cluster.NewFromConfig(cfg).Members(), 256)
+	tr := cfg.OptimalTree(3, cluster.New(cfg.Nodes, cluster.WithConfig(cfg)).Members(), 256)
 	enc := encodeTree(77, tr)
 	gid, back := decodeTree(enc)
 	if gid != 77 {

@@ -18,7 +18,7 @@ import (
 // switch (2 hops), same-pod traffic three (4 hops), cross-pod traffic
 // five (6 hops), with the aggregation and core stage spread by a (src,
 // dst) hash — Myrinet's dispersive source routing.
-func NewFatTree(eng *sim.Engine, hosts, ports int, params LinkParams) *Network {
+func NewFatTree(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *fabric.Network {
 	if ports < 4 || ports%2 != 0 {
 		panic("myrinet: fat tree needs an even port count >= 4")
 	}
@@ -40,20 +40,20 @@ func NewFatTree(eng *sim.Engine, hosts, ports int, params LinkParams) *Network {
 	edges := make([][]*fabric.Vertex, pods)
 	aggs := make([][]*fabric.Vertex, pods)
 	// Intra-pod links: edgeUp[p][e][a], aggDown[p][a][e].
-	edgeUp := make([][][]*Link, pods)
-	aggDown := make([][][]*Link, pods)
+	edgeUp := make([][][]*fabric.Link, pods)
+	aggDown := make([][][]*fabric.Link, pods)
 	for p := 0; p < pods; p++ {
 		edges[p] = make([]*fabric.Vertex, half)
 		aggs[p] = make([]*fabric.Vertex, half)
-		edgeUp[p] = make([][]*Link, half)
-		aggDown[p] = make([][]*Link, half)
+		edgeUp[p] = make([][]*fabric.Link, half)
+		aggDown[p] = make([][]*fabric.Link, half)
 		for e := 0; e < half; e++ {
 			edges[p][e] = n.AddSwitch(fmt.Sprintf("edge%d.%d", p, e))
-			edgeUp[p][e] = make([]*Link, half)
+			edgeUp[p][e] = make([]*fabric.Link, half)
 		}
 		for a := 0; a < half; a++ {
 			aggs[p][a] = n.AddSwitch(fmt.Sprintf("agg%d.%d", p, a))
-			aggDown[p][a] = make([]*Link, half)
+			aggDown[p][a] = make([]*fabric.Link, half)
 		}
 		for e := 0; e < half; e++ {
 			for a := 0; a < half; a++ {
@@ -67,16 +67,16 @@ func NewFatTree(eng *sim.Engine, hosts, ports int, params LinkParams) *Network {
 	// Core switches: agg index a in every pod connects to cores
 	// [a*half, (a+1)*half).
 	cores := make([]*fabric.Vertex, half*half)
-	aggUp := make([][][]*Link, pods) // [p][a][j] to core a*half+j
-	coreDown := make([][]*Link, len(cores))
+	aggUp := make([][][]*fabric.Link, pods) // [p][a][j] to core a*half+j
+	coreDown := make([][]*fabric.Link, len(cores))
 	for c := range cores {
 		cores[c] = n.AddSwitch(fmt.Sprintf("core%d", c))
-		coreDown[c] = make([]*Link, pods)
+		coreDown[c] = make([]*fabric.Link, pods)
 	}
 	for p := 0; p < pods; p++ {
-		aggUp[p] = make([][]*Link, half)
+		aggUp[p] = make([][]*fabric.Link, half)
 		for a := 0; a < half; a++ {
-			aggUp[p][a] = make([]*Link, half)
+			aggUp[p][a] = make([]*fabric.Link, half)
 			for j := 0; j < half; j++ {
 				c := a*half + j
 				up, down := n.Connect(aggs[p][a], cores[c])
@@ -87,19 +87,19 @@ func NewFatTree(eng *sim.Engine, hosts, ports int, params LinkParams) *Network {
 	}
 
 	// Hosts.
-	hostUp := make([]*Link, hosts)
-	hostDown := make([]*Link, hosts)
+	hostUp := make([]*fabric.Link, hosts)
+	hostDown := make([]*fabric.Link, hosts)
 	for i := 0; i < hosts; i++ {
 		p := i / hostsPerPod
 		e := (i % hostsPerPod) / hostsPerEdge
-		_, up, down := n.AddHost(NodeID(i), edges[p][e])
+		_, up, down := n.AddHost(fabric.NodeID(i), edges[p][e])
 		hostUp[i], hostDown[i] = up, down
 	}
 
-	podOf := func(h NodeID) int { return int(h) / hostsPerPod }
-	edgeOf := func(h NodeID) int { return (int(h) % hostsPerPod) / hostsPerEdge }
+	podOf := func(h fabric.NodeID) int { return int(h) / hostsPerPod }
+	edgeOf := func(h fabric.NodeID) int { return (int(h) % hostsPerPod) / hostsPerEdge }
 
-	n.SetRoute(func(src, dst NodeID) []*Link {
+	n.SetRoute(func(src, dst fabric.NodeID) []*fabric.Link {
 		if src == dst {
 			panic("myrinet: route to self")
 		}
@@ -107,16 +107,16 @@ func NewFatTree(eng *sim.Engine, hosts, ports int, params LinkParams) *Network {
 		dp, de := podOf(dst), edgeOf(dst)
 		h := int(src)*31 + int(dst)
 		if sp == dp && se == de {
-			return []*Link{hostUp[src], hostDown[dst]}
+			return []*fabric.Link{hostUp[src], hostDown[dst]}
 		}
 		if sp == dp {
 			a := h % half
-			return []*Link{hostUp[src], edgeUp[sp][se][a], aggDown[sp][a][de], hostDown[dst]}
+			return []*fabric.Link{hostUp[src], edgeUp[sp][se][a], aggDown[sp][a][de], hostDown[dst]}
 		}
 		a := h % half
 		j := (h / half) % half
 		c := a*half + j
-		return []*Link{
+		return []*fabric.Link{
 			hostUp[src],
 			edgeUp[sp][se][a],
 			aggUp[sp][a][j],

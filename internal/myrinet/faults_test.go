@@ -41,8 +41,8 @@ func TestDupFnDeliversTwiceAndBalances(t *testing.T) {
 	reg := metrics.New()
 	n.SetMetrics(reg)
 	log := attach(n)
-	n.DupFn = func(p *Packet, l *Link) bool { return true }
-	eng.At(0, func() { n.Iface(0).Inject(&Packet{Src: 0, Dst: 1, Size: 1000}) })
+	n.DupFn = func(p *fabric.Packet, l *fabric.Link) bool { return true }
+	eng.At(0, func() { n.Iface(0).Inject(&fabric.Packet{Src: 0, Dst: 1, Size: 1000}) })
 	eng.Run()
 	if len(*log) != 2 {
 		t.Fatalf("duplicated packet delivered %d times, want 2", len(*log))
@@ -51,10 +51,10 @@ func TestDupFnDeliversTwiceAndBalances(t *testing.T) {
 		t.Fatalf("duplicate at %v not after original at %v", (*log)[1].at, (*log)[0].at)
 	}
 	s := reg.Snapshot()
-	injected := s.Counter(fabric.Component, metrics.NodeFabric, "injected")
-	duplicated := s.Counter(fabric.Component, metrics.NodeFabric, "duplicated")
-	delivered := s.Counter(fabric.Component, metrics.NodeFabric, "delivered")
-	dropped := s.Counter(fabric.Component, metrics.NodeFabric, "dropped")
+	injected := counter(t, s, fabric.Component, metrics.NodeFabric, "injected")
+	duplicated := counter(t, s, fabric.Component, metrics.NodeFabric, "duplicated")
+	delivered := counter(t, s, fabric.Component, metrics.NodeFabric, "delivered")
+	dropped := counter(t, s, fabric.Component, metrics.NodeFabric, "dropped")
 	if injected != 1 || duplicated != 1 || delivered != 2 || dropped != 0 {
 		t.Fatalf("accounting injected=%d duplicated=%d delivered=%d dropped=%d, want 1/1/2/0",
 			injected, duplicated, delivered, dropped)
@@ -67,7 +67,7 @@ func TestDelayFnReordersPackets(t *testing.T) {
 	eng, n := testNet(t, 2)
 	log := attach(n)
 	first := true
-	n.DelayFn = func(p *Packet, l *Link) sim.Time {
+	n.DelayFn = func(p *fabric.Packet, l *fabric.Link) sim.Time {
 		if first {
 			first = false
 			return 50 * sim.Microsecond
@@ -75,8 +75,8 @@ func TestDelayFnReordersPackets(t *testing.T) {
 		return 0
 	}
 	eng.At(0, func() {
-		n.Iface(0).Inject(&Packet{Src: 0, Dst: 1, Size: 1000, Payload: "a"})
-		n.Iface(0).Inject(&Packet{Src: 0, Dst: 1, Size: 1000, Payload: "b"})
+		n.Iface(0).Inject(&fabric.Packet{Src: 0, Dst: 1, Size: 1000, Payload: "a"})
+		n.Iface(0).Inject(&fabric.Packet{Src: 0, Dst: 1, Size: 1000, Payload: "b"})
 	})
 	eng.Run()
 	if len(*log) != 2 {

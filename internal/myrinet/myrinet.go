@@ -6,9 +6,8 @@
 // partitioner, the fault hooks — lives in package fabric; this package is
 // the Myrinet backend: crossbar topologies (single Xbar16, two-level Clos,
 // three-level fat tree), 2 Gb/s link timing, and the (src*31+dst)
-// dispersive source-routing hash. The type names below are aliases so code
-// written against the pre-fabric API keeps compiling; new code should use
-// package fabric directly and select this backend with Default().
+// dispersive source-routing hash. Callers name the fabric types through
+// package fabric and select this backend with Default().
 package myrinet
 
 import (
@@ -16,24 +15,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Aliases into package fabric, kept so the original myrinet-centric API
-// remains source-compatible. They are identical types, not copies.
-type (
-	NodeID     = fabric.NodeID
-	Packet     = fabric.Packet
-	Stats      = fabric.Stats
-	LinkParams = fabric.LinkParams
-	Link       = fabric.Link
-	Iface      = fabric.Iface
-	Network    = fabric.Network
-	Plan       = fabric.Plan
-)
-
 // DefaultLinkParams returns Myrinet-2000-like link characteristics:
 // 2 Gb/s (4 ns per byte) and 300 ns of per-hop latency, no PFC (the
 // wormhole fabric backpressures in hardware; the simulation's FIFO link
 // facilities model that without explicit pause thresholds).
-func DefaultLinkParams() LinkParams { return fabric.DefaultLinkParams() }
+func DefaultLinkParams() fabric.LinkParams { return fabric.DefaultLinkParams() }
 
 // DefaultRadix is the crossbar port count of the modeled hardware
 // (Myrinet-2000 Xbar16).

@@ -4,10 +4,26 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
-func testNet(t *testing.T, hosts int) (*sim.Engine, *Network) {
+// counter reads one counter out of a snapshot. A key no instrument reports
+// fails the test, so a misspelled name cannot pass as a zero count.
+func counter(t testing.TB, s metrics.Snapshot, component string, node int, name string) uint64 {
+	t.Helper()
+	k := metrics.Key{Component: component, Node: node, Name: name}
+	for _, c := range s.Counters {
+		if c.Key == k {
+			return c.Value
+		}
+	}
+	t.Fatalf("no counter %v in the snapshot", k)
+	return 0
+}
+
+func testNet(t *testing.T, hosts int) (*sim.Engine, *fabric.Network) {
 	t.Helper()
 	eng := sim.NewEngine()
 	n := NewSingleSwitch(eng, hosts, DefaultLinkParams())
@@ -17,11 +33,11 @@ func testNet(t *testing.T, hosts int) (*sim.Engine, *Network) {
 // attach installs a delivery recorder on every interface. It records the
 // packet's value inside the hook: the pointer is the fabric's traversal
 // record, valid only during the call.
-func attach(n *Network) *[]delivery {
+func attach(n *fabric.Network) *[]delivery {
 	var log []delivery
 	for i := 0; i < n.Hosts(); i++ {
-		id := NodeID(i)
-		n.Iface(id).Deliver = func(p *Packet) {
+		id := fabric.NodeID(i)
+		n.Iface(id).Deliver = func(p *fabric.Packet) {
 			log = append(log, delivery{at: n.Engine().Now(), pkt: *p})
 		}
 	}
@@ -30,13 +46,13 @@ func attach(n *Network) *[]delivery {
 
 type delivery struct {
 	at  sim.Time
-	pkt Packet
+	pkt fabric.Packet
 }
 
 func TestSingleSwitchLatencyModel(t *testing.T) {
 	eng, n := testNet(t, 4)
 	log := attach(n)
-	p := &Packet{Src: 0, Dst: 1, Size: 1000}
+	p := &fabric.Packet{Src: 0, Dst: 1, Size: 1000}
 	eng.At(0, func() { n.Iface(0).Inject(p) })
 	eng.Run()
 	if len(*log) != 1 {
@@ -60,9 +76,9 @@ func TestCutThroughBeatsStoreAndForward(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewClos(eng, 32, 16, DefaultLinkParams())
 	var at sim.Time
-	n.Iface(31).Deliver = func(p *Packet) { at = eng.Now() }
+	n.Iface(31).Deliver = func(p *fabric.Packet) { at = eng.Now() }
 	const size = 4096
-	eng.At(0, func() { n.Iface(0).Inject(&Packet{Src: 0, Dst: 31, Size: size}) })
+	eng.At(0, func() { n.Iface(0).Inject(&fabric.Packet{Src: 0, Dst: 31, Size: size}) })
 	eng.Run()
 	hops := n.HopCount(0, 31)
 	if hops != 4 {
@@ -84,8 +100,8 @@ func TestLinkSerializationQueues(t *testing.T) {
 	// Two packets injected back-to-back from the same source share the
 	// injection link; the second must queue behind the first.
 	eng.At(0, func() {
-		n.Iface(0).Inject(&Packet{Src: 0, Dst: 1, Size: 1000})
-		n.Iface(0).Inject(&Packet{Src: 0, Dst: 2, Size: 1000})
+		n.Iface(0).Inject(&fabric.Packet{Src: 0, Dst: 1, Size: 1000})
+		n.Iface(0).Inject(&fabric.Packet{Src: 0, Dst: 2, Size: 1000})
 	})
 	eng.Run()
 	if len(*log) != 2 {
@@ -102,8 +118,8 @@ func TestContentionOnSharedDestination(t *testing.T) {
 	log := attach(n)
 	// Two sources target one destination; the switch->host link serializes.
 	eng.At(0, func() {
-		n.Iface(0).Inject(&Packet{Src: 0, Dst: 3, Size: 1000})
-		n.Iface(1).Inject(&Packet{Src: 1, Dst: 3, Size: 1000})
+		n.Iface(0).Inject(&fabric.Packet{Src: 0, Dst: 3, Size: 1000})
+		n.Iface(1).Inject(&fabric.Packet{Src: 1, Dst: 3, Size: 1000})
 	})
 	eng.Run()
 	if len(*log) != 2 {
@@ -118,8 +134,8 @@ func TestContentionOnSharedDestination(t *testing.T) {
 func TestRouteSymmetricHopCounts(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewClos(eng, 48, 16, DefaultLinkParams())
-	for src := NodeID(0); src < 48; src += 7 {
-		for dst := NodeID(0); dst < 48; dst++ {
+	for src := fabric.NodeID(0); src < 48; src += 7 {
+		for dst := fabric.NodeID(0); dst < 48; dst++ {
 			if src == dst {
 				continue
 			}
@@ -150,8 +166,8 @@ func TestCrossLeafUsesSpine(t *testing.T) {
 func TestClosSpreadsSpines(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewClos(eng, 32, 16, DefaultLinkParams())
-	spines := make(map[*Link]bool)
-	for dst := NodeID(8); dst < 16; dst++ {
+	spines := make(map[*fabric.Link]bool)
+	for dst := fabric.NodeID(8); dst < 16; dst++ {
 		r := n.Route(0, dst)
 		spines[r[1]] = true
 	}
@@ -174,23 +190,27 @@ func TestAutoTopology(t *testing.T) {
 
 func TestLossRateDropsPackets(t *testing.T) {
 	eng, n := testNet(t, 2)
+	reg := metrics.New()
+	n.SetMetrics(reg)
 	n.SetRNG(sim.NewRNG(1))
 	n.LossRate = 0.5
 	delivered := 0
-	n.Iface(1).Deliver = func(p *Packet) { delivered++ }
+	n.Iface(1).Deliver = func(p *fabric.Packet) { delivered++ }
 	const sent = 1000
 	eng.At(0, func() {
 		for i := 0; i < sent; i++ {
-			n.Iface(0).Inject(&Packet{Src: 0, Dst: 1, Size: 100})
+			n.Iface(0).Inject(&fabric.Packet{Src: 0, Dst: 1, Size: 100})
 		}
 	})
 	eng.Run()
-	st := n.Stats()
-	if st.Injected != sent {
-		t.Fatalf("injected %d, want %d", st.Injected, sent)
+	snap := reg.Snapshot()
+	if injected := counter(t, snap, fabric.Component, metrics.NodeFabric, "injected"); injected != sent {
+		t.Fatalf("injected %d, want %d", injected, sent)
 	}
-	if st.Delivered+st.Dropped != sent {
-		t.Fatalf("delivered %d + dropped %d != %d", st.Delivered, st.Dropped, sent)
+	fabDelivered := counter(t, snap, fabric.Component, metrics.NodeFabric, "delivered")
+	dropped := counter(t, snap, fabric.Component, metrics.NodeFabric, "dropped")
+	if fabDelivered+dropped != sent {
+		t.Fatalf("delivered %d + dropped %d != %d", fabDelivered, dropped, sent)
 	}
 	// Per-link loss 0.5 over 2 hops => ~25% survival.
 	if delivered < 150 || delivered > 350 {
@@ -201,13 +221,13 @@ func TestLossRateDropsPackets(t *testing.T) {
 func TestDropFnTargetsPackets(t *testing.T) {
 	eng, n := testNet(t, 2)
 	kill := true
-	n.DropFn = func(p *Packet, l *Link) bool { return kill }
+	n.DropFn = func(p *fabric.Packet, l *fabric.Link) bool { return kill }
 	got := 0
-	n.Iface(1).Deliver = func(p *Packet) { got++ }
-	eng.At(0, func() { n.Iface(0).Inject(&Packet{Src: 0, Dst: 1, Size: 64}) })
+	n.Iface(1).Deliver = func(p *fabric.Packet) { got++ }
+	eng.At(0, func() { n.Iface(0).Inject(&fabric.Packet{Src: 0, Dst: 1, Size: 64}) })
 	eng.At(sim.Millisecond, func() {
 		kill = false
-		n.Iface(0).Inject(&Packet{Src: 0, Dst: 1, Size: 64})
+		n.Iface(0).Inject(&fabric.Packet{Src: 0, Dst: 1, Size: 64})
 	})
 	eng.Run()
 	if got != 1 {
@@ -228,10 +248,10 @@ func TestInjectValidation(t *testing.T) {
 		fn()
 	}
 	mustPanic("wrong source", func() {
-		n.Iface(0).Inject(&Packet{Src: 1, Dst: 0, Size: 10})
+		n.Iface(0).Inject(&fabric.Packet{Src: 1, Dst: 0, Size: 10})
 	})
 	mustPanic("zero size", func() {
-		n.Iface(0).Inject(&Packet{Src: 0, Dst: 1, Size: 0})
+		n.Iface(0).Inject(&fabric.Packet{Src: 0, Dst: 1, Size: 0})
 	})
 	mustPanic("route to self", func() {
 		n.Route(1, 1)
@@ -243,16 +263,16 @@ func TestInjectValidation(t *testing.T) {
 func TestIdleLatencyProperty(t *testing.T) {
 	f := func(rawSize uint16, rawSrc, rawDst uint8) bool {
 		size := int(rawSize)%16384 + 1
-		src := NodeID(rawSrc % 16)
-		dst := NodeID(rawDst % 16)
+		src := fabric.NodeID(rawSrc % 16)
+		dst := fabric.NodeID(rawDst % 16)
 		if src == dst {
 			return true
 		}
 		eng := sim.NewEngine()
 		n := NewSingleSwitch(eng, 16, DefaultLinkParams())
 		var at sim.Time
-		n.Iface(dst).Deliver = func(p *Packet) { at = eng.Now() }
-		eng.At(0, func() { n.Iface(src).Inject(&Packet{Src: src, Dst: dst, Size: size}) })
+		n.Iface(dst).Deliver = func(p *fabric.Packet) { at = eng.Now() }
+		eng.At(0, func() { n.Iface(src).Inject(&fabric.Packet{Src: src, Dst: dst, Size: size}) })
 		eng.Run()
 		want := 2*DefaultLinkParams().Latency + DefaultLinkParams().SerializationTime(size)
 		return at == want
@@ -266,9 +286,9 @@ func TestPayloadPassesThroughUntouched(t *testing.T) {
 	eng, n := testNet(t, 2)
 	payload := []byte("frame-bytes")
 	var got any
-	n.Iface(1).Deliver = func(p *Packet) { got = p.Payload }
+	n.Iface(1).Deliver = func(p *fabric.Packet) { got = p.Payload }
 	eng.At(0, func() {
-		n.Iface(0).Inject(&Packet{Src: 0, Dst: 1, Size: 64, Payload: payload})
+		n.Iface(0).Inject(&fabric.Packet{Src: 0, Dst: 1, Size: 64, Payload: payload})
 	})
 	eng.Run()
 	b, ok := got.([]byte)
@@ -281,7 +301,7 @@ func TestFatTreeHopCounts(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewFatTree(eng, 256, 16, DefaultLinkParams())
 	cases := []struct {
-		src, dst NodeID
+		src, dst fabric.NodeID
 		hops     int
 		name     string
 	}{
@@ -301,19 +321,19 @@ func TestFatTreeHopCounts(t *testing.T) {
 func TestFatTreeDeliversEverywhere(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewFatTree(eng, 200, 16, DefaultLinkParams())
-	got := map[NodeID]bool{}
+	got := map[fabric.NodeID]bool{}
 	for i := 0; i < 200; i++ {
-		id := NodeID(i)
-		n.Iface(id).Deliver = func(p *Packet) { got[p.Dst] = true }
+		id := fabric.NodeID(i)
+		n.Iface(id).Deliver = func(p *fabric.Packet) { got[p.Dst] = true }
 	}
 	eng.At(0, func() {
-		for _, dst := range []NodeID{1, 7, 63, 64, 127, 128, 199} {
-			n.Iface(0).Inject(&Packet{Src: 0, Dst: dst, Size: 100})
+		for _, dst := range []fabric.NodeID{1, 7, 63, 64, 127, 128, 199} {
+			n.Iface(0).Inject(&fabric.Packet{Src: 0, Dst: dst, Size: 100})
 		}
-		n.Iface(199).Inject(&Packet{Src: 199, Dst: 0, Size: 100})
+		n.Iface(199).Inject(&fabric.Packet{Src: 199, Dst: 0, Size: 100})
 	})
 	eng.Run()
-	for _, dst := range []NodeID{1, 7, 63, 64, 127, 128, 199, 0} {
+	for _, dst := range []fabric.NodeID{1, 7, 63, 64, 127, 128, 199, 0} {
 		if !got[dst] {
 			t.Fatalf("no delivery at %v", dst)
 		}
@@ -323,7 +343,7 @@ func TestFatTreeDeliversEverywhere(t *testing.T) {
 func TestFatTreeSymmetricHops(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewFatTree(eng, 256, 16, DefaultLinkParams())
-	for _, pair := range [][2]NodeID{{0, 70}, {5, 200}, {64, 192}, {3, 12}} {
+	for _, pair := range [][2]fabric.NodeID{{0, 70}, {5, 200}, {64, 192}, {3, 12}} {
 		a, b := n.HopCount(pair[0], pair[1]), n.HopCount(pair[1], pair[0])
 		if a != b {
 			t.Errorf("asymmetric hops %v<->%v: %d vs %d", pair[0], pair[1], a, b)
@@ -334,8 +354,8 @@ func TestFatTreeSymmetricHops(t *testing.T) {
 func TestFatTreeSpreadsCore(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewFatTree(eng, 256, 16, DefaultLinkParams())
-	coreLinks := map[*Link]bool{}
-	for dst := NodeID(64); dst < 128; dst++ {
+	coreLinks := map[*fabric.Link]bool{}
+	for dst := fabric.NodeID(64); dst < 128; dst++ {
 		r := n.Route(0, dst)
 		if len(r) == 6 {
 			coreLinks[r[2]] = true // agg -> core uplink

@@ -4,15 +4,31 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
 )
+
+// counter reads one counter out of a snapshot. A key no instrument reports
+// fails the test, so a misspelled name cannot pass as a zero count.
+func counter(t testing.TB, s metrics.Snapshot, component string, node int, name string) uint64 {
+	t.Helper()
+	k := metrics.Key{Component: component, Node: node, Name: name}
+	for _, c := range s.Counters {
+		if c.Key == k {
+			return c.Value
+		}
+	}
+	t.Fatalf("no counter %v in the snapshot", k)
+	return 0
+}
 
 // TestPartitionDeterministic: the partitioner is part of the determinism
 // contract — the same fabric must yield the same plan every time, or
 // sharded runs would not be reproducible.
 func TestPartitionDeterministic(t *testing.T) {
-	build := func() myrinet.Plan {
+	build := func() fabric.Plan {
 		net := myrinet.NewClos(sim.NewEngine(), 16, 8, myrinet.DefaultLinkParams())
 		return net.Partition(4)
 	}
@@ -101,16 +117,18 @@ func TestPartitionLookahead(t *testing.T) {
 func TestCrossShardHandoffAllocs(t *testing.T) {
 	e0, e1 := sim.NewEngine(), sim.NewEngine()
 	net := myrinet.NewClos(e0, 8, 4, myrinet.DefaultLinkParams())
+	reg := metrics.New()
+	net.SetMetrics(reg)
 	plan := net.Partition(2)
 	net.ApplyPlan(plan, []*sim.Engine{e0, e1})
 	for i := 0; i < 8; i++ {
-		net.Iface(myrinet.NodeID(i)).Deliver = func(*myrinet.Packet) {}
+		net.Iface(fabric.NodeID(i)).Deliver = func(*fabric.Packet) {}
 	}
-	src := myrinet.NodeID(0)
-	dst := myrinet.NodeID(-1)
+	src := fabric.NodeID(0)
+	dst := fabric.NodeID(-1)
 	for i := 0; i < 8; i++ {
-		if net.HostShard(myrinet.NodeID(i)) != net.HostShard(src) {
-			dst = myrinet.NodeID(i)
+		if net.HostShard(fabric.NodeID(i)) != net.HostShard(src) {
+			dst = fabric.NodeID(i)
 			break
 		}
 	}
@@ -118,7 +136,7 @@ func TestCrossShardHandoffAllocs(t *testing.T) {
 		t.Fatal("partition put every host in one shard")
 	}
 
-	p := &myrinet.Packet{Src: src, Dst: dst, Size: 1024}
+	p := &fabric.Packet{Src: src, Dst: dst, Size: 1024}
 	cycle := func() {
 		net.Iface(src).Inject(p)
 		for {
@@ -145,7 +163,7 @@ func TestCrossShardHandoffAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Fatalf("cross-shard handoff allocates %.2f per packet, want 0", avg)
 	}
-	if net.Stats().Delivered == 0 {
+	if counter(t, reg.Snapshot(), fabric.Component, metrics.NodeFabric, "delivered") == 0 {
 		t.Fatal("no packets delivered — cycle is not exercising the path")
 	}
 }

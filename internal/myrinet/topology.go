@@ -9,7 +9,7 @@ import (
 
 // NewSingleSwitch builds a fabric with all hosts on one crossbar — the
 // shape of the paper's 16-node testbed (one Myrinet-2000 Xbar16).
-func NewSingleSwitch(eng *sim.Engine, hosts int, params LinkParams) *Network {
+func NewSingleSwitch(eng *sim.Engine, hosts int, params fabric.LinkParams) *fabric.Network {
 	return fabric.SingleSwitch(eng, hosts, params)
 }
 
@@ -18,7 +18,7 @@ func NewSingleSwitch(eng *sim.Engine, hosts int, params LinkParams) *Network {
 // and ports/2 uplinks; there are ports/2 spine switches, each linked to
 // every leaf. Cross-leaf traffic is spread over spines deterministically
 // by (src, dst) hash, the usual Myrinet dispersive source-routing.
-func NewClos(eng *sim.Engine, hosts, ports int, params LinkParams) *Network {
+func NewClos(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *fabric.Network {
 	if ports < 4 || ports%2 != 0 {
 		panic("myrinet: Clos needs an even port count >= 4")
 	}
@@ -35,13 +35,13 @@ func NewClos(eng *sim.Engine, hosts, ports int, params LinkParams) *Network {
 	}
 	spines := ports / 2
 	// up[l][s] is the leaf->spine link, down[s][l] the reverse.
-	up := make([][]*Link, leaves)
-	down := make([][]*Link, spines)
+	up := make([][]*fabric.Link, leaves)
+	down := make([][]*fabric.Link, spines)
 	for s := 0; s < spines; s++ {
-		down[s] = make([]*Link, leaves)
+		down[s] = make([]*fabric.Link, leaves)
 	}
 	for l := 0; l < leaves; l++ {
-		up[l] = make([]*Link, spines)
+		up[l] = make([]*fabric.Link, spines)
 	}
 	for s := 0; s < spines; s++ {
 		sv := n.AddSwitch(fmt.Sprintf("spine%d", s))
@@ -51,22 +51,22 @@ func NewClos(eng *sim.Engine, hosts, ports int, params LinkParams) *Network {
 			down[s][l] = d
 		}
 	}
-	hostUp := make([]*Link, hosts)
-	hostDown := make([]*Link, hosts)
+	hostUp := make([]*fabric.Link, hosts)
+	hostDown := make([]*fabric.Link, hosts)
 	for i := 0; i < hosts; i++ {
-		_, u, d := n.AddHost(NodeID(i), leafV[i/hostsPerLeaf])
+		_, u, d := n.AddHost(fabric.NodeID(i), leafV[i/hostsPerLeaf])
 		hostUp[i], hostDown[i] = u, d
 	}
-	n.SetRoute(func(src, dst NodeID) []*Link {
+	n.SetRoute(func(src, dst fabric.NodeID) []*fabric.Link {
 		if src == dst {
 			panic("myrinet: route to self")
 		}
 		sl, dl := int(src)/hostsPerLeaf, int(dst)/hostsPerLeaf
 		if sl == dl {
-			return []*Link{hostUp[src], hostDown[dst]}
+			return []*fabric.Link{hostUp[src], hostDown[dst]}
 		}
 		spine := (int(src)*31 + int(dst)) % spines
-		return []*Link{hostUp[src], up[sl][spine], down[spine][dl], hostDown[dst]}
+		return []*fabric.Link{hostUp[src], up[sl][spine], down[spine][dl], hostDown[dst]}
 	})
 	n.SetMetrics(nil)
 	return n
@@ -79,11 +79,11 @@ func NewClos(eng *sim.Engine, hosts, ports int, params LinkParams) *Network {
 // tree tops out at k³/4 hosts (1024 for the Myrinet-2000 Xbar16), so past
 // that the radix doubles until the pod count fits — the way large Myrinet
 // installations scale by moving to wider crossbar line cards.
-func AutoTopology(eng *sim.Engine, hosts int, params LinkParams) *Network {
+func AutoTopology(eng *sim.Engine, hosts int, params fabric.LinkParams) *fabric.Network {
 	return autoTopology(eng, hosts, DefaultRadix, params)
 }
 
-func autoTopology(eng *sim.Engine, hosts, ports int, params LinkParams) *Network {
+func autoTopology(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *fabric.Network {
 	switch {
 	case hosts <= ports:
 		return NewSingleSwitch(eng, hosts, params)

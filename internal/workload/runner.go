@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/gm"
+	"repro/internal/lanai"
 	"repro/internal/sim"
 )
 
@@ -36,7 +38,7 @@ func Run(cfg *cluster.Config, spec Spec) (Report, error) {
 // attach fire hooks here; nil behaves exactly like Run.
 func RunWith(cfg *cluster.Config, spec Spec, attach func(*cluster.Cluster)) (Report, error) {
 	spec.Nodes = cfg.Nodes
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	if attach != nil {
 		attach(c)
 	}
@@ -130,8 +132,9 @@ func RunWith(cfg *cluster.Config, spec Spec, attach func(*cluster.Cluster)) (Rep
 		rep.MaxLatencyUs = worst.Micros()
 	}
 	for _, n := range c.Nodes {
-		rep.Retransmits += n.NIC.Stats().Retransmits
-		rep.RxNoBuffer += n.HW.Stats().RxNoBuffer
+		reg := n.HW.Registry()
+		rep.Retransmits += reg.Counter(gm.Component, int(n.ID), "retransmits").Value()
+		rep.RxNoBuffer += reg.Counter(lanai.Component, int(n.ID), "rx_nobuffer").Value()
 		if u := n.HW.CPU.Utilization(); u > rep.MaxCPUUtil {
 			rep.MaxCPUUtil = u
 		}
