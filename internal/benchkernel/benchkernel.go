@@ -57,6 +57,53 @@ func CancelReschedule(b *testing.B) {
 	}
 }
 
+// The queue mix's shape, from the 512-host multicast storm's queue: about
+// 250 events pending, 88 % of them due within 4 µs (packet hops, DMA and
+// CPU steps) and 12 % timers 0.25-1 ms out (retransmit and delayed-ack).
+const (
+	mixNear   = 220
+	mixTimers = 30
+)
+
+// QueueMix measures the event queue under the mix the workloads build,
+// where Schedule's 64 events 1 ns apart do not: every near event fires and
+// schedules its successor 0-4 µs on, every timer re-arms 0.25-1 ms on when
+// it fires, and per 100 fired events 3 timers are stopped and re-armed (a
+// cancel) and 1 is pushed out (a reschedule). One op is one fired event.
+func QueueMix(b *testing.B) {
+	b.ReportAllocs()
+	eng := sim.NewEngine()
+	x := uint64(1)
+	draw := func(n int64) int64 { // an LCG: the mix, not the generator, is timed
+		x = x*6364136223846793005 + 1442695040888963407
+		return int64(x>>33) % n
+	}
+	near := func() sim.Time { return sim.Time(draw(4096)) }
+	far := func() sim.Time { return 250*sim.Microsecond + sim.Time(draw(int64(750*sim.Microsecond))) }
+	var hop func()
+	hop = func() { eng.After(near(), hop) }
+	timers := make([]*sim.Timer, mixTimers)
+	for i := range timers {
+		timers[i] = eng.NewTimer(func() { timers[i].ResetAfter(far()) })
+		timers[i].ResetAfter(far())
+	}
+	for range mixNear {
+		eng.After(near(), hop)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+		switch r := draw(100); {
+		case r < 3:
+			tm := timers[draw(mixTimers)]
+			tm.Stop()
+			tm.ResetAfter(far())
+		case r < 4:
+			timers[draw(mixTimers)].ResetAfter(far())
+		}
+	}
+}
+
 // stormHosts and stormSize shape the packet-heavy fabric benchmark.
 const (
 	stormHosts = 8

@@ -15,6 +15,7 @@ import (
 func BenchmarkSchedule(b *testing.B)         { benchkernel.Schedule(b) }
 func BenchmarkCancelReschedule(b *testing.B) { benchkernel.CancelReschedule(b) }
 func BenchmarkPacketStorm(b *testing.B)      { benchkernel.PacketStorm(b) }
+func BenchmarkQueueMix(b *testing.B)         { benchkernel.QueueMix(b) }
 
 // BenchmarkProcSwitch times one park/resume pair: a lone process sleeping
 // one tick per iteration, so each op is one event, one switch into the

@@ -135,3 +135,36 @@ func TestChooserOutOfRangeClamped(t *testing.T) {
 		}
 	}
 }
+
+// TestChooserScanDoesNotAllocate pins that building the enabled set — a
+// walk of the near heap, the far heap and the tied bucket's list — reuses
+// one candidate buffer: three domains tie at every step's timestamp while
+// a timer stays armed in the far heap.
+func TestChooserScanDoesNotAllocate(t *testing.T) {
+	e := NewEngine()
+	e.GrowDomains(3)
+	calls := 0
+	e.SetChooser(func(n int) int {
+		calls++
+		return n - 1
+	})
+	fn := func() {}
+	far := e.NewTimer(fn)
+	round := func() {
+		at := e.Now() + 64
+		for d := uint32(1); d <= 3; d++ {
+			e.AtDomain(d, at, fn)
+		}
+		far.Reset(e.Now() + Millisecond)
+		for i := 0; i < 3; i++ {
+			e.Step()
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(1000, round); avg != 0 {
+		t.Fatalf("a chooser round allocates %.1f objects, want 0", avg)
+	}
+	if calls == 0 {
+		t.Fatal("the chooser was never consulted")
+	}
+}

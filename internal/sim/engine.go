@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Event is one scheduled callback. Events live in the engine's arena:
 // Engine.At hands out a slot (recycling fired and cancelled slots through a
@@ -13,33 +16,64 @@ type Event struct {
 	when  Time
 	seq   uint64 // (domain, local sequence) key; breaks same-timestamp ties
 	fn    func()
-	index int32  // position in the heap; -1 once fired or cancelled
+	next  *Event // bucket list link while the event sits in the ring
+	index int32  // position in the heap holding the event
 	gen   uint32 // bumped on every recycle; Timer handles validate against it
 	owner uint32 // domain restored as the current domain when the event fires
+	where queue  // the structure holding the event; unqueued once fired or cancelled
 }
+
+// queue names the part of the engine's queue an event sits in.
+type queue uint8
+
+const (
+	unqueued queue = iota
+	inNear         // the current-bucket heap
+	inRing         // a bucket list of the ring
+	inFar          // the far heap
+)
 
 // When reports the virtual time at which the event is scheduled to fire.
 func (ev *Event) When() Time { return ev.when }
 
 // Pending reports whether the event is still scheduled.
-func (ev *Event) Pending() bool { return ev.index >= 0 }
+func (ev *Event) Pending() bool { return ev.where != unqueued }
 
 // arenaChunk is the slab size of the event arena. Chunks are never freed
 // or moved, so *Event pointers stay valid for the engine's lifetime.
 const arenaChunk = 128
 
+// The ring has ringSize buckets of 1<<bucketShift = 16 ns, a horizon of
+// 4.096 µs. Unexported constants, not a knob: on the 512-host multicast
+// storm 64 × 64 ns was clearly slower and 128 × 32 ns no faster.
+const (
+	bucketShift = 4
+	ringSize    = 256
+	ringMask    = ringSize - 1
+)
+
+// slotOf reports the absolute bucket number of time t.
+func slotOf(t Time) uint64 { return uint64(t) >> bucketShift }
+
 // Engine is a discrete-event simulation kernel.
 // The zero value is not usable; construct with NewEngine.
 //
-// The event queue is a hand-rolled 4-ary min-heap of arena-allocated
-// events ordered by (time, sequence). Compared to a container/heap binary
-// heap of interface-boxed elements, the 4-ary layout halves the tree depth
-// (fewer cache misses per sift) and the direct field comparisons avoid
-// dynamic dispatch; the arena plus free list means a steady-state
-// simulation schedules events without allocating at all.
+// The event queue has two levels over arena-allocated events. An event
+// due within the ring's horizon goes onto its 16 ns bucket's unsorted list
+// — a pointer store, no ordering work — and one due later into the far
+// heap: retransmit and delayed-ack timers, and packet arrivals whose wire
+// time passes the horizon (at 4 ns/B, a 1 KB Myrinet packet's alone is
+// 4.1 µs). When the current bucket's events are spent, the next non-empty
+// bucket becomes current: a lone event fires straight off its list,
+// several move into the near heap, where events scheduled into the current
+// bucket go too. The next event is the smaller of the near and far heap
+// tops by (time, key), so the fire order is the total order (time, key)
+// whichever structures an event passed through. Both heaps are 4-ary
+// min-heaps with direct field comparisons sharing one sift implementation;
+// the arena plus free list means a steady-state simulation schedules
+// events without allocating.
 type Engine struct {
 	now   Time
-	heap  []*Event
 	fired uint64
 
 	// Tiebreak keys are (domain, per-domain sequence) pairs packed into a
@@ -54,6 +88,18 @@ type Engine struct {
 	// run reproduce the serial engine's timeline bit for bit.
 	domSeq []uint64
 	curDom uint32 // domain of the currently-executing event, 0 when idle
+
+	// near holds the events of buckets up to cur, ring[s&ringMask] the
+	// events of bucket s for cur < s < cur+ringSize (occ marks the
+	// non-empty lists, ringN counts their events), far everything later.
+	// ringN is 32 bits and sits beside curDom so that the Engine, malloc
+	// header included, fits the 2 304 B size class.
+	ringN int32
+	near  eventHeap
+	far   eventHeap
+	cur   uint64
+	ring  [ringSize]*Event
+	occ   [ringSize / 64]uint64
 
 	chunks []*[arenaChunk]Event
 	used   int      // slots handed out of the newest chunk
@@ -142,7 +188,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
 // Pending reports the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.near) + int(e.ringN) + len(e.far) }
 
 // alloc hands out an event slot: a recycled one when available, else the
 // next slot of the newest arena chunk.
@@ -170,7 +216,7 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// eventLess orders the heap by timestamp, then by scheduling order, so
+// eventLess orders the queue by timestamp, then by scheduling order, so
 // same-timestamp events fire FIFO.
 func eventLess(a, b *Event) bool {
 	if a.when != b.when {
@@ -179,26 +225,30 @@ func eventLess(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// siftUp moves heap[i] toward the root until its parent is not greater.
-func (e *Engine) siftUp(i int) {
-	ev := e.heap[i]
+// eventHeap is a 4-ary min-heap of events under eventLess; every event in
+// it knows its position through index.
+type eventHeap []*Event
+
+// siftUp moves h[i] toward the root until its parent is not greater.
+func (h eventHeap) siftUp(i int) {
+	ev := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !eventLess(ev, e.heap[p]) {
+		if !eventLess(ev, h[p]) {
 			break
 		}
-		e.heap[i] = e.heap[p]
-		e.heap[i].index = int32(i)
+		h[i] = h[p]
+		h[i].index = int32(i)
 		i = p
 	}
-	e.heap[i] = ev
+	h[i] = ev
 	ev.index = int32(i)
 }
 
-// siftDown moves heap[i] toward the leaves until no child is smaller.
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	ev := e.heap[i]
+// siftDown moves h[i] toward the leaves until no child is smaller.
+func (h eventHeap) siftDown(i int) {
+	n := len(h)
+	ev := h[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -210,53 +260,149 @@ func (e *Engine) siftDown(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if eventLess(e.heap[c], e.heap[best]) {
+			if eventLess(h[c], h[best]) {
 				best = c
 			}
 		}
-		if !eventLess(e.heap[best], ev) {
+		if !eventLess(h[best], ev) {
 			break
 		}
-		e.heap[i] = e.heap[best]
-		e.heap[i].index = int32(i)
+		h[i] = h[best]
+		h[i].index = int32(i)
 		i = best
 	}
-	e.heap[i] = ev
+	h[i] = ev
 	ev.index = int32(i)
 }
 
-// heapPush queues ev.
-func (e *Engine) heapPush(ev *Event) {
-	ev.index = int32(len(e.heap))
-	e.heap = append(e.heap, ev)
-	e.siftUp(int(ev.index))
+// push queues ev.
+func (h *eventHeap) push(ev *Event) {
+	ev.index = int32(len(*h))
+	*h = append(*h, ev)
+	h.siftUp(int(ev.index))
 }
 
-// heapRemove unqueues and returns the event at heap position i.
-func (e *Engine) heapRemove(i int) *Event {
-	ev := e.heap[i]
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap[n] = nil
-	e.heap = e.heap[:n]
-	ev.index = -1
+// remove unqueues the event at position i.
+func (h *eventHeap) remove(i int) {
+	old := *h
+	n := len(old) - 1
+	last := old[n]
+	old[n] = nil
+	*h = old[:n]
 	if i < n {
-		e.heap[i] = last
+		old[i] = last
 		last.index = int32(i)
-		e.siftDown(i)
+		h.siftDown(i)
 		if int(last.index) == i {
-			e.siftUp(i)
+			h.siftUp(i)
 		}
 	}
-	return ev
 }
 
-// heapFix restores order after heap[i]'s key changed in place.
-func (e *Engine) heapFix(i int) {
-	ev := e.heap[i]
-	e.siftDown(i)
-	if int(ev.index) == i {
-		e.siftUp(i)
+// insert queues ev by its timestamp: into the near heap at or before the
+// current bucket, onto its bucket's list within the ring, else into the
+// far heap.
+func (e *Engine) insert(ev *Event) {
+	s := slotOf(ev.when)
+	switch {
+	case s <= e.cur:
+		ev.where = inNear
+		e.near.push(ev)
+	case s-e.cur < ringSize:
+		ev.where = inRing
+		b := s & ringMask
+		ev.next = e.ring[b]
+		e.ring[b] = ev
+		e.occ[b/64] |= 1 << (b % 64)
+		e.ringN++
+	default:
+		ev.where = inFar
+		e.far.push(ev)
+	}
+}
+
+// unlink takes a pending ev out of whichever structure holds it.
+func (e *Engine) unlink(ev *Event) {
+	switch ev.where {
+	case inNear:
+		e.near.remove(int(ev.index))
+	case inFar:
+		e.far.remove(int(ev.index))
+	case inRing:
+		b := slotOf(ev.when) & ringMask
+		if p := e.ring[b]; p == ev {
+			if e.ring[b] = ev.next; ev.next == nil {
+				e.occ[b/64] &^= 1 << (b % 64)
+			}
+		} else {
+			for p.next != ev {
+				p = p.next
+			}
+			p.next = ev.next
+		}
+		e.ringN--
+	}
+	ev.where = unqueued
+}
+
+// nextSlot reports the absolute number of the first non-empty bucket after
+// cur. The ring must hold at least one event.
+func (e *Engine) nextSlot() uint64 {
+	start := (e.cur + 1) & ringMask
+	w := start / 64
+	word := e.occ[w] &^ (1<<(start%64) - 1)
+	// Five words: the first from start, the other three, then the first
+	// again for the buckets before start, which lie a lap ahead.
+	for range len(e.occ) + 1 {
+		if word != 0 {
+			b := w*64 + uint64(bits.TrailingZeros64(word))
+			return e.cur + (b-e.cur)&ringMask
+		}
+		w = (w + 1) % uint64(len(e.occ))
+		word = e.occ[w]
+	}
+	panic("sim: ring occupancy bitmap out of step with its lists")
+}
+
+// front returns the earliest pending event, nil when none is. With the
+// near heap spent, the next non-empty bucket becomes current, unless the
+// far heap's top is due before it, and its events move into the near heap;
+// a lone event is returned where it sits, and fire makes its bucket
+// current.
+func (e *Engine) front() *Event {
+	if len(e.near) == 0 && e.ringN > 0 {
+		if s := e.nextSlot(); len(e.far) == 0 || slotOf(e.far[0].when) >= s {
+			b := s & ringMask
+			ev := e.ring[b]
+			if ev.next == nil && (len(e.far) == 0 || slotOf(e.far[0].when) > s) {
+				return ev
+			}
+			e.ring[b] = nil
+			e.occ[b/64] &^= 1 << (b % 64)
+			e.cur = s
+			for ev != nil {
+				next := ev.next
+				ev.where = inNear
+				ev.index = int32(len(e.near))
+				e.near = append(e.near, ev)
+				e.ringN--
+				ev = next
+			}
+			for i := (len(e.near) - 2) / 4; i >= 0; i-- {
+				e.near.siftDown(i)
+			}
+		}
+	}
+	switch {
+	case len(e.near) == 0:
+		if len(e.far) == 0 {
+			return nil
+		}
+		return e.far[0]
+	case len(e.far) == 0 || eventLess(e.near[0], e.far[0]):
+		return e.near[0]
+	default:
+		return e.far[0]
 	}
 }
 
@@ -298,7 +444,7 @@ func (e *Engine) atKey(t Time, key uint64, owner uint32, fn func()) *Event {
 	ev.seq = key
 	ev.owner = owner
 	ev.fn = fn
-	e.heapPush(ev)
+	e.insert(ev)
 	return ev
 }
 
@@ -312,10 +458,10 @@ func (e *Engine) After(d Time, fn func()) *Event {
 // handle-validity rule on Event: once the slot has been reused by a later
 // At, the stale handle aliases the new event.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.index < 0 {
+	if ev == nil || ev.where == unqueued {
 		return
 	}
-	e.heapRemove(int(ev.index))
+	e.unlink(ev)
 	e.recycle(ev)
 }
 
@@ -325,7 +471,7 @@ func (e *Engine) Cancel(ev *Event) {
 // slot may already belong to an unrelated event (use Timer.Reset for a
 // handle that re-arms safely across firings).
 func (e *Engine) Reschedule(ev *Event, t Time) {
-	if ev.index < 0 {
+	if ev.where == unqueued {
 		panic("sim: reschedule of non-pending event")
 	}
 	if t < e.now {
@@ -335,9 +481,10 @@ func (e *Engine) Reschedule(ev *Event, t Time) {
 	if src == 0 {
 		src = ev.owner
 	}
+	e.unlink(ev)
 	ev.when = t
 	ev.seq = e.nextKey(src)
-	e.heapFix(int(ev.index))
+	e.insert(ev)
 }
 
 // Step fires the next event, advancing the clock to its timestamp.
@@ -345,14 +492,28 @@ func (e *Engine) Reschedule(ev *Event, t Time) {
 // before the callback runs, so a callback re-arming its own Timer draws a
 // fresh incarnation rather than resurrecting the firing one.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	ev := e.front()
+	if ev == nil {
 		return false
 	}
-	i := 0
+	e.fire(ev)
+	return true
+}
+
+// fire runs the next event, given the queue's front ev — or, under a
+// chooser, the enabled event at ev's timestamp that the chooser picks.
+func (e *Engine) fire(ev *Event) {
 	if e.chooser != nil {
-		i = e.chooseIndex()
+		ev = e.choose(ev.when)
 	}
-	ev := e.heapRemove(i)
+	// With the near heap empty, nothing pending is earlier than ev and the
+	// ring holds only later buckets, so ev's bucket becomes the current one.
+	if ev.where != inNear && len(e.near) == 0 {
+		if s := slotOf(ev.when); s > e.cur {
+			e.cur = s
+		}
+	}
+	e.unlink(ev)
 	e.now = ev.when
 	e.fired++
 	fn := ev.fn
@@ -365,7 +526,6 @@ func (e *Engine) Step() bool {
 	e.curDom = owner
 	fn()
 	e.curDom = prev
-	return true
 }
 
 // SetFireHook installs (or, with nil, removes) a callback observing every
@@ -389,34 +549,31 @@ func (e *Engine) SetFireHook(fn func(when Time, key uint64)) { e.fireHook = fn }
 // fn is only consulted when n >= 2; out-of-range returns are reduced mod n.
 //
 // The chooser is a model-checking instrument, not a fast path: each choice
-// scans the pending queue for ties. It must not be combined with the
-// sharded coordinator (shards assume the serial FIFO order when exchanging
-// lookahead promises); internal/explore runs serial clusters only.
+// scans both heaps and that timestamp's bucket list. It must not be
+// combined with the sharded coordinator (shards assume the serial FIFO
+// order when exchanging lookahead promises); internal/explore runs serial
+// clusters only.
 func (e *Engine) SetChooser(fn func(n int) int) { e.chooser = fn }
 
-// chooseIndex builds the enabled set at the earliest pending timestamp —
-// the per-domain minimum-key event of every domain with work at that time,
-// sorted by key — and returns the heap position of the chooser's pick.
-func (e *Engine) chooseIndex() int {
-	t := e.heap[0].when
+// choose builds the enabled set at timestamp t, the earliest pending one —
+// the per-domain minimum-key event of every domain with work at t, sorted
+// by key — and returns the chooser's pick. Events at t may sit in either
+// heap or on t's bucket list; the scan walks all three.
+func (e *Engine) choose(t Time) *Event {
 	cands := e.cands[:0]
-	for _, ev := range e.heap {
-		if ev.when != t {
-			continue
+	for _, ev := range e.near {
+		if ev.when == t {
+			cands = addCandidate(cands, ev)
 		}
-		d := ev.seq >> (64 - domainBits)
-		dup := false
-		for i, c := range cands {
-			if c.seq>>(64-domainBits) == d {
-				dup = true
-				if ev.seq < c.seq {
-					cands[i] = ev
-				}
-				break
-			}
+	}
+	for _, ev := range e.far {
+		if ev.when == t {
+			cands = addCandidate(cands, ev)
 		}
-		if !dup {
-			cands = append(cands, ev)
+	}
+	for ev := e.ring[slotOf(t)&ringMask]; ev != nil; ev = ev.next {
+		if ev.when == t {
+			cands = addCandidate(cands, ev)
 		}
 	}
 	// Insertion sort by key: candidate counts are small (one per busy
@@ -439,17 +596,33 @@ func (e *Engine) chooseIndex() int {
 			pick += len(cands)
 		}
 	}
-	return int(cands[pick].index)
+	return cands[pick]
+}
+
+// addCandidate adds ev to the enabled set unless its domain already has an
+// event there, in which case the lower key of the two stays.
+func addCandidate(cands []*Event, ev *Event) []*Event {
+	d := ev.seq >> (64 - domainBits)
+	for i, c := range cands {
+		if c.seq>>(64-domainBits) == d {
+			if ev.seq < c.seq {
+				cands[i] = ev
+			}
+			return cands
+		}
+	}
+	return append(cands, ev)
 }
 
 // NextEventTime reports the timestamp of the earliest pending event; ok is
 // false when the queue is empty. Shard coordinators use it to pick the next
 // synchronization window.
 func (e *Engine) NextEventTime() (t Time, ok bool) {
-	if len(e.heap) == 0 {
+	ev := e.front()
+	if ev == nil {
 		return 0, false
 	}
-	return e.heap[0].when, true
+	return ev.when, true
 }
 
 // RunBefore fires every event with timestamp strictly before end, leaving
@@ -458,8 +631,8 @@ func (e *Engine) NextEventTime() (t Time, ok bool) {
 // the lookahead guarantee is that no other shard can schedule work here
 // before end, so everything below end is safe to fire.
 func (e *Engine) RunBefore(end Time) {
-	for len(e.heap) > 0 && e.heap[0].when < end {
-		e.Step()
+	for ev := e.front(); ev != nil && ev.when < end; ev = e.front() {
+		e.fire(ev)
 	}
 }
 
@@ -473,11 +646,16 @@ func (e *Engine) Run() {
 
 // RunUntil fires events with timestamps <= t, then advances the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.heap) > 0 && e.heap[0].when <= t {
-		e.Step()
+	for ev := e.front(); ev != nil && ev.when <= t; ev = e.front() {
+		e.fire(ev)
 	}
 	if t > e.now {
 		e.now = t
+		// An idle ring restarts at the new clock, so events scheduled
+		// from here on land in it rather than in the far heap.
+		if len(e.near) == 0 && e.ringN == 0 && slotOf(t) > e.cur {
+			e.cur = slotOf(t)
+		}
 	}
 }
 

@@ -139,21 +139,42 @@ func TestTimerResetMovesDeadline(t *testing.T) {
 	}
 }
 
+// Steady state moves events between every part of the queue: each
+// iteration fires one event and schedules one either in the current bucket
+// (+0, straight into the near heap) or a few buckets out (+64 ns, onto the
+// ring), which later moves into the near heap; a timer bounces between the
+// far heap (1 ms out) and the ring (+32 ns), one reschedule each way.
 func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	e := sim.NewEngine()
 	fn := func() {}
 	for i := 0; i < 64; i++ {
 		e.After(sim.Time(i+1), fn)
 	}
+	tm := e.NewTimer(fn)
+	tm.ResetAfter(sim.Millisecond)
+	i := 0
 	avg := testing.AllocsPerRun(1000, func() {
 		e.Step()
-		e.After(64, fn)
+		if i%4 == 0 {
+			e.After(0, fn)
+		} else {
+			e.After(64, fn)
+		}
+		if i%2 == 0 {
+			tm.ResetAfter(32)
+		} else {
+			tm.ResetAfter(sim.Millisecond)
+		}
+		i++
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state schedule+fire allocates %.1f/op, want 0", avg)
 	}
 }
 
+// The timer's arm/rearm/stop churn crosses the horizon both ways — ring to
+// far heap, far heap back into the ring and the current bucket — before the
+// last arming fires.
 func TestTimerChurnDoesNotAllocate(t *testing.T) {
 	e := sim.NewEngine()
 	tm := e.NewTimer(func() {})
@@ -161,8 +182,11 @@ func TestTimerChurnDoesNotAllocate(t *testing.T) {
 	e.Run()
 	avg := testing.AllocsPerRun(1000, func() {
 		tm.ResetAfter(5)
+		tm.ResetAfter(sim.Millisecond)
 		tm.ResetAfter(9)
 		tm.Stop()
+		tm.ResetAfter(2 * sim.Millisecond)
+		tm.ResetAfter(0)
 		tm.ResetAfter(3)
 		e.Run()
 	})

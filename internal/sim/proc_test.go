@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -427,6 +430,37 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical streams")
+	}
+}
+
+// TestRNGLazySourceMatchesEagerStream pins that seeding on the first draw
+// changes nothing but when the source is built: the first 1 000 draws, a
+// mix of every kind, are those of rand.New(rand.NewSource(seed)), and a
+// draw that needs no randomness builds no source.
+func TestRNGLazySourceMatchesEagerStream(t *testing.T) {
+	const seed = 42
+	g, want := NewRNG(seed), rand.New(rand.NewSource(seed))
+	if g.Bernoulli(0) || g.src != nil {
+		t.Fatal("Bernoulli(0) built the source")
+	}
+	got, exp := make([]byte, 7), make([]byte, 7)
+	for i := 0; i < 1000; i++ {
+		ok := true
+		switch i % 4 {
+		case 0:
+			ok = g.Float64() == want.Float64()
+		case 1:
+			ok = g.Intn(1000) == want.Intn(1000)
+		case 2:
+			ok = slices.Equal(g.Perm(6), want.Perm(6))
+		case 3:
+			g.Fill(got)
+			want.Read(exp)
+			ok = bytes.Equal(got, exp)
+		}
+		if !ok {
+			t.Fatalf("draw %d differs from the eagerly seeded stream", i)
+		}
 	}
 }
 

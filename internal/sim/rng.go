@@ -6,29 +6,41 @@ import "math/rand"
 // behaviour (packet loss, process skew, workload generation) draws from
 // one seeded stream so a run is reproducible from its seed.
 type RNG struct {
-	r *rand.Rand
+	seed int64
+	src  *rand.Rand // built on the first draw; nil until then
 }
 
-// NewRNG returns a deterministic generator for the given seed.
+// NewRNG returns a deterministic generator for the given seed. The ~5 KB
+// source behind it is built on the first draw, so a generator that is
+// never drawn from — every loss-free cluster's — costs a few bytes; the
+// stream is the same, since the same seed builds the same source.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	return &RNG{seed: seed}
+}
+
+// r returns the seeded source, building it on first use.
+func (g *RNG) r() *rand.Rand {
+	if g.src == nil {
+		g.src = rand.New(rand.NewSource(g.seed))
+	}
+	return g.src
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+func (g *RNG) Float64() float64 { return g.r().Float64() }
 
 // Intn returns a uniform value in [0, n). n must be > 0.
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { return g.r().Intn(n) }
 
 // Int63n returns a uniform value in [0, n). n must be > 0.
-func (g *RNG) Int63n(n int64) int64 { return g.r.Int63n(n) }
+func (g *RNG) Int63n(n int64) int64 { return g.r().Int63n(n) }
 
 // Duration returns a uniform Time in [0, d).
 func (g *RNG) Duration(d Time) Time {
 	if d <= 0 {
 		return 0
 	}
-	return Time(g.r.Int63n(int64(d)))
+	return Time(g.r().Int63n(int64(d)))
 }
 
 // SymmetricDuration returns a uniform Time in [-d/2, +d/2), the paper's
@@ -38,7 +50,7 @@ func (g *RNG) SymmetricDuration(d Time) Time {
 	if d <= 0 {
 		return 0
 	}
-	return Time(g.r.Int63n(int64(d))) - d/2
+	return Time(g.r().Int63n(int64(d))) - d/2
 }
 
 // Bernoulli reports true with probability p.
@@ -49,14 +61,14 @@ func (g *RNG) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return g.r.Float64() < p
+	return g.r().Float64() < p
 }
 
 // Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+func (g *RNG) Perm(n int) []int { return g.r().Perm(n) }
 
 // Fill fills b with pseudo-random bytes (for payload generation in tests).
 func (g *RNG) Fill(b []byte) {
 	// rand.Rand.Read never fails.
-	g.r.Read(b)
+	g.r().Read(b)
 }

@@ -24,7 +24,7 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 
 // active reports whether the armed incarnation is still the queued one.
 func (t *Timer) active() bool {
-	return t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0
+	return t.ev != nil && t.ev.gen == t.gen && t.ev.Pending()
 }
 
 // Pending reports whether the timer is armed and has not yet fired.
