@@ -77,15 +77,16 @@ func main() {
 // relative to the 1-shard column; they exceed 1.0 only when the shards
 // have real cores to run on, so the GOMAXPROCS context prints with the
 // table. Sharded cells also show the coordinator's sync accounting —
-// windows executed (w), cross-shard events per window (x/w), and the
+// windows executed (w), cross-shard events per window (x/w), the speedup
+// the window placement allows (bound, ShardStats.SpeedupBound), and the
 // average shard's barrier-wait share of window wall time (wait) — so
 // conservative-sync overhead is visible without a profiler.
 func speedupMatrix(fc fabric.Config, nodeCounts []int, msgs, size int) {
 	shardCounts := []int{1, 2, 4, 8}
 	fmt.Printf("Multicast-storm wall seconds per run (speedup vs serial), %d msgs x %d bytes, fabric %s, GOMAXPROCS=%d\n",
 		msgs, size, fc.Kind, runtime.GOMAXPROCS(0))
-	fmt.Printf("sharded cells: w=sync windows, x/w=cross-shard events per window, wait=mean barrier-wait share\n")
-	const cell = 34
+	fmt.Printf("sharded cells: w=sync windows, x/w=cross-shard events per window, bound=speedup the windows allow, wait=mean barrier-wait share\n")
+	const cell = 45
 	fmt.Printf("%8s", "nodes")
 	for _, s := range shardCounts {
 		fmt.Printf("  %*s", cell, fmt.Sprintf("%d-shard", s))
@@ -112,8 +113,8 @@ func speedupMatrix(fc fabric.Config, nodeCounts []int, msgs, size int) {
 				serial = best
 				fmt.Printf("  %*s", cell, fmt.Sprintf("%.3fs", best))
 			} else {
-				fmt.Printf("  %*s", cell, fmt.Sprintf("%.3fs %.2fx w=%d x/w=%.1f wait=%.0f%%",
-					best, serial/best, st.Windows, st.CrossPerWindow(), 100*st.BarrierWaitShare()))
+				fmt.Printf("  %*s", cell, fmt.Sprintf("%.3fs %.2fx w=%d x/w=%.1f bound=%.2fx wait=%.0f%%",
+					best, serial/best, st.Windows, st.CrossPerWindow(), st.SpeedupBound(), 100*st.BarrierWaitShare()))
 			}
 		}
 		fmt.Println()

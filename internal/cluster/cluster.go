@@ -124,6 +124,7 @@ type Cluster struct {
 	prevStretched uint64
 	prevInline    uint64
 	prevEmpty     uint64
+	prevCritical  uint64
 	prevEvents    []uint64
 	prevWait      []int64
 }
@@ -329,7 +330,8 @@ func (c *Cluster) EventsFired() uint64 {
 
 // foldShardMetrics publishes the coordinator's deterministic accounting —
 // per-shard fired events, window / stretched-window / inline-window /
-// skipped-drain and cross-shard event counts — into the metrics registry
+// skipped-drain, cross-shard and critical-path event counts
+// (ShardStats.Critical) — into the metrics registry
 // after each run. Wall-clock barrier waits are cheap enough to track
 // unconditionally now, so they fold in by default; they are wall-clock
 // (nondeterministic) values and live in histograms, which the determinism
@@ -345,8 +347,10 @@ func (c *Cluster) foldShardMetrics() {
 	reg.Counter("sim", metrics.NodeFabric, "windows_stretched").Add(st.Stretched - c.prevStretched)
 	reg.Counter("sim", metrics.NodeFabric, "windows_inline").Add(st.Inline - c.prevInline)
 	reg.Counter("sim", metrics.NodeFabric, "drains_skipped").Add(st.EmptyDrains - c.prevEmpty)
+	reg.Counter("sim", metrics.NodeFabric, "critical_events").Add(st.Critical - c.prevCritical)
 	c.prevWindows, c.prevCross = st.Windows, st.CrossEvents
 	c.prevStretched, c.prevInline, c.prevEmpty = st.Stretched, st.Inline, st.EmptyDrains
+	c.prevCritical = st.Critical
 	if c.prevEvents == nil {
 		c.prevEvents = make([]uint64, st.Shards)
 		c.prevWait = make([]int64, st.Shards)

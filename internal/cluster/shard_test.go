@@ -5,8 +5,10 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/clos"
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/gm"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -130,6 +132,94 @@ func TestShardedGMEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// balanceRun drives two concurrent multicast groups, roots at n/4 and 3n/4,
+// each posting two 32 KB messages, on a cluster with the given shard count.
+// It returns the final clock, the events fired and, when sharded, the
+// coordinator's accounting.
+func balanceRun(t *testing.T, nodes, shards int, opts ...cluster.Option) (sim.Time, uint64, sim.ShardStats) {
+	t.Helper()
+	const groups, msgs, size = 2, 2, 32 << 10
+	c := cluster.New(nodes, append([]cluster.Option{cluster.WithShards(shards), cluster.WithSeed(1)}, opts...)...)
+	roots := make([]fabric.NodeID, groups)
+	ports := make([][]*gm.Port, groups)
+	var ready []func() bool
+	for g := range roots {
+		roots[g] = fabric.NodeID((2*g + 1) * nodes / (2 * groups))
+		port := gm.PortID(1 + g)
+		ports[g] = c.OpenPorts(port)
+		ready = append(ready, c.InstallGroup(gm.GroupID(1+g), tree.Binomial(roots[g], c.Members()), port, port))
+		for i, p := range ports[g] {
+			if fabric.NodeID(i) == roots[g] {
+				continue
+			}
+			c.SpawnOn(fabric.NodeID(i), "recv", func(proc *sim.Proc) {
+				p.ProvideN(msgs, size)
+				for got := 0; got < msgs; got++ {
+					p.Release(p.Recv(proc))
+				}
+			})
+		}
+	}
+	// Install to quiescence first: the completion flags are safe to read
+	// only behind a sharded barrier.
+	c.Run()
+	for g, ok := range ready {
+		if !ok() {
+			t.Fatalf("shards=%d: group %d install incomplete", shards, g)
+		}
+	}
+	for g, root := range roots {
+		c.SpawnOn(root, "root", func(proc *sim.Proc) {
+			for k := 0; k < msgs; k++ {
+				c.Nodes[root].Ext.McastSync(proc, ports[g][root], gm.GroupID(1+g), make([]byte, size))
+			}
+		})
+	}
+	c.Run()
+	if live := c.LiveProcs(); live != 0 {
+		t.Fatalf("shards=%d: %d processes never finished", shards, live)
+	}
+	var st sim.ShardStats
+	if sh := c.Sharded(); sh != nil {
+		st = sh.Stats()
+	}
+	end, fired := c.Now(), c.EventsFired()
+	c.Kill()
+	return end, fired, st
+}
+
+// TestShardedWindowBalance pins the common window end on the bulk pattern:
+// two groups whose roots sit on different shards keep both shards busy in
+// the same windows, so a per-shard end would put the shards out of phase
+// and charge the barrier the busier one every window. The bound is
+// ShardStats.SpeedupBound, a deterministic count: the common end gives 1.79
+// on the Clos and 1.31 on Myrinet, per-shard ends 1.35 and 1.22. Sharding
+// must still leave the clock and the event count of the serial run.
+func TestShardedWindowBalance(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		bound float64
+		opts  []cluster.Option
+	}{
+		{"clos", 256, 1.7, []cluster.Option{cluster.WithFabric(clos.Default()),
+			cluster.WithMutate(func(c *cluster.Config) { c.NIC.RecvBuffers = 256 })}},
+		{"myrinet", 128, 1.27, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serialEnd, serialFired, _ := balanceRun(t, tc.nodes, 1, tc.opts...)
+			end, fired, st := balanceRun(t, tc.nodes, 2, tc.opts...)
+			if end != serialEnd || fired != serialFired {
+				t.Fatalf("2 shards: clock %v, %d events; serial %v, %d events", end, fired, serialEnd, serialFired)
+			}
+			if b := st.SpeedupBound(); b < tc.bound {
+				t.Fatalf("speedup bound %.3f (critical %d of %v events, %d windows), want >= %.2f",
+					b, st.Critical, st.Events, st.Windows, tc.bound)
+			}
+		})
 	}
 }
 

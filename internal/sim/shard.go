@@ -27,13 +27,21 @@ import (
 // where next(s) is shard s's earliest pending timestamp. Any event that can
 // ever reach d originates from some event pending now in some shard s and
 // pays at least dist(s→d) of link latency on the way — including echoes of
-// d's own events, which pay at least cycle(d). Compared to the lockstep
-// rule (every shard stops at the global minimum plus the global minimum cut
-// latency), windows stretch automatically whenever the shards that could
-// feed a shard are idle or far in the future, and shards with nothing to
-// fire inside their window skip the dispatch entirely; a window with
-// exactly one busy shard runs inline on the coordinator with no barrier at
-// all.
+// d's own events, which pay at least cycle(d).
+//
+// A window runs every busy shard (one with an event before its end) to one
+// common end: the earliest of the busy shards' bounds. Per-shard ends would
+// let two busy shards whose next events sit x apart alternate windows of
+// lookahead+x and lookahead-x, and the barrier would charge the long one
+// every window; a common end keeps their windows in phase. Ends only move
+// earlier, so the bound stays conservative, and the shard that sets the
+// common end stays busy, so every window makes progress. Compared to the
+// lockstep rule (every shard stops at the global minimum plus the global
+// minimum cut latency), the common end still stretches whenever the shards
+// that could feed the busy ones are idle or far in the future. Shards with
+// nothing to fire skip the dispatch entirely, and a window with exactly one
+// busy shard runs to that shard's own bound inline on the coordinator, with
+// no barrier at all.
 //
 // Determinism: events carry (time, domain-keyed sequence) keys assigned at
 // their logical scheduling point (AllocKey on the source engine for
@@ -63,13 +71,15 @@ type Sharded struct {
 	stretched   uint64 // windows where some busy shard ran past the lockstep bound
 	inlineWins  uint64 // single-busy-shard windows run without a barrier
 	emptyDrains uint64 // drain passes skipped because no cross events were queued
+	critical    uint64 // Σ over windows of the largest per-shard fired count
 
 	// Per-window scratch, reused so steady-state coordination allocates
 	// nothing.
-	next []Time
-	has  []bool
-	ends []Time
-	busy []bool
+	next  []Time
+	has   []bool
+	ends  []Time
+	busy  []bool
+	fired []uint64 // each busy shard's fired count when its window began
 
 	// Wall-clock accounting: per-shard busy time inside windows and the
 	// coordinator's total elapsed window time (per-shard wait = wall -
@@ -203,6 +213,7 @@ func NewShardedMatrix(engines []*Engine, pair [][]Time, drain func() int) *Shard
 		has:       make([]bool, n),
 		ends:      make([]Time, n),
 		busy:      make([]bool, n),
+		fired:     make([]uint64, n),
 		busyNs:    make([]int64, n),
 	}
 }
@@ -324,8 +335,10 @@ func (s *Sharded) runWindows(limit Time, bounded bool) {
 				end = limit + 1
 			}
 			t0 := time.Now()
+			fired := e.fired
 			e.RunBefore(end)
 			s.busyNs[0] += time.Since(t0).Nanoseconds()
+			s.critical += e.fired - fired
 			s.windows++
 		}
 	}
@@ -355,12 +368,20 @@ func (s *Sharded) runWindows(limit Time, bounded bool) {
 		if !any || (bounded && minT > limit) {
 			break
 		}
+		// Every busy shard runs to the earliest busy shard's bound (see the
+		// type comment). The shard that sets it stays busy.
+		common := infTime
+		for d := range s.engines {
+			if s.has[d] && s.next[d] < s.ends[d] {
+				common = min(common, s.ends[d])
+			}
+		}
 		lockstep := minT + s.lookahead // the non-adaptive window bound
 		dispatched := 0
 		lone := -1
 		stretchedThis := false
-		for d := range s.engines {
-			end := s.ends[d]
+		for d, e := range s.engines {
+			end := min(s.ends[d], common)
 			if bounded && end > limit+1 {
 				// Clamp so events at exactly limit still fire but nothing
 				// beyond it does; Time is integral, so limit+1 is the
@@ -372,6 +393,7 @@ func (s *Sharded) runWindows(limit Time, bounded bool) {
 			if s.busy[d] {
 				dispatched++
 				lone = d
+				s.fired[d] = e.fired
 				if end > lockstep {
 					stretchedThis = true
 				}
@@ -401,6 +423,13 @@ func (s *Sharded) runWindows(limit Time, bounded bool) {
 		}
 		s.wallNs += time.Since(t0).Nanoseconds()
 		s.windows++
+		var crit uint64
+		for d, e := range s.engines {
+			if s.busy[d] {
+				crit = max(crit, e.fired-s.fired[d])
+			}
+		}
+		s.critical += crit
 	}
 
 	for i := range work {
@@ -467,6 +496,11 @@ type ShardStats struct {
 	Inline      uint64   // single-busy-shard windows run without a barrier
 	EmptyDrains uint64   // drain passes skipped (no cross events queued)
 	Events      []uint64 // per-shard fired-event counts
+	// Critical is the sum over windows, inline ones included, of the
+	// largest number of events one shard fired in the window: the events a
+	// run would still execute one after another with a core per shard and
+	// free barriers. Deterministic, unlike the wall-clock fields below.
+	Critical uint64
 	// BusyNs and WaitNs are wall-clock (non-deterministic): per-shard time
 	// spent executing windows, and per-shard idle time at barriers (window
 	// wall time minus busy).
@@ -489,6 +523,20 @@ func (st ShardStats) BarrierWaitShare() float64 {
 	return float64(wait) / (float64(st.WallNs) * float64(len(st.WaitNs)))
 }
 
+// SpeedupBound reports Σ Events / Critical: the speedup over one engine
+// that the window placement allows if every event cost the same and
+// barriers were free (0 when nothing ran).
+func (st ShardStats) SpeedupBound() float64 {
+	if st.Critical == 0 {
+		return 0
+	}
+	var n uint64
+	for _, e := range st.Events {
+		n += e
+	}
+	return float64(n) / float64(st.Critical)
+}
+
 // CrossPerWindow reports the average number of cross-shard events a
 // synchronization window moved.
 func (st ShardStats) CrossPerWindow() float64 {
@@ -509,6 +557,7 @@ func (s *Sharded) Stats() ShardStats {
 		Stretched:   s.stretched,
 		Inline:      s.inlineWins,
 		EmptyDrains: s.emptyDrains,
+		Critical:    s.critical,
 		WallNs:      s.wallNs,
 	}
 	for i, e := range s.engines {

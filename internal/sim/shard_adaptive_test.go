@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/sim"
@@ -164,6 +165,72 @@ func TestShardedWindowStretching(t *testing.T) {
 		if got := sh2.Stats().EmptyDrains; got == 0 {
 			t.Fatalf("pending probe reported 0 but no drain pass was skipped")
 		}
+	}
+}
+
+// TestShardedAlignedWindows pins the common window end. Two shards each run
+// a chain firing every 10 ns, the second 280 ns behind the first, under a
+// 500 ns lookahead. Per-shard ends would alternate windows of 780 ns and
+// 220 ns, one shard firing 78 events while the other fires 22, a bound of
+// about 1.3x; one common end brings the chains into phase after the first
+// window, so each window splits its events evenly. The fire order must not
+// depend on where the windows fall.
+func TestShardedAlignedWindows(t *testing.T) {
+	const links, gap, offset, look = 2000, sim.Time(10), sim.Time(280), sim.Time(500)
+	type rec struct {
+		when sim.Time
+		key  uint64
+	}
+	// chains schedules both chains, chain c on engines[c], and records every
+	// fire per engine.
+	chains := func(engines []*sim.Engine) [][]rec {
+		out := make([][]rec, len(engines))
+		for i, e := range engines {
+			e.GrowDomains(2)
+			e.SetFireHook(func(when sim.Time, key uint64) { out[i] = append(out[i], rec{when, key}) })
+		}
+		for c := 0; c < 2; c++ {
+			e := engines[c%len(engines)]
+			left := links
+			var link func()
+			link = func() {
+				if left--; left > 0 {
+					e.At(e.Now()+gap, link)
+				}
+			}
+			e.AtDomain(uint32(c+1), sim.Time(c)*offset, link)
+		}
+		return out
+	}
+	serial := sim.NewEngine()
+	serialRecs := chains([]*sim.Engine{serial})
+	serial.Run()
+	want := serialRecs[0]
+
+	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+	perShard := chains(engines)
+	sh := sim.NewSharded(engines, look, nil)
+	sh.Run()
+
+	got := append(perShard[0], perShard[1]...)
+	sort.Slice(got, func(i, j int) bool {
+		if got[i].when != got[j].when {
+			return got[i].when < got[j].when
+		}
+		return got[i].key < got[j].key
+	})
+	if len(got) != len(want) || len(want) != 2*links {
+		t.Fatalf("sharded run fired %d events, serial %d, want %d", len(got), len(want), 2*links)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: sharded (%v, %#x), serial (%v, %#x)", i, got[i].when, got[i].key, want[i].when, want[i].key)
+		}
+	}
+	st := sh.Stats()
+	if b := st.SpeedupBound(); b < 1.9 {
+		t.Fatalf("speedup bound %.3f (critical %d of %v events in %d windows), want >= 1.9 with aligned windows",
+			b, st.Critical, st.Events, st.Windows)
 	}
 }
 
