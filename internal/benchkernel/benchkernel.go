@@ -172,11 +172,12 @@ func MulticastStormOn(fc fabric.Config, nodes, shards, msgs, size int) sim.Time 
 }
 
 // MulticastStormStats is MulticastStormOn returning the shard coordinator's
-// statistics as well — window counts, cross-shard events, stretched/inline
-// windows, and wall-clock barrier-wait accounting. A serial run (shards <=
-// 1) returns a zero ShardStats.
-func MulticastStormStats(fc fabric.Config, nodes, shards, msgs, size int) (sim.Time, sim.ShardStats) {
-	return stormRun(fc, nodes, shards, msgs, size, nil)
+// statistics as well — per-shard fired events, window counts, cross-shard
+// events, stretched/inline windows, and wall-clock barrier-wait accounting.
+// A serial run (shards <= 1) reports one shard's fired events and nothing
+// else. Extra cluster options apply on top of the storm defaults.
+func MulticastStormStats(fc fabric.Config, nodes, shards, msgs, size int, extra ...cluster.Option) (sim.Time, sim.ShardStats) {
+	return stormRun(fc, nodes, shards, msgs, size, extra)
 }
 
 // MulticastStormEconomy runs the storm serially with the full ack economy
@@ -244,7 +245,7 @@ func stormRun(fc fabric.Config, nodes, shards, msgs, size int, extra []cluster.O
 	})
 	c.Run()
 	end := c.Now()
-	var st sim.ShardStats
+	st := sim.ShardStats{Shards: 1, Events: []uint64{c.EventsFired()}}
 	if sh := c.Sharded(); sh != nil {
 		st = sh.Stats()
 	}

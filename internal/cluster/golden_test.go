@@ -105,17 +105,61 @@ func TestWithFabricShimEquivalence(t *testing.T) {
 	}
 }
 
-// TestMulticastStormClockGoldens pins the storm kernel's final virtual
-// clocks across the auto-topology tiers (single crossbar, Clos, fat tree)
-// to the values captured before the refactor.
+// TestMulticastStormClockGoldens pins the storm kernel's final virtual clock
+// and fired-event count (summed over shards) across the auto-topology tiers
+// (single crossbar, Clos, fat tree), both fabrics, 1/2/4 shards, the ack
+// economy and the 16384-host frontier. The first three clocks were captured
+// before the fabric extraction; the rest are the virtual_ns values the
+// retired wall-clock baseline file recorded. Sharded rows also hold a floor
+// on the speedup the window placement allows (ShardStats.SpeedupBound, a
+// count, so it repeats exactly): the deterministic form of "4 shards beat
+// one engine".
 func TestMulticastStormClockGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storm goldens are slow")
 	}
-	want := map[int]sim.Time{16: 166954, 64: 220606, 256: 274858}
-	for _, n := range []int{16, 64, 256} {
-		if got := benchkernel.MulticastStormOnce(n, 1, 6, 700); got != want[n] {
-			t.Errorf("%d-node storm finished at %d, pre-refactor capture %d", n, got, want[n])
+	// Cumulative acks every 8 packets held up to 2 ms, piggybacking and tree
+	// aggregation: the hold spans several packet arrivals at the binomial
+	// root's pace, so coalescing is count-driven (64 KB messages; a
+	// single-packet McastSync message would stall on the hold instead).
+	economy := []cluster.Option{
+		cluster.WithAckCoalescing(8, 2*sim.Millisecond),
+		cluster.WithPiggybackAcks(),
+		cluster.WithAckAggregation(),
+	}
+	for _, tc := range []struct {
+		name                      string
+		fc                        fabric.Config
+		nodes, shards, msgs, size int
+		extra                     []cluster.Option
+		clock                     sim.Time
+		events                    uint64
+		minBound                  float64
+	}{
+		{"myrinet-16", fabric.Config{}, 16, 1, 6, 700, nil, 166954, 1338, 0},
+		{"myrinet-64", fabric.Config{}, 64, 1, 6, 700, nil, 220606, 5682, 0},
+		{"myrinet-256", fabric.Config{}, 256, 1, 6, 700, nil, 274858, 23034, 0},
+		{"myrinet-512", fabric.Config{}, 512, 1, 20, 1024, nil, 1168325, 150316, 0},
+		{"myrinet-512-2shards", fabric.Config{}, 512, 2, 20, 1024, nil, 1168325, 150316, 1.6},
+		{"myrinet-512-4shards", fabric.Config{}, 512, 4, 20, 1024, nil, 1168325, 150316, 2.6},
+		{"myrinet-512-64KB", fabric.Config{}, 512, 1, 3, 65536, nil, 7447403, 289443, 0},
+		{"myrinet-512-64KB-ackecon8", fabric.Config{}, 512, 1, 3, 65536, economy, 7587772, 197715, 0},
+		{"myrinet-2048-4shards", fabric.Config{}, 2048, 4, 11, 1024, nil, 780298, 327333, 0},
+		{"clos-512", clos.Default(), 512, 1, 20, 1024, nil, 493284, 190556, 0},
+		{"myrinet-16384-4shards", fabric.Config{}, 16384, 4, 3, 1024, nil, 318786, 743565, 0},
+		{"clos-16384-4shards", clos.Default(), 16384, 4, 3, 1024, nil, 168508, 946473, 0},
+	} {
+		clock, st := benchkernel.MulticastStormStats(tc.fc, tc.nodes, tc.shards, tc.msgs, tc.size, tc.extra...)
+		var events uint64
+		for _, n := range st.Events {
+			events += n
+		}
+		if clock != tc.clock || events != tc.events {
+			t.Errorf("%s: storm finished at %d after %d events, pinned %d after %d",
+				tc.name, clock, events, tc.clock, tc.events)
+		}
+		if bound := st.SpeedupBound(); bound < tc.minBound {
+			t.Errorf("%s: window placement allows a %.4fx speedup, want >= %.1fx", tc.name, bound, tc.minBound)
 		}
 	}
 }

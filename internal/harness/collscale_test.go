@@ -29,6 +29,24 @@ func TestCollBarrierScalingSignature(t *testing.T) {
 	}
 }
 
+// The NIC-resident barrier and allreduce at 64 Myrinet hosts (warmup 2,
+// iters 10, seed 1): virtual time per operation, pinned exactly — any
+// difference means a collective's timeline moved.
+func TestCollLatencyPins(t *testing.T) {
+	o := DefaultOptions()
+	o.Warmup = 2
+	o.Iters = 10
+	o.Seed = 1
+	for _, p := range []struct {
+		collective string
+		us         float64
+	}{{"barrier", 20.2203}, {"allreduce", 68.099946875}} {
+		if got := o.CollLatency(p.collective, 64, 1, true); got != p.us {
+			t.Errorf("64-host NIC %s: %v µs per operation, pinned %v", p.collective, got, p.us)
+		}
+	}
+}
+
 // CollScaleSweep covers every requested (collective, size) point with
 // positive latencies, and flags exactly the allgather points whose flat
 // result exceeds the eager ceiling.
