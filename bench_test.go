@@ -330,8 +330,8 @@ func measureAllreduce(nodes, elems, rounds int) float64 {
 
 // BenchmarkSweepSerial and BenchmarkSweepParallel time the same GM-level
 // sweep through the harness's parallel runner forced serial and fanned
-// across GOMAXPROCS workers; their ratio is the sweep speedup recorded in
-// BENCH_sim.json. The bodies live in internal/benchkernel.
+// across GOMAXPROCS workers; their ratio is the sweep runner's speedup. The
+// bodies live in internal/benchkernel.
 func BenchmarkSweepSerial(b *testing.B)   { benchkernel.SweepSerial(b) }
 func BenchmarkSweepParallel(b *testing.B) { benchkernel.SweepParallel(b) }
 

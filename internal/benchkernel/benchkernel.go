@@ -1,8 +1,9 @@
-// Package benchkernel holds the event-kernel and sweep benchmark bodies
-// shared between `go test -bench` wrappers (internal/sim, the repo root)
-// and cmd/benchjson, which runs them via testing.Benchmark and records the
-// results in BENCH_sim.json. Keeping one body per workload means the
-// committed baseline and the test benchmarks can never drift apart.
+// Package benchkernel holds workload bodies that more than one caller runs,
+// so every caller measures the same loop: the event-kernel and packet-storm
+// loops behind `go test -bench` in internal/sim (the repo benchmark times
+// PacketStorm as its isolated fabric kernel), the sweep-runner pair behind
+// the root package's benchmarks, and the single-run multicast storm that
+// `scalebench -matrix` times and the storm goldens and ack-economy test pin.
 package benchkernel
 
 import (
@@ -154,65 +155,17 @@ const (
 	mcastPort  = 1
 )
 
-// MulticastStormOnce builds a cluster (partitioned across `shards` engines
-// when shards > 1), installs a binomial broadcast group over all nodes, and
-// drives msgs pipelined root multicasts of size bytes. It returns the final
-// virtual clock, which the PDES determinism contract makes identical across
-// shard counts — callers use that as a cheap cross-check that serial and
-// sharded timings measured the same computation.
-func MulticastStormOnce(nodes, shards, msgs, size int) sim.Time {
-	return MulticastStormOn(fabric.Config{}, nodes, shards, msgs, size)
-}
-
-// MulticastStormOn is MulticastStormOnce on an explicit fabric backend; the
-// zero Config selects the default Myrinet fabric.
-func MulticastStormOn(fc fabric.Config, nodes, shards, msgs, size int) sim.Time {
-	virt, _ := MulticastStormStats(fc, nodes, shards, msgs, size)
-	return virt
-}
-
-// MulticastStormStats is MulticastStormOn returning the shard coordinator's
-// statistics as well — per-shard fired events, window counts, cross-shard
-// events, stretched/inline windows, and wall-clock barrier-wait accounting.
-// A serial run (shards <= 1) reports one shard's fired events and nothing
-// else. Extra cluster options apply on top of the storm defaults.
+// MulticastStormStats builds a cluster on fabric fc (the zero Config selects
+// Myrinet), partitioned across `shards` engines when shards > 1, installs a
+// binomial broadcast group over all nodes, and drives msgs pipelined root
+// multicasts of size bytes. It returns the final virtual clock, which the
+// PDES determinism contract makes identical across shard counts, and the
+// shard coordinator's statistics — per-shard fired events, window counts,
+// cross-shard events, stretched/inline windows, the critical path and
+// wall-clock barrier-wait accounting. A serial run (shards <= 1) reports one
+// shard's fired events and nothing else. Extra cluster options apply on top
+// of the storm defaults.
 func MulticastStormStats(fc fabric.Config, nodes, shards, msgs, size int, extra ...cluster.Option) (sim.Time, sim.ShardStats) {
-	return stormRun(fc, nodes, shards, msgs, size, extra)
-}
-
-// MulticastStormEconomy runs the storm serially with the full ack economy
-// enabled — cumulative acks every `every` packets held for up to
-// AckEconomyDelay, piggybacking, and NIC tree ack aggregation — and
-// returns the final virtual clock. The delay is a package constant rather
-// than a parameter so cmd/benchjson's generation and -check paths can
-// never disagree about what timeline an ack-on baseline point pins.
-func MulticastStormEconomy(fc fabric.Config, nodes, msgs, size, every int) sim.Time {
-	virt, _ := stormRun(fc, nodes, 1, msgs, size, []cluster.Option{
-		cluster.WithAckCoalescing(every, AckEconomyDelay),
-		cluster.WithPiggybackAcks(),
-		cluster.WithAckAggregation(),
-	})
-	return virt
-}
-
-// AckEconomyDelay is the delayed-ack hold used by the ack-on storm points:
-// long enough to span several packet arrivals at the binomial root's
-// replication pace even at 2048+ hosts, so coalescing is count-driven.
-const AckEconomyDelay = 2 * sim.Millisecond
-
-// MulticastStormCounters runs the storm with a private metrics registry
-// wired through every layer and returns the final virtual clock plus the
-// counter snapshot — the ack-economy evaluation reads ack/packet counts
-// from it. Extra cluster options (e.g. WithAckEconomy) apply on top of the
-// storm defaults. Serial engine only: the registry is unsynchronized.
-func MulticastStormCounters(fc fabric.Config, nodes, msgs, size int, extra ...cluster.Option) (sim.Time, metrics.Snapshot) {
-	reg := metrics.New()
-	opts := append([]cluster.Option{cluster.WithMetrics(reg)}, extra...)
-	virt, _ := stormRun(fc, nodes, 1, msgs, size, opts)
-	return virt, reg.Snapshot()
-}
-
-func stormRun(fc fabric.Config, nodes, shards, msgs, size int, extra []cluster.Option) (sim.Time, sim.ShardStats) {
 	opts := []cluster.Option{cluster.WithShards(shards), cluster.WithSeed(1)}
 	if fc.Valid() {
 		opts = append(opts, cluster.WithFabric(fc))
@@ -253,15 +206,15 @@ func stormRun(fc fabric.Config, nodes, shards, msgs, size int, extra []cluster.O
 	return end, st
 }
 
-// MulticastStorm returns a benchmark body whose iteration is one full
-// storm run (cluster build + group install + msgs multicasts).
-func MulticastStorm(nodes, shards, msgs, size int) func(*testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			MulticastStormOnce(nodes, shards, msgs, size)
-		}
-	}
+// MulticastStormCounters runs the storm with a private metrics registry
+// wired through every layer and returns the final virtual clock plus the
+// counter snapshot — the ack-economy evaluation reads ack/packet counts
+// from it. Extra cluster options (e.g. WithAckEconomy) apply on top of the
+// storm defaults. Serial engine only: the registry is unsynchronized.
+func MulticastStormCounters(fc fabric.Config, nodes, msgs, size int, extra ...cluster.Option) (sim.Time, metrics.Snapshot) {
+	reg := metrics.New()
+	virt, _ := MulticastStormStats(fc, nodes, 1, msgs, size, append([]cluster.Option{cluster.WithMetrics(reg)}, extra...)...)
+	return virt, reg.Snapshot()
 }
 
 // sweepOptions returns the reduced-size options the sweep benchmarks use:

@@ -1,7 +1,7 @@
 package sim_test
 
 // Event-kernel micro-benchmarks. The bodies live in internal/benchkernel
-// so cmd/benchjson records the same workloads into BENCH_sim.json.
+// so the repo benchmark times the same PacketStorm loop.
 //
 //	go test ./internal/sim -bench . -benchmem
 
