@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -87,6 +89,12 @@ type Sharded struct {
 	// barriers rare; it never influences simulation results.
 	busyNs []int64
 	wallNs int64
+
+	// The goroutines that run the busy shards other than the coordinator's
+	// own in windows with two or more of them (index = shard; nil for shard
+	// 0 and outside runWindows).
+	workers []*shardWorker
+	wg      sync.WaitGroup
 }
 
 // infTime is the saturation value for unreachable shard pairs — far beyond
@@ -343,24 +351,10 @@ func (s *Sharded) runWindows(limit Time, bounded bool) {
 		}
 	}
 
-	work := make([]chan Time, n)
-	for i := range work {
-		work[i] = make(chan Time)
-	}
-	done := make(chan int, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i, e := range s.engines {
-		go func(i int, e *Engine) {
-			defer wg.Done()
-			for end := range work[i] {
-				t0 := time.Now()
-				e.RunBefore(end)
-				s.busyNs[i] += time.Since(t0).Nanoseconds()
-				done <- i
-			}
-		}(i, e)
-	}
+	// Workers start at the first window with two busy shards, so a run of
+	// inline windows spins nothing. Every way out stops them, a panic
+	// included.
+	defer s.stopWorkers()
 
 	for {
 		s.drainBarrier()
@@ -406,20 +400,13 @@ func (s *Sharded) runWindows(limit Time, bounded bool) {
 		if dispatched == 1 {
 			// One busy shard: no barrier needed — its window cannot observe
 			// any other shard, so run it on the coordinator and skip the
-			// channel round trip entirely.
+			// handoff entirely.
 			e := s.engines[lone]
 			e.RunBefore(s.ends[lone])
 			s.busyNs[lone] += time.Since(t0).Nanoseconds()
 			s.inlineWins++
 		} else {
-			for d := range s.engines {
-				if s.busy[d] {
-					work[d] <- s.ends[d]
-				}
-			}
-			for i := 0; i < dispatched; i++ {
-				<-done
-			}
+			s.runParallel()
 		}
 		s.wallNs += time.Since(t0).Nanoseconds()
 		s.windows++
@@ -431,11 +418,129 @@ func (s *Sharded) runWindows(limit Time, bounded bool) {
 		}
 		s.critical += crit
 	}
+}
 
-	for i := range work {
-		close(work[i])
+// shardWorker runs one shard's windows on its own goroutine. It spins on
+// post, yielding with runtime.Gosched between probes, so it never parks and
+// the coordinator never has to wake it.
+type shardWorker struct {
+	post  atomic.Uint64 // number of the window handed over; stopWindow asks it to exit
+	done  atomic.Uint64 // number of the last window it finished
+	end   Time          // the handed-over window's end, written before post
+	fault any           // what the window panicked with, nil after runtime.Goexit; read after done
+	ended bool          // the window did not return normally; read after done
+	_     [64]byte      // keeps two workers' counters off one cache line
+}
+
+// stopWindow is the window number that asks a worker to exit.
+const stopWindow = math.MaxUint64
+
+// runParallel runs a window with two or more busy shards. The lowest busy
+// shard runs on the coordinator's goroutine; every other one is handed to
+// its worker by storing the window's number, and the coordinator then
+// spins on the workers' completion numbers. No channel and no parked
+// goroutine is on this path. A panic, or a runtime.Goexit, in a worker's
+// event comes out here, on the caller's goroutine, as one in the
+// coordinator's own shard does.
+func (s *Sharded) runParallel() {
+	if s.workers == nil {
+		s.startWorkers()
 	}
-	wg.Wait()
+	k := s.windows + 1 // unique and never 0, the workers' initial number
+	own := -1
+	for d := range s.engines {
+		if !s.busy[d] {
+			continue
+		}
+		if own < 0 {
+			own = d
+			continue
+		}
+		w := s.workers[d]
+		w.end = s.ends[d]
+		w.post.Store(k)
+	}
+	s.runShard(own, s.ends[own])
+	for d := own + 1; d < len(s.engines); d++ {
+		if !s.busy[d] {
+			continue
+		}
+		w := s.workers[d]
+		for w.done.Load() != k {
+			runtime.Gosched()
+		}
+		if w.ended { // stopWorkers, deferred, waits for the later shards
+			if w.fault == nil {
+				runtime.Goexit()
+			}
+			panic(w.fault)
+		}
+	}
+}
+
+// runShard runs shard d's window to end and books its busy time.
+func (s *Sharded) runShard(d int, end Time) {
+	t0 := time.Now()
+	s.engines[d].RunBefore(end)
+	s.busyNs[d] += time.Since(t0).Nanoseconds()
+}
+
+// startWorkers starts a worker for every shard but shard 0, which is busy
+// whenever it is the lowest busy shard and then runs on the coordinator.
+func (s *Sharded) startWorkers() {
+	s.workers = make([]*shardWorker, len(s.engines))
+	for d := 1; d < len(s.engines); d++ {
+		w := &shardWorker{}
+		s.workers[d] = w
+		s.wg.Add(1)
+		go s.work(d, w)
+	}
+}
+
+// stopWorkers asks every worker to exit and waits until all have, so no
+// goroutine outlives the run and none still touches an engine. A worker in
+// the middle of a window finishes it first.
+func (s *Sharded) stopWorkers() {
+	for _, w := range s.workers {
+		if w != nil {
+			w.post.Store(stopWindow)
+		}
+	}
+	s.wg.Wait()
+	s.workers = nil
+}
+
+// work is shard d's worker loop.
+func (s *Sharded) work(d int, w *shardWorker) {
+	defer s.wg.Done()
+	var seen uint64
+	for {
+		k := w.post.Load()
+		switch k {
+		case seen:
+			runtime.Gosched()
+		case stopWindow:
+			return
+		default:
+			seen = k
+			s.workWindow(d, w, k)
+		}
+	}
+}
+
+// workWindow runs one handed-over window and publishes its completion. A
+// panic is recovered and handed to the coordinator with the completion; a
+// runtime.Goexit is recorded the same way and then ends the worker.
+func (s *Sharded) workWindow(d int, w *shardWorker, k uint64) {
+	returned := false
+	defer func() {
+		if !returned {
+			w.fault, w.ended = recover(), true
+		}
+		w.done.Store(k)
+	}()
+	s.runShard(d, w.end)
+	returned = true
 }
 
 // Now reports the common clock. Outside windows all engines agree (Run and

@@ -1,7 +1,11 @@
 package sim_test
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -186,5 +190,90 @@ func TestShardedValidation(t *testing.T) {
 			}()
 			tc.fn()
 		}()
+	}
+}
+
+// errShardEvent is what the panicking events below panic with, wrapped.
+var errShardEvent = errors.New("shard event failed")
+
+// busyPair returns two engines, each firing an event every 10 ns until
+// 2000 ns, so that every window of a 50 ns lookahead pair has both shards
+// busy and runs one of them on a worker. From 1000 ns on, shard fail's
+// event calls boom first.
+func busyPair(fail int, boom func()) []*sim.Engine {
+	engines := []*sim.Engine{sim.NewEngine(), sim.NewEngine()}
+	for d, e := range engines {
+		var tick func()
+		tick = func() {
+			if d == fail && e.Now() >= 1000 {
+				boom()
+			}
+			if e.Now() < 2000 {
+				e.At(e.Now()+10, tick)
+			}
+		}
+		e.At(sim.Time(d), tick)
+	}
+	return engines
+}
+
+// settledGoroutines waits briefly for exiting goroutines to be gone and
+// reports how many are left. A goroutine still exiting from an earlier
+// test may leave fewer than want.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestShardedEventPanic pins the exit paths of a window with two busy
+// shards: a panic in an event, whether it fires on the coordinator's shard
+// or on a worker's, comes out of Run on the caller's goroutine with its
+// original value, as on a serial engine, and no worker outlives the run.
+func TestShardedEventPanic(t *testing.T) {
+	for fail := range 2 {
+		t.Run(fmt.Sprintf("shard%d", fail), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			engines := busyPair(fail, func() { panic(fmt.Errorf("shard %d: %w", fail, errShardEvent)) })
+			sh := sim.NewSharded(engines, 50, nil)
+			func() {
+				defer func() {
+					err, _ := recover().(error)
+					if !errors.Is(err, errShardEvent) {
+						t.Fatalf("Run panicked with %v, want %v", err, errShardEvent)
+					}
+				}()
+				sh.Run()
+			}()
+			if st := sh.Stats(); st.Windows == 0 || st.Inline != 0 {
+				t.Fatalf("stats = %+v, want the panic after windows with both shards busy", st)
+			}
+			if n := settledGoroutines(base); n > base {
+				t.Fatalf("%d goroutines after the panic, %d before Run", n, base)
+			}
+		})
+	}
+}
+
+// TestShardedEventGoexit pins the other abnormal way out of an event,
+// runtime.Goexit (what t.FailNow does inside a simulated process): on a
+// worker's shard it ends the goroutine that called Run, as on a serial
+// engine, and stops the workers.
+func TestShardedEventGoexit(t *testing.T) {
+	base := runtime.NumGoroutine()
+	returned, exited := false, make(chan struct{})
+	go func() {
+		defer close(exited)
+		sim.NewSharded(busyPair(1, runtime.Goexit), 50, nil).Run()
+		returned = true
+	}()
+	<-exited
+	if returned {
+		t.Fatal("Run returned after an event called runtime.Goexit")
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after the Goexit, %d before Run", n, base)
 	}
 }
