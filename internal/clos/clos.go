@@ -17,6 +17,7 @@ package clos
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -124,7 +125,7 @@ func NewLeafSpine(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *
 
 	leafV := make([]*fabric.Vertex, leaves)
 	for i := range leafV {
-		leafV[i] = n.AddSwitch(fmt.Sprintf("leaf%d", i))
+		leafV[i] = n.AddSwitch("leaf" + strconv.Itoa(i))
 	}
 	spines := ports / 2
 	up := make([][]*fabric.Link, leaves)
@@ -136,7 +137,7 @@ func NewLeafSpine(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *
 		up[l] = make([]*fabric.Link, spines)
 	}
 	for s := 0; s < spines; s++ {
-		sv := n.AddSwitch(fmt.Sprintf("spine%d", s))
+		sv := n.AddSwitch("spine" + strconv.Itoa(s))
 		for l := 0; l < leaves; l++ {
 			u, d := n.Connect(leafV[l], sv)
 			up[l][s] = u
@@ -195,11 +196,11 @@ func NewThreeTier(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *
 		leafUp[p] = make([][]*fabric.Link, half)
 		spineDown[p] = make([][]*fabric.Link, half)
 		for l := 0; l < half; l++ {
-			leaves[p][l] = n.AddSwitch(fmt.Sprintf("leaf%d.%d", p, l))
+			leaves[p][l] = n.AddSwitch("leaf" + strconv.Itoa(p) + "." + strconv.Itoa(l))
 			leafUp[p][l] = make([]*fabric.Link, half)
 		}
 		for s := 0; s < half; s++ {
-			spines[p][s] = n.AddSwitch(fmt.Sprintf("spine%d.%d", p, s))
+			spines[p][s] = n.AddSwitch("spine" + strconv.Itoa(p) + "." + strconv.Itoa(s))
 			spineDown[p][s] = make([]*fabric.Link, half)
 		}
 		for l := 0; l < half; l++ {
@@ -216,7 +217,7 @@ func NewThreeTier(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *
 	spineUp := make([][][]*fabric.Link, pods) // [p][s][j] to core s*half+j
 	coreDown := make([][]*fabric.Link, len(cores))
 	for c := range cores {
-		cores[c] = n.AddSwitch(fmt.Sprintf("core%d", c))
+		cores[c] = n.AddSwitch("core" + strconv.Itoa(c))
 		coreDown[c] = make([]*fabric.Link, pods)
 	}
 	for p := 0; p < pods; p++ {

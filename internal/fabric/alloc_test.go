@@ -63,6 +63,15 @@ func TestAllocPacketSize(t *testing.T) {
 	}
 }
 
+// A Link is 176 B, its sim.Facility (32 B) held inside, and a cable is the
+// two directions in one 352 B allocation (ConnectWith); every host costs one
+// cable and every trunk another. A field added to either shows here.
+func TestAllocLinkSize(t *testing.T) {
+	if got := unsafe.Sizeof(Link{}); got != 176 {
+		t.Errorf("a Link is %d bytes, was 176", got)
+	}
+}
+
 // One block per host and one per switch, so their sizes are heap at every
 // vertex: eight counters for a host's two links, four for a switch's output
 // ports. A new instrument shows here.

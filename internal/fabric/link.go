@@ -1,10 +1,6 @@
 package fabric
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // LinkParams are the physical characteristics of every link in a fabric.
 // Myrinet-2000 defaults: 2 Gb/s (4 ns per byte) and a few hundred
@@ -59,10 +55,11 @@ type Vertex struct {
 func (v *Vertex) Label() string { return v.label }
 
 // Link is a directed physical channel between two vertices. Each link is a
-// FIFO resource: one packet serializes onto it at a time.
+// FIFO resource: one packet serializes onto it at a time. The two directions
+// of a cable share one allocation (ConnectWith).
 type Link struct {
 	from, to *Vertex
-	fac      *sim.Facility
+	fac      sim.Facility
 	params   LinkParams
 	// Drops counts packets lost on this link (fault injection).
 	Drops uint64
@@ -88,7 +85,7 @@ type Link struct {
 }
 
 // String labels the link for diagnostics.
-func (l *Link) String() string { return fmt.Sprintf("%s->%s", l.from.label, l.to.label) }
+func (l *Link) String() string { return l.from.label + "->" + l.to.label }
 
 // FromLabel and ToLabel name the link's endpoints ("host3", "xbar0", ...),
 // letting fault injection target a specific link or switch by name.

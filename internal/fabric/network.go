@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -533,13 +534,20 @@ func (n *Network) AddHost(id NodeID, sw *Vertex) (ifc *Iface, up, down *Link) {
 	if int(id) != len(n.hosts) {
 		panic(fmt.Sprintf("fabric: AddHost(%v) out of order, want host %d next", id, len(n.hosts)))
 	}
-	hv := n.addVertex(fmt.Sprintf("host%d", id))
+	hv := n.addVertex(hostLabel(id))
 	hv.host = true
 	hv.hostID = id
 	up, down = n.Connect(hv, sw)
 	ifc = &Iface{net: n, id: id, up: up}
 	n.hosts = append(n.hosts, ifc)
 	return ifc, up, down
+}
+
+// hostLabel spells "host<id>" in one allocation, without fmt: a cluster
+// builds one per host.
+func hostLabel(id NodeID) string {
+	var b [24]byte
+	return string(strconv.AppendInt(append(b[:0], "host"...), int64(id), 10))
 }
 
 // Connect adds a pair of directed links between a and b with the fabric's
@@ -554,10 +562,11 @@ func (n *Network) Connect(a, b *Vertex) (ab, ba *Link) {
 // per-link latency, so its lookahead matrix and the lookahead-maximizing
 // objective work per link, not per fabric.
 func (n *Network) ConnectWith(a, b *Vertex, params LinkParams) (ab, ba *Link) {
-	ab = &Link{from: a, to: b, params: params,
-		fac: sim.NewFacility(n.eng, fmt.Sprintf("link:%s->%s", a.label, b.label))}
-	ba = &Link{from: b, to: a, params: params,
-		fac: sim.NewFacility(n.eng, fmt.Sprintf("link:%s->%s", b.label, a.label))}
+	pair := &[2]Link{
+		{from: a, to: b, params: params, fac: sim.NewFacility(n.eng)},
+		{from: b, to: a, params: params, fac: sim.NewFacility(n.eng)},
+	}
+	ab, ba = &pair[0], &pair[1]
 	if params.PauseBytes > 0 {
 		ab.drainFn = ab.drain
 		ba.drainFn = ba.drain

@@ -98,17 +98,20 @@ type Port struct {
 	id  PortID
 
 	sendTokens int
-	sendWaiter *sim.Waiter
+	sendWaiter sim.Waiter
 
 	doneAvail  int // completed sends not yet consumed by WaitSendDone
-	doneWaiter *sim.Waiter
+	doneWaiter sim.Waiter
 
 	recvEvents []*RecvEvent
-	recvWaiter *sim.Waiter
+	recvWaiter sim.Waiter
 
 	recvTokens []recvToken
-	asms       map[asmKey]*Assembly
-	free       []*Assembly // released by the host, reused by MatchAssembly
+	// asms holds the assemblies of multi-packet messages, made when the
+	// port opens the first one: a port that only receives whole-message
+	// packets never builds the table.
+	asms map[asmKey]*Assembly
+	free []*Assembly // released by the host, reused by MatchAssembly
 
 	// regions are remotely writable registered buffers (directed sends).
 	regions    map[RegionID]*region
@@ -116,15 +119,7 @@ type Port struct {
 }
 
 func newPort(n *NIC, id PortID) *Port {
-	return &Port{
-		nic:        n,
-		id:         id,
-		sendTokens: n.Cfg.SendTokens,
-		sendWaiter: sim.NewWaiter(n.Engine()),
-		doneWaiter: sim.NewWaiter(n.Engine()),
-		recvWaiter: sim.NewWaiter(n.Engine()),
-		asms:       make(map[asmKey]*Assembly),
-	}
+	return &Port{nic: n, id: id, sendTokens: n.Cfg.SendTokens}
 }
 
 // NIC returns the firmware NIC the port belongs to.
@@ -400,6 +395,9 @@ func (p *Port) MatchAssembly(src fabric.NodeID, fr *Frame) (*Assembly, bool) {
 	a.ev = RecvEvent{Src: src, SrcPort: fr.SrcPort, MsgID: fr.MsgID, Group: fr.Group, Data: a.ev.Data[:msgLen], asm: a}
 	a.received, a.done, a.free, a.tabled = 0, false, false, !whole
 	if a.tabled {
+		if p.asms == nil {
+			p.asms = make(map[asmKey]*Assembly)
+		}
 		p.asms[a.key()] = a
 	}
 	return a, true

@@ -73,7 +73,7 @@ func (p *Port) DirectedSend(proc *sim.Proc, dst fabric.NodeID, dstPort PortID, r
 // NIC has acknowledged every packet — the write is then globally visible.
 func (p *Port) DirectedSendSync(proc *sim.Proc, dst fabric.NodeID, dstPort PortID, remote RegionID, offset int, data []byte) {
 	done := false
-	w := sim.NewWaiter(p.nic.Engine())
+	var w sim.Waiter
 	p.directedSend(proc, dst, dstPort, remote, offset, data, func() {
 		done = true
 		w.WakeAll()

@@ -1,20 +1,30 @@
 package lanai
 
-import "repro/internal/sim"
+import (
+	"strconv"
+
+	"repro/internal/fabric"
+	"repro/internal/sim"
+)
 
 // BufPool manages a fixed number of NIC SRAM packet buffers. Firmware
 // acquires a buffer before staging a packet and releases it when the
 // buffer's last use completes. Waiters are served FIFO; grants are
 // delivered through scheduled events so release chains cannot recurse.
+// A NIC holds its pools by value.
 type BufPool struct {
-	eng     *sim.Engine
-	name    string
+	eng *sim.Engine
+	// node and kind spell the pool's name ("nic3.recvbufs"), which only its
+	// panics read.
+	node    fabric.NodeID
+	kind    string
 	cap     int
 	free    int
 	waiters []bufWaiter
 	// granted holds acquisitions whose buffer has been handed over but
-	// whose grant event has not yet fired; deliverGrant (via the pre-bound
-	// grantFn) pops them FIFO, so a release schedules no per-grant closure.
+	// whose grant event has not yet fired; deliverGrant (via grantFn, bound
+	// in place at the first stall) pops them FIFO, so a release schedules no
+	// per-grant closure.
 	granted []bufWaiter
 	grantFn func()
 	// MaxQueued tracks the high-water mark of waiters, a resource
@@ -41,16 +51,18 @@ type Buf struct {
 	released bool
 }
 
-// newBufPool returns a pool of n buffers that counts into m; a NIC passes
-// nil and points its pools at their fields of its block in SetMetrics.
-func newBufPool(eng *sim.Engine, name string, n int, m *poolInstruments) *BufPool {
+// newBufPool returns a pool of n buffers for node's NIC that counts into
+// m; a NIC passes nil and points its pools at their fields of its block in
+// SetMetrics.
+func newBufPool(eng *sim.Engine, node fabric.NodeID, kind string, n int, m *poolInstruments) BufPool {
 	if n < 1 {
 		panic("lanai: buffer pool needs at least one buffer")
 	}
-	p := &BufPool{eng: eng, name: name, cap: n, free: n, m: m}
-	p.grantFn = p.deliverGrant
-	return p
+	return BufPool{eng: eng, node: node, kind: kind, cap: n, free: n, m: m}
 }
+
+// name spells the pool's diagnostic name, "nic3.recvbufs".
+func (p *BufPool) name() string { return "nic" + strconv.Itoa(int(p.node)) + "." + p.kind }
 
 // Cap reports the pool's size; Free the currently-available count.
 func (p *BufPool) Cap() int  { return p.cap }
@@ -72,6 +84,9 @@ func (p *BufPool) Acquire(b *Buf, fn func()) {
 		return
 	}
 	p.m.stalls.Inc()
+	if p.grantFn == nil {
+		p.grantFn = p.deliverGrant
+	}
 	p.waiters = append(p.waiters, bufWaiter{b: b, fn: fn, since: p.eng.Now()})
 	if len(p.waiters) > p.MaxQueued {
 		p.MaxQueued = len(p.waiters)
@@ -99,14 +114,12 @@ func (b *Buf) Release() {
 		panic("lanai: release of a buffer token that holds no buffer")
 	}
 	if b.released {
-		panic("lanai: double release of " + b.pool.name + " buffer")
+		panic("lanai: double release of " + b.pool.name() + " buffer")
 	}
 	b.released = true
 	p := b.pool
 	if len(p.waiters) > 0 {
-		w := p.waiters[0]
-		p.waiters[0] = bufWaiter{}
-		p.waiters = p.waiters[1:]
+		w := popFront(&p.waiters)
 		p.m.stallNs.AddInt(int64(p.eng.Now() - w.since))
 		p.granted = append(p.granted, w)
 		p.eng.After(0, p.grantFn)
@@ -115,7 +128,7 @@ func (b *Buf) Release() {
 	p.free++
 	p.m.inUse.Add(-1)
 	if p.free > p.cap {
-		panic("lanai: pool " + p.name + " over capacity")
+		panic("lanai: pool " + p.name() + " over capacity")
 	}
 }
 
@@ -123,9 +136,18 @@ func (b *Buf) Release() {
 // receives its buffer. Grant events and the granted queue are both FIFO,
 // so the front entry always belongs to the event now firing.
 func (p *BufPool) deliverGrant() {
-	w := p.granted[0]
-	p.granted[0] = bufWaiter{}
-	p.granted = p.granted[1:]
+	w := popFront(&p.granted)
 	*w.b = Buf{pool: p}
 	w.fn()
+}
+
+// popFront removes and returns the head of a pool queue. It shifts the rest
+// down in place rather than reslicing past the head, so the queue keeps its
+// array and a stall allocates nothing once the queue has grown.
+func popFront(q *[]bufWaiter) bufWaiter {
+	w := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	(*q)[n] = bufWaiter{}
+	*q = (*q)[:n]
+	return w
 }

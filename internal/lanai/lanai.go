@@ -49,22 +49,23 @@ func DefaultParams() Params {
 	}
 }
 
-// NIC is the hardware model for one network interface.
+// NIC is the hardware model for one network interface. It holds its
+// facilities and buffer pools by value; none has a name of its own.
 type NIC struct {
 	Eng *sim.Engine
 	ID  fabric.NodeID
 	P   Params
 
 	// CPU is the LANai processor: every firmware action serializes here.
-	CPU *sim.Facility
+	CPU sim.Facility
 	// SDMA moves bytes host→NIC; RDMA moves bytes NIC→host. They operate
 	// concurrently with the CPU and with each other.
-	SDMA *sim.Facility
-	RDMA *sim.Facility
+	SDMA sim.Facility
+	RDMA sim.Facility
 
 	Ifc      *fabric.Iface
-	SendBufs *BufPool
-	RecvBufs *BufPool
+	SendBufs BufPool
+	RecvBufs BufPool
 
 	// RxDispatch is installed by the firmware; it receives every packet
 	// that arrives from the wire. The *fabric.Packet is valid only for the
@@ -88,12 +89,12 @@ func New(eng *sim.Engine, ifc *fabric.Iface, p Params) *NIC {
 		Eng:      eng,
 		ID:       ifc.ID(),
 		P:        p,
-		CPU:      sim.NewFacility(eng, fmt.Sprintf("nic%d.cpu", ifc.ID())),
-		SDMA:     sim.NewFacility(eng, fmt.Sprintf("nic%d.sdma", ifc.ID())),
-		RDMA:     sim.NewFacility(eng, fmt.Sprintf("nic%d.rdma", ifc.ID())),
+		CPU:      sim.NewFacility(eng),
+		SDMA:     sim.NewFacility(eng),
+		RDMA:     sim.NewFacility(eng),
 		Ifc:      ifc,
-		SendBufs: newBufPool(eng, fmt.Sprintf("nic%d.sendbufs", ifc.ID()), p.SendBuffers, nil),
-		RecvBufs: newBufPool(eng, fmt.Sprintf("nic%d.recvbufs", ifc.ID()), p.RecvBuffers, nil),
+		SendBufs: newBufPool(eng, ifc.ID(), "sendbufs", p.SendBuffers, nil),
+		RecvBufs: newBufPool(eng, ifc.ID(), "recvbufs", p.RecvBuffers, nil),
 	}
 	ifc.Deliver = func(pkt *fabric.Packet) {
 		if n.paused {

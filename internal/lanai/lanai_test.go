@@ -1,6 +1,8 @@
 package lanai
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fabric"
@@ -63,7 +65,7 @@ func TestDMATimeModel(t *testing.T) {
 
 func TestBufPoolExhaustionQueuesFIFO(t *testing.T) {
 	eng := sim.NewEngine()
-	p := newBufPool(eng, "test", 2, new(poolInstruments))
+	p := newBufPool(eng, 0, "test", 2, new(poolInstruments))
 	var granted []int
 	bufs := make([]Buf, 5)
 	hold := func(id int) {
@@ -94,7 +96,7 @@ func TestBufPoolExhaustionQueuesFIFO(t *testing.T) {
 
 func TestBufPoolTryAcquire(t *testing.T) {
 	eng := sim.NewEngine()
-	p := newBufPool(eng, "rx", 1, new(poolInstruments))
+	p := newBufPool(eng, 0, "rx", 1, new(poolInstruments))
 	b, ok := p.TryAcquire()
 	if !ok {
 		t.Fatal("TryAcquire failed on full pool")
@@ -108,14 +110,21 @@ func TestBufPoolTryAcquire(t *testing.T) {
 	}
 }
 
+// The pool's name is spelled only when it panics, and still names the NIC
+// and the pool.
 func TestBufPoolDoubleReleasePanics(t *testing.T) {
 	eng := sim.NewEngine()
-	p := newBufPool(eng, "x", 1, new(poolInstruments))
-	b, _ := p.TryAcquire()
+	net := fabric.SingleSwitch(eng, 4, fabric.DefaultLinkParams())
+	n := New(eng, net.Iface(3), DefaultParams())
+	b, _ := n.RecvBufs.TryAcquire()
 	b.Release()
 	defer func() {
-		if recover() == nil {
-			t.Error("double release did not panic")
+		r := recover()
+		if r == nil {
+			t.Fatal("double release did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "nic3.recvbufs") {
+			t.Errorf("double release panicked with %q, which does not name nic3.recvbufs", msg)
 		}
 	}()
 	b.Release()
@@ -125,7 +134,7 @@ func TestBufPoolReleaseChainDoesNotStarve(t *testing.T) {
 	// A release that grants to a waiter which immediately releases again
 	// must serve the whole chain without recursion blowups.
 	eng := sim.NewEngine()
-	p := newBufPool(eng, "chain", 1, new(poolInstruments))
+	p := newBufPool(eng, 0, "chain", 1, new(poolInstruments))
 	served := 0
 	var first Buf
 	eng.At(0, func() {
@@ -183,7 +192,7 @@ func TestWirePacketReachesRxDispatch(t *testing.T) {
 
 func TestBufPoolAccessors(t *testing.T) {
 	eng := sim.NewEngine()
-	p := newBufPool(eng, "acc", 3, new(poolInstruments))
+	p := newBufPool(eng, 0, "acc", 3, new(poolInstruments))
 	if p.Cap() != 3 || p.Free() != 3 || p.Queued() != 0 {
 		t.Fatalf("fresh pool cap=%d free=%d queued=%d", p.Cap(), p.Free(), p.Queued())
 	}
@@ -209,7 +218,7 @@ func TestBufPoolInvalidSizePanics(t *testing.T) {
 			t.Error("zero-buffer pool accepted")
 		}
 	}()
-	newBufPool(eng, "bad", 0, new(poolInstruments))
+	newBufPool(eng, 0, "bad", 0, new(poolInstruments))
 }
 
 func TestNICToHostUsesRDMA(t *testing.T) {

@@ -78,7 +78,9 @@ type System struct {
 	// after a run barrier.
 	installsLeft atomic.Int64
 	finalized    bool
-	finalWait    *sim.Waiter
+	// finalWait is only ever touched from root-node processes (the
+	// coordinator wakes it, the sender waits on it), on the root's shard.
+	finalWait sim.Waiter
 
 	mTransitions *metrics.Counter
 	mJoins       *metrics.Counter
@@ -119,10 +121,6 @@ func RunOn(c *cluster.Cluster, cfg Config, plan workload.ChurnPlan, data, ctrl [
 		root: root,
 		data: data,
 		ctrl: ctrl,
-		// finalWait is only ever touched from root-node processes (the
-		// coordinator wakes it, the sender waits on it), so it lives on the
-		// root's engine — on a sharded cluster that is the root's shard.
-		finalWait: sim.NewWaiter(c.EngineOf(root)),
 	}
 	reg := metrics.Ensure(c.Cfg.Metrics)
 	s.mTransitions = reg.Counter("member", int(s.root), "transitions")
@@ -267,7 +265,7 @@ func (s *System) sendCtrl(p *sim.Proc, from, to fabric.NodeID, m ctrlMsg) {
 // the calling proc until it fires.
 func (s *System) await(p *sim.Proc, post func(done func())) {
 	ok := false
-	w := sim.NewWaiter(p.Engine())
+	var w sim.Waiter
 	post(func() {
 		ok = true
 		w.WakeAll()

@@ -171,10 +171,9 @@ func (c *Comm) createGroupContext(root int, key bcastKey) *bcastGroup {
 func (r *Rank) installGroup(gid gm.GroupID, tr *tree.Tree) {
 	ext := r.w.C.Nodes[r.id].Ext
 	done := false
-	// The waiter is purely local — the rank's own install callback wakes the
-	// rank's own process — so it lives on the rank's engine, which on a
-	// sharded cluster is the shard owning this node.
-	w := sim.NewWaiter(r.proc.Engine())
+	// The waiter is purely local: the rank's own install callback wakes the
+	// rank's own process, on the shard owning this node.
+	var w sim.Waiter
 	ext.InstallGroup(gid, tr, mpiPort, mpiPort, func() {
 		done = true
 		w.WakeAll()

@@ -91,7 +91,7 @@ func (r *Rank) installColl(gid gm.GroupID, nodes []fabric.NodeID) {
 	slices.Sort(nodes)
 	eng := coll.FromExt(r.w.C.Nodes[r.id].Ext)
 	done := false
-	w := sim.NewWaiter(r.proc.Engine())
+	var w sim.Waiter
 	eng.Install(gid, nodes, mpiPort, func() {
 		done = true
 		w.WakeAll()

@@ -197,7 +197,7 @@ func (c *Comm) Free() {
 	if gid, ok := r.collGroups[c.id]; ok {
 		eng := r.collEngine()
 		done := false
-		w := sim.NewWaiter(r.proc.Engine())
+		var w sim.Waiter
 		eng.Remove(gid, func() {
 			done = true
 			w.WakeAll()
@@ -229,7 +229,7 @@ func (c *Comm) Free() {
 			// rides the firmware quiesce path, deleting the entry the
 			// moment the last send record retires.
 			done := false
-			w := sim.NewWaiter(r.proc.Engine())
+			var w sim.Waiter
 			ext.RemoveGroup(bg.gid, func() {
 				done = true
 				w.WakeAll()

@@ -2,6 +2,7 @@ package myrinet
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -48,11 +49,11 @@ func NewFatTree(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *fa
 		edgeUp[p] = make([][]*fabric.Link, half)
 		aggDown[p] = make([][]*fabric.Link, half)
 		for e := 0; e < half; e++ {
-			edges[p][e] = n.AddSwitch(fmt.Sprintf("edge%d.%d", p, e))
+			edges[p][e] = n.AddSwitch("edge" + strconv.Itoa(p) + "." + strconv.Itoa(e))
 			edgeUp[p][e] = make([]*fabric.Link, half)
 		}
 		for a := 0; a < half; a++ {
-			aggs[p][a] = n.AddSwitch(fmt.Sprintf("agg%d.%d", p, a))
+			aggs[p][a] = n.AddSwitch("agg" + strconv.Itoa(p) + "." + strconv.Itoa(a))
 			aggDown[p][a] = make([]*fabric.Link, half)
 		}
 		for e := 0; e < half; e++ {
@@ -70,7 +71,7 @@ func NewFatTree(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *fa
 	aggUp := make([][][]*fabric.Link, pods) // [p][a][j] to core a*half+j
 	coreDown := make([][]*fabric.Link, len(cores))
 	for c := range cores {
-		cores[c] = n.AddSwitch(fmt.Sprintf("core%d", c))
+		cores[c] = n.AddSwitch("core" + strconv.Itoa(c))
 		coreDown[c] = make([]*fabric.Link, pods)
 	}
 	for p := 0; p < pods; p++ {

@@ -1,7 +1,7 @@
 package myrinet
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -31,7 +31,7 @@ func NewClos(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *fabri
 
 	leafV := make([]*fabric.Vertex, leaves)
 	for i := range leafV {
-		leafV[i] = n.AddSwitch(fmt.Sprintf("leaf%d", i))
+		leafV[i] = n.AddSwitch("leaf" + strconv.Itoa(i))
 	}
 	spines := ports / 2
 	// up[l][s] is the leaf->spine link, down[s][l] the reverse.
@@ -44,7 +44,7 @@ func NewClos(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *fabri
 		up[l] = make([]*fabric.Link, spines)
 	}
 	for s := 0; s < spines; s++ {
-		sv := n.AddSwitch(fmt.Sprintf("spine%d", s))
+		sv := n.AddSwitch("spine" + strconv.Itoa(s))
 		for l := 0; l < leaves; l++ {
 			u, d := n.Connect(leafV[l], sv)
 			up[l][s] = u

@@ -40,10 +40,7 @@ func TestRunFor(t *testing.T) {
 
 func TestFacilityAccessors(t *testing.T) {
 	e := NewEngine()
-	f := NewFacility(e, "dma0")
-	if f.Name() != "dma0" {
-		t.Fatalf("Name = %q", f.Name())
-	}
+	f := NewFacility(e)
 	f.Do(100, func() {})
 	if f.FreeAt() != 100 {
 		t.Fatalf("FreeAt = %v", f.FreeAt())
@@ -61,7 +58,7 @@ func TestFacilityAccessors(t *testing.T) {
 
 func TestFacilityUtilizationExcludesFutureBookings(t *testing.T) {
 	e := NewEngine()
-	f := NewFacility(e, "x")
+	f := NewFacility(e)
 	e.At(10, func() { f.Reserve(1000) })
 	e.RunUntil(20)
 	if u := f.Utilization(); u > 0.51 {

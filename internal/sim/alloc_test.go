@@ -17,7 +17,7 @@ import (
 func TestAllocWaiterCycle(t *testing.T) {
 	e := sim.NewEngine()
 	defer e.Kill()
-	w := sim.NewWaiter(e)
+	w := new(sim.Waiter)
 	e.Spawn("waiter", func(p *sim.Proc) {
 		for {
 			w.Wait(p)
@@ -42,6 +42,15 @@ func TestAllocWaiterCycle(t *testing.T) {
 func TestAllocEventSize(t *testing.T) {
 	if got := unsafe.Sizeof(sim.Event{}); got > 48 {
 		t.Fatalf("sim.Event is %d B, want at most 48", got)
+	}
+}
+
+// A facility is 32 B: engine, free-at time, busy time and request count.
+// Its owner holds it by value (a NIC three, a link one), so a field added
+// here grows every NIC and every link.
+func TestAllocFacilitySize(t *testing.T) {
+	if got := unsafe.Sizeof(sim.Facility{}); got != 32 {
+		t.Errorf("sim.Facility is %d B, was 32", got)
 	}
 }
 

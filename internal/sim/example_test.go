@@ -10,7 +10,7 @@ import (
 // while the virtual clock advances only as far as scheduled work demands.
 func Example() {
 	eng := sim.NewEngine()
-	ready := sim.NewWaiter(eng)
+	ready := new(sim.Waiter)
 	done := false
 
 	eng.Spawn("producer", func(p *sim.Proc) {
@@ -35,7 +35,7 @@ func Example() {
 // order and completions fire as events.
 func ExampleFacility() {
 	eng := sim.NewEngine()
-	dma := sim.NewFacility(eng, "dma")
+	dma := sim.NewFacility(eng)
 	eng.At(0, func() {
 		dma.Do(10*sim.Microsecond, func() { fmt.Println("first at", eng.Now()) })
 		dma.Do(10*sim.Microsecond, func() { fmt.Println("second at", eng.Now()) })

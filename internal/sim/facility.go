@@ -4,23 +4,20 @@ package sim
 // order — a DMA engine, a NIC processor, a link transmitter. Reservations
 // are analytic: Reserve returns when service would begin given the queue
 // ahead, without creating events; callers schedule their own completion.
+//
+// A facility has no name: its owner (a NIC, a link) holds it by value, and
+// diagnostics name the owner. Copying one that is in use splits its queue.
 type Facility struct {
 	eng    *Engine
-	name   string
 	freeAt Time
 	// accounting
 	busy     Time
 	requests uint64
 }
 
-// NewFacility returns a facility bound to e. The name appears in
-// diagnostics only.
-func NewFacility(e *Engine, name string) *Facility {
-	return &Facility{eng: e, name: name}
-}
-
-// Name reports the facility's diagnostic name.
-func (f *Facility) Name() string { return f.name }
+// NewFacility returns an idle facility bound to e, for its owner to store
+// in place.
+func NewFacility(e *Engine) Facility { return Facility{eng: e} }
 
 // Rebind moves the facility onto another engine. Shard partitioning uses it
 // to hand each boundary resource to the one engine whose events reserve it;

@@ -57,7 +57,7 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 
 func TestWaiterWakeOne(t *testing.T) {
 	e := NewEngine()
-	w := NewWaiter(e)
+	w := new(Waiter)
 	var order []string
 	for _, name := range []string{"p1", "p2"} {
 		name := name
@@ -77,7 +77,7 @@ func TestWaiterWakeOne(t *testing.T) {
 
 func TestWaiterWakeAll(t *testing.T) {
 	e := NewEngine()
-	w := NewWaiter(e)
+	w := new(Waiter)
 	woken := 0
 	for i := 0; i < 5; i++ {
 		e.Spawn("p", func(p *Proc) {
@@ -94,7 +94,7 @@ func TestWaiterWakeAll(t *testing.T) {
 
 func TestWaiterPredicateLoop(t *testing.T) {
 	e := NewEngine()
-	w := NewWaiter(e)
+	w := new(Waiter)
 	ready := false
 	var sawReadyAt Time
 	e.Spawn("consumer", func(p *Proc) {
@@ -114,7 +114,7 @@ func TestWaiterPredicateLoop(t *testing.T) {
 
 func TestWaitTimeoutTimesOut(t *testing.T) {
 	e := NewEngine()
-	w := NewWaiter(e)
+	w := new(Waiter)
 	var woken bool
 	var at Time
 	e.Spawn("p", func(p *Proc) {
@@ -135,7 +135,7 @@ func TestWaitTimeoutTimesOut(t *testing.T) {
 
 func TestWaitTimeoutWoken(t *testing.T) {
 	e := NewEngine()
-	w := NewWaiter(e)
+	w := new(Waiter)
 	var woken bool
 	var at Time
 	e.Spawn("p", func(p *Proc) {
@@ -167,7 +167,7 @@ func TestKillUnwindsEveryParkKind(t *testing.T) {
 	for _, k := range parkKinds {
 		t.Run(k.name, func(t *testing.T) {
 			e := NewEngine()
-			w := NewWaiter(e)
+			w := new(Waiter)
 			var unwound, resumed bool
 			p := e.Spawn("victim", func(p *Proc) {
 				defer func() { unwound = true }()
@@ -222,7 +222,7 @@ func TestKillNeverStartedProc(t *testing.T) {
 
 func TestProcPanicSurfacesFromRun(t *testing.T) {
 	e := NewEngine()
-	w := NewWaiter(e)
+	w := new(Waiter)
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
 		e.Spawn("bystander", func(p *Proc) { w.Wait(p) })
@@ -291,7 +291,7 @@ func TestProcResumedInlineThenByShardWorker(t *testing.T) {
 
 func TestKillReturnsEveryGoroutine(t *testing.T) {
 	e := NewEngine()
-	w := NewWaiter(e)
+	w := new(Waiter)
 	for i := 0; i < 1000; i++ {
 		k := parkKinds[i%len(parkKinds)]
 		e.Spawn("p", func(p *Proc) { k.park(p, w) })
@@ -361,7 +361,7 @@ func TestStaleWakeAfterTimeoutIsDropped(t *testing.T) {
 	// A WakeOne scheduled at the same instant the timeout fires must not
 	// resume the process twice.
 	e := NewEngine()
-	w := NewWaiter(e)
+	w := new(Waiter)
 	resumes := 0
 	e.Spawn("p", func(p *Proc) {
 		w.WaitTimeout(p, 50)
@@ -378,7 +378,7 @@ func TestStaleWakeAfterTimeoutIsDropped(t *testing.T) {
 
 func TestFacilityFIFO(t *testing.T) {
 	e := NewEngine()
-	f := NewFacility(e, "dma")
+	f := NewFacility(e)
 	var done []Time
 	e.At(0, func() {
 		f.Do(10, func() { done = append(done, e.Now()) })
@@ -404,7 +404,7 @@ func TestFacilityFIFO(t *testing.T) {
 
 func TestFacilityIdleGap(t *testing.T) {
 	e := NewEngine()
-	f := NewFacility(e, "link")
+	f := NewFacility(e)
 	var second Time
 	e.At(0, func() { f.Do(10, func() {}) })
 	e.At(50, func() { f.Do(10, func() { second = e.Now() }) })

@@ -8,13 +8,13 @@ package sim
 //	for !ready() {
 //		w.Wait(p)
 //	}
+//
+// The zero Waiter is an empty queue, ready to use, so an owner holds its
+// waiters by value. A waiter is bound to no engine: each process is resumed
+// on its own, which is the engine whose events may wake it.
 type Waiter struct {
-	eng   *Engine
 	queue []*Proc
 }
-
-// NewWaiter returns a wait queue bound to e.
-func NewWaiter(e *Engine) *Waiter { return &Waiter{eng: e} }
 
 // Wait parks p until a Wake call releases it.
 func (w *Waiter) Wait(p *Proc) {
@@ -39,7 +39,7 @@ func (w *Waiter) WakeOne() bool {
 	n := copy(w.queue, w.queue[1:])
 	w.queue[n] = nil
 	w.queue = w.queue[:n]
-	w.eng.At(w.eng.now, p.resumeFn)
+	p.eng.At(p.eng.now, p.resumeFn)
 	return true
 }
 
@@ -47,7 +47,7 @@ func (w *Waiter) WakeOne() bool {
 // WakeOne's shift per process would make it quadratic in the queue length.
 func (w *Waiter) WakeAll() {
 	for _, p := range w.queue {
-		w.eng.At(w.eng.now, p.resumeFn)
+		p.eng.At(p.eng.now, p.resumeFn)
 	}
 	clear(w.queue)
 	w.queue = w.queue[:0]
@@ -60,7 +60,7 @@ func (w *Waiter) WaitTimeout(p *Proc, d Time) bool {
 	woken := false
 	fired := false
 	w.queue = append(w.queue, p)
-	timer := w.eng.After(d, func() {
+	timer := p.eng.After(d, func() {
 		fired = true
 		// Remove p from the queue so a later Wake doesn't resume a
 		// process that already timed out.
@@ -70,13 +70,13 @@ func (w *Waiter) WaitTimeout(p *Proc, d Time) bool {
 				break
 			}
 		}
-		w.eng.step(p)
+		p.eng.step(p)
 	})
 	// Mark the entry so a Wake cancels the timer. We detect wake-vs-timeout
 	// by whether the timer is still pending when we resume.
 	p.park()
 	if !fired && timer.Pending() {
-		w.eng.Cancel(timer)
+		p.eng.Cancel(timer)
 		woken = true
 	}
 	return woken
