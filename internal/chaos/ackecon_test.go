@@ -31,8 +31,8 @@ func TestLibraryScenariosPassWithAckEconomy(t *testing.T) {
 
 // TestCollLibraryScenariosPassWithAckEconomy does the same for the
 // collective workload (under the name its subtests have always had): the
-// stop-and-wait substrate under barrier/allreduce/allgather traffic reuses
-// the same cumulative-ack discipline, so every collective scenario must
+// per-peer go-back-N streams under barrier/allreduce/allgather traffic use
+// the same send window and cumulative acks, so every collective scenario must
 // still produce correct results at every node and leak no timers or
 // records.
 func TestCollLibraryScenariosPassWithAckEconomy(t *testing.T) {

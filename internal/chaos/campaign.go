@@ -228,8 +228,8 @@ type Outcome struct {
 	Violations []string
 
 	// Fabric drops and duplicates, NIC-paused discards, and the recovery
-	// work of every reliability layer (collective stop-and-wait, multicast
-	// tree, unicast).
+	// work of every reliability layer (collective per-peer streams,
+	// multicast tree, unicast).
 	Drops       uint64
 	Dups        uint64
 	PausedDrops uint64

@@ -41,8 +41,8 @@ var (
 	MatchCollData = MatchKinds(gm.KindBarrier, gm.KindReduce, gm.KindGather, gm.KindRing)
 
 	// MatchCollAcks matches collective acknowledgments — losing these
-	// exercises the stop-and-wait retransmit and duplicate-rejection paths
-	// on the receiving side.
+	// exercises the go-back-N retransmit and duplicate-rejection paths on
+	// the receiving side.
 	MatchCollAcks = MatchKinds(gm.KindBarrierAck, gm.KindReduceAck, gm.KindGatherAck, gm.KindRingAck)
 )
 
@@ -51,7 +51,7 @@ func CollLibrary() []Scenario {
 	return []Scenario{
 		{
 			Name: "coll-barrier-burst-loss",
-			Desc: "every barrier round frame dropped for the first half of live traffic; the shared stop-and-wait timer must carry both barrier algorithms through",
+			Desc: "every barrier round frame dropped for the first half of live traffic; each peer's go-back-N window must carry both barrier algorithms through",
 			Inject: func(f *Fault) {
 				f.Inj.DropWindow("barrier-burst", f.At(0.05), f.At(0.5),
 					MatchKinds(gm.KindBarrier))
@@ -59,7 +59,7 @@ func CollLibrary() []Scenario {
 		},
 		{
 			Name: "coll-reduce-dup-storm",
-			Desc: "every 2nd reduce frame and reduce ack duplicated all run; the contribution bitsets and done-set must reject every copy during the combine",
+			Desc: "every 2nd reduce frame and reduce ack duplicated all run; each peer stream's sequence gate must reject every copy before the combine",
 			Inject: func(f *Fault) {
 				f.Inj.Duplicate("reduce-dup", 0, 0, 2,
 					MatchKinds(gm.KindReduce, gm.KindReduceAck))
@@ -82,7 +82,7 @@ func CollLibrary() []Scenario {
 		},
 		{
 			Name: "coll-root-pause",
-			Desc: "the tree root's NIC goes deaf mid-run; contributions queued at the children must survive on stop-and-wait until the firmware returns",
+			Desc: "the tree root's NIC goes deaf mid-run; contributions queued at the children must survive in their send windows until the firmware returns",
 			Inject: func(f *Fault) {
 				f.Inj.PauseNIC(f.Cluster.Nodes[f.Root].HW, f.At(0.15), f.At(0.45))
 			},
@@ -231,7 +231,7 @@ func (j *collJob) Drive(env *Env) (sim.Time, []string) {
 	return collect(finish, nodeViol)
 }
 
-// Check verifies every NIC's collective engine drained: stop-and-wait
+// Check verifies every NIC's collective engine drained: go-back-N
 // recovery must leave no unacked records, no armed timers, and no open
 // collective instances behind. It reports the duplicate collective frames
 // the engines rejected.

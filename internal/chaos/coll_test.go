@@ -20,7 +20,7 @@ func TestCollLibraryScenariosPass(t *testing.T) {
 
 // TestCollRecoveryExercised pins that the headline scenarios actually
 // drive the recovery machinery they claim to: burst loss must force
-// stop-and-wait retransmissions, and the dup storm must be absorbed by
+// go-back-N retransmissions, and the dup storm must be absorbed by
 // the engine's duplicate rejection.
 func TestCollRecoveryExercised(t *testing.T) {
 	c := collective()

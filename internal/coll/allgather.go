@@ -3,6 +3,7 @@ package coll
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -15,7 +16,7 @@ import (
 //
 // Tree (default): concatenate-and-forward up the group's multicast tree.
 // Each NIC batches its own entry with its children's, forwards the batch
-// to its parent in MTU-sized chunks under stop-and-wait, and the root
+// to its parent in MTU-sized chunks, and the root
 // assembles the flat result and multicasts it back down the preposted
 // tree. Latency is O(log n) hops but the root-adjacent links carry O(n)
 // bytes — right for small vectors.
@@ -29,7 +30,7 @@ import (
 //	[u32 member index][u32 element count][count * 8 bytes]
 //
 // repeated per contributing member. A batch larger than one MTU moves in
-// chunks: KindGather frames carry Seq=instance, Offset=byte offset within
+// chunks: KindGather frames carry MsgID=instance, Offset=byte offset within
 // the batch, MsgLen=total batch bytes.
 
 // gatherInst is one open tree-allgather instance at one NIC: collected
@@ -37,7 +38,6 @@ import (
 type gatherInst struct {
 	need    int
 	got     int
-	from    bitset // child dedup
 	entries []byte
 	veclen  int // local contribution's element count (root validation)
 }
@@ -48,18 +48,11 @@ type asmKey struct {
 	seq   uint32
 }
 
-// chunkAsm reassembles one child's chunked batch in arrival order.
-type chunkAsm struct {
-	buf     []byte
-	got     int // contiguous bytes received
-	unacked int // accepted chunks not yet acknowledged (ack economy)
-}
-
-// gatherSend is this NIC's outgoing batch. By default chunks move one at
-// a time, each released by the previous chunk's acknowledgment. Under the
-// ack economy (gm.Config.AckEvery) a window of AckEvery chunks flies at
-// once: off is then the next unsent byte and acked the receiver's
-// cumulative contiguous mark.
+// gatherSend is this NIC's outgoing batch: off is the next unsent byte,
+// acked the bytes the parent has acknowledged. By default chunks move one
+// at a time, each released by the previous chunk's acknowledgment; under
+// the ack economy (gm.Config.AckEvery) a window of AckEvery chunks flies at
+// once.
 type gatherSend struct {
 	batch []byte
 	off   int
@@ -75,7 +68,7 @@ type ringInst struct {
 	done    bool
 	veclen  int
 	queue   []int32 // member indices whose chunks await forwarding
-	sending bool    // a hop is in flight (stop-and-wait: one at a time)
+	sending bool    // a hop is in flight (one at a time)
 }
 
 func appendEntry(buf []byte, idx int, vec []int64) []byte {
@@ -201,7 +194,6 @@ func (g *Group) finishGatherMaybe(seq uint32, st *gatherInst) {
 		return
 	}
 	delete(g.ag, seq)
-	g.agDone.mark(seq)
 	if root == e.nic.ID() {
 		flat := g.assembleFlat(st)
 		e.m.gathersDone.Inc()
@@ -212,12 +204,9 @@ func (g *Group) finishGatherMaybe(seq uint32, st *gatherInst) {
 	if g.agOut == nil {
 		g.agOut = make(map[uint32]*gatherSend)
 	}
-	g.agOut[seq] = &gatherSend{batch: st.entries}
-	if e.nic.Cfg.AckCoalescing() {
-		g.pumpGather(seq, g.agOut[seq], parent)
-	} else {
-		g.sendGatherChunk(seq, g.agOut[seq], parent)
-	}
+	gs := &gatherSend{batch: st.entries}
+	g.agOut[seq] = gs
+	g.pumpGather(seq, gs, parent)
 }
 
 // assembleFlat decodes the root's collected entries into member order.
@@ -241,52 +230,34 @@ func (g *Group) assembleFlat(st *gatherInst) []int64 {
 	return flat
 }
 
-// sendGatherChunk transmits the next MTU-sized slice of the outgoing
-// batch under stop-and-wait.
-func (g *Group) sendGatherChunk(seq uint32, gs *gatherSend, parent fabric.NodeID) {
-	e := g.eng
-	n := len(gs.batch) - gs.off
-	if n > e.nic.Cfg.MTU {
-		n = e.nic.Cfg.MTU
-	}
-	e.m.gatherSent.Inc()
-	e.m.bytesForwarded.Add(uint64(n))
-	chunk := gs.batch[gs.off : gs.off+n]
-	g.sendRel(skGather, gm.KindGather, parent, seq, int32(gs.off), gs.off, len(gs.batch), chunk)
-}
-
-// pumpGather keeps up to AckEvery chunks of the outgoing batch in flight
-// (the ack economy's windowed variant of sendGatherChunk): the receiver
-// acknowledges cumulatively every AckEvery-th chunk and at batch
-// completion, and gatherWindowAcked re-pumps as the window reopens.
+// pumpGather keeps the outgoing batch's chunks in flight to the parent:
+// one at a time, or AckEvery under the ack economy, whose receiver
+// acknowledges every AckEvery-th chunk and the batch's last.
 func (g *Group) pumpGather(seq uint32, gs *gatherSend, parent fabric.NodeID) {
 	e := g.eng
 	mtu := e.nic.Cfg.MTU
-	window := e.nic.Cfg.AckEvery
+	window := max(e.nic.Cfg.AckEvery, 1)
 	for gs.off < len(gs.batch) && (gs.off-gs.acked+mtu-1)/mtu < window {
-		n := len(gs.batch) - gs.off
-		if n > mtu {
-			n = mtu
-		}
+		n := min(len(gs.batch)-gs.off, mtu)
 		e.m.gatherSent.Inc()
 		e.m.bytesForwarded.Add(uint64(n))
-		chunk := gs.batch[gs.off : gs.off+n]
-		g.sendRel(skGather, gm.KindGather, parent, seq, int32(gs.off), gs.off, len(gs.batch), chunk)
+		g.send(parent, &gm.Frame{
+			Kind: gm.KindGather, MsgID: uint64(seq),
+			Offset: gs.off, MsgLen: len(gs.batch), Payload: gs.batch[gs.off : gs.off+n],
+		})
 		gs.off += n
 	}
 }
 
-// gatherWindowAcked folds a cumulative gather acknowledgment into the
-// windowed transfer: advance the contiguous mark, retire the transfer
-// when the whole batch is covered, else refill the window.
-func (g *Group) gatherWindowAcked(seq uint32, got int) {
+// gatherChunkAcked folds one acknowledged chunk of n bytes into the
+// outgoing batch: retire the transfer once the whole batch is covered, else
+// refill the window.
+func (g *Group) gatherChunkAcked(seq uint32, n int) {
 	gs := g.agOut[seq]
 	if gs == nil {
 		return
 	}
-	if got > gs.acked {
-		gs.acked = got
-	}
+	gs.acked += n
 	if gs.acked >= len(gs.batch) {
 		delete(g.agOut, seq)
 		return
@@ -297,30 +268,6 @@ func (g *Group) gatherWindowAcked(seq uint32, got int) {
 		return
 	}
 	g.pumpGather(seq, gs, parent)
-}
-
-// gatherChunkAcked advances the outgoing batch past the acknowledged
-// chunk, sending the next one (or retiring the transfer).
-func (g *Group) gatherChunkAcked(seq uint32) {
-	gs := g.agOut[seq]
-	if gs == nil {
-		return
-	}
-	n := len(gs.batch) - gs.off
-	if n > g.eng.nic.Cfg.MTU {
-		n = g.eng.nic.Cfg.MTU
-	}
-	gs.off += n
-	if gs.off >= len(gs.batch) {
-		delete(g.agOut, seq)
-		return
-	}
-	_, parent, _, _, ok := g.eng.treeView(g.id)
-	if !ok {
-		delete(g.agOut, seq) // group torn down mid-transfer
-		return
-	}
-	g.sendGatherChunk(seq, gs, parent)
 }
 
 // rxGather reassembles a child's chunked batch, merging it into the open
@@ -342,86 +289,34 @@ func (e *Engine) rxGather(src fabric.NodeID, fr *gm.Frame) {
 			return
 		}
 		g := e.groupFor(fr.Group)
-		coalesce := nic.Cfg.AckCoalescing()
-		// Default acks echo the chunk offset (exact-match retire); economy
-		// acks carry the cumulative contiguous byte mark instead, so one
-		// covers a whole window of chunks.
-		ackAt := func(off int) { e.ack(gm.KindGatherAck, src, fr.Group, fr.Seq, off) }
-		if g.agDone.has(fr.Seq) {
-			// Late chunk retransmit of a completed instance.
-			if coalesce {
-				ackAt(fr.MsgLen)
-			} else {
-				ackAt(fr.Offset)
-			}
-			e.m.duplicates.Inc()
+		if !g.accept(src, fr) {
 			return
 		}
-		key := asmKey{child: src, seq: fr.Seq}
-		casm := g.asm[key]
-		if casm == nil {
-			casm = &chunkAsm{buf: make([]byte, 0, fr.MsgLen)}
+		seq := uint32(fr.MsgID)
+		key := asmKey{child: src, seq: seq}
+		batch := g.asm[key]
+		if batch == nil {
+			batch = make([]byte, 0, fr.MsgLen)
+		}
+		batch = append(batch, fr.Payload...)
+		if len(batch) < fr.MsgLen {
 			if g.asm == nil {
-				g.asm = make(map[asmKey]*chunkAsm)
+				g.asm = make(map[asmKey][]byte)
 			}
-			g.asm[key] = casm
-		}
-		switch {
-		case fr.Offset == casm.got:
-			casm.buf = append(casm.buf, fr.Payload...)
-			casm.got += len(fr.Payload)
-			if !coalesce {
-				ackAt(fr.Offset)
-				break
-			}
-			casm.unacked++
-			if casm.unacked >= nic.Cfg.AckEvery || casm.got >= fr.MsgLen {
-				e.m.acksSuppressed.Add(uint64(casm.unacked - 1))
-				casm.unacked = 0
-				ackAt(casm.got)
-			}
-			// Held chunks need no receiver timer: the sender's window fills
-			// exactly at the ack threshold, and its stop-and-wait timer plus
-			// the duplicate re-ack below break any loss-induced stall.
-		case fr.Offset < casm.got:
-			// Duplicate chunk; re-ack so the child advances. Under the
-			// economy the cumulative mark also covers anything held.
-			if coalesce {
-				e.m.acksSuppressed.Add(uint64(casm.unacked))
-				casm.unacked = 0
-				ackAt(casm.got)
-			} else {
-				ackAt(fr.Offset)
-			}
-			e.m.duplicates.Inc()
-			return
-		default:
-			// A gap cannot happen under one-at-a-time stop-and-wait, and
-			// under the windowed economy the sender's timer recovers it;
-			// drop without ack.
-			e.m.duplicates.Inc()
-			return
-		}
-		if casm.got < fr.MsgLen {
+			g.asm[key] = batch
 			return
 		}
 		delete(g.asm, key)
-		idx := childIndex(children, src)
-		if idx < 0 {
-			e.m.duplicates.Inc()
+		if !slices.Contains(children, src) {
+			e.m.duplicates.Inc() // not our child under the current view
 			return
 		}
-		st := g.openGather(fr.Seq, len(children))
-		if st.from.setBit(idx) {
-			e.m.duplicates.Inc()
-			return
-		}
-		batch := casm.buf
+		st := g.openGather(seq, len(children))
 		cost := sim.PerByte(e.cfg.GatherNsPerByte, len(batch))
 		nic.HW.CPUDo(cost, func() {
 			st.entries = append(st.entries, batch...)
 			st.got++
-			g.finishGatherMaybe(fr.Seq, st)
+			g.finishGatherMaybe(seq, st)
 		})
 	})
 }
@@ -486,7 +381,7 @@ func (g *Group) pumpRing(seq uint32, st *ringInst) {
 	e.m.ringSent.Inc()
 	e.m.bytesForwarded.Add(uint64(8 * st.veclen))
 	chunk := st.flat[idx*st.veclen : (idx+1)*st.veclen]
-	g.sendRel(skRing, gm.KindRing, succ, seq, int32(idx), idx, 0, EncodeVec(chunk))
+	g.send(succ, &gm.Frame{Kind: gm.KindRing, MsgID: uint64(seq), Offset: idx, Payload: EncodeVec(chunk)})
 }
 
 // ringHopAcked releases the next hop after the previous one is
@@ -506,7 +401,6 @@ func (g *Group) ringHopAcked(seq uint32) {
 func (g *Group) ringFinishMaybe(seq uint32, st *ringInst) {
 	if !st.done && st.posted && st.haveCnt == len(g.members) {
 		st.done = true
-		g.ringDone.mark(seq)
 		e := g.eng
 		e.m.gathersDone.Inc()
 		port := e.nic.Port(g.port)
@@ -533,23 +427,11 @@ func (e *Engine) rxRing(src fabric.NodeID, fr *gm.Frame) {
 			e.m.notMemberDrops.Inc()
 			return
 		}
-		e.ack(gm.KindRingAck, src, fr.Group, fr.Seq, fr.Offset)
-		if g.ringDone.has(fr.Seq) {
-			e.m.duplicates.Inc()
+		if !g.accept(src, fr) {
 			return
 		}
-		n := len(g.members)
-		idx := fr.Offset
-		veclen := len(fr.Payload) / 8
-		if idx < 0 || idx >= n || veclen == 0 {
-			e.m.duplicates.Inc()
-			return
-		}
-		st := g.openRing(fr.Seq, veclen)
-		if st.have[idx] {
-			e.m.duplicates.Inc()
-			return
-		}
+		n, idx, seq := len(g.members), fr.Offset, uint32(fr.MsgID)
+		st := g.openRing(seq, len(fr.Payload)/8)
 		vec := DecodeVec(fr.Payload)
 		cost := sim.PerByte(e.cfg.GatherNsPerByte, len(fr.Payload))
 		nic.HW.CPUDo(cost, func() {
@@ -558,9 +440,9 @@ func (e *Engine) rxRing(src fabric.NodeID, fr *gm.Frame) {
 			// it has completed the circle.
 			if idx != (g.myIdx+1)%n {
 				st.queue = append(st.queue, int32(idx))
-				g.pumpRing(fr.Seq, st)
+				g.pumpRing(seq, st)
 			}
-			g.ringFinishMaybe(fr.Seq, st)
+			g.ringFinishMaybe(seq, st)
 		})
 	})
 }

@@ -9,11 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Barrier wire encoding (KindBarrier): Seq is the instance; Offset is the
-// dissemination round (>= 0), or one of the tree-sweep markers below.
+// Barrier wire encoding (KindBarrier): MsgID is the instance; Offset is
+// the dissemination round (>= 0), or one of the tree-sweep markers below.
 const (
-	auxTreeUp   int32 = -1 // arrival, child -> parent
-	auxTreeDown int32 = -2 // release, parent -> child
+	auxTreeUp   = -1 // arrival, child -> parent
+	auxTreeDown = -2 // release, parent -> child
 )
 
 // Barrier blocks the calling process until every member of the group has
@@ -64,7 +64,7 @@ func (g *Group) enterBarrier() {
 		return
 	}
 	if g.barrierAlgo == BarrierTree {
-		swapBitsets(&g.upCur, &g.upNext)
+		g.upCur, g.upNext = g.upNext, 0
 		g.tryTreeUp()
 		return
 	}
@@ -83,7 +83,7 @@ func (g *Group) peerOut(r int) fabric.NodeID {
 func (g *Group) sendRound(r int) {
 	g.eng.m.barrierSent.Inc()
 	g.eng.m.barrierRounds.Inc()
-	g.sendRel(skBarrier, gm.KindBarrier, g.peerOut(r), g.barSeq, int32(r), r, 0, nil)
+	g.sendBarrier(g.peerOut(r), r)
 }
 
 // advanceBarrier consumes arrived round messages in order, sending each
@@ -106,7 +106,7 @@ func (g *Group) advanceBarrier() {
 // tryTreeUp sends this subtree's arrival up once every child has arrived
 // (root: releases down instead).
 func (g *Group) tryTreeUp() {
-	if !g.barActive || g.upCur.count() < len(g.barChildren) {
+	if !g.barActive || g.upCur < len(g.barChildren) {
 		return
 	}
 	self := g.eng.nic.ID()
@@ -115,22 +115,28 @@ func (g *Group) tryTreeUp() {
 		return
 	}
 	g.eng.m.barrierSent.Inc()
-	g.sendRel(skBarrier, gm.KindBarrier, g.barParent, g.barSeq, auxTreeUp, int(auxTreeUp), 0, nil)
+	g.sendBarrier(g.barParent, auxTreeUp)
 }
 
 // treeRelease sweeps the release down to every child and completes.
 func (g *Group) treeRelease() {
 	for _, c := range g.barChildren {
 		g.eng.m.barrierSent.Inc()
-		g.sendRel(skBarrier, gm.KindBarrier, c, g.barSeq, auxTreeDown, int(auxTreeDown), 0, nil)
+		g.sendBarrier(c, auxTreeDown)
 	}
 	g.completeBarrier()
 }
 
+// sendBarrier sends the current instance's message at offset (a round or a
+// tree-sweep marker) to one peer.
+func (g *Group) sendBarrier(to fabric.NodeID, offset int) {
+	g.send(to, &gm.Frame{Kind: gm.KindBarrier, MsgID: uint64(g.barSeq), Offset: offset})
+}
+
 // completeBarrier posts the zero-byte completion event to the host.
-// Pending stop-and-wait records deliberately survive completion: a peer
-// that has not acknowledged our message still needs it — dropping it here
-// would abandon a lost packet a slower member depends on.
+// Unacknowledged records deliberately survive completion: a peer that has
+// not acknowledged our message still needs it — dropping it here would
+// abandon a lost packet a slower member depends on.
 func (g *Group) completeBarrier() {
 	g.barActive = false
 	g.eng.m.barriersDone.Inc()
@@ -138,76 +144,37 @@ func (g *Group) completeBarrier() {
 	port.PostGroupEvent(&gm.RecvEvent{Group: g.id})
 }
 
-// rxBarrier handles an arriving barrier message of either algorithm.
+// rxBarrier handles an arriving barrier message of either algorithm. A
+// peer's messages arrive exactly once and in order, and a peer can be at
+// most one instance ahead (see Group.recvdNext), so a message is for the
+// current instance or the next.
 func (e *Engine) rxBarrier(src fabric.NodeID, fr *gm.Frame) {
 	nic := e.nic
 	nic.HW.CPUDo(nic.Cfg.AckProcCost, func() {
 		g, ok := e.groups[fr.Group]
 		if !ok || g.members == nil {
-			// Not installed (yet): no ack, so the peer's stop-and-wait
+			// Not installed (yet): no ack, so the peer's window
 			// redelivers after this node's install lands.
 			e.m.notMemberDrops.Inc()
 			return
 		}
-		// Always acknowledge — duplicates included — so the peer's
-		// stop-and-wait stops waiting.
-		e.ack(gm.KindBarrierAck, src, fr.Group, fr.Seq, fr.Offset)
-		aux := int32(fr.Offset)
+		if !g.accept(src, fr) {
+			return
+		}
+		next := uint32(fr.MsgID) == g.barSeq+1
 		switch {
-		case aux == auxTreeDown:
-			g.rxTreeDown(fr)
-		case aux == auxTreeUp:
-			g.rxTreeUp(src, fr)
+		case fr.Offset == auxTreeDown:
+			g.treeRelease()
+		case fr.Offset == auxTreeUp && next:
+			g.upNext++
+		case fr.Offset == auxTreeUp:
+			g.upCur++
+			g.tryTreeUp()
+		case next:
+			g.recvdNext |= 1 << uint(fr.Offset)
 		default:
-			g.rxDissemination(fr, int(aux))
+			g.recvdCur |= 1 << uint(fr.Offset)
+			g.advanceBarrier()
 		}
 	})
-}
-
-// rxDissemination files one dissemination round arrival. A peer can be at
-// most one instance ahead (see Group.recvdNext), so arrivals are for the
-// current instance, the next one, or stale duplicates.
-func (g *Group) rxDissemination(fr *gm.Frame, round int) {
-	if round < 0 || round >= g.rounds {
-		g.eng.m.duplicates.Inc()
-		return
-	}
-	switch {
-	case fr.Seq == g.barSeq+1:
-		g.recvdNext |= 1 << uint(round)
-	case fr.Seq == g.barSeq && g.barActive:
-		g.recvdCur |= 1 << uint(round)
-		g.advanceBarrier()
-	default:
-		g.eng.m.duplicates.Inc() // stale round of a completed instance
-	}
-}
-
-// rxTreeUp files a child's arrival in the tree barrier.
-func (g *Group) rxTreeUp(src fabric.NodeID, fr *gm.Frame) {
-	idx := childIndex(g.barChildren, src)
-	if idx < 0 {
-		g.eng.m.duplicates.Inc()
-		return
-	}
-	switch {
-	case fr.Seq == g.barSeq+1:
-		g.upNext.setBit(idx)
-	case fr.Seq == g.barSeq && g.barActive:
-		if !g.upCur.setBit(idx) {
-			g.tryTreeUp()
-		}
-	default:
-		g.eng.m.duplicates.Inc()
-	}
-}
-
-// rxTreeDown handles the parent's release: forward it to this subtree's
-// children and complete.
-func (g *Group) rxTreeDown(fr *gm.Frame) {
-	if fr.Seq != g.barSeq || !g.barActive {
-		g.eng.m.duplicates.Inc() // retransmitted release of a completed instance
-		return
-	}
-	g.treeRelease()
 }

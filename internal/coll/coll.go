@@ -20,10 +20,10 @@
 //     multicast down, or a ring for large vectors (n-1 hops, each NIC
 //     forwarding its predecessor's chunks without host involvement).
 //
-// Every round is reliable via the same stop-and-wait discipline the
-// multicast uses: one reusable retransmit timer per group over a pooled
-// record list, so the steady-state hot path allocates nothing beyond the
-// injected wire clones.
+// Every round is reliable through the go-back-N window unicast and the
+// multicast use (gm.Window): a group entry sends to each peer on a stream
+// of its own, so a collective frame reaches collective logic exactly once
+// and in order, and a loss is recovered with gm's timer, backoff and nacks.
 package coll
 
 import (
@@ -175,28 +175,15 @@ func (e *Engine) HandleRx(src fabric.NodeID, fr *gm.Frame) bool {
 	return true
 }
 
-// HandleCtl consumes one collective acknowledgment from src — a control
-// packet: Seq echoes the instance, Offset what the acknowledged frame
-// carried there (or, for a windowed gather, the cumulative byte mark).
+// HandleCtl consumes one collective (n)ack from src — a control packet
+// whose Ack is the cumulative sequence number of the peer's stream.
 func (e *Engine) HandleCtl(src fabric.NodeID, c fabric.Ctl) bool {
 	switch gm.Kind(c.Kind) {
-	case gm.KindBarrierAck:
-		e.rxAck(skBarrier, src, c)
-	case gm.KindReduceAck:
-		e.rxAck(skReduce, src, c)
-	case gm.KindGatherAck:
-		e.rxAck(skGather, src, c)
-	case gm.KindRingAck:
-		e.rxAck(skRing, src, c)
-	default:
-		return false
+	case gm.KindBarrierAck, gm.KindReduceAck, gm.KindGatherAck, gm.KindRingAck:
+		e.rxAck(src, c)
+		return true
 	}
-	return true
-}
-
-// ack acknowledges one collective frame to the NIC it came from.
-func (e *Engine) ack(kind gm.Kind, to fabric.NodeID, group gm.GroupID, seq uint32, off int) {
-	e.nic.InjectCtl(to, fabric.Ctl{Kind: uint8(kind), Group: uint32(group), Seq: seq, Offset: int32(off)})
+	return false
 }
 
 // Outstanding reports unacknowledged collective send records across all
@@ -204,18 +191,22 @@ func (e *Engine) ack(kind gm.Kind, to fabric.NodeID, group gm.GroupID, seq uint3
 func (e *Engine) Outstanding() int {
 	n := 0
 	for _, g := range e.groups {
-		n += len(g.out)
+		for _, s := range g.sends {
+			n += s.win.Len()
+		}
 	}
 	return n
 }
 
-// PendingTimers reports how many group retransmit timers are armed —
+// PendingTimers reports how many per-peer retransmit timers are armed —
 // nonzero after quiescence means a leaked timer.
 func (e *Engine) PendingTimers() int {
 	armed := 0
 	for _, g := range e.groups {
-		if g.timer.Pending() {
-			armed++
+		for _, s := range g.sends {
+			if s.win.Armed() {
+				armed++
+			}
 		}
 	}
 	return armed
@@ -228,11 +219,13 @@ func (e *Engine) PendingTimers() int {
 func (e *Engine) DebugLeaks() string {
 	s := ""
 	for id, g := range e.groups {
-		if len(g.out) > 0 {
-			s += fmt.Sprintf("group %d: %d unacked records; ", id, len(g.out))
-		}
-		if g.timer.Pending() {
-			s += fmt.Sprintf("group %d: retransmit timer armed; ", id)
+		for _, w := range g.sends {
+			if n := w.win.Len(); n > 0 {
+				s += fmt.Sprintf("group %d: %d unacked records to %v; ", id, n, w.node)
+			}
+			if w.win.Armed() {
+				s += fmt.Sprintf("group %d: retransmit timer to %v armed; ", id, w.node)
+			}
 		}
 		if g.barActive {
 			s += fmt.Sprintf("group %d: barrier instance %d open; ", id, g.barSeq)
@@ -325,9 +318,9 @@ func binomialNeighbors(members []fabric.NodeID, idx int) (parent fabric.NodeID, 
 // Remove deletes a collective group entry. Removal is collective and must
 // follow the last collective on the group (an MPI layer frees it with the
 // communicator after a barrier): any still-unacknowledged trailing records
-// are dropped with the entry — their peers are removing their entries too,
-// so the retransmit conversation ends on both sides. fn, if non-nil, runs
-// (in firmware context) after the entry is gone.
+// are dropped with the entry's peer windows — their peers are removing
+// their entries too, so the retransmit conversation ends on both sides. fn,
+// if non-nil, runs (in firmware context) after the entry is gone.
 func (e *Engine) Remove(id gm.GroupID, fn func()) {
 	e.nic.HW.HostPost(func() {
 		e.nic.HW.CPUDo(e.cfg.GroupInstallCost, func() {
@@ -335,7 +328,9 @@ func (e *Engine) Remove(id gm.GroupID, fn func()) {
 			if !ok {
 				panic(fmt.Errorf("%w: removing collective group %d at %v", core.ErrNoSuchGroup, id, e.nic.ID()))
 			}
-			g.timer.Stop()
+			for _, s := range g.sends {
+				s.win.Drop()
+			}
 			delete(e.groups, id)
 			if fn != nil {
 				fn()
@@ -359,7 +354,6 @@ func (e *Engine) groupFor(id gm.GroupID) *Group {
 
 func (e *Engine) newGroup(id gm.GroupID) *Group {
 	g := &Group{eng: e, id: id, myIdx: -1}
-	g.timer = e.nic.Engine().NewTimer(g.onTimeout)
 	e.groups[id] = g
 	return g
 }

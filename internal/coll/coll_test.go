@@ -124,7 +124,7 @@ func TestBarrierAlgos(t *testing.T) {
 	}
 }
 
-// TestBarrierUnderLoss exercises the stop-and-wait recovery of both
+// TestBarrierUnderLoss exercises the go-back-N recovery of both
 // algorithms on a lossy fabric.
 func TestBarrierUnderLoss(t *testing.T) {
 	for name, algo := range map[string]coll.BarrierAlgo{
@@ -214,7 +214,7 @@ func TestAllgatherTree(t *testing.T) {
 }
 
 // TestAllgatherTreeMultiChunk forces interior batches past one MTU so the
-// chunked stop-and-wait upward path is exercised.
+// chunked upward path is exercised.
 func TestAllgatherTreeMultiChunk(t *testing.T) {
 	c, ports := rig(t, 8, nil)
 	runAllgather(t, c, ports, 400) // 3208-byte entries; subtree batches span several packets
@@ -240,8 +240,8 @@ func TestAllgatherUnderLoss(t *testing.T) {
 	}
 }
 
-// TestAllgatherRepeated runs several back-to-back instances; sequence
-// bookkeeping (doneSet) must keep them separate.
+// TestAllgatherRepeated runs several back-to-back instances; instance
+// bookkeeping must keep them separate.
 func TestAllgatherRepeated(t *testing.T) {
 	const nodes, rounds, veclen = 5, 4, 2
 	c, ports := rig(t, nodes, nil)

@@ -3,30 +3,11 @@ package coll
 import (
 	"repro/internal/fabric"
 	"repro/internal/gm"
-	"repro/internal/sim"
 )
 
-// Send-record classes: one shared stop-and-wait mechanism serves every
-// collective, discriminated by class when matching acknowledgments.
-const (
-	skBarrier uint8 = iota
-	skReduce
-	skGather
-	skRing
-)
-
-// upRecord is one outstanding collective transmission awaiting its ack.
-// The frame is embedded (not pointed to) so records recycle through the
-// group's free list without allocating; only the injected wire clone is
-// per-transmission.
-type upRecord struct {
-	class  uint8
-	seq    uint32 // collective instance
-	aux    int32  // ack-matching discriminant: round / byte offset / chunk index
-	dst    fabric.NodeID
-	frame  gm.Frame
-	sentAt sim.Time
-}
+// ctlNack in a collective acknowledgment's Offset marks a negative
+// acknowledgment: the receiver saw a hole in the stream (Config.EnableNacks).
+const ctlNack int32 = 1
 
 // Group is one NIC's collective group entry.
 type Group struct {
@@ -49,12 +30,12 @@ type Group struct {
 	barParent   fabric.NodeID
 	barChildren []fabric.NodeID
 
-	// Stop-and-wait machinery: outstanding records, a free list, and one
-	// reusable retransmit timer over all of them (PR-2 kernel discipline —
-	// no per-message timer allocation).
-	out   []*upRecord
-	free  []*upRecord
-	timer *sim.Timer
+	// The entry's reliable streams, one per peer each way: the send window
+	// to every NIC it has sent to, and what it has accepted from every NIC
+	// it has heard from. A NIC has a handful of collective peers, so the
+	// lists are scanned, not hashed.
+	sends []*sendStream
+	recvs []recvStream
 
 	// Dissemination barrier. recvdCur/recvdNext are per-round arrival
 	// bitmasks for the current instance and the next (a peer can run at
@@ -66,262 +47,172 @@ type Group struct {
 	rounds              int
 	recvdCur, recvdNext uint32
 
-	// Tree barrier: child-arrival bitsets for current/next instance.
-	upCur, upNext bitset
+	// Tree barrier: child arrivals counted for the current instance and
+	// the next.
+	upCur, upNext int
 
-	// Reduce instances in flight, plus the completed-instance set that
-	// replaces the old never-cleaned duplicate map.
-	redSeq  uint32
-	red     map[uint32]*reduceInst
-	redDone doneSet
+	// Reduce instances in flight.
+	redSeq uint32
+	red    map[uint32]*reduceInst
 
 	// Tree allgather: open instances, per-(child, instance) chunk
 	// reassembly, and per-instance outgoing batch transfers.
-	agSeq  uint32
-	ag     map[uint32]*gatherInst
-	asm    map[asmKey]*chunkAsm
-	agOut  map[uint32]*gatherSend
-	agDone doneSet
+	agSeq uint32
+	ag    map[uint32]*gatherInst
+	asm   map[asmKey][]byte
+	agOut map[uint32]*gatherSend
 
 	// Ring allgather instances.
-	ring     map[uint32]*ringInst
-	ringDone doneSet
+	ring map[uint32]*ringInst
 }
 
-// getRec takes a record from the free list (or allocates the pool's next).
-func (g *Group) getRec() *upRecord {
-	if n := len(g.free); n > 0 {
-		r := g.free[n-1]
-		g.free = g.free[:n-1]
-		return r
-	}
-	return &upRecord{}
+// sendStream is a group entry's reliable stream to one other NIC — a
+// dissemination partner, a tree parent or child, or the ring successor: gm's
+// go-back-N window over one child, as a unicast connection is. Every frame
+// is filed until the peer's cumulative ack covers it, and the window's
+// timer, backoff and nack hold-off recover a loss.
+type sendStream struct {
+	g    *Group
+	node fabric.NodeID
+	next uint32 // sequence number of the next frame sent
+	win  gm.Window[struct{}]
 }
 
-// sendRel transmits one collective frame with stop-and-wait reliability:
-// the record joins the group's outstanding list and the shared retransmit
-// timer covers it until the matching ack arrives.
-func (g *Group) sendRel(class uint8, kind gm.Kind, dst fabric.NodeID, seq uint32, aux int32, off int, msgLen int, payload []byte) {
-	nic := g.eng.nic
-	rec := g.getRec()
-	rec.class, rec.seq, rec.aux, rec.dst = class, seq, aux, dst
-	rec.frame = gm.Frame{
-		Kind:    kind,
-		Group:   g.id,
-		Seq:     seq,
-		Offset:  off,
-		MsgLen:  msgLen,
-		Payload: payload,
-	}
-	rec.sentAt = nic.Engine().Now()
-	g.out = append(g.out, rec)
-	nic.Inject(rec.frame.Clone(), dst, nil)
-	g.armTimer()
+// recvStream is the stream back from one peer: the last sequence number
+// accepted from it, so every collective frame reaches collective logic
+// exactly once and in order.
+type recvStream struct {
+	node  fabric.NodeID
+	acked uint32 // last sequence number accepted, the cumulative ack
+	// held counts accepted gather chunks whose ack is withheld under the
+	// ack economy (gm.Config.AckEvery).
+	held uint32
 }
 
-// armTimer (re)arms the shared timer at the earliest outstanding
-// record's deadline, or stops it when nothing is outstanding.
-func (g *Group) armTimer() {
-	if len(g.out) == 0 {
-		g.timer.Stop()
-		return
+// send transmits one collective frame to a peer and files it in the
+// peer's window. The filed frame carries everything its retirement needs:
+// kind, instance (MsgID) and chunk.
+func (g *Group) send(to fabric.NodeID, fr *gm.Frame) {
+	s := g.sendTo(to)
+	if s == nil {
+		nic := g.eng.nic
+		s = &sendStream{g: g, node: to, next: 1}
+		s.win.Init(nic.Engine(), &nic.Cfg, 0, nil, s.resend, s.retire)
+		s.win.Reset(1, 0)
+		g.sends = append(g.sends, s)
 	}
-	earliest := g.out[0].sentAt
-	for _, r := range g.out[1:] {
-		if r.sentAt < earliest {
-			earliest = r.sentAt
+	fr.Group, fr.Seq = g.id, s.next
+	s.next++
+	g.eng.nic.Inject(fr, to, nil)
+	s.win.File(fr, struct{}{})
+}
+
+// resend puts a filed frame back on the wire, as its first send did.
+func (s *sendStream) resend(fr *gm.Frame, _ int) {
+	s.g.eng.m.retransmits.Inc()
+	s.g.eng.nic.Inject(fr, s.node, nil)
+}
+
+// retire runs once the peer has acknowledged a frame: the tree allgather
+// sends its batch's next chunk, the ring its next hop. Sending from here is
+// sound: the window files the new frame behind the ones it is retiring.
+func (s *sendStream) retire(r *gm.SendRecord[struct{}]) {
+	s.win.Sample(r)
+	switch fr := r.Frame; fr.Kind {
+	case gm.KindGather:
+		s.g.gatherChunkAcked(uint32(fr.MsgID), len(fr.Payload))
+	case gm.KindRing:
+		s.g.ringHopAcked(uint32(fr.MsgID))
+	}
+}
+
+// accept is the receive gate every collective frame for an installed entry
+// passes. An in-sequence frame is accepted and acknowledged cumulatively;
+// under the ack economy a gather chunk's ack waits for AckEvery chunks or
+// the batch's last, and since the sender keeps exactly AckEvery chunks in
+// flight nothing else waits on it. An old frame is re-acknowledged and
+// counted as a duplicate; a frame past a hole is dropped, with a nack under
+// EnableNacks. Only accepted frames reach collective logic.
+func (g *Group) accept(src fabric.NodeID, fr *gm.Frame) bool {
+	r := g.recvFrom(src)
+	cfg := &g.eng.nic.Cfg
+	ackKind := fr.Kind + 1 // each collective kind's ack kind follows it
+	accepted := fr.Seq == r.acked+1
+	switch {
+	case accepted:
+		r.acked++
+		if fr.Kind == gm.KindGather && cfg.AckCoalescing() &&
+			int(r.held)+1 < cfg.AckEvery && fr.Offset+len(fr.Payload) < fr.MsgLen {
+			r.held++
+			break
+		}
+		g.ack(r, ackKind, false)
+	case gm.SeqLEQ(fr.Seq, r.acked):
+		g.eng.m.duplicates.Inc()
+		g.ack(r, ackKind, false)
+	default:
+		g.eng.m.duplicates.Inc()
+		if cfg.EnableNacks {
+			g.ack(r, ackKind, true)
 		}
 	}
-	eng := g.eng.nic.Engine()
-	deadline := earliest + g.eng.nic.Cfg.RetransmitTimeout
-	if deadline < eng.Now() {
-		deadline = eng.Now()
-	}
-	g.timer.Reset(deadline)
+	return accepted
 }
 
-// onTimeout retransmits every record whose stop-and-wait interval has
-// elapsed, then rearms for the next deadline.
-func (g *Group) onTimeout() {
-	if len(g.out) == 0 {
-		return
-	}
-	nic := g.eng.nic
-	now := nic.Engine().Now()
-	rto := nic.Cfg.RetransmitTimeout
-	for _, rec := range g.out {
-		if now-rec.sentAt < rto {
-			continue
+// sendTo returns the stream to node, or nil before the first send.
+func (g *Group) sendTo(node fabric.NodeID) *sendStream {
+	for _, s := range g.sends {
+		if s.node == node {
+			return s
 		}
-		rec.sentAt = now
-		g.eng.m.retransmits.Inc()
-		nic.Inject(rec.frame.Clone(), rec.dst, nil)
 	}
-	g.armTimer()
+	return nil
 }
 
-// ackRecord retires the outstanding record matching an acknowledgment;
-// reports whether one was found. class, seq and aux identify the logical
-// transmission; src disambiguates same-keyed sends to different peers
-// (a tree barrier's release goes to every child under one key).
-func (g *Group) ackRecord(class uint8, seq uint32, aux int32, src fabric.NodeID) bool {
-	for i, rec := range g.out {
-		if rec.class != class || rec.seq != seq || rec.aux != aux || rec.dst != src {
-			continue
+// recvFrom returns the stream from node, opening it on the first frame.
+func (g *Group) recvFrom(node fabric.NodeID) *recvStream {
+	for i := range g.recvs {
+		if g.recvs[i].node == node {
+			return &g.recvs[i]
 		}
-		copy(g.out[i:], g.out[i+1:])
-		g.out[len(g.out)-1] = nil
-		g.out = g.out[:len(g.out)-1]
-		rec.frame.Payload = nil
-		g.free = append(g.free, rec)
-		g.armTimer()
-		return true
 	}
-	return false
+	g.recvs = append(g.recvs, recvStream{node: node})
+	return &g.recvs[len(g.recvs)-1]
 }
 
-// ackRecordsCumulative retires every outstanding record of one class and
-// instance to src whose chunk starts below the cumulative byte mark —
-// the windowed-gather half of the ack economy, where one coalesced ack
-// covers several chunks. Reports how many records retired.
-func (g *Group) ackRecordsCumulative(class uint8, seq uint32, upTo int32, src fabric.NodeID) int {
-	retired := 0
-	out := g.out[:0]
-	for _, rec := range g.out {
-		if rec.class == class && rec.seq == seq && rec.dst == src && rec.aux < upTo {
-			rec.frame.Payload = nil
-			g.free = append(g.free, rec)
-			retired++
-			continue
-		}
-		out = append(out, rec)
+// ack sends a peer a cumulative acknowledgment of everything accepted from
+// it — or a nack asking it to go back now — covering any held acks.
+func (g *Group) ack(r *recvStream, kind gm.Kind, nack bool) {
+	e := g.eng
+	if r.held > 0 {
+		e.m.acksSuppressed.Add(uint64(r.held))
+		r.held = 0
 	}
-	for i := len(out); i < len(g.out); i++ {
-		g.out[i] = nil
+	c := fabric.Ctl{Kind: uint8(kind), Group: uint32(g.id), Ack: r.acked}
+	if nack {
+		c.Offset = ctlNack
 	}
-	g.out = out
-	if retired > 0 {
-		g.armTimer()
-	}
-	return retired
+	e.nic.InjectCtl(r.node, c)
 }
 
-// rxAck handles any collective acknowledgment kind: retire the record,
-// then run per-class continuation (the tree allgather sends its next
-// batch chunk when the previous one is acknowledged).
-func (e *Engine) rxAck(class uint8, src fabric.NodeID, c fabric.Ctl) {
+// rxAck handles any collective (n)ack kind: retire what the cumulative
+// field covers in the peer's window, then go back at once on a nack.
+func (e *Engine) rxAck(src fabric.NodeID, c fabric.Ctl) {
 	nic := e.nic
-	group, seq, off := gm.GroupID(c.Group), c.Seq, int(c.Offset)
 	nic.HW.CPUDo(nic.Cfg.AckProcCost, func() {
-		g, ok := e.groups[group]
+		g, ok := e.groups[gm.GroupID(c.Group)]
 		if !ok {
 			return // stale ack for a group we no longer know
 		}
-		if class == skGather && nic.Cfg.AckCoalescing() {
-			// Windowed gather: the ack's Offset is the receiver's cumulative
-			// contiguous byte count, retiring every chunk below it at once.
-			g.ackRecordsCumulative(skGather, seq, int32(off), src)
-			g.gatherWindowAcked(seq, off)
+		s := g.sendTo(src)
+		if s == nil {
 			return
 		}
-		aux := int32(off)
-		if class == skReduce {
-			aux = 0 // reduce acks echo only the instance
+		if s.win.Ack(0, c.Ack) > 0 {
+			s.win.Arm()
 		}
-		if !g.ackRecord(class, seq, aux, src) {
-			return // duplicate ack
-		}
-		switch class {
-		case skGather:
-			g.gatherChunkAcked(seq)
-		case skRing:
-			g.ringHopAcked(seq)
+		if c.Offset == ctlNack {
+			s.win.Nack()
 		}
 	})
-}
-
-// doneSet tracks completed collective instances compactly: a cumulative
-// low-water mark plus a small overflow set for out-of-order completions
-// (instances can finish out of order when contributions race). This
-// replaces the old per-(child, instance) duplicate map that was never
-// cleaned — state is O(gap), not O(history).
-type doneSet struct {
-	through uint32 // every instance <= through (serially) is complete
-	above   map[uint32]bool
-}
-
-func (d *doneSet) mark(s uint32) {
-	if s == d.through+1 {
-		d.through++
-		for d.above[d.through+1] {
-			delete(d.above, d.through+1)
-			d.through++
-		}
-		return
-	}
-	if gm.SeqAfter(s, d.through) {
-		if d.above == nil {
-			d.above = make(map[uint32]bool)
-		}
-		d.above[s] = true
-	}
-}
-
-func (d *doneSet) has(s uint32) bool {
-	return !gm.SeqAfter(s, d.through) || d.above[s]
-}
-
-// open reports in-flight overflow entries (leak check).
-func (d *doneSet) open() int { return len(d.above) }
-
-// bitset is a tiny growable bitmask (child-arrival tracking for trees of
-// any fanout).
-type bitset []uint64
-
-func (b *bitset) grow(n int) {
-	words := (n + 63) / 64
-	for len(*b) < words {
-		*b = append(*b, 0)
-	}
-}
-
-// setBit sets bit i, reporting whether it was already set.
-func (b *bitset) setBit(i int) bool {
-	b.grow(i + 1)
-	w, m := i/64, uint64(1)<<(i%64)
-	prior := (*b)[w]&m != 0
-	(*b)[w] |= m
-	return prior
-}
-
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
-func (b *bitset) clear() {
-	for i := range *b {
-		(*b)[i] = 0
-	}
-}
-
-// swap moves next's bits into cur (instance rollover), clearing next.
-func swapBitsets(cur, next *bitset) {
-	*cur, *next = *next, *cur
-	next.clear()
-}
-
-// childIndex finds src in a child list (-1 if absent).
-func childIndex(children []fabric.NodeID, src fabric.NodeID) int {
-	for i, c := range children {
-		if c == src {
-			return i
-		}
-	}
-	return -1
 }

@@ -19,9 +19,9 @@ type instruments struct {
 	gatherSent     metrics.Counter // allgather batch chunks sent up the tree
 	gathersDone    metrics.Counter // allgather instances completed at this NIC
 	ringSent       metrics.Counter // ring-allgather hops transmitted
-	retransmits    metrics.Counter // stop-and-wait retransmissions
+	retransmits    metrics.Counter // go-back-N retransmissions
 	acksSuppressed metrics.Counter // per-chunk gather acks avoided by coalescing
-	duplicates     metrics.Counter // duplicate collective frames dropped
+	duplicates     metrics.Counter // duplicate or out-of-sequence collective frames dropped
 	notMemberDrops metrics.Counter // frames for groups this NIC has no entry for
 	bytesForwarded metrics.Counter // payload bytes moved up the tree / around the ring
 	combineNs      metrics.Histogram

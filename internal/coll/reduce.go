@@ -2,6 +2,7 @@ package coll
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -53,7 +54,6 @@ type reduceInst struct {
 	acc  []int64
 	got  int // contributions combined (children + own host)
 	need int
-	from bitset // child-arrival dedup
 }
 
 // Reduce contributes this node's vector to a reduction over the group's
@@ -97,7 +97,7 @@ func (e *Engine) PostReduce(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []
 			}
 			g := e.groupFor(id)
 			g.redSeq++
-			g.contribute(g.redSeq, op, vec, -1)
+			g.contribute(g.redSeq, op, vec)
 		})
 	})
 }
@@ -111,9 +111,8 @@ func (e *Engine) isGroupRoot(id gm.GroupID) bool {
 }
 
 // contribute merges one vector into the instance's accumulator, charging
-// the LANai's per-element cost, and forwards when complete. fromChild is
-// the contributing child's index (-1 for the local host's contribution).
-func (g *Group) contribute(seq uint32, op ReduceOp, vec []int64, fromChild int) {
+// the LANai's per-element cost, and forwards when complete.
+func (g *Group) contribute(seq uint32, op ReduceOp, vec []int64) {
 	e := g.eng
 	root, parent, children, port, ok := e.treeView(g.id)
 	if !ok {
@@ -130,10 +129,6 @@ func (g *Group) contribute(seq uint32, op ReduceOp, vec []int64, fromChild int) 
 	}
 	if st.op != op {
 		panic(fmt.Errorf("%w: op mismatch on group %d instance %d", ErrBadReduce, g.id, seq))
-	}
-	if fromChild >= 0 && st.from.setBit(fromChild) {
-		e.m.duplicates.Inc()
-		return
 	}
 	cost := sim.Time(len(vec)) * e.cfg.ReduceElemCost
 	e.nic.HW.CPUDo(cost, func() {
@@ -154,7 +149,6 @@ func (g *Group) contribute(seq uint32, op ReduceOp, vec []int64, fromChild int) 
 			return
 		}
 		delete(g.red, seq)
-		g.redDone.mark(seq)
 		if root == e.nic.ID() {
 			e.m.reducesDone.Inc()
 			e.nic.Port(port).PostGroupEvent(&gm.RecvEvent{Group: g.id, Data: EncodeVec(st.acc)})
@@ -162,7 +156,7 @@ func (g *Group) contribute(seq uint32, op ReduceOp, vec []int64, fromChild int) 
 		}
 		e.m.reduceSent.Inc()
 		e.m.bytesForwarded.Add(uint64(8 * len(st.acc)))
-		g.sendRel(skReduce, gm.KindReduce, parent, seq, 0, int(st.op), 0, EncodeVec(st.acc))
+		g.send(parent, &gm.Frame{Kind: gm.KindReduce, MsgID: uint64(seq), Offset: int(st.op), Payload: EncodeVec(st.acc)})
 	})
 }
 
@@ -181,19 +175,15 @@ func (e *Engine) rxReduce(src fabric.NodeID, fr *gm.Frame) {
 			e.m.notMemberDrops.Inc()
 			return
 		}
-		// Ack unconditionally; duplicates must stop the child's timer too.
-		e.ack(gm.KindReduceAck, src, fr.Group, fr.Seq, 0)
 		g := e.groupFor(fr.Group)
-		if g.redDone.has(fr.Seq) {
-			e.m.duplicates.Inc()
+		if !g.accept(src, fr) {
 			return
 		}
-		idx := childIndex(children, src)
-		if idx < 0 {
+		if !slices.Contains(children, src) {
 			e.m.duplicates.Inc() // not our child under the current view
 			return
 		}
-		g.contribute(fr.Seq, ReduceOp(fr.Offset), DecodeVec(fr.Payload), idx)
+		g.contribute(uint32(fr.MsgID), ReduceOp(fr.Offset), DecodeVec(fr.Payload))
 	})
 }
 

@@ -26,13 +26,17 @@ const (
 	KindNack
 	// KindMcastNack is the per-group equivalent sent to the tree parent.
 	KindMcastNack
-	// KindBarrier is a NIC-level barrier round message (core extension):
-	// Seq is the barrier instance, Offset the dissemination round.
+	// The collective kinds (internal/coll) travel on one reliable stream
+	// per collective group entry and peer: Seq numbers the stream, MsgID is
+	// the collective instance. Each is directly followed by its ack kind,
+	// a cumulative (n)ack of the stream.
+	//
+	// KindBarrier is a NIC-level barrier round message: Offset is the
+	// dissemination round or the tree sweep's direction.
 	KindBarrier
-	// KindBarrierAck acknowledges one barrier round message.
 	KindBarrierAck
-	// KindReduce carries a combined reduction vector up the tree
-	// (core extension); KindReduceAck acknowledges it.
+	// KindReduce carries a combined reduction vector up the tree: Offset is
+	// the operator.
 	KindReduce
 	KindReduceAck
 	// KindDirected is a remote-DMA put into a registered region
@@ -41,14 +45,12 @@ const (
 	// receive event.
 	KindDirected
 	// KindGather carries one chunk of a concatenate-and-forward allgather
-	// batch up the tree (internal/coll): Seq is the instance, Offset the
-	// byte offset within the batch, MsgLen the batch total. KindGatherAck
-	// acknowledges one chunk.
+	// batch up the tree: Offset is the byte offset within the batch, MsgLen
+	// the batch total.
 	KindGather
 	KindGatherAck
 	// KindRing carries one member's vector one hop around the ring in the
-	// ring-allgather variant: Seq is the instance, Offset the originating
-	// member index. KindRingAck acknowledges it.
+	// ring-allgather variant: Offset is the originating member index.
 	KindRing
 	KindRingAck
 )
@@ -110,7 +112,8 @@ type Frame struct {
 	SrcPort, DstPort PortID
 
 	// Seq is the connection sequence number (per source port → destination
-	// port pair) for unicast, or the group sequence number for multicast.
+	// port pair) for unicast, the group sequence number for multicast, or
+	// the collective group entry's stream number to one peer.
 	Seq uint32
 
 	// Message framing: a message is MsgLen bytes split into MTU chunks;
@@ -139,15 +142,6 @@ type Frame struct {
 	guard frameSeal // -race builds: the header checksum; otherwise empty
 
 	Payload []byte
-}
-
-// Clone returns a copy of f sharing the payload bytes, for a sender whose
-// header lives in a record it will overwrite (the collective engine's pooled
-// stop-and-wait records): the copy, not the record, goes on the wire.
-func (f *Frame) Clone() *Frame {
-	g := *f
-	g.guard = frameSeal{}
-	return &g
 }
 
 // wireSize reports the frame's size on the wire.

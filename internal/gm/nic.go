@@ -198,7 +198,7 @@ func (n *NIC) Inject(fr *Frame, dst fabric.NodeID, txDone func()) {
 // is allocated, nothing is shared with the receiver, and a later
 // acknowledgment cannot overwrite one still in flight. The unicast (n)ack
 // uses Kind, SrcPort, DstPort and Ack; the group (n)ack Kind, Group, Epoch
-// and Ack; a collective ack Kind, Group, Seq and Offset. NIC-generated: no
+// and Ack; a collective (n)ack Kind, Group, Ack and Offset. NIC-generated: no
 // host memory is touched and no send buffer consumed.
 func (n *NIC) InjectCtl(dst fabric.NodeID, c fabric.Ctl) {
 	if n.Trace.Enabled() {

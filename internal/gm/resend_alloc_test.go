@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/gm"
 	"repro/internal/metrics"
@@ -16,7 +17,8 @@ import (
 
 // allocsPerResend runs a workload of msgs messages at 5 % loss and loss-free
 // on otherwise identical clusters and reports the lossy run's extra heap
-// objects per retransmission (unicast and multicast counters together). What
+// objects per retransmission (unicast, multicast and collective counters
+// together). What
 // every message costs — frames, host processes — is the same in both runs;
 // what loss adds besides the retransmissions themselves is the free lists'
 // growth to a higher high-water mark, a one-off the long run amortizes.
@@ -36,7 +38,8 @@ func allocsPerResend(t *testing.T, nodes, msgs int, drive func(c *cluster.Cluste
 		snap := c.Nodes[0].HW.Registry().Snapshot()
 		for _, n := range c.Nodes {
 			retransmits += counter(t, snap, gm.Component, int(n.ID), "retransmits") +
-				counter(t, snap, core.Component, int(n.ID), "retransmits")
+				counter(t, snap, core.Component, int(n.ID), "retransmits") +
+				counter(t, snap, coll.Component, int(n.ID), "retransmits")
 		}
 		return after.Mallocs - before.Mallocs, retransmits
 	}
@@ -98,6 +101,32 @@ func TestAllocResend(t *testing.T) {
 		if per > 0.1 {
 			t.Errorf("a %s retransmission allocates %.2f objects, want at most 0.1", name, per)
 		}
+	}
+	// A collective retransmission re-injects the frame its window filed; what
+	// remains is the receive and ack processing the extra copies cost.
+	collective := allocsPerResend(t, 8, 400, func(c *cluster.Cluster, ports []*gm.Port, rounds int) {
+		const gid = 5
+		mcastReady := c.InstallGroup(gid, tree.Binomial(0, c.Members()), 1, 1)
+		collReady := c.InstallCollGroup(gid, c.Members(), 1)
+		for i, n := range c.Nodes {
+			port := ports[i]
+			c.SpawnOn(n.ID, "coll", func(p *sim.Proc) {
+				for !mcastReady() || !collReady() {
+					p.Sleep(sim.Micros(1))
+				}
+				vec := []int64{int64(i)}
+				for r := 0; r < rounds; r++ {
+					n.Coll.Barrier(p, port, gid)
+					if i != 0 {
+						port.Provide(8)
+					}
+					n.Coll.Allreduce(p, port, gid, vec, coll.OpSum)
+				}
+			})
+		}
+	})
+	if collective > 0.8 {
+		t.Errorf("a collective retransmission allocates %.2f objects, want at most 0.8", collective)
 	}
 }
 

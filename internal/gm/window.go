@@ -22,7 +22,8 @@ type SendRecord[T any] struct {
 // reliable stream on the NIC: GM's go-back-N with the paper's one change,
 // "an array of sequence numbers to record the acknowledged sequence number
 // from each child". A unicast connection is a window over one child; a
-// multicast group entry is a window over its tree fan-out. Acknowledgments
+// multicast group entry is a window over its tree fan-out; a collective
+// group entry keeps a window over one child per peer. Acknowledgments
 // are cumulative per child, so child i still owes record r exactly while
 // acked[i] precedes r's sequence number — no per-record destination set.
 //
@@ -30,7 +31,8 @@ type SendRecord[T any] struct {
 // exponential backoff, the nack hold-off and the retransmission interval.
 // The owner supplies what really differs: how to put a record's frame back
 // on the wire toward one child, and what a retired record completes.
-// Exported because package core instantiates it; the state is private.
+// Exported because packages core and coll instantiate it; the state is
+// private.
 type Window[T any] struct {
 	eng *sim.Engine
 	cfg *Config
@@ -94,6 +96,14 @@ func (w *Window[T]) Len() int { return len(w.records) }
 
 // Armed reports whether the retransmit timer is pending.
 func (w *Window[T]) Armed() bool { return w.timer.Pending() }
+
+// Drop abandons every unretired record without retiring it and stops the
+// timer: the owner is tearing the stream down and its peer is too.
+func (w *Window[T]) Drop() {
+	clear(w.records)
+	w.records = w.records[:0]
+	w.timer.Stop()
+}
 
 // Floor reports the serial-min of bound and every child's cumulative
 // acknowledgment: the highest sequence number, no later than bound, that
