@@ -16,10 +16,10 @@ import (
 //
 // Tree (default): concatenate-and-forward up the group's multicast tree.
 // Each NIC batches its own entry with its children's, forwards the batch
-// to its parent in MTU-sized chunks, and the root
-// assembles the flat result and multicasts it back down the preposted
-// tree. Latency is O(log n) hops but the root-adjacent links carry O(n)
-// bytes — right for small vectors.
+// to its parent in MTU-sized chunks, and the root assembles the flat
+// result and multicasts it back down the preposted tree. Latency is
+// O(log n) hops but the root-adjacent links carry O(n) bytes — right for
+// small vectors.
 //
 // Ring: each member forwards chunks to its successor; after n-1 hops
 // everyone holds everything. Per-link traffic is uniform (n-1 chunks of
