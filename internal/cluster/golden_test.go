@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/benchkernel"
@@ -11,17 +12,23 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/golden"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
 
-// goldenRun drives the capture workload the pinned hashes below were
-// recorded with — a traced, optionally lossy multicast stream over a
-// binomial group — and digests the full packet timeline plus the final
-// clock and event count into one comparable string.
-func goldenRun(t *testing.T, nodes int, seed int64, loss float64, msgs int, extra ...cluster.Option) string {
+// pin is the old one-string form of a capture's header.
+func pin(c golden.Capture) string {
+	return fmt.Sprintf("%x t=%d ev=%d", sha256.Sum256(c.Trace), c.Clock, c.Events)
+}
+
+// goldenRun drives the capture workload the pinned timelines were recorded
+// with — a traced, optionally lossy multicast stream over a binomial group —
+// and captures its packet timeline, fired events, final clock and event
+// count.
+func goldenRun(t *testing.T, nodes int, seed int64, loss float64, msgs int, extra ...cluster.Option) golden.Capture {
 	t.Helper()
 	tr := trace.NewRecorder()
 	opts := append([]cluster.Option{
@@ -30,6 +37,7 @@ func goldenRun(t *testing.T, nodes int, seed int64, loss float64, msgs int, extr
 		cluster.WithLossRate(loss),
 	}, extra...)
 	c := cluster.New(nodes, opts...)
+	stream := golden.Hook(c.Engines())
 	ports := c.OpenPorts(1)
 	ready := c.InstallGroup(7, tree.Binomial(0, c.Members()), 1, 1)
 	c.Eng.Spawn("root", func(p *sim.Proc) {
@@ -57,7 +65,7 @@ func goldenRun(t *testing.T, nodes int, seed int64, loss float64, msgs int, extr
 	}
 	var buf bytes.Buffer
 	tr.WriteTimeline(&buf)
-	return fmt.Sprintf("%x t=%d ev=%d", sha256.Sum256(buf.Bytes()), c.Eng.Now(), c.Eng.EventsFired())
+	return golden.Capture{Clock: c.Eng.Now(), Events: c.Eng.EventsFired(), Trace: buf.Bytes(), Stream: stream()}
 }
 
 // Timelines captured on main immediately before the fabric extraction, by
@@ -71,12 +79,16 @@ const (
 )
 
 func TestMyrinetTimelineGoldens(t *testing.T) {
-	if got := goldenRun(t, 8, 7, 0.02, 5); got != golden8 {
+	c8 := goldenRun(t, 8, 7, 0.02, 5)
+	if got := pin(c8); got != golden8 {
 		t.Errorf("8-node lossy timeline diverged from pre-refactor capture:\n got %s\nwant %s", got, golden8)
 	}
-	if got := goldenRun(t, 16, 3, 0, 4); got != golden16 {
+	golden.Check(t, "TestMyrinetTimelineGoldens", "8-node-lossy", c8)
+	c16 := goldenRun(t, 16, 3, 0, 4)
+	if got := pin(c16); got != golden16 {
 		t.Errorf("16-node clean timeline diverged from pre-refactor capture:\n got %s\nwant %s", got, golden16)
 	}
+	golden.Check(t, "TestMyrinetTimelineGoldens", "16-node-clean", c16)
 }
 
 // TestWithFabricShimEquivalence proves the new fabric-selection API is a
@@ -85,7 +97,7 @@ func TestMyrinetTimelineGoldens(t *testing.T) {
 // override lands identically whether it travels through the preset's Links
 // field or the deprecated Config.Link knob.
 func TestWithFabricShimEquivalence(t *testing.T) {
-	if got := goldenRun(t, 8, 7, 0.02, 5, cluster.WithFabric(myrinet.Default())); got != golden8 {
+	if got := pin(goldenRun(t, 8, 7, 0.02, 5, cluster.WithFabric(myrinet.Default()))); got != golden8 {
 		t.Errorf("WithFabric(myrinet.Default()) diverged from the default build:\n got %s\nwant %s", got, golden8)
 	}
 
@@ -94,9 +106,9 @@ func TestWithFabricShimEquivalence(t *testing.T) {
 	slow.NsPerByte *= 2
 	fc := myrinet.Default()
 	fc.Links = slow
-	viaPreset := goldenRun(t, 8, 7, 0.02, 5, cluster.WithFabric(fc))
-	viaLegacyKnob := goldenRun(t, 8, 7, 0.02, 5,
-		cluster.WithMutate(func(cfg *cluster.Config) { cfg.Link = slow }))
+	viaPreset := pin(goldenRun(t, 8, 7, 0.02, 5, cluster.WithFabric(fc)))
+	viaLegacyKnob := pin(goldenRun(t, 8, 7, 0.02, 5,
+		cluster.WithMutate(func(cfg *cluster.Config) { cfg.Link = slow })))
 	if viaPreset != viaLegacyKnob {
 		t.Errorf("link override differs by spelling:\n preset %s\n legacy %s", viaPreset, viaLegacyKnob)
 	}
@@ -158,6 +170,7 @@ func TestMulticastStormClockGoldens(t *testing.T) {
 			t.Errorf("%s: storm finished at %d after %d events, pinned %d after %d",
 				tc.name, clock, events, tc.clock, tc.events)
 		}
+		golden.Check(t, "TestMulticastStormClockGoldens", tc.name, golden.Capture{Clock: clock, Events: events})
 		if bound := st.SpeedupBound(); bound < tc.minBound {
 			t.Errorf("%s: window placement allows a %.4fx speedup, want >= %.1fx", tc.name, bound, tc.minBound)
 		}
@@ -169,7 +182,7 @@ func TestMulticastStormClockGoldens(t *testing.T) {
 // 1) racing bidirectional unicast streams between partner nodes (port 2, so
 // reverse-direction data exists for acks to piggyback on). Both go-back-N
 // windows, their timers and the delayed-ack holders all do real work.
-func goldenMixRun(t *testing.T, extra ...cluster.Option) string {
+func goldenMixRun(t *testing.T, extra ...cluster.Option) golden.Capture {
 	t.Helper()
 	const (
 		nodes  = 8
@@ -184,6 +197,7 @@ func goldenMixRun(t *testing.T, extra ...cluster.Option) string {
 		cluster.WithLossRate(0.02),
 	}, extra...)
 	c := cluster.New(nodes, opts...)
+	stream := golden.Hook(c.Engines())
 	mports := c.OpenPorts(1)
 	uports := c.OpenPorts(2)
 	ready := c.InstallGroup(7, tree.Binomial(0, c.Members()), 1, 1)
@@ -224,7 +238,7 @@ func goldenMixRun(t *testing.T, extra ...cluster.Option) string {
 	c.Eng.Kill()
 	var buf bytes.Buffer
 	tr.WriteTimeline(&buf)
-	return fmt.Sprintf("%x t=%d ev=%d", sha256.Sum256(buf.Bytes()), c.Eng.Now(), c.Eng.EventsFired())
+	return golden.Capture{Clock: c.Eng.Now(), Events: c.Eng.EventsFired(), Trace: buf.Bytes(), Stream: stream()}
 }
 
 // TestReliabilityMatrixGoldens pins the lossy unicast+multicast mix over
@@ -270,9 +284,11 @@ func TestReliabilityMatrixGoldens(t *testing.T) {
 				name += "+ackecon4"
 				opts = append(opts, cluster.WithAckEconomy(4))
 			}
-			if got := goldenMixRun(t, opts...); got != want[name] {
+			c := goldenMixRun(t, opts...)
+			if got := pin(c); got != want[name] {
 				t.Errorf("%s diverged from the pre-refactor capture:\n got %s\nwant %s", name, got, want[name])
 			}
+			golden.Check(t, "TestReliabilityMatrixGoldens", name, c)
 		}
 	}
 	// The three Section-5 design alternatives, captured before the
@@ -299,8 +315,42 @@ func TestReliabilityMatrixGoldens(t *testing.T) {
 		}, "674dc79e6ba308d502468e8b2affbf6016fe98aaa8d455067ae5667a7e8787ad t=3724934 ev=5019"},
 	}
 	for _, a := range ablations {
-		if got := goldenMixRun(t, cluster.WithMutate(a.set)); got != a.want {
+		c := goldenMixRun(t, cluster.WithMutate(a.set))
+		if got := pin(c); got != a.want {
 			t.Errorf("%s diverged from the pre-refactor capture:\n got %s\nwant %s", a.name, got, a.want)
+		}
+		golden.Check(t, "TestReliabilityMatrixGoldens", a.name, c)
+	}
+}
+
+// reportTB stands in for a test so a golden mismatch's report can be read
+// back.
+type reportTB struct {
+	testing.TB
+	report string
+}
+
+func (r *reportTB) Helper() {}
+
+func (r *reportTB) Errorf(format string, args ...any) { r.report += fmt.Sprintf(format, args...) }
+
+// TestGoldenReportsInjectedCost adds 1 ns to the NIC's event-post cost on
+// the 16-node clean timeline. The golden's report must name the first event
+// that moves — by number, time, key and domain — rather than only say that
+// something did.
+func TestGoldenReportsInjectedCost(t *testing.T) {
+	if golden.Updating() {
+		t.Skip("compares a perturbed run with a golden; nothing to capture")
+	}
+	c := goldenRun(t, 16, 3, 0, 4, cluster.WithMutate(func(cfg *cluster.Config) { cfg.NIC.EventPostCost++ }))
+	r := &reportTB{TB: t}
+	golden.Check(r, "TestMyrinetTimelineGoldens", "16-node-clean", c)
+	for _, want := range []string{
+		"first divergence at event 71 (t=28297 key=0xa00000000000a domain=10); golden has (t=28296 key=0xa00000000000a domain=10)",
+		"trace at 28.297µs:\n  28.297µs  n8   host     delivered 2000 bytes from n0 (msg 1, group 7)\n",
+	} {
+		if !strings.Contains(r.report, want) {
+			t.Errorf("report lacks %q:\n%s", want, r.report)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/gm"
+	"repro/internal/golden"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -126,6 +127,7 @@ func TestCollClockPins(t *testing.T) {
 						cc.mut(cfg)
 					}
 					c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
+					stream := golden.Hook(c.Engines())
 					ports := c.OpenPorts(7)
 					c.InstallGroup(collGID, tree.Binomial(0, c.Members()), 7, 7)
 					ready := c.InstallCollGroup(collGID, c.Members(), 7, cc.opts...)
@@ -152,6 +154,8 @@ func TestCollClockPins(t *testing.T) {
 					if want, ok := cc.pinned[label]; !ok || got != want {
 						t.Errorf("finished at %v ns after %d events, pinned %v", got[0], got[1], want)
 					}
+					golden.Check(t, "TestCollClockPins", cc.name+"/"+label,
+						golden.Capture{Clock: c.Now(), Events: fired, Stream: stream()})
 				})
 			}
 		}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/gm"
+	"repro/internal/golden"
 	"repro/internal/lanai"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -66,6 +67,7 @@ func (r *coreRig) installGroup(t *testing.T, tr *tree.Tree) {
 func TestGroupSequenceWraparoundUnderLoss(t *testing.T) {
 	const nodes = 4
 	r := newCoreRig(t, nodes, nil)
+	stream := golden.Hook([]*sim.Engine{r.eng})
 	members := make([]fabric.NodeID, nodes)
 	for i := range members {
 		members[i] = fabric.NodeID(i)
@@ -147,10 +149,12 @@ func TestGroupSequenceWraparoundUnderLoss(t *testing.T) {
 	// Packet timeline and event count of this run, captured before the group
 	// send window was shared with gm: the wrap must not just survive, it must
 	// recover by the same retransmissions at the same instants.
-	const golden = "21cee732966d3737f0e21d27275edb4cadab3a602f5d686d9cb0424c87f25255 ev=724"
+	const pinned = "21cee732966d3737f0e21d27275edb4cadab3a602f5d686d9cb0424c87f25255 ev=724"
 	var buf bytes.Buffer
 	rec.WriteTimeline(&buf)
-	if got := fmt.Sprintf("%x ev=%d", sha256.Sum256(buf.Bytes()), r.eng.EventsFired()); got != golden {
-		t.Errorf("wraparound timeline diverged from the pre-refactor capture:\n got %s\nwant %s", got, golden)
+	if got := fmt.Sprintf("%x ev=%d", sha256.Sum256(buf.Bytes()), r.eng.EventsFired()); got != pinned {
+		t.Errorf("wraparound timeline diverged from the pre-refactor capture:\n got %s\nwant %s", got, pinned)
 	}
+	golden.Check(t, "TestGroupSequenceWraparoundUnderLoss", "kary2-4nodes-loss6th", golden.Capture{
+		Clock: r.eng.Now(), Events: r.eng.EventsFired(), Trace: buf.Bytes(), Stream: stream()})
 }

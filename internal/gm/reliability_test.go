@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/golden"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -63,6 +64,7 @@ func TestKarnRuleSkipsRetransmitRTTSample(t *testing.T) {
 // stream through unharmed.
 func TestSequenceWraparoundUnderLoss(t *testing.T) {
 	r := newRig(t, 2, nil)
+	stream := golden.Hook([]*sim.Engine{r.eng})
 	const start = uint32(0xFFFFFFFA) // six packets before the wrap
 	c := r.nics[0].sendConn(1, 1, 1)
 	c.nextSeq = start
@@ -121,10 +123,12 @@ func TestSequenceWraparoundUnderLoss(t *testing.T) {
 	// Packet timeline and event count of this run, captured before the send
 	// window was shared with core: the wrap must not just survive, it must
 	// recover by the same retransmissions at the same instants.
-	const golden = "f968f250ee049aeecf4d31cebce06f270c57610864436c432c00baa83c32d061 ev=290"
+	const pinned = "f968f250ee049aeecf4d31cebce06f270c57610864436c432c00baa83c32d061 ev=290"
 	var buf bytes.Buffer
 	rec.WriteTimeline(&buf)
-	if got := fmt.Sprintf("%x ev=%d", sha256.Sum256(buf.Bytes()), r.eng.EventsFired()); got != golden {
-		t.Errorf("wraparound timeline diverged from the pre-refactor capture:\n got %s\nwant %s", got, golden)
+	if got := fmt.Sprintf("%x ev=%d", sha256.Sum256(buf.Bytes()), r.eng.EventsFired()); got != pinned {
+		t.Errorf("wraparound timeline diverged from the pre-refactor capture:\n got %s\nwant %s", got, pinned)
 	}
+	golden.Check(t, "TestSequenceWraparoundUnderLoss", "wrap-5x3-loss5th", golden.Capture{
+		Clock: r.eng.Now(), Events: r.eng.EventsFired(), Trace: buf.Bytes(), Stream: stream()})
 }

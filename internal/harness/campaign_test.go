@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/golden"
 	"repro/internal/metrics"
 )
 
@@ -197,19 +198,23 @@ func TestCampaignGoldens(t *testing.T) {
 		ws    []chaos.Workload
 		lib   []chaos.Scenario
 		nodes []int
+		cols  string // the columns the pre-merge runner printed
 	}{
-		{"chaosbench_short_seed1", []chaos.Workload{chaos.Multicast{Msgs: 10}}, chaos.Library(), []int{4, 8}},
-		{"chaosbench_coll_short_seed1", []chaos.Workload{chaos.Collective{}}, chaos.CollLibrary(), []int{4, 8}},
-		{"memberbench_short_seed1", []chaos.Workload{chaos.Churn{Msgs: 10, Transitions: 8}}, chaos.MemberLibrary(), []int{6, 8}},
+		{"chaosbench_short_seed1", []chaos.Workload{chaos.Multicast{Msgs: 10}}, chaos.Library(), []int{4, 8},
+			"scenario nodes verdict recovery drops dups paused retrans timeouts nacks"},
+		{"chaosbench_coll_short_seed1", []chaos.Workload{chaos.Collective{}}, chaos.CollLibrary(), []int{4, 8},
+			"scenario nodes verdict recovery drops dups paused retrans colldups"},
+		{"memberbench_short_seed1", []chaos.Workload{chaos.Churn{Msgs: 10, Transitions: 8}}, chaos.MemberLibrary(), []int{6, 8},
+			"scenario nodes churn verdict epochs rejected recovery drops dups retrans stale future ackdrop"},
 	} {
 		for _, fabricName := range []string{"myrinet", "clos"} {
 			name := c.file + "_" + fabricName
 			t.Run(name, func(t *testing.T) {
-				golden, err := os.ReadFile("testdata/" + name + ".txt")
+				captured, err := os.ReadFile("testdata/" + name + ".txt")
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := parseCampaignTable(t, string(golden))
+				want := parseCampaignTable(t, string(captured))
 
 				o := DefaultOptions()
 				o.Seed = 1
@@ -232,6 +237,16 @@ func TestCampaignGoldens(t *testing.T) {
 						}
 					}
 				}
+				cols := strings.Fields(c.cols)
+				lines := []string{c.cols}
+				for _, row := range got {
+					cells := make([]string, len(cols))
+					for i, h := range cols {
+						cells[i] = row[h]
+					}
+					lines = append(lines, strings.Join(cells, " "))
+				}
+				golden.Check(t, "TestCampaignGoldens", name, golden.Capture{Lines: lines})
 			})
 		}
 	}

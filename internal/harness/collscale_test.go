@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/mpi"
 )
 
@@ -37,14 +39,18 @@ func TestCollLatencyPins(t *testing.T) {
 	o.Warmup = 2
 	o.Iters = 10
 	o.Seed = 1
+	var lines []string
 	for _, p := range []struct {
 		collective string
 		us         float64
 	}{{"barrier", 20.2203}, {"allreduce", 68.099946875}} {
-		if got := o.CollLatency(p.collective, 64, 1, true); got != p.us {
+		got := o.CollLatency(p.collective, 64, 1, true)
+		if got != p.us {
 			t.Errorf("64-host NIC %s: %v µs per operation, pinned %v", p.collective, got, p.us)
 		}
+		lines = append(lines, p.collective+" "+strconv.FormatFloat(got, 'g', -1, 64)+" us")
 	}
+	golden.Check(t, "TestCollLatencyPins", "nic-64hosts-1word", golden.Capture{Lines: lines})
 }
 
 // CollScaleSweep covers every requested (collective, size) point with

@@ -3,13 +3,18 @@ package metrics_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/fabric"
+	"repro/internal/golden"
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -41,6 +46,35 @@ func snapshotJSON(t *testing.T, reg *metrics.Registry) []byte {
 		t.Fatal(err)
 	}
 	return b.Bytes()
+}
+
+// snapshotLines renders reg's snapshot one instrument a line, in snapshot
+// order, every key and value kept, without the one wall-clock instrument
+// (sim.barrier_wait_ns, a histogram of real barrier waits on a sharded run).
+func snapshotLines(reg *metrics.Registry) []string {
+	s := reg.Snapshot()
+	var out []string
+	for _, c := range s.Counters {
+		out = append(out, fmt.Sprintf("counter %v %d", c.Key, c.Value))
+	}
+	for _, g := range s.Gauges {
+		out = append(out, fmt.Sprintf("gauge %v %d high=%d", g.Key, g.Value, g.High))
+	}
+	for _, h := range s.Histograms {
+		if h.Component == "sim" {
+			continue
+		}
+		line := fmt.Sprintf("hist %v count=%d sum=%d min=%d max=%d", h.Key, h.Count, h.Sum, h.Min, h.Max)
+		var b []string
+		for _, i := range slices.Sorted(maps.Keys(h.Buckets)) {
+			b = append(b, fmt.Sprintf("%d:%d", i, h.Buckets[i]))
+		}
+		if len(b) > 0 {
+			line += " buckets=" + strings.Join(b, ",")
+		}
+		out = append(out, line)
+	}
+	return out
 }
 
 func compareGolden(t *testing.T, name string, got []byte) {
@@ -97,6 +131,7 @@ func TestSnapshotEquivalenceLossyMulticast(t *testing.T) {
 	reg := metrics.New()
 	multicastRun(t, reg, cluster.WithLossRate(0.02))
 	compareGolden(t, "mcast8_loss2pct.json", snapshotJSON(t, reg))
+	golden.Check(t, "TestSnapshotEquivalenceLossyMulticast", "mcast8_loss2pct", golden.Capture{Lines: snapshotLines(reg)})
 }
 
 // A sharded engine refuses stochastic loss, so the two-shard capture is the
@@ -105,6 +140,7 @@ func TestSnapshotEquivalenceTwoShards(t *testing.T) {
 	reg := metrics.New()
 	multicastRun(t, reg, cluster.WithShards(2))
 	compareGolden(t, "mcast8_shards2.json", snapshotJSON(t, reg))
+	golden.Check(t, "TestSnapshotEquivalenceTwoShards", "mcast8_shards2", golden.Capture{Lines: snapshotLines(reg)})
 }
 
 // Every cluster of both points files under the same keys of one registry:
@@ -116,6 +152,7 @@ func TestSnapshotEquivalenceSharedAcrossClusters(t *testing.T) {
 	o.MulticastNB(8, 1024)
 	o.MulticastHB(4, 4096)
 	compareGolden(t, "harness_two_points.json", snapshotJSON(t, o.Metrics))
+	golden.Check(t, "TestSnapshotEquivalenceSharedAcrossClusters", "harness_two_points", golden.Capture{Lines: snapshotLines(o.Metrics)})
 }
 
 func TestSnapshotEquivalenceCollectives(t *testing.T) {
@@ -151,4 +188,5 @@ func TestSnapshotEquivalenceCollectives(t *testing.T) {
 	}
 	c.Kill()
 	compareGolden(t, "coll8_barrier_allreduce.json", snapshotJSON(t, reg))
+	golden.Check(t, "TestSnapshotEquivalenceCollectives", "coll8_barrier_allreduce", golden.Capture{Lines: snapshotLines(reg)})
 }
