@@ -2,13 +2,13 @@ package clos_test
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/clos"
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/golden"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -123,22 +123,16 @@ func TestRouteDeterminism(t *testing.T) {
 
 // closRun drives the full NIC-multicast stack — group install, then
 // pipelined root multicasts — on a Clos-backed cluster, returning the
-// merged (timestamp, tiebreak key) event timeline and the final clock.
+// merged (timestamp, tiebreak key) event timeline with the final clock.
 // It is the Clos instantiation of the PDES acceptance probe.
-func closRun(t *testing.T, nodes, shards, msgs int, seed int64) ([][2]uint64, sim.Time) {
+func closRun(t *testing.T, nodes, shards, msgs int, seed int64) golden.Capture {
 	t.Helper()
 	c := cluster.New(nodes,
 		cluster.WithFabric(clos.Default()),
 		cluster.WithShards(shards),
 		cluster.WithSeed(seed),
 	)
-	recs := make([][][2]uint64, len(c.Engines()))
-	for i, e := range c.Engines() {
-		i := i
-		e.SetFireHook(func(when sim.Time, key uint64) {
-			recs[i] = append(recs[i], [2]uint64{uint64(when), key})
-		})
-	}
+	stream := golden.Hook(c.Engines())
 	ports := c.OpenPorts(1)
 	ready := c.InstallGroup(7, tree.Binomial(0, c.Members()), 1, 1)
 	for i := 1; i < nodes; i++ {
@@ -161,20 +155,9 @@ func closRun(t *testing.T, nodes, shards, msgs int, seed int64) ([][2]uint64, si
 		}
 	})
 	c.Run()
-	end := c.Now()
+	cp := golden.Capture{Clock: c.Now(), Stream: stream()}
 	c.Kill()
-
-	var all [][2]uint64
-	for _, r := range recs {
-		all = append(all, r...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i][0] != all[j][0] {
-			return all[i][0] < all[j][0]
-		}
-		return all[i][1] < all[j][1]
-	})
-	return all, end
+	return cp
 }
 
 // TestClosShardedEquivalence is the PDES acceptance bar on the new
@@ -184,23 +167,14 @@ func closRun(t *testing.T, nodes, shards, msgs int, seed int64) ([][2]uint64, si
 func TestClosShardedEquivalence(t *testing.T) {
 	const nodes, msgs = 40, 4
 	for _, seed := range []int64{5, 11, 23} {
-		serial, serialEnd := closRun(t, nodes, 1, msgs, seed)
-		if len(serial) == 0 {
+		serial := closRun(t, nodes, 1, msgs, seed)
+		if len(serial.Stream) == 0 {
 			t.Fatal("serial Clos run fired no events")
 		}
 		for _, shards := range []int{2, 4} {
-			tl, end := closRun(t, nodes, shards, msgs, seed)
-			if end != serialEnd {
-				t.Errorf("seed %d shards %d: final clock %v != serial %v", seed, shards, end, serialEnd)
-			}
-			if len(tl) != len(serial) {
-				t.Fatalf("seed %d shards %d: %d events, serial %d", seed, shards, len(tl), len(serial))
-			}
-			for i := range tl {
-				if tl[i] != serial[i] {
-					t.Fatalf("seed %d shards %d: timeline diverges at event %d: (%d, %#x) vs serial (%d, %#x)",
-						seed, shards, i, tl[i][0], tl[i][1], serial[i][0], serial[i][1])
-				}
+			golden.Equal(t, serial, closRun(t, nodes, shards, msgs, seed))
+			if t.Failed() {
+				t.Fatalf("seed %d shards %d: timeline diverged from the serial run", seed, shards)
 			}
 		}
 	}
@@ -215,13 +189,12 @@ func TestClosTierTrafficSmoke(t *testing.T) {
 		t.Skip("three-tier smoke is slow")
 	}
 	for _, nodes := range []int{8, 48, 600} {
-		a, endA := closRun(t, nodes, 1, 2, 1)
-		_, endB := closRun(t, nodes, 1, 2, 1)
-		if len(a) == 0 {
+		a, b := closRun(t, nodes, 1, 2, 1), closRun(t, nodes, 1, 2, 1)
+		if len(a.Stream) == 0 {
 			t.Fatalf("%d-node run fired no events", nodes)
 		}
-		if endA != endB {
-			t.Errorf("%d-node run not reproducible: %v vs %v", nodes, endA, endB)
+		if a.Clock != b.Clock {
+			t.Errorf("%d-node run not reproducible: %v vs %v", nodes, a.Clock, b.Clock)
 		}
 	}
 }

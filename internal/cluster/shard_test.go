@@ -2,64 +2,44 @@ package cluster_test
 
 import (
 	"fmt"
-	"sort"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/clos"
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/gm"
+	"repro/internal/golden"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
-// fireRec is one fired event as the equivalence probe sees it.
-type fireRec struct {
-	when sim.Time
-	key  uint64
+// engineLogs records each engine's fired events in fire order, one log per
+// engine, so a sharded run records race-free.
+type engineLogs struct {
+	perEngine [][]golden.Event
 }
 
-// hookAll records every fired event on every engine of c. Records are
-// per-engine (each engine's hook appends only its own slice, so sharded
-// runs record race-free); merge() flattens and sorts them by (when, key) —
-// the canonical timeline order both serial and sharded runs must agree on.
-type hookAll struct {
-	perEngine [][]fireRec
-}
-
-func hookCluster(c *cluster.Cluster) *hookAll {
-	h := &hookAll{perEngine: make([][]fireRec, len(c.Engines()))}
+func logEngines(c *cluster.Cluster) *engineLogs {
+	h := &engineLogs{perEngine: make([][]golden.Event, len(c.Engines()))}
 	for i, e := range c.Engines() {
-		i := i
 		e.SetFireHook(func(when sim.Time, key uint64) {
-			h.perEngine[i] = append(h.perEngine[i], fireRec{when, key})
+			h.perEngine[i] = append(h.perEngine[i], golden.Event{When: when, Key: key})
 		})
 	}
 	return h
 }
 
-func (h *hookAll) merge() []fireRec {
-	var all []fireRec
-	for _, recs := range h.perEngine {
-		all = append(all, recs...)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].when != all[j].when {
-			return all[i].when < all[j].when
-		}
-		return all[i].key < all[j].key
-	})
-	return all
-}
-
 // gmShardRun drives a NIC-based multicast workload — install a binomial
 // tree, then five pipelined multicasts from the root — on a cluster with
-// the given shard count, returning the merged event timeline, each node's
-// delivery times, and the final clock.
-func gmShardRun(t *testing.T, nodes, shards int, msgs int) ([]fireRec, [][]sim.Time, sim.Time) {
+// the given shard count, returning the merged event timeline with the final
+// clock, and each node's delivery times.
+func gmShardRun(t *testing.T, nodes, shards int, msgs int) (golden.Capture, [][]sim.Time) {
 	t.Helper()
 	c := cluster.New(nodes, cluster.WithShards(shards), cluster.WithSeed(11))
-	h := hookCluster(c)
+	stream := golden.Hook(c.Engines())
 	ports := c.OpenPorts(1)
 	ready := c.InstallGroup(7, tree.Binomial(0, c.Members()), 1, 1)
 
@@ -92,9 +72,9 @@ func gmShardRun(t *testing.T, nodes, shards int, msgs int) ([]fireRec, [][]sim.T
 		}
 	})
 	c.Run()
-	end := c.Now()
+	cp := golden.Capture{Clock: c.Now(), Events: c.EventsFired(), Stream: stream()}
 	c.Kill()
-	return h.merge(), deliveries, end
+	return cp, deliveries
 }
 
 // TestShardedGMEquivalence is the acceptance bar for the conservative PDES
@@ -104,41 +84,42 @@ func gmShardRun(t *testing.T, nodes, shards int, msgs int) ([]fireRec, [][]sim.T
 // multi-switch fabric where real cross-shard traffic occurs.
 func TestShardedGMEquivalence(t *testing.T) {
 	const nodes, msgs = 32, 5
-	serialTL, serialDel, serialEnd := gmShardRun(t, nodes, 1, msgs)
-	if len(serialTL) == 0 {
+	serial, serialDel := gmShardRun(t, nodes, 1, msgs)
+	if len(serial.Stream) == 0 {
 		t.Fatal("serial run fired no events; equivalence check is vacuous")
 	}
 	for _, shards := range []int{2, 4} {
-		tl, del, end := gmShardRun(t, nodes, shards, msgs)
-		if end != serialEnd {
-			t.Errorf("shards=%d: final clock %v != serial %v", shards, end, serialEnd)
-		}
-		if len(tl) != len(serialTL) {
-			t.Fatalf("shards=%d: %d events fired, serial fired %d", shards, len(tl), len(serialTL))
-		}
-		for i := range tl {
-			if tl[i] != serialTL[i] {
-				t.Fatalf("shards=%d: timeline diverges at event %d: got (%v, %#x), serial (%v, %#x)",
-					shards, i, tl[i].when, tl[i].key, serialTL[i].when, serialTL[i].key)
-			}
-		}
-		for n := range del {
-			if len(del[n]) != len(serialDel[n]) {
-				t.Fatalf("shards=%d: node %d got %d deliveries, serial %d", shards, n, len(del[n]), len(serialDel[n]))
-			}
-			for i := range del[n] {
-				if del[n][i] != serialDel[n][i] {
-					t.Errorf("shards=%d: node %d delivery %d at %v, serial %v", shards, n, i, del[n][i], serialDel[n][i])
-				}
-			}
+		sharded, del := gmShardRun(t, nodes, shards, msgs)
+		golden.Equal(t, serial, sharded)
+		if !reflect.DeepEqual(del, serialDel) {
+			t.Errorf("shards=%d: delivery times differ from the serial run's", shards)
 		}
 	}
 }
 
+// TestGoldenEqualNamesDelayedEvent delays one event of a 2-shard run by a
+// nanosecond: the comparator must name that event, not only say the runs
+// differ.
+func TestGoldenEqualNamesDelayedEvent(t *testing.T) {
+	a, _ := gmShardRun(t, 16, 2, 3)
+	b := a
+	b.Stream = slices.Clone(a.Stream)
+	k := len(b.Stream) / 2
+	b.Stream[k].When++
+	r := &reportTB{TB: t}
+	golden.Equal(r, a, b)
+	e := a.Stream[k]
+	want := fmt.Sprintf("first divergence at event %d (t=%d key=%#x domain=%d); first run has (t=%d key=%#x domain=%d)",
+		k, e.When+1, e.Key, e.Key>>48, e.When, e.Key, e.Key>>48)
+	if !strings.Contains(r.report, want) {
+		t.Errorf("report lacks %q:\n%s", want, r.report)
+	}
+}
+
 // take returns every engine's fire log so far and starts new ones.
-func (h *hookAll) take() [][]fireRec {
+func (h *engineLogs) take() [][]golden.Event {
 	logs := h.perEngine
-	h.perEngine = make([][]fireRec, len(logs))
+	h.perEngine = make([][]golden.Event, len(logs))
 	return logs
 }
 
@@ -147,11 +128,11 @@ func (h *hookAll) take() [][]fireRec {
 // It returns the final clock, the events fired, when sharded the
 // coordinator's accounting, and each engine's fire log per Run call (the
 // install, then the multicasts).
-func balanceRun(t *testing.T, nodes, shards int, opts ...cluster.Option) (sim.Time, uint64, sim.ShardStats, [][][]fireRec) {
+func balanceRun(t *testing.T, nodes, shards int, opts ...cluster.Option) (sim.Time, uint64, sim.ShardStats, [][][]golden.Event) {
 	t.Helper()
 	const groups, msgs, size = 2, 2, 32 << 10
 	c := cluster.New(nodes, append([]cluster.Option{cluster.WithShards(shards), cluster.WithSeed(1)}, opts...)...)
-	h := hookCluster(c)
+	h := logEngines(c)
 	roots := make([]fabric.NodeID, groups)
 	ports := make([][]*gm.Port, groups)
 	var ready []func() bool
@@ -175,7 +156,7 @@ func balanceRun(t *testing.T, nodes, shards int, opts ...cluster.Option) (sim.Ti
 	// Install to quiescence first: the completion flags are safe to read
 	// only behind a sharded barrier.
 	c.Run()
-	runs := [][][]fireRec{h.take()}
+	runs := [][][]golden.Event{h.take()}
 	for g, ok := range ready {
 		if !ok() {
 			t.Fatalf("shards=%d: group %d install incomplete", shards, g)
@@ -209,7 +190,7 @@ func balanceRun(t *testing.T, nodes, shards int, opts ...cluster.Option) (sim.Ti
 // once its predecessor on d has, and once every event of the other shard at
 // time <= t − look has. Each event costs one. logs are the two engines'
 // fire logs, each in fire order and so in time order.
-func nullMessageCritical(logs [][]fireRec, look sim.Time) uint64 {
+func nullMessageCritical(logs [][]golden.Event, look sim.Time) uint64 {
 	var fin [2][]uint64 // each event's finish step, per shard
 	var dep [2]int      // how many of the other shard's events each shard's next event waits for
 	var crit uint64
@@ -217,16 +198,16 @@ func nullMessageCritical(logs [][]fireRec, look sim.Time) uint64 {
 		// Take the earlier of the two shards' next events: everything the
 		// other shard fired before t is then done.
 		d := 0
-		if i, j := len(fin[0]), len(fin[1]); i == len(logs[0]) || j < len(logs[1]) && logs[1][j].when < logs[0][i].when {
+		if i, j := len(fin[0]), len(fin[1]); i == len(logs[0]) || j < len(logs[1]) && logs[1][j].When < logs[0][i].When {
 			d = 1
 		}
 		o, i := 1-d, len(fin[d])
-		t := logs[d][i].when
+		t := logs[d][i].When
 		var f uint64
 		if i > 0 {
 			f = fin[d][i-1]
 		}
-		for dep[d] < len(logs[o]) && logs[o][dep[d]].when <= t-look {
+		for dep[d] < len(logs[o]) && logs[o][dep[d]].When <= t-look {
 			dep[d]++
 		}
 		if dep[d] > 0 {
@@ -297,19 +278,9 @@ func TestShardedWindowBalance(t *testing.T) {
 // timeline.
 func TestShardsExceedNodes(t *testing.T) {
 	const nodes, msgs = 4, 3
-	serialTL, _, serialEnd := gmShardRun(t, nodes, 1, msgs)
-	tl, _, end := gmShardRun(t, nodes, 16, msgs)
-	if end != serialEnd {
-		t.Errorf("final clock %v != serial %v", end, serialEnd)
-	}
-	if len(tl) != len(serialTL) {
-		t.Fatalf("%d events fired, serial fired %d", len(tl), len(serialTL))
-	}
-	for i := range tl {
-		if tl[i] != serialTL[i] {
-			t.Fatalf("timeline diverges at event %d", i)
-		}
-	}
+	serial, _ := gmShardRun(t, nodes, 1, msgs)
+	clamped, _ := gmShardRun(t, nodes, 16, msgs)
+	golden.Equal(t, serial, clamped)
 }
 
 // TestShardOptionValidation pins the sentinel panics for configurations

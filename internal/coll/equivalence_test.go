@@ -3,7 +3,6 @@ package coll_test
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/clos"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/coll"
 	"repro/internal/fabric"
 	"repro/internal/gm"
+	"repro/internal/golden"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
 	"repro/internal/tree"
@@ -23,36 +23,6 @@ import (
 // serial, 2-sharded or 4-sharded. This is PR-7's equivalence property
 // extended to the collective platform: the conservative parallel engine
 // may only change wall-clock time, never the simulated timeline.
-
-type tlRec struct {
-	when sim.Time
-	key  uint64
-}
-
-// recordTimelines attaches a fire hook to every engine and returns a
-// closure producing the merged (when, key)-sorted timeline.
-func recordTimelines(c *cluster.Cluster) func() []tlRec {
-	per := make([][]tlRec, len(c.Engines()))
-	for i, e := range c.Engines() {
-		i := i
-		e.SetFireHook(func(when sim.Time, key uint64) {
-			per[i] = append(per[i], tlRec{when, key})
-		})
-	}
-	return func() []tlRec {
-		var all []tlRec
-		for _, recs := range per {
-			all = append(all, recs...)
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].when != all[j].when {
-				return all[i].when < all[j].when
-			}
-			return all[i].key < all[j].key
-		})
-		return all
-	}
-}
 
 var modes = []struct {
 	name   string
@@ -70,19 +40,6 @@ var fabrics = []struct {
 }{
 	{"myrinet", myrinet.Default()},
 	{"clos", clos.Default()},
-}
-
-func diffTimelines(t *testing.T, label string, want, got []tlRec) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: fired %d events, baseline fired %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("%s: timeline diverges at event %d: got (%v, %#x), want (%v, %#x)",
-				label, i, got[i].when, got[i].key, want[i].when, want[i].key)
-		}
-	}
 }
 
 // collCase is one collective algorithm's workload: three rounds with a
@@ -168,8 +125,8 @@ func collCases() []collCase {
 }
 
 // runCollCase executes one (case, fabric, mode, seed) point and returns
-// the merged timeline, the per-node results, and the finish time.
-func runCollCase(t *testing.T, cc collCase, fb fabric.Config, shards int, seed int64, nodes int) ([]tlRec, [][]int64, sim.Time) {
+// the merged timeline with the finish time, and the per-node results.
+func runCollCase(t *testing.T, cc collCase, fb fabric.Config, shards int, seed int64, nodes int) (golden.Capture, [][]int64) {
 	t.Helper()
 	cfg := cluster.DefaultConfig(nodes)
 	cfg.Seed = seed
@@ -177,7 +134,7 @@ func runCollCase(t *testing.T, cc collCase, fb fabric.Config, shards int, seed i
 	cfg.Fabric = fb
 	cfg.Link = fb.Links
 	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
-	tl := recordTimelines(c)
+	stream := golden.Hook(c.Engines())
 	ports := c.OpenPorts(7)
 	c.InstallGroup(collGID, tree.Binomial(0, c.Members()), 7, 7)
 	ready := c.InstallCollGroup(collGID, c.Members(), 7, cc.opts...)
@@ -201,7 +158,7 @@ func runCollCase(t *testing.T, cc collCase, fb fabric.Config, shards int, seed i
 			t.Fatalf("node %v leaked collective state: %s", n.ID, s)
 		}
 	}
-	return tl(), results, c.Now()
+	return golden.Capture{Clock: c.Now(), Stream: stream()}, results
 }
 
 // TestCollEquivalenceMatrix is the full matrix: every collective × both
@@ -215,25 +172,24 @@ func TestCollEquivalenceMatrix(t *testing.T) {
 			cc := cc
 			t.Run(fb.name+"/"+cc.name, func(t *testing.T) {
 				for _, seed := range []int64{1, 2} {
-					var baseTL []tlRec
+					var base golden.Capture
 					var baseRes [][]int64
-					var baseNow sim.Time
 					for mi, m := range modes {
-						tl, res, now := runCollCase(t, cc, fb.cfg, m.shards, seed, nodes)
+						run, res := runCollCase(t, cc, fb.cfg, m.shards, seed, nodes)
 						if mi == 0 {
-							baseTL, baseRes, baseNow = tl, res, now
-							if len(baseTL) == 0 {
+							base, baseRes = run, res
+							if len(base.Stream) == 0 {
 								t.Fatalf("seed %d: baseline fired no events", seed)
 							}
 							continue
 						}
 						label := fmt.Sprintf("seed %d %s", seed, m.name)
-						diffTimelines(t, label, baseTL, tl)
+						golden.Equal(t, base, run)
+						if t.Failed() {
+							t.Fatalf("%s: timeline diverged from the baseline", label)
+						}
 						if !reflect.DeepEqual(res, baseRes) {
 							t.Errorf("%s: collective results diverged from baseline", label)
-						}
-						if now != baseNow {
-							t.Errorf("%s: finished at %v, baseline at %v", label, now, baseNow)
 						}
 					}
 				}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/golden"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -16,9 +17,9 @@ import (
 // engine must reproduce the serial timeline there too.
 
 // runGatherAtScale runs one engine-level allgather round at the given
-// size and returns the merged timeline and the finish time. Every node's
+// size and returns the merged timeline with the finish time. Every node's
 // result vector is checked in place.
-func runGatherAtScale(t *testing.T, fb fabric.Config, nodes, shards int) ([]tlRec, sim.Time) {
+func runGatherAtScale(t *testing.T, fb fabric.Config, nodes, shards int) golden.Capture {
 	t.Helper()
 	cfg := cluster.DefaultConfig(nodes)
 	cfg.Seed = 1
@@ -26,7 +27,7 @@ func runGatherAtScale(t *testing.T, fb fabric.Config, nodes, shards int) ([]tlRe
 	cfg.Fabric = fb
 	cfg.Link = fb.Links
 	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
-	tl := recordTimelines(c)
+	stream := golden.Hook(c.Engines())
 	ports := c.OpenPorts(7)
 	c.InstallGroup(collGID, tree.Binomial(0, c.Members()), 7, 7)
 	ready := c.InstallCollGroup(collGID, c.Members(), 7)
@@ -63,7 +64,7 @@ func runGatherAtScale(t *testing.T, fb fabric.Config, nodes, shards int) ([]tlRe
 			t.Fatalf("node %v leaked collective state: %s", n.ID, s)
 		}
 	}
-	return tl(), c.Now()
+	return golden.Capture{Clock: c.Now(), Stream: stream()}
 }
 
 // TestAllgatherAtScale drives the engine's tree allgather at 512 hosts on
@@ -74,15 +75,11 @@ func TestAllgatherAtScale(t *testing.T) {
 	for _, fb := range fabrics {
 		fb := fb
 		t.Run(fb.name, func(t *testing.T) {
-			serialTL, serialNow := runGatherAtScale(t, fb.cfg, nodes, 1)
-			if len(serialTL) == 0 {
+			serial := runGatherAtScale(t, fb.cfg, nodes, 1)
+			if len(serial.Stream) == 0 {
 				t.Fatal("serial run fired no events")
 			}
-			shardTL, shardNow := runGatherAtScale(t, fb.cfg, nodes, 4)
-			diffTimelines(t, "4-shard", serialTL, shardTL)
-			if shardNow != serialNow {
-				t.Fatalf("4-shard run finished at %v, serial at %v", shardNow, serialNow)
-			}
+			golden.Equal(t, serial, runGatherAtScale(t, fb.cfg, nodes, 4))
 		})
 	}
 }
@@ -97,7 +94,7 @@ func TestAllgatherAt2048(t *testing.T) {
 	for _, fb := range fabrics {
 		fb := fb
 		t.Run(fb.name, func(t *testing.T) {
-			if _, now := runGatherAtScale(t, fb.cfg, 2048, 4); now == 0 {
+			if runGatherAtScale(t, fb.cfg, 2048, 4).Clock == 0 {
 				t.Fatal("run finished at time zero")
 			}
 		})

@@ -40,15 +40,9 @@ func TestCollLatencyPins(t *testing.T) {
 	o.Iters = 10
 	o.Seed = 1
 	var lines []string
-	for _, p := range []struct {
-		collective string
-		us         float64
-	}{{"barrier", 20.2203}, {"allreduce", 68.099946875}} {
-		got := o.CollLatency(p.collective, 64, 1, true)
-		if got != p.us {
-			t.Errorf("64-host NIC %s: %v µs per operation, pinned %v", p.collective, got, p.us)
-		}
-		lines = append(lines, p.collective+" "+strconv.FormatFloat(got, 'g', -1, 64)+" us")
+	for _, coll := range []string{"barrier", "allreduce"} {
+		us := o.CollLatency(coll, 64, 1, true)
+		lines = append(lines, coll+" "+strconv.FormatFloat(us, 'g', -1, 64)+" us")
 	}
 	golden.Check(t, "TestCollLatencyPins", "nic-64hosts-1word", golden.Capture{Lines: lines})
 }

@@ -1,12 +1,8 @@
 package metrics_test
 
 import (
-	"bytes"
-	"flag"
 	"fmt"
 	"maps"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -21,32 +17,12 @@ import (
 	"repro/internal/tree"
 )
 
-// The files under testdata/ are full Snapshot dumps captured on commit
-// 93acc71, when every instrument was its own heap object filed by name, to
-// show that moving to blocks changed no key, no value and not the order of a
-// Snapshot. A change that means to add an instrument or move a protocol
-// count re-captures them with -update and reads the diff; one that does not
-// mean to must leave them alone.
-var update = flag.Bool("update", false, "rewrite testdata/*.json from this build's snapshots")
-
-// snapshotJSON renders reg's snapshot without the one wall-clock instrument
-// (sim.barrier_wait_ns, a histogram of real barrier waits on a sharded run).
-func snapshotJSON(t *testing.T, reg *metrics.Registry) []byte {
-	t.Helper()
-	s := reg.Snapshot()
-	kept := s.Histograms[:0]
-	for _, h := range s.Histograms {
-		if h.Component != "sim" {
-			kept = append(kept, h)
-		}
-	}
-	s.Histograms = kept
-	var b bytes.Buffer
-	if err := s.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
-}
+// The goldens under testdata/golden hold full snapshots, one instrument a
+// line, first captured on commit 93acc71 when every instrument was its own
+// heap object filed by name, to show that moving to blocks changed no key,
+// no value and not the order of a Snapshot. A change that means to add an
+// instrument or move a protocol count re-captures them with GOLDEN_UPDATE=1
+// and reads the report; one that does not mean to must leave them alone.
 
 // snapshotLines renders reg's snapshot one instrument a line, in snapshot
 // order, every key and value kept, without the one wall-clock instrument
@@ -75,23 +51,6 @@ func snapshotLines(reg *metrics.Registry) []string {
 		out = append(out, line)
 	}
 	return out
-}
-
-func compareGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	if *update {
-		if err := os.WriteFile(filepath.Join("testdata", name), got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s: snapshot differs from the capture (%d bytes, want %d)", name, len(got), len(want))
-	}
 }
 
 // multicastRun streams five 2000-byte multicasts down a binomial tree of 8
@@ -130,7 +89,6 @@ func multicastRun(t *testing.T, reg *metrics.Registry, opts ...cluster.Option) {
 func TestSnapshotEquivalenceLossyMulticast(t *testing.T) {
 	reg := metrics.New()
 	multicastRun(t, reg, cluster.WithLossRate(0.02))
-	compareGolden(t, "mcast8_loss2pct.json", snapshotJSON(t, reg))
 	golden.Check(t, "TestSnapshotEquivalenceLossyMulticast", "mcast8_loss2pct", golden.Capture{Lines: snapshotLines(reg)})
 }
 
@@ -139,7 +97,6 @@ func TestSnapshotEquivalenceLossyMulticast(t *testing.T) {
 func TestSnapshotEquivalenceTwoShards(t *testing.T) {
 	reg := metrics.New()
 	multicastRun(t, reg, cluster.WithShards(2))
-	compareGolden(t, "mcast8_shards2.json", snapshotJSON(t, reg))
 	golden.Check(t, "TestSnapshotEquivalenceTwoShards", "mcast8_shards2", golden.Capture{Lines: snapshotLines(reg)})
 }
 
@@ -151,7 +108,6 @@ func TestSnapshotEquivalenceSharedAcrossClusters(t *testing.T) {
 	o.Metrics = metrics.New()
 	o.MulticastNB(8, 1024)
 	o.MulticastHB(4, 4096)
-	compareGolden(t, "harness_two_points.json", snapshotJSON(t, o.Metrics))
 	golden.Check(t, "TestSnapshotEquivalenceSharedAcrossClusters", "harness_two_points", golden.Capture{Lines: snapshotLines(o.Metrics)})
 }
 
@@ -187,6 +143,5 @@ func TestSnapshotEquivalenceCollectives(t *testing.T) {
 		t.Fatalf("%d processes never finished", live)
 	}
 	c.Kill()
-	compareGolden(t, "coll8_barrier_allreduce.json", snapshotJSON(t, reg))
 	golden.Check(t, "TestSnapshotEquivalenceCollectives", "coll8_barrier_allreduce", golden.Capture{Lines: snapshotLines(reg)})
 }

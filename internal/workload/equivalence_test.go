@@ -1,14 +1,13 @@
 package workload_test
 
 import (
-	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/clos"
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/golden"
 	"repro/internal/member"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
@@ -33,36 +32,6 @@ import (
 // compared too: the timeline proves the engines agree, the report proves
 // the workload-visible numbers do.
 
-type tlRec struct {
-	when sim.Time
-	key  uint64
-}
-
-// recordTimelines attaches a fire hook to every engine and returns a
-// closure producing the merged (when, key)-sorted timeline.
-func recordTimelines(c *cluster.Cluster) func() []tlRec {
-	per := make([][]tlRec, len(c.Engines()))
-	for i, e := range c.Engines() {
-		i := i
-		e.SetFireHook(func(when sim.Time, key uint64) {
-			per[i] = append(per[i], tlRec{when, key})
-		})
-	}
-	return func() []tlRec {
-		var all []tlRec
-		for _, recs := range per {
-			all = append(all, recs...)
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].when != all[j].when {
-				return all[i].when < all[j].when
-			}
-			return all[i].key < all[j].key
-		})
-		return all
-	}
-}
-
 // modes lists the execution modes under test as Config.Shards values.
 var modes = []struct {
 	name   string
@@ -85,19 +54,6 @@ var fabrics = []struct {
 	{"clos", clos.Default()},
 }
 
-func diffTimelines(t *testing.T, label string, want, got []tlRec) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: fired %d events, baseline fired %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("%s: timeline diverges at event %d: got (%v, %#x), want (%v, %#x)",
-				label, i, got[i].when, got[i].key, want[i].when, want[i].key)
-		}
-	}
-}
-
 func TestEngineEquivalenceAcrossPatterns(t *testing.T) {
 	const nodes = 16
 	p2p := []workload.Pattern{workload.Uniform, workload.Permutation, workload.Hotspot, workload.Neighbor}
@@ -107,7 +63,7 @@ func TestEngineEquivalenceAcrossPatterns(t *testing.T) {
 			pat := pat
 			t.Run(fb.name+"/"+string(pat), func(t *testing.T) {
 				for _, seed := range []int64{1, 2, 3} {
-					var baseTL []tlRec
+					var baseTL []golden.Event
 					var baseRep workload.Report
 					for mi, m := range modes {
 						cfg := cluster.DefaultConfig(nodes)
@@ -115,13 +71,13 @@ func TestEngineEquivalenceAcrossPatterns(t *testing.T) {
 						cfg.Shards = m.shards
 						cfg.Fabric = fb.cfg
 						cfg.Link = fb.cfg.Links
-						var tl func() []tlRec
+						var tl func() []golden.Event
 						rep, err := workload.RunWith(cfg, workload.Spec{
 							Pattern:  pat,
 							Messages: 60,
 							MeanSize: 2048,
 							MeanGap:  5 * sim.Microsecond,
-						}, func(c *cluster.Cluster) { tl = recordTimelines(c) })
+						}, func(c *cluster.Cluster) { tl = golden.Hook(c.Engines()) })
 						if err != nil {
 							t.Fatalf("seed %d %s: %v", seed, m.name, err)
 						}
@@ -132,7 +88,10 @@ func TestEngineEquivalenceAcrossPatterns(t *testing.T) {
 							}
 							continue
 						}
-						diffTimelines(t, fmt.Sprintf("seed %d %s", seed, m.name), baseTL, tl())
+						golden.Equal(t, golden.Capture{Stream: baseTL}, golden.Capture{Stream: tl()})
+						if t.Failed() {
+							t.Fatalf("seed %d %s: timeline diverged from the baseline", seed, m.name)
+						}
 						if rep != baseRep {
 							t.Errorf("seed %d %s: report %+v != baseline %+v", seed, m.name, rep, baseRep)
 						}
@@ -153,7 +112,7 @@ func TestEngineEquivalenceChurn(t *testing.T) {
 		fb := fb
 		t.Run(fb.name, func(t *testing.T) {
 			for _, seed := range []int64{1, 2, 3} {
-				var baseTL []tlRec
+				var baseTL []golden.Event
 				var base *member.Result
 				for mi, m := range modes {
 					plan, err := workload.GenerateChurn(workload.ChurnSpec{
@@ -169,7 +128,7 @@ func TestEngineEquivalenceChurn(t *testing.T) {
 					}
 					c := cluster.New(nodes, cluster.WithSeed(seed),
 						cluster.WithShards(m.shards), cluster.WithFabric(fb.cfg))
-					tl := recordTimelines(c)
+					tl := golden.Hook(c.Engines())
 					res := member.Run(c, member.Config{}, plan)
 					if vs := res.Verify(); len(vs) != 0 {
 						t.Fatalf("seed %d %s: churn run violated invariants: %v", seed, m.name, vs)
@@ -178,7 +137,10 @@ func TestEngineEquivalenceChurn(t *testing.T) {
 						baseTL, base = tl(), res
 						continue
 					}
-					diffTimelines(t, fmt.Sprintf("seed %d %s", seed, m.name), baseTL, tl())
+					golden.Equal(t, golden.Capture{Stream: baseTL}, golden.Capture{Stream: tl()})
+					if t.Failed() {
+						t.Fatalf("seed %d %s: timeline diverged from the baseline", seed, m.name)
+					}
 					if res.Finish != base.Finish {
 						t.Errorf("seed %d %s: finish %v != baseline %v", seed, m.name, res.Finish, base.Finish)
 					}
