@@ -332,7 +332,6 @@ func RunOnce(w Workload, sc Scenario, cfg Config, cleanSpan sim.Time) Outcome {
 	ccfg := cluster.DefaultConfig(cfg.Nodes)
 	if cfg.Fabric.Valid() {
 		ccfg.Fabric = cfg.Fabric
-		ccfg.Link = cfg.Fabric.Links
 	}
 	ccfg.Seed = cfg.Seed
 	ccfg.Metrics = reg

@@ -24,16 +24,13 @@ import (
 // Config aggregates every tunable of the simulated testbed.
 type Config struct {
 	Nodes int
-	Link  fabric.LinkParams
 	NIC   lanai.Params
 	GM    gm.Config
 	Mcast core.Config
 
-	// Fabric selects the interconnect backend (myrinet.Default(),
-	// clos.Default(), or a preset with edited fields). The zero value means
-	// the classic Myrinet fabric. Link always holds the effective link
-	// parameters — WithFabric copies the preset's links there, so sweeps
-	// that mutate Link keep working on every backend.
+	// Fabric selects the interconnect backend and holds its link
+	// parameters (myrinet.Default(), clos.Default(), or a preset with edited
+	// fields). DefaultConfig sets the Myrinet preset, as does a zero value.
 	Fabric fabric.Config
 
 	// HostMemcpyNsPerByte is the host CPU's copy bandwidth, paid when the
@@ -84,7 +81,7 @@ func DefaultConfig(n int) *Config {
 	g.AckProcCost = sim.Micros(0.9)
 	return &Config{
 		Nodes:               n,
-		Link:                myrinet.DefaultLinkParams(),
+		Fabric:              myrinet.Default(),
 		NIC:                 lanai.DefaultParams(),
 		GM:                  g,
 		Mcast:               core.DefaultConfig(),
@@ -147,6 +144,15 @@ func New(n int, opts ...Option) *Cluster {
 // build assembles the cluster described by cfg, wiring the metrics
 // registry (cfg's, or the cluster's own) through every layer before
 // firmware is attached.
+// backend resolves the interconnect: Fabric, or the Myrinet preset when
+// Fabric is unset.
+func (cfg *Config) backend() fabric.Config {
+	if cfg.Fabric.Valid() {
+		return cfg.Fabric
+	}
+	return myrinet.Default()
+}
+
 // Sharded and serial builds follow the identical code path — same fabric,
 // same domain registration, same construction order — so event tiebreak
 // keys (and therefore timelines) agree bit for bit across shard counts.
@@ -170,15 +176,7 @@ func build(cfg *Config) *Cluster {
 	for i := range engines {
 		engines[i] = sim.NewEngine()
 	}
-	fab := cfg.Fabric
-	if !fab.Valid() {
-		fab = myrinet.Default()
-	}
-	// Config.Link is the single source of truth for link parameters: the
-	// preset seeded it (WithFabric), and any later mutation — a sweep
-	// perturbing latency, a test forcing loss-free links — applies to
-	// whichever backend builds the topology.
-	fab.Links = cfg.Link
+	fab := cfg.backend()
 	net := fab.Build(engines[0], cfg.Nodes, fab)
 	plan := net.Partition(shards)
 	net.ApplyPlan(plan, engines[:plan.Shards])
@@ -449,7 +447,8 @@ func (cfg *Config) HostMemcpyTime(n int) sim.Time {
 // KB messages, where "the shape of the resulting optimal tree is not
 // significantly different from the binomial tree".
 func (cfg *Config) Postal(size int) tree.PostalParams {
-	g, lp := cfg.GM, cfg.Link
+	fab := cfg.backend()
+	g, lp := cfg.GM, fab.Links
 	npkts := g.Packets(size)
 	first := size
 	if first > g.MTU {
@@ -457,13 +456,9 @@ func (cfg *Config) Postal(size int) tree.PostalParams {
 	}
 
 	// Worst-case hop count of whatever topology the selected backend
-	// builds for this node count (the Myrinet ladder when no backend is
-	// chosen: crossbar 2, two-level Clos 4, fat tree 6).
-	diameter := cfg.Fabric.Diameter
-	if diameter == nil {
-		diameter = myrinet.Diameter
-	}
-	hops := sim.Time(diameter(cfg.Nodes))
+	// builds for this node count (on Myrinet: crossbar 2, two-level Clos 4,
+	// fat tree 6).
+	hops := sim.Time(fab.Diameter(cfg.Nodes))
 	ser := lp.SerializationTime(g.WireSize(first))
 
 	lambda := ser + hops*lp.Latency + g.RecvProcCost + cfg.Mcast.ForwardSetupCost
@@ -499,7 +494,7 @@ func (cfg *Config) OptimalTree(root fabric.NodeID, members []fabric.NodeID, size
 // root emits f replicas of each packet (serialization plus header rewrite
 // per replica), and each tree level adds one per-packet forwarding delay.
 func (cfg *Config) pipelinedFinish(n, f, size int) sim.Time {
-	g, lp := cfg.GM, cfg.Link
+	g, lp := cfg.GM, cfg.backend().Links
 	npkts := g.Packets(size)
 	chunk := size
 	if chunk > g.MTU {

@@ -73,11 +73,10 @@ func TestMyrinetTimelineGoldens(t *testing.T) {
 	golden.Check(t, "TestMyrinetTimelineGoldens", "16-node-clean", goldenRun(t, 16, 3, 0, 4))
 }
 
-// TestWithFabricShimEquivalence proves the new fabric-selection API is a
-// pure re-spelling of the legacy defaults: explicitly passing the Myrinet
-// preset reproduces the pinned timelines bit-for-bit, and a link-parameter
-// override lands identically whether it travels through the preset's Links
-// field or the deprecated Config.Link knob.
+// TestWithFabricShimEquivalence proves the fabric-selection API is a pure
+// re-spelling of the defaults: explicitly passing the Myrinet preset
+// reproduces the pinned timeline bit-for-bit, and a link-parameter override
+// in the preset's Links field reaches the topology.
 func TestWithFabricShimEquivalence(t *testing.T) {
 	def := goldenRun(t, 8, 7, 0.02, 5, cluster.WithFabric(myrinet.Default()))
 	golden.Check(t, "TestMyrinetTimelineGoldens", "8-node-lossy", def)
@@ -87,11 +86,7 @@ func TestWithFabricShimEquivalence(t *testing.T) {
 	slow.NsPerByte *= 2
 	fc := myrinet.Default()
 	fc.Links = slow
-	viaPreset := goldenRun(t, 8, 7, 0.02, 5, cluster.WithFabric(fc))
-	viaLegacyKnob := goldenRun(t, 8, 7, 0.02, 5,
-		cluster.WithMutate(func(cfg *cluster.Config) { cfg.Link = slow }))
-	golden.Equal(t, viaPreset, viaLegacyKnob)
-	if viaPreset.Clock == def.Clock {
+	if goldenRun(t, 8, 7, 0.02, 5, cluster.WithFabric(fc)).Clock == def.Clock {
 		t.Error("tripled link latency left the timeline unchanged; override never applied")
 	}
 }

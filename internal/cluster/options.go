@@ -30,17 +30,12 @@ func WithMutate(f func(*Config)) Option {
 }
 
 // WithFabric selects the interconnect backend from a preset —
-// myrinet.Default(), clos.Default(), or a preset with edited fields. The
-// preset's link parameters become the cluster's Link configuration, so
-// later options or mutations that adjust Link apply on top of the
-// backend's defaults:
+// myrinet.Default(), clos.Default(), or a preset with edited fields, its
+// link parameters among them:
 //
 //	cluster.New(256, cluster.WithFabric(clos.Default()))
 func WithFabric(fc fabric.Config) Option {
-	return func(c *Config) {
-		c.Fabric = fc
-		c.Link = fc.Links
-	}
+	return func(c *Config) { c.Fabric = fc }
 }
 
 // WithMetrics wires the registry through every layer of every node:

@@ -85,7 +85,6 @@ func TestCollClockPins(t *testing.T) {
 					cfg := cluster.DefaultConfig(nodes)
 					cfg.Seed = 1
 					cfg.Fabric = fb.cfg
-					cfg.Link = fb.cfg.Links
 					if cc.mut != nil {
 						cc.mut(cfg)
 					}

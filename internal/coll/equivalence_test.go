@@ -132,7 +132,6 @@ func runCollCase(t *testing.T, cc collCase, fb fabric.Config, shards int, seed i
 	cfg.Seed = seed
 	cfg.Shards = shards
 	cfg.Fabric = fb
-	cfg.Link = fb.Links
 	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	stream := golden.Hook(c.Engines())
 	ports := c.OpenPorts(7)

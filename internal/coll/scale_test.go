@@ -25,7 +25,6 @@ func runGatherAtScale(t *testing.T, fb fabric.Config, nodes, shards int) golden.
 	cfg.Seed = 1
 	cfg.Shards = shards
 	cfg.Fabric = fb
-	cfg.Link = fb.Links
 	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	stream := golden.Hook(c.Engines())
 	ports := c.OpenPorts(7)

@@ -76,7 +76,6 @@ func (o Options) config(nodes int) *cluster.Config {
 	cfg := cluster.DefaultConfig(nodes)
 	if o.Fabric.Valid() {
 		cfg.Fabric = o.Fabric
-		cfg.Link = o.Fabric.Links
 	}
 	cfg.Seed = o.Seed
 	cfg.Metrics = o.Metrics

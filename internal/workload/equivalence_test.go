@@ -70,7 +70,6 @@ func TestEngineEquivalenceAcrossPatterns(t *testing.T) {
 						cfg.Seed = seed
 						cfg.Shards = m.shards
 						cfg.Fabric = fb.cfg
-						cfg.Link = fb.cfg.Links
 						var tl func() []golden.Event
 						rep, err := workload.RunWith(cfg, workload.Spec{
 							Pattern:  pat,
