@@ -14,7 +14,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Category classifies events for filtering.
+// Category classifies events.
 type Category string
 
 const (
@@ -39,89 +39,32 @@ func (e Event) String() string {
 	return fmt.Sprintf("%12s  n%-3d %-8s %s", e.At, int(e.Node), e.Cat, e.Msg)
 }
 
-// Recorder accumulates events. The zero value records nothing until
-// Enable; NewRecorder returns an enabled one.
+// Recorder accumulates events. A nil recorder records nothing.
 type Recorder struct {
-	enabled bool
-	events  []Event
-	// Cap bounds memory for long runs; 0 means unbounded. When full, new
-	// events are dropped and Truncated reports how many.
-	Cap       int
-	truncated int
+	events []Event
 }
 
-// NewRecorder returns an enabled recorder.
-func NewRecorder() *Recorder { return &Recorder{enabled: true} }
-
-// Enable turns recording on; Disable turns it off.
-func (r *Recorder) Enable()  { r.enabled = true }
-func (r *Recorder) Disable() { r.enabled = false }
+// NewRecorder returns an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Enabled reports whether events are being recorded.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
+func (r *Recorder) Enabled() bool { return r != nil }
 
 // Log records one event. Safe to call on a nil recorder.
 func (r *Recorder) Log(at sim.Time, node fabric.NodeID, cat Category, format string, args ...any) {
-	if r == nil || !r.enabled {
-		return
-	}
-	if r.Cap > 0 && len(r.events) >= r.Cap {
-		r.truncated++
+	if r == nil {
 		return
 	}
 	r.events = append(r.events, Event{At: at, Node: node, Cat: cat, Msg: fmt.Sprintf(format, args...)})
 }
 
-// Events returns all recorded events in insertion order (which is
-// timestamp order, since simulation time is monotone during recording).
-func (r *Recorder) Events() []Event { return r.events }
-
-// Len reports the recorded event count; Truncated how many were dropped
-// at the cap.
-func (r *Recorder) Len() int       { return len(r.events) }
-func (r *Recorder) Truncated() int { return r.truncated }
-
-// Reset discards all recorded events.
-func (r *Recorder) Reset() {
-	r.events = nil
-	r.truncated = 0
-}
-
-// Filter returns the events matching any of the given categories, and all
-// events when none are given.
-func (r *Recorder) Filter(cats ...Category) []Event {
-	if len(cats) == 0 {
-		return r.events
-	}
-	want := make(map[Category]bool, len(cats))
-	for _, c := range cats {
-		want[c] = true
-	}
-	var out []Event
-	for _, e := range r.events {
-		if want[e.Cat] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// ByNode groups events per node, each group in time order.
-func (r *Recorder) ByNode() map[fabric.NodeID][]Event {
-	out := make(map[fabric.NodeID][]Event)
-	for _, e := range r.events {
-		out[e.Node] = append(out[e.Node], e)
-	}
-	return out
-}
+// Len reports the recorded event count.
+func (r *Recorder) Len() int { return len(r.events) }
 
 // WriteTimeline renders all events in time order, one per line.
 func (r *Recorder) WriteTimeline(w io.Writer) {
 	for _, e := range r.events {
 		fmt.Fprintln(w, e)
-	}
-	if r.truncated > 0 {
-		fmt.Fprintf(w, "... %d events truncated at cap %d\n", r.truncated, r.Cap)
 	}
 }
 

@@ -3,8 +3,6 @@ package trace
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/fabric"
 )
 
 func TestNilRecorderIsSafe(t *testing.T) {
@@ -12,79 +10,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.Log(1, 0, TX, "ignored")
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
-	}
-}
-
-func TestDisabledRecorderDropsEvents(t *testing.T) {
-	r := &Recorder{}
-	r.Log(1, 0, TX, "dropped")
-	if r.Len() != 0 {
-		t.Fatal("disabled recorder stored an event")
-	}
-	r.Enable()
-	r.Log(2, 0, TX, "kept")
-	if r.Len() != 1 {
-		t.Fatal("enabled recorder dropped an event")
-	}
-	r.Disable()
-	r.Log(3, 0, TX, "dropped again")
-	if r.Len() != 1 {
-		t.Fatal("disabled recorder stored an event")
-	}
-}
-
-func TestFilter(t *testing.T) {
-	r := NewRecorder()
-	r.Log(1, 0, TX, "a")
-	r.Log(2, 1, RX, "b")
-	r.Log(3, 0, Drop, "c")
-	r.Log(4, 2, TX, "d")
-	if got := len(r.Filter(TX)); got != 2 {
-		t.Fatalf("Filter(TX) = %d events, want 2", got)
-	}
-	if got := len(r.Filter(TX, Drop)); got != 3 {
-		t.Fatalf("Filter(TX, Drop) = %d events, want 3", got)
-	}
-	if got := len(r.Filter()); got != 4 {
-		t.Fatalf("Filter() = %d events, want all 4", got)
-	}
-}
-
-func TestByNode(t *testing.T) {
-	r := NewRecorder()
-	r.Log(1, 0, TX, "a")
-	r.Log(2, 1, RX, "b")
-	r.Log(3, 0, Ack, "c")
-	groups := r.ByNode()
-	if len(groups[fabric.NodeID(0)]) != 2 || len(groups[fabric.NodeID(1)]) != 1 {
-		t.Fatalf("ByNode grouping wrong: %v", groups)
-	}
-}
-
-func TestCapTruncates(t *testing.T) {
-	r := NewRecorder()
-	r.Cap = 2
-	for i := 0; i < 5; i++ {
-		r.Log(1, 0, TX, "x")
-	}
-	if r.Len() != 2 || r.Truncated() != 3 {
-		t.Fatalf("len=%d truncated=%d, want 2/3", r.Len(), r.Truncated())
-	}
-	var b strings.Builder
-	r.WriteTimeline(&b)
-	if !strings.Contains(b.String(), "truncated") {
-		t.Fatal("timeline does not report truncation")
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := NewRecorder()
-	r.Cap = 1
-	r.Log(1, 0, TX, "a")
-	r.Log(2, 0, TX, "b")
-	r.Reset()
-	if r.Len() != 0 || r.Truncated() != 0 {
-		t.Fatal("reset did not clear state")
 	}
 }
 
