@@ -365,7 +365,8 @@ func RunOnce(w Workload, sc Scenario, cfg Config, cleanSpan sim.Time) Outcome {
 	out.PausedDrops = d.CounterSum("lanai", "rx_paused_drops")
 	out.Retransmits = d.CounterSum("coll", "retransmits") +
 		d.CounterSum("core", "retransmits") + d.CounterSum("gm", "retransmits")
-	out.Timeouts = d.CounterSum("core", "timeouts") + d.CounterSum("gm", "timeouts")
+	out.Timeouts = d.CounterSum("coll", "timeouts") +
+		d.CounterSum("core", "timeouts") + d.CounterSum("gm", "timeouts")
 	out.Nacks = d.CounterSum("core", "mcast_nacks_sent") + d.CounterSum("gm", "nacks_sent")
 	if env.inj != nil {
 		out.Rules = env.inj.RuleHits()

@@ -97,7 +97,7 @@ func (g *Group) send(to fabric.NodeID, fr *gm.Frame) {
 	if s == nil {
 		nic := g.eng.nic
 		s = &sendStream{g: g, node: to, next: 1}
-		s.win.Init(nic.Engine(), &nic.Cfg, 0, nil, s.resend, s.retire)
+		s.win.Init(nic.Engine(), &nic.Cfg, 0, &g.eng.m.timeouts, s.resend, s.retire)
 		s.win.Reset(1, 0)
 		g.sends = append(g.sends, s)
 	}

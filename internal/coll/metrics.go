@@ -20,6 +20,7 @@ type instruments struct {
 	gathersDone    metrics.Counter // allgather instances completed at this NIC
 	ringSent       metrics.Counter // ring-allgather hops transmitted
 	retransmits    metrics.Counter // go-back-N retransmissions
+	timeouts       metrics.Counter // go-back rounds a retransmission timer forced
 	acksSuppressed metrics.Counter // per-chunk gather acks avoided by coalescing
 	duplicates     metrics.Counter // duplicate or out-of-sequence collective frames dropped
 	notMemberDrops metrics.Counter // frames for groups this NIC has no entry for
@@ -38,6 +39,7 @@ func (m *instruments) Each(v *metrics.Visitor) {
 	v.Counter("gathers_done", &m.gathersDone)
 	v.Counter("ring_sent", &m.ringSent)
 	v.Counter("retransmits", &m.retransmits)
+	v.Counter("timeouts", &m.timeouts)
 	v.Counter("acks_suppressed", &m.acksSuppressed)
 	v.Counter("duplicates", &m.duplicates)
 	v.Counter("not_member_drops", &m.notMemberDrops)

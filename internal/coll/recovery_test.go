@@ -68,6 +68,39 @@ func TestCollNacksSpeedUpRecovery(t *testing.T) {
 	}
 }
 
+// TestCollTimeoutCounted drops one barrier frame with nacks off: the
+// sender's window recovers it by a timeout, and that go-back round counts in
+// coll's timeouts, as gm's and core's windows count theirs.
+func TestCollTimeoutCounted(t *testing.T) {
+	const nodes = 4
+	c, ports := rig(t, nodes, func(cfg *cluster.Config) { cfg.GM.EnableNacks = false })
+	chaos.NewInjector(c.Net, 1).DropWindow("first-barrier", 0, 0, once(func(p *fabric.Packet, _ *fabric.Link) bool {
+		fr, ok := p.Payload.(*gm.Frame)
+		return ok && fr.Kind == gm.KindBarrier
+	}))
+	for i := range c.Nodes {
+		c.SpawnOn(c.Nodes[i].ID, "p", func(p *sim.Proc) {
+			c.Nodes[i].Coll.Barrier(p, ports[i], collGID)
+		})
+	}
+	c.Run()
+	if live := c.LiveProcs(); live != 0 {
+		t.Fatalf("%d barriers never finished", live)
+	}
+	var timeouts, retransmits uint64
+	snap := c.Nodes[0].HW.Registry().Snapshot()
+	for _, n := range c.Nodes {
+		timeouts += counter(t, snap, coll.Component, int(n.ID), "timeouts")
+		retransmits += counter(t, snap, coll.Component, int(n.ID), "retransmits")
+	}
+	if retransmits == 0 {
+		t.Fatal("the dropped frame was never retransmitted; the test exercised nothing")
+	}
+	if timeouts < 1 {
+		t.Errorf("%d retransmissions after a timeout, but coll counted %d timeouts", retransmits, timeouts)
+	}
+}
+
 // TestRemoveWithUnackedRecord removes a group while a peer still owes an
 // ack: the entry's windows must go with it, leaving no timer to fire and
 // nothing to retransmit however long the engine runs on.
