@@ -274,8 +274,9 @@ func (r *reportTB) Errorf(format string, args ...any) { r.report += fmt.Sprintf(
 
 // TestGoldenReportsInjectedCost adds 1 ns to the NIC's event-post cost on
 // the 16-node clean timeline. The golden's report must name the first event
-// that moves — by number, time, key and domain — rather than only say that
-// something did.
+// that moves — by number, time, key and domain — with the events before it
+// on its domain and the trace lines at its instant, rather than only say
+// that something did.
 func TestGoldenReportsInjectedCost(t *testing.T) {
 	if golden.Updating() {
 		t.Skip("compares a perturbed run with a golden; nothing to capture")
@@ -284,8 +285,9 @@ func TestGoldenReportsInjectedCost(t *testing.T) {
 	r := &reportTB{TB: t}
 	golden.Check(r, "TestMyrinetTimelineGoldens", "16-node-clean", c)
 	for _, want := range []string{
-		"first divergence at event 71 (t=28297 key=0xa00000000000a domain=10); golden has (t=28296 key=0xa00000000000a domain=10)",
-		"trace at 28.297µs:\n  28.297µs  n8   host     delivered 2000 bytes from n0 (msg 1, group 7)\n",
+		`first divergence at event 71 (t=28297 key=0xa00000000000a domain=10); golden has "28296 10:10"`,
+		"  event 70 t=27946 key=0xa000000000004 domain=10\ntrace at 28.297µs:\n" +
+			"  28.297µs  n8   host     delivered 2000 bytes from n0 (msg 1, group 7)\n",
 	} {
 		if !strings.Contains(r.report, want) {
 			t.Errorf("report lacks %q:\n%s", want, r.report)

@@ -109,8 +109,8 @@ func TestGoldenEqualNamesDelayedEvent(t *testing.T) {
 	r := &reportTB{TB: t}
 	golden.Equal(r, a, b)
 	e := a.Stream[k]
-	want := fmt.Sprintf("first divergence at event %d (t=%d key=%#x domain=%d); first run has (t=%d key=%#x domain=%d)",
-		k, e.When+1, e.Key, e.Key>>48, e.When, e.Key, e.Key>>48)
+	want := fmt.Sprintf(`first divergence at event %d (t=%d key=%#x domain=%d); first run has "%d %d:%d"`,
+		k, e.When+1, e.Key, e.Key>>48, e.When, e.Key>>48, e.Key&(1<<48-1))
 	if !strings.Contains(r.report, want) {
 		t.Errorf("report lacks %q:\n%s", want, r.report)
 	}

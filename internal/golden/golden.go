@@ -2,29 +2,22 @@
 // tests: timelines, clocks, metrics snapshots and campaign tables.
 //
 // A golden is a text file, testdata/golden/<Test>.txt, with one section per
-// case:
-//
-//	== <case> <header>
-//	<body lines>
-//
-// The header holds the pinned values: the timeline's SHA-256 when the
-// capture carries a trace, the final clock and the events fired. The body is
-// the capture's stream: the fired events themselves ("<when> <domain>:<seq>")
-// when there are at most MaxRecords of them, otherwise at most MaxChunks
-// digests of consecutive runs of them ("chunk <first>+<count> <digest>"), or
-// the capture's lines verbatim (a snapshot or a table).
+// case: a line "== <case> <header>" and the body under it. The header holds
+// the pinned values: the SHA-256 of the run's trace where it has one, the
+// final clock and the events fired. The body holds the fired events
+// themselves ("<when> <domain>:<seq>") when there are at most maxRecords,
+// otherwise at most maxChunks digests of runs of them ("chunk
+// <first>+<count> <digest>"), or a snapshot's or a table's lines verbatim.
 //
 // On a mismatch the report names where the runs part: the first divergent
 // event with its time, key and domain, the events before it on that domain
-// and the trace lines logged at that instant; the first divergent chunk and
-// this run's events in it; or the first differing line.
+// and the trace lines logged at that instant; or the first divergent chunk
+// and this run's events in it; or the first differing line.
 //
 // GOLDEN_UPDATE=1 go test ./... re-captures every golden.
 package golden
 
 import (
-	"bufio"
-	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
@@ -34,7 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -43,48 +35,29 @@ import (
 )
 
 const (
-	// MaxRecords is the longest stream a golden stores event by event.
-	MaxRecords = 1024
-	// MaxChunks bounds the digests a golden stores for a longer stream.
-	MaxChunks = 64
-	// minChunk is the fewest events one digest covers.
-	minChunk = 256
-	// context is how many events before a divergence the report shows on
-	// the divergent event's domain.
-	context = 8
-	// maxShown caps the events a report lists from a divergent chunk.
+	// maxRecords is the longest stream a golden stores event by event.
+	maxRecords = 1024
+	// maxChunks bounds the digests a golden stores for a longer stream,
+	// each over at least minChunk events.
+	maxChunks = 64
+	minChunk  = 256
+	// context is how many earlier events on the divergent event's domain a
+	// report shows; maxShown caps the events it lists from a chunk.
+	context  = 8
 	maxShown = 512
 )
 
 // Event is one fired event: its instant and its tiebreak key, whose top 16
-// bits are the scheduling domain.
+// bits are the domain that scheduled it.
 type Event struct {
 	When sim.Time
 	Key  uint64
 }
 
-// Domain is the domain the event was scheduled from.
-func (e Event) Domain() uint64 { return e.Key >> 48 }
+func (e Event) domain() uint64 { return e.Key >> 48 }
 
 func (e Event) String() string {
-	return fmt.Sprintf("t=%d key=%#x domain=%d", e.When, e.Key, e.Domain())
-}
-
-// record is the event's body line.
-func (e Event) record() string {
-	return fmt.Sprintf("%d %d:%d", e.When, e.Domain(), e.Key&(1<<48-1))
-}
-
-func parseRecord(line string) (Event, bool) {
-	when, key, ok := strings.Cut(line, " ")
-	dom, seq, ok2 := strings.Cut(key, ":")
-	w, err1 := strconv.ParseInt(when, 10, 64)
-	d, err2 := strconv.ParseUint(dom, 10, 16)
-	s, err3 := strconv.ParseUint(seq, 10, 48)
-	if !ok || !ok2 || err1 != nil || err2 != nil || err3 != nil {
-		return Event{}, false
-	}
-	return Event{sim.Time(w), d<<48 | s}, true
+	return fmt.Sprintf("t=%d key=%#x domain=%d", e.When, e.Key, e.domain())
 }
 
 // Capture is what one run leaves to compare: the header values, and either
@@ -92,9 +65,8 @@ func parseRecord(line string) (Event, bool) {
 type Capture struct {
 	Clock  sim.Time
 	Events uint64
-	// Trace is the run's rendered trace timeline, one event per line with
-	// its instant as the first field. Its SHA-256 goes in the header; on a
-	// divergence the lines logged at the divergent instant are shown.
+	// Trace is the run's rendered trace timeline, one line per trace event
+	// with its instant first.
 	Trace  []byte
 	Stream []Event
 	Lines  []string
@@ -117,8 +89,7 @@ func Hook(engines []*sim.Engine) func() []Event {
 	}
 }
 
-// header renders the pinned values: "<sha256> t=<clock> ev=<events>", the
-// SHA-256 only with a trace and nothing at all for a capture with none.
+// header renders the pinned values as "<sha256> t=<clock> ev=<events>".
 func (c Capture) header() string {
 	var f []string
 	if c.Trace != nil {
@@ -139,47 +110,39 @@ func (c Capture) body(chunk int) []string {
 	var out []string
 	if chunk == 0 {
 		for _, e := range c.Stream {
-			out = append(out, e.record())
+			out = append(out, fmt.Sprintf("%d %d:%d", e.When, e.domain(), e.Key&(1<<48-1)))
 		}
 		return out
 	}
+	h := sha256.New()
+	var b [16]byte
 	for i := 0; i < len(c.Stream); i += chunk {
-		end := min(i+chunk, len(c.Stream))
-		out = append(out, fmt.Sprintf("chunk %d+%d %s", i, end-i, digest(c.Stream[i:end])))
+		evs := c.Stream[i:min(i+chunk, len(c.Stream))]
+		h.Reset()
+		for _, e := range evs {
+			binary.LittleEndian.PutUint64(b[:8], uint64(e.When))
+			binary.LittleEndian.PutUint64(b[8:], e.Key)
+			h.Write(b[:])
+		}
+		out = append(out, fmt.Sprintf("chunk %d+%d %x", i, len(evs), h.Sum(nil)[:8]))
 	}
 	return out
 }
 
-// autoChunk picks the body form a new golden stores: records for a short
-// stream, otherwise digests of at least minChunk events, at most MaxChunks
-// of them.
-func (c Capture) autoChunk() int {
-	n := len(c.Stream)
-	if c.Lines != nil || n <= MaxRecords {
-		return 0
+// newChunk is the body form a new golden stores: records (0) for a short
+// stream, otherwise digests of at most maxChunks runs of events.
+func (c Capture) newChunk() int {
+	if n := len(c.Stream); c.Lines == nil && n > maxRecords {
+		return max(minChunk, (n+maxChunks-1)/maxChunks)
 	}
-	return max(minChunk, (n+MaxChunks-1)/MaxChunks)
-}
-
-func digest(evs []Event) string {
-	h := sha256.New()
-	var b [16]byte
-	for _, e := range evs {
-		binary.LittleEndian.PutUint64(b[:8], uint64(e.When))
-		binary.LittleEndian.PutUint64(b[8:], e.Key)
-		h.Write(b[:])
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+	return 0
 }
 
 // chunkOf reports the chunk size of a digest body, 0 for any other.
 func chunkOf(body []string) int {
-	if len(body) == 0 || !strings.HasPrefix(body[0], "chunk ") {
-		return 0
-	}
 	var first, n int
-	if _, err := fmt.Sscanf(body[0], "chunk %d+%d", &first, &n); err != nil {
-		return 0
+	if len(body) > 0 {
+		fmt.Sscanf(body[0], "chunk %d+%d", &first, &n)
 	}
 	return n
 }
@@ -197,32 +160,24 @@ func load(path string) ([]section, error) {
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
-	if err != nil {
-		return nil, err
-	}
 	var secs []section
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
 		if rest, ok := strings.CutPrefix(line, "== "); ok {
 			name, header, _ := strings.Cut(rest, " ")
 			secs = append(secs, section{name: name, header: header})
-			continue
+		} else if len(secs) > 0 {
+			secs[len(secs)-1].body = append(secs[len(secs)-1].body, line)
+		} else if line != "" {
+			return nil, fmt.Errorf("%s: %q before the first case", path, line)
 		}
-		if len(secs) == 0 {
-			return nil, fmt.Errorf("%s: line %q before the first case", path, line)
-		}
-		s := &secs[len(secs)-1]
-		s.body = append(s.body, line)
 	}
-	return secs, sc.Err()
+	return secs, err
 }
 
 func save(path string, secs []section) error {
-	var b bytes.Buffer
+	var b strings.Builder
 	for _, s := range secs {
-		b.WriteString(strings.TrimRight("== "+s.name+" "+s.header, " ") + "\n")
+		b.WriteString(strings.TrimSuffix("== "+s.name+" "+s.header, " ") + "\n")
 		for _, l := range s.body {
 			b.WriteString(l + "\n")
 		}
@@ -230,20 +185,16 @@ func save(path string, secs []section) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(path, b.Bytes(), 0o644)
+	return os.WriteFile(path, []byte(b.String()), 0o644)
 }
 
-// Updating reports whether GOLDEN_UPDATE asks for goldens to be
-// re-captured rather than compared.
+// Updating reports whether GOLDEN_UPDATE asks for re-captures.
 func Updating() bool { return os.Getenv("GOLDEN_UPDATE") != "" }
 
 // Check compares a capture with case name of testdata/golden/<file>.txt,
 // or, under GOLDEN_UPDATE, writes it there.
 func Check(t testing.TB, file, name string, c Capture) {
 	t.Helper()
-	if strings.ContainsAny(name, " \n") {
-		t.Fatalf("golden case %q: names hold no spaces", name)
-	}
 	path := filepath.Join("testdata", "golden", file+".txt")
 	fileMu.Lock()
 	defer fileMu.Unlock()
@@ -252,8 +203,9 @@ func Check(t testing.TB, file, name string, c Capture) {
 		t.Fatal(err)
 	}
 	i := slices.IndexFunc(secs, func(s section) bool { return s.name == name })
-	if Updating() {
-		s := section{name, c.header(), c.body(c.autoChunk())}
+	switch {
+	case Updating():
+		s := section{name, c.header(), c.body(c.newChunk())}
 		if i < 0 {
 			secs = append(secs, s)
 		} else {
@@ -262,14 +214,12 @@ func Check(t testing.TB, file, name string, c Capture) {
 		if err := save(path, secs); err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	if i < 0 {
+	case i < 0:
 		t.Fatalf("%s has no case %q; capture it with GOLDEN_UPDATE=1", path, name)
-	}
-	want := secs[i]
-	if r := report(c, want.header, want.body, "golden"); r != "" {
-		t.Errorf("%s, case %s, differs from the capture:\n%s", path, name, r)
+	default:
+		if r := report(c, secs[i].header, secs[i].body, "golden"); r != "" {
+			t.Errorf("%s, case %s, differs from the capture:\n%s", path, name, r)
+		}
 	}
 }
 
@@ -282,9 +232,9 @@ func Equal(t testing.TB, a, b Capture) {
 	}
 }
 
-// report compares c with a header and body taken from elsewhere (a golden
-// file or another run, named by other) and describes the first difference,
-// or returns "" when there is none.
+// report describes the first difference between c and a header and body
+// taken from elsewhere (a golden, or another run, named by other), or
+// returns "" when there is none.
 func report(c Capture, header string, body []string, other string) string {
 	var r strings.Builder
 	if got := c.header(); got != header {
@@ -292,81 +242,52 @@ func report(c Capture, header string, body []string, other string) string {
 	}
 	chunk := chunkOf(body)
 	got := c.body(chunk)
-	i := 0
-	for i < len(got) && i < len(body) && got[i] == body[i] {
-		i++
+	n := 0
+	for n < len(got) && n < len(body) && got[n] == body[n] {
+		n++
 	}
-	if i == len(got) && i == len(body) {
+	if n == len(got) && n == len(body) {
 		return r.String()
 	}
-	gotLine, wantLine := lineAt(got, i), lineAt(body, i)
+	line := func(lines []string) string {
+		if n < len(lines) {
+			return lines[n]
+		}
+		return "(end)"
+	}
 	switch {
 	case c.Lines != nil:
-		fmt.Fprintf(&r, "first difference at line %d:\n  got:  %s\n  %s: %s\n", i+1, gotLine, other, wantLine)
+		fmt.Fprintf(&r, "first difference at line %d:\n  got:  %s\n  %s: %s\n", n+1, line(got), other, line(body))
 	case chunk > 0:
-		first := i * chunk
-		fmt.Fprintf(&r, "first divergent chunk %d (events %d+%d):\n  got:  %s\n  %s: %s\n",
-			i, first, chunk, gotLine, other, wantLine)
-		fmt.Fprintf(&r, "this run's events in it:\n")
-		for k := first; k < min(first+chunk, len(c.Stream)); k++ {
-			if k == first+maxShown {
-				fmt.Fprintf(&r, "  ... %d more\n", min(first+chunk, len(c.Stream))-k)
-				break
-			}
+		first, last := n*chunk, min((n+1)*chunk, len(c.Stream))
+		fmt.Fprintf(&r, "first divergent chunk %d (events %d+%d):\n  got:  %s\n  %s: %s\nthis run's events in it:\n",
+			n, first, chunk, line(got), other, line(body))
+		for k := first; k < min(last, first+maxShown); k++ {
 			fmt.Fprintf(&r, "  event %d %s\n", k, c.Stream[k])
 		}
+	case n == len(c.Stream):
+		fmt.Fprintf(&r, "first divergence at event %d: this run ended; %s has %q\n", n, other, line(body))
 	default:
-		c.divergence(&r, i, wantLine, other)
+		e := c.Stream[n]
+		fmt.Fprintf(&r, "first divergence at event %d (%s); %s has %q\npreceding events on domain %d:\n",
+			n, e, other, line(body), e.domain())
+		var prev []int
+		for k := n - 1; k >= 0 && len(prev) < context; k-- {
+			if c.Stream[k].domain() == e.domain() {
+				prev = append(prev, k)
+			}
+		}
+		for _, k := range slices.Backward(prev) {
+			fmt.Fprintf(&r, "  event %d %s\n", k, c.Stream[k])
+		}
+		if c.Trace != nil {
+			fmt.Fprintf(&r, "trace at %v:\n", e.When)
+			for _, l := range strings.Split(string(c.Trace), "\n") {
+				if f := strings.Fields(l); len(f) > 0 && f[0] == e.When.String() {
+					fmt.Fprintf(&r, "  %s\n", strings.TrimSpace(l))
+				}
+			}
+		}
 	}
 	return r.String()
-}
-
-func lineAt(lines []string, i int) string {
-	if i < len(lines) {
-		return lines[i]
-	}
-	return "(end)"
-}
-
-// divergence describes the first divergent event n, the golden's (or the
-// other run's) record line at n being want.
-func (c Capture) divergence(r *strings.Builder, n int, want, other string) {
-	if n >= len(c.Stream) {
-		fmt.Fprintf(r, "first divergence at event %d: this run ended after %d events; %s has %s\n",
-			n, len(c.Stream), other, describe(want))
-		return
-	}
-	e := c.Stream[n]
-	fmt.Fprintf(r, "first divergence at event %d (%s); %s has %s\n", n, e, other, describe(want))
-	fmt.Fprintf(r, "preceding events on domain %d:\n", e.Domain())
-	var prev []int
-	for k := n - 1; k >= 0 && len(prev) < context; k-- {
-		if c.Stream[k].Domain() == e.Domain() {
-			prev = append(prev, k)
-		}
-	}
-	for _, k := range slices.Backward(prev) {
-		fmt.Fprintf(r, "  event %d %s\n", k, c.Stream[k])
-	}
-	if c.Trace == nil {
-		return
-	}
-	fmt.Fprintf(r, "trace at %v:\n", e.When)
-	at := e.When.String()
-	for _, line := range strings.Split(string(c.Trace), "\n") {
-		if f := strings.Fields(line); len(f) > 0 && f[0] == at {
-			fmt.Fprintf(r, "  %s\n", strings.TrimSpace(line))
-		}
-	}
-}
-
-// describe renders a record line as an event, or says there is none.
-func describe(line string) string {
-	if e, ok := parseRecord(line); ok {
-		return "(" + e.String() + ")"
-	}
-	if line == "(end)" {
-		return "no event there"
-	}
-	return strconv.Quote(line)
 }

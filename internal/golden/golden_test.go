@@ -49,29 +49,6 @@ func TestDigestReport(t *testing.T) {
 	}
 }
 
-// TestRecordReport checks a short stream, stored event by event: the report
-// names the first divergent event, the events before it on its domain and
-// the trace lines logged at its instant.
-func TestRecordReport(t *testing.T) {
-	trace := []byte("      1230ns  n0   tx       a\n      1240ns  n1   rx       b\n")
-	c := Capture{Clock: 1000, Events: 100, Stream: stream(100)}
-	c.Stream[42].Key += 1 << 48 // domain 2 to domain 3
-	c.Stream[42].When = 1240
-	a := Capture{Clock: 1000, Events: 100, Stream: stream(100)}
-	c.Trace, a.Trace = trace, trace
-	r := &reportTB{TB: t}
-	Equal(r, a, c)
-	for _, want := range []string{
-		"first divergence at event 42 (t=1240 key=0x300000000000a domain=3); first run has (t=420 key=0x200000000000a domain=2)",
-		"preceding events on domain 3:\n  event 11 t=110 key=0x3000000000002 domain=3",
-		"  event 39 t=390 key=0x3000000000009 domain=3\ntrace at 1240ns:\n  1240ns  n1   rx       b\n",
-	} {
-		if !strings.Contains(r.report, want) {
-			t.Errorf("report lacks %q:\n%s", want, r.report)
-		}
-	}
-}
-
 // TestLinesReport checks a table: the report names the first differing line.
 func TestLinesReport(t *testing.T) {
 	a := Capture{Lines: []string{"counter gm[0].acks_sent 3", "counter gm[1].acks_sent 4"}}
