@@ -10,22 +10,6 @@ func WithConfig(cfg Config) Option {
 	return func(_ *gm.NIC, c *Config) { *c = cfg }
 }
 
-// WithMultisend selects the root's replica-transmission mechanism.
-func WithMultisend(m MultisendMode) Option {
-	return func(_ *gm.NIC, c *Config) { c.Multisend = m }
-}
-
-// WithForward selects how intermediate NICs forward (per-packet
-// pipelining vs the store-and-forward ablation).
-func WithForward(f ForwardMode) Option {
-	return func(_ *gm.NIC, c *Config) { c.Forward = f }
-}
-
-// WithRetransmitSource selects where retransmitted data is read from.
-func WithRetransmitSource(r RetransmitSource) Option {
-	return func(_ *gm.NIC, c *Config) { c.Retransmit = r }
-}
-
 // WithNacks enables fast recovery on the underlying GM firmware: sequence
 // holes trigger negative acknowledgments instead of waiting out timers.
 func WithNacks() Option {

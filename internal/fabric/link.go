@@ -51,9 +51,6 @@ type Vertex struct {
 	shard  int
 }
 
-// Label reports the vertex's diagnostic name ("host3", "xbar0", ...).
-func (v *Vertex) Label() string { return v.label }
-
 // Link is a directed physical channel between two vertices. Each link is a
 // FIFO resource: one packet serializes onto it at a time. The two directions
 // of a cable share one allocation (ConnectWith).
@@ -92,24 +89,6 @@ func (l *Link) String() string { return l.from.label + "->" + l.to.label }
 func (l *Link) FromLabel() string { return l.from.label }
 func (l *Link) ToLabel() string   { return l.to.label }
 
-// FromHost reports the host attached at the link's source, if any — true
-// exactly for a host's uplink into the fabric.
-func (l *Link) FromHost() (NodeID, bool) {
-	if l.from.host {
-		return l.from.hostID, true
-	}
-	return 0, false
-}
-
-// ToHost reports the host attached at the link's destination, if any —
-// true exactly for a host's downlink out of the fabric.
-func (l *Link) ToHost() (NodeID, bool) {
-	if l.to.host {
-		return l.to.hostID, true
-	}
-	return 0, false
-}
-
 // Touches reports whether the link attaches directly to the given host
 // (either direction).
 func (l *Link) Touches(id NodeID) bool {
@@ -118,7 +97,3 @@ func (l *Link) Touches(id NodeID) bool {
 
 // BusyTime reports cumulative serialization time spent on the link.
 func (l *Link) BusyTime() sim.Time { return l.fac.BusyTime() }
-
-// QueuedBytes reports the bytes currently reserved-but-undrained on the
-// link under PFC backpressure (always 0 when PauseBytes is unset).
-func (l *Link) QueuedBytes() int { return l.queued }

@@ -141,17 +141,6 @@ func (r *Result) Verify() []string {
 	return errs
 }
 
-// EpochMembers returns the recorded membership of an epoch (nil if the
-// epoch was never committed).
-func (r *Result) EpochMembers(epoch uint32) []fabric.NodeID {
-	for _, e := range r.Epochs {
-		if e.Epoch == epoch {
-			return e.Members
-		}
-	}
-	return nil
-}
-
 // DeliveredPayloads counts all non-sentinel deliveries across the
 // cluster — the denominator for disruption statistics.
 func (r *Result) DeliveredPayloads() int {

@@ -143,10 +143,6 @@ func (e *Engine) GrowDomains(n int) {
 	}
 }
 
-// CurrentDomain reports the domain of the currently-executing event (0 when
-// none, or when the event was scheduled from ambient context).
-func (e *Engine) CurrentDomain() uint32 { return e.curDom }
-
 // WithDomain runs fn with the current domain forced to d, so events fn
 // schedules draw keys from (and are owned by) d. It is how setup code —
 // which runs outside any event — attributes its scheduling to the entity it

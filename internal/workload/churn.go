@@ -47,22 +47,6 @@ type ChurnPlan struct {
 	Sends   []Message
 }
 
-// LastAt reports the latest time in the plan (send or event).
-func (p ChurnPlan) LastAt() sim.Time {
-	var last sim.Time
-	for _, m := range p.Sends {
-		if m.At > last {
-			last = m.At
-		}
-	}
-	for _, e := range p.Events {
-		if e.At > last {
-			last = e.At
-		}
-	}
-	return last
-}
-
 // GenerateChurn produces a churn plan deterministically from the RNG. The
 // root (node 0) never leaves, and the schedule never empties the group of
 // non-root members — a multicast must always have someone to deliver to
