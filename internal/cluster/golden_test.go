@@ -21,8 +21,8 @@ import (
 // goldenRun drives the capture workload the pinned timelines were recorded
 // with — a traced, optionally lossy multicast stream over a binomial group —
 // and captures its packet timeline, fired events, final clock and event
-// count.
-func goldenRun(t *testing.T, nodes int, seed int64, loss float64, msgs int, extra ...cluster.Option) golden.Capture {
+// count. It returns the finished cluster too.
+func goldenRun(t *testing.T, nodes int, seed int64, loss float64, msgs int, extra ...cluster.Option) (golden.Capture, *cluster.Cluster) {
 	t.Helper()
 	tr := trace.NewRecorder()
 	opts := append([]cluster.Option{
@@ -59,7 +59,7 @@ func goldenRun(t *testing.T, nodes int, seed int64, loss float64, msgs int, extr
 	}
 	var buf bytes.Buffer
 	tr.WriteTimeline(&buf)
-	return golden.Capture{Clock: c.Eng.Now(), Events: c.Eng.EventsFired(), Trace: buf.Bytes(), Stream: stream()}
+	return golden.Capture{Clock: c.Eng.Now(), Events: c.Eng.EventsFired(), Trace: buf.Bytes(), Stream: stream()}, c
 }
 
 // TestMyrinetTimelineGoldens pins two timelines captured on main
@@ -69,8 +69,10 @@ func goldenRun(t *testing.T, nodes int, seed int64, loss float64, msgs int, extr
 // builders behind the fabric interface changed no Myrinet behavior, to the
 // byte.
 func TestMyrinetTimelineGoldens(t *testing.T) {
-	golden.Check(t, "TestMyrinetTimelineGoldens", "8-node-lossy", goldenRun(t, 8, 7, 0.02, 5))
-	golden.Check(t, "TestMyrinetTimelineGoldens", "16-node-clean", goldenRun(t, 16, 3, 0, 4))
+	c8, _ := goldenRun(t, 8, 7, 0.02, 5)
+	golden.Check(t, "TestMyrinetTimelineGoldens", "8-node-lossy", c8)
+	c16, _ := goldenRun(t, 16, 3, 0, 4)
+	golden.Check(t, "TestMyrinetTimelineGoldens", "16-node-clean", c16)
 }
 
 // TestWithFabricShimEquivalence proves the fabric-selection API is a pure
@@ -78,7 +80,7 @@ func TestMyrinetTimelineGoldens(t *testing.T) {
 // reproduces the pinned timeline bit-for-bit, and a link-parameter override
 // in the preset's Links field reaches the topology.
 func TestWithFabricShimEquivalence(t *testing.T) {
-	def := goldenRun(t, 8, 7, 0.02, 5, cluster.WithFabric(myrinet.Default()))
+	def, _ := goldenRun(t, 8, 7, 0.02, 5, cluster.WithFabric(myrinet.Default()))
 	golden.Check(t, "TestMyrinetTimelineGoldens", "8-node-lossy", def)
 
 	slow := myrinet.DefaultLinkParams()
@@ -86,7 +88,7 @@ func TestWithFabricShimEquivalence(t *testing.T) {
 	slow.NsPerByte *= 2
 	fc := myrinet.Default()
 	fc.Links = slow
-	if goldenRun(t, 8, 7, 0.02, 5, cluster.WithFabric(fc)).Clock == def.Clock {
+	if slow, _ := goldenRun(t, 8, 7, 0.02, 5, cluster.WithFabric(fc)); slow.Clock == def.Clock {
 		t.Error("tripled link latency left the timeline unchanged; override never applied")
 	}
 }
@@ -281,7 +283,7 @@ func TestGoldenReportsInjectedCost(t *testing.T) {
 	if golden.Updating() {
 		t.Skip("compares a perturbed run with a golden; nothing to capture")
 	}
-	c := goldenRun(t, 16, 3, 0, 4, cluster.WithMutate(func(cfg *cluster.Config) { cfg.NIC.EventPostCost++ }))
+	c, _ := goldenRun(t, 16, 3, 0, 4, cluster.WithMutate(func(cfg *cluster.Config) { cfg.NIC.EventPostCost++ }))
 	r := &reportTB{TB: t}
 	golden.Check(r, "TestMyrinetTimelineGoldens", "16-node-clean", c)
 	for _, want := range []string{
