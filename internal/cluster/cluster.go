@@ -141,9 +141,6 @@ func New(n int, opts ...Option) *Cluster {
 	return build(cfg)
 }
 
-// build assembles the cluster described by cfg, wiring the metrics
-// registry (cfg's, or the cluster's own) through every layer before
-// firmware is attached.
 // backend resolves the interconnect: Fabric, or the Myrinet preset when
 // Fabric is unset.
 func (cfg *Config) backend() fabric.Config {
@@ -153,6 +150,9 @@ func (cfg *Config) backend() fabric.Config {
 	return myrinet.Default()
 }
 
+// build assembles the cluster described by cfg, wiring the metrics
+// registry (cfg's, or the cluster's own) through every layer before
+// firmware is attached.
 // Sharded and serial builds follow the identical code path — same fabric,
 // same domain registration, same construction order — so event tiebreak
 // keys (and therefore timelines) agree bit for bit across shard counts.
