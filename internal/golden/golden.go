@@ -41,10 +41,10 @@ const (
 	// each over at least minChunk events.
 	maxChunks = 64
 	minChunk  = 256
-	// context is how many earlier events on the divergent event's domain a
+	// preceding is how many earlier events on the divergent event's domain a
 	// report shows; maxShown caps the events it lists from a chunk.
-	context  = 8
-	maxShown = 512
+	preceding = 8
+	maxShown  = 512
 )
 
 // Event is one fired event: its instant and its tiebreak key, whose top 16
@@ -272,7 +272,7 @@ func report(c Capture, header string, body []string, other string) string {
 		fmt.Fprintf(&r, "first divergence at event %d (%s); %s has %q\npreceding events on domain %d:\n",
 			n, e, other, line(body), e.domain())
 		var prev []int
-		for k := n - 1; k >= 0 && len(prev) < context; k-- {
+		for k := n - 1; k >= 0 && len(prev) < preceding; k-- {
 			if c.Stream[k].domain() == e.domain() {
 				prev = append(prev, k)
 			}
