@@ -37,14 +37,14 @@ func main() {
 		n := n
 		c.Eng.Spawn("dest", func(p *sim.Proc) {
 			ports[n].Provide(*size)
-			ports[n].Release(ports[n].Recv(p))
+			ports[n].Recv(p)
 		})
 	}
 	msg := make([]byte, *size)
 	c.Eng.Spawn("root", func(p *sim.Proc) {
 		c.Nodes[0].Ext.McastSync(p, ports[0], gm.GroupID(5), msg)
 	})
-	c.Eng.Run()
+	c.Run()
 	c.Eng.Kill()
 
 	if *lanes {

@@ -57,7 +57,6 @@ func main() {
 				if !bytes.Equal(ev.Data, sent[i]) {
 					corrupted++
 				}
-				ports[n].Release(ev) // done with ev.Data: the port reuses the buffer
 			}
 		})
 	}
@@ -69,7 +68,7 @@ func main() {
 			ports[0].WaitSendDone(p)
 		}
 	})
-	c.Eng.Run()
+	c.Run()
 	c.Eng.Kill()
 
 	// Every layer counts into the cluster's metrics registry; the multicast

@@ -55,7 +55,7 @@ func nicBarrier() float64 {
 			}
 		})
 	}
-	c.Eng.Run()
+	c.Run()
 	c.Eng.Kill()
 	return total.Micros() / rounds
 }
@@ -75,7 +75,7 @@ func hostBarrier() float64 {
 			for r := 0; r < rounds; r++ {
 				for k := 1; k < nodes; k <<= 1 {
 					ports[i].Send(p, fabric.NodeID((i+k)%nodes), port, []byte{1})
-					ports[i].Release(ports[i].Recv(p))
+					ports[i].Recv(p)
 				}
 			}
 			if i == 0 {
@@ -83,7 +83,7 @@ func hostBarrier() float64 {
 			}
 		})
 	}
-	c.Eng.Run()
+	c.Run()
 	c.Eng.Kill()
 	return total.Micros() / rounds
 }
@@ -93,7 +93,7 @@ func nicAllreduce() (float64, int64) {
 	ports := c.OpenPorts(port)
 	tr := tree.Binomial(0, c.Members())
 	c.InstallGroup(groupID, tr, port, port)
-	c.Eng.Run() // settle the group table
+	c.Run() // settle the group table
 
 	var total sim.Time
 	var sum int64
@@ -113,7 +113,7 @@ func nicAllreduce() (float64, int64) {
 			}
 		})
 	}
-	c.Eng.Run()
+	c.Run()
 	c.Eng.Kill()
 	return total.Micros() / rounds, sum
 }

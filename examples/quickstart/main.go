@@ -52,7 +52,6 @@ func nicBased(message []byte) sim.Time {
 			ports[n].Provide(len(message)) // receive token
 			ev := ports[n].Recv(p)
 			fmt.Printf("  node %d received %q at t=%v\n", n, ev.Data, p.Now())
-			ports[n].Release(ev) // done with ev.Data: the port reuses the buffer
 			if p.Now() > last {
 				last = p.Now()
 			}
@@ -63,7 +62,7 @@ func nicBased(message []byte) sim.Time {
 		c.Nodes[0].Ext.McastSync(p, ports[0], group, message)
 		fmt.Printf("  root: all children acknowledged at t=%v\n", p.Now())
 	})
-	c.Eng.Run()
+	c.Run()
 	c.Eng.Kill()
 	return last
 }
@@ -86,8 +85,8 @@ func hostBased(message []byte) sim.Time {
 		c.Eng.Spawn("node", func(p *sim.Proc) {
 			ports[n].Provide(len(message))
 			ev := ports[n].Recv(p)
-			// Host-based forwarding. The sends read ev.Data until they
-			// complete, so the event is not released here.
+			// Host-based forwarding: the sends read ev.Data until they
+			// complete, and this port never receives again to take it back.
 			forward(p, n, ev.Data)
 			if p.Now() > last {
 				last = p.Now()
@@ -97,7 +96,7 @@ func hostBased(message []byte) sim.Time {
 	c.Eng.Spawn("root", func(p *sim.Proc) {
 		forward(p, 0, message)
 	})
-	c.Eng.Run()
+	c.Run()
 	c.Eng.Kill()
 	return last
 }

@@ -179,7 +179,7 @@ func MulticastStormStats(fc fabric.Config, nodes, shards, msgs, size int, extra 
 		c.SpawnOn(fabric.NodeID(i), "recv", func(p *sim.Proc) {
 			port.ProvideN(msgs+2, size+256)
 			for got := 0; got < msgs; got++ {
-				port.Release(port.Recv(p))
+				port.Recv(p)
 			}
 		})
 	}

@@ -103,7 +103,6 @@ func (j *multicastJob) Drive(env *Env) (sim.Time, []string) {
 					nodeViol[n] = append(nodeViol[n], fmt.Sprintf(
 						"node %d: msg %d payload corrupted", n, i+1))
 				}
-				ports[n].Release(ev)
 			}
 			finish[n] = p.Now()
 		})

@@ -263,14 +263,17 @@ func (c *Cluster) SpawnOn(id fabric.NodeID, name string, fn func(p *sim.Proc)) *
 
 // Run fires events until the whole cluster is quiescent, serial or
 // sharded; afterwards every shard's clock sits at the same time a serial
-// run would end at.
+// run would end at, and no port holds a host buffer.
 func (c *Cluster) Run() {
 	if c.sh != nil {
 		c.sh.Run()
 		c.foldShardMetrics()
-		return
+	} else {
+		c.Eng.Run()
 	}
-	c.Eng.Run()
+	for _, n := range c.Nodes {
+		n.NIC.DropHostBuffers()
+	}
 }
 
 // RunUntil fires every event with timestamp <= t and advances all clocks

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/fabric"
@@ -167,5 +168,61 @@ func TestGroupIDTypeIsStable(t *testing.T) {
 	var g gm.GroupID = 1 + 15*64 + 63
 	if g == 0 {
 		t.Fatal("impossible")
+	}
+}
+
+// After Run no port holds a host buffer: the event each port lent last is
+// never reused and no spare carries over, so the next run's messages land in
+// fresh buffers — and are still delivered. Serial and sharded alike.
+func TestRunLeavesNoHostBuffer(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		c := New(4, WithShards(shards))
+		ports := c.OpenPorts(1)
+		// Every buffer a run delivered in, per run and node. Holding them
+		// keeps their addresses from being reused by the allocator.
+		var bufs [2][3][][]byte
+		for run, fill := range []byte{1, 2} {
+			for n := fabric.NodeID(1); n <= 2; n++ {
+				c.SpawnOn(n, "recv", func(p *sim.Proc) {
+					ports[n].Provide(64)
+					for range 3 {
+						ev := ports[n].Recv(p)
+						if ev.Data[0] != fill {
+							t.Errorf("%d shards, run %d: node %v got %d", shards, run, n, ev.Data[0])
+						}
+						bufs[run][n] = append(bufs[run][n], ev.Data)
+						ports[n].Provide(64)
+					}
+					// Node 1 ends holding its last event; node 2 gives it
+					// back, so its port has a spare.
+					if n == 2 {
+						ports[n].TryRecv()
+					}
+				})
+			}
+			c.SpawnOn(3, "send", func(p *sim.Proc) {
+				msg := bytes.Repeat([]byte{fill}, 64)
+				for range 3 {
+					ports[3].SendSync(p, 1, 1, msg)
+					ports[3].SendSync(p, 2, 1, msg)
+				}
+			})
+			c.Run()
+		}
+		for n := 1; n <= 2; n++ {
+			if len(bufs[1][n]) != 3 {
+				t.Fatalf("%d shards: node %d got %d messages in the second run, want 3", shards, n, len(bufs[1][n]))
+			}
+			for _, b := range bufs[1][n] {
+				for _, old := range bufs[0][n] {
+					if &b[0] == &old[0] {
+						t.Errorf("%d shards: node %d reused a buffer of the first run", shards, n)
+					}
+				}
+			}
+		}
+		if last := bufs[0][1][2]; !bytes.Equal(last, bytes.Repeat([]byte{1}, 64)) {
+			t.Errorf("%d shards: the event lent at the end of the first run was overwritten", shards)
+		}
 	}
 }

@@ -148,7 +148,7 @@ func balanceRun(t *testing.T, nodes, shards int, opts ...cluster.Option) (sim.Ti
 			c.SpawnOn(fabric.NodeID(i), "recv", func(proc *sim.Proc) {
 				p.ProvideN(msgs, size)
 				for got := 0; got < msgs; got++ {
-					p.Release(p.Recv(proc))
+					p.Recv(proc)
 				}
 			})
 		}

@@ -94,19 +94,12 @@ func (e *Engine) Allgather(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []i
 		port.Provide(8 * n * len(vec))
 	}
 	e.PostAllgather(proc, port, id, vec)
-	for {
-		ev := port.Recv(proc)
-		if ev.Group == id && len(ev.Data) > 0 {
-			res := DecodeVec(ev.Data)
-			if root {
-				e.ext.Mcast(proc, port, id, ev.Data) // in flight: not released
-			} else {
-				port.Release(ev)
-			}
-			return res
-		}
-		panic("coll: unexpected traffic on allgather port")
+	ev := awaitEvent(proc, port, id, "allgather", true)
+	if root {
+		port.Keep(ev) // the multicast reads ev.Data until it completes
+		e.ext.Mcast(proc, port, id, ev.Data)
 	}
+	return DecodeVec(ev.Data)
 }
 
 // PostAllgather contributes this node's vector without blocking — the

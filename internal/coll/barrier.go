@@ -22,14 +22,17 @@ const (
 // to collective use.
 func (e *Engine) Barrier(proc *sim.Proc, port *gm.Port, id gm.GroupID) {
 	e.PostBarrier(proc, port, id)
-	for {
-		ev := port.Recv(proc)
-		if ev.Group == id && len(ev.Data) == 0 {
-			port.Release(ev)
-			return
-		}
-		panic("coll: unexpected traffic on barrier port")
+	awaitEvent(proc, port, id, "barrier", false)
+}
+
+// awaitEvent receives the group event that completes op — zero bytes for a
+// barrier, a vector (data) for the others — and panics on any other traffic.
+func awaitEvent(proc *sim.Proc, port *gm.Port, id gm.GroupID, op string, data bool) *gm.RecvEvent {
+	ev := port.Recv(proc)
+	if ev.Group != id || (len(ev.Data) > 0) != data {
+		panic("coll: unexpected traffic on " + op + " port")
 	}
+	return ev
 }
 
 // PostBarrier enters the barrier without blocking for completion — the

@@ -67,15 +67,7 @@ func (e *Engine) Reduce(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []int6
 	if !e.isGroupRoot(id) {
 		return nil
 	}
-	for {
-		ev := port.Recv(proc)
-		if ev.Group == id && len(ev.Data) > 0 {
-			res := DecodeVec(ev.Data)
-			port.Release(ev)
-			return res
-		}
-		panic("coll: unexpected traffic on reduce port")
-	}
+	return DecodeVec(awaitEvent(proc, port, id, "reduce", true).Data)
 }
 
 // PostReduce contributes without blocking — the split entry point for
@@ -196,13 +188,5 @@ func (e *Engine) Allreduce(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []i
 		e.ext.Mcast(proc, port, id, EncodeVec(res))
 		return res
 	}
-	for {
-		ev := port.Recv(proc)
-		if ev.Group == id && len(ev.Data) > 0 {
-			res := DecodeVec(ev.Data)
-			port.Release(ev)
-			return res
-		}
-		panic("coll: unexpected traffic on allreduce port")
-	}
+	return DecodeVec(awaitEvent(proc, port, id, "allreduce", true).Data)
 }

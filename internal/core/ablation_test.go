@@ -200,7 +200,6 @@ func TestAblationLossyRunLeaksNothing(t *testing.T) {
 						if bytes.Equal(ev.Data, msg) {
 							ok++
 						}
-						ports[n].Release(ev)
 					}
 				})
 			}

@@ -48,9 +48,8 @@ func streamAllocsOnce(t *testing.T, msgs int) (objects, bytes uint64) {
 		c.Eng.Spawn("recv", func(p *sim.Proc) {
 			ports[n].Provide(len(msg))
 			for i := 0; i < msgs; i++ {
-				ev := ports[n].Recv(p)
+				ports[n].Recv(p)
 				got++
-				ports[n].Release(ev)
 				ports[n].Provide(len(msg))
 			}
 		})
@@ -127,7 +126,7 @@ func TestAllocDescriptorFreeListIsBoundedByBuffers(t *testing.T) {
 			want := (groups - own) * msgs
 			ports[n].ProvideN(want, len(msg))
 			for i := 0; i < want; i++ {
-				ports[n].Release(ports[n].Recv(p))
+				ports[n].Recv(p)
 			}
 		})
 	}
@@ -161,5 +160,47 @@ func TestAllocDescriptorFreeListIsBoundedByBuffers(t *testing.T) {
 	t.Logf("largest free list: %d descriptors", most)
 	if most == 0 {
 		t.Error("no descriptor was ever made")
+	}
+}
+
+// A receiver that never calls Release costs the heap nothing per message: a
+// 1 KB multicast to eight receivers whose loops only Recv and Provide
+// allocates one object, the packet's frame, shared by every replica — the
+// port takes each lent event back at the loop's next Recv and lands a later
+// message in its buffer, so no receive buffer, assembly or event is made.
+func TestAllocReceiveLoopWithoutRelease(t *testing.T) {
+	const nodes, warm, runs = 9, 8, 200
+	c := cluster.New(nodes)
+	ports := c.OpenPorts(testPort)
+	c.InstallGroup(22, tree.Binomial(0, c.Members()), testPort, testPort)
+	c.Run()
+	msg := pattern(1024)
+	got := 0
+	for n := 1; n < nodes; n++ {
+		c.Eng.Spawn("recv", func(p *sim.Proc) {
+			ports[n].ProvideN(2, len(msg))
+			for range warm + runs + 1 { // AllocsPerRun runs once more to warm up
+				if ev := ports[n].Recv(p); len(ev.Data) == len(msg) {
+					got++
+				}
+				ports[n].Provide(len(msg))
+			}
+		})
+	}
+	allocs := -1.0
+	c.Eng.Spawn("root", func(p *sim.Proc) {
+		mcast := func() { c.Nodes[0].Ext.McastSync(p, ports[0], 22, msg) }
+		for range warm {
+			mcast()
+		}
+		allocs = testing.AllocsPerRun(runs, mcast)
+	})
+	c.Run()
+	c.Kill()
+	if want := (warm + runs + 1) * (nodes - 1); got != want {
+		t.Fatalf("%d deliveries, want %d", got, want)
+	}
+	if allocs != 1 {
+		t.Errorf("a multicast to %d receivers that never release allocates %.2f objects, want 1 (its frame)", nodes-1, allocs)
 	}
 }

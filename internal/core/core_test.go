@@ -73,7 +73,8 @@ func pattern(n int) []byte {
 }
 
 // spawnReceivers starts a receiving process on every non-root member that
-// collects `count` messages into got[node].
+// collects copies of `count` messages into got[node] (the port takes each
+// event's buffer back at the next receive).
 func (r *rig) spawnReceivers(count, bufcap int) *map[fabric.NodeID][][]byte {
 	got := make(map[fabric.NodeID][][]byte)
 	for _, n := range r.tr.Nodes() {
@@ -86,7 +87,7 @@ func (r *rig) spawnReceivers(count, bufcap int) *map[fabric.NodeID][][]byte {
 			port.ProvideN(count, bufcap)
 			for i := 0; i < count; i++ {
 				ev := port.Recv(p)
-				got[n] = append(got[n], ev.Data)
+				got[n] = append(got[n], bytes.Clone(ev.Data))
 			}
 		})
 	}

@@ -134,6 +134,7 @@ func TestSoakMixedTraffic(t *testing.T) {
 			portsU[b].ProvideN(rounds, 512)
 			for i := 0; i < rounds; i++ {
 				ev := portsU[b].Recv(p)
+				portsU[b].Keep(ev) // the echo reads ev.Data until it completes
 				portsU[b].Send(p, fabric.NodeID(a), uniPort, ev.Data)
 			}
 		})

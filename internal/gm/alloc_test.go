@@ -14,9 +14,10 @@ import (
 // left out of -race builds).
 
 // On a warm port the whole receive cycle — match a token, deposit, deliver
-// the event, Recv, Release, Provide — allocates nothing: the assembly, the
-// event and the buffer come back from the port's released list, and the
-// delivery closure was bound when the assembly was made.
+// the event, Recv, Provide — allocates nothing: each Recv takes back the
+// event the previous one lent, so the assembly, the event and the buffer
+// come back from the port's spares, and the delivery closure was bound when
+// the assembly was made.
 func TestAllocReceiveCycleIsFree(t *testing.T) {
 	r := newRig(t, 2, nil)
 	port := r.ports[1]
@@ -41,7 +42,6 @@ func TestAllocReceiveCycleIsFree(t *testing.T) {
 			if len(ev.Data) != len(payload) || ev.MsgID != id {
 				t.Fatalf("cycle %d delivered msg %d with %d bytes", id, ev.MsgID, len(ev.Data))
 			}
-			port.Release(ev)
 			port.Provide(capacity)
 		})
 	})
@@ -101,7 +101,6 @@ func TestAllocUnicastCycleIsTwoFrames(t *testing.T) {
 			if len(ev.Data) != len(msg) {
 				t.Fatalf("delivered %d bytes, want %d", len(ev.Data), len(msg))
 			}
-			dst.Release(ev)
 			dst.Provide(len(msg))
 		})
 	})

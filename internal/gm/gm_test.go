@@ -205,8 +205,7 @@ func TestRandomLossManyMessagesAllDelivered(t *testing.T) {
 	r.eng.Spawn("recv", func(p *sim.Proc) {
 		r.ports[1].ProvideN(count, 8192)
 		for i := 0; i < count; i++ {
-			ev := r.ports[1].Recv(p)
-			got = append(got, ev.Data)
+			got = append(got, bytes.Clone(r.ports[1].Recv(p).Data))
 		}
 	})
 	var sent [][]byte
@@ -404,6 +403,7 @@ func TestBidirectionalTraffic(t *testing.T) {
 		r.ports[1].ProvideN(rounds, 256)
 		for i := 0; i < rounds; i++ {
 			ev := r.ports[1].Recv(p)
+			r.ports[1].Keep(ev) // the echo reads ev.Data until it completes
 			r.ports[1].Send(p, 0, 1, ev.Data)
 		}
 	})

@@ -127,6 +127,14 @@ func (n *NIC) OpenPort(id PortID) *Port {
 	return p
 }
 
+// DropHostBuffers makes each port forget its lent event, never to reuse it,
+// and its spares: for when nothing is in flight, as at the end of a run.
+func (n *NIC) DropHostBuffers() {
+	for _, p := range n.ports {
+		p.lent, p.free = nil, nil
+	}
+}
+
 // Port returns an open port.
 func (n *NIC) Port(id PortID) *Port {
 	p, ok := n.ports[id]

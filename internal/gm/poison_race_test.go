@@ -21,6 +21,7 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 		r.ports[1].Provide(len(msg))
 		ev := r.ports[1].Recv(p)
 		atForwarder = append([]byte(nil), ev.Data...)
+		r.ports[1].Keep(ev)
 		r.ports[1].Send(p, 2, 1, ev.Data)
 		r.ports[1].Release(ev) // the bug: the send has only been posted
 	})
@@ -40,5 +41,38 @@ func TestEarlyReleaseIsCaught(t *testing.T) {
 	}
 	if !bytes.Equal(atLeaf, bytes.Repeat([]byte{poisonByte}, len(msg))) {
 		t.Errorf("the leaf received neither the message nor the poison")
+	}
+}
+
+// The negative control for the loan: a receiver that reads ev.Data after its
+// next Recv has taken the event back sees the poison, not the message. (The
+// second message is the larger, so it cannot land in the first one's buffer
+// and hide the read.) The companion half shows that the rule is the loan and
+// nothing else: an event kept across the receive after it holds its message.
+func TestReadPastNextRecvIsCaught(t *testing.T) {
+	r := newRig(t, 2, nil)
+	first, second := pattern(1000), pattern(3000)
+	var data []byte
+	var kept *RecvEvent
+	r.eng.Spawn("recv", func(p *sim.Proc) {
+		r.ports[1].ProvideN(2, len(second))
+		data = r.ports[1].Recv(p).Data
+		kept = r.ports[1].Recv(p) // the bug: data is read after this
+		r.ports[1].Keep(kept)
+		r.ports[1].TryRecv()
+	})
+	r.eng.Spawn("send", func(p *sim.Proc) {
+		r.ports[0].SendSync(p, 1, 1, first)
+		r.ports[0].SendSync(p, 1, 1, second)
+	})
+	r.run(t)
+	if bytes.Equal(data, first) {
+		t.Fatal("a read past the next Recv went unnoticed: the data is still intact")
+	}
+	if !bytes.Equal(data, bytes.Repeat([]byte{poisonByte}, len(first))) {
+		t.Errorf("the lent buffer holds neither the message nor the poison")
+	}
+	if !bytes.Equal(kept.Data, second) {
+		t.Error("a kept event was poisoned by the receive after it")
 	}
 }

@@ -12,12 +12,12 @@ import (
 // RecvEvent is delivered to the host when a complete message has arrived.
 // Data is the host receive buffer, exactly the message long.
 //
-// Ownership: the event and Data belong to the receiver from Recv until it
-// hands them back with Port.Release, after which neither may be touched
-// again — the port gives the same event and buffer to a later message. Data
-// passed on to Port.Send (a host-based forwarder) is still in use until that
-// send completes, so the event may not be released before then. An event
-// that is never released is ordinary garbage.
+// Ownership: the port lends the event and Data, as bufio.Scanner lends Bytes,
+// until its next Recv or TryRecv — even one that blocks or finds nothing —
+// takes both back for a later message. A holder that needs them longer (a
+// queue of unmatched messages; a forwarder, whose Send reads Data until it
+// completes) calls Port.Keep before that receive and Port.Release when done;
+// a kept event that is never released is ordinary garbage.
 type RecvEvent struct {
 	Src     fabric.NodeID
 	SrcPort PortID
@@ -25,7 +25,7 @@ type RecvEvent struct {
 	Group   GroupID
 	Data    []byte
 
-	asm *Assembly // what Release recycles; nil on a firmware-generated event
+	asm *Assembly // what the port recycles; nil on a firmware-generated event
 }
 
 // recvToken is one host-posted receive token awaiting a message: a
@@ -46,13 +46,13 @@ type asmKey struct {
 // exported (with accessor methods) because the multicast extension
 // deposits forwarded packets into assemblies. The assembly embeds the
 // receive event it becomes, so assembly, event and buffer reach the host
-// and come back through Port.Release as one object.
+// and come back to the port as one object.
 type Assembly struct {
 	ev       RecvEvent // ev.Data is the host buffer, the message long
 	port     *Port
 	received int
-	done     bool   // delivered: the host owns ev until it releases it
-	free     bool   // released: on port.free
+	done     bool   // delivered: queued for the host, lent, kept or spare
+	kept     bool   // the host's until Release (Port.Keep)
 	tabled   bool   // in port.asms, where the message's later packets find it
 	post     func() // a.deliver, bound once so a delivery allocates nothing
 }
@@ -111,7 +111,8 @@ type Port struct {
 	// port opens the first one: a port that only receives whole-message
 	// packets never builds the table.
 	asms map[asmKey]*Assembly
-	free []*Assembly // released by the host, reused by MatchAssembly
+	lent *Assembly   // what the last Recv or TryRecv returned; the next takes it back
+	free []*Assembly // taken back or released, reused by MatchAssembly
 
 	// regions are remotely writable registered buffers (directed sends).
 	regions    map[RegionID]*region
@@ -134,9 +135,9 @@ func (p *Port) Node() fabric.NodeID { return p.nic.ID() }
 // Provide posts a receive token: permission to deliver one message of up
 // to capacity bytes. Like GM, receiving is impossible without posted tokens.
 // The token carries no memory — the port lands the message in a buffer of
-// the message's own length, a released one (see Release) when one is large
-// enough — so a loop that is done with an event releases it and then
-// provides the token again.
+// the message's own length, one it has taken back (see RecvEvent) when one
+// is large enough — so a receive loop provides a token for each event and
+// does nothing else to recycle the buffers.
 func (p *Port) Provide(capacity int) {
 	if max := p.nic.Cfg.RecvTokensMax; max > 0 && len(p.recvTokens) >= max {
 		panic(fmt.Errorf("%w: port %d exceeds %d", ErrTokenExhausted, p.id, max))
@@ -237,25 +238,38 @@ func (p *Port) SendSync(proc *sim.Proc, dst fabric.NodeID, dstPort PortID, data 
 	p.WaitSendDone(proc)
 }
 
-// Recv blocks until a message arrives and returns its event, charging the
-// host receive-path cost.
+// Recv takes back the event it lent last, blocks until a message arrives
+// and lends its event, charging the host receive-path cost.
 func (p *Port) Recv(proc *sim.Proc) *RecvEvent {
-	for len(p.recvEvents) == 0 {
+	ev, ok := p.TryRecv()
+	for !ok {
 		p.recvWaiter.Wait(proc)
+		ev, ok = p.TryRecv()
 	}
-	ev, _ := p.TryRecv()
 	proc.Compute(p.nic.Cfg.HostRecvCost)
 	return ev
 }
 
-// TryRecv returns a pending message without blocking.
+// TryRecv is Recv that neither blocks nor charges the receive-path cost.
 func (p *Port) TryRecv() (*RecvEvent, bool) {
+	if p.lent != nil {
+		p.spare(p.lent)
+		p.lent = nil
+	}
 	if len(p.recvEvents) == 0 {
 		return nil, false
 	}
 	ev := p.recvEvents[0]
 	p.recvEvents = slices.Delete(p.recvEvents, 0, 1)
+	p.lent = ev.asm
 	return ev, true
+}
+
+// spare puts a on the free list, poisoned in -race builds.
+func (p *Port) spare(a *Assembly) {
+	poison(a.ev.Data)
+	a.kept = false
+	p.free = append(p.free, a)
 }
 
 // PendingRecvs reports the receive-event queue depth.
@@ -296,34 +310,46 @@ func (n *NIC) landGroupEvent() {
 	ge.port.deliver(ge.ev)
 }
 
-// Release hands a received event, and the buffer behind its Data, back to
-// the port: the next message that fits lands in that buffer and is
-// delivered as that event, so the caller must be finished with both (see
-// RecvEvent for the rule). Only the receiving port may release an event,
-// and only once; anything else panics. A firmware-generated event has no
-// buffer and releasing it does nothing. Releasing posts no token — that is
-// still Provide.
-func (p *Port) Release(ev *RecvEvent) {
-	a := ev.asm
-	if a == nil {
-		return
+// Keep takes the event the port lends out of the loan, before the port's next
+// receive: the port leaves it and its buffer alone until Release. Keeping a
+// kept event, or a firmware-generated one (no buffer), does nothing.
+func (p *Port) Keep(ev *RecvEvent) {
+	if a := p.asmOf(ev); a != nil && !a.kept {
+		if a != p.lent {
+			panic("gm: keep of an event the port no longer lends")
+		}
+		a.kept, p.lent = true, nil
 	}
-	if a.port != p {
-		panic(fmt.Sprintf("gm: port %d releases an event received on port %d of node %v", p.id, a.port.id, a.port.Node()))
-	}
-	if !a.done || a.free {
-		panic("gm: release of an event the host does not hold")
-	}
-	poison(ev.Data)
-	a.free = true
-	p.free = append(p.free, a)
 }
 
-// takeFree removes and returns the released assembly whose buffer fits
+// Release hands a kept event and its buffer back to the port for the next
+// message that fits, so the caller must be finished with both. Releasing an
+// event not kept on this port (a lent one above all: the port takes that back
+// by itself) or releasing twice panics; a firmware-generated event has no
+// buffer and releasing it does nothing. Releasing posts no token.
+func (p *Port) Release(ev *RecvEvent) {
+	if a := p.asmOf(ev); a != nil {
+		if !a.kept {
+			panic("gm: release of an event that was not kept")
+		}
+		p.spare(a)
+	}
+}
+
+// asmOf returns ev's assembly, nil for a firmware event; another port's panics.
+func (p *Port) asmOf(ev *RecvEvent) *Assembly {
+	a := ev.asm
+	if a != nil && a.port != p {
+		panic(fmt.Sprintf("gm: port %d handles an event received on port %d of node %v", p.id, a.port.id, a.port.Node()))
+	}
+	return a
+}
+
+// takeFree removes and returns the spare assembly whose buffer fits
 // msgLen most tightly. When none is large enough it returns the last one on
 // the list anyway, to be given a new buffer, so a port never holds more
-// assemblies than it had messages outstanding at once; nil when nothing is
-// released.
+// assemblies than it had messages outstanding at once; nil when it has no
+// spare.
 func (p *Port) takeFree(msgLen int) *Assembly {
 	n := len(p.free)
 	if n == 0 {
@@ -353,7 +379,7 @@ func (p *Port) takeFree(msgLen int) *Assembly {
 // oldest on ties), standing in for GM's size-class token matching: a large
 // rendezvous landing token is never consumed by a small eager message. The
 // token's capacity is the admission test and nothing else; the host buffer is
-// MsgLen long, taken from the released ones when one is large enough. It
+// MsgLen long, taken from the spares when one is large enough. It
 // reports false when no token fits — the caller must then refuse the packet.
 //
 // A packet that carries its whole message never enters the assembly table:
@@ -390,10 +416,11 @@ func (p *Port) MatchAssembly(src fabric.NodeID, fr *Frame) (*Assembly, bool) {
 		a.post = a.deliver
 	}
 	if cap(a.ev.Data) < msgLen {
-		a.ev.Data = make([]byte, msgLen)
+		// Grow's capacity is the whole size class: room for a longer next message.
+		a.ev.Data = slices.Grow([]byte(nil), msgLen)
 	}
 	a.ev = RecvEvent{Src: src, SrcPort: fr.SrcPort, MsgID: fr.MsgID, Group: fr.Group, Data: a.ev.Data[:msgLen], asm: a}
-	a.received, a.done, a.free, a.tabled = 0, false, false, !whole
+	a.received, a.done, a.tabled = 0, false, !whole
 	if a.tabled {
 		if p.asms == nil {
 			p.asms = make(map[asmKey]*Assembly)

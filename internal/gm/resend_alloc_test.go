@@ -64,7 +64,7 @@ func TestAllocResend(t *testing.T) {
 		c.Eng.Spawn("recv", func(p *sim.Proc) {
 			ports[1].Provide(size)
 			for i := 0; i < msgs; i++ {
-				ports[1].Release(ports[1].Recv(p))
+				ports[1].Recv(p)
 				ports[1].Provide(size)
 			}
 		})
@@ -82,7 +82,7 @@ func TestAllocResend(t *testing.T) {
 			c.Eng.Spawn("recv", func(p *sim.Proc) {
 				port.Provide(size)
 				for i := 0; i < msgs; i++ {
-					port.Release(port.Recv(p))
+					port.Recv(p)
 					port.Provide(size)
 				}
 			})

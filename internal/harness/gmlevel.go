@@ -30,7 +30,7 @@ func (o Options) MultisendNB(ndest, size int) float64 {
 		c.SpawnOn(fabric.NodeID(d), "dest", func(p *sim.Proc) {
 			ports[d].ProvideN(total, size)
 			for i := 0; i < total; i++ {
-				ports[d].Release(ports[d].Recv(p))
+				ports[d].Recv(p)
 			}
 		})
 	}
@@ -63,7 +63,7 @@ func (o Options) MultisendHB(ndest, size int) float64 {
 		c.SpawnOn(fabric.NodeID(d), "dest", func(p *sim.Proc) {
 			ports[d].ProvideN(total, size)
 			for i := 0; i < total; i++ {
-				ports[d].Release(ports[d].Recv(p))
+				ports[d].Recv(p)
 			}
 		})
 	}
@@ -117,7 +117,7 @@ func (o Options) multicastNBOnce(nodes, size int, designated fabric.NodeID) floa
 		c.SpawnOn(n, "dest", func(p *sim.Proc) {
 			ports[n].ProvideN(total, size)
 			for i := 0; i < total; i++ {
-				ports[n].Release(ports[n].Recv(p))
+				ports[n].Recv(p)
 				if n == designated {
 					ports[n].Send(p, 0, benchPort, ack1)
 				}
@@ -131,7 +131,7 @@ func (o Options) multicastNBOnce(nodes, size int, designated fabric.NodeID) floa
 		ports[0].ProvideN(total, 4)
 		iter := func() {
 			ext.Mcast(p, ports[0], gmGroup, msg)
-			ports[0].Release(ports[0].Recv(p)) // designated leaf's acknowledgment
+			ports[0].Recv(p) // designated leaf's acknowledgment
 		}
 		for i := 0; i < o.Warmup; i++ {
 			iter()
@@ -163,7 +163,7 @@ func (o Options) multicastHBOnce(nodes, size int, designated fabric.NodeID) floa
 		c.SpawnOn(n, "node", func(p *sim.Proc) {
 			ports[n].ProvideN(total, size)
 			// A forwarder's sends read ev.Data until they are acknowledged,
-			// and it does not wait for them: it holds what it has forwarded
+			// and it does not wait for them: it keeps what it has forwarded
 			// and releases the lot once every send token is back, when
 			// nothing it posted can still be reading.
 			var held []*gm.RecvEvent
@@ -182,8 +182,8 @@ func (o Options) multicastHBOnce(nodes, size int, designated fabric.NodeID) floa
 					// What a leaf holds has crossed every forwarder above
 					// it; one that let go of its buffer early shows here.
 					checkLeaf(n, ev.Data, msg)
-					ports[n].Release(ev)
 				} else {
+					ports[n].Keep(ev)
 					held = append(held, ev)
 				}
 				if n == designated {
@@ -200,7 +200,7 @@ func (o Options) multicastHBOnce(nodes, size int, designated fabric.NodeID) floa
 			for _, ch := range children {
 				ports[0].Send(p, ch, benchPort, msg)
 			}
-			ports[0].Release(ports[0].Recv(p))
+			ports[0].Recv(p)
 		}
 		for i := 0; i < o.Warmup; i++ {
 			iter()
@@ -266,7 +266,7 @@ func (o Options) UnicastOneWay(size int, withExtension bool) float64 {
 	c.SpawnOn(1, "echo", func(p *sim.Proc) {
 		ports[1].ProvideN(total, size)
 		for i := 0; i < total; i++ {
-			ports[1].Release(ports[1].Recv(p))
+			ports[1].Recv(p)
 			ports[1].Send(p, 0, benchPort, ack1)
 		}
 	})
@@ -275,7 +275,7 @@ func (o Options) UnicastOneWay(size int, withExtension bool) float64 {
 		ports[0].ProvideN(total, 4)
 		iter := func() {
 			ports[0].Send(p, 1, benchPort, msg)
-			ports[0].Release(ports[0].Recv(p))
+			ports[0].Recv(p)
 		}
 		for i := 0; i < o.Warmup; i++ {
 			iter()
@@ -350,7 +350,7 @@ func (o Options) HostBarrier(nodes int) float64 {
 				for k := 1; k < nodes; k <<= 1 {
 					dst := fabric.NodeID((i + k) % nodes)
 					ports[i].Send(p, dst, benchPort, ack1)
-					ports[i].Release(ports[i].Recv(p))
+					ports[i].Recv(p)
 				}
 			}
 			if i == 0 {
@@ -399,7 +399,7 @@ func (o Options) UnicastBandwidth(size int) float64 {
 	c.SpawnOn(1, "recv", func(p *sim.Proc) {
 		ports[1].ProvideN(total, size)
 		for i := 0; i < total; i++ {
-			ports[1].Release(ports[1].Recv(p))
+			ports[1].Recv(p)
 		}
 	})
 	msg := payload(size)
@@ -442,7 +442,7 @@ func (o Options) MulticastAggregateBandwidth(nodes, size int) float64 {
 		c.SpawnOn(n, "recv", func(p *sim.Proc) {
 			ports[n].ProvideN(total, size)
 			for i := 0; i < total; i++ {
-				ports[n].Release(ports[n].Recv(p))
+				ports[n].Recv(p)
 			}
 			finished[n] = p.Now()
 		})

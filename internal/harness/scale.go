@@ -62,14 +62,11 @@ func (o Options) lastDelivery(nodes, size int, nb bool) float64 {
 			ports[n].ProvideN(total, size)
 			for i := 0; i < total; i++ {
 				ev := ports[n].Recv(p)
-				if !nb {
+				if !nb && len(children) > 0 {
+					ports[n].Keep(ev) // its sends read ev.Data until they complete
 					for _, ch := range children {
 						ports[n].Send(p, ch, benchPort, ev.Data)
 					}
-				}
-				if nb || len(children) == 0 {
-					// A host-based forwarder's sends still read ev.Data.
-					ports[n].Release(ev)
 				}
 				row[i] = p.Now()
 				if n == designated {
@@ -90,7 +87,7 @@ func (o Options) lastDelivery(nodes, size int, nb bool) float64 {
 					ports[0].Send(p, ch, benchPort, msg)
 				}
 			}
-			ports[0].Release(ports[0].Recv(p)) // the designated node's acknowledgment
+			ports[0].Recv(p) // the designated node's acknowledgment
 		}
 	})
 	runToCompletion(c)

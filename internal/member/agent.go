@@ -34,7 +34,6 @@ func (s *System) agentLoop(p *sim.Proc, n fabric.NodeID) {
 	for {
 		ev := port.Recv(p)
 		m, err := decodeCtrl(ev.Data) // copies what it keeps
-		port.Release(ev)
 		port.Provide(s.ctrlBufCap())
 		if err != nil {
 			s.res.fail("node %d: %v", n, err)

@@ -336,7 +336,6 @@ func (s *System) recvLoop(p *sim.Proc, id fabric.NodeID) {
 		ev := port.Recv(p)
 		if len(ev.Data) < 8 {
 			s.res.fail("node %d: runt delivery of %d bytes", id, len(ev.Data))
-			port.Release(ev)
 			continue
 		}
 		idx := binary.LittleEndian.Uint32(ev.Data)
@@ -347,7 +346,6 @@ func (s *System) recvLoop(p *sim.Proc, id fabric.NodeID) {
 			}
 		}
 		s.res.Deliveries[id] = append(s.res.Deliveries[id], Delivery{Idx: idx, At: p.Now()})
-		port.Release(ev)
 		if idx == sentinelIdx {
 			return
 		}

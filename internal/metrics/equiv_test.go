@@ -75,7 +75,7 @@ func multicastRun(t *testing.T, reg *metrics.Registry, opts ...cluster.Option) {
 		c.SpawnOn(fabric.NodeID(i), "recv", func(p *sim.Proc) {
 			port.ProvideN(msgs+3, 1<<12)
 			for got := 0; got < msgs; got++ {
-				port.Release(port.Recv(p))
+				port.Recv(p)
 			}
 		})
 	}

@@ -168,8 +168,8 @@ func (r *Rank) nextSeq(comm uint32, peer int, tag int32) uint32 {
 // and reposts its receive token, keeping the preposted pool full — this is
 // why a NIC can accept and forward broadcast packets before the host
 // process calls MPI_Bcast. The caller has copied out or decoded what it
-// needs: ev and ev.Data are the port's again. Events parked in unexpected
-// are still owned by the rank and come here only once matched.
+// needs: ev and ev.Data are the port's again. Every event comes here kept
+// (Rank.await), since one that does not match waits across later receives.
 func (r *Rank) replenish(ev *gm.RecvEvent) {
 	r.port.Release(ev)
 	r.port.Provide(EagerMax + envelopeBytes)

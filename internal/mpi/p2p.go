@@ -137,33 +137,28 @@ func (r *Rank) awaitMatch(comm uint32, src int, tag int32, seq uint32, kinds ...
 		}
 		return false
 	}
-	for i, ev := range r.unexpected {
-		if match(ev) {
-			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
-			return ev
-		}
-	}
-	for {
-		ev := r.port.Recv(r.proc)
-		if match(ev) {
-			return ev
-		}
-		r.unexpected = append(r.unexpected, ev)
-	}
+	return r.await(match)
 }
 
 // awaitGroup returns the next message delivered on the given multicast
 // group, consulting the unexpected queue first.
 func (r *Rank) awaitGroup(gid gm.GroupID) *gm.RecvEvent {
+	return r.await(func(ev *gm.RecvEvent) bool { return ev.Group == gid })
+}
+
+// await returns the first event match accepts: out of the unexpected queue,
+// or else off the port, parking each one it passes over in the queue.
+func (r *Rank) await(match func(*gm.RecvEvent) bool) *gm.RecvEvent {
 	for i, ev := range r.unexpected {
-		if ev.Group == gid {
+		if match(ev) {
 			r.unexpected = append(r.unexpected[:i], r.unexpected[i+1:]...)
 			return ev
 		}
 	}
 	for {
 		ev := r.port.Recv(r.proc)
-		if ev.Group == gid {
+		r.port.Keep(ev)
+		if match(ev) {
 			return ev
 		}
 		r.unexpected = append(r.unexpected, ev)

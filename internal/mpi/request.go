@@ -86,11 +86,8 @@ func Waitall(reqs ...*Request) [][]byte {
 // drainPort moves any already-delivered events into the unexpected queue
 // without blocking, so Test can see them.
 func (r *Rank) drainPort() {
-	for {
-		ev, ok := r.port.TryRecv()
-		if !ok {
-			return
-		}
+	for ev, ok := r.port.TryRecv(); ok; ev, ok = r.port.TryRecv() {
+		r.port.Keep(ev)
 		r.unexpected = append(r.unexpected, ev)
 	}
 }

@@ -68,7 +68,6 @@ func RunWith(cfg *cluster.Config, spec Spec, attach func(*cluster.Cluster)) (Rep
 					}
 					perDst[d] = append(perDst[d], p.Now()-t0)
 				}
-				ports[d].Release(ev)
 			}
 		})
 	}
