@@ -12,6 +12,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/golden"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -94,6 +95,98 @@ func TestShardedGMEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(del, serialDel) {
 			t.Errorf("shards=%d: delivery times differ from the serial run's", shards)
 		}
+	}
+}
+
+// faultedClosRun streams multicasts down a binomial tree of 32 hosts on a
+// leaf-spine Clos of radix 8 (4 hosts a leaf, so 2 and 4 shards cut only
+// trunks) under two fault rules, and returns the registry's snapshot, one
+// instrument a line, without the coordinator's own "sim" instruments. Each
+// rule is a pure function of the packet and the clock of the link it is
+// on, so it keeps no state a shard could race on and decides alike on any
+// shard count: the first 40 µs lose every third multicast data packet
+// crossing a trunk, and every multicast data packet to an odd host with an
+// even sequence number is delivered twice.
+func faultedClosRun(t *testing.T, shards int) golden.Capture {
+	t.Helper()
+	const nodes, msgs = 32, 4
+	fc := clos.Default()
+	fc.Radix = 8
+	reg := metrics.New()
+	c := cluster.New(nodes, cluster.WithFabric(fc), cluster.WithShards(shards), cluster.WithMetrics(reg), cluster.WithSeed(5))
+	mcastData := func(p *fabric.Packet) (*gm.Frame, bool) {
+		fr, ok := p.Payload.(*gm.Frame)
+		return fr, ok && fr.Kind == gm.KindMcastData
+	}
+	c.Net.DropFn = func(p *fabric.Packet, l *fabric.Link) bool {
+		fr, ok := mcastData(p)
+		return ok && !l.Touches(p.Src) && !l.Touches(p.Dst) &&
+			c.Net.LinkNow(l) < 40*sim.Microsecond && (fr.Seq+uint32(p.Dst))%3 == 0
+	}
+	c.Net.DupFn = func(p *fabric.Packet, _ *fabric.Link) bool {
+		fr, ok := mcastData(p)
+		return ok && p.Dst%2 == 1 && fr.Seq%2 == 0
+	}
+	ports := c.OpenPorts(1)
+	ready := c.InstallGroup(7, tree.Binomial(0, c.Members()), 1, 1)
+	c.Run()
+	if !ready() {
+		t.Fatalf("shards=%d: group install incomplete after quiescence", shards)
+	}
+	c.SpawnOn(0, "root", func(p *sim.Proc) {
+		for i := 0; i < msgs; i++ {
+			c.Nodes[0].Ext.McastSync(p, ports[0], 7, make([]byte, 2000))
+		}
+	})
+	for i := 1; i < nodes; i++ {
+		port := ports[i]
+		c.SpawnOn(fabric.NodeID(i), "recv", func(p *sim.Proc) {
+			port.ProvideN(msgs+3, 1<<12)
+			for got := 0; got < msgs; got++ {
+				port.Recv(p)
+			}
+		})
+	}
+	c.Run()
+	if live := c.LiveProcs(); live != 0 {
+		t.Fatalf("shards=%d: %d processes never finished", shards, live)
+	}
+	c.Kill()
+	s := reg.Snapshot()
+	var lines []string
+	for _, v := range s.Counters {
+		if v.Component != "sim" {
+			lines = append(lines, fmt.Sprintf("counter %v %d", v.Key, v.Value))
+		}
+	}
+	for _, v := range s.Gauges {
+		lines = append(lines, fmt.Sprintf("gauge %v %d high=%d", v.Key, v.Value, v.High))
+	}
+	for _, v := range s.Histograms {
+		if v.Component != "sim" {
+			lines = append(lines, fmt.Sprintf("hist %v %d %d %d %d %v", v.Key, v.Count, v.Sum, v.Min, v.Max, v.Buckets))
+		}
+	}
+	return golden.Capture{Lines: lines}
+}
+
+// TestShardedMetricsEquivalence runs a faulted Clos workload that writes
+// every fabric-wide and trunk counter — injected, delivered, dropped,
+// duplicated, link busy time, trunk bytes and trunk drops — on 2 and 4
+// shards, each writing its own copy of them, and checks the registry's
+// snapshot against the serial run's, line for line. Under -race it is the
+// check that no instrument has two writers.
+func TestShardedMetricsEquivalence(t *testing.T) {
+	serial := faultedClosRun(t, 1)
+	for _, name := range []string{"injected", "delivered", "dropped", "duplicated", "link_busy_ns", "trunk_tx_bytes", "trunk_drops"} {
+		if !slices.ContainsFunc(serial.Lines, func(l string) bool {
+			return strings.HasPrefix(l, "counter net."+name+" ") && !strings.HasSuffix(l, " 0")
+		}) {
+			t.Errorf("the serial run never moved net.%s; the check would be vacuous", name)
+		}
+	}
+	for _, shards := range []int{2, 4} {
+		golden.Equal(t, serial, faultedClosRun(t, shards))
 	}
 }
 

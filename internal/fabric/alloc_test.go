@@ -74,16 +74,19 @@ func TestAllocLinkSize(t *testing.T) {
 
 // One block per host and one per switch, so their sizes are heap at every
 // vertex: eight counters for a host's two links, four for a switch's output
-// ports. A new instrument shows here.
+// ports. The fabric-wide and trunk blocks hold no counters of their own:
+// each shard has a copy of both, seven counters. A new instrument shows
+// here.
 func TestAllocInstrumentsSize(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
-		{"fabric-wide", unsafe.Sizeof(instruments{}), 40},
+		{"fabric-wide", unsafe.Sizeof(instruments{}), 24},
+		{"per-shard copy", unsafe.Sizeof(shardInstruments{}), 56},
 		{"host", unsafe.Sizeof(hostInstruments{}), 64},
 		{"switch", unsafe.Sizeof(switchInstruments{}), 32},
-		{"trunk", unsafe.Sizeof(trunkInstruments{}), 16},
+		{"trunk", unsafe.Sizeof(trunkInstruments{}), 8},
 	} {
 		if c.got != c.want {
 			t.Errorf("the %s block is %d bytes, was %d", c.name, c.got, c.want)

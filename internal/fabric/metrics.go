@@ -10,24 +10,65 @@ const Component = "net"
 
 // The fabric counts into four kinds of block, the instruments by value in
 // each. A link caches pointers to the two groups that are its own: the wire
-// it drives and the output port it queues behind.
+// it drives and the output port it queues behind. Every instrument has one
+// writer, the shard that fires the events it counts: a host's and a
+// switch's are their vertex's shard's, and the counters every shard would
+// write — the fabric-wide ones and the trunks' — are kept one copy per
+// shard and summed where the registry takes a snapshot.
 
-// instruments is the fabric-wide block, filed under NodeFabric. Shards
-// update it concurrently.
-type instruments struct {
+// shardInstruments is one shard's copy of the counters every shard writes.
+// The packet path reaches it through its shardState, a trunk link through
+// its wire, which points at the copy of the shard driving the link.
+type shardInstruments struct {
 	injected   metrics.Counter
 	delivered  metrics.Counter
 	dropped    metrics.Counter
 	duplicated metrics.Counter
 	linkBusyNs metrics.Counter
+	trunk      wireInstruments
 }
 
+// instruments is the fabric-wide block, filed under NodeFabric: one copy of
+// its counters per shard. Each reports their sum, and SummedCopies keeps a
+// by-name lookup from handing that sum out.
+type instruments struct{ shards []*shardInstruments }
+
+// shard returns shard s's copy, made on first use. A copy never moves, so a
+// block shared by several fabrics — clusters on one registry, of any shard
+// counts — keeps serving the copies each of them holds.
+func (m *instruments) shard(s int) *shardInstruments {
+	for len(m.shards) <= s {
+		m.shards = append(m.shards, new(shardInstruments))
+	}
+	return m.shards[s]
+}
+
+// sum adds up every shard's copy.
+func (m *instruments) sum() *shardInstruments {
+	t := new(shardInstruments)
+	for _, c := range m.shards {
+		t.injected.Add(c.injected.Value())
+		t.delivered.Add(c.delivered.Value())
+		t.dropped.Add(c.dropped.Value())
+		t.duplicated.Add(c.duplicated.Value())
+		t.linkBusyNs.Add(c.linkBusyNs.Value())
+		t.trunk.txBytes.Add(c.trunk.txBytes.Value())
+		t.trunk.drops.Add(c.trunk.drops.Value())
+	}
+	return t
+}
+
+// SummedCopies marks the block as one whose Each reports sums (see package
+// metrics).
+func (m *instruments) SummedCopies() {}
+
 func (m *instruments) Each(v *metrics.Visitor) {
-	v.Counter("injected", &m.injected)
-	v.Counter("delivered", &m.delivered)
-	v.Counter("dropped", &m.dropped)
-	v.Counter("duplicated", &m.duplicated)
-	v.Counter("link_busy_ns", &m.linkBusyNs)
+	t := m.sum()
+	v.Counter("injected", &t.injected)
+	v.Counter("delivered", &t.delivered)
+	v.Counter("dropped", &t.dropped)
+	v.Counter("duplicated", &t.duplicated)
+	v.Counter("link_busy_ns", &t.linkBusyNs)
 }
 
 // wireInstruments count what one class of link carried and lost.
@@ -77,25 +118,31 @@ func (m *switchInstruments) Each(v *metrics.Visitor) {
 }
 
 // trunkInstruments is the block of all switch-to-switch links together,
-// filed under NodeFabric by fabrics that have any.
-type trunkInstruments struct{ wire wireInstruments }
+// filed under NodeFabric by fabrics that have any. Its counters are the
+// trunk fields of the fabric-wide block's per-shard copies, summed.
+type trunkInstruments struct{ fabric *instruments }
+
+func (m *trunkInstruments) SummedCopies() {}
 
 func (m *trunkInstruments) Each(v *metrics.Visitor) {
-	v.Counter("trunk_tx_bytes", &m.wire.txBytes)
-	v.Counter("trunk_drops", &m.wire.drops)
+	t := m.fabric.sum()
+	v.Counter("trunk_tx_bytes", &t.trunk.txBytes)
+	v.Counter("trunk_drops", &t.trunk.drops)
 }
 
 // SetMetrics makes the fabric count into reg: one block for the fabric, one
 // per host, one per switch, each the one filed under its key (a new one
 // unless another fabric sharing reg filed it first); every link is pointed
-// at its groups, so the per-packet path does no lookup. A nil reg gives the
-// fabric blocks of its own — every topology builder ends with
-// SetMetrics(nil), since a link counts from its first packet. Bytes and
-// drops are attributed to the host endpoint of host-attached links (trunk
-// links fall to the fabric pseudo node); serialization stalls are
-// attributed to the vertex whose output port was busy — the injecting host,
-// or the contended switch. PFC pause counts and pause time follow the stall
-// attribution.
+// at its groups, and every shard at its copy of the fabric-wide counters,
+// so the per-packet path does no lookup. A nil reg gives the fabric blocks
+// of its own — every topology builder ends with SetMetrics(nil), since a
+// link counts from its first packet. SetMetrics and ApplyPlan may come in
+// either order: whichever runs last points the shards at their copies.
+// Bytes and drops are attributed to the host endpoint of host-attached
+// links (trunk links fall to the fabric pseudo node); serialization stalls
+// are attributed to the vertex whose output port was busy — the injecting
+// host, or the contended switch. PFC pause counts and pause time follow the
+// stall attribution.
 func (n *Network) SetMetrics(reg *metrics.Registry) {
 	n.m = metrics.Attach[instruments](reg, Component, metrics.NodeFabric)
 	hosts := make([]*hostInstruments, len(n.hosts))
@@ -110,7 +157,7 @@ func (n *Network) SetMetrics(reg *metrics.Registry) {
 			ports[v.idx] = &metrics.Attach[switchInstruments](reg, Component, v.idx).port
 		}
 	}
-	var trunk *trunkInstruments
+	trunks := false
 	for _, l := range n.links {
 		l.port = ports[l.from.idx]
 		switch {
@@ -119,10 +166,28 @@ func (n *Network) SetMetrics(reg *metrics.Registry) {
 		case l.to.host:
 			l.wire = &hosts[l.to.hostID].down
 		default:
-			if trunk == nil {
-				trunk = metrics.Attach[trunkInstruments](reg, Component, metrics.NodeFabric)
-			}
-			l.wire = &trunk.wire
+			trunks = true // bindShards points it at its shard's copy
+		}
+	}
+	if trunks && reg != nil {
+		metrics.Attach[trunkInstruments](reg, Component, metrics.NodeFabric).fabric = n.m
+	}
+	n.bindShards()
+}
+
+// bindShards points every shard at its copy of the fabric-wide counters,
+// and every trunk link at the copy of the shard that drives it. Before the
+// first SetMetrics there is nothing to point at.
+func (n *Network) bindShards() {
+	if n.m == nil {
+		return
+	}
+	for _, sh := range n.sh {
+		sh.m = n.m.shard(sh.id)
+	}
+	for _, l := range n.links {
+		if !l.from.host && !l.to.host {
+			l.wire = &n.sh[l.from.shard].m.trunk
 		}
 	}
 }

@@ -31,7 +31,7 @@ type Network struct {
 
 	shards    int
 	lookahead sim.Time
-	sh        []shardState
+	sh        []*shardState
 
 	// drainBuf and drainSort are the barrier-time scratch for merging
 	// cross-shard mailboxes; reused so steady-state draining allocates
@@ -65,7 +65,8 @@ type Network struct {
 
 	rng *sim.RNG
 
-	// m is the fabric-wide block, set by SetMetrics.
+	// m is the fabric-wide block, set by SetMetrics; each shard writes its
+	// own copy of it.
 	m *instruments
 }
 
@@ -123,7 +124,7 @@ func (n *Network) Links() []*Link { return n.links }
 // Route returns the link path from src to dst, caching computed routes.
 // Routes are deterministic for a given topology.
 func (n *Network) Route(src, dst NodeID) []*Link {
-	return n.routeShard(&n.sh[0], src, dst)
+	return n.routeShard(n.sh[0], src, dst)
 }
 
 // routeShard is Route against one shard's private cache. Each shard caches
@@ -159,9 +160,9 @@ func (ifc *Iface) Inject(p *Packet) {
 	if p.Size <= 0 {
 		panic("fabric: packet with nonpositive size")
 	}
-	n.m.injected.Inc()
 	srcV := ifc.up.from
-	sh := &n.sh[srcV.shard]
+	sh := n.sh[srcV.shard]
+	sh.m.injected.Inc()
 	tr := sh.newTransit(n)
 	tr.p = *p
 	tr.route = n.routeShard(sh, p.Src, p.Dst)
@@ -222,7 +223,7 @@ func (tr *transit) run() {
 	if tr.delivering {
 		// Final hop: the destination NIC needs the whole packet (its
 		// receive DMA is store-and-forward), so this fires at tail arrival.
-		n.m.delivered.Inc()
+		tr.sh.m.delivered.Inc()
 		n.deliver(&tr.p)
 		tr.release()
 		return
@@ -247,7 +248,7 @@ func (tr *transit) run() {
 		l.port.contended.Inc()
 	}
 	l.wire.txBytes.Add(uint64(p.Size))
-	n.m.linkBusyNs.AddInt(int64(ser))
+	tr.sh.m.linkBusyNs.AddInt(int64(ser))
 	if l.params.PauseBytes > 0 {
 		l.queued += p.Size
 		l.inflight = append(l.inflight, p.Size)
@@ -261,7 +262,7 @@ func (tr *transit) run() {
 	if n.dropped(p, l) {
 		l.Drops++
 		l.wire.drops.Inc()
-		n.m.dropped.Inc()
+		tr.sh.m.dropped.Inc()
 		tr.release()
 		return
 	}
@@ -294,9 +295,10 @@ func (tr *transit) run() {
 			panic("fabric: duplicate injection across shard boundary unsupported")
 		}
 		dup := *p // the original's transit is recycled before the copy lands
+		m := tr.sh.m
 		tr.sh.eng.AtDomain(dstV.domain, tailIn+ser, func() {
-			n.m.duplicated.Inc()
-			n.m.delivered.Inc()
+			m.duplicated.Inc()
+			m.delivered.Inc()
 			n.deliver(&dup)
 		})
 	}
@@ -357,8 +359,8 @@ func (tr *transit) post(v *Vertex, when sim.Time, kind uint8, hop int32) {
 // moved nothing across a cut.
 func (n *Network) CrossPending() int {
 	pending := 0
-	for s := range n.sh {
-		pending += n.sh[s].outPending
+	for _, sh := range n.sh {
+		pending += sh.outPending
 	}
 	return pending
 }
@@ -409,7 +411,7 @@ func (n *Network) DrainCross() int {
 		}
 		n.drainSort.msgs = buf
 		sort.Sort(&n.drainSort)
-		dst := &n.sh[d]
+		dst := n.sh[d]
 		for i := range buf {
 			m := &buf[i]
 			tr := dst.newTransit(n)
@@ -432,8 +434,8 @@ func (n *Network) DrainCross() int {
 			n.sh[src].out[d] = buf[:0]
 		}
 	}
-	for s := range n.sh {
-		n.sh[s].outPending = 0
+	for _, sh := range n.sh {
+		sh.outPending = 0
 	}
 	return total
 }
@@ -464,10 +466,13 @@ func (n *Network) dropped(p *Packet, l *Link) bool {
 
 // shardState is the per-shard slice of the fabric's mutable state. Only the
 // owning shard's goroutine touches it while the simulation runs; the
-// coordinator drains out at window barriers, when no shard is running.
+// coordinator drains out at window barriers, when no shard is running. Each
+// is an allocation of its own, so no two shards' pools and outboxes share a
+// cache line.
 type shardState struct {
 	id          int
 	eng         *sim.Engine
+	m           *shardInstruments // this shard's copy of the fabric-wide counters
 	transitFree []*transit
 	routeCache  map[[2]NodeID][]*Link
 	out         [][]crossMsg // outboxes, indexed by destination shard
@@ -517,7 +522,7 @@ func New(eng *sim.Engine, params LinkParams) *Network {
 		params: params,
 		shards: 1,
 	}
-	n.sh = []shardState{{eng: eng, routeCache: make(map[[2]NodeID][]*Link)}}
+	n.sh = []*shardState{{eng: eng, routeCache: make(map[[2]NodeID][]*Link)}}
 	return n
 }
 

@@ -215,13 +215,16 @@ func (n *Network) ApplyPlan(plan Plan, engines []*sim.Engine) {
 	}
 	n.shards = plan.Shards
 	n.lookahead = plan.Lookahead
-	n.sh = make([]shardState, plan.Shards)
+	n.sh = make([]*shardState, plan.Shards)
 	for s := range n.sh {
-		n.sh[s].id = s
-		n.sh[s].eng = engines[s]
-		n.sh[s].routeCache = make(map[[2]NodeID][]*Link)
-		n.sh[s].out = make([][]crossMsg, plan.Shards)
+		n.sh[s] = &shardState{
+			id:         s,
+			eng:        engines[s],
+			routeCache: make(map[[2]NodeID][]*Link),
+			out:        make([][]crossMsg, plan.Shards),
+		}
 	}
+	n.bindShards()
 }
 
 // HostDomain reports the tiebreak-key domain of a host's fabric vertex —

@@ -21,8 +21,9 @@ import (
 // its own run, and a Reporter prints the growth since the last mark. Points
 // running at once would land in each other's differences (and a gauge's
 // level would be whichever cluster set it last), so wiring a shared
-// Registry forces the sweep serial. The instruments themselves are atomics
-// and would not mind.
+// Registry forces the sweep serial. It would be a data race besides: the
+// instruments are plain integers with one writer each, and points running
+// at once would both write the blocks the registry hands them.
 
 // workerCount resolves how many goroutines a sweep over n points may use:
 // Options.Workers when positive, else GOMAXPROCS, clamped to n, and forced

@@ -2,7 +2,10 @@
 
 package metrics
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // Counts, not time (the race detector allocates on its own).
 
@@ -32,5 +35,48 @@ func TestAllocAttachIsOneEntry(t *testing.T) {
 	}
 	if lone := testing.AllocsPerRun(100, func() { Attach[nicBlock](nil, "gm", 7) }); lone != 1 {
 		t.Errorf("a block with no registry allocates %.0f objects, want 1", lone)
+	}
+}
+
+// A histogram is a field of a layer's block on every node, so its header is
+// heap on every node whether the run observes it or not: count, sum, the two
+// extremes and the pointer to its buckets. The 65 buckets (520 B) are not in
+// it.
+func TestAllocHistogramHeaderSize(t *testing.T) {
+	if got := unsafe.Sizeof(Histogram{}); got != 40 {
+		t.Errorf("a Histogram header is %d bytes, was 40", got)
+	}
+}
+
+// A histogram makes its buckets on its first Observe, and only then: one
+// never observed reads as empty from every accessor and in a snapshot, the
+// first observation allocates the buckets, and no later one allocates.
+func TestHistogramBucketsOnFirstObserve(t *testing.T) {
+	r := New()
+	b := Attach[nicBlock](r, "gm", 0)
+	h := &b.waitNs
+	if h.Count() != 0 || h.Sum() != 0 || h.Min() != 0 || h.Max() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+		t.Fatal("an unobserved histogram reads as non-empty")
+	}
+	if hv := r.Snapshot().Histograms[0]; hv.Count != 0 || hv.Buckets != nil {
+		t.Fatalf("an unobserved histogram's snapshot is %+v, want empty with no buckets", hv)
+	}
+	// AllocsPerRun calls its function once more than asked, to warm up, so
+	// every call observes a histogram of its own for the first time.
+	fresh := make([]Histogram, 101)
+	i := 0
+	first := testing.AllocsPerRun(len(fresh)-1, func() {
+		fresh[i].Observe(300)
+		i++
+	})
+	if first != 1 {
+		t.Errorf("the first Observe allocates %.0f objects, want 1 (the buckets)", first)
+	}
+	h.Observe(300)
+	if later := testing.AllocsPerRun(100, func() { h.Observe(-4) }); later != 0 {
+		t.Errorf("a later Observe allocates %.0f objects, want 0", later)
+	}
+	if h.Count() != 102 || h.Min() != -4 || h.Max() != 300 || len(r.Snapshot().Histograms[0].Buckets) != 2 {
+		t.Errorf("after 102 observations: count %d, min %d, max %d", h.Count(), h.Min(), h.Max())
 	}
 }

@@ -93,7 +93,8 @@ func TestSnapshotEquivalenceLossyMulticast(t *testing.T) {
 }
 
 // A sharded engine refuses stochastic loss, so the two-shard capture is the
-// same stream on a clean fabric; several shards write the fabric's blocks.
+// same stream on a clean fabric; each shard writes its own copy of the
+// fabric-wide counters, and the snapshot sums them.
 func TestSnapshotEquivalenceTwoShards(t *testing.T) {
 	reg := metrics.New()
 	multicastRun(t, reg, cluster.WithShards(2))

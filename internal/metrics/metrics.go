@@ -25,19 +25,24 @@
 // simulation engine, so wiring a registry cannot change any simulated
 // timestamp — a property the determinism tests pin down.
 //
-// Instruments are lock-free atomics: a sharded run (cluster.WithShards)
-// updates one registry from several engine goroutines concurrently, and
-// because every operation is commutative (sums, monotone high-water marks,
-// bucket counts), final values stay deterministic no matter how shard
-// execution interleaves. Attach, the by-name lookups and Snapshot take the
-// registry's mutex; an update takes nothing.
+// Every instrument has one writer: the goroutine of the shard whose events
+// update it, as the paper's firmware keeps its state per NIC and each LANai
+// works only through its own events. So Counter, Gauge and Histogram are
+// plain integers, and a histogram makes its buckets on its first Observe. An
+// instrument several shards would write is kept one copy per shard instead
+// (the fabric's fabric-wide counters): the block holding the copies reports
+// their sum to a Snapshot and tells the registry so, and a by-name lookup
+// of such a name panics rather than hand out an instrument no one writes.
+// The rule is checked, not trusted: an instrument two shards wrote would be
+// a data race, which the sharded tests report under -race. Attach, the
+// by-name lookups and Snapshot take the registry's mutex; an update takes
+// nothing, so a snapshot is taken between runs, not while shards run.
 package metrics
 
 import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // Key identifies one instrument: the component (layer) that owns it, the
@@ -63,10 +68,18 @@ func (k Key) String() string {
 // Block is one layer's instruments for one node: a struct whose Counter,
 // Gauge and Histogram fields are the instruments themselves. Each names
 // them — it reports every field to v as (name, pointer to the field), in
-// any order, the same names on every call.
+// any order, the same names on every call. A block that keeps one copy of
+// its instruments per writer reports their sum instead, and says so with a
+// method SummedCopies(), so that no by-name lookup hands the sum out.
 type Block interface {
 	Each(v *Visitor)
 }
+
+// summed is a Block whose instruments are kept one copy per writer and
+// whose Each reports their sum, in instruments made for the visit. Its one
+// method is the mark: a by-name lookup that finds a name in such a block
+// panics, since what it would hand out is a sum no writer updates.
+type summed interface{ SummedCopies() }
 
 // Visitor is what a Block reports its instruments to. The registry makes
 // one to take a snapshot of a block or to find one of its instruments by
@@ -76,6 +89,7 @@ type Visitor struct {
 	node      int
 	snap      *Snapshot // collecting values when non-nil; else looking for want
 	want      string
+	summed    bool // the block being looked through is a summed one
 	counter   *Counter
 	gauge     *Gauge
 	hist      *Histogram
@@ -86,6 +100,7 @@ func (v *Visitor) Counter(name string, c *Counter) {
 	if v.snap != nil {
 		v.snap.Counters = append(v.snap.Counters, CounterVal{Key: v.key(name), Value: c.Value()})
 	} else if name == v.want {
+		v.found()
 		v.counter = c
 	}
 }
@@ -95,6 +110,7 @@ func (v *Visitor) Gauge(name string, g *Gauge) {
 	if v.snap != nil {
 		v.snap.Gauges = append(v.snap.Gauges, GaugeVal{Key: v.key(name), Value: g.Value(), High: g.High()})
 	} else if name == v.want {
+		v.found()
 		v.gauge = g
 	}
 }
@@ -104,11 +120,20 @@ func (v *Visitor) Histogram(name string, h *Histogram) {
 	if v.snap != nil {
 		v.snap.Histograms = append(v.snap.Histograms, h.val(v.key(name)))
 	} else if name == v.want {
+		v.found()
 		v.hist = h
 	}
 }
 
 func (v *Visitor) key(name string) Key { return Key{v.component, v.node, name} }
+
+// found is called when a lookup meets its name: in a summed block it
+// panics.
+func (v *Visitor) found() {
+	if v.summed {
+		panic(fmt.Sprintf("metrics: %v is a sum over its writers' copies; read it from a Snapshot", v.key(v.want)))
+	}
+}
 
 // Registry holds a run's instruments: the blocks attached to it and the
 // instruments made by name. The zero value is unusable; build one with New.
@@ -223,11 +248,13 @@ func (sc *scope) Each(v *Visitor) {
 
 // find looks name up in every block filed under (component, node): the
 // visitor it returns holds the counter, gauge and histogram of that name,
-// nil where there is none. The caller holds r.mu.
+// nil where there is none. It panics if a summed block has the name. The
+// caller holds r.mu.
 func (r *Registry) find(component string, node int, name string) Visitor {
-	v := Visitor{want: name}
+	v := Visitor{component: component, node: node, want: name}
 	for e := r.heads[node]; e != nil; e = e.next {
 		if e.component == component {
+			_, v.summed = e.block.(summed)
 			e.block.Each(&v)
 		}
 	}
@@ -236,7 +263,7 @@ func (r *Registry) find(component string, node int, name string) Visitor {
 
 // Counter returns the named counter — a field of a block filed under
 // (component, node) or, failing that, one made by name, on first use — or
-// nil on a nil registry.
+// nil on a nil registry. It panics if a summed block reports the name.
 func (r *Registry) Counter(component string, node int, name string) *Counter {
 	if r == nil {
 		return nil
@@ -298,19 +325,19 @@ func (k Key) less(o Key) bool {
 
 // Counter is a monotonically increasing count. All methods are no-ops on
 // a nil receiver.
-type Counter struct{ v atomic.Uint64 }
+type Counter struct{ v uint64 }
 
 // Inc adds one.
 func (c *Counter) Inc() {
 	if c != nil {
-		c.v.Add(1)
+		c.v++
 	}
 }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) {
 	if c != nil {
-		c.v.Add(n)
+		c.v += n
 	}
 }
 
@@ -319,7 +346,7 @@ func (c *Counter) Add(n uint64) {
 // every call site.
 func (c *Counter) AddInt(n int64) {
 	if c != nil && n > 0 {
-		c.v.Add(uint64(n))
+		c.v += uint64(n)
 	}
 }
 
@@ -328,35 +355,31 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
-// Gauge is an instantaneous level with a high-water mark. All methods are
-// no-ops on a nil receiver. Gauges track entity-local levels (one shard
-// writes, so Add has no lost-update problem in practice); the high-water
-// mark is a CAS loop so even a shared gauge's High stays monotone.
-type Gauge struct{ v, high atomic.Int64 }
+// Gauge is an instantaneous level with a high-water mark: the highest level
+// Set or Add has reached, 0 before any. Like every instrument it has one
+// writer, the shard of the entity whose level it is. All methods are no-ops
+// on a nil receiver.
+type Gauge struct{ v, high int64 }
 
 // Set replaces the level.
 func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
 	}
-	g.v.Store(v)
-	for {
-		h := g.high.Load()
-		if v <= h || g.high.CompareAndSwap(h, v) {
-			return
-		}
+	g.v = v
+	if v > g.high {
+		g.high = v
 	}
 }
 
 // Add moves the level by d (negative allowed).
 func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
+	if g != nil {
+		g.Set(g.v + d)
 	}
-	g.Set(g.v.Add(d))
 }
 
 // Value reports the current level (0 on nil).
@@ -364,7 +387,7 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.v.Load()
+	return g.v
 }
 
 // High reports the high-water mark (0 on nil).
@@ -372,7 +395,7 @@ func (g *Gauge) High() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.high.Load()
+	return g.high
 }
 
 // HistBuckets is the number of fixed log2 histogram buckets: bucket 0
@@ -380,32 +403,17 @@ func (g *Gauge) High() int64 {
 // bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i).
 const HistBuckets = 65
 
-// Histogram accumulates observations into fixed log2 buckets — no
-// allocation per observation, constant memory, and enough resolution to
-// tell a 5 µs token wait from a 500 µs retransmission timeout. The zero
-// value is an empty histogram. All methods are no-ops on a nil receiver.
+// Histogram accumulates observations into fixed log2 buckets — constant
+// memory, and enough resolution to tell a 5 µs token wait from a 500 µs
+// retransmission timeout. Count, sum and the extremes are held inline; the
+// buckets are made by the first Observe, so a histogram a run never
+// observes costs its header alone. The zero value is an empty histogram.
+// All methods are no-ops on a nil receiver.
 type Histogram struct {
-	count atomic.Uint64
-	sum   atomic.Int64
-	// lo and hi hold the extremes as numbers that only ever rise, so that
-	// zero means "nothing yet" for both and they advance by the same CAS
-	// loop, keeping the final values deterministic under concurrent
-	// observers: hi is ordered(max), lo is ^ordered(min).
-	lo, hi  atomic.Uint64
-	buckets [HistBuckets]atomic.Uint64
-}
-
-// ordered maps int64 order onto uint64 order (math.MinInt64 becomes 0).
-func ordered(v int64) uint64 { return uint64(v) ^ 1<<63 }
-
-// raise lifts a to at least x.
-func raise(a *atomic.Uint64, x uint64) {
-	for {
-		cur := a.Load()
-		if x <= cur || a.CompareAndSwap(cur, x) {
-			return
-		}
-	}
+	count    uint64
+	sum      int64
+	min, max int64 // meaningful once count > 0
+	buckets  *[HistBuckets]uint64
 }
 
 // BucketOf reports the bucket index an observation lands in.
@@ -430,11 +438,17 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	raise(&h.lo, ^ordered(v))
-	raise(&h.hi, ordered(v))
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[BucketOf(v)].Add(1)
+	if h.count == 0 {
+		h.min, h.max = v, v
+		h.buckets = new([HistBuckets]uint64)
+	} else if v < h.min {
+		h.min = v
+	} else if v > h.max {
+		h.max = v
+	}
+	h.count++
+	h.sum += v
+	h.buckets[BucketOf(v)]++
 }
 
 // Count reports how many observations were folded in (0 on nil).
@@ -442,7 +456,7 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	return h.count
 }
 
 // Sum reports the sum of all observations (0 on nil).
@@ -450,45 +464,37 @@ func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.sum.Load()
+	return h.sum
 }
 
 // Min and Max report the extreme observations (0 on nil or empty).
 func (h *Histogram) Min() int64 {
-	if h == nil || h.count.Load() == 0 {
+	if h == nil || h.count == 0 {
 		return 0
 	}
-	return int64(^h.lo.Load() ^ 1<<63)
+	return h.min
 }
 
 func (h *Histogram) Max() int64 {
-	if h == nil || h.count.Load() == 0 {
+	if h == nil || h.count == 0 {
 		return 0
 	}
-	return int64(h.hi.Load() ^ 1<<63)
+	return h.max
 }
 
 // Mean reports the arithmetic mean observation (0 on nil or empty).
 func (h *Histogram) Mean() float64 {
-	if h == nil {
+	if h == nil || h.count == 0 {
 		return 0
 	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
+	return float64(h.sum) / float64(h.count)
 }
 
 // Quantile estimates the q-th quantile (0..1) from the log2 buckets,
 // returning the lower bound of the bucket holding that rank — a
 // deliberately conservative estimate with log2 resolution.
 func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	count := h.count.Load()
-	if count == 0 {
+	if h == nil || h.count == 0 {
 		return 0
 	}
 	if q < 0 {
@@ -497,10 +503,9 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := uint64(q * float64(count-1))
+	rank := uint64(q * float64(h.count-1))
 	var seen uint64
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
+	for i, n := range h.buckets {
 		seen += n
 		if n > 0 && seen > rank {
 			return BucketLow(i)

@@ -348,3 +348,40 @@ func TestHistogramZeroValue(t *testing.T) {
 		t.Fatalf("all-negative histogram min=%d max=%d, want -8/-3", neg.Min(), neg.Max())
 	}
 }
+
+// perWriter is a summed block in miniature: one copy of its counter per
+// writer, reported as their sum.
+type perWriter struct{ copies []*Counter }
+
+func (b *perWriter) SummedCopies() {}
+
+func (b *perWriter) Each(v *Visitor) {
+	var sum Counter
+	for _, c := range b.copies {
+		sum.Add(c.Value())
+	}
+	v.Counter("sent", &sum)
+}
+
+// A snapshot reports a summed block's sum; a by-name lookup of its name
+// panics rather than hand out the sum, which no writer updates, while other
+// names under the same key are found or made as usual.
+func TestByNameLookupRefusesSummedBlock(t *testing.T) {
+	r := New()
+	b := Attach[perWriter](r, "net", NodeFabric)
+	b.copies = []*Counter{new(Counter), new(Counter)}
+	b.copies[0].Add(2)
+	b.copies[1].Add(3)
+	if got := r.Snapshot().Counter("net", NodeFabric, "sent"); got != 5 {
+		t.Fatalf("snapshot of a summed counter = %d, want 5", got)
+	}
+	if c := r.Counter("net", NodeFabric, "other"); c == nil || r.Counter("net", NodeFabric, "other") != c {
+		t.Fatal("a by-name counter beside a summed block was not made once")
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "net.sent is a sum") {
+			t.Fatalf("looking up a summed counter by name: recovered %q, want a panic naming net.sent", msg)
+		}
+	}()
+	r.Counter("net", NodeFabric, "sent")
+}

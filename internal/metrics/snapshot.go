@@ -52,8 +52,8 @@ type Snapshot struct {
 
 // Snapshot copies the registry's current instrument values. A nil registry
 // yields an empty snapshot. Snapshot between runs, not while shard
-// goroutines are mid-window — a mid-run snapshot is race-free but may catch
-// an arbitrary interleaving.
+// goroutines are mid-window: the instruments are plain integers their
+// shards write without a lock.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
@@ -75,8 +75,11 @@ func (r *Registry) Snapshot() Snapshot {
 // val copies the histogram's shape into a snapshot entry under k.
 func (h *Histogram) val(k Key) HistVal {
 	hv := HistVal{Key: k, Count: h.Count(), Sum: h.Sum(), Min: h.Min(), Max: h.Max()}
-	for i := range h.buckets {
-		if n := h.buckets[i].Load(); n > 0 {
+	if h.buckets == nil {
+		return hv
+	}
+	for i, n := range h.buckets {
+		if n > 0 {
 			if hv.Buckets == nil {
 				hv.Buckets = make(map[int]uint64)
 			}
