@@ -9,8 +9,8 @@ package repro
 //
 //	go test -bench=Fig5 -benchtime=1x
 //
-// regenerates a figure's headline points; cmd/gmbench, cmd/mpibench and
-// cmd/skewbench print the full series.
+// regenerates a figure's headline points; `mcast gm`, `mcast mpi` and
+// `mcast skew` print the full series.
 
 import (
 	"fmt"

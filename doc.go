@@ -14,7 +14,10 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The benchmarks in bench_test.go regenerate each figure:
+// The benchmarks in bench_test.go regenerate each figure's headline
+// points, and cmd/mcast, one subcommand per experiment, prints the full
+// series and checks the paper's claims:
 //
 //	go test -bench=. -benchmem
+//	go run ./cmd/mcast claims
 package repro

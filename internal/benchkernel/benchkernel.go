@@ -3,7 +3,7 @@
 // loops behind `go test -bench` in internal/sim (the repo benchmark times
 // PacketStorm as its isolated fabric kernel), the sweep-runner pair behind
 // the root package's benchmarks, and the single-run multicast storm that
-// `scalebench -matrix` times and the storm goldens and ack-economy test pin.
+// `mcast scale -matrix` times and the storm goldens and ack-economy test pin.
 package benchkernel
 
 import (

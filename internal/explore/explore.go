@@ -35,7 +35,8 @@ type Report struct {
 // the probe's choice points, then seed-derived random sampling of deeper
 // schedules (multi-tick, faults, churn shifts). Every failure is shrunk
 // to a minimal counterexample. The whole campaign is a pure function of
-// cfg — two calls return identical Reports, which the CI smoke diffs.
+// cfg — two calls return identical Reports, which cmd/mcast's
+// TestCLIGoldens checks under -race.
 //
 // progress, when non-nil, receives one line per phase and per failure.
 func Explore(cfg Config, budget int, progress func(string)) Report {

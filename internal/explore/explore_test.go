@@ -52,8 +52,9 @@ func renderReport(rep Report) string {
 }
 
 // Explorer determinism property: the same exploration seed enumerates
-// byte-identical schedule sets and verdicts across two campaigns. The CI
-// smoke re-checks this through cmd/explore under -race.
+// byte-identical schedule sets and verdicts across two campaigns.
+// TestCLIGoldens in cmd/mcast re-checks this through `mcast explore` under
+// -race.
 func TestExploreDeterminism(t *testing.T) {
 	cfg := Config{Nodes: 6, Msgs: 4, Transitions: 3, Seed: 5}
 	a := renderReport(Explore(cfg, 60, nil))

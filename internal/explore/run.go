@@ -90,7 +90,7 @@ type Outcome struct {
 // shifted is the membership workload under one schedule's churn shifts.
 // The base plan derives from the seed exactly as in the chaos membership
 // campaigns, so schedule seed s explores the same workload
-// `chaosbench -workload member` scripts at seed s.
+// `mcast chaos -workload member` scripts at seed s.
 type shifted struct {
 	chaos.Churn
 	shifts []Shift
@@ -199,6 +199,6 @@ func Run(cfg Config, sched Schedule) Outcome {
 // ReproCommand renders the one-line command that replays a schedule.
 func ReproCommand(cfg Config, sched Schedule) string {
 	cfg = cfg.withDefaults()
-	return fmt.Sprintf("go run ./cmd/explore -nodes %d -msgs %d -size %d -transitions %d -replay '%s'",
+	return fmt.Sprintf("go run ./cmd/mcast explore -nodes %d -msgs %d -size %d -transitions %d -replay '%s'",
 		cfg.Nodes, cfg.Msgs, cfg.Size, cfg.Transitions, sched.String())
 }

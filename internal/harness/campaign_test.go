@@ -79,7 +79,7 @@ func (c sweepCase) pick(t *testing.T) []chaos.Scenario {
 
 // TestChaosSweepDeterministicAcrossWorkers renders the same campaign
 // serial and fanned out and requires byte-identical tables — the
-// reproducibility contract chaosbench advertises, for every workload.
+// reproducibility contract `mcast chaos` advertises, for every workload.
 func TestChaosSweepDeterministicAcrossWorkers(t *testing.T) {
 	for _, c := range sweepCases() {
 		t.Run(c.name, func(t *testing.T) {

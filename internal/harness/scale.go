@@ -117,7 +117,3 @@ func (o Options) ScaleSweep(nodeCounts []int, size int) []ScalePoint {
 		}
 	})
 }
-
-// ScaleNodeCounts is the default sweep: one crossbar (8, 16), two-level
-// Clos (32-128), and a three-level fat tree (256).
-func ScaleNodeCounts() []int { return []int{8, 16, 32, 64, 128, 256} }

@@ -3,8 +3,8 @@
 // random, permutation, hotspot, nearest-neighbor halo, broadcast storm)
 // plus message-size distributions. The benchmark harness reproduces the
 // paper's microbenchmarks; this package exists for whole-fabric studies
-// (cmd/gmsim) — utilization, contention, and the multicast schemes under
-// background load.
+// (`mcast traffic`) — utilization, contention, and the multicast schemes
+// under background load.
 package workload
 
 import (
