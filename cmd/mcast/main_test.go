@@ -104,10 +104,27 @@ func TestCLIGoldens(t *testing.T) {
 	}
 }
 
-// A bad flag is a usage error: exit 2, a one-line message naming the
-// problem, and nothing on stdout, before anything is built.
-func TestUsageErrors(t *testing.T) {
-	for _, c := range []struct{ args, want string }{
+// usageCase is an invocation that must be a usage error, and the text its
+// one stderr line must contain.
+type usageCase struct{ args, want string }
+
+// checkUsageErrors runs each case and checks it is a usage error: exit 2,
+// a one-line message naming the problem, and nothing on stdout, before
+// anything is built.
+func checkUsageErrors(t *testing.T, cases []usageCase) {
+	t.Helper()
+	for _, c := range cases {
+		code, stdout, stderr := mcast(c.args)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, c.want) || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("mcast %s: exit %d, stdout %q, stderr %q; want exit 2, no stdout, one line naming %q",
+				c.args, code, stdout, stderr, c.want)
+		}
+	}
+}
+
+// A bad flag is a usage error.
+func TestBadFlagsAreUsageErrors(t *testing.T) {
+	checkUsageErrors(t, []usageCase{
 		{"", "usage: mcast"},
 		{"gmsim", "usage: mcast"},
 		{"trace -loss 2", "-loss 2 outside [0, 1]"},
@@ -115,14 +132,7 @@ func TestUsageErrors(t *testing.T) {
 		{"tree -nodes 16 -root 20", "-root 20"},
 		{"trace -nodes 1", "-nodes 1"},
 		{"tree -churn 4 -nodes 2", "churn needs at least 3 nodes"},
-		{"chaos -workload member -nodes 2 -transitions 4 -scenario churn-clean", "member cluster size"},
-		{"chaos -workload member -short -nodes 2", "member cluster size"},
-		{"chaos -workload multicast -nodes 1", "multicast cluster size"},
-		{"chaos -workload gossip", "unknown workload"},
-		{"chaos -workload coll -scenario churn-clean", "unknown coll scenario"},
-		{"chaos -workload member -transitions 0", "transition count"},
 		{"chaos -fabric ring -short", "unknown fabric"},
-		{"explore -schedules 5 -nodes 2", "-nodes >= 3"},
 		{"explore -replay x1", "bad -replay token"},
 		{"gm -fig 4", "unknown figure 4"},
 		{"gm -fabric ring", "unknown fabric"},
@@ -132,18 +142,31 @@ func TestUsageErrors(t *testing.T) {
 		{"coll -collectives barrier,bcast", "unknown collective"},
 		{"coll -nodes 0", "bad system size"},
 		{"coll -fabric ring", "unknown fabric"},
-	} {
-		code, stdout, stderr := mcast(c.args)
-		if code != 2 || stdout != "" || !strings.Contains(stderr, c.want) || strings.Count(stderr, "\n") != 1 {
-			t.Errorf("mcast %s: exit %d, stdout %q, stderr %q; want exit 2, no stdout, one line naming %q",
-				c.args, code, stdout, stderr, c.want)
-		}
-	}
+	})
 	// A flag no subcommand declares is the flag package's error, with the
 	// subcommand's flag list.
 	if code, _, stderr := mcast("gm -barrier"); code != 2 || !strings.Contains(stderr, "-barrier") {
 		t.Errorf("mcast gm -barrier: exit %d, stderr %q", code, stderr)
 	}
+}
+
+// A cluster too small for the chaos workload, like any other bad flag, is
+// a usage error, not a FAIL row and exit 1 as if the protocol had broken.
+func TestChaosUsageErrors(t *testing.T) {
+	checkUsageErrors(t, []usageCase{
+		{"chaos -workload member -nodes 2 -transitions 4 -scenario churn-clean", "member cluster size"},
+		{"chaos -workload member -short -nodes 2", "member cluster size"},
+		{"chaos -workload multicast -nodes 1", "multicast cluster size"},
+		{"chaos -workload gossip", "unknown workload"},
+		{"chaos -workload coll -scenario churn-clean", "unknown coll scenario"},
+		{"chaos -workload member -transitions 0", "transition count"},
+	})
+}
+
+// A cluster too small for explore's churn workload is a usage error that
+// states the minimum size, not one shrunk counterexample per schedule.
+func TestExploreTooFewNodesIsAUsageError(t *testing.T) {
+	checkUsageErrors(t, []usageCase{{"explore -schedules 5 -nodes 2", "-nodes >= 3"}})
 }
 
 // The replay line a counterexample prints runs: past its "go run" prefix
