@@ -256,11 +256,11 @@ func BenchmarkScalability(b *testing.B) {
 	for _, nodes := range []int{16, 64, 128} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			o := benchOptions()
-			var pts []harness.ScalePoint
+			var hb, nb float64
 			for i := 0; i < b.N; i++ {
-				pts = o.ScaleSweep([]int{nodes}, 64)
+				hb, nb = o.LastDelivery(nodes, 64, false), o.LastDelivery(nodes, 64, true)
 			}
-			reportPair(b, pts[0].HB, pts[0].NB)
+			reportPair(b, hb, nb)
 		})
 	}
 }

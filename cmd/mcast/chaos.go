@@ -58,8 +58,8 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 	c.Lookup("nodes").Usage += " (default 4,8,16; member 6,8,12)"
 	c.Lookup("msgs").Usage += " (default 12; member 16)"
 	c.Lookup("size").Usage += " (default 10000; member 4096, as the mean)"
-	if !c.parse(args) {
-		return 2
+	if code, ok := c.parse(args); !ok {
+		return code
 	}
 
 	if *short {
@@ -158,8 +158,8 @@ func runExplore(args []string, stdout, stderr io.Writer) int {
 	replay := c.String("replay", "", "replay one schedule token instead of running a campaign")
 	quiet := c.Bool("q", false, "suppress per-phase progress lines")
 	showMetrics := c.metrics(false)
-	if !c.parse(args) {
-		return 2
+	if code, ok := c.parse(args); !ok {
+		return code
 	}
 	// A cluster too small for the churn workload is a usage error, not a
 	// campaign of counterexamples.

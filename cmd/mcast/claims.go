@@ -33,8 +33,8 @@ func runClaims(args []string, stdout, stderr io.Writer) int {
 	full := c.Bool("full", false, "full iteration counts (slower)")
 	c.harness()
 	c.metrics(false)
-	if !c.parse(args) {
-		return 2
+	if code, ok := c.parse(args); !ok {
+		return code
 	}
 	o, rep := c.options()
 	if !*full {
@@ -86,9 +86,9 @@ func runClaims(args []string, stdout, stderr io.Writer) int {
 	v.check("improvement grows with skew (paper: up to 5.82x)", hb400/nb400 > hb0/nb0, "factor %.1fx -> %.1fx", hb0/nb0, hb400/nb400)
 
 	p("Figure 7 — skew improvement vs system size (400µs avg skew)")
-	f7 := o.Fig7([]int{4, 16}, []int{4})
-	v.check("larger systems benefit more from the NIC-based multicast", f7[1].Factor > f7[0].Factor,
-		"4 nodes %.1fx vs 16 nodes %.1fx", f7[0].Factor, f7[1].Factor)
+	f7 := o.Sweep(fig7Points([]int{4, 16}, []int{4}), skewBcast(o))
+	v.check("larger systems benefit more from the NIC-based multicast", f7[1].Factor() > f7[0].Factor(),
+		"4 nodes %.1fx vs 16 nodes %.1fx", f7[0].Factor(), f7[1].Factor())
 	rep.Report(stdout, "figures 6-7 (process skew)")
 
 	p("Section 6.1 — no impact on non-multicast communication")
@@ -96,7 +96,7 @@ func runClaims(args []string, stdout, stderr io.Writer) int {
 	v.check("unicast latency identical with the extension installed", plain == ext, "%.2fµs both ways", plain)
 
 	p("Section 7 — future work, implemented and measured")
-	scale := o.ScaleSweep([]int{16, 128}, 64)
+	scale := o.Sweep([]harness.Point{{Nodes: 16, Size: 64}, {Nodes: 128, Size: 64}}, lastDelivery(o))
 	v.check("multicast advantage grows to 128 nodes across Clos fabrics", scale[1].Factor() > scale[0].Factor(),
 		"16 nodes %.2fx vs 128 nodes %.2fx", scale[0].Factor(), scale[1].Factor())
 	nic, host := o.NICBarrier(16), o.HostBarrier(16)

@@ -3,6 +3,8 @@ package main
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"repro/internal/harness"
 )
@@ -25,8 +27,8 @@ func runGM(args []string, stdout, stderr io.Writer) int {
 	c.fabric()
 	c.ackEvery()
 	c.metrics(true)
-	if !c.parse(args) {
-		return 2
+	if code, ok := c.parse(args); !ok {
+		return code
 	}
 	if *fig != 0 && *fig != 3 && *fig != 5 {
 		return c.usage("unknown figure %d (want 3 or 5)", *fig)
@@ -35,13 +37,13 @@ func runGM(args []string, stdout, stderr io.Writer) int {
 	o.Iters, o.Warmup = *iters, *warmup
 	sizes := harness.MessageSizes(*maxSize)
 	if *fig != 5 {
-		writeFigure(stdout, 3, "NIC-based multisend (NB) vs host-based multiple unicasts (HB)",
-			"destinations", "dests", *plot, func(n int) harness.Series { return o.Fig3(n, sizes) }, 3, 4, 8)
+		writeFigure(stdout, o, 3, "NIC-based multisend (NB) vs host-based multiple unicasts (HB)",
+			"destinations", "dests", *plot, sizes, harness.Sides(o.MultisendHB, o.MultisendNB), 3, 4, 8)
 		rep.Report(stdout, "figure 3")
 	}
 	if *fig != 3 {
-		writeFigure(stdout, 5, "GM-level NIC-based multicast (NB) vs host-based multicast (HB)",
-			"nodes", "nodes", *plot, func(n int) harness.Series { return o.Fig5(n, sizes) }, 4, 8, 16)
+		writeFigure(stdout, o, 5, "GM-level NIC-based multicast (NB) vs host-based multicast (HB)",
+			"nodes", "nodes", *plot, sizes, harness.Sides(o.MulticastHB, o.MulticastNB), 4, 8, 16)
 		rep.Report(stdout, "figure 5")
 	}
 	return 0
@@ -55,29 +57,55 @@ func runMPI(args []string, stdout, stderr io.Writer) int {
 	c := newCommand("mpi", stderr)
 	iters, warmup, plot := c.iters(60), c.warmup(20), c.plot()
 	c.harness()
-	if !c.parse(args) {
-		return 2
+	if code, ok := c.parse(args); !ok {
+		return code
 	}
 	o, _ := c.options()
 	o.Iters, o.Warmup = *iters, *warmup
-	writeFigure(stdout, 4, "MPI-level broadcast, NIC-based (NB) vs host-based (HB)",
-		"nodes", "nodes", *plot, func(n int) harness.Series { return o.Fig4(n, harness.MPISizes()) }, 4, 8, 16)
+	writeFigure(stdout, o, 4, "MPI-level broadcast, NIC-based (NB) vs host-based (HB)", "nodes", "nodes", *plot,
+		harness.MPISizes(), func(p harness.Point, nb bool) float64 { return o.MPIBcast(p.Nodes, p.Size, nb) }, 4, 8, 16)
 	return 0
 }
 
-// writeFigure prints one latency series per count, headed "-- <n> <noun>
-// --", and with plot the factor curves, labelled "<n> <abbr>".
-func writeFigure(w io.Writer, fig int, title, noun, abbr string, plot bool, series func(n int) harness.Series, counts ...int) {
+// writeFigure sweeps sizes with measure at each count, printing one
+// latency table per count, headed "-- <n> <noun> --", and with plot the
+// factor curves, labelled "<n> <abbr>".
+func writeFigure(w io.Writer, o harness.Options, fig int, title, noun, abbr string, plot bool,
+	sizes []int, measure func(harness.Point, bool) float64, counts ...int) {
 	fmt.Fprintf(w, "Figure %d: %s\n", fig, title)
-	curves := map[string]harness.Series{}
+	var curves []harness.Curve
 	for _, n := range counts {
-		s := series(n)
-		harness.WriteSeries(w, fmt.Sprintf("-- %d %s --", n, noun), s)
-		curves[fmt.Sprintf("%d %s", n, abbr)] = s
+		pts := make([]harness.Point, len(sizes))
+		for i, s := range sizes {
+			pts[i] = harness.Point{Nodes: n, Size: s}
+		}
+		pts = o.Sweep(pts, measure)
+		harness.WriteTable(w, fmt.Sprintf("-- %d %s --", n, noun), pts, "size(B)", "HB(µs)", "NB(µs)", "factor")
+		factors := make([]float64, len(pts))
+		for i, p := range pts {
+			factors[i] = p.Factor()
+		}
+		curves = append(curves, harness.Curve{Name: fmt.Sprintf("%d %s", n, abbr), Y: factors})
 	}
-	if plot {
-		harness.PlotFactors(w, fmt.Sprintf("Figure %d(b): factor of improvement", fig), curves)
+	if !plot {
+		return
 	}
+	slices.SortFunc(curves, func(a, b harness.Curve) int { return strings.Compare(a.Name, b.Name) })
+	ticks := map[int]string{}
+	if n := len(sizes); n > 0 {
+		for _, i := range []int{0, n / 2, n - 1} {
+			ticks[i] = sizeLabel(sizes[i])
+		}
+	}
+	harness.Plot(w, fmt.Sprintf("Figure %d(b): factor of improvement", fig), "message size", "improvement factor HB/NB", ticks, curves...)
+}
+
+// sizeLabel abbreviates a message size for an axis: 16K, 512B.
+func sizeLabel(n int) string {
+	if n >= 1024 && n%1024 == 0 {
+		return fmt.Sprintf("%dK", n/1024)
+	}
+	return fmt.Sprintf("%dB", n)
 }
 
 // runSkew regenerates the paper's process-skew evaluation:
@@ -94,8 +122,8 @@ func runSkew(args []string, stdout, stderr io.Writer) int {
 	large := c.Bool("large", false, "figure 6: also sweep 2/4/8 KB messages (technical-report companion)")
 	c.harness()
 	c.metrics(true)
-	if !c.parse(args) {
-		return 2
+	if code, ok := c.parse(args); !ok {
+		return code
 	}
 	if *fig != 0 && *fig != 6 && *fig != 7 {
 		return c.usage("unknown figure %d (want 6 or 7)", *fig)
@@ -109,18 +137,64 @@ func runSkew(args []string, stdout, stderr io.Writer) int {
 			sizes = append(sizes, 2048, 4096, 8192)
 		}
 		for _, size := range sizes {
-			pts := o.Fig6(*nodes, size, harness.SkewSweep())
-			harness.WriteSkew(stdout, fmt.Sprintf("-- %d-byte messages --", size), pts)
+			pts := o.Sweep(skewPoints(*nodes, size), skewBcast(o))
+			harness.WriteTable(stdout, fmt.Sprintf("-- %d-byte messages --", size), pts, skewColumns...)
 			if *plot {
-				harness.PlotSkew(stdout, fmt.Sprintf("Figure 6(a), %d-byte messages", size), pts)
+				plotSkew(stdout, fmt.Sprintf("Figure 6(a), %d-byte messages", size), pts)
 			}
 		}
 		rep.Report(stdout, "figure 6")
 	}
 	if *fig != 6 {
 		fmt.Fprintln(stdout, "Figure 7: improvement factor at 400µs average skew vs system size")
-		harness.WriteFig7(stdout, "-- 4-byte and 4-KB messages --", o.Fig7([]int{4, 8, 12, 16}, []int{4, 4096}))
+		harness.WriteTable(stdout, "-- 4-byte and 4-KB messages --",
+			o.Sweep(fig7Points([]int{4, 8, 12, 16}, []int{4, 4096}), skewBcast(o)), "nodes", "size(B)", "factor")
 		rep.Report(stdout, "figure 7")
 	}
 	return 0
+}
+
+// skewBcast measures one side of Figures 6 and 7 at a point.
+func skewBcast(o harness.Options) func(harness.Point, bool) float64 {
+	return func(p harness.Point, nb bool) float64 { return o.SkewCPUTime(p.Nodes, p.Size, p.Skew, nb) }
+}
+
+// skewColumns head a skew sweep's table: host CPU time per side.
+var skewColumns = []string{"skew(µs)", "HB-cpu(µs)", "NB-cpu(µs)", "factor"}
+
+// skewPoints is Figure 6's x axis, 0 to 400 µs of average skew, at one
+// system and message size.
+func skewPoints(nodes, size int) []harness.Point {
+	var pts []harness.Point
+	for _, skew := range harness.SkewSweep() {
+		pts = append(pts, harness.Point{Nodes: nodes, Size: size, Skew: skew})
+	}
+	return pts
+}
+
+// fig7Points is Figure 7's grid at 400 µs of average skew, system size by
+// message size.
+func fig7Points(nodeCounts, sizes []int) []harness.Point {
+	var pts []harness.Point
+	for _, n := range nodeCounts {
+		for _, s := range sizes {
+			pts = append(pts, harness.Point{Nodes: n, Size: s, Skew: 400})
+		}
+	}
+	return pts
+}
+
+// plotSkew charts a skew sweep's host CPU time, one curve per side, with
+// the skew axis labelled at its ends.
+func plotSkew(w io.Writer, title string, pts []harness.Point) {
+	hb, nb := make([]float64, len(pts)), make([]float64, len(pts))
+	ticks := map[int]string{}
+	for i, p := range pts {
+		hb[i], nb[i] = p.HB, p.NB
+		if i == 0 || i == len(pts)-1 {
+			ticks[i] = fmt.Sprintf("%.0f", p.Skew)
+		}
+	}
+	harness.Plot(w, title, "avg skew (µs)", "host CPU µs", ticks,
+		harness.Curve{Name: "host-based", Y: hb}, harness.Curve{Name: "NIC-based", Y: nb})
 }

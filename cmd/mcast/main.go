@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,8 +53,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs.Usage = func() { fmt.Fprintln(stderr, usage); fs.PrintDefaults() }
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a post-GC heap profile to this file on exit")
-	if fs.Parse(args) != nil {
-		return 2
+	if err := fs.Parse(args); err != nil {
+		return exitStatus(err)
 	}
 	cmd, ok := commands[fs.Arg(0)]
 	if !ok {
@@ -156,8 +157,11 @@ func (c *command) metrics(json bool) *bool {
 
 func (c *command) iters(def int) *int  { return c.Int("iters", def, "timed iterations per point") }
 func (c *command) warmup(def int) *int { return c.Int("warmup", def, "warm-up iterations per point") }
-func (c *command) size(def int) *int   { return c.Int("size", def, "message size in bytes") }
-func (c *command) msgs(def int) *int   { return c.Int("msgs", def, "messages per run") }
+func (c *command) skewIters(def int) *int {
+	return c.Int("skew-iters", def, "timed barriers per skew point (-skew only)")
+}
+func (c *command) size(def int) *int { return c.Int("size", def, "message size in bytes") }
+func (c *command) msgs(def int) *int { return c.Int("msgs", def, "messages per run") }
 func (c *command) shards(def int) *int {
 	return c.Int("shards", def, "engines per simulation run (0 or 1 = serial engine)")
 }
@@ -181,25 +185,50 @@ func (c *command) loss() *float64 {
 }
 
 // parse parses args and checks the shared flags a subcommand declared:
-// -loss is a probability and -fabric names a preset. It reports a bad
-// value and returns false.
-func (c *command) parse(args []string) bool {
-	if c.Parse(args) != nil {
-		return false
+// -loss is a probability, the iteration counts are positive (-warmup may
+// be 0), and -fabric names a preset. When it returns false the subcommand
+// is done, and exits with the status it returns: 0 for -h, 2 for a bad
+// flag, which it has reported.
+func (c *command) parse(args []string) (int, bool) {
+	if err := c.Parse(args); err != nil {
+		return exitStatus(err), false
 	}
 	if c.lossV != nil && !(*c.lossV >= 0 && *c.lossV <= 1) {
-		c.usage("-loss %v outside [0, 1]", *c.lossV)
-		return false
+		return c.usage("-loss %v outside [0, 1]", *c.lossV), false
+	}
+	for _, m := range iterationMinimums {
+		if f := c.Lookup(m.name); f != nil {
+			if n := f.Value.(flag.Getter).Get().(int); n < m.min {
+				return c.usage("-%s %d below %d", m.name, n, m.min), false
+			}
+		}
 	}
 	if c.fabricV != nil {
 		fc, err := harness.FabricPreset(*c.fabricV)
 		if err != nil {
-			c.usage("%v", err)
-			return false
+			return c.usage("%v", err), false
 		}
 		c.fc = fc
 	}
-	return true
+	return 0, true
+}
+
+// iterationMinimums are the least values of the iteration flags: below
+// them a sweep divides by zero or the root posts more messages than its
+// receivers take, and go-back-N retries forever.
+var iterationMinimums = []struct {
+	name string
+	min  int
+}{{"iters", 1}, {"warmup", 0}, {"skew-iters", 1}}
+
+// exitStatus is the status of a flag set that failed to parse: -h asks for
+// the usage text, which the flag package has printed, so it is 0, as under
+// flag.ExitOnError; anything else is a usage error.
+func exitStatus(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
 }
 
 // options builds the harness options from the declared flags; with

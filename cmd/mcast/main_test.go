@@ -142,11 +142,30 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 		{"coll -collectives barrier,bcast", "unknown collective"},
 		{"coll -nodes 0", "bad system size"},
 		{"coll -fabric ring", "unknown fabric"},
+		{"gm -fig 3 -iters -3 -maxsize 2", "-iters -3"},
+		{"gm -fig 3 -iters 1 -warmup -5 -maxsize 2", "-warmup -5"},
+		{"gm -fig 3 -iters 0", "-iters 0"},
+		{"mpi -iters 0", "-iters 0"},
+		{"skew -fig 7 -iters 0", "-iters 0"},
+		{"coll -skew 16 -skew-iters 0", "-skew-iters 0"},
 	})
 	// A flag no subcommand declares is the flag package's error, with the
 	// subcommand's flag list.
 	if code, _, stderr := mcast("gm -barrier"); code != 2 || !strings.Contains(stderr, "-barrier") {
 		t.Errorf("mcast gm -barrier: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// -h asks for the usage text: it goes to stderr and the exit is 0, at the
+// top level and for a subcommand.
+func TestHelpIsNotAnError(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-h", "usage: mcast"},
+		{"gm -h", "-maxsize"},
+	} {
+		if code, stdout, stderr := mcast(c.args); code != 0 || stdout != "" || !strings.Contains(stderr, c.want) {
+			t.Errorf("mcast %s: exit %d, stdout %q, stderr %q; want exit 0 and the usage text on stderr", c.args, code, stdout, stderr)
+		}
 	}
 }
 

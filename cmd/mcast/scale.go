@@ -30,8 +30,8 @@ func runScale(args []string, stdout, stderr io.Writer) int {
 	msgs := c.msgs(10)
 	c.harness()
 	c.fabric()
-	if !c.parse(args) {
-		return 2
+	if code, ok := c.parse(args); !ok {
+		return code
 	}
 	nodes, err := parseInts(*nodeList, 2, "node count")
 	if err != nil {
@@ -44,8 +44,17 @@ func runScale(args []string, stdout, stderr io.Writer) int {
 	}
 	o.Iters, o.Shards = *iters, *shards
 	fmt.Fprintf(stdout, "Scalability: time until the last of N hosts holds a %d-byte broadcast\n", *size)
-	harness.WriteScale(stdout, "-- NIC-based (NB) vs host-based (HB) --", o.ScaleSweep(nodes, *size))
+	pts := make([]harness.Point, len(nodes))
+	for i, n := range nodes {
+		pts[i] = harness.Point{Nodes: n, Size: *size}
+	}
+	harness.WriteTable(stdout, "-- NIC-based (NB) vs host-based (HB) --", o.Sweep(pts, lastDelivery(o)), "nodes", "HB(µs)", "NB(µs)", "factor")
 	return 0
+}
+
+// lastDelivery measures one side of the scalability study at a point.
+func lastDelivery(o harness.Options) func(harness.Point, bool) float64 {
+	return func(p harness.Point, nb bool) float64 { return o.LastDelivery(p.Nodes, p.Size, nb) }
 }
 
 // speedupMatrix times one full multicast storm (cluster build + group
@@ -114,12 +123,12 @@ func runColl(args []string, stdout, stderr io.Writer) int {
 	collList := c.String("collectives", strings.Join(harness.CollNames, ","), "comma-separated collectives to measure")
 	veclen, warmup, iters := c.veclen(1), c.warmup(2), c.iters(10)
 	skewNodes := c.Int("skew", 0, "run the barrier skew-tolerance figure at this system size instead")
-	skewIters := c.Int("skew-iters", 40, "timed barriers per skew point (-skew only)")
+	skewIters := c.skewIters(40)
 	shards, short, plot := c.shards(4), c.short(), c.plot()
 	c.harness()
 	c.fabric()
-	if !c.parse(args) {
-		return 2
+	if code, ok := c.parse(args); !ok {
+		return code
 	}
 	o, _ := c.options()
 	o.Warmup, o.Iters, o.SkewIters, o.Shards = *warmup, *iters, *skewIters, *shards
@@ -139,25 +148,28 @@ func runColl(args []string, stdout, stderr io.Writer) int {
 		if *short && n > 128 {
 			n = 64
 		}
-		pts := o.BarrierSkewSweep(n, harness.SkewSweep())
-		harness.WriteSkew(stdout, fmt.Sprintf("Barrier skew tolerance: %d hosts, fabric %s, %d iters, seed %d",
-			n, o.Fabric.Kind, o.SkewIters, o.Seed), pts)
+		pts := o.Sweep(skewPoints(n, 0), func(p harness.Point, nb bool) float64 { return o.BarrierSkewCPUTime(p.Nodes, p.Skew, nb) })
+		harness.WriteTable(stdout, fmt.Sprintf("Barrier skew tolerance: %d hosts, fabric %s, %d iters, seed %d",
+			n, o.Fabric.Kind, o.SkewIters, o.Seed), pts, skewColumns...)
 		if *plot {
 			fmt.Fprintln(stdout)
-			harness.PlotSkew(stdout, "avg time inside MPI_Barrier under process skew", pts)
+			plotSkew(stdout, "avg time inside MPI_Barrier under process skew", pts)
 		}
 		return 0
 	}
 
-	var colls []string
+	var pts []harness.Point
 	for _, f := range strings.Split(*collList, ",") {
 		name := strings.TrimSpace(f)
 		if !slices.Contains(harness.CollNames, name) {
 			return c.usage("unknown collective %q (have %s)", name, strings.Join(harness.CollNames, ", "))
 		}
-		colls = append(colls, name)
+		for _, n := range nodes {
+			pts = append(pts, harness.Point{Collective: name, Nodes: n, Size: *veclen})
+		}
 	}
-	harness.WriteCollScale(stdout, fmt.Sprintf("Collective latency: host-based (HB) vs NIC-resident engine (NB), veclen %d, fabric %s, %d iters, seed %d",
-		*veclen, o.Fabric.Kind, o.Iters, o.Seed), o.CollScaleSweep(colls, nodes, *veclen))
+	pts = o.Sweep(pts, func(p harness.Point, nb bool) float64 { return o.CollLatency(p.Collective, p.Nodes, p.Size, nb) })
+	harness.WriteTable(stdout, fmt.Sprintf("Collective latency: host-based (HB) vs NIC-resident engine (NB), veclen %d, fabric %s, %d iters, seed %d",
+		*veclen, o.Fabric.Kind, o.Iters, o.Seed), pts, "collective", "nodes", "HB(µs)", "NB(µs)", "factor", "")
 	return 0
 }

@@ -32,8 +32,8 @@ func runTree(args []string, stdout, stderr io.Writer) int {
 	churn := c.Int("churn", 0, "render the per-epoch trees of a churn run with this many transitions")
 	seed := c.seed()
 	fanout := c.Int("fanout", 2, "fanout bound for the churn run's incremental trees")
-	if !c.parse(args) {
-		return 2
+	if code, ok := c.parse(args); !ok {
+		return code
 	}
 	if *churn > 0 {
 		if err := churnTrees(stdout, *nodes, *churn, *fanout, *seed); err != nil {
@@ -140,8 +140,8 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 	c := newCommand("trace", stderr)
 	nodes, size, loss, seed := c.nodes(8), c.size(4096), c.loss(), c.seed()
 	lanes := c.Bool("lanes", false, "render per-node lanes instead of a flat timeline")
-	if !c.parse(args) {
-		return 2
+	if code, ok := c.parse(args); !ok {
+		return code
 	}
 	if *nodes < 2 {
 		return c.usage("-nodes %d: a multicast needs at least 2 nodes", *nodes)
@@ -191,8 +191,8 @@ func runTraffic(args []string, stdout, stderr io.Writer) int {
 	dist := c.String("dist", "fixed", "size distribution: fixed, bimodal, uniformsize")
 	gapUs := c.Float64("gap", 5, "mean per-source injection gap in µs")
 	loss, seed := c.loss(), c.seed()
-	if !c.parse(args) {
-		return 2
+	if code, ok := c.parse(args); !ok {
+		return code
 	}
 	cfg := cluster.DefaultConfig(*nodes)
 	cfg.LossRate = *loss

@@ -229,17 +229,24 @@ func sweepOptions(workers int) harness.Options {
 	return o
 }
 
-// sweepPoints is the message-size axis the sweep benchmarks measure.
-func sweepPoints() []int { return harness.MessageSizes(4096) }
+// sweepPoints is the Figure 5 sweep the benchmarks measure: 8 nodes,
+// every message size up to 4 KB.
+func sweepPoints() []harness.Point {
+	var pts []harness.Point
+	for _, s := range harness.MessageSizes(4096) {
+		pts = append(pts, harness.Point{Nodes: 8, Size: s})
+	}
+	return pts
+}
 
 // SweepSerial runs the Figure 5 GM-level sweep with the parallel runner
 // forced serial.
 func SweepSerial(b *testing.B) {
 	o := sweepOptions(1)
-	sizes := sweepPoints()
+	pts := sweepPoints()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if s := o.GMSweep(8, sizes); len(s) != len(sizes) {
+		if s := o.Sweep(pts, harness.Sides(o.MulticastHB, o.MulticastNB)); len(s) != len(pts) {
 			b.Fatal("short sweep")
 		}
 	}
@@ -248,10 +255,10 @@ func SweepSerial(b *testing.B) {
 // SweepParallel runs the same sweep fanned across GOMAXPROCS workers.
 func SweepParallel(b *testing.B) {
 	o := sweepOptions(0)
-	sizes := sweepPoints()
+	pts := sweepPoints()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if s := o.GMSweep(8, sizes); len(s) != len(sizes) {
+		if s := o.Sweep(pts, harness.Sides(o.MulticastHB, o.MulticastNB)); len(s) != len(pts) {
 			b.Fatal("short sweep")
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // Collective scaling experiment — the collective-engine counterpart of the
-// broadcast ScaleSweep: the average completion latency of MPI_Barrier,
+// broadcast LastDelivery: the average completion latency of MPI_Barrier,
 // MPI_Allreduce and MPI_Allgather in their traditional host-based forms
 // versus the NIC-resident collective engine, across system sizes up to
 // thousands of hosts. Both variants ride the full MPI layer, so the
@@ -17,27 +17,6 @@ import (
 
 // CollNames lists the collectives the scaling sweep measures.
 var CollNames = []string{"barrier", "allreduce", "allgather"}
-
-// CollPoint is one (collective, system size) comparison; units are
-// microseconds per operation.
-type CollPoint struct {
-	Collective string
-	Nodes      int
-	HB         float64 // host-based algorithm (dissemination / recursive doubling / Bruck)
-	NB         float64 // NIC-resident collective engine
-	// NBFallback marks a point where the MPI layer's NIC path does not
-	// apply (an allgather result past the eager limit) and the NB column
-	// therefore measured the host fallback.
-	NBFallback bool
-}
-
-// Factor reports HB/NB.
-func (p CollPoint) Factor() float64 {
-	if p.NB == 0 {
-		return 0
-	}
-	return p.HB / p.NB
-}
 
 // AllgatherNICEligible reports whether the MPI layer's NIC allgather path
 // applies at this system size: the flat result must fit one eager-mode
@@ -100,23 +79,6 @@ func (o Options) CollLatency(collective string, nodes, veclen int, useNB bool) f
 	return sum.Micros() / float64(nodes*o.Iters)
 }
 
-// CollScaleSweep compares host-based and NIC-resident collectives across
-// system sizes. Points run in parallel per Options.Workers.
-func (o Options) CollScaleSweep(collectives []string, nodeCounts []int, veclen int) []CollPoint {
-	var pts []CollPoint
-	for _, name := range collectives {
-		for _, n := range nodeCounts {
-			pts = append(pts, CollPoint{Collective: name, Nodes: n})
-		}
-	}
-	return parallelMap(o.workerCount(len(pts)), pts, func(_ int, p CollPoint) CollPoint {
-		p.HB = o.CollLatency(p.Collective, p.Nodes, veclen, false)
-		p.NB = o.CollLatency(p.Collective, p.Nodes, veclen, true)
-		p.NBFallback = p.Collective == "allgather" && !AllgatherNICEligible(p.Nodes, veclen)
-		return p
-	})
-}
-
 // CollScaleNodeCounts is the default sweep: the paper-scale 512, 1024 and
 // 2048-host systems (three-level Clos territory on either fabric).
 func CollScaleNodeCounts() []int { return []int{512, 1024, 2048} }
@@ -161,16 +123,4 @@ func (o Options) BarrierSkewCPUTime(nodes int, avgSkewUs float64, useNB bool) fl
 		sum += t
 	}
 	return sum.Micros() / float64(nodes*o.SkewIters)
-}
-
-// BarrierSkewSweep runs the skewed-barrier comparison across average
-// skews for one system size — the barrier's skew-tolerance figure.
-func (o Options) BarrierSkewSweep(nodes int, avgSkewsUs []float64) []SkewPoint {
-	return parallelMap(o.workerCount(len(avgSkewsUs)), avgSkewsUs, func(_ int, s float64) SkewPoint {
-		return SkewPoint{
-			AvgSkewUs: s,
-			HB:        o.BarrierSkewCPUTime(nodes, s, false),
-			NB:        o.BarrierSkewCPUTime(nodes, s, true),
-		}
-	})
 }

@@ -21,8 +21,8 @@ func collFast() Options {
 // grows with system size — the engine's headline scaling signature.
 func TestCollBarrierScalingSignature(t *testing.T) {
 	o := collFast()
-	f16 := CollPoint{HB: o.CollLatency("barrier", 16, 1, false), NB: o.CollLatency("barrier", 16, 1, true)}.Factor()
-	f64 := CollPoint{HB: o.CollLatency("barrier", 64, 1, false), NB: o.CollLatency("barrier", 64, 1, true)}.Factor()
+	f16 := Point{HB: o.CollLatency("barrier", 16, 1, false), NB: o.CollLatency("barrier", 16, 1, true)}.Factor()
+	f64 := Point{HB: o.CollLatency("barrier", 64, 1, false), NB: o.CollLatency("barrier", 64, 1, true)}.Factor()
 	if f16 < 1.5 {
 		t.Errorf("16-node barrier factor %.2f, want >= 1.5", f16)
 	}
@@ -47,23 +47,29 @@ func TestCollLatencyPins(t *testing.T) {
 	golden.Check(t, "TestCollLatencyPins", "nic-64hosts-1word", golden.Capture{Lines: lines})
 }
 
-// CollScaleSweep covers every requested (collective, size) point with
-// positive latencies, and flags exactly the allgather points whose flat
-// result exceeds the eager ceiling.
+// A sweep of CollLatency covers every requested (collective, size) point
+// with positive latencies, and its table notes exactly the allgather points
+// whose flat result exceeds the eager ceiling.
 func TestCollScaleSweepShape(t *testing.T) {
 	o := collFast()
 	o.Iters = 3
-	pts := o.CollScaleSweep(CollNames, []int{8, 16}, 2)
-	if len(pts) != len(CollNames)*2 {
-		t.Fatalf("got %d points, want %d", len(pts), len(CollNames)*2)
+	var pts []Point
+	for _, name := range CollNames {
+		for _, n := range []int{8, 16} {
+			pts = append(pts, Point{Collective: name, Nodes: n, Size: 2})
+		}
 	}
+	pts = o.Sweep(pts, func(p Point, nb bool) float64 { return o.CollLatency(p.Collective, p.Nodes, p.Size, nb) })
 	for _, p := range pts {
 		if p.HB <= 0 || p.NB <= 0 {
 			t.Errorf("%s @ %d: nonpositive latency HB=%.2f NB=%.2f", p.Collective, p.Nodes, p.HB, p.NB)
 		}
-		if p.NBFallback {
-			t.Errorf("%s @ %d flagged as fallback below the eager ceiling", p.Collective, p.Nodes)
-		}
+	}
+	pts = append(pts, Point{Collective: "allgather", Nodes: 2048, Size: 1})
+	var b strings.Builder
+	WriteTable(&b, "coll", pts, "collective", "nodes", "")
+	if n := strings.Count(b.String(), "host fallback"); n != 1 || !strings.Contains(b.String(), "2048  host fallback") {
+		t.Errorf("want only the 2048-host allgather noted as host fallback:\n%s", b.String())
 	}
 }
 
@@ -97,13 +103,11 @@ func TestCollLatencyUnknownPanics(t *testing.T) {
 // variant stays ahead, and the runs are deterministic.
 func TestBarrierSkewSignature(t *testing.T) {
 	o := collFast()
-	pts := o.BarrierSkewSweep(16, []float64{0, 200})
-	if len(pts) != 2 {
-		t.Fatalf("got %d points", len(pts))
-	}
+	pts := o.Sweep([]Point{{Nodes: 16, Skew: 0}, {Nodes: 16, Skew: 200}},
+		func(p Point, nb bool) float64 { return o.BarrierSkewCPUTime(p.Nodes, p.Skew, nb) })
 	for _, p := range pts {
 		if p.NB >= p.HB {
-			t.Errorf("skew %.0f: NIC barrier %.1fus not ahead of host %.1fus", p.AvgSkewUs, p.NB, p.HB)
+			t.Errorf("skew %.0f: NIC barrier %.1fus not ahead of host %.1fus", p.Skew, p.NB, p.HB)
 		}
 	}
 	if pts[1].HB <= pts[0].HB || pts[1].NB <= pts[0].NB {

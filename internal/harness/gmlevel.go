@@ -5,7 +5,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/tree"
 )
 
@@ -37,15 +36,7 @@ func (o Options) MultisendNB(ndest, size int) float64 {
 	var avg float64
 	msg := payload(size)
 	c.SpawnOn(0, "root", func(p *sim.Proc) {
-		ext := c.Nodes[0].Ext
-		for i := 0; i < o.Warmup; i++ {
-			ext.McastSync(p, ports[0], gmGroup, msg)
-		}
-		t0 := p.Now()
-		for i := 0; i < o.Iters; i++ {
-			ext.McastSync(p, ports[0], gmGroup, msg)
-		}
-		avg = (p.Now() - t0).Micros() / float64(o.Iters)
+		avg = o.timed(p, func() { c.Nodes[0].Ext.McastSync(p, ports[0], gmGroup, msg) })
 	})
 	runToCompletion(c)
 	return avg
@@ -70,34 +61,17 @@ func (o Options) MultisendHB(ndest, size int) float64 {
 	var avg float64
 	msg := payload(size)
 	c.SpawnOn(0, "root", func(p *sim.Proc) {
-		iter := func() {
+		avg = o.timed(p, func() {
 			for d := 1; d <= ndest; d++ {
 				ports[0].Send(p, fabric.NodeID(d), benchPort, msg)
 			}
 			for d := 1; d <= ndest; d++ {
 				ports[0].WaitSendDone(p)
 			}
-		}
-		for i := 0; i < o.Warmup; i++ {
-			iter()
-		}
-		t0 := p.Now()
-		for i := 0; i < o.Iters; i++ {
-			iter()
-		}
-		avg = (p.Now() - t0).Micros() / float64(o.Iters)
+		})
 	})
 	runToCompletion(c)
 	return avg
-}
-
-// Fig3 sweeps the multisend comparison over message sizes for one
-// destination count, reproducing one curve pair of Figures 3(a)/3(b).
-// Points run in parallel per Options.Workers.
-func (o Options) Fig3(ndest int, sizes []int) Series {
-	return Series(parallelMap(o.workerCount(len(sizes)), sizes, func(_, s int) Point {
-		return Point{Size: s, HB: o.MultisendHB(ndest, s), NB: o.MultisendNB(ndest, s)}
-	}))
 }
 
 // multicastNBOnce measures the NIC-based multicast over the size-specific
@@ -129,18 +103,10 @@ func (o Options) multicastNBOnce(nodes, size int, designated fabric.NodeID) floa
 	c.SpawnOn(0, "root", func(p *sim.Proc) {
 		ext := c.Nodes[0].Ext
 		ports[0].ProvideN(total, 4)
-		iter := func() {
+		avg = o.timed(p, func() {
 			ext.Mcast(p, ports[0], gmGroup, msg)
 			ports[0].Recv(p) // designated leaf's acknowledgment
-		}
-		for i := 0; i < o.Warmup; i++ {
-			iter()
-		}
-		t0 := p.Now()
-		for i := 0; i < o.Iters; i++ {
-			iter()
-		}
-		avg = (p.Now() - t0).Micros() / float64(o.Iters)
+		})
 	})
 	runToCompletion(c)
 	return avg
@@ -196,60 +162,28 @@ func (o Options) multicastHBOnce(nodes, size int, designated fabric.NodeID) floa
 	children := tr.Children(0)
 	c.SpawnOn(0, "root", func(p *sim.Proc) {
 		ports[0].ProvideN(total, 4)
-		iter := func() {
+		avg = o.timed(p, func() {
 			for _, ch := range children {
 				ports[0].Send(p, ch, benchPort, msg)
 			}
 			ports[0].Recv(p)
-		}
-		for i := 0; i < o.Warmup; i++ {
-			iter()
-		}
-		t0 := p.Now()
-		for i := 0; i < o.Iters; i++ {
-			iter()
-		}
-		avg = (p.Now() - t0).Micros() / float64(o.Iters)
+		})
 	})
 	runToCompletion(c)
 	return avg
 }
 
-// MulticastNB takes the maximum over designated-leaf choices, as the paper
-// does ("the same test was repeated with different leaf nodes returning
-// the acknowledgment; the maximum from all the tests was taken").
+// MulticastNB is the NIC-based multicast's latency, the worst over the
+// optimal tree's leaves as designated receiver — Figure 5's NB curves.
 func (o Options) MulticastNB(nodes, size int) float64 {
-	cfg := o.config(nodes)
-	tr := o.nbTree(cfg, 0, membersOf(nodes), size)
-	var worst []float64
-	for _, leaf := range tr.Leaves() {
-		worst = append(worst, o.multicastNBOnce(nodes, size, leaf))
-	}
-	return stats.Max(worst)
+	tr := o.nbTree(o.config(nodes), 0, membersOf(nodes), size)
+	return worst(tr.Leaves(), func(leaf fabric.NodeID) float64 { return o.multicastNBOnce(nodes, size, leaf) })
 }
 
 // MulticastHB is the host-based counterpart over the binomial tree.
 func (o Options) MulticastHB(nodes, size int) float64 {
 	tr := tree.Binomial(0, membersOf(nodes))
-	var worst []float64
-	for _, leaf := range tr.Leaves() {
-		worst = append(worst, o.multicastHBOnce(nodes, size, leaf))
-	}
-	return stats.Max(worst)
-}
-
-// GMSweep runs the GM-level multicast comparison across message sizes for
-// one system size. Points run in parallel per Options.Workers.
-func (o Options) GMSweep(nodes int, sizes []int) Series {
-	return Series(parallelMap(o.workerCount(len(sizes)), sizes, func(_, s int) Point {
-		return Point{Size: s, HB: o.MulticastHB(nodes, s), NB: o.MulticastNB(nodes, s)}
-	}))
-}
-
-// Fig5 sweeps the GM-level multicast comparison over message sizes for one
-// system size, reproducing one curve pair of Figures 5(a)/5(b).
-func (o Options) Fig5(nodes int, sizes []int) Series {
-	return o.GMSweep(nodes, sizes)
+	return worst(tr.Leaves(), func(leaf fabric.NodeID) float64 { return o.multicastHBOnce(nodes, size, leaf) })
 }
 
 // UnicastOneWay measures the plain GM one-way latency, used for the
@@ -273,18 +207,10 @@ func (o Options) UnicastOneWay(size int, withExtension bool) float64 {
 	msg := payload(size)
 	c.SpawnOn(0, "root", func(p *sim.Proc) {
 		ports[0].ProvideN(total, 4)
-		iter := func() {
+		avg = o.timed(p, func() {
 			ports[0].Send(p, 1, benchPort, msg)
 			ports[0].Recv(p)
-		}
-		for i := 0; i < o.Warmup; i++ {
-			iter()
-		}
-		t0 := p.Now()
-		for i := 0; i < o.Iters; i++ {
-			iter()
-		}
-		avg = (p.Now() - t0).Micros() / float64(o.Iters) / 2 // half round trip
+		}) / 2 // half round trip
 	})
 	runToCompletion(c)
 	return avg

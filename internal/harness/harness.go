@@ -1,9 +1,11 @@
-// Package harness reproduces the paper's measurement methodology for every
-// figure in its evaluation: synchronizing warm-up iterations, timed
-// iterations averaged into a latency, the designated-leaf acknowledgment
-// scheme with the maximum taken over leaf choices, and the process-skew
-// CPU-time protocol. Each figure has a Run function returning the same
-// rows/series the paper plots.
+// Package harness reproduces the paper's measurement methodology: warm-up
+// iterations, then timed iterations averaged into a latency; the
+// designated-receiver acknowledgment, with the maximum taken over the
+// receivers; and the process-skew CPU-time protocol. Every figure is a
+// comparison of the host-based (HB) and NIC-based (NB) schemes, so every
+// figure is one Sweep: a list of Points, the x values of the figure, and a
+// function that measures one side at one point. WriteTable and Plot print
+// what a sweep returns.
 package harness
 
 import (
@@ -12,6 +14,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
+	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/tree"
 )
 
@@ -92,12 +96,15 @@ func (o Options) build(nodes int) *cluster.Cluster {
 	return cluster.New(nodes, cluster.WithConfig(o.config(nodes)))
 }
 
-// Point is one (message size, host-based, NIC-based) measurement; the unit
-// is microseconds.
+// Point is one host-based vs NIC-based comparison: the x a sweep ran over
+// (the fields a figure varies or fixes, the rest zero) and both sides'
+// measurements, in µs of latency or of host CPU time.
 type Point struct {
-	Size int
-	HB   float64
-	NB   float64
+	Collective string
+	Nodes      int // system size; destinations for a multisend
+	Size       int // message bytes; vector elements for a collective
+	Skew       float64
+	HB, NB     float64
 }
 
 // Factor reports the paper's improvement factor HB/NB at this point.
@@ -108,8 +115,28 @@ func (p Point) Factor() float64 {
 	return p.HB / p.NB
 }
 
-// Series is a sweep over message sizes at a fixed configuration.
-type Series []Point
+// Sweep measures both sides at every point, host-based first, and returns
+// the points with HB and NB filled in, in input order. Points run in
+// parallel per Options.Workers: each is an independent experiment.
+func (o Options) Sweep(pts []Point, measure func(p Point, nb bool) float64) []Point {
+	return parallelMap(o.workerCount(len(pts)), pts, func(_ int, p Point) Point {
+		p.HB = measure(p, false)
+		p.NB = measure(p, true)
+		return p
+	})
+}
+
+// Sides makes a sweep's measure function of an experiment whose two sides
+// are separate functions of (nodes, size), such as MulticastHB and
+// MulticastNB.
+func Sides(hb, nb func(nodes, size int) float64) func(Point, bool) float64 {
+	return func(p Point, useNB bool) float64 {
+		if useNB {
+			return nb(p.Nodes, p.Size)
+		}
+		return hb(p.Nodes, p.Size)
+	}
+}
 
 // MessageSizes is the paper's sweep: 1 byte to 16 KB by powers of two
 // (Figures 3 and 5 annotate 1, 4, 16, ..., 16384).
@@ -119,6 +146,30 @@ func MessageSizes(max int) []int {
 		out = append(out, s)
 	}
 	return out
+}
+
+// timed runs iter Warmup times, then Iters times on p's clock, and returns
+// the mean timed iteration in µs.
+func (o Options) timed(p *sim.Proc, iter func()) float64 {
+	for i := 0; i < o.Warmup; i++ {
+		iter()
+	}
+	t0 := p.Now()
+	for i := 0; i < o.Iters; i++ {
+		iter()
+	}
+	return (p.Now() - t0).Micros() / float64(o.Iters)
+}
+
+// worst measures once per designated receiver and returns the maximum, as
+// the paper does ("the same test was repeated with different leaf nodes
+// returning the acknowledgment; the maximum from all the tests was taken").
+func worst(designated []fabric.NodeID, once func(fabric.NodeID) float64) float64 {
+	us := make([]float64, len(designated))
+	for i, d := range designated {
+		us[i] = once(d)
+	}
+	return stats.Max(us)
 }
 
 // runToCompletion drives a measurement cluster until quiet and verifies

@@ -18,15 +18,25 @@ func detTestOptions(workers int) Options {
 	return o
 }
 
-// renderAllSweeps runs all four parallelized sweeps and renders them with
-// the same table writers the commands use, so a byte comparison covers
-// every float the sweeps produce.
+// renderAllSweeps sweeps the GM, MPI, skew and scale experiments and
+// renders them with the table writer the commands use, so a byte
+// comparison covers every float the sweeps produce.
 func renderAllSweeps(o Options) []byte {
 	var buf bytes.Buffer
-	WriteSeries(&buf, "gm", o.GMSweep(4, []int{1, 64, 1024}))
-	WriteSeries(&buf, "mpi", o.MPISweep(4, []int{1, 64, 1024}))
-	WriteSkew(&buf, "skew", o.SkewSweep(4, 4, []float64{0, 100}))
-	WriteScale(&buf, "scale", o.ScaleSweep([]int{4, 8}, 64))
+	sizes := []Point{{Nodes: 4, Size: 1}, {Nodes: 4, Size: 64}, {Nodes: 4, Size: 1024}}
+	for _, sw := range []struct {
+		pts     []Point
+		measure func(Point, bool) float64
+	}{
+		{sizes, Sides(o.MulticastHB, o.MulticastNB)},
+		{sizes, func(p Point, nb bool) float64 { return o.MPIBcast(p.Nodes, p.Size, nb) }},
+		{[]Point{{Nodes: 4, Size: 4, Skew: 0}, {Nodes: 4, Size: 4, Skew: 100}},
+			func(p Point, nb bool) float64 { return o.SkewCPUTime(p.Nodes, p.Size, p.Skew, nb) }},
+		{[]Point{{Nodes: 4, Size: 64}, {Nodes: 8, Size: 64}},
+			func(p Point, nb bool) float64 { return o.LastDelivery(p.Nodes, p.Size, nb) }},
+	} {
+		WriteTable(&buf, "sweep", o.Sweep(sw.pts, sw.measure), "nodes", "size(B)", "skew(µs)", "HB", "NB", "factor")
+	}
 	return buf.Bytes()
 }
 

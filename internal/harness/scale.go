@@ -10,28 +10,13 @@ import (
 // becomes a Clos of 16-port crossbars, and the metric is the average time
 // until the last host has the complete message.
 
-// ScalePoint is one system size's comparison.
-type ScalePoint struct {
-	Nodes int
-	HB    float64 // µs, host-based multicast
-	NB    float64 // µs, NIC-based multicast
-}
-
-// Factor reports HB/NB.
-func (p ScalePoint) Factor() float64 {
-	if p.NB == 0 {
-		return 0
-	}
-	return p.HB / p.NB
-}
-
-// lastDelivery measures the average latency until the last destination's
+// LastDelivery measures the average latency until the last destination's
 // host holds the message, from recorded delivery timestamps. Only one
 // designated node (the highest network ID) acknowledges each broadcast —
 // acknowledgment implosion at the root NIC would contend with the
 // replicas still being transmitted and distort the very thing being
 // measured, which is why the paper's methodology uses a single leaf ack.
-func (o Options) lastDelivery(nodes, size int, nb bool) float64 {
+func (o Options) LastDelivery(nodes, size int, nb bool) float64 {
 	c := o.build(nodes)
 	ports := c.OpenPorts(benchPort)
 	var tr *tree.Tree
@@ -103,17 +88,4 @@ func (o Options) lastDelivery(nodes, size int, nb bool) float64 {
 		sum += (worst - starts[i]).Micros()
 	}
 	return sum / float64(o.Iters)
-}
-
-// ScaleSweep compares the schemes across system sizes for one message
-// size, including Clos-routed systems beyond one crossbar. Points run in
-// parallel per Options.Workers.
-func (o Options) ScaleSweep(nodeCounts []int, size int) []ScalePoint {
-	return parallelMap(o.workerCount(len(nodeCounts)), nodeCounts, func(_, n int) ScalePoint {
-		return ScalePoint{
-			Nodes: n,
-			HB:    o.lastDelivery(n, size, false),
-			NB:    o.lastDelivery(n, size, true),
-		}
-	})
 }

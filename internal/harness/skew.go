@@ -5,22 +5,6 @@ import (
 	"repro/internal/sim"
 )
 
-// SkewPoint is one measurement of Figure 6: the average host CPU time
-// spent inside MPI_Bcast under a given average process skew.
-type SkewPoint struct {
-	AvgSkewUs float64
-	HB        float64 // µs of host CPU time per broadcast
-	NB        float64
-}
-
-// Factor reports the improvement factor HB/NB.
-func (p SkewPoint) Factor() float64 {
-	if p.NB == 0 {
-		return 0
-	}
-	return p.HB / p.NB
-}
-
 // SkewCPUTime measures the average host CPU time of MPI_Bcast with random
 // process skew, reproducing the paper's protocol: all processes
 // synchronize with MPI_Barrier; every non-root process draws a skew
@@ -70,50 +54,6 @@ func (o Options) SkewCPUTime(nodes, size int, avgSkewUs float64, useNB bool) flo
 	return totalCPU.Micros() / float64(samples)
 }
 
-// SkewSweep runs the skewed-broadcast CPU-time comparison across average
-// skews for one system and message size. Points run in parallel per
-// Options.Workers. (The package-level SkewSweep function is the default
-// x-axis for this sweep.)
-func (o Options) SkewSweep(nodes, size int, avgSkewsUs []float64) []SkewPoint {
-	return parallelMap(o.workerCount(len(avgSkewsUs)), avgSkewsUs, func(_ int, s float64) SkewPoint {
-		return SkewPoint{
-			AvgSkewUs: s,
-			HB:        o.SkewCPUTime(nodes, size, s, false),
-			NB:        o.SkewCPUTime(nodes, size, s, true),
-		}
-	})
-}
-
-// Fig6 sweeps average skew for one message size on a 16-node system,
-// reproducing one curve pair of Figures 6(a)/6(b).
-func (o Options) Fig6(nodes, size int, avgSkewsUs []float64) []SkewPoint {
-	return o.SkewSweep(nodes, size, avgSkewsUs)
-}
-
-// Fig7Point is one bar of Figure 7: the CPU-time improvement factor at a
-// fixed 400 µs average skew for a given system size.
-type Fig7Point struct {
-	Nodes  int
-	Size   int
-	Factor float64
-}
-
-// Fig7 sweeps system sizes at 400 µs average skew, reproducing Figure 7.
-// The (nodes, size) grid points run in parallel per Options.Workers.
-func (o Options) Fig7(nodeCounts []int, sizes []int) []Fig7Point {
-	var pts []Fig7Point
-	for _, n := range nodeCounts {
-		for _, s := range sizes {
-			pts = append(pts, Fig7Point{Nodes: n, Size: s})
-		}
-	}
-	return parallelMap(o.workerCount(len(pts)), pts, func(_ int, p Fig7Point) Fig7Point {
-		hb := o.SkewCPUTime(p.Nodes, p.Size, 400, false)
-		nb := o.SkewCPUTime(p.Nodes, p.Size, 400, true)
-		p.Factor = hb / nb
-		return p
-	})
-}
-
 // SkewSweep returns the paper's Figure 6 x-axis: 0 to 400 µs average skew.
+// Figure 7 fixes the skew at its end, 400 µs.
 func SkewSweep() []float64 { return []float64{0, 50, 100, 150, 200, 250, 300, 350, 400} }

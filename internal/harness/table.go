@@ -3,128 +3,185 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"strconv"
+	"strings"
 	"text/tabwriter"
-
-	"repro/internal/plot"
 )
 
-// WriteSeries renders a Series as an aligned text table: one row per
-// message size with host-based latency, NIC-based latency, and the
-// improvement factor — the rows behind one curve pair of Figures 3/4/5.
-func WriteSeries(w io.Writer, title string, s Series) {
+// WriteTable renders a sweep as an aligned text table under title, one row
+// per point — the rows behind one curve pair of the paper's figures. The
+// headings name the columns: an x field ("collective", "nodes", "size(B)",
+// "skew(µs)"), a side (any heading starting "HB" or "NB"), "factor", or ""
+// for the collective sweep's note on allgather points the MPI layer's NIC
+// path does not take, where the NB column measured the host fallback.
+func WriteTable(w io.Writer, title string, pts []Point, heads ...string) {
 	fmt.Fprintf(w, "%s\n", title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(tw, "size(B)\tHB(µs)\tNB(µs)\tfactor\t\n")
-	for _, p := range s {
-		fmt.Fprintf(tw, "%d\t%.2f\t%.2f\t%.2f\t\n", p.Size, p.HB, p.NB, p.Factor())
+	for _, h := range heads {
+		fmt.Fprintf(tw, "%s\t", h)
 	}
-	tw.Flush()
-}
-
-// WriteSkew renders Figure 6 rows: average skew against average host CPU
-// time for both schemes, plus the improvement factor.
-func WriteSkew(w io.Writer, title string, pts []SkewPoint) {
-	fmt.Fprintf(w, "%s\n", title)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(tw, "skew(µs)\tHB-cpu(µs)\tNB-cpu(µs)\tfactor\t\n")
+	fmt.Fprintln(tw)
 	for _, p := range pts {
-		fmt.Fprintf(tw, "%.0f\t%.2f\t%.2f\t%.2f\t\n", p.AvgSkewUs, p.HB, p.NB, p.Factor())
-	}
-	tw.Flush()
-}
-
-// WriteFig7 renders Figure 7 rows: improvement factor per system size.
-func WriteFig7(w io.Writer, title string, pts []Fig7Point) {
-	fmt.Fprintf(w, "%s\n", title)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(tw, "nodes\tsize(B)\tfactor\t\n")
-	for _, p := range pts {
-		fmt.Fprintf(tw, "%d\t%d\t%.2f\t\n", p.Nodes, p.Size, p.Factor)
-	}
-	tw.Flush()
-}
-
-// WriteScale renders the scalability sweep.
-func WriteScale(w io.Writer, title string, pts []ScalePoint) {
-	fmt.Fprintf(w, "%s\n", title)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(tw, "nodes\tHB(µs)\tNB(µs)\tfactor\t\n")
-	for _, p := range pts {
-		fmt.Fprintf(tw, "%d\t%.2f\t%.2f\t%.2f\t\n", p.Nodes, p.HB, p.NB, p.Factor())
-	}
-	tw.Flush()
-}
-
-// WriteCollScale renders the collective scaling sweep: one row per
-// (collective, system size) with host-based latency, NIC-engine latency
-// and the improvement factor. Points where the MPI layer's NIC path does
-// not apply (allgather results past the eager limit) are annotated — the
-// NB column there measured the host fallback.
-func WriteCollScale(w io.Writer, title string, pts []CollPoint) {
-	fmt.Fprintf(w, "%s\n", title)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(tw, "collective\tnodes\tHB(µs)\tNB(µs)\tfactor\t\t\n")
-	for _, p := range pts {
-		note := ""
-		if p.NBFallback {
-			note = "host fallback (result > eager limit)"
+		for _, h := range heads {
+			fmt.Fprintf(tw, "%s\t", cell(h, p))
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%.2f\t%.2f\t%.2f\t%s\t\n",
-			p.Collective, p.Nodes, p.HB, p.NB, p.Factor(), note)
+		fmt.Fprintln(tw)
 	}
 	tw.Flush()
 }
 
-// PlotFactors renders the improvement-factor curves of several series on
-// one ASCII chart — the shape of the paper's (b) panels.
-func PlotFactors(w io.Writer, title string, named map[string]Series) {
-	c := &plot.Chart{Title: title, XLabel: "message size", YLabel: "improvement factor HB/NB", Width: 64, Height: 14}
-	var ticks map[int]string
-	names := make([]string, 0, len(named))
-	for n := range named {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		s := named[name]
-		y := make([]float64, len(s))
-		for i, p := range s {
-			y[i] = p.Factor()
+// cell formats p's entry in the column headed h.
+func cell(h string, p Point) string {
+	switch {
+	case h == "collective":
+		return p.Collective
+	case h == "nodes":
+		return strconv.Itoa(p.Nodes)
+	case h == "size(B)":
+		return strconv.Itoa(p.Size)
+	case h == "skew(µs)":
+		return fmt.Sprintf("%.0f", p.Skew)
+	case h == "factor":
+		return fmt.Sprintf("%.2f", p.Factor())
+	case strings.HasPrefix(h, "HB"):
+		return fmt.Sprintf("%.2f", p.HB)
+	case strings.HasPrefix(h, "NB"):
+		return fmt.Sprintf("%.2f", p.NB)
+	case h == "":
+		if p.Collective == "allgather" && !AllgatherNICEligible(p.Nodes, p.Size) {
+			return "host fallback (result > eager limit)"
 		}
-		c.Add(name, y)
-		if ticks == nil && len(s) > 0 {
-			ticks = map[int]string{0: sizeLabel(s[0].Size), len(s) - 1: sizeLabel(s[len(s)-1].Size)}
-			mid := len(s) / 2
-			ticks[mid] = sizeLabel(s[mid].Size)
+		return ""
+	}
+	panic("harness: unknown table column " + strconv.Quote(h))
+}
+
+// Curve is one named line of a chart: its y value at each x position.
+type Curve struct {
+	Name string
+	Y    []float64
+}
+
+// markers cycles distinct glyphs per curve.
+var markers = []byte{'*', 'o', '+', 'x', '#', '@'}
+
+// Plot renders curves over shared x positions 0..n-1 as a 64x14 ASCII
+// chart — enough to see the paper's curve shapes straight in a terminal,
+// next to the tables. ticks labels selected x positions under the axis;
+// NaN and infinite values leave gaps.
+func Plot(w io.Writer, title, xlabel, ylabel string, ticks map[int]string, curves ...Curve) {
+	const width, height = 64, 14
+	maxN := 0
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, c := range curves {
+		maxN = max(maxN, len(c.Y))
+		for _, v := range c.Y {
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				lo, hi = math.Min(lo, v), math.Max(hi, v)
+			}
 		}
 	}
-	c.XTicks = ticks
-	c.Render(w)
-}
+	if maxN == 0 || math.IsInf(lo, 1) {
+		fmt.Fprintln(w, "(no data)")
+		return
+	}
+	if hi == lo {
+		hi = lo + 1
+	}
+	// A little headroom so extremes don't sit on the frame.
+	pad := (hi - lo) * 0.05
+	lo, hi = lo-pad, hi+pad
 
-// PlotSkew renders Figure 6's CPU-time curves for both schemes.
-func PlotSkew(w io.Writer, title string, pts []SkewPoint) {
-	c := &plot.Chart{Title: title, XLabel: "avg skew (µs)", YLabel: "host CPU µs", Width: 64, Height: 14}
-	hb := make([]float64, len(pts))
-	nb := make([]float64, len(pts))
-	ticks := map[int]string{}
-	for i, p := range pts {
-		hb[i] = p.HB
-		nb[i] = p.NB
-		if i == 0 || i == len(pts)-1 {
-			ticks[i] = fmt.Sprintf("%.0f", p.AvgSkewUs)
+	grid := make([][]byte, height)
+	for r := range grid {
+		grid[r] = []byte(strings.Repeat(" ", width))
+	}
+	col := func(i int) int {
+		if maxN == 1 {
+			return 0
+		}
+		return i * (width - 1) / (maxN - 1)
+	}
+	row := func(v float64) int {
+		r := int(math.Round(float64(height-1) * (1 - (v-lo)/(hi-lo))))
+		return min(max(r, 0), height-1)
+	}
+	var legend []string
+	for ci, c := range curves {
+		m := markers[ci%len(markers)]
+		legend = append(legend, fmt.Sprintf("%c %s", m, c.Name))
+		prevC, prevR := -1, -1
+		for i, v := range c.Y {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				prevC = -1
+				continue
+			}
+			cc, rr := col(i), row(v)
+			if prevC >= 0 {
+				drawLine(grid, prevC, prevR, cc, rr)
+			}
+			grid[rr][cc] = m
+			prevC, prevR = cc, rr
 		}
 	}
-	c.Add("host-based", hb)
-	c.Add("NIC-based", nb)
-	c.XTicks = ticks
-	c.Render(w)
+
+	fmt.Fprintln(w, title)
+	yTop, yBot := fmt.Sprintf("%.2f", hi), fmt.Sprintf("%.2f", lo)
+	lw := max(len(yTop), len(yBot))
+	for r, line := range grid {
+		label := ""
+		switch r {
+		case 0:
+			label = yTop
+		case height - 1:
+			label = yBot
+		}
+		fmt.Fprintf(w, "%*s |%s\n", lw, label, line)
+	}
+	fmt.Fprintf(w, "%s +%s\n", strings.Repeat(" ", lw), strings.Repeat("-", width))
+	if len(ticks) > 0 {
+		axis := []byte(strings.Repeat(" ", width+lw+12)) // slack so edge labels fit
+		for i, lab := range ticks {
+			copy(axis[min(lw+2+col(i), len(axis)):], lab)
+		}
+		fmt.Fprintln(w, strings.TrimRight(string(axis), " "))
+	}
+	fmt.Fprintf(w, "  %s   [x: %s] [y: %s]\n", strings.Join(legend, "   "), xlabel, ylabel)
 }
 
-func sizeLabel(n int) string {
-	if n >= 1024 && n%1024 == 0 {
-		return fmt.Sprintf("%dK", n/1024)
+// drawLine traces a Bresenham segment of dots, leaving markers intact.
+func drawLine(grid [][]byte, x0, y0, x1, y1 int) {
+	dx, dy := abs(x1-x0), -abs(y1-y0)
+	sx, sy := 1, 1
+	if x0 > x1 {
+		sx = -1
 	}
-	return fmt.Sprintf("%dB", n)
+	if y0 > y1 {
+		sy = -1
+	}
+	for err := dx + dy; ; {
+		if grid[y0][x0] == ' ' {
+			grid[y0][x0] = '.'
+		}
+		if x0 == x1 && y0 == y1 {
+			return
+		}
+		e2 := 2 * err
+		if e2 >= dy {
+			err += dy
+			x0 += sx
+		}
+		if e2 <= dx {
+			err += dx
+			y0 += sy
+		}
+	}
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
