@@ -152,32 +152,42 @@ func (g *Group) completeBarrier() {
 // most one instance ahead (see Group.recvdNext), so a message is for the
 // current instance or the next.
 func (e *Engine) rxBarrier(src fabric.NodeID, fr *gm.Frame) {
-	nic := e.nic
-	nic.HW.CPUDo(nic.Cfg.AckProcCost, func() {
-		g, ok := e.groups[fr.Group]
-		if !ok || g.members == nil {
-			// Not installed (yet): no ack, so the peer's window
-			// redelivers after this node's install lands.
-			e.m.notMemberDrops.Inc()
-			return
-		}
-		if !g.accept(src, fr) {
-			return
-		}
-		next := uint32(fr.MsgID) == g.barSeq+1
-		switch {
-		case fr.Offset == auxTreeDown:
-			g.treeRelease()
-		case fr.Offset == auxTreeUp && next:
-			g.upNext++
-		case fr.Offset == auxTreeUp:
-			g.upCur++
-			g.tryTreeUp()
-		case next:
-			g.recvdNext |= 1 << uint(fr.Offset)
-		default:
-			g.recvdCur |= 1 << uint(fr.Offset)
-			g.advanceBarrier()
-		}
-	})
+	e.queues().barriers.do(e.nic, e.nic.Cfg.AckProcCost, barrierTask{e, src, fr})
+}
+
+// barrierTask is one arrived barrier message awaiting its turn on the
+// LANai.
+type barrierTask struct {
+	e   *Engine
+	src fabric.NodeID
+	fr  *gm.Frame
+}
+
+func (t barrierTask) run() {
+	e, fr := t.e, t.fr
+	g, ok := e.groups[fr.Group]
+	if !ok || g.members == nil {
+		// Not installed (yet): no ack, so the peer's window
+		// redelivers after this node's install lands.
+		e.m.notMemberDrops.Inc()
+		return
+	}
+	if !g.accept(t.src, fr) {
+		return
+	}
+	next := uint32(fr.MsgID) == g.barSeq+1
+	switch {
+	case fr.Offset == auxTreeDown:
+		g.treeRelease()
+	case fr.Offset == auxTreeUp && next:
+		g.upNext++
+	case fr.Offset == auxTreeUp:
+		g.upCur++
+		g.tryTreeUp()
+	case next:
+		g.recvdNext |= 1 << uint(fr.Offset)
+	default:
+		g.recvdCur |= 1 << uint(fr.Offset)
+		g.advanceBarrier()
+	}
 }

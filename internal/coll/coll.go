@@ -112,6 +112,24 @@ type Engine struct {
 	cfg    Config
 	groups map[gm.GroupID]*Group
 	m      *instruments
+	q      *cpuQueues // made by the first collective packet (see queues)
+}
+
+// cpuQueues holds the per-packet LANai work of a collective engine:
+// acknowledgments, barrier messages and reduction contributions.
+type cpuQueues struct {
+	acks     cpuFIFO[ackTask]
+	barriers cpuFIFO[barrierTask]
+	combines cpuFIFO[combineTask]
+}
+
+// queues returns the engine's LANai work queues, making them on first use:
+// a NIC that never takes part in a collective does not carry them.
+func (e *Engine) queues() *cpuQueues {
+	if e.q == nil {
+		e.q = new(cpuQueues)
+	}
+	return e.q
 }
 
 // Install creates the collective engine for one NIC and wires it into the

@@ -1,8 +1,11 @@
 package coll
 
 import (
+	"slices"
+
 	"repro/internal/fabric"
 	"repro/internal/gm"
+	"repro/internal/sim"
 )
 
 // ctlNack in a collective acknowledgment's Offset marks a negative
@@ -198,21 +201,51 @@ func (g *Group) ack(r *recvStream, kind gm.Kind, nack bool) {
 // rxAck handles any collective (n)ack kind: retire what the cumulative
 // field covers in the peer's window, then go back at once on a nack.
 func (e *Engine) rxAck(src fabric.NodeID, c fabric.Ctl) {
-	nic := e.nic
-	nic.HW.CPUDo(nic.Cfg.AckProcCost, func() {
-		g, ok := e.groups[gm.GroupID(c.Group)]
-		if !ok {
-			return // stale ack for a group we no longer know
+	e.queues().acks.do(e.nic, e.nic.Cfg.AckProcCost, ackTask{e, src, c})
+}
+
+// ackTask is one collective (n)ack awaiting its turn on the LANai.
+type ackTask struct {
+	e   *Engine
+	src fabric.NodeID
+	c   fabric.Ctl
+}
+
+func (t ackTask) run() {
+	g, ok := t.e.groups[gm.GroupID(t.c.Group)]
+	if !ok {
+		return // stale ack for a group we no longer know
+	}
+	s := g.sendTo(t.src)
+	if s == nil {
+		return
+	}
+	if s.win.Ack(0, t.c.Ack) > 0 {
+		s.win.Arm()
+	}
+	if t.c.Offset == ctlNack {
+		s.win.Nack()
+	}
+}
+
+// cpuFIFO hands the LANai tasks of one kind without a closure per task: a
+// task is queued here, and one callback, made on first use, runs the
+// oldest. The LANai CPU completes its work in the order it was queued, so
+// the task whose turn has come is always the oldest queued.
+type cpuFIFO[T interface{ run() }] struct {
+	tasks []T
+	next  func()
+}
+
+// do charges cost on the LANai CPU and runs task when it completes.
+func (q *cpuFIFO[T]) do(nic *gm.NIC, cost sim.Time, task T) {
+	if q.next == nil {
+		q.next = func() {
+			t := q.tasks[0]
+			q.tasks = slices.Delete(q.tasks, 0, 1)
+			t.run()
 		}
-		s := g.sendTo(src)
-		if s == nil {
-			return
-		}
-		if s.win.Ack(0, c.Ack) > 0 {
-			s.win.Arm()
-		}
-		if c.Offset == ctlNack {
-			s.win.Nack()
-		}
-	})
+	}
+	q.tasks = append(q.tasks, task)
+	nic.HW.CPUDo(cost, q.next)
 }

@@ -123,33 +123,50 @@ func (g *Group) contribute(seq uint32, op ReduceOp, vec []int64) {
 		panic(fmt.Errorf("%w: op mismatch on group %d instance %d", ErrBadReduce, g.id, seq))
 	}
 	cost := sim.Time(len(vec)) * e.cfg.ReduceElemCost
-	e.nic.HW.CPUDo(cost, func() {
-		if st.acc == nil {
-			st.acc = append([]int64(nil), vec...)
-		} else {
-			if len(vec) != len(st.acc) {
-				panic(fmt.Errorf("%w: length mismatch on group %d", ErrBadReduce, g.id))
-			}
-			for i := range st.acc {
-				st.acc[i] = op.Apply(st.acc[i], vec[i])
-			}
+	e.queues().combines.do(e.nic, cost, combineTask{g, st, seq, op, vec, cost, root, parent, port})
+}
+
+// combineTask is one contribution awaiting its turn on the LANai, with the
+// tree neighborhood it was made under.
+type combineTask struct {
+	g            *Group
+	st           *reduceInst
+	seq          uint32
+	op           ReduceOp
+	vec          []int64
+	cost         sim.Time
+	root, parent fabric.NodeID
+	port         gm.PortID
+}
+
+func (t combineTask) run() {
+	g, st, vec := t.g, t.st, t.vec
+	e := g.eng
+	if st.acc == nil {
+		st.acc = append([]int64(nil), vec...)
+	} else {
+		if len(vec) != len(st.acc) {
+			panic(fmt.Errorf("%w: length mismatch on group %d", ErrBadReduce, g.id))
 		}
-		st.got++
-		e.m.reduceCombines.Inc()
-		e.m.combineNs.Observe(int64(cost))
-		if st.got < st.need {
-			return
+		for i := range st.acc {
+			st.acc[i] = t.op.Apply(st.acc[i], vec[i])
 		}
-		delete(g.red, seq)
-		if root == e.nic.ID() {
-			e.m.reducesDone.Inc()
-			e.nic.Port(port).PostGroupEvent(&gm.RecvEvent{Group: g.id, Data: EncodeVec(st.acc)})
-			return
-		}
-		e.m.reduceSent.Inc()
-		e.m.bytesForwarded.Add(uint64(8 * len(st.acc)))
-		g.send(parent, &gm.Frame{Kind: gm.KindReduce, MsgID: uint64(seq), Offset: int(st.op), Payload: EncodeVec(st.acc)})
-	})
+	}
+	st.got++
+	e.m.reduceCombines.Inc()
+	e.m.combineNs.Observe(int64(t.cost))
+	if st.got < st.need {
+		return
+	}
+	delete(g.red, t.seq)
+	if t.root == e.nic.ID() {
+		e.m.reducesDone.Inc()
+		e.nic.Port(t.port).PostGroupEvent(&gm.RecvEvent{Group: g.id, Data: EncodeVec(st.acc)})
+		return
+	}
+	e.m.reduceSent.Inc()
+	e.m.bytesForwarded.Add(uint64(8 * len(st.acc)))
+	g.send(t.parent, &gm.Frame{Kind: gm.KindReduce, MsgID: uint64(t.seq), Offset: int(st.op), Payload: EncodeVec(st.acc)})
 }
 
 // rxReduce handles a child's combined contribution.

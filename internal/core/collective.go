@@ -29,8 +29,8 @@ func (e *Ext) CollectiveEngine() Collective { return e.coll }
 // collective engine (firmware context): the combine-and-forward collectives
 // reduce up and multisend down the same preposted tree the multicast uses.
 func (e *Ext) GroupView(id gm.GroupID) (root, parent fabric.NodeID, children []fabric.NodeID, port gm.PortID, ok bool) {
-	g, ok := e.groups[id]
-	if !ok {
+	g := e.group(id)
+	if g == nil {
 		return 0, 0, nil, 0, false
 	}
 	return g.root, g.parent, g.children, g.port, true

@@ -26,14 +26,14 @@ func queuedChain(t *testing.T) (*coreRig, *Ext, *gm.Desc) {
 	r.installGroup(t, tree.Flat(0, []fabric.NodeID{0, 1, 2, 3}))
 	e := r.exts[0]
 	r.eng.Spawn("root", func(p *sim.Proc) { e.Mcast(p, r.ports[0], 1, make([]byte, 4*4096)) })
-	g := e.groups[1]
-	for len(g.chains) == 0 {
+	s := e.group(1).snd
+	for len(s.chains) == 0 {
 		if !r.eng.Step() {
 			t.Fatal("no replica chain queued behind the first")
 		}
 	}
-	d := g.chains[0]
-	g.chains = g.chains[1:]
+	d := s.chains[0]
+	s.chains = s.chains[1:]
 	if d.Token() == nil || d.Child() != -1 || d.Forwarded() {
 		t.Fatalf("the queued descriptor is not a root packet awaiting its chain: token %v, child %d", d.Token(), d.Child())
 	}
@@ -60,7 +60,7 @@ func wantFreeListPanic(t *testing.T, r *coreRig, what string) {
 func TestFreedDescriptorStepPanics(t *testing.T) {
 	r, e, d := queuedChain(t)
 	free, made := e.Descriptors()
-	d.SendAfter(e.cfg.HeaderRewriteCost, 0, e.groups[1].children[0])
+	d.SendAfter(e.cfg.HeaderRewriteCost, 0, e.group(1).children[0])
 	d.Done()
 	if f, m := e.Descriptors(); f != free+1 || m != made {
 		t.Fatalf("free list holds %d of %d descriptors after the free, want %d of %d", f, m, free+1, made)
@@ -72,7 +72,7 @@ func TestFreedDescriptorStepPanics(t *testing.T) {
 // the wire panics when the transmit engine is done with it.
 func TestFreedSendDescriptorStepPanics(t *testing.T) {
 	r, e, d := queuedChain(t)
-	d.Send(0, e.groups[1].children[0])
+	d.Send(0, e.group(1).children[0])
 	d.Done()
 	wantFreeListPanic(t, r, "transmit-left step of a freed descriptor")
 }

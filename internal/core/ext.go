@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/gm"
@@ -15,9 +16,12 @@ import (
 // descriptors and send tokens, and it fills the slot gm's stage machine
 // leaves empty for unicast (Look, Left, AckTurn, Enqueue).
 type Ext struct {
-	nic    *gm.NIC
-	cfg    Config
-	groups map[gm.GroupID]*group
+	nic *gm.NIC
+	cfg Config
+	// groups is the group table in install order. A NIC belongs to a
+	// handful of groups, so a lookup scans the IDs, held beside the
+	// entries (four to a cache line), and follows one pointer.
+	groups []tableSlot
 	coll   Collective // NIC-resident collective engine (internal/coll)
 	m      *instruments
 }
@@ -27,11 +31,7 @@ type Ext struct {
 // SetMetrics; when none is wired, the extension counts into a block of its
 // own.
 func install(nic *gm.NIC, cfg Config) *Ext {
-	e := &Ext{
-		nic:    nic,
-		cfg:    cfg,
-		groups: make(map[gm.GroupID]*group),
-	}
+	e := &Ext{nic: nic, cfg: cfg}
 	e.m = metrics.Attach[instruments](nic.HW.Registry(), Component, int(nic.ID()))
 	nic.SetExtension(e)
 	return e
@@ -53,16 +53,29 @@ func (e *Ext) NIC() *gm.NIC { return e.nic }
 func (e *Ext) Groups() int { return len(e.groups) }
 
 // HasGroup reports whether a group is installed.
-func (e *Ext) HasGroup(id gm.GroupID) bool {
-	_, ok := e.groups[id]
-	return ok
+func (e *Ext) HasGroup(id gm.GroupID) bool { return e.group(id) != nil }
+
+// tableSlot is one entry of the group table.
+type tableSlot struct {
+	id gm.GroupID
+	g  *group
+}
+
+// group returns the table entry for id, or nil.
+func (e *Ext) group(id gm.GroupID) *group {
+	for _, s := range e.groups {
+		if s.id == id {
+			return s.g
+		}
+	}
+	return nil
 }
 
 // GroupEpoch reports a group's active epoch (0 for static groups and for
 // unknown groups) and whether the entry is live — a joining NIC's staged
 // entry exists but is not live until its first commit.
 func (e *Ext) GroupEpoch(id gm.GroupID) (epoch uint32, live bool) {
-	if g, ok := e.groups[id]; ok {
+	if g := e.group(id); g != nil {
 		return g.epoch, g.live
 	}
 	return 0, false
@@ -76,8 +89,8 @@ func (e *Ext) GroupEpoch(id gm.GroupID) (epoch uint32, live bool) {
 func (e *Ext) QuiesceGroup(id gm.GroupID, fn func()) {
 	e.nic.HW.HostPost(func() {
 		e.nic.HW.CPUDo(e.cfg.GroupInstallCost, func() {
-			g, ok := e.groups[id]
-			if !ok {
+			g := e.group(id)
+			if g == nil {
 				if fn != nil {
 					fn()
 				}
@@ -98,8 +111,10 @@ func (e *Ext) QuiesceGroup(id gm.GroupID, fn func()) {
 // child of every packet has acknowledged.
 func (e *Ext) OutstandingRecords() int {
 	n := 0
-	for _, g := range e.groups {
-		n += g.win.Len() + g.staging
+	for _, s := range e.groups {
+		if snd := s.g.snd; snd != nil {
+			n += snd.win.Len() + snd.staging
+		}
 	}
 	return n
 }
@@ -108,8 +123,8 @@ func (e *Ext) OutstandingRecords() int {
 // nonzero after quiescence means a leaked timer.
 func (e *Ext) PendingGroupTimers() int {
 	armed := 0
-	for _, g := range e.groups {
-		if g.win.Armed() {
+	for _, s := range e.groups {
+		if snd := s.g.snd; snd != nil && snd.win.Armed() {
 			armed++
 		}
 	}
@@ -121,8 +136,8 @@ func (e *Ext) PendingGroupTimers() int {
 // never flushed (Config.AggregateAcks).
 func (e *Ext) PendingAckTimers() int {
 	armed := 0
-	for _, g := range e.groups {
-		if g.hold.Armed() {
+	for _, s := range e.groups {
+		if s.g.hold.Armed() {
 			armed++
 		}
 	}
@@ -149,12 +164,12 @@ func (e *Ext) InstallGroupEpoch(id gm.GroupID, tr *tree.Tree, port, rootPort gm.
 	}
 	e.nic.HW.HostPost(func() {
 		e.nic.HW.CPUDo(e.cfg.GroupInstallCost, func() {
-			if _, dup := e.groups[id]; dup {
+			if e.group(id) != nil {
 				panic(fmt.Errorf("%w: group %d at %v", ErrGroupInstalled, id, e.nic.ID()))
 			}
 			g := localView(e, id, tr, port, rootPort)
 			g.epoch = epoch
-			e.groups[id] = g
+			e.groups = append(e.groups, tableSlot{id, g})
 			if fn != nil {
 				fn()
 			}
@@ -178,8 +193,8 @@ func (e *Ext) PrepareGroupEpoch(id gm.GroupID, tr *tree.Tree, port, rootPort gm.
 	}
 	e.nic.HW.HostPost(func() {
 		e.nic.HW.CPUDo(e.cfg.GroupInstallCost, func() {
-			g, ok := e.groups[id]
-			if !ok {
+			g := e.group(id)
+			if g == nil {
 				if tr == nil {
 					panic(fmt.Errorf("%w: preparing departure of group %d at %v",
 						ErrNoSuchGroup, id, e.nic.ID()))
@@ -187,7 +202,7 @@ func (e *Ext) PrepareGroupEpoch(id gm.GroupID, tr *tree.Tree, port, rootPort gm.
 				g = localView(e, id, tr, port, rootPort)
 				g.live = false
 				g.epoch = epoch
-				e.groups[id] = g
+				e.groups = append(e.groups, tableSlot{id, g})
 			} else if g.live && !gm.EpochAfter(epoch, g.epoch) {
 				panic(fmt.Errorf("%w: group %d at %v prepared for epoch %d, live epoch is %d",
 					ErrEpochRegressed, id, e.nic.ID(), epoch, g.epoch))
@@ -217,8 +232,8 @@ func (e *Ext) PrepareGroupEpoch(id gm.GroupID, tr *tree.Tree, port, rootPort gm.
 func (e *Ext) CommitGroupEpoch(id gm.GroupID, epoch uint32, fn func()) {
 	e.nic.HW.HostPost(func() {
 		e.nic.HW.CPUDo(e.cfg.GroupInstallCost, func() {
-			g, ok := e.groups[id]
-			if !ok {
+			g := e.group(id)
+			if g == nil {
 				panic(fmt.Errorf("%w: committing group %d at %v", ErrNoSuchGroup, id, e.nic.ID()))
 			}
 			v := g.next
@@ -226,14 +241,14 @@ func (e *Ext) CommitGroupEpoch(id gm.GroupID, epoch uint32, fn func()) {
 				panic(fmt.Errorf("%w: group %d at %v has no prepared view for epoch %d",
 					ErrNotPrepared, id, e.nic.ID(), epoch))
 			}
-			if g.win.Len() > 0 || g.staging > 0 {
+			if s := g.snd; s != nil && (s.win.Len() > 0 || s.staging > 0) {
 				panic(fmt.Errorf("%w: committing epoch %d of group %d at %v with %d records, %d staging",
-					ErrGroupBusy, epoch, id, e.nic.ID(), g.win.Len(), g.staging))
+					ErrGroupBusy, epoch, id, e.nic.ID(), s.win.Len(), s.staging))
 			}
 			if v.remove {
-				if len(g.queue) > 0 {
+				if s := g.snd; s != nil && len(s.queue) > 0 {
 					panic(fmt.Errorf("%w: removing group %d at %v with %d queued send tokens",
-						ErrGroupBusy, id, e.nic.ID(), len(g.queue)))
+						ErrGroupBusy, id, e.nic.ID(), len(s.queue)))
 				}
 				e.dropGroup(g)
 			} else {
@@ -260,8 +275,8 @@ func (e *Ext) CommitGroupEpoch(id gm.GroupID, epoch uint32, fn func()) {
 func (e *Ext) RemoveGroup(id gm.GroupID, fn func()) {
 	e.nic.HW.HostPost(func() {
 		e.nic.HW.CPUDo(e.cfg.GroupInstallCost, func() {
-			g, ok := e.groups[id]
-			if !ok {
+			g := e.group(id)
+			if g == nil {
 				panic(fmt.Errorf("%w: removing group %d at %v", ErrNoSuchGroup, id, e.nic.ID()))
 			}
 			g.onQuiesce(func() {
@@ -280,7 +295,8 @@ func (e *Ext) RemoveGroup(id gm.GroupID, fn func()) {
 // its last record retires, and a drained entry has none.
 func (e *Ext) dropGroup(g *group) {
 	g.hold.Flush()
-	delete(e.groups, g.id)
+	i := slices.Index(e.groups, tableSlot{g.id, g})
+	e.groups = slices.Delete(e.groups, i, i+1)
 }
 
 // HandleRx implements gm.Extension: collective frames are consumed here;
@@ -325,8 +341,8 @@ func (e *Ext) HandleCtl(src fabric.NodeID, c fabric.Ctl) bool {
 // together.
 func (e *Ext) Look(d *gm.Desc) {
 	nic, fr, src := e.nic, d.Frame(), d.Src()
-	g, member := e.groups[fr.Group]
-	if !member {
+	g := e.group(fr.Group)
+	if g == nil {
 		// A departed NIC has no entry at all; a dynamic-epoch frame
 		// reaching one is acked-as-dropped so the sender's window never
 		// deadlocks on a node that left. Static (epoch 0) traffic keeps
@@ -417,8 +433,8 @@ func (e *Ext) Look(d *gm.Desc) {
 // acknowledges. The replica chain is Left's.
 func (e *Ext) forward(g *group, d *gm.Desc) {
 	fr := d.Frame()
-	g.sendSeq = fr.Seq
-	g.staging++ // in flight toward children until g.file files it
+	g.snd.sendSeq = fr.Seq
+	g.snd.staging++ // in flight toward children until g.file files it
 	if fr.Offset+len(fr.Payload) < fr.MsgLen {
 		// The message's tail has not arrived yet — this forward is the
 		// per-packet pipelining the paper's scheme exists to enable.
@@ -443,7 +459,7 @@ func (e *Ext) Left(d *gm.Desc) {
 		return
 	}
 	fr, tok, i := d.Frame(), d.Token(), d.Child()
-	g := e.groups[fr.Group] // staging holds the entry: no drop, no commit
+	g := e.group(fr.Group) // staging holds the entry: no drop, no commit
 	if i < 0 {
 		g.enqueueChain(d)
 		return
@@ -458,7 +474,7 @@ func (e *Ext) Left(d *gm.Desc) {
 		// so the last child's is the last to leave.
 		d.Done()
 		if last {
-			g.staging--
+			g.snd.staging--
 			g.file(fr, mcastSent{tok: tok})
 			g.pump()
 		}
@@ -482,23 +498,24 @@ type sfState struct {
 // message has arrived, every packet is re-read from the host replica and
 // forwarded in order — what NIC-based per-packet pipelining avoids.
 func (e *Ext) storeAndForward(g *group, fr *gm.Frame) {
-	if g.sf == nil {
-		g.sf = make(map[uint64]*sfState)
+	s := g.snd
+	if s.sf == nil {
+		s.sf = make(map[uint64]*sfState)
 	}
-	st := g.sf[fr.MsgID]
+	st := s.sf[fr.MsgID]
 	if st == nil {
 		st = &sfState{}
-		g.sf[fr.MsgID] = st
+		s.sf[fr.MsgID] = st
 	}
 	st.frames = append(st.frames, fr)
 	st.got += len(fr.Payload)
 	if st.got < fr.MsgLen {
 		return
 	}
-	delete(g.sf, fr.MsgID)
+	delete(s.sf, fr.MsgID)
 	for _, f := range st.frames {
-		g.sendSeq = f.Seq
-		g.staging++
+		s.sendSeq = f.Seq
+		s.staging++
 		e.nic.Stage(f, nil, e.cfg.ForwardSetupCost)
 	}
 }
@@ -608,8 +625,8 @@ func (e *Ext) sendCtl(kind gm.Kind, to fabric.NodeID, group gm.GroupID, epoch, a
 // cumulative part and, for a nack, retransmit to the unacknowledged children
 // immediately, bounded by the holdoff.
 func (e *Ext) AckTurn(child fabric.NodeID, group gm.GroupID, epoch, ack uint32, nack bool) {
-	g, ok := e.groups[group]
-	if !ok {
+	g := e.group(group)
+	if g == nil {
 		return // stale ack for a group we no longer know
 	}
 	if !g.accepts(epoch) {
@@ -625,8 +642,8 @@ func (e *Ext) AckTurn(child fabric.NodeID, group gm.GroupID, epoch, ack uint32, 
 		e.m.acksRecv.Inc()
 	}
 	g.handleAck(child, ack)
-	if nack {
-		g.win.Nack()
+	if nack && g.snd != nil {
+		g.snd.win.Nack()
 	}
 	if e.cfg.AggregateAcks {
 		// A child's progress (even a nack's cumulative part) may advance
@@ -639,13 +656,13 @@ func (e *Ext) AckTurn(child fabric.NodeID, group gm.GroupID, epoch, ack uint32, 
 // Enqueue admits a root send token to its group's queue once the LANai has
 // processed the send event (gm.Extension), and starts the pump.
 func (e *Ext) Enqueue(t *gm.Token) {
-	g, ok := e.groups[t.Group()]
-	if !ok {
+	g := e.group(t.Group())
+	if g == nil {
 		panic(fmt.Errorf("%w: Mcast on group %d at %v", ErrNoSuchGroup, t.Group(), e.nic.ID()))
 	}
 	if !g.isRoot() {
 		panic(fmt.Errorf("%w: group %d at %v", ErrNotRoot, t.Group(), e.nic.ID()))
 	}
-	g.queue = append(g.queue, t)
+	g.snd.queue = append(g.snd.queue, t)
 	g.pump()
 }

@@ -26,7 +26,9 @@ type mcastSent struct {
 // spanning tree plus the paper's per-group sequence state — "1) a receive
 // sequence number ... 2) a send sequence number ... 3) an array of
 // sequence numbers to record the acknowledged sequence number from each
-// child".
+// child". A leaf needs only the first, so every member keeps the receive
+// side and only a node that sends — the root, or an interior node
+// forwarding to its children — has a sender side.
 type group struct {
 	ext      *Ext
 	id       gm.GroupID
@@ -36,33 +38,16 @@ type group struct {
 	port     gm.PortID // local port receiving this group's messages
 	rootPort gm.PortID // port the root sends from (stable across hops)
 
-	// Sender side (root, or forwarder toward its children): the go-back-N
-	// window whose ack vector runs parallel to children.
-	sendSeq uint32
-	win     gm.Window[mcastSent]
-	queue   []*gm.Token // root only: multicast send tokens by group
-	staging int
-
-	// Replica chains (one per packet) execute strictly in sequence at the
-	// root: interleaving packet k+1's first replica ahead of packet k's
-	// later replicas would starve the later children's subtrees of early
-	// packets and defeat pipelined forwarding.
-	chains      []*gm.Desc
-	chainActive bool
-
 	// Receiver side.
 	recvSeq uint32 // next expected from parent
 
 	// Ack aggregation (Config.AggregateAcks). upAcked is the highest
 	// cumulative value this node has sent its parent; a leaf additionally
-	// coalesces its receipt floor in hold (gm's AckEvery/AckDelay). Interior
-	// nodes never hold: their aggregate advances only when child acks
-	// arrive, and is emitted right then.
+	// coalesces its receipt floor in hold (gm's AckEvery/AckDelay), made
+	// only for such a leaf. Interior nodes never hold: their aggregate
+	// advances only when child acks arrive, and is emitted right then.
 	upAcked uint32
-	hold    gm.AckHold
-
-	// sf gathers per-message packets in the store-and-forward ablation.
-	sf map[uint64]*sfState
+	hold    *gm.AckHold
 
 	// Dynamic membership (internal/member). epoch tags the active view;
 	// data and acks carry it so frames from another epoch are rejected.
@@ -76,6 +61,30 @@ type group struct {
 	live       bool
 	next       *pendingView
 	quiesceFns []func()
+
+	// snd is the sender side, nil at a leaf. An epoch commit that moves
+	// the node between leaf and interior makes or drops it.
+	snd *sender
+}
+
+// sender is the sender side of a group entry (root, or forwarder toward its
+// children): the send sequence number and the go-back-N window whose ack
+// vector runs parallel to the entry's children.
+type sender struct {
+	sendSeq uint32
+	win     gm.Window[mcastSent]
+	queue   []*gm.Token // root only: multicast send tokens by group
+	staging int
+
+	// Replica chains (one per packet) execute strictly in sequence at the
+	// root: interleaving packet k+1's first replica ahead of packet k's
+	// later replicas would starve the later children's subtrees of early
+	// packets and defeat pipelined forwarding.
+	chains      []*gm.Desc
+	chainActive bool
+
+	// sf gathers per-message packets in the store-and-forward ablation.
+	sf map[uint64]*sfState
 }
 
 func (g *group) isRoot() bool { return g.root == g.ext.nic.ID() }
@@ -103,39 +112,69 @@ func localView(ext *Ext, id gm.GroupID, tr *tree.Tree, port, rootPort gm.PortID)
 		rootPort: rootPort,
 		live:     true,
 	}
-	nic := ext.nic
-	var ackBudget sim.Time
-	if ext.cfg.AggregateAcks && nic.Cfg.AckCoalescing() {
-		// Only a coalescing leaf under aggregation ever sits on a group ack.
-		ackBudget = nic.Cfg.EffectiveAckDelay()
-		g.hold.Init(nic.Engine(), &nic.Cfg, &ext.m.acksSuppressed, func() { ext.ackUp(g) })
-	}
-	g.win.Init(nic.Engine(), &nic.Cfg, ackBudget, &ext.m.timeouts, g.resend, g.retire)
 	g.setNeighbors(tr)
 	return g
 }
 
 // setNeighbors points the entry at this NIC's place in tr with a fresh
 // sequence space and nothing acknowledged. The child list is the tree's own
-// (trees are immutable); only the per-child ack vector is allocated, and
-// not at all for a leaf.
+// (trees are immutable). A node that sends gets a sender side — kept, with
+// its window reset, if it had one — and a node that no longer sends drops
+// its own, which must be idle; a coalescing leaf gets its ack hold, and
+// any other node drops its hold (an epoch commit absorbs it first).
 func (g *group) setNeighbors(tr *tree.Tree) {
 	self := g.ext.nic.ID()
 	g.root = tr.Root
 	g.children = tr.Children(self)
-	g.sendSeq, g.recvSeq = 0, 1
-	g.win.Reset(len(g.children), 0)
+	g.recvSeq = 1
 	if p, ok := tr.Parent(self); ok {
 		g.parent = p
 	} else {
 		g.parent = self
 	}
+	sends := g.isRoot() || len(g.children) > 0
+	switch {
+	case sends:
+		if g.snd == nil {
+			g.snd = g.newSender()
+		}
+		g.snd.sendSeq = 0
+		g.snd.win.Reset(len(g.children), 0)
+	case g.snd != nil:
+		if g.snd.win.Len() > 0 || g.snd.staging > 0 {
+			panic(fmt.Errorf("%w: group %d at %v becomes a leaf with %d records, %d staging",
+				ErrGroupBusy, g.id, self, g.snd.win.Len(), g.snd.staging))
+		}
+		g.snd = nil
+	}
+	nic := g.ext.nic
+	if sends || !g.ext.cfg.AggregateAcks || !nic.Cfg.AckCoalescing() {
+		g.hold = nil
+	} else if g.hold == nil {
+		// Only a coalescing leaf under aggregation ever sits on a group ack.
+		g.hold = new(gm.AckHold)
+		g.hold.Init(nic.Engine(), &nic.Cfg, &g.ext.m.acksSuppressed, func() { g.ext.ackUp(g) })
+	}
+}
+
+// newSender makes the sender side; its window has no children until Reset.
+// Under aggregation the window's timer budgets for a coalescing leaf's held
+// ack.
+func (g *group) newSender() *sender {
+	nic := g.ext.nic
+	var ackBudget sim.Time
+	if g.ext.cfg.AggregateAcks && nic.Cfg.AckCoalescing() {
+		ackBudget = nic.Cfg.EffectiveAckDelay()
+	}
+	s := new(sender)
+	s.win.Init(nic.Engine(), &nic.Cfg, ackBudget, &g.ext.m.timeouts, g.resend, g.retire)
+	return s
 }
 
 // windowOpen bounds outstanding multicast packets per group by the same
 // configuration as a unicast connection.
 func (g *group) windowOpen() bool {
-	return g.win.Len()+g.staging < g.ext.nic.Cfg.Window
+	return g.snd.win.Len()+g.snd.staging < g.ext.nic.Cfg.Window
 }
 
 // pump stages packets at the root: one SDMA per chunk, then a replica
@@ -145,9 +184,9 @@ func (g *group) windowOpen() bool {
 // no new message starts, so the commit can reset the sequence space
 // without ever splitting one message across two epochs.
 func (g *group) pump() {
-	nic := g.ext.nic
-	for len(g.queue) > 0 && g.windowOpen() {
-		t := g.queue[0]
+	nic, s := g.ext.nic, g.snd
+	for len(s.queue) > 0 && g.windowOpen() {
+		t := s.queue[0]
 		if !t.Begun() {
 			if g.next != nil {
 				break // frozen for an epoch change; resume after commit
@@ -157,13 +196,13 @@ func (g *group) pump() {
 			t.StagesIn(g.epoch)
 		}
 		fr, last := t.NextFrame(nic.Cfg.MTU)
-		g.sendSeq++
-		fr.Kind, fr.SrcPort, fr.DstPort, fr.Seq = gm.KindMcastData, g.rootPort, g.port, g.sendSeq
+		s.sendSeq++
+		fr.Kind, fr.SrcPort, fr.DstPort, fr.Seq = gm.KindMcastData, g.rootPort, g.port, s.sendSeq
 		fr.Group, fr.Epoch = g.id, g.epoch
 		if last {
-			g.queue = slices.Delete(g.queue, 0, 1)
+			s.queue = slices.Delete(s.queue, 0, 1)
 		}
-		g.staging++
+		s.staging++
 		g.stageRoot(fr, t)
 	}
 }
@@ -185,7 +224,7 @@ func (g *group) stageRoot(fr *gm.Frame, t *gm.Token) {
 	}
 	g.ext.m.fanout.Observe(int64(len(g.children)))
 	if len(g.children) == 0 {
-		g.staging--
+		g.snd.staging--
 		g.file(fr, mcastSent{tok: t})
 		g.pump()
 		return
@@ -201,22 +240,24 @@ func (g *group) stageRoot(fr *gm.Frame, t *gm.Token) {
 // engine finishes one replica, the callback handler rewrites the header
 // (HeaderRewriteCost) and requeues the same buffer for the next destination.
 func (g *group) enqueueChain(d *gm.Desc) {
-	if g.chainActive {
-		g.chains = append(g.chains, d)
+	s := g.snd
+	if s.chainActive {
+		s.chains = append(s.chains, d)
 		return
 	}
-	g.chainActive = true
+	s.chainActive = true
 	g.startChain(d)
 }
 
 // nextChain starts the next queued replica chain, if any.
 func (g *group) nextChain() {
-	if len(g.chains) == 0 {
-		g.chainActive = false
+	s := g.snd
+	if len(s.chains) == 0 {
+		s.chainActive = false
 		return
 	}
-	d := g.chains[0]
-	g.chains = slices.Delete(g.chains, 0, 1)
+	d := s.chains[0]
+	s.chains = slices.Delete(s.chains, 0, 1)
 	g.startChain(d)
 }
 
@@ -242,7 +283,7 @@ func (g *group) startChain(d *gm.Desc) {
 // that use over.
 func (g *group) lastReplicaLeft(d *gm.Desc) {
 	fr, tok, fwd := d.Frame(), d.Token(), d.Forwarded()
-	g.staging--
+	g.snd.staging--
 	sent := mcastSent{tok: tok}
 	if fwd && g.ext.cfg.Retransmit == RetransmitHoldBuffer {
 		sent.held = d
@@ -261,30 +302,40 @@ func (g *group) lastReplicaLeft(d *gm.Desc) {
 // file creates the send record covering all children for a packet whose
 // last replica has just left the NIC.
 func (g *group) file(fr *gm.Frame, sent mcastSent) {
-	if !g.win.Owed(fr.Seq) {
+	if !g.snd.win.Owed(fr.Seq) {
 		// No children (degenerate group), or every child acked before the
 		// last replica's transmit callback ran: complete immediately.
 		g.complete(sent)
 		g.checkQuiesce()
 		return
 	}
-	g.win.File(fr, sent)
+	g.snd.win.File(fr, sent)
 }
 
 // ackBound reports the highest sequence number this node's entire subtree
 // is known to have delivered: the node's own receipt floor serial-min'd
 // with every child's cumulative acknowledgment. This is the value an
-// aggregating node forwards upward (Config.AggregateAcks).
-func (g *group) ackBound() uint32 { return g.win.Floor(g.recvSeq - 1) }
+// aggregating node forwards upward (Config.AggregateAcks). A leaf's is its
+// receipt floor.
+func (g *group) ackBound() uint32 {
+	if g.snd == nil {
+		return g.recvSeq - 1
+	}
+	return g.snd.win.Floor(g.recvSeq - 1)
+}
 
 // handleAck processes a cumulative group acknowledgment from one child
 // (fan-outs are small: scanning the child list beats hashing the ID). The
 // timer is re-armed on every ack, progress or not: the deadline does not
 // move on a duplicate, but the timer's place among the events of its
-// instant does, and pinned timelines depend on that order.
+// instant does, and pinned timelines depend on that order. A leaf has no
+// child to hear from and no window to move.
 func (g *group) handleAck(child fabric.NodeID, ack uint32) {
-	g.win.Ack(slices.Index(g.children, child), ack)
-	g.win.Arm()
+	if g.snd == nil {
+		return
+	}
+	g.snd.win.Ack(slices.Index(g.children, child), ack)
+	g.snd.win.Arm()
 	if g.isRoot() {
 		g.pump()
 	}
@@ -293,7 +344,7 @@ func (g *group) handleAck(child fabric.NodeID, ack uint32) {
 
 // retire completes a record every child has acknowledged.
 func (g *group) retire(r *gm.SendRecord[mcastSent]) {
-	g.ext.m.ackLatencyNs.Observe(int64(g.win.Age(r)))
+	g.ext.m.ackLatencyNs.Observe(int64(g.snd.win.Age(r)))
 	g.complete(r.Data)
 }
 
@@ -327,10 +378,11 @@ func (g *group) resend(fr *gm.Frame, i int) {
 // drained: no unretired send records, no packets staging or mid-replica-
 // chain. Queued root send tokens only block quiescence when no epoch
 // change is prepared — a frozen pump holds whole messages back for the
-// next epoch, so they are not old-epoch work.
+// next epoch, so they are not old-epoch work. A leaf has none.
 func (g *group) quiescedNow() bool {
-	return g.win.Len() == 0 && g.staging == 0 &&
-		(g.next != nil || len(g.queue) == 0)
+	s := g.snd
+	return s == nil || s.win.Len() == 0 && s.staging == 0 &&
+		(g.next != nil || len(s.queue) == 0)
 }
 
 // onQuiesce runs fn as soon as the entry is quiesced — immediately when it
@@ -360,14 +412,15 @@ func (g *group) checkQuiesce() {
 // epoch's tree neighborhood, with the per-epoch sequence space reset. The
 // entry must be drained (CommitGroupEpoch checks).
 func (g *group) activate(v *pendingView) {
+	// The aggregate floor belongs to the old epoch's sequence space; the
+	// coordinator's quiesce phase guarantees nothing is held here. The hold
+	// is absorbed before the new view may drop it.
+	g.upAcked = 0
+	g.hold.Absorb()
 	g.setNeighbors(v.tr)
 	g.port, g.rootPort = v.port, v.rootPort
 	g.epoch = v.epoch
 	g.live = true
-	// The aggregate floor belongs to the old epoch's sequence space; the
-	// coordinator's quiesce phase guarantees nothing is held here.
-	g.upAcked = 0
-	g.hold.Absorb()
 	g.next = nil
 }
 

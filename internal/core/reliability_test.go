@@ -77,13 +77,15 @@ func TestGroupSequenceWraparoundUnderLoss(t *testing.T) {
 	rec := trace.NewRecorder()
 	for _, e := range r.exts {
 		e.nic.Trace = rec
-		g := e.groups[1]
+		g := e.group(1)
 		if g == nil {
 			t.Fatal("group not installed")
 		}
-		g.sendSeq = start - 1 // pump pre-increments: first packet gets start
 		g.recvSeq = start
-		g.win.Reset(len(g.children), start-1)
+		if s := g.snd; s != nil { // a leaf has no sender side
+			s.sendSeq = start - 1 // pump pre-increments: first packet gets start
+			s.win.Reset(len(g.children), start-1)
+		}
 	}
 
 	traversals := 0
@@ -139,7 +141,7 @@ func TestGroupSequenceWraparoundUnderLoss(t *testing.T) {
 		if out := e.OutstandingRecords(); out != 0 {
 			t.Fatalf("node %d leaked %d multicast records across the wrap", i, out)
 		}
-		g := e.groups[1]
+		g := e.group(1)
 		if i > 0 && gm.SeqAfter(start, g.recvSeq) {
 			t.Fatalf("node %d never crossed the wrap: recvSeq=%d", i, g.recvSeq)
 		}

@@ -49,9 +49,13 @@ type NIC struct {
 	// Trace, when non-nil, records protocol events for timeline rendering.
 	Trace *trace.Recorder
 
-	ports map[PortID]*Port
-	conns map[connKey]*conn // sender-side connections
-	rcvrs map[connKey]*rcvr // receiver-side connection state
+	// ports are the open ports, a handful at most, so a lookup scans them.
+	// conns (sender-side connections) and rcvrs (receiver-side connection
+	// state) are made by the NIC's first unicast: a NIC that only takes
+	// part in multicasts and collectives never builds either table.
+	ports []*Port
+	conns map[connKey]*conn
+	rcvrs map[connKey]*rcvr
 	ext   Extension
 	m     *instruments
 
@@ -85,13 +89,7 @@ type connKey struct {
 // filed in the registry wired via hw.SetMetrics; when none is wired, the
 // NIC counts into a block of its own.
 func NewNIC(hw *lanai.NIC, cfg Config) *NIC {
-	n := &NIC{
-		HW:    hw,
-		Cfg:   cfg,
-		ports: make(map[PortID]*Port),
-		conns: make(map[connKey]*conn),
-		rcvrs: make(map[connKey]*rcvr),
-	}
+	n := &NIC{HW: hw, Cfg: cfg}
 	n.m = metrics.Attach[instruments](hw.Registry(), Component, int(hw.ID))
 	n.landFn = n.land
 	hw.RxDispatch = n.rxDispatch
@@ -119,11 +117,11 @@ func (n *NIC) Extension() Extension { return n.ext }
 // opens its own port; GM's memory protection between ports is implicit in
 // the model (ports share nothing).
 func (n *NIC) OpenPort(id PortID) *Port {
-	if _, ok := n.ports[id]; ok {
+	if n.port(id) != nil {
 		panic(fmt.Errorf("%w: port %d on %v", ErrPortInUse, id, n.ID()))
 	}
 	p := newPort(n, id)
-	n.ports[id] = p
+	n.ports = append(n.ports, p)
 	return p
 }
 
@@ -137,11 +135,21 @@ func (n *NIC) DropHostBuffers() {
 
 // Port returns an open port.
 func (n *NIC) Port(id PortID) *Port {
-	p, ok := n.ports[id]
-	if !ok {
+	p := n.port(id)
+	if p == nil {
 		panic(fmt.Errorf("%w: port %d on %v", ErrNoSuchPort, id, n.ID()))
 	}
 	return p
+}
+
+// port returns an open port, or nil.
+func (n *NIC) port(id PortID) *Port {
+	for _, p := range n.ports {
+		if p.id == id {
+			return p
+		}
+	}
+	return nil
 }
 
 // OutstandingRecords reports unacknowledged send records summed over every
@@ -263,6 +271,9 @@ func (n *NIC) sendConn(localP PortID, dst fabric.NodeID, dstP PortID) *conn {
 	k := connKey{Node: dst, LocalP: localP, RemoteP: dstP}
 	c, ok := n.conns[k]
 	if !ok {
+		if n.conns == nil {
+			n.conns = make(map[connKey]*conn)
+		}
 		c = newConn(n, k)
 		n.conns[k] = c
 	}
@@ -278,6 +289,9 @@ func (n *NIC) recvConn(src fabric.NodeID, srcP, localP PortID) *rcvr {
 		r = &rcvr{nic: n, key: k, expect: 1}
 		if n.Cfg.AckCoalescing() {
 			r.hold.Init(n.Engine(), &n.Cfg, &n.m.acksSuppressed, r.sendHeldAck)
+		}
+		if n.rcvrs == nil {
+			n.rcvrs = make(map[connKey]*rcvr)
 		}
 		n.rcvrs[k] = r
 	}

@@ -145,8 +145,10 @@ func (p *Port) Provide(capacity int) {
 	p.recvTokens = append(p.recvTokens, recvToken{capacity: capacity})
 }
 
-// ProvideN posts n receive buffers of the given capacity.
+// ProvideN posts n receive buffers of the given capacity, growing the token
+// list once rather than by doubling.
 func (p *Port) ProvideN(n, capacity int) {
+	p.recvTokens = slices.Grow(p.recvTokens, max(n, 0))
 	for i := 0; i < n; i++ {
 		p.Provide(capacity)
 	}

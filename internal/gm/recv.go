@@ -46,8 +46,8 @@ func (d *Desc) rxData() {
 		n.sendConn(fr.DstPort, d.peer, fr.SrcPort).handleAck(fr.PiggyAck)
 	}
 	r := n.recvConn(d.peer, fr.SrcPort, fr.DstPort)
-	port, open := n.ports[fr.DstPort]
-	if !open {
+	port := n.port(fr.DstPort)
+	if port == nil {
 		// No such port; silently dropping models a misdirected packet.
 		d.Done()
 		return

@@ -108,8 +108,8 @@ func (n *NIC) rxDirected(src fabric.NodeID, fr *Frame) {
 	}
 	n.HW.CPUDo(n.Cfg.RecvProcCost, func() {
 		r := n.recvConn(src, fr.SrcPort, fr.DstPort)
-		port, open := n.ports[fr.DstPort]
-		if !open {
+		port := n.port(fr.DstPort)
+		if port == nil {
 			buf.Release()
 			return
 		}

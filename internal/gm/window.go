@@ -270,7 +270,9 @@ func (w *Window[T]) Nack() {
 // (Config.AckEvery / AckDelay): it counts accepted packets whose ack is
 // being withheld and bounds the wait with one reusable timer. The owner's
 // emit sends the cumulative ack. The zero value holds nothing and is inert;
-// owners that never coalesce skip Init and pay for no timer.
+// owners that never coalesce skip Init and pay for no timer. Armed, Flush
+// and Absorb also take a nil hold, for an owner that makes one only where it
+// coalesces.
 type AckHold struct {
 	cfg        *Config
 	held       int
@@ -287,7 +289,7 @@ func (h *AckHold) Init(eng *sim.Engine, cfg *Config, suppressed *metrics.Counter
 }
 
 // Armed reports whether the delay timer is pending.
-func (h *AckHold) Armed() bool { return h.timer != nil && h.timer.Pending() }
+func (h *AckHold) Armed() bool { return h != nil && h.timer != nil && h.timer.Pending() }
 
 // Note accounts one accepted in-sequence packet: emit at every AckEvery-th,
 // otherwise hold it and let the delay timer bound the wait.
@@ -305,7 +307,7 @@ func (h *AckHold) Note() {
 // Flush emits the cumulative ack covering everything held (count
 // threshold, delay timer, or teardown). With nothing held it does nothing.
 func (h *AckHold) Flush() {
-	if h.held == 0 {
+	if h == nil || h.held == 0 {
 		return
 	}
 	h.suppressed.Add(uint64(h.held - 1))
@@ -318,7 +320,7 @@ func (h *AckHold) Flush() {
 // whose cumulative field covers them anyway (a duplicate re-ack, a nack, a
 // piggybacked ack), reporting whether anything was held.
 func (h *AckHold) Absorb() bool {
-	if h.held == 0 {
+	if h == nil || h.held == 0 {
 		return false
 	}
 	h.suppressed.Add(uint64(h.held))

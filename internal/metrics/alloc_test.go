@@ -39,18 +39,19 @@ func TestAllocAttachIsOneEntry(t *testing.T) {
 }
 
 // A histogram is a field of a layer's block on every node, so its header is
-// heap on every node whether the run observes it or not: count, sum, the two
-// extremes and the pointer to its buckets. The 65 buckets (520 B) are not in
-// it.
+// heap on every node whether the run observes it or not: the sum, the two
+// extremes and the slice of its buckets (the count is their total). The
+// buckets are not in it.
 func TestAllocHistogramHeaderSize(t *testing.T) {
-	if got := unsafe.Sizeof(Histogram{}); got != 40 {
-		t.Errorf("a Histogram header is %d bytes, was 40", got)
+	if got := unsafe.Sizeof(Histogram{}); got != 48 {
+		t.Errorf("a Histogram header is %d bytes, was 48", got)
 	}
 }
 
 // A histogram makes its buckets on its first Observe, and only then: one
 // never observed reads as empty from every accessor and in a snapshot, the
-// first observation allocates the buckets, and no later one allocates.
+// first observation allocates the buckets, and no later one inside the
+// buckets' range allocates.
 func TestHistogramBucketsOnFirstObserve(t *testing.T) {
 	r := New()
 	b := Attach[nicBlock](r, "gm", 0)
@@ -78,5 +79,28 @@ func TestHistogramBucketsOnFirstObserve(t *testing.T) {
 	}
 	if h.Count() != 102 || h.Min() != -4 || h.Max() != 300 || len(r.Snapshot().Histograms[0].Buckets) != 2 {
 		t.Errorf("after 102 observations: count %d, min %d, max %d", h.Count(), h.Min(), h.Max())
+	}
+}
+
+// The buckets span the observed range and no more: a histogram that records
+// one value, however often, holds one 8-byte bucket (the 65 of a fixed array
+// took a 576-byte size class), and one widened at both ends holds exactly
+// BucketOf(min)..BucketOf(max).
+func TestAllocHistogramBucketsSpanTheRange(t *testing.T) {
+	var h Histogram
+	for range 1000 {
+		h.Observe(4096)
+	}
+	if len(h.buckets) != 1 || cap(h.buckets) != 1 {
+		t.Errorf("1000 observations of one value hold %d buckets (cap %d), want 1", len(h.buckets), cap(h.buckets))
+	}
+	h.Observe(300)   // bucket 9, below 13
+	h.Observe(70000) // bucket 17, above 13
+	if want := BucketOf(70000) - BucketOf(300) + 1; len(h.buckets) != want {
+		t.Errorf("observations in buckets 9..17 hold %d buckets, want %d", len(h.buckets), want)
+	}
+	if h.Count() != 1002 || h.Quantile(0) != 256 || h.Quantile(0.5) != 4096 || h.Quantile(1) != 65536 {
+		t.Errorf("count %d, p0 %d, p50 %d, p100 %d; want 1002, 256, 4096, 65536",
+			h.Count(), h.Quantile(0), h.Quantile(0.5), h.Quantile(1))
 	}
 }

@@ -398,22 +398,23 @@ func (g *Gauge) High() int64 {
 	return g.high
 }
 
-// HistBuckets is the number of fixed log2 histogram buckets: bucket 0
-// holds observations <= 0, bucket i (1..64) holds observations v with
+// HistBuckets is the number of log2 histogram buckets: bucket 0 holds
+// observations <= 0, bucket i (1..64) holds observations v with
 // bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i).
 const HistBuckets = 65
 
-// Histogram accumulates observations into fixed log2 buckets — constant
-// memory, and enough resolution to tell a 5 µs token wait from a 500 µs
-// retransmission timeout. Count, sum and the extremes are held inline; the
-// buckets are made by the first Observe, so a histogram a run never
-// observes costs its header alone. The zero value is an empty histogram.
-// All methods are no-ops on a nil receiver.
+// Histogram accumulates observations into log2 buckets — enough resolution
+// to tell a 5 µs token wait from a 500 µs retransmission timeout. The sum
+// and the extremes are held inline; the buckets cover only
+// BucketOf(min)..BucketOf(max), made by the first Observe and widened when an
+// observation lands outside them, so a histogram a run never observes costs
+// its header alone and one that records a single value holds one bucket. The
+// count is the buckets' total. The zero value is an empty histogram. All
+// methods are no-ops on a nil receiver.
 type Histogram struct {
-	count    uint64
 	sum      int64
-	min, max int64 // meaningful once count > 0
-	buckets  *[HistBuckets]uint64
+	min, max int64    // meaningful once buckets is non-nil
+	buckets  []uint64 // buckets[i] counts bucket BucketOf(min)+i
 }
 
 // BucketOf reports the bucket index an observation lands in.
@@ -438,17 +439,26 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	if h.count == 0 {
+	b := BucketOf(v)
+	switch {
+	case h.buckets == nil:
 		h.min, h.max = v, v
-		h.buckets = new([HistBuckets]uint64)
-	} else if v < h.min {
+		h.buckets = make([]uint64, 1)
+	case v < h.min:
+		if lo := BucketOf(h.min); b < lo {
+			wider := make([]uint64, lo-b+len(h.buckets))
+			copy(wider[lo-b:], h.buckets)
+			h.buckets = wider
+		}
 		h.min = v
-	} else if v > h.max {
+	case v > h.max:
+		if hi := BucketOf(h.max); b > hi {
+			h.buckets = append(h.buckets, make([]uint64, b-hi)...)
+		}
 		h.max = v
 	}
-	h.count++
 	h.sum += v
-	h.buckets[BucketOf(v)]++
+	h.buckets[b-BucketOf(h.min)]++
 }
 
 // Count reports how many observations were folded in (0 on nil).
@@ -456,7 +466,11 @@ func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count
+	var n uint64
+	for _, c := range h.buckets {
+		n += c
+	}
+	return n
 }
 
 // Sum reports the sum of all observations (0 on nil).
@@ -469,14 +483,14 @@ func (h *Histogram) Sum() int64 {
 
 // Min and Max report the extreme observations (0 on nil or empty).
 func (h *Histogram) Min() int64 {
-	if h == nil || h.count == 0 {
+	if h == nil || h.buckets == nil {
 		return 0
 	}
 	return h.min
 }
 
 func (h *Histogram) Max() int64 {
-	if h == nil || h.count == 0 {
+	if h == nil || h.buckets == nil {
 		return 0
 	}
 	return h.max
@@ -484,17 +498,17 @@ func (h *Histogram) Max() int64 {
 
 // Mean reports the arithmetic mean observation (0 on nil or empty).
 func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
+	if h == nil || h.buckets == nil {
 		return 0
 	}
-	return float64(h.sum) / float64(h.count)
+	return float64(h.sum) / float64(h.Count())
 }
 
 // Quantile estimates the q-th quantile (0..1) from the log2 buckets,
 // returning the lower bound of the bucket holding that rank — a
 // deliberately conservative estimate with log2 resolution.
 func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil || h.count == 0 {
+	if h == nil || h.buckets == nil {
 		return 0
 	}
 	if q < 0 {
@@ -503,12 +517,13 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := uint64(q * float64(h.count-1))
+	rank := uint64(q * float64(h.Count()-1))
+	lo := BucketOf(h.min)
 	var seen uint64
 	for i, n := range h.buckets {
 		seen += n
 		if n > 0 && seen > rank {
-			return BucketLow(i)
+			return BucketLow(lo + i)
 		}
 	}
 	return BucketLow(HistBuckets - 1)

@@ -78,12 +78,13 @@ func (h *Histogram) val(k Key) HistVal {
 	if h.buckets == nil {
 		return hv
 	}
+	lo := BucketOf(h.min)
 	for i, n := range h.buckets {
 		if n > 0 {
 			if hv.Buckets == nil {
 				hv.Buckets = make(map[int]uint64)
 			}
-			hv.Buckets[i] = n
+			hv.Buckets[lo+i] = n
 		}
 	}
 	return hv

@@ -10,7 +10,6 @@ import (
 	"container/heap"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -20,62 +19,123 @@ import (
 
 // Tree is a rooted multicast spanning tree. Children of each node are
 // ordered: the first child is sent to first. A Tree's shape is immutable
-// once its constructor returns (link is private), so one tree is shared by
-// every member of a group, also across shard goroutines, and is validated
-// once however many members install it. The slices Children and Nodes
-// return are the tree's own; do not modify them.
+// once its constructor returns (its arrays are private), so one tree is
+// shared by every member of a group, also across shard goroutines, and is
+// validated once however many members install it. The slices Children and
+// Nodes return are the tree's own; do not modify them.
+//
+// The shape is flat arrays indexed by a member's position in nodes (index
+// finds it by binary search): parent positions, and the child lists in one
+// shared array with the offset of each member's list.
 type Tree struct {
-	Root     fabric.NodeID
-	children map[fabric.NodeID][]fabric.NodeID
-	parent   map[fabric.NodeID]fabric.NodeID
-	nodes    []fabric.NodeID // all members, root first, then sorted
+	Root  fabric.NodeID
+	nodes []fabric.NodeID // all members, root first, then sorted
+	// parent[i] is the position of nodes[i]'s parent: -1 for the root, and
+	// for a member whose parent is not one (FromParents of an unsound
+	// relation, which Validate rejects).
+	parent []int32
+	// kids holds every child list in send order, grouped by parent
+	// position: nodes[i]'s children are kids[first[i]:first[i+1]], the
+	// last list ending at len(kids).
+	kids  []fabric.NodeID
+	first []int32
 
 	validated sync.Once
 	verdict   error // check's result, written once under validated
 }
 
-func newTree(root fabric.NodeID, dests []fabric.NodeID) *Tree {
-	t := &Tree{
-		Root:     root,
-		children: make(map[fabric.NodeID][]fabric.NodeID, len(dests)+1),
-		parent:   make(map[fabric.NodeID]fabric.NodeID, len(dests)),
-		nodes:    append([]fabric.NodeID{root}, dests...),
+// newTree starts a tree over nodes (root first, then the sorted
+// destinations) with no edges; link adds them and finish lays out the
+// child lists.
+func newTree(nodes []fabric.NodeID) *Tree {
+	t := &Tree{Root: nodes[0], nodes: nodes, parent: make([]int32, len(nodes))}
+	for i := range t.parent {
+		t.parent[i] = -1
 	}
 	return t
 }
 
-// sortedDests validates and returns the destination set sorted by network
-// ID with the root removed — "we sort the list of destinations linearly by
-// their network IDs before tree construction".
-func sortedDests(root fabric.NodeID, members []fabric.NodeID) []fabric.NodeID {
-	seen := map[fabric.NodeID]bool{root: true}
-	dests := make([]fabric.NodeID, 0, len(members))
-	for _, m := range members {
-		if m == root {
-			continue
-		}
-		if seen[m] {
-			panic(fmt.Sprintf("tree: duplicate member %v", m))
-		}
-		seen[m] = true
-		dests = append(dests, m)
+// sortedMembers validates the member list and returns it root first, then
+// the destinations sorted by network ID — "we sort the list of destinations
+// linearly by their network IDs before tree construction".
+func sortedMembers(root fabric.NodeID, members []fabric.NodeID) []fabric.NodeID {
+	size := len(members) + 1
+	if slices.Contains(members, root) {
+		size--
 	}
-	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
-	return dests
+	nodes := append(make([]fabric.NodeID, 0, size), root)
+	for _, m := range members {
+		if m != root {
+			nodes = append(nodes, m)
+		}
+	}
+	dests := nodes[1:]
+	slices.Sort(dests)
+	for i := 1; i < len(dests); i++ {
+		if dests[i] == dests[i-1] {
+			panic(fmt.Sprintf("tree: duplicate member %v", dests[i]))
+		}
+	}
+	return nodes
 }
 
-func (t *Tree) link(parent, child fabric.NodeID) {
-	t.children[parent] = append(t.children[parent], child)
-	t.parent[child] = parent
+// link makes the member at position child a child of the one at position
+// parent (-1: no member).
+func (t *Tree) link(parent, child int) { t.parent[child] = int32(parent) }
+
+// finish lays the child lists out from the parent positions, each list in
+// ascending position: every constructor links children in ascending ID
+// order, so that is the order they were linked in.
+func (t *Tree) finish() {
+	// Count each member's children into first, turn the counts into end
+	// offsets, fill each list backwards from its end so first is left
+	// holding the starts.
+	t.first = make([]int32, len(t.nodes))
+	edges := 0
+	for _, p := range t.parent {
+		if p >= 0 {
+			t.first[p]++
+			edges++
+		}
+	}
+	end := int32(0)
+	for i, n := range t.first {
+		end += n
+		t.first[i] = end
+	}
+	t.kids = make([]fabric.NodeID, edges)
+	for c := len(t.parent) - 1; c >= 0; c-- {
+		if p := t.parent[c]; p >= 0 {
+			t.first[p]--
+			t.kids[t.first[p]] = t.nodes[c]
+		}
+	}
+}
+
+// childrenAt returns the children of the member at position i.
+func (t *Tree) childrenAt(i int) []fabric.NodeID {
+	lo, hi := int(t.first[i]), len(t.kids)
+	if i+1 < len(t.first) {
+		hi = int(t.first[i+1])
+	}
+	return t.kids[lo:hi:hi]
 }
 
 // Children returns a node's children in send order.
-func (t *Tree) Children(n fabric.NodeID) []fabric.NodeID { return t.children[n] }
+func (t *Tree) Children(n fabric.NodeID) []fabric.NodeID {
+	i := t.index(n)
+	if i < 0 {
+		return nil
+	}
+	return t.childrenAt(i)
+}
 
-// Parent returns a node's parent; the root reports itself with ok=false.
+// Parent returns a node's parent; the root reports ok=false.
 func (t *Tree) Parent(n fabric.NodeID) (fabric.NodeID, bool) {
-	p, ok := t.parent[n]
-	return p, ok
+	if i := t.index(n); i > 0 && t.parent[i] >= 0 {
+		return t.nodes[t.parent[i]], true
+	}
+	return 0, false
 }
 
 // Nodes returns all members (root first, destinations in sorted order).
@@ -86,35 +146,31 @@ func (t *Tree) Size() int { return len(t.nodes) }
 
 // Depth reports the longest root-to-leaf path length in edges.
 func (t *Tree) Depth() int {
-	var walk func(n fabric.NodeID) int
-	walk = func(n fabric.NodeID) int {
-		max := 0
-		for _, c := range t.children[n] {
-			if d := walk(c) + 1; d > max {
-				max = d
-			}
+	var walk func(i int) int
+	walk = func(i int) int {
+		d := 0
+		for _, c := range t.childrenAt(i) {
+			d = max(d, walk(t.index(c))+1)
 		}
-		return max
+		return d
 	}
-	return walk(t.Root)
+	return walk(0)
 }
 
 // MaxFanout reports the largest child count of any node.
 func (t *Tree) MaxFanout() int {
-	max := 0
-	for _, cs := range t.children {
-		if len(cs) > max {
-			max = len(cs)
-		}
+	most := 0
+	for i := range t.nodes {
+		most = max(most, len(t.childrenAt(i)))
 	}
-	return max
+	return most
 }
 
 // Leaves returns all members with no children.
 func (t *Tree) Leaves() []fabric.NodeID {
 	var out []fabric.NodeID
-	for _, n := range t.nodes {
-		if len(t.children[n]) == 0 {
+	for i, n := range t.nodes {
+		if len(t.childrenAt(i)) == 0 {
 			out = append(out, n)
 		}
 	}
@@ -144,33 +200,34 @@ func (t *Tree) index(n fabric.NodeID) int {
 	return -1
 }
 
-// check walks the tree from the root with an explicit stack, marking
-// members in a slice parallel to t.nodes.
+// check walks the tree from the root with an explicit stack of positions,
+// marking members in a slice parallel to t.nodes.
 func (t *Tree) check() error {
 	seen := make([]bool, len(t.nodes))
 	seen[0] = true
 	reached := 1
-	stack := append(make([]fabric.NodeID, 0, len(t.nodes)), t.Root)
+	stack := append(make([]int, 0, len(t.nodes)), 0)
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
+		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, c := range t.children[n] {
-			if p, ok := t.parent[c]; !ok || p != n {
+		n := t.nodes[i]
+		for _, c := range t.childrenAt(i) {
+			j := t.index(c)
+			if j < 0 {
+				return fmt.Errorf("tree: child %v of %v is not a member", c, n)
+			}
+			if int(t.parent[j]) != i {
 				return fmt.Errorf("tree: child %v has inconsistent parent", c)
 			}
 			if n != t.Root && c <= n {
 				return fmt.Errorf("tree: child %v not greater than non-root parent %v", c, n)
 			}
-			i := t.index(c)
-			if i < 0 {
-				return fmt.Errorf("tree: child %v of %v is not a member", c, n)
-			}
-			if seen[i] {
+			if seen[j] {
 				return fmt.Errorf("tree: node %v reached twice (cycle or diamond)", c)
 			}
-			seen[i] = true
+			seen[j] = true
 			reached++
-			stack = append(stack, c)
+			stack = append(stack, j)
 		}
 	}
 	if reached != len(t.nodes) {
@@ -182,14 +239,14 @@ func (t *Tree) check() error {
 // String renders the tree as an indented outline.
 func (t *Tree) String() string {
 	var b strings.Builder
-	var walk func(n fabric.NodeID, depth int)
-	walk = func(n fabric.NodeID, depth int) {
-		fmt.Fprintf(&b, "%s%v\n", strings.Repeat("  ", depth), n)
-		for _, c := range t.children[n] {
-			walk(c, depth+1)
+	var walk func(i, depth int)
+	walk = func(i, depth int) {
+		fmt.Fprintf(&b, "%s%v\n", strings.Repeat("  ", depth), t.nodes[i])
+		for _, c := range t.childrenAt(i) {
+			walk(t.index(c), depth+1)
 		}
 	}
-	walk(t.Root, 0)
+	walk(0, 0)
 	return b.String()
 }
 
@@ -197,29 +254,18 @@ func (t *Tree) String() string {
 // broadcast uses, over the sorted destination list so parent/child IDs
 // satisfy the deadlock-avoidance ordering.
 func Binomial(root fabric.NodeID, members []fabric.NodeID) *Tree {
-	dests := sortedDests(root, members)
-	t := newTree(root, dests)
-	// Index 0 is the root; indices 1..n-1 are the sorted destinations.
-	at := func(i int) fabric.NodeID {
-		if i == 0 {
-			return root
-		}
-		return dests[i-1]
+	t := newTree(sortedMembers(root, members))
+	// Position 0 is the root; 1..n-1 are the sorted destinations. The
+	// parent of i clears i's lowest set bit.
+	for i := 1; i < len(t.nodes); i++ {
+		t.link(i&(i-1), i)
 	}
-	n := len(dests) + 1
-	for i := 1; i < n; i++ {
-		// Parent of i clears i's lowest set bit.
-		p := i & (i - 1)
-		t.link(at(p), at(i))
-	}
+	t.finish()
 	// Binomial send order: each parent sends to its farthest subtree
-	// first (largest stride). The loop above appends nearest-first;
-	// reverse each child list to match the conventional schedule.
-	for k := range t.children {
-		cs := t.children[k]
-		for i, j := 0, len(cs)-1; i < j; i, j = i+1, j-1 {
-			cs[i], cs[j] = cs[j], cs[i]
-		}
+	// first (largest stride). The lists come out nearest-first; reverse
+	// each to match the conventional schedule.
+	for i := range t.nodes {
+		slices.Reverse(t.childrenAt(i))
 	}
 	return t
 }
@@ -227,24 +273,22 @@ func Binomial(root fabric.NodeID, members []fabric.NodeID) *Tree {
 // Chain builds a linear pipeline tree (each node forwards to the next
 // sorted destination) — useful in tests and as a degenerate shape.
 func Chain(root fabric.NodeID, members []fabric.NodeID) *Tree {
-	dests := sortedDests(root, members)
-	t := newTree(root, dests)
-	prev := root
-	for _, d := range dests {
-		t.link(prev, d)
-		prev = d
+	t := newTree(sortedMembers(root, members))
+	for i := 1; i < len(t.nodes); i++ {
+		t.link(i-1, i)
 	}
+	t.finish()
 	return t
 }
 
 // Flat builds a one-level tree: the root sends to every destination
 // directly. This is the shape of the paper's multisend experiments.
 func Flat(root fabric.NodeID, members []fabric.NodeID) *Tree {
-	dests := sortedDests(root, members)
-	t := newTree(root, dests)
-	for _, d := range dests {
-		t.link(root, d)
+	t := newTree(sortedMembers(root, members))
+	for i := 1; i < len(t.nodes); i++ {
+		t.link(0, i)
 	}
+	t.finish()
 	return t
 }
 
@@ -257,18 +301,11 @@ func KAry(root fabric.NodeID, members []fabric.NodeID, k int) *Tree {
 	if k < 1 {
 		panic("tree: k-ary fanout must be >= 1")
 	}
-	dests := sortedDests(root, members)
-	t := newTree(root, dests)
-	at := func(i int) fabric.NodeID {
-		if i == 0 {
-			return root
-		}
-		return dests[i-1]
+	t := newTree(sortedMembers(root, members))
+	for i := 1; i < len(t.nodes); i++ {
+		t.link((i-1)/k, i)
 	}
-	n := len(dests) + 1
-	for i := 1; i < n; i++ {
-		t.link(at((i-1)/k), at(i))
-	}
+	t.finish()
 	return t
 }
 
@@ -278,22 +315,19 @@ func KAry(root fabric.NodeID, members []fabric.NodeID, k int) *Tree {
 // exactly; use it to decode trees shipped over the wire. A relation that
 // is not a sound tree still yields a Tree; its Validate reports why.
 func FromParents(root fabric.NodeID, parents map[fabric.NodeID]fabric.NodeID) *Tree {
-	members := make([]fabric.NodeID, 0, len(parents)+1)
-	members = append(members, root)
+	members := make([]fabric.NodeID, 0, len(parents))
 	for n := range parents {
-		if n != root {
-			members = append(members, n)
-		}
+		members = append(members, n)
 	}
-	dests := sortedDests(root, members)
-	t := newTree(root, dests)
-	for _, d := range dests { // ascending ID: children lists come out sorted
+	t := newTree(sortedMembers(root, members))
+	for _, d := range t.nodes[1:] {
 		p, ok := parents[d]
 		if !ok {
 			panic(fmt.Sprintf("tree: member %v has no parent", d))
 		}
-		t.link(p, d)
+		t.link(t.index(p), t.index(d))
 	}
+	t.finish()
 	return t
 }
 
@@ -308,49 +342,41 @@ func FromParents(root fabric.NodeID, parents map[fabric.NodeID]fabric.NodeID) *T
 // in ascending ID order, so the result round-trips exactly through
 // Parents/FromParents (the wire form the membership protocol ships).
 func Incremental(prev *Tree, root fabric.NodeID, members []fabric.NodeID, maxFanout int) *Tree {
-	dests := sortedDests(root, members)
-	member := make(map[fabric.NodeID]bool, len(dests)+1)
-	member[root] = true
-	for _, d := range dests {
-		member[d] = true
-	}
+	t := newTree(sortedMembers(root, members))
+	dests := t.nodes[1:]
+	// fanout counts the children attached so far, by position.
+	fanout := make([]int, len(t.nodes))
 
 	// First pass: carry surviving edges over. The parent must survive, and
 	// the edge must still be legal: any child under the (new) root, else
-	// strictly ID-increasing.
-	parents := make(map[fabric.NodeID]fabric.NodeID, len(dests))
-	fanout := make(map[fabric.NodeID]int, len(dests)+1)
+	// strictly ID-increasing. The old root, a joiner and an orphan keep no
+	// edge.
 	if prev != nil {
-		for _, d := range dests {
-			p, ok := prev.parent[d]
-			if !ok && d != prev.Root {
-				continue // not in the old tree: a joiner
+		for i, d := range dests {
+			p, ok := prev.Parent(d)
+			if !ok {
+				continue // the old root, or not in the old tree: a joiner
 			}
-			if d == prev.Root {
-				continue // the old root needs a fresh attachment point
-			}
-			if !member[p] || (p != root && p >= d) {
+			pi := t.index(p)
+			if pi < 0 || (p != root && p >= d) {
 				continue // parent departed, or edge now violates ordering
 			}
-			parents[d] = p
-			fanout[p]++
+			t.link(pi, i+1)
+			fanout[pi]++
 		}
 	}
 
 	// Second pass: attach orphans and joiners in ascending ID order, each
 	// to the least-loaded eligible member (root, or any member with a
 	// smaller ID — the invariant guarantees candidates exist).
-	for _, d := range dests {
-		if _, ok := parents[d]; ok {
+	for i := 1; i < len(t.nodes); i++ {
+		if t.parent[i] >= 0 {
 			continue
 		}
-		best := root
-		bestLoad := fanout[root]
+		best := 0
+		bestLoad := fanout[0]
 		bestFull := maxFanout > 0 && bestLoad >= maxFanout
-		for _, c := range dests {
-			if c >= d {
-				break // dests ascending: no further candidates
-			}
+		for c := 1; c < i; c++ { // dests ascending: no further candidates
 			load := fanout[c]
 			full := maxFanout > 0 && load >= maxFanout
 			// Prefer any under-fanout candidate to a full one; among
@@ -359,14 +385,10 @@ func Incremental(prev *Tree, root fabric.NodeID, members []fabric.NodeID, maxFan
 				best, bestLoad, bestFull = c, load, full
 			}
 		}
-		parents[d] = best
+		t.link(best, i)
 		fanout[best]++
 	}
-
-	t := newTree(root, dests)
-	for _, d := range dests { // ascending: children lists come out sorted
-		t.link(parents[d], d)
-	}
+	t.finish()
 	return t
 }
 
@@ -377,19 +399,24 @@ func SharedEdges(a, b *Tree) int {
 		return 0
 	}
 	n := 0
-	for c, p := range a.parent {
-		if q, ok := b.parent[c]; ok && q == p {
-			n++
+	for _, c := range a.nodes {
+		if p, ok := a.Parent(c); ok {
+			if q, ok := b.Parent(c); ok && q == p {
+				n++
+			}
 		}
 	}
 	return n
 }
 
-// Parents returns the tree's parent relation, the wire-portable form.
+// Parents returns the tree's parent relation, the wire-portable form,
+// built on each call.
 func (t *Tree) Parents() map[fabric.NodeID]fabric.NodeID {
-	out := make(map[fabric.NodeID]fabric.NodeID, len(t.parent))
-	for c, p := range t.parent {
-		out[c] = p
+	out := make(map[fabric.NodeID]fabric.NodeID, len(t.nodes)-1)
+	for i, p := range t.parent {
+		if p >= 0 {
+			out[t.nodes[i]] = t.nodes[p]
+		}
 	}
 	return out
 }
@@ -413,11 +440,12 @@ func (p PostalParams) Ratio() float64 {
 }
 
 // senderHeap orders senders by the time they can emit their next copy,
-// breaking ties toward the earliest-joined sender for determinism.
+// breaking ties toward the earliest-joined sender for determinism. A
+// sender is a member position, so the one that joined first has the
+// lowest.
 type sender struct {
-	node  fabric.NodeID
+	node  int
 	ready sim.Time
-	order int
 }
 
 type senderHeap []*sender
@@ -427,7 +455,7 @@ func (h senderHeap) Less(i, j int) bool {
 	if h[i].ready != h[j].ready {
 		return h[i].ready < h[j].ready
 	}
-	return h[i].order < h[j].order
+	return h[i].node < h[j].node
 }
 func (h senderHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *senderHeap) Push(x any)   { *h = append(*h, x.(*sender)) }
@@ -451,17 +479,17 @@ func Optimal(root fabric.NodeID, members []fabric.NodeID, pp PostalParams) *Tree
 		// A sender is always ready again by the time its copy lands.
 		pp.Lambda = pp.Gap
 	}
-	dests := sortedDests(root, members)
-	t := newTree(root, dests)
-	h := &senderHeap{{node: root, ready: 0, order: 0}}
+	t := newTree(sortedMembers(root, members))
+	h := &senderHeap{{node: 0, ready: 0}}
 	heap.Init(h)
-	for i, d := range dests {
+	for i := 1; i < len(t.nodes); i++ {
 		s := heap.Pop(h).(*sender)
-		t.link(s.node, d)
+		t.link(s.node, i)
 		emit := s.ready
 		s.ready = emit + pp.Gap
 		heap.Push(h, s)
-		heap.Push(h, &sender{node: d, ready: emit + pp.Lambda, order: i + 1})
+		heap.Push(h, &sender{node: i, ready: emit + pp.Lambda})
 	}
+	t.finish()
 	return t
 }

@@ -405,9 +405,8 @@ func TestRatioZeroGap(t *testing.T) {
 
 func TestValidateCatchesForeignChild(t *testing.T) {
 	tr := Binomial(0, seq(4))
-	// Corrupt: link a child that is not a member.
-	tr.children[3] = append(tr.children[3], 99)
-	tr.parent[99] = 3
+	// Corrupt: make 2's one child, 3, a node that is not a member.
+	tr.kids[tr.first[2]] = 99
 	if err := tr.Validate(); err == nil {
 		t.Fatal("validation accepted a foreign child")
 	}
@@ -416,7 +415,7 @@ func TestValidateCatchesForeignChild(t *testing.T) {
 func TestValidateCatchesIDInversion(t *testing.T) {
 	tr := Chain(0, seq(4))
 	// Corrupt: make 3's parent 2's child list contain 1 (1 < 2, non-root).
-	tr.children[2] = []fabric.NodeID{1}
+	tr.kids[tr.first[2]] = 1
 	tr.parent[1] = 2
 	if err := tr.Validate(); err == nil {
 		t.Fatal("validation accepted child <= non-root parent")
