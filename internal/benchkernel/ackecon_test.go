@@ -23,9 +23,8 @@ func TestAckEconomyCutsStormAckTraffic(t *testing.T) {
 	const nodes, msgs, size = 2048, 3, 65536
 	baseVirt, base := MulticastStormCounters(fabric.Config{}, nodes, msgs, size)
 	econVirt, econ := MulticastStormCounters(fabric.Config{}, nodes, msgs, size,
-		cluster.WithAckCoalescing(8, 2*sim.Millisecond),
-		cluster.WithPiggybackAcks(),
-		cluster.WithAckAggregation())
+		cluster.WithAckEconomy(8),
+		cluster.WithMutate(func(c *cluster.Config) { c.GM.AckDelay = 2 * sim.Millisecond }))
 
 	baseAcks := base.CounterSum("core", "mcast_acks_sent") + base.CounterSum("gm", "acks_sent")
 	econAcks := econ.CounterSum("core", "mcast_acks_sent") + econ.CounterSum("gm", "acks_sent")

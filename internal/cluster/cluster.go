@@ -211,7 +211,7 @@ func build(cfg *Config) *Cluster {
 			nic.Trace = cfg.Trace
 			node = &Node{ID: id, HW: hw, NIC: nic}
 			if !cfg.noExt {
-				node.Ext = core.Install(nic, core.WithConfig(cfg.Mcast))
+				node.Ext = core.Install(nic, cfg.Mcast)
 				node.Coll = coll.Install(node.Ext, coll.FromCore(cfg.Mcast))
 			}
 		})

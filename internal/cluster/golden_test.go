@@ -111,9 +111,8 @@ func TestMulticastStormClockGoldens(t *testing.T) {
 	// root's pace, so coalescing is count-driven (64 KB messages; a
 	// single-packet McastSync message would stall on the hold instead).
 	economy := []cluster.Option{
-		cluster.WithAckCoalescing(8, 2*sim.Millisecond),
-		cluster.WithPiggybackAcks(),
-		cluster.WithAckAggregation(),
+		cluster.WithAckEconomy(8),
+		cluster.WithMutate(func(c *cluster.Config) { c.GM.AckDelay = 2 * sim.Millisecond }),
 	}
 	for _, tc := range []struct {
 		name                      string

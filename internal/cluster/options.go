@@ -3,7 +3,6 @@ package cluster
 import (
 	"repro/internal/fabric"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -87,35 +86,14 @@ func WithoutExtension() Option {
 	return func(c *Config) { c.noExt = true }
 }
 
-// WithAckCoalescing enables cumulative delayed acknowledgments in the GM
-// firmware of every node: a receiver acks every `every` packets or after
-// `delay` (0 picks the default bound), whichever comes first. The coll
-// engine's tree allgather reuses the same knob as its chunk window.
-func WithAckCoalescing(every int, delay sim.Time) Option {
-	return func(c *Config) {
-		c.GM.AckEvery = every
-		c.GM.AckDelay = delay
-	}
-}
-
-// WithPiggybackAcks lets reverse-direction data frames carry pending
-// cumulative acks in their headers, suppressing standalone ack packets.
-// Only does anything on top of WithAckCoalescing.
-func WithPiggybackAcks() Option {
-	return func(c *Config) { c.GM.PiggybackAcks = true }
-}
-
-// WithAckAggregation turns on NIC tree ack aggregation in the multicast
-// extension: interior NICs absorb children's acks and forward one
-// subtree-floor aggregate upward, so the root sees O(fanout) ack events
-// instead of O(N).
-func WithAckAggregation() Option {
-	return func(c *Config) { c.Mcast.AggregateAcks = true }
-}
-
-// WithAckEconomy enables the whole ack-economy stack at once — delayed
-// cumulative acks every `every` packets, piggybacking, and tree ack
-// aggregation. every <= 1 is a no-op (the timeline-pinned default).
+// WithAckEconomy enables the whole ack-economy stack at once: cumulative
+// acks every `every` packets, held at most GM.AckDelay (0 picks the
+// default bound), whichever comes first; piggybacking of those acks on
+// reverse-direction data frames; and NIC tree ack aggregation, interior
+// NICs forwarding one subtree-floor aggregate upward so the root sees
+// O(fanout) ack events instead of O(N). The coll engine's tree allgather
+// reuses `every` as its chunk window. every <= 1 is a no-op (the
+// timeline-pinned default).
 func WithAckEconomy(every int) Option {
 	return func(c *Config) {
 		if every <= 1 {

@@ -333,30 +333,6 @@ func binomialNeighbors(members []fabric.NodeID, idx int) (parent fabric.NodeID, 
 	return members[idx&(idx-1)], children
 }
 
-// Remove deletes a collective group entry. Removal is collective and must
-// follow the last collective on the group (an MPI layer frees it with the
-// communicator after a barrier): any still-unacknowledged trailing records
-// are dropped with the entry's peer windows — their peers are removing
-// their entries too, so the retransmit conversation ends on both sides. fn,
-// if non-nil, runs (in firmware context) after the entry is gone.
-func (e *Engine) Remove(id gm.GroupID, fn func()) {
-	e.nic.HW.HostPost(func() {
-		e.nic.HW.CPUDo(e.cfg.GroupInstallCost, func() {
-			g, ok := e.groups[id]
-			if !ok {
-				panic(fmt.Errorf("%w: removing collective group %d at %v", core.ErrNoSuchGroup, id, e.nic.ID()))
-			}
-			for _, s := range g.sends {
-				s.win.Drop()
-			}
-			delete(e.groups, id)
-			if fn != nil {
-				fn()
-			}
-		})
-	})
-}
-
 // groupFor returns the group entry, auto-creating a memberless mirror
 // entry (firmware context). The tree collectives need only the multicast
 // group table's neighborhood, so a NIC that never saw a coll Install can

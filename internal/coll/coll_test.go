@@ -293,30 +293,6 @@ func TestEngineAllreduce(t *testing.T) {
 	}
 }
 
-// TestRemoveDrainsGroupTable asserts collective-ordered teardown leaves no
-// entries (auto-mirrored ones included).
-func TestRemoveDrainsGroupTable(t *testing.T) {
-	const nodes = 5
-	c, ports := rig(t, nodes, nil)
-	for i := 0; i < nodes; i++ {
-		i := i
-		c.SpawnOn(c.Nodes[i].ID, "p", func(p *sim.Proc) {
-			c.Nodes[i].Coll.Barrier(p, ports[i], collGID)
-		})
-	}
-	c.Run()
-	for _, n := range c.Nodes {
-		n := n
-		c.WithNode(n.ID, func() { n.Coll.Remove(collGID, nil) })
-	}
-	c.Run()
-	for _, n := range c.Nodes {
-		if got := n.Coll.Groups(); got != 0 {
-			t.Errorf("node %v still holds %d collective entries after Remove", n.ID, got)
-		}
-	}
-}
-
 // TestShardedBarrierMatchesSerial is the quick in-package determinism
 // check; the full byte-identical-timeline matrix lives in
 // equivalence_test.go.

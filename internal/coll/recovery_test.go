@@ -100,49 +100,3 @@ func TestCollTimeoutCounted(t *testing.T) {
 		t.Errorf("%d retransmissions after a timeout, but coll counted %d timeouts", retransmits, timeouts)
 	}
 }
-
-// TestRemoveWithUnackedRecord removes a group while a peer still owes an
-// ack: the entry's windows must go with it, leaving no timer to fire and
-// nothing to retransmit however long the engine runs on.
-func TestRemoveWithUnackedRecord(t *testing.T) {
-	const nodes = 4
-	c, ports := rig(t, nodes, nil)
-	chaos.NewInjector(c.Net, 1).DropWindow("first-ack", 0, 0, once(chaos.MatchCollAcks))
-	for i := range c.Nodes {
-		c.SpawnOn(c.Nodes[i].ID, "p", func(p *sim.Proc) {
-			c.Nodes[i].Coll.Barrier(p, ports[i], collGID)
-		})
-	}
-	c.RunUntil(c.Now() + 100*sim.Microsecond)
-	if live := c.LiveProcs(); live != 0 {
-		t.Fatalf("%d barriers still open", live)
-	}
-	retransmits := func() uint64 {
-		var n uint64
-		snap := c.Nodes[0].HW.Registry().Snapshot()
-		for _, nd := range c.Nodes {
-			n += counter(t, snap, coll.Component, int(nd.ID), "retransmits")
-		}
-		return n
-	}
-	outstanding := 0
-	for _, n := range c.Nodes {
-		outstanding += n.Coll.Outstanding()
-	}
-	if outstanding == 0 {
-		t.Fatal("the dropped ack left no record outstanding")
-	}
-	before := retransmits()
-	for _, n := range c.Nodes {
-		c.WithNode(n.ID, func() { n.Coll.Remove(collGID, nil) })
-	}
-	c.Run()
-	for _, n := range c.Nodes {
-		if g, p := n.Coll.Groups(), n.Coll.PendingTimers(); g != 0 || p != 0 {
-			t.Errorf("node %v: %d groups and %d armed timers after Remove", n.ID, g, p)
-		}
-	}
-	if after := retransmits(); after != before {
-		t.Errorf("removed groups retransmitted: %d before, %d after", before, after)
-	}
-}

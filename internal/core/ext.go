@@ -26,11 +26,12 @@ type Ext struct {
 	m      *instruments
 }
 
-// install loads the extension with its final configuration. Multicast
+// Install loads the multicast extension onto a GM NIC with its cost and
+// mode configuration (DefaultConfig is the calibrated one). Multicast
 // counters are filed in the registry wired via the hardware NIC's
 // SetMetrics; when none is wired, the extension counts into a block of its
 // own.
-func install(nic *gm.NIC, cfg Config) *Ext {
+func Install(nic *gm.NIC, cfg Config) *Ext {
 	e := &Ext{nic: nic, cfg: cfg}
 	e.m = metrics.Attach[instruments](nic.HW.Registry(), Component, int(nic.ID()))
 	nic.SetExtension(e)
@@ -261,30 +262,6 @@ func (e *Ext) CommitGroupEpoch(id gm.GroupID, epoch uint32, fn func()) {
 			if fn != nil {
 				fn()
 			}
-		})
-	})
-}
-
-// RemoveGroup deletes a group's entry from the NIC table once its
-// outstanding work has drained — the teardown half of demand-driven group
-// management (an MPI layer frees it with the communicator). Removal of a
-// busy group is routed through the quiesce path: the entry is deleted by
-// the firmware event that retires its last send record, so removing under
-// live traffic is safe and never abandons children awaiting
-// retransmission. fn runs after the entry is gone.
-func (e *Ext) RemoveGroup(id gm.GroupID, fn func()) {
-	e.nic.HW.HostPost(func() {
-		e.nic.HW.CPUDo(e.cfg.GroupInstallCost, func() {
-			g := e.group(id)
-			if g == nil {
-				panic(fmt.Errorf("%w: removing group %d at %v", ErrNoSuchGroup, id, e.nic.ID()))
-			}
-			g.onQuiesce(func() {
-				e.dropGroup(g)
-				if fn != nil {
-					fn()
-				}
-			})
 		})
 	})
 }

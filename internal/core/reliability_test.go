@@ -37,7 +37,7 @@ func newCoreRig(t *testing.T, nodes int, mut func(*gm.Config)) *coreRig {
 	for i := 0; i < nodes; i++ {
 		hw := lanai.New(eng, net.Iface(fabric.NodeID(i)), lanai.DefaultParams())
 		nic := gm.NewNIC(hw, gcfg)
-		r.exts = append(r.exts, Install(nic))
+		r.exts = append(r.exts, Install(nic, DefaultConfig()))
 		r.ports = append(r.ports, nic.OpenPort(1))
 	}
 	return r

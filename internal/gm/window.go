@@ -97,14 +97,6 @@ func (w *Window[T]) Len() int { return len(w.records) }
 // Armed reports whether the retransmit timer is pending.
 func (w *Window[T]) Armed() bool { return w.timer.Pending() }
 
-// Drop abandons every unretired record without retiring it and stops the
-// timer: the owner is tearing the stream down and its peer is too.
-func (w *Window[T]) Drop() {
-	clear(w.records)
-	w.records = w.records[:0]
-	w.timer.Stop()
-}
-
 // Floor reports the serial-min of bound and every child's cumulative
 // acknowledgment: the highest sequence number, no later than bound, that
 // all children are known to have.

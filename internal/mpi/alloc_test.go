@@ -10,9 +10,9 @@ import "testing"
 // spare again, so a warm rank encodes a control word and an EagerMax
 // message without allocating, and the word does not take the large buffer.
 func TestAllocEnvelopeReusesSendBuffers(t *testing.T) {
-	r := newWorld(t, 2, false).Rank(0)
+	r := newWorld(t, 2, false).ranks[0]
 	word, msg := pattern(4), pattern(EagerMax)
-	e := envelope{kEager, worldCommID, 1, 1}
+	e := envelope{kEager, 1, 1}
 	encode := func() {
 		if b := r.encodeEnvelope(e, word); cap(b) != envelopeBytes+len(word) {
 			t.Fatalf("a %d-byte envelope landed in a %d-byte buffer", len(b), cap(b))

@@ -11,11 +11,6 @@ var (
 	ErrNegativeTag = errors.New("mpi: negative tags are reserved")
 	// ErrSelfSend reports a point-to-point send addressed to the sender.
 	ErrSelfSend = errors.New("mpi: send to self")
-	// ErrFreeWorld reports freeing MPI_COMM_WORLD.
-	ErrFreeWorld = errors.New("mpi: cannot free MPI_COMM_WORLD")
-	// ErrBadScatter reports malformed Scatter input: wrong part count or
-	// unequal part lengths.
-	ErrBadScatter = errors.New("mpi: malformed scatter")
 	// ErrCountMismatch reports a broadcast whose arriving message is not
 	// the length of the buffer the receiving member passed.
 	ErrCountMismatch = errors.New("mpi: message length differs from the buffer")

@@ -38,9 +38,6 @@ func TestSentinelErrorsAreIsable(t *testing.T) {
 		if err := recoverErr(t, func() { r.Send(0, 1, []byte("x")) }); !errors.Is(err, ErrSelfSend) {
 			t.Errorf("self send: got %v, want ErrSelfSend", err)
 		}
-		if err := recoverErr(t, func() { r.World().Free() }); !errors.Is(err, ErrFreeWorld) {
-			t.Errorf("free world: got %v, want ErrFreeWorld", err)
-		}
 	})
 }
 
@@ -60,23 +57,4 @@ func TestBcastCountMismatch(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestScatterErrors(t *testing.T) {
-	w := newWorld(t, 2, false)
-	w.Run(func(r *Rank) {
-		switch r.ID() {
-		case 0:
-			// One part for two ranks.
-			if err := recoverErr(t, func() { r.Scatter(0, [][]byte{{1}}) }); !errors.Is(err, ErrBadScatter) {
-				t.Errorf("short scatter: got %v, want ErrBadScatter", err)
-			}
-			// Unequal part lengths.
-			if err := recoverErr(t, func() { r.Scatter(0, [][]byte{{1}, {2, 3}}) }); !errors.Is(err, ErrBadScatter) {
-				t.Errorf("ragged scatter: got %v, want ErrBadScatter", err)
-			}
-		case 1:
-			// Nothing: the root panics before sending.
-		}
-	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/coll"
 )
 
 // An MPI program on the simulated cluster: with UseNB the broadcast rides
@@ -11,7 +12,7 @@ import (
 // ordinary rank-parallel code.
 func Example() {
 	w := NewWorld(cluster.New(4), true)
-	sums := make([]float64, 4)
+	sums := make([]int64, 4)
 	w.Run(func(r *Rank) {
 		buf := make([]byte, 8)
 		if r.ID() == 0 {
@@ -21,32 +22,10 @@ func Example() {
 		if r.ID() == 2 {
 			fmt.Printf("rank 2 got %q\n", out)
 		}
-		sums[r.ID()] = r.Allreduce(1, func(a, b float64) float64 { return a + b })
+		sums[r.ID()] = r.AllreduceVec([]int64{1}, coll.OpSum)[0]
 	})
 	fmt.Printf("allreduce sum everywhere: %v\n", sums)
 	// Output:
 	// rank 2 got "motd:ok!"
 	// allreduce sum everywhere: [4 4 4 4]
-}
-
-// Sub-communicators split the world; each half gets its own NIC multicast
-// group contexts over exactly its member nodes.
-func ExampleComm_Split() {
-	w := NewWorld(cluster.New(6), true)
-	var got []byte
-	w.Run(func(r *Rank) {
-		odd := r.World().Split(r.ID()%2, r.ID()) // {0,2,4} and {1,3,5}
-		buf := make([]byte, 4)
-		if odd.Rank() == 0 {
-			copy(buf, fmt.Sprintf("grp%d", r.ID()%2))
-		}
-		out := odd.Bcast(0, buf)
-		if r.ID() == 5 { // comm rank 2 of the odd group, root is world rank 1
-			got = out
-		}
-		r.Barrier()
-	})
-	fmt.Printf("world rank 5 received %q from its sub-communicator's root\n", got)
-	// Output:
-	// world rank 5 received "grp1" from its sub-communicator's root
 }

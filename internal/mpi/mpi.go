@@ -1,10 +1,12 @@
 // Package mpi is an MPICH-GM-like message-passing layer over the GM
-// substrate: tagged point-to-point sends with an eager protocol up to
-// 16,287 bytes and a rendezvous protocol above it, plus the collectives
-// the paper evaluates — MPI_Bcast in both its traditional host-based
-// binomial form and the modified, NIC-based-multicast form with
-// demand-driven group creation — along with Barrier, Allreduce and
-// All-to-all broadcast (the paper's future-work collectives).
+// substrate, cut to what the paper's figures call. There is one
+// communicator, MPI_COMM_WORLD, and a Rank carries its operations itself:
+// tagged point-to-point sends with an eager protocol up to 16,287 bytes and
+// a rendezvous protocol above it; MPI_Bcast in both its traditional
+// host-based binomial form and the modified, NIC-based-multicast form with
+// demand-driven group creation (Figure 4, and Figures 6 and 7 under skew);
+// and MPI_Barrier, AllreduceVec and AllgatherVec, each host-based or on the
+// NIC collective engine (the collective sweeps).
 package mpi
 
 import (
@@ -28,16 +30,15 @@ const mpiPort gm.PortID = 2
 // rank and keeps replenished.
 const eagerTokens = 128
 
-// internal tags (user tags must be >= 0).
+// Internal tags (user tags must be >= 0). They ride the wire, so each
+// keeps its value.
 const (
-	tagBarrier int32 = -100 - iota
-	tagBcast
-	tagCtl
-	tagGather
-	tagSplit
-	tagScatter
-	tagAllreduce
-	tagAllgather
+	tagBarrier   int32 = -100
+	tagBcast     int32 = -101
+	tagCtl       int32 = -102
+	tagGather    int32 = -103
+	tagAllreduce int32 = -106
+	tagAllgather int32 = -107
 )
 
 // World binds an MPI job to a simulated cluster: rank i runs on node i.
@@ -57,10 +58,7 @@ func NewWorld(c *cluster.Cluster, useNB bool) *World {
 		r := &Rank{
 			w:           w,
 			id:          i,
-			bcastGroups: make(map[bcastKey]*bcastGroup),
-			collGroups:  make(map[uint32]gm.GroupID),
-			collTrees:   make(map[uint32]bool),
-			splitEpochs: make(map[uint32]int),
+			bcastGroups: make(map[bcastKey]gm.GroupID),
 		}
 		// Port setup schedules host->NIC events; attribute them to the
 		// rank's node so their tiebreak keys are shard-stable.
@@ -76,46 +74,27 @@ func NewWorld(c *cluster.Cluster, useNB bool) *World {
 // Size reports the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
 
-// Rank returns rank i (for inspection; programs receive their Rank).
-func (w *World) Rank(i int) *Rank { return w.ranks[i] }
-
-// Run spawns prog as one simulated process per rank and drives the
-// simulation until the job goes quiet. The engines are left intact for
-// inspection; Kill releases any still-parked processes.
+// Run spawns prog as one simulated process per rank, each on its node's
+// engine (so MPI jobs execute unchanged on a sharded cluster), and drives
+// the simulation until the job goes quiet. The engines are left intact
+// for inspection; Kill releases any still-parked processes.
 func (w *World) Run(prog func(r *Rank)) {
-	w.Spawn(prog)
-	w.C.Run()
-	w.C.Kill()
-}
-
-// Spawn launches prog on every rank without running the engine — callers
-// that orchestrate several phases drive the engine themselves. Each rank
-// runs on its node's engine, so MPI jobs execute unchanged on a sharded
-// cluster.
-func (w *World) Spawn(prog func(r *Rank)) {
 	for _, r := range w.ranks {
-		r := r
 		w.C.SpawnOn(fabric.NodeID(r.id), fmt.Sprintf("rank%d", r.id), func(p *sim.Proc) {
 			r.proc = p
 			prog(r)
 		})
 	}
+	w.C.Run()
+	w.C.Kill()
 }
 
 // bcastKey identifies a demand-created multicast group context: one per
-// (communicator, world root rank, message-size bucket), mirroring the
-// paper's per-(communicator, root) group contexts while keeping the tree
-// shape matched to the message size.
+// (root rank, message-size bucket), mirroring the paper's per-root group
+// contexts while keeping the tree shape matched to the message size.
 type bcastKey struct {
-	comm   uint32
-	root   int // world rank
+	root   int
 	bucket uint8
-}
-
-// bcastGroup is a rank's view of one created group context.
-type bcastGroup struct {
-	gid   gm.GroupID
-	recvd int // messages received on this group so far (root: sent)
 }
 
 // Rank is one MPI process.
@@ -129,16 +108,13 @@ type Rank struct {
 	sendHeld    [][]byte // encoded envelopes a posted send may still read
 	sendSpare   [][]byte // envelope buffers free for reuse (encodeEnvelope)
 	sendSeq     map[sendSeqKey]uint32
-	bcastGroups map[bcastKey]*bcastGroup
-	collGroups  map[uint32]gm.GroupID // comm id -> NIC collective group
-	collTrees   map[uint32]bool       // comm ids whose multicast tree is installed
-	world       *Comm
-	splitEpochs map[uint32]int
+	bcastGroups map[bcastKey]gm.GroupID // the group contexts created so far
+	collGroup   gm.GroupID              // the NIC collective group, 0 until first used
+	collTree    bool                    // whether collGroup's multicast tree is installed
 }
 
 type sendSeqKey struct {
 	peer int
-	comm uint32
 	tag  int32
 }
 
@@ -155,11 +131,20 @@ func (r *Rank) Now() sim.Time { return r.proc.Now() }
 // node maps a rank to its network node.
 func (r *Rank) node(rank int) fabric.NodeID { return fabric.NodeID(rank) }
 
-func (r *Rank) nextSeq(comm uint32, peer int, tag int32) uint32 {
+// nodes returns every rank's node in rank order, in a fresh slice.
+func (r *Rank) nodes() []fabric.NodeID {
+	out := make([]fabric.NodeID, r.Size())
+	for i := range out {
+		out[i] = r.node(i)
+	}
+	return out
+}
+
+func (r *Rank) nextSeq(peer int, tag int32) uint32 {
 	if r.sendSeq == nil {
 		r.sendSeq = make(map[sendSeqKey]uint32)
 	}
-	k := sendSeqKey{peer: peer, comm: comm, tag: tag}
+	k := sendSeqKey{peer: peer, tag: tag}
 	r.sendSeq[k]++
 	return r.sendSeq[k]
 }

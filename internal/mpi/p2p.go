@@ -11,39 +11,33 @@ import (
 // copy cost causes the paper's dip at 16,287 bytes). Larger messages use
 // rendezvous: RTS, then CTS once the receiver has posted an exactly-sized
 // landing buffer, then the bulk data — the shape of MPICH-GM's remote-DMA
-// rendezvous. All matching is on (communicator, source, tag), in order.
+// rendezvous. All matching is on (source, tag), in order.
 
-// Send transmits data to world rank dst on MPI_COMM_WORLD.
+// Send transmits data to rank dst with a tag.
 func (r *Rank) Send(dst int, tag int32, data []byte) {
 	if tag < 0 {
 		panic(ErrNegativeTag)
 	}
-	r.send(worldCommID, dst, tag, data)
+	r.send(dst, tag, data)
 }
 
-// Recv blocks for a message from world rank src on MPI_COMM_WORLD and
-// returns its payload in a fresh buffer.
+// Recv blocks for a message from rank src with a tag and returns its
+// payload in a fresh buffer.
 func (r *Rank) Recv(src int, tag int32) []byte {
 	if tag < 0 {
 		panic(ErrNegativeTag)
 	}
-	return r.recv(worldCommID, src, tag, nil)
+	return r.recv(src, tag, nil)
 }
 
-// Sendrecv exchanges messages with two world-rank peers (send first).
-func (r *Rank) Sendrecv(dst int, sdata []byte, src int, tag int32) []byte {
-	r.send(worldCommID, dst, tag, sdata)
-	return r.recv(worldCommID, src, tag, nil)
-}
-
-func (r *Rank) send(comm uint32, dst int, tag int32, data []byte) {
+func (r *Rank) send(dst int, tag int32, data []byte) {
 	if dst == r.id {
 		panic(ErrSelfSend)
 	}
-	seq := r.nextSeq(comm, dst, tag)
+	seq := r.nextSeq(dst, tag)
 	if len(data) <= EagerMax {
 		r.port.Send(r.proc, r.node(dst), mpiPort,
-			r.encodeEnvelope(envelope{kEager, comm, tag, seq}, data))
+			r.encodeEnvelope(envelope{kEager, tag, seq}, data))
 		return
 	}
 	// Rendezvous: RTS carries the length; the CTS answers with the
@@ -51,8 +45,8 @@ func (r *Rank) send(comm uint32, dst int, tag int32, data []byte) {
 	// remote-DMA put (gm_directed_send), followed by a FIN since directed
 	// writes are silent at the receiver.
 	r.port.Send(r.proc, r.node(dst), mpiPort,
-		r.encodeEnvelope(envelope{kRTS, comm, tag, seq}, encodeU32(uint32(len(data)))))
-	cts := r.awaitMatch(comm, dst, tag, seq, kCTS)
+		r.encodeEnvelope(envelope{kRTS, tag, seq}, encodeU32(uint32(len(data)))))
+	cts := r.awaitMatch(dst, tag, seq, kCTS)
 	_, ctsBody := decodeEnvelope(cts.Data)
 	region := gm.RegionID(decodeU64(ctsBody))
 	r.replenish(cts) // the CTS consumed an eager token
@@ -60,15 +54,15 @@ func (r *Rank) send(comm uint32, dst int, tag int32, data []byte) {
 	// The FIN echoes the rendezvous sequence number so the receiver can
 	// pair it with its CTS.
 	r.port.Send(r.proc, r.node(dst), mpiPort,
-		r.encodeEnvelope(envelope{kFin, comm, tag, seq}, nil))
+		r.encodeEnvelope(envelope{kFin, tag, seq}, nil))
 }
 
-// recv receives the next message from (comm, src, tag) into dst: eager data
+// recv receives the next message from (src, tag) into dst: eager data
 // is copied there and a rendezvous lands there directly. A nil dst means a
 // fresh buffer of the message's length; any other dst must be exactly that
 // long (ErrCountMismatch).
-func (r *Rank) recv(comm uint32, src int, tag int32, dst []byte) []byte {
-	ev := r.awaitMatch(comm, src, tag, 0, kEager, kRTS)
+func (r *Rank) recv(src int, tag int32, dst []byte) []byte {
+	ev := r.awaitMatch(src, tag, 0, kEager, kRTS)
 	env, body := decodeEnvelope(ev.Data)
 	switch env.kind {
 	case kEager:
@@ -85,8 +79,8 @@ func (r *Rank) recv(comm uint32, src int, tag int32, dst []byte) []byte {
 		region := r.port.RegisterRegion(out)
 		r.replenish(ev) // the RTS consumed an eager token
 		r.port.Send(r.proc, r.node(src), mpiPort,
-			r.encodeEnvelope(envelope{kCTS, comm, tag, env.seq}, encodeU64(uint64(region))))
-		r.replenish(r.awaitMatch(comm, src, tag, env.seq, kFin)) // ... as did the FIN
+			r.encodeEnvelope(envelope{kCTS, tag, env.seq}, encodeU64(uint64(region))))
+		r.replenish(r.awaitMatch(src, tag, env.seq, kFin)) // ... as did the FIN
 		// The remote DMA landed in place: no bounce-buffer copy charged.
 		r.port.DeregisterRegion(region)
 		return out
@@ -109,22 +103,22 @@ func landing(dst []byte, n int) []byte {
 
 // sendKind posts an internal protocol message with an explicit kind,
 // bypassing the user-facing eager/rendezvous selection.
-func (r *Rank) sendKind(comm uint32, dst int, tag int32, kind msgKind, body []byte) {
-	seq := r.nextSeq(comm, dst, tag)
+func (r *Rank) sendKind(dst int, tag int32, kind msgKind, body []byte) {
+	seq := r.nextSeq(dst, tag)
 	r.port.Send(r.proc, r.node(dst), mpiPort,
-		r.encodeEnvelope(envelope{kind, comm, tag, seq}, body))
+		r.encodeEnvelope(envelope{kind, tag, seq}, body))
 }
 
-// awaitMatch returns the first message from (comm, src, tag) whose kind is
+// awaitMatch returns the first message from (src, tag) whose kind is
 // one of kinds (and, when seq != 0, whose sequence number matches),
 // consulting the unexpected queue first and then blocking on the GM port.
-func (r *Rank) awaitMatch(comm uint32, src int, tag int32, seq uint32, kinds ...msgKind) *gm.RecvEvent {
+func (r *Rank) awaitMatch(src int, tag int32, seq uint32, kinds ...msgKind) *gm.RecvEvent {
 	match := func(ev *gm.RecvEvent) bool {
 		if ev.Group != 0 || ev.Src != r.node(src) {
 			return false
 		}
 		env, _ := decodeEnvelope(ev.Data)
-		if env.comm != comm || env.tag != tag {
+		if env.tag != tag {
 			return false
 		}
 		if seq != 0 && env.seq != seq {

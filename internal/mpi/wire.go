@@ -24,15 +24,17 @@ const (
 	kFin                         // rendezvous completion: the directed write landed
 )
 
-const envelopeBytes = 1 + 4 + 4 + 4 // kind, comm, tag, seq-within-(src,comm,tag)
+const envelopeBytes = 1 + 4 + 4 + 4 // kind, comm, tag, seq-within-(src,tag)
 
-// envelope is the MPI matching header. comm isolates communicators: a
-// message sent on one communicator can never match a receive on another.
+// worldCommID is MPI_COMM_WORLD's communicator id, the one every envelope
+// carries: the layout keeps MPICH-GM's communicator field.
+const worldCommID uint32 = 0
+
+// envelope is the MPI matching header.
 type envelope struct {
 	kind msgKind
-	comm uint32
 	tag  int32
-	seq  uint32 // per (sender, comm, tag) counter; pairs RTS/CTS/RData legs
+	seq  uint32 // per (sender, tag) counter; pairs RTS/CTS/RData legs
 }
 
 // encodeEnvelope writes e and body into one of the rank's send buffers for
@@ -64,7 +66,7 @@ func (r *Rank) encodeEnvelope(e envelope, body []byte) []byte {
 	}
 	r.sendHeld = append(r.sendHeld, out)
 	out[0] = byte(e.kind)
-	binary.LittleEndian.PutUint32(out[1:], e.comm)
+	binary.LittleEndian.PutUint32(out[1:], worldCommID)
 	binary.LittleEndian.PutUint32(out[5:], uint32(e.tag))
 	binary.LittleEndian.PutUint32(out[9:], e.seq)
 	copy(out[envelopeBytes:], body)
@@ -77,7 +79,6 @@ func decodeEnvelope(data []byte) (envelope, []byte) {
 	}
 	return envelope{
 		kind: msgKind(data[0]),
-		comm: binary.LittleEndian.Uint32(data[1:]),
 		tag:  int32(binary.LittleEndian.Uint32(data[5:])),
 		seq:  binary.LittleEndian.Uint32(data[9:]),
 	}, data[envelopeBytes:]

@@ -1,41 +1,17 @@
 // Package stats provides the small numeric helpers the experiment harness
-// uses: summaries and improvement factors.
+// and the benchmark use: a maximum and a percentile.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
 
 // Max returns the largest element (-Inf for empty input).
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)
 	for _, x := range xs {
 		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the smallest element (+Inf for empty input).
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
 			m = x
 		}
 	}
@@ -61,23 +37,4 @@ func Percentile(xs []float64, p float64) float64 {
 		rank = 0
 	}
 	return s[rank]
-}
-
-// Factor returns baseline/improved — the paper's "factor of improvement".
-// A factor above 1 means the improved variant is faster.
-func Factor(baseline, improved float64) float64 {
-	if improved == 0 {
-		return math.Inf(1)
-	}
-	return baseline / improved
-}
-
-// FormatUs renders a microsecond quantity compactly.
-func FormatUs(us float64) string {
-	switch {
-	case us >= 1000:
-		return fmt.Sprintf("%.2fms", us/1000)
-	default:
-		return fmt.Sprintf("%.2fµs", us)
-	}
 }

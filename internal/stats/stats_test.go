@@ -6,22 +6,14 @@ import (
 	"testing/quick"
 )
 
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Fatalf("Mean = %v, want 2.5", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Fatalf("Mean(nil) = %v, want 0", got)
-	}
-}
-
+// The 0th percentile is the minimum.
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
-	if Max(xs) != 7 || Min(xs) != -1 {
-		t.Fatalf("Min/Max = %v/%v", Min(xs), Max(xs))
+	if Max(xs) != 7 || Percentile(xs, 0) != -1 {
+		t.Fatalf("Min/Max = %v/%v", Percentile(xs, 0), Max(xs))
 	}
-	if !math.IsInf(Max(nil), -1) || !math.IsInf(Min(nil), 1) {
-		t.Fatal("empty Min/Max not infinite sentinels")
+	if !math.IsInf(Max(nil), -1) {
+		t.Fatal("empty Max not the -Inf sentinel")
 	}
 }
 
@@ -48,25 +40,8 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestFactor(t *testing.T) {
-	if Factor(30, 15) != 2 {
-		t.Fatal("Factor(30,15) != 2")
-	}
-	if !math.IsInf(Factor(1, 0), 1) {
-		t.Fatal("Factor with zero improved not +Inf")
-	}
-}
-
-func TestFormatUs(t *testing.T) {
-	if got := FormatUs(12.345); got != "12.35µs" {
-		t.Fatalf("FormatUs = %q", got)
-	}
-	if got := FormatUs(2500); got != "2.50ms" {
-		t.Fatalf("FormatUs = %q", got)
-	}
-}
-
-// Property: Min <= Mean <= Max for nonempty input.
+// Property: percentiles rise with p, and the 100th is Max, for nonempty
+// input.
 func TestOrderingProperty(t *testing.T) {
 	f := func(raw []int16) bool {
 		if len(raw) == 0 {
@@ -76,8 +51,8 @@ func TestOrderingProperty(t *testing.T) {
 		for i, r := range raw {
 			xs[i] = float64(r)
 		}
-		m := Mean(xs)
-		return Min(xs) <= m && m <= Max(xs)
+		lo, mid, hi := Percentile(xs, 0), Percentile(xs, 50), Percentile(xs, 100)
+		return lo <= mid && mid <= hi && hi == Max(xs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
