@@ -137,7 +137,7 @@ func TestChooserOutOfRangeClamped(t *testing.T) {
 }
 
 // TestChooserScanDoesNotAllocate pins that building the enabled set — a
-// walk of the near heap, the far heap and the tied bucket's list — reuses
+// walk of the run's tail, the near heap and the far heap — reuses
 // one candidate buffer: three domains tie at every step's timestamp while
 // a timer stays armed in the far heap.
 func TestChooserScanDoesNotAllocate(t *testing.T) {

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 )
 
 // Event is one scheduled callback. Events live in the engine's arena:
@@ -17,7 +20,7 @@ type Event struct {
 	seq   uint64 // (domain, local sequence) key; breaks same-timestamp ties
 	fn    func()
 	next  *Event // bucket list link while the event sits in the ring
-	index int32  // position in the heap holding the event
+	index int32  // position in the heap or the run holding the event
 	gen   uint32 // bumped on every recycle; Timer handles validate against it
 	owner uint32 // domain restored as the current domain when the event fires
 	where queue  // the structure holding the event; unqueued once fired or cancelled
@@ -27,27 +30,32 @@ type Event struct {
 type queue uint8
 
 const (
-	unqueued queue = iota
-	inNear         // the current-bucket heap
-	inRing         // a bucket list of the ring
-	inFar          // the far heap
+	unqueued  queue = iota
+	cancelled       // cancelled on a ring list, recycled when its bucket is reached
+	inRun           // the current bucket's sorted run
+	inNear          // the heap of events scheduled into the current bucket
+	inRing          // a bucket list of the ring
+	inFar           // the far heap
 )
 
 // When reports the virtual time at which the event is scheduled to fire.
 func (ev *Event) When() Time { return ev.when }
 
 // Pending reports whether the event is still scheduled.
-func (ev *Event) Pending() bool { return ev.where != unqueued }
+func (ev *Event) Pending() bool { return ev.where > cancelled }
 
 // arenaChunk is the slab size of the event arena. Chunks are never freed
 // or moved, so *Event pointers stay valid for the engine's lifetime.
 const arenaChunk = 128
 
-// The ring has ringSize buckets of 1<<bucketShift = 16 ns, a horizon of
-// 4.096 µs. Unexported constants, not a knob: on the 512-host multicast
-// storm 64 × 64 ns was clearly slower and 128 × 32 ns no faster.
+// The ring has ringSize buckets of 1<<bucketShift = 32 ns, a horizon of
+// 8.192 µs: past a 1 KB Myrinet packet's arrival (300 ns of link latency
+// plus 4.2 µs on the wire), so the storm's arrivals stay off the far heap.
+// Unexported constants, not a knob: with the sorted run, the 512-host
+// multicast storm ran in 0.55 s on 16 ns buckets, 0.48 s on 32 ns and
+// 0.49 s on 64 ns (run_s, two seeds, 2 vCPUs).
 const (
-	bucketShift = 4
+	bucketShift = 5
 	ringSize    = 256
 	ringMask    = ringSize - 1
 )
@@ -59,19 +67,23 @@ func slotOf(t Time) uint64 { return uint64(t) >> bucketShift }
 // The zero value is not usable; construct with NewEngine.
 //
 // The event queue has two levels over arena-allocated events. An event
-// due within the ring's horizon goes onto its 16 ns bucket's unsorted list
+// due within the ring's horizon goes onto its 32 ns bucket's unsorted list
 // — a pointer store, no ordering work — and one due later into the far
-// heap: retransmit and delayed-ack timers, and packet arrivals whose wire
-// time passes the horizon (at 4 ns/B, a 1 KB Myrinet packet's alone is
-// 4.1 µs). When the current bucket's events are spent, the next non-empty
-// bucket becomes current: a lone event fires straight off its list,
-// several move into the near heap, where events scheduled into the current
-// bucket go too. The next event is the smaller of the near and far heap
-// tops by (time, key), so the fire order is the total order (time, key)
-// whichever structures an event passed through. Both heaps are 4-ary
-// min-heaps with direct field comparisons sharing one sift implementation;
-// the arena plus free list means a steady-state simulation schedules
-// events without allocating.
+// heap: retransmit and delayed-ack timers, and wire times past the
+// horizon. When the current bucket's events are spent, the next non-empty
+// bucket becomes current and its list is sorted once, latest first, into
+// the run: a pop truncates the run's tail, and a cancel nils its slot. A
+// lone event skips the run and fires straight off its list. A cancel on a
+// list marks the event, which is recycled when its bucket is reached (or,
+// with nothing pending in the ring, when the current bucket moves on).
+// Nothing is inserted into the run; an event scheduled into the current
+// bucket while the run drains goes into the near heap. The next event is
+// the least of the run's tail and the near and far heap tops by (time,
+// key), so the fire order is the total order (time, key) whichever
+// structures an event passed through. Both heaps are 4-ary min-heaps with
+// direct field comparisons sharing one sift implementation; the arena plus
+// free list means a steady-state simulation schedules events without
+// allocating.
 type Engine struct {
 	now   Time
 	fired uint64
@@ -89,12 +101,16 @@ type Engine struct {
 	domSeq []uint64
 	curDom uint32 // domain of the currently-executing event, 0 when idle
 
-	// near holds the events of buckets up to cur, ring[s&ringMask] the
-	// events of bucket s for cur < s < cur+ringSize (occ marks the
-	// non-empty lists, ringN counts their events), far everything later.
-	// ringN is 32 bits and sits beside curDom so that the Engine, malloc
-	// header included, fits the 2 304 B size class.
+	// run holds bucket cur's events, sorted latest first, with a nil slot
+	// for each one cancelled (runN counts the pending ones); near the
+	// events scheduled into buckets up to cur since it became current;
+	// ring[s&ringMask] the events of bucket s for cur < s < cur+ringSize
+	// (occ marks the non-empty lists, ringN counts their events); far
+	// everything later. The counts are 32 bits, ringN beside curDom, so
+	// that the Engine, malloc header included, fits the 2 304 B size class.
 	ringN int32
+	runN  int32
+	run   []*Event
 	near  eventHeap
 	far   eventHeap
 	cur   uint64
@@ -108,9 +124,14 @@ type Engine struct {
 	procs   map[*Proc]struct{}
 	current *Proc // process currently executing, if any
 
-	// fireHook, when set, observes every fired event's (when, key) — the
+	hooks *hooks // the fire hook and chooser, made by the first setter
+}
+
+// hooks are the engine's instruments, off the queue's hot path.
+type hooks struct {
+	// fire, when set, observes every fired event's (when, key) — the
 	// timeline probe the engine-equivalence tests diff.
-	fireHook func(Time, uint64)
+	fire func(Time, uint64)
 
 	// chooser, when set, picks which same-timestamp enabled event fires
 	// next; see SetChooser. cands is its reusable scratch buffer.
@@ -184,7 +205,9 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
 // Pending reports the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return len(e.near) + int(e.ringN) + len(e.far) }
+func (e *Engine) Pending() int {
+	return int(e.runN) + len(e.near) + int(e.ringN) + len(e.far)
+}
 
 // alloc hands out an event slot: a recycled one when available, else the
 // next slot of the newest arena chunk.
@@ -219,6 +242,14 @@ func eventLess(a, b *Event) bool {
 		return a.when < b.when
 	}
 	return a.seq < b.seq
+}
+
+// laterFirst is the run's order: eventLess reversed, as a sort comparison.
+func laterFirst(a, b *Event) int {
+	if c := cmp.Compare(b.when, a.when); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.seq, a.seq)
 }
 
 // eventHeap is a 4-ary min-heap of events under eventLess; every event in
@@ -320,6 +351,16 @@ func (e *Engine) insert(ev *Event) {
 // unlink takes a pending ev out of whichever structure holds it.
 func (e *Engine) unlink(ev *Event) {
 	switch ev.where {
+	case inRun:
+		// A pop takes the tail; a cancel elsewhere leaves a nil slot, which
+		// goes once the pops reach it, so the tail is always pending.
+		e.run[ev.index] = nil
+		n := len(e.run)
+		for n > 0 && e.run[n-1] == nil {
+			n--
+		}
+		e.run = e.run[:n]
+		e.runN--
 	case inNear:
 		e.near.remove(int(ev.index))
 	case inFar:
@@ -360,46 +401,84 @@ func (e *Engine) nextSlot() uint64 {
 	panic("sim: ring occupancy bitmap out of step with its lists")
 }
 
-// front returns the earliest pending event, nil when none is. With the
-// near heap spent, the next non-empty bucket becomes current, unless the
-// far heap's top is due before it, and its events move into the near heap;
-// a lone event is returned where it sits, and fire makes its bucket
-// current.
+// front returns the earliest pending event, nil when none is: the least of
+// the run's tail and the near and far heap tops. With the run and the near
+// heap spent, the next non-empty bucket becomes current first, unless the
+// far heap's top is due before it; a lone event is returned where it
+// sits, and fire makes its bucket current.
 func (e *Engine) front() *Event {
-	if len(e.near) == 0 && e.ringN > 0 {
-		if s := e.nextSlot(); len(e.far) == 0 || slotOf(e.far[0].when) >= s {
-			b := s & ringMask
-			ev := e.ring[b]
-			if ev.next == nil && (len(e.far) == 0 || slotOf(e.far[0].when) > s) {
-				return ev
+	for len(e.run) == 0 && len(e.near) == 0 && e.ringN > 0 {
+		s, farSlot := e.nextSlot(), uint64(math.MaxUint64)
+		if len(e.far) > 0 {
+			farSlot = slotOf(e.far[0].when)
+		}
+		if farSlot < s {
+			break
+		}
+		if ev := e.ring[s&ringMask]; ev.next == nil && ev.where == inRing && farSlot > s {
+			return ev
+		}
+		e.reach(s)
+	}
+	var ev *Event
+	if n := len(e.run); n > 0 {
+		ev = e.run[n-1]
+	}
+	if len(e.near) > 0 && (ev == nil || eventLess(e.near[0], ev)) {
+		ev = e.near[0]
+	}
+	if len(e.far) > 0 && (ev == nil || eventLess(e.far[0], ev)) {
+		ev = e.far[0]
+	}
+	return ev
+}
+
+// reach makes bucket s current: its list's pending events, sorted latest
+// first, become the run, and its cancelled ones are recycled. The run and
+// the near heap must be empty.
+func (e *Engine) reach(s uint64) {
+	b := s & ringMask
+	run := e.run[:0]
+	for ev := e.ring[b]; ev != nil; ev = ev.next {
+		if ev.where == cancelled {
+			ev.where = unqueued
+			e.recycle(ev)
+			continue
+		}
+		ev.where = inRun
+		run = append(run, ev)
+	}
+	e.ring[b] = nil
+	e.occ[b/64] &^= 1 << (b % 64)
+	e.cur = s
+	e.ringN -= int32(len(run))
+	e.runN = int32(len(run))
+	slices.SortFunc(run, laterFirst)
+	for i, ev := range run {
+		ev.index = int32(i)
+	}
+	e.run = run
+}
+
+// advance makes the later bucket s current, the run and the near heap
+// being empty. With no pending event in the ring, front reaches no bucket,
+// so the events cancelled on its lists would be skipped and never
+// recycled: advance recycles them first, each once, however far cur jumps.
+func (e *Engine) advance(s uint64) {
+	if e.ringN == 0 {
+		for w, word := range e.occ {
+			for ; word != 0; word &= word - 1 {
+				b := w*64 + bits.TrailingZeros64(word)
+				for ev := e.ring[b]; ev != nil; ev = ev.next {
+					ev.where = unqueued
+					e.recycle(ev)
+				}
+				e.ring[b] = nil
 			}
-			e.ring[b] = nil
-			e.occ[b/64] &^= 1 << (b % 64)
-			e.cur = s
-			for ev != nil {
-				next := ev.next
-				ev.where = inNear
-				ev.index = int32(len(e.near))
-				e.near = append(e.near, ev)
-				e.ringN--
-				ev = next
-			}
-			for i := (len(e.near) - 2) / 4; i >= 0; i-- {
-				e.near.siftDown(i)
-			}
+			e.occ[w] = 0
 		}
 	}
-	switch {
-	case len(e.near) == 0:
-		if len(e.far) == 0 {
-			return nil
-		}
-		return e.far[0]
-	case len(e.far) == 0 || eventLess(e.near[0], e.far[0]):
-		return e.near[0]
-	default:
-		return e.far[0]
-	}
+	e.cur = s
 }
 
 // At schedules fn to run at virtual time t. Scheduling in the past panics:
@@ -454,7 +533,16 @@ func (e *Engine) After(d Time, fn func()) *Event {
 // handle-validity rule on Event: once the slot has been reused by a later
 // At, the stale handle aliases the new event.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.where == unqueued {
+	if ev == nil || !ev.Pending() {
+		return
+	}
+	if ev.where == inRing {
+		// Unlinking from a singly linked list walks it, so the event stays
+		// on its list, marked, and reach or advance recycles it: a cancel
+		// is O(1) however long the list.
+		ev.where = cancelled
+		ev.fn = nil
+		e.ringN--
 		return
 	}
 	e.unlink(ev)
@@ -465,9 +553,11 @@ func (e *Engine) Cancel(ev *Event) {
 // the FIFO among events already scheduled at t. The event must still be
 // pending: rescheduling a fired or cancelled event panics, because its
 // slot may already belong to an unrelated event (use Timer.Reset for a
-// handle that re-arms safely across firings).
+// handle that re-arms safely across firings). The event keeps its slot, so
+// one still on a ring list is unlinked from it, a walk of the list: unlike
+// Cancel, rescheduling k events of one future bucket costs O(k²).
 func (e *Engine) Reschedule(ev *Event, t Time) {
-	if ev.where == unqueued {
+	if !ev.Pending() {
 		panic("sim: reschedule of non-pending event")
 	}
 	if t < e.now {
@@ -499,14 +589,16 @@ func (e *Engine) Step() bool {
 // fire runs the next event, given the queue's front ev — or, under a
 // chooser, the enabled event at ev's timestamp that the chooser picks.
 func (e *Engine) fire(ev *Event) {
-	if e.chooser != nil {
+	// A lone event of its bucket is alone at its instant: nothing to choose.
+	if e.hooks != nil && e.hooks.chooser != nil && ev.where != inRing {
 		ev = e.choose(ev.when)
 	}
-	// With the near heap empty, nothing pending is earlier than ev and the
+	// With the run and the near heap empty, ev is a lone event of its
+	// bucket or comes off the far heap, nothing pending is earlier and the
 	// ring holds only later buckets, so ev's bucket becomes the current one.
-	if ev.where != inNear && len(e.near) == 0 {
+	if len(e.run) == 0 && len(e.near) == 0 {
 		if s := slotOf(ev.when); s > e.cur {
-			e.cur = s
+			e.advance(s)
 		}
 	}
 	e.unlink(ev)
@@ -514,8 +606,8 @@ func (e *Engine) fire(ev *Event) {
 	e.fired++
 	fn := ev.fn
 	owner := ev.owner
-	if e.fireHook != nil {
-		e.fireHook(ev.when, ev.seq)
+	if e.hooks != nil && e.hooks.fire != nil {
+		e.hooks.fire(ev.when, ev.seq)
 	}
 	e.recycle(ev)
 	prev := e.curDom
@@ -528,7 +620,12 @@ func (e *Engine) fire(ev *Event) {
 // fired event's timestamp and tiebreak key, in fire order — the probe the
 // engine-equivalence tests use to diff full timelines across serial,
 // legacy, and sharded runs.
-func (e *Engine) SetFireHook(fn func(when Time, key uint64)) { e.fireHook = fn }
+func (e *Engine) SetFireHook(fn func(when Time, key uint64)) {
+	if e.hooks == nil {
+		e.hooks = new(hooks)
+	}
+	e.hooks.fire = fn
+}
 
 // SetChooser installs (or, with nil, removes) a controlled scheduler: at
 // every Step where more than one event is *enabled*, fn picks which fires.
@@ -545,29 +642,41 @@ func (e *Engine) SetFireHook(fn func(when Time, key uint64)) { e.fireHook = fn }
 // fn is only consulted when n >= 2; out-of-range returns are reduced mod n.
 //
 // The chooser is a model-checking instrument, not a fast path: each choice
-// scans both heaps and that timestamp's bucket list. It must not be
+// scans both heaps and the run's events at that timestamp. It must not be
 // combined with the sharded coordinator (shards assume the serial FIFO
 // order when exchanging lookahead promises); internal/explore runs serial
 // clusters only.
-func (e *Engine) SetChooser(fn func(n int) int) { e.chooser = fn }
+func (e *Engine) SetChooser(fn func(n int) int) {
+	if e.hooks == nil {
+		e.hooks = new(hooks)
+	}
+	e.hooks.chooser = fn
+}
 
 // choose builds the enabled set at timestamp t, the earliest pending one —
 // the per-domain minimum-key event of every domain with work at t, sorted
-// by key — and returns the chooser's pick. Events at t may sit in either
-// heap or on t's bucket list; the scan walks all three.
+// by key — and returns the chooser's pick. Events at t may sit at the
+// run's tail or in either heap, and the scan walks all three: the ring
+// holds only later buckets but for a lone event, which fire does not offer
+// the chooser.
 func (e *Engine) choose(t Time) *Event {
-	cands := e.cands[:0]
+	cands := e.hooks.cands[:0]
+	for i := len(e.run) - 1; i >= 0; i-- {
+		ev := e.run[i]
+		if ev == nil {
+			continue
+		}
+		if ev.when != t {
+			break
+		}
+		cands = addCandidate(cands, ev)
+	}
 	for _, ev := range e.near {
 		if ev.when == t {
 			cands = addCandidate(cands, ev)
 		}
 	}
 	for _, ev := range e.far {
-		if ev.when == t {
-			cands = addCandidate(cands, ev)
-		}
-	}
-	for ev := e.ring[slotOf(t)&ringMask]; ev != nil; ev = ev.next {
 		if ev.when == t {
 			cands = addCandidate(cands, ev)
 		}
@@ -583,10 +692,10 @@ func (e *Engine) choose(t Time) *Event {
 		}
 		cands[j+1] = ev
 	}
-	e.cands = cands // retain grown capacity
+	e.hooks.cands = cands // retain grown capacity
 	pick := 0
 	if len(cands) >= 2 {
-		pick = e.chooser(len(cands))
+		pick = e.hooks.chooser(len(cands))
 		pick %= len(cands)
 		if pick < 0 {
 			pick += len(cands)
@@ -649,8 +758,8 @@ func (e *Engine) RunUntil(t Time) {
 		e.now = t
 		// An idle ring restarts at the new clock, so events scheduled
 		// from here on land in it rather than in the far heap.
-		if len(e.near) == 0 && e.ringN == 0 && slotOf(t) > e.cur {
-			e.cur = slotOf(t)
+		if len(e.run) == 0 && len(e.near) == 0 && e.ringN == 0 && slotOf(t) > e.cur {
+			e.advance(slotOf(t))
 		}
 	}
 }

@@ -141,9 +141,9 @@ func TestTimerResetMovesDeadline(t *testing.T) {
 
 // Steady state moves events between every part of the queue: each
 // iteration fires one event and schedules one either in the current bucket
-// (+0, straight into the near heap) or a few buckets out (+64 ns, onto the
-// ring), which later moves into the near heap; a timer bounces between the
-// far heap (1 ms out) and the ring (+32 ns), one reschedule each way.
+// (+0, straight into the near heap) or two buckets out (+64 ns, onto the
+// ring), which later joins a run; a timer bounces between the far heap
+// (1 ms out) and the ring (+32 ns), one reschedule each way.
 func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	e := sim.NewEngine()
 	fn := func() {}
@@ -192,5 +192,29 @@ func TestTimerChurnDoesNotAllocate(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("timer arm/rearm/stop churn allocates %.1f/op, want 0", avg)
+	}
+}
+
+// An event cancelled within the ring's horizon stays on its bucket's list
+// until the bucket is reached. Here no pending event is ever in the ring:
+// the clock moves on by far-heap events and by RunFor alone, and the
+// cancelled slots must still come back rather than grow the arena.
+func TestCancelThenFarAdvanceDoesNotAllocate(t *testing.T) {
+	e := sim.NewEngine()
+	fn := func() {}
+	tm := e.NewTimer(fn)
+	turns := func() {
+		for range 1000 {
+			e.Cancel(e.After(100, fn))
+			e.After(10*sim.Microsecond, fn)
+			e.Run()
+			tm.ResetAfter(100)
+			tm.Stop()
+			e.RunFor(10 * sim.Microsecond)
+		}
+	}
+	turns()
+	if avg := testing.AllocsPerRun(10, turns); avg != 0 {
+		t.Fatalf("arm, cancel and advance past the ring allocates %.1f per 1000 turns, want 0", avg)
 	}
 }

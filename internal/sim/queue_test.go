@@ -31,7 +31,22 @@ type queueCoverage struct {
 	nearToFar  bool // a ring or near-heap event rescheduled past it
 	ties       bool // the chooser was consulted with more than one candidate
 	laps       map[uint64]bool
+
+	bigRun        bool // a bucket of bigRun or more events became the run
+	descending    bool // descendingRun events scheduled in a row, each before the last
+	runMidCancel  bool // an event cancelled from the middle of the run
+	runMidMove    bool // an event rescheduled out of the middle of the run
+	nearBeforeRun bool // an event at now, from a lower domain, ahead of the run's tail at now
+	restart       bool // RunUntil restarted an idle ring at its new clock
 }
+
+// The run sizes the seed corpus must reach: a bucket of bigRun events, and
+// streaks of descendingRun scheduled each before the last, so that a
+// bucket's list is far from the order of the run it is sorted into.
+const (
+	bigRun        = 300
+	descendingRun = 100
+)
 
 // queueRun is one decoded run: the engine under test, a second engine
 // handing out AtKey keys as a shard coordinator would, and the reference.
@@ -45,6 +60,9 @@ type queueRun struct {
 	timerID [4]int
 	fired   []refEvent
 	cov     queueCoverage
+
+	last       refEvent // the latest raw event scheduled
+	descending int      // how many in a row sorted before the one before
 }
 
 type queueHandle struct {
@@ -117,6 +135,11 @@ func (r *queueRun) onFire(when Time, key uint64) {
 		r.cov.bucketEdge = true
 	}
 	r.cov.laps[r.e.cur/ringSize] = true
+	// The fired event was the run's tail when the run still holds
+	// bigRun-1 after it.
+	if r.e.runN >= bigRun-1 {
+		r.cov.bigRun = true
+	}
 }
 
 // track records a freshly scheduled or rescheduled event under id.
@@ -141,6 +164,25 @@ func (r *queueRun) scheduled(ev *Event) {
 	id := r.newID()
 	r.track(ev, id)
 	r.handles = append(r.handles, queueHandle{ev, id})
+	x := refEvent{ev.when, ev.seq, id}
+	if x.when < r.last.when || x.when == r.last.when && x.key < r.last.key {
+		r.descending++
+	} else {
+		r.descending = 1
+	}
+	r.last = x
+	r.cov.descending = r.cov.descending || r.descending >= descendingRun
+	if n := len(r.e.run); n > 0 && ev.where == inNear && ev.when == r.e.Now() {
+		tail := r.e.run[n-1]
+		if tail.when == ev.when && ev.seq>>(64-domainBits) < tail.seq>>(64-domainBits) {
+			r.cov.nearBeforeRun = true
+		}
+	}
+}
+
+// inRunMiddle reports whether ev sits in the run but not at its tail.
+func (r *queueRun) inRunMiddle(ev *Event) bool {
+	return ev.where == inRun && int(ev.index) < len(r.e.run)-1
 }
 
 func (r *queueRun) newID() int {
@@ -228,6 +270,7 @@ func runQueueOps(tb testing.TB, data []byte, zeroChooser bool) ([]refEvent, queu
 			r.scheduled(e.AtKey(r.at(q), r.src.AllocKey(atKeyDomain), owner, func() {}))
 		case 3: // Cancel a still-pending event
 			if h, ok := r.pendingHandle(q.next()); ok {
+				r.cov.runMidCancel = r.cov.runMidCancel || r.inRunMiddle(h.ev)
 				e.Cancel(h.ev)
 				r.drop(r.find(h.id))
 			}
@@ -236,6 +279,7 @@ func runQueueOps(tb testing.TB, data []byte, zeroChooser bool) ([]refEvent, queu
 			at := r.at(q)
 			if ok {
 				from := h.ev.where
+				r.cov.runMidMove = r.cov.runMidMove || r.inRunMiddle(h.ev)
 				e.Reschedule(h.ev, at)
 				r.moved(from, h.ev.where)
 				r.track(h.ev, h.id)
@@ -269,9 +313,16 @@ func runQueueOps(tb testing.TB, data []byte, zeroChooser bool) ([]refEvent, queu
 			}
 		case 7: // RunUntil
 			at := r.at(q)
+			cur, fired := e.cur, len(r.fired)
 			e.RunUntil(at)
 			if e.Now() != at {
 				tb.Fatalf("RunUntil(%d) left the clock at %d", at, e.Now())
+			}
+			// The ring moved on with nothing fired in the new bucket and
+			// nothing left short of the far heap.
+			if e.cur == slotOf(at) && e.cur > cur && e.Pending() == len(e.far) &&
+				(len(r.fired) == fired || slotOf(r.fired[len(r.fired)-1].when) < e.cur) {
+				r.cov.restart = true
 			}
 			if i := r.least(); i >= 0 && r.ref[i].when <= at {
 				tb.Fatalf("RunUntil(%d) left an event at %d pending", at, r.ref[i].when)
@@ -342,6 +393,12 @@ func TestQueueOrderCorpusCoverage(t *testing.T) {
 		all.farToNear = all.farToNear || cov.farToNear
 		all.nearToFar = all.nearToFar || cov.nearToFar
 		all.ties = all.ties || cov.ties
+		all.bigRun = all.bigRun || cov.bigRun
+		all.descending = all.descending || cov.descending
+		all.runMidCancel = all.runMidCancel || cov.runMidCancel
+		all.runMidMove = all.runMidMove || cov.runMidMove
+		all.nearBeforeRun = all.nearBeforeRun || cov.nearBeforeRun
+		all.restart = all.restart || cov.restart
 		laps = max(laps, len(cov.laps))
 	}
 	for _, c := range []struct {
@@ -356,6 +413,12 @@ func TestQueueOrderCorpusCoverage(t *testing.T) {
 		{"a near event rescheduled out of it", all.nearToFar},
 		{"a chooser choosing among tied domains", all.ties},
 		{"events fired on four ring laps (three wraps)", laps >= 4},
+		{fmt.Sprintf("a run of %d events", bigRun), all.bigRun},
+		{fmt.Sprintf("%d events scheduled in a row, each before the last", descendingRun), all.descending},
+		{"a cancel in the middle of the run", all.runMidCancel},
+		{"a reschedule out of the middle of the run", all.runMidMove},
+		{"an event at now from a lower domain, ahead of the run's tail", all.nearBeforeRun},
+		{"RunUntil restarting an idle ring", all.restart},
 	} {
 		if !c.ok {
 			t.Errorf("the seed corpus never reaches %s", c.what)
