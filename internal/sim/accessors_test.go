@@ -4,16 +4,17 @@ import "testing"
 
 func TestEventAccessors(t *testing.T) {
 	e := NewEngine()
-	ev := e.At(42, func() {})
-	if ev.When() != 42 {
-		t.Fatalf("When = %v", ev.When())
+	tm := e.NewTimer(func() {})
+	tm.Reset(42)
+	if tm.When() != 42 {
+		t.Fatalf("When = %v", tm.When())
 	}
-	if !ev.Pending() {
-		t.Fatal("fresh event not pending")
+	if !tm.Pending() {
+		t.Fatal("freshly armed timer not pending")
 	}
 	e.Run()
-	if ev.Pending() {
-		t.Fatal("fired event still pending")
+	if tm.Pending() || tm.When() != 0 {
+		t.Fatalf("fired timer: Pending %v, When %v", tm.Pending(), tm.When())
 	}
 	if e.EventsFired() != 1 {
 		t.Fatalf("EventsFired = %d", e.EventsFired())
@@ -28,13 +29,13 @@ func TestRunFor(t *testing.T) {
 	fired := 0
 	e.At(50, func() { fired++ })
 	e.At(150, func() { fired++ })
-	e.RunFor(100)
+	e.RunUntil(e.Now() + 100)
 	if fired != 1 || e.Now() != 100 {
-		t.Fatalf("fired=%d now=%v after RunFor(100)", fired, e.Now())
+		t.Fatalf("fired=%d now=%v after running 100 on", fired, e.Now())
 	}
-	e.RunFor(100)
+	e.RunUntil(e.Now() + 100)
 	if fired != 2 || e.Now() != 200 {
-		t.Fatalf("fired=%d now=%v after second RunFor", fired, e.Now())
+		t.Fatalf("fired=%d now=%v after running 100 more", fired, e.Now())
 	}
 }
 
@@ -120,7 +121,9 @@ func TestRNGHelpers(t *testing.T) {
 		t.Fatalf("Perm not a permutation: %v", p)
 	}
 	b := make([]byte, 64)
-	g.Fill(b)
+	for i := range b {
+		b[i] = byte(g.Intn(256))
+	}
 	allZero := true
 	for _, x := range b {
 		if x != 0 {
@@ -128,7 +131,7 @@ func TestRNGHelpers(t *testing.T) {
 		}
 	}
 	if allZero {
-		t.Fatal("Fill left the buffer zeroed")
+		t.Fatal("64 drawn bytes are all zero")
 	}
 }
 
@@ -143,18 +146,6 @@ func TestNegativeSleepIsImmediate(t *testing.T) {
 	if at != 0 {
 		t.Fatalf("negative sleep resumed at %v", at)
 	}
-}
-
-func TestReschedulePanicsOnFiredEvent(t *testing.T) {
-	e := NewEngine()
-	ev := e.At(1, func() {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("rescheduling a fired event did not panic")
-		}
-	}()
-	e.Reschedule(ev, 10)
 }
 
 func TestKillFromInsideProcPanics(t *testing.T) {

@@ -34,36 +34,39 @@ func BenchmarkProcSwitch(b *testing.B) {
 }
 
 // BenchmarkSameInstantBurst is the queue's worst case for one bucket:
-// 65 536 events at one instant of a future bucket, every other one
-// cancelled in scheduling order, then Run reaches the bucket and drains the
+// 65 536 timers armed at one instant of a future bucket, every other one
+// stopped in arming order, then Run reaches the bucket and drains the
 // rest. One op is one such burst; a warm-up burst first grows the arena
 // and the run, so the timed ones allocate nothing.
 func BenchmarkSameInstantBurst(b *testing.B) {
-	sameInstantBurst(b, func(e *sim.Engine, ev *sim.Event) { e.Cancel(ev) })
+	sameInstantBurst(b, func(tm *sim.Timer) { tm.Stop() })
 }
 
-// BenchmarkSameInstantRescheduleBurst is the same burst with every other
-// event rescheduled one nanosecond later instead of cancelled. Reschedule
-// unlinks each from the bucket's list, a walk of it, so this one is
-// quadratic in the burst: seconds per op, where the cancelling burst takes
-// milliseconds. It is left out of CI's benchmark pass for that reason.
-func BenchmarkSameInstantRescheduleBurst(b *testing.B) {
-	sameInstantBurst(b, func(e *sim.Engine, ev *sim.Event) { e.Reschedule(ev, ev.When()+1) })
+// BenchmarkSameInstantResetBurst is the same burst with every other timer
+// re-armed one nanosecond later instead of stopped. A re-arm marks the
+// event on its list and schedules afresh, so the bucket the ring reaches
+// holds twice the pending events of the stopping burst, and no more than
+// that is sorted.
+func BenchmarkSameInstantResetBurst(b *testing.B) {
+	sameInstantBurst(b, func(tm *sim.Timer) { tm.Reset(tm.When() + 1) })
 }
 
-// sameInstantBurst times bursts of 65 536 events at one instant of a
-// future bucket, drop applied to every other one in scheduling order.
-func sameInstantBurst(b *testing.B, drop func(*sim.Engine, *sim.Event)) {
+// sameInstantBurst times bursts of 65 536 timers armed at one instant of a
+// future bucket, drop applied to every other one in arming order.
+func sameInstantBurst(b *testing.B, drop func(*sim.Timer)) {
 	e := sim.NewEngine()
 	fn := func() {}
-	evs := make([]*sim.Event, 1<<16)
+	tms := make([]*sim.Timer, 1<<16)
+	for i := range tms {
+		tms[i] = e.NewTimer(fn)
+	}
 	burst := func() {
 		at := e.Now() + 100
-		for i := range evs {
-			evs[i] = e.At(at, fn)
+		for _, tm := range tms {
+			tm.Reset(at)
 		}
-		for i := 0; i < len(evs); i += 2 {
-			drop(e, evs[i])
+		for i := 0; i < len(tms); i += 2 {
+			drop(tms[i])
 		}
 		e.Run()
 	}

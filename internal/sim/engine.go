@@ -8,18 +8,15 @@ import (
 	"slices"
 )
 
-// Event is one scheduled callback. Events live in the engine's arena:
-// Engine.At hands out a slot (recycling fired and cancelled slots through a
-// free list) and the returned handle is guaranteed valid only while the
-// event is pending — once it fires or is cancelled, the slot may be reused
-// by a later At and the old handle then refers to the new incarnation.
-// Callers that retain a handle across firings (retransmit timers and the
-// like) must use the generation-checked Timer instead of a raw *Event.
-type Event struct {
+// event is one scheduled callback in a slot of the engine's arena. A fired
+// or cancelled slot is recycled through the free list and its generation
+// bumped, which is how a Timer, the one handle kept past an event's firing,
+// tells its own incarnation from a later one in the same slot.
+type event struct {
 	when  Time
 	seq   uint64 // (domain, local sequence) key; breaks same-timestamp ties
 	fn    func()
-	next  *Event // bucket list link while the event sits in the ring
+	next  *event // bucket list link while the event sits in the ring
 	index int32  // position in the heap or the run holding the event
 	gen   uint32 // bumped on every recycle; Timer handles validate against it
 	owner uint32 // domain restored as the current domain when the event fires
@@ -38,14 +35,11 @@ const (
 	inFar           // the far heap
 )
 
-// When reports the virtual time at which the event is scheduled to fire.
-func (ev *Event) When() Time { return ev.when }
-
-// Pending reports whether the event is still scheduled.
-func (ev *Event) Pending() bool { return ev.where > cancelled }
+// pending reports whether the event is still scheduled.
+func (ev *event) pending() bool { return ev.where > cancelled }
 
 // arenaChunk is the slab size of the event arena. Chunks are never freed
-// or moved, so *Event pointers stay valid for the engine's lifetime.
+// or moved, so *event pointers stay valid for the engine's lifetime.
 const arenaChunk = 128
 
 // The ring has ringSize buckets of 1<<bucketShift = 32 ns, a horizon of
@@ -73,11 +67,14 @@ func slotOf(t Time) uint64 { return uint64(t) >> bucketShift }
 // horizon. When the current bucket's events are spent, the next non-empty
 // bucket becomes current and its list is sorted once, latest first, into
 // the run: a pop truncates the run's tail, and a cancel nils its slot. A
-// lone event skips the run and fires straight off its list. A cancel on a
-// list marks the event, which is recycled when its bucket is reached (or,
-// with nothing pending in the ring, when the current bucket moves on).
-// Nothing is inserted into the run; an event scheduled into the current
-// bucket while the run drains goes into the near heap. The next event is
+// lone event skips the run and fires straight off its list. An event
+// leaves the queue by firing or by a cancel, the one removal path: a Timer,
+// the only handle kept to a scheduled event, moves its event by cancelling
+// it and scheduling afresh. A cancel on a list marks the event, which is
+// recycled when its bucket is reached (or, with nothing pending in the
+// ring, when the current bucket moves on). Nothing is inserted into the
+// run; an event scheduled into the current bucket while the run drains
+// goes into the near heap. The next event is
 // the least of the run's tail and the near and far heap tops by (time,
 // key), so the fire order is the total order (time, key) whichever
 // structures an event passed through. Both heaps are 4-ary min-heaps with
@@ -110,16 +107,16 @@ type Engine struct {
 	// that the Engine, malloc header included, fits the 2 304 B size class.
 	ringN int32
 	runN  int32
-	run   []*Event
+	run   []*event
 	near  eventHeap
 	far   eventHeap
 	cur   uint64
-	ring  [ringSize]*Event
+	ring  [ringSize]*event
 	occ   [ringSize / 64]uint64
 
-	chunks []*[arenaChunk]Event
+	chunks []*[arenaChunk]event
 	used   int      // slots handed out of the newest chunk
-	free   []*Event // recycled slots, reused LIFO
+	free   []*event // recycled slots, reused LIFO
 
 	procs   map[*Proc]struct{}
 	current *Proc // process currently executing, if any
@@ -136,7 +133,7 @@ type hooks struct {
 	// chooser, when set, picks which same-timestamp enabled event fires
 	// next; see SetChooser. cands is its reusable scratch buffer.
 	chooser func(n int) int
-	cands   []*Event
+	cands   []*event
 }
 
 // domainBits is the width of the domain field in an event key; the low
@@ -211,7 +208,7 @@ func (e *Engine) Pending() int {
 
 // alloc hands out an event slot: a recycled one when available, else the
 // next slot of the newest arena chunk.
-func (e *Engine) alloc() *Event {
+func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
@@ -219,7 +216,7 @@ func (e *Engine) alloc() *Event {
 		return ev
 	}
 	if len(e.chunks) == 0 || e.used == arenaChunk {
-		e.chunks = append(e.chunks, new([arenaChunk]Event))
+		e.chunks = append(e.chunks, new([arenaChunk]event))
 		e.used = 0
 	}
 	ev := &e.chunks[len(e.chunks)-1][e.used]
@@ -229,7 +226,7 @@ func (e *Engine) alloc() *Event {
 
 // recycle returns a no-longer-queued slot to the free list. The generation
 // bump invalidates Timer handles to the slot's previous incarnation.
-func (e *Engine) recycle(ev *Event) {
+func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	e.free = append(e.free, ev)
@@ -237,7 +234,7 @@ func (e *Engine) recycle(ev *Event) {
 
 // eventLess orders the queue by timestamp, then by scheduling order, so
 // same-timestamp events fire FIFO.
-func eventLess(a, b *Event) bool {
+func eventLess(a, b *event) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
@@ -245,7 +242,7 @@ func eventLess(a, b *Event) bool {
 }
 
 // laterFirst is the run's order: eventLess reversed, as a sort comparison.
-func laterFirst(a, b *Event) int {
+func laterFirst(a, b *event) int {
 	if c := cmp.Compare(b.when, a.when); c != 0 {
 		return c
 	}
@@ -254,7 +251,7 @@ func laterFirst(a, b *Event) int {
 
 // eventHeap is a 4-ary min-heap of events under eventLess; every event in
 // it knows its position through index.
-type eventHeap []*Event
+type eventHeap []*event
 
 // siftUp moves h[i] toward the root until its parent is not greater.
 func (h eventHeap) siftUp(i int) {
@@ -303,7 +300,7 @@ func (h eventHeap) siftDown(i int) {
 }
 
 // push queues ev.
-func (h *eventHeap) push(ev *Event) {
+func (h *eventHeap) push(ev *event) {
 	ev.index = int32(len(*h))
 	*h = append(*h, ev)
 	h.siftUp(int(ev.index))
@@ -329,7 +326,7 @@ func (h *eventHeap) remove(i int) {
 // insert queues ev by its timestamp: into the near heap at or before the
 // current bucket, onto its bucket's list within the ring, else into the
 // far heap.
-func (e *Engine) insert(ev *Event) {
+func (e *Engine) insert(ev *event) {
 	s := slotOf(ev.when)
 	switch {
 	case s <= e.cur:
@@ -349,7 +346,7 @@ func (e *Engine) insert(ev *Event) {
 }
 
 // unlink takes a pending ev out of whichever structure holds it.
-func (e *Engine) unlink(ev *Event) {
+func (e *Engine) unlink(ev *event) {
 	switch ev.where {
 	case inRun:
 		// A pop takes the tail; a cancel elsewhere leaves a nil slot, which
@@ -366,17 +363,10 @@ func (e *Engine) unlink(ev *Event) {
 	case inFar:
 		e.far.remove(int(ev.index))
 	case inRing:
+		// Only a lone event leaves a list this way, fired where it sits.
 		b := slotOf(ev.when) & ringMask
-		if p := e.ring[b]; p == ev {
-			if e.ring[b] = ev.next; ev.next == nil {
-				e.occ[b/64] &^= 1 << (b % 64)
-			}
-		} else {
-			for p.next != ev {
-				p = p.next
-			}
-			p.next = ev.next
-		}
+		e.ring[b] = nil
+		e.occ[b/64] &^= 1 << (b % 64)
 		e.ringN--
 	}
 	ev.where = unqueued
@@ -406,7 +396,7 @@ func (e *Engine) nextSlot() uint64 {
 // heap spent, the next non-empty bucket becomes current first, unless the
 // far heap's top is due before it; a lone event is returned where it
 // sits, and fire makes its bucket current.
-func (e *Engine) front() *Event {
+func (e *Engine) front() *event {
 	for len(e.run) == 0 && len(e.near) == 0 && e.ringN > 0 {
 		s, farSlot := e.nextSlot(), uint64(math.MaxUint64)
 		if len(e.far) > 0 {
@@ -420,7 +410,7 @@ func (e *Engine) front() *Event {
 		}
 		e.reach(s)
 	}
-	var ev *Event
+	var ev *event
 	if n := len(e.run); n > 0 {
 		ev = e.run[n-1]
 	}
@@ -485,32 +475,30 @@ func (e *Engine) advance(s uint64) {
 // it would silently corrupt causality. The event is owned by the current
 // domain (0 outside any event), so work an entity schedules stays
 // attributed to that entity.
-func (e *Engine) At(t Time, fn func()) *Event {
-	return e.AtDomain(e.curDom, t, fn)
-}
+func (e *Engine) At(t Time, fn func()) { e.schedule(e.curDom, t, fn) }
+
+// After schedules fn to run d after the current time.
+func (e *Engine) After(d Time, fn func()) { e.schedule(e.curDom, e.now+d, fn) }
 
 // AtDomain schedules fn at t owned by domain owner: when the event fires,
 // owner becomes the current domain. The tiebreak key is drawn from the
 // current domain when one is executing (the scheduling entity), falling
 // back to owner for ambient (setup-time) scheduling — either way the key is
 // independent of how domains are assigned to engines.
-func (e *Engine) AtDomain(owner uint32, t Time, fn func()) *Event {
-	src := e.curDom
-	if src == 0 {
-		src = owner
-	}
-	return e.atKey(t, e.nextKey(src), owner, fn)
-}
+func (e *Engine) AtDomain(owner uint32, t Time, fn func()) { e.schedule(owner, t, fn) }
 
 // AtKey schedules fn at t with a caller-supplied key and owner. It is the
 // cross-engine handoff primitive: the source engine assigns the key via
 // AllocKey, the destination engine queues the event here, and the combined
 // timeline sorts exactly as if one engine had scheduled it.
-func (e *Engine) AtKey(t Time, key uint64, owner uint32, fn func()) *Event {
-	return e.atKey(t, key, owner, fn)
+func (e *Engine) AtKey(t Time, key uint64, owner uint32, fn func()) { e.atKey(t, key, owner, fn) }
+
+// schedule is AtDomain, returning the queued event.
+func (e *Engine) schedule(owner uint32, t Time, fn func()) *event {
+	return e.atKey(t, e.AllocKey(owner), owner, fn)
 }
 
-func (e *Engine) atKey(t Time, key uint64, owner uint32, fn func()) *Event {
+func (e *Engine) atKey(t Time, key uint64, owner uint32, fn func()) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -523,23 +511,12 @@ func (e *Engine) atKey(t Time, key uint64, owner uint32, fn func()) *Event {
 	return ev
 }
 
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) *Event {
-	return e.At(e.now+d, fn)
-}
-
-// Cancel removes a pending event and recycles its slot. Cancelling an
-// already-fired or already-cancelled event is a no-op — but note the
-// handle-validity rule on Event: once the slot has been reused by a later
-// At, the stale handle aliases the new event.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || !ev.Pending() {
-		return
-	}
+// cancel removes the pending event ev and recycles its slot. An event on a
+// ring list stays there, marked, since unlinking from a singly linked list
+// would walk it; reach or advance recycles it, so a cancel is O(1) however
+// long the list.
+func (e *Engine) cancel(ev *event) {
 	if ev.where == inRing {
-		// Unlinking from a singly linked list walks it, so the event stays
-		// on its list, marked, and reach or advance recycles it: a cancel
-		// is O(1) however long the list.
 		ev.where = cancelled
 		ev.fn = nil
 		e.ringN--
@@ -547,30 +524,6 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 	e.unlink(ev)
 	e.recycle(ev)
-}
-
-// Reschedule moves a pending event to time t, pushing it to the back of
-// the FIFO among events already scheduled at t. The event must still be
-// pending: rescheduling a fired or cancelled event panics, because its
-// slot may already belong to an unrelated event (use Timer.Reset for a
-// handle that re-arms safely across firings). The event keeps its slot, so
-// one still on a ring list is unlinked from it, a walk of the list: unlike
-// Cancel, rescheduling k events of one future bucket costs O(k²).
-func (e *Engine) Reschedule(ev *Event, t Time) {
-	if !ev.Pending() {
-		panic("sim: reschedule of non-pending event")
-	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: rescheduling event to %v before now %v", t, e.now))
-	}
-	src := e.curDom
-	if src == 0 {
-		src = ev.owner
-	}
-	e.unlink(ev)
-	ev.when = t
-	ev.seq = e.nextKey(src)
-	e.insert(ev)
 }
 
 // Step fires the next event, advancing the clock to its timestamp.
@@ -588,7 +541,7 @@ func (e *Engine) Step() bool {
 
 // fire runs the next event, given the queue's front ev — or, under a
 // chooser, the enabled event at ev's timestamp that the chooser picks.
-func (e *Engine) fire(ev *Event) {
+func (e *Engine) fire(ev *event) {
 	// A lone event of its bucket is alone at its instant: nothing to choose.
 	if e.hooks != nil && e.hooks.chooser != nil && ev.where != inRing {
 		ev = e.choose(ev.when)
@@ -659,7 +612,7 @@ func (e *Engine) SetChooser(fn func(n int) int) {
 // run's tail or in either heap, and the scan walks all three: the ring
 // holds only later buckets but for a lone event, which fire does not offer
 // the chooser.
-func (e *Engine) choose(t Time) *Event {
+func (e *Engine) choose(t Time) *event {
 	cands := e.hooks.cands[:0]
 	for i := len(e.run) - 1; i >= 0; i-- {
 		ev := e.run[i]
@@ -706,7 +659,7 @@ func (e *Engine) choose(t Time) *Event {
 
 // addCandidate adds ev to the enabled set unless its domain already has an
 // event there, in which case the lower key of the two stays.
-func addCandidate(cands []*Event, ev *Event) []*Event {
+func addCandidate(cands []*event, ev *event) []*event {
 	d := ev.seq >> (64 - domainBits)
 	for i, c := range cands {
 		if c.seq>>(64-domainBits) == d {
@@ -763,6 +716,3 @@ func (e *Engine) RunUntil(t Time) {
 		}
 	}
 }
-
-// RunFor runs the simulation for d more virtual time.
-func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }

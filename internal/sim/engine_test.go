@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -54,28 +55,68 @@ func TestEngineAfterUsesCurrentTime(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.At(10, func() { fired = true })
-	e.At(5, func() { e.Cancel(ev) })
+	tm := e.NewTimer(func() { fired = true })
+	tm.Reset(10)
+	e.At(5, func() { tm.Stop() })
 	e.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if ev.Pending() {
+	if tm.Pending() {
 		t.Fatal("cancelled event still pending")
 	}
 	// Cancelling again must be a no-op.
-	e.Cancel(ev)
-	e.Cancel(nil)
+	if tm.Stop() {
+		t.Fatal("a second Stop reported the timer armed")
+	}
 }
 
-func TestEngineReschedule(t *testing.T) {
-	e := NewEngine()
-	var at Time
-	ev := e.At(10, func() { at = e.Now() })
-	e.At(5, func() { e.Reschedule(ev, 20) })
-	e.Run()
-	if at != 20 {
-		t.Fatalf("rescheduled event fired at %v, want 20", at)
+// A timer armed inside a domain-2 event is owned by domain 2: re-armed
+// from ambient code or from a domain-3 event, it still fires with domain 2
+// current. Its key comes from the domain that re-arms it, or from domain 2
+// when ambient code does, which decides its place beside a domain-3 event
+// at the same instant.
+func TestTimerResetKeepsOwnerAndKey(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		from    uint32 // 0 for ambient code
+		keyDom  uint64
+		ordered []string
+	}{
+		{"ambient", 0, 2, []string{"timer", "marker"}},
+		{"domain 3", 3, 3, []string{"marker", "timer"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			e.GrowDomains(3)
+			var order []string
+			var keys []uint64
+			var firedIn uint32
+			e.SetFireHook(func(when Time, k uint64) {
+				if when == 100 {
+					keys = append(keys, k)
+				}
+			})
+			tm := e.NewTimer(func() { order = append(order, "timer"); firedIn = e.curDom })
+			e.AtDomain(2, 10, func() { tm.Reset(1000) })
+			e.RunUntil(10)
+			e.AtDomain(3, 100, func() { order = append(order, "marker") })
+			if c.from == 0 {
+				tm.Reset(100)
+			} else {
+				e.AtDomain(c.from, 20, func() { tm.Reset(100) })
+			}
+			e.Run()
+			if !slices.Equal(order, c.ordered) {
+				t.Fatalf("fired %v at 100, want %v", order, c.ordered)
+			}
+			if firedIn != 2 {
+				t.Errorf("timer fired with domain %d current, want its owner 2", firedIn)
+			}
+			if d := keys[slices.Index(order, "timer")] >> (64 - domainBits); d != c.keyDom {
+				t.Errorf("timer's key is from domain %d, want %d", d, c.keyDom)
+			}
+		})
 	}
 }
 

@@ -11,27 +11,15 @@ import (
 	"repro/internal/sim"
 )
 
-func TestCancelThenReschedulePanics(t *testing.T) {
-	e := sim.NewEngine()
-	ev := e.At(10, func() {})
-	e.Cancel(ev)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reschedule after Cancel did not panic")
-		}
-	}()
-	e.Reschedule(ev, 20)
-}
-
 func TestCancelFromInsideFiringCallback(t *testing.T) {
 	// An event firing at t=5 cancels another event scheduled for the same
 	// instant; the cancelled event must not fire even though it was
 	// already due when the cancellation ran.
 	e := sim.NewEngine()
 	fired := false
-	var victim *sim.Event
-	e.At(5, func() { e.Cancel(victim) })
-	victim = e.At(5, func() { fired = true })
+	victim := e.NewTimer(func() { fired = true })
+	e.At(5, func() { victim.Stop() })
+	victim.Reset(5)
 	e.Run()
 	if fired {
 		t.Fatal("event cancelled by a same-timestamp callback still fired")
@@ -132,7 +120,7 @@ func TestTimerResetMovesDeadline(t *testing.T) {
 	var firedAt sim.Time
 	tm := e.NewTimer(func() { firedAt = e.Now() })
 	tm.Reset(5)
-	tm.Reset(20) // reschedules the pending event in place
+	tm.Reset(20) // cancels the pending event and schedules it afresh
 	e.Run()
 	if firedAt != 20 {
 		t.Fatalf("timer fired at %v, want 20", firedAt)
@@ -197,7 +185,7 @@ func TestTimerChurnDoesNotAllocate(t *testing.T) {
 
 // An event cancelled within the ring's horizon stays on its bucket's list
 // until the bucket is reached. Here no pending event is ever in the ring:
-// the clock moves on by far-heap events and by RunFor alone, and the
+// the clock moves on by far-heap events and by RunUntil alone, and the
 // cancelled slots must still come back rather than grow the arena.
 func TestCancelThenFarAdvanceDoesNotAllocate(t *testing.T) {
 	e := sim.NewEngine()
@@ -205,12 +193,13 @@ func TestCancelThenFarAdvanceDoesNotAllocate(t *testing.T) {
 	tm := e.NewTimer(fn)
 	turns := func() {
 		for range 1000 {
-			e.Cancel(e.After(100, fn))
+			tm.ResetAfter(100)
+			tm.Stop()
 			e.After(10*sim.Microsecond, fn)
 			e.Run()
 			tm.ResetAfter(100)
 			tm.Stop()
-			e.RunFor(10 * sim.Microsecond)
+			e.RunUntil(e.Now() + 10*sim.Microsecond)
 		}
 	}
 	turns()

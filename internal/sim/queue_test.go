@@ -27,15 +27,15 @@ type queueCoverage struct {
 	bucketEdge bool // an event fired exactly at a bucket boundary
 	lastRing   bool // an event went into the ring's last bucket
 	firstFar   bool // an event went into the first bucket past the horizon
-	farToNear  bool // a far-heap event rescheduled into the horizon
-	nearToFar  bool // a ring or near-heap event rescheduled past it
+	farToNear  bool // a far-heap event re-armed into the horizon
+	nearToFar  bool // a ring or near-heap event re-armed past it
 	ties       bool // the chooser was consulted with more than one candidate
 	laps       map[uint64]bool
 
 	bigRun        bool // a bucket of bigRun or more events became the run
 	descending    bool // descendingRun events scheduled in a row, each before the last
 	runMidCancel  bool // an event cancelled from the middle of the run
-	runMidMove    bool // an event rescheduled out of the middle of the run
+	runMidMove    bool // an event re-armed out of the middle of the run
 	nearBeforeRun bool // an event at now, from a lower domain, ahead of the run's tail at now
 	restart       bool // RunUntil restarted an idle ring at its new clock
 }
@@ -49,7 +49,7 @@ const (
 )
 
 // queueRun is one decoded run: the engine under test, a second engine
-// handing out AtKey keys as a shard coordinator would, and the reference.
+// handing out atKey keys as a shard coordinator would, and the reference.
 type queueRun struct {
 	t       testing.TB
 	e, src  *Engine
@@ -66,11 +66,11 @@ type queueRun struct {
 }
 
 type queueHandle struct {
-	ev *Event
+	ev *event
 	id int
 }
 
-// atKeyDomain is the domain AtKey keys come from; the engine under test
+// atKeyDomain is the domain atKey keys come from; the engine under test
 // never draws keys from it itself, so they stay unique.
 const atKeyDomain = 3
 
@@ -142,8 +142,8 @@ func (r *queueRun) onFire(when Time, key uint64) {
 	}
 }
 
-// track records a freshly scheduled or rescheduled event under id.
-func (r *queueRun) track(ev *Event, id int) {
+// track records a freshly scheduled or re-armed event under id.
+func (r *queueRun) track(ev *event, id int) {
 	if i := r.find(id); i >= 0 {
 		r.drop(i)
 	}
@@ -159,8 +159,8 @@ func (r *queueRun) track(ev *Event, id int) {
 }
 
 // scheduled tracks a freshly scheduled raw event and keeps its handle for
-// later cancels and reschedules.
-func (r *queueRun) scheduled(ev *Event) {
+// later cancels and re-arms.
+func (r *queueRun) scheduled(ev *event) {
 	id := r.newID()
 	r.track(ev, id)
 	r.handles = append(r.handles, queueHandle{ev, id})
@@ -181,7 +181,7 @@ func (r *queueRun) scheduled(ev *Event) {
 }
 
 // inRunMiddle reports whether ev sits in the run but not at its tail.
-func (r *queueRun) inRunMiddle(ev *Event) bool {
+func (r *queueRun) inRunMiddle(ev *event) bool {
 	return ev.where == inRun && int(ev.index) < len(r.e.run)-1
 }
 
@@ -190,7 +190,7 @@ func (r *queueRun) newID() int {
 	return r.ids
 }
 
-// moved notes a reschedule that crossed the horizon.
+// moved notes a re-arm that crossed the horizon.
 func (r *queueRun) moved(from, to queue) {
 	if from == inFar && to != inFar {
 		r.cov.farToNear = true
@@ -209,7 +209,7 @@ const maxQueueEvents = 1 << 10
 func (r *queueRun) chain(links int, step Time) func() {
 	return func() {
 		if links > 0 && r.ids < maxQueueEvents {
-			r.scheduled(r.e.After(step, r.chain(links-1, step)))
+			r.scheduled(r.e.schedule(r.e.curDom, r.e.now+step, r.chain(links-1, step)))
 		}
 	}
 }
@@ -260,27 +260,28 @@ func runQueueOps(tb testing.TB, data []byte, zeroChooser bool) ([]refEvent, queu
 			at := r.at(q)
 			x, step := q.next(), Time(q.next())*4
 			for range 1 + x%4 {
-				r.scheduled(e.At(at, r.chain(int(x/4), step)))
+				r.scheduled(e.schedule(e.curDom, at, r.chain(int(x/4), step)))
 			}
 		case 1: // AtDomain
 			owner := uint32(q.next() % atKeyDomain)
-			r.scheduled(e.AtDomain(owner, r.at(q), func() {}))
+			r.scheduled(e.schedule(owner, r.at(q), func() {}))
 		case 2: // AtKey, keyed by another engine as a cross-shard handoff is
 			owner := uint32(q.next() % atKeyDomain)
-			r.scheduled(e.AtKey(r.at(q), r.src.AllocKey(atKeyDomain), owner, func() {}))
-		case 3: // Cancel a still-pending event
-			if h, ok := r.pendingHandle(q.next()); ok {
+			r.scheduled(e.atKey(r.at(q), r.src.AllocKey(atKeyDomain), owner, func() {}))
+		case 3: // cancel a still-pending event
+			if h := r.pendingHandle(q.next()); h != nil {
 				r.cov.runMidCancel = r.cov.runMidCancel || r.inRunMiddle(h.ev)
-				e.Cancel(h.ev)
+				e.cancel(h.ev)
 				r.drop(r.find(h.id))
 			}
-		case 4: // Reschedule a still-pending event
-			h, ok := r.pendingHandle(q.next())
+		case 4: // re-arm a still-pending raw handle, as Timer.Reset does
+			h := r.pendingHandle(q.next())
 			at := r.at(q)
-			if ok {
-				from := h.ev.where
+			if h != nil {
+				from, owner, fn := h.ev.where, h.ev.owner, h.ev.fn
 				r.cov.runMidMove = r.cov.runMidMove || r.inRunMiddle(h.ev)
-				e.Reschedule(h.ev, at)
+				e.cancel(h.ev)
+				h.ev = e.schedule(owner, at, fn)
 				r.moved(from, h.ev.where)
 				r.track(h.ev, h.id)
 			}
@@ -350,19 +351,23 @@ func runQueueOps(tb testing.TB, data []byte, zeroChooser bool) ([]refEvent, queu
 	return r.fired, r.cov
 }
 
-// pendingHandle picks a raw handle by b, if its event is still pending.
-func (r *queueRun) pendingHandle(b byte) (queueHandle, bool) {
+// pendingHandle picks a raw handle by b, or nil unless its event is still
+// pending.
+func (r *queueRun) pendingHandle(b byte) *queueHandle {
 	if len(r.handles) == 0 {
-		return queueHandle{}, false
+		return nil
 	}
-	h := r.handles[int(b)%len(r.handles)]
-	return h, r.find(h.id) >= 0
+	h := &r.handles[int(b)%len(r.handles)]
+	if r.find(h.id) < 0 {
+		return nil
+	}
+	return h
 }
 
-// FuzzQueueOrder checks the fire order of any mix of At, AtDomain, AtKey,
-// Cancel, Reschedule, Timer.Reset, Timer.Stop, RunUntil and RunBefore
-// against the reference, and that a chooser always picking 0 gives the
-// same timeline as none.
+// FuzzQueueOrder checks the fire order of any mix of schedule, atKey,
+// cancel, a raw handle's re-arm, Timer.Reset, Timer.Stop, RunUntil and
+// RunBefore against the reference, and that a chooser always picking 0
+// gives the same timeline as none.
 func FuzzQueueOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		plain, _ := runQueueOps(t, data, false)
@@ -409,14 +414,14 @@ func TestQueueOrderCorpusCoverage(t *testing.T) {
 		{"a firing exactly on a bucket boundary", all.bucketEdge},
 		{"an event in the ring's last bucket", all.lastRing},
 		{"an event in the first bucket past the horizon", all.firstFar},
-		{"a far timer rescheduled into the horizon", all.farToNear},
-		{"a near event rescheduled out of it", all.nearToFar},
+		{"a far timer re-armed into the horizon", all.farToNear},
+		{"a near event re-armed out of it", all.nearToFar},
 		{"a chooser choosing among tied domains", all.ties},
 		{"events fired on four ring laps (three wraps)", laps >= 4},
 		{fmt.Sprintf("a run of %d events", bigRun), all.bigRun},
 		{fmt.Sprintf("%d events scheduled in a row, each before the last", descendingRun), all.descending},
 		{"a cancel in the middle of the run", all.runMidCancel},
-		{"a reschedule out of the middle of the run", all.runMidMove},
+		{"a re-arm out of the middle of the run", all.runMidMove},
 		{"an event at now from a lower domain, ahead of the run's tail", all.nearBeforeRun},
 		{"RunUntil restarting an idle ring", all.restart},
 	} {

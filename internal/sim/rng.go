@@ -66,9 +66,3 @@ func (g *RNG) Bernoulli(p float64) bool {
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r().Perm(n) }
-
-// Fill fills b with pseudo-random bytes (for payload generation in tests).
-func (g *RNG) Fill(b []byte) {
-	// rand.Rand.Read never fails.
-	g.r().Read(b)
-}

@@ -1,19 +1,17 @@
 package sim
 
-// Timer is a reusable scheduling handle: the callback is bound once at
-// construction, and Reset re-arms it for another firing without allocating
-// a closure or an event — the pattern behind every retransmit timer in the
-// protocol layers, which arm, cancel, and re-arm on each packet.
-//
-// Unlike a raw *Event, a Timer is safe to retain across firings: it
-// remembers the generation of the arena slot it armed, so once the event
-// fires (and the slot is recycled, possibly into an unrelated event) the
-// Timer observes itself as no longer pending instead of aliasing the
-// slot's next incarnation.
+// Timer is a reusable scheduling handle and the only one the engine keeps
+// to a scheduled event: the callback is bound once at construction, and
+// Reset re-arms it for another firing without allocating a closure — the
+// pattern behind every retransmit timer in the protocol layers, which arm,
+// cancel, and re-arm on each packet. It remembers the generation of the
+// arena slot it armed, so once its event fires or is cancelled and the slot
+// is recycled into another event, the Timer reads as unarmed rather than
+// aliasing the slot's next incarnation.
 type Timer struct {
 	eng *Engine
 	fn  func()
-	ev  *Event
+	ev  *event
 	gen uint32
 }
 
@@ -24,7 +22,7 @@ func (e *Engine) NewTimer(fn func()) *Timer {
 
 // active reports whether the armed incarnation is still the queued one.
 func (t *Timer) active() bool {
-	return t.ev != nil && t.ev.gen == t.gen && t.ev.Pending()
+	return t.ev != nil && t.ev.gen == t.gen && t.ev.pending()
 }
 
 // Pending reports whether the timer is armed and has not yet fired.
@@ -38,16 +36,20 @@ func (t *Timer) When() Time {
 	return t.ev.when
 }
 
-// Reset arms the timer to fire at virtual time at, rescheduling in place
-// when already armed. Arming from inside the timer's own callback is
-// allowed and schedules the next firing (the firing incarnation was
-// already retired by the engine).
+// Reset arms the timer to fire at virtual time at. An armed timer's event
+// is cancelled and scheduled afresh with its owner, so it fires owned by
+// the domain that first armed it, and its key is drawn as for any event
+// scheduled now: from the current domain, or from the owner outside any
+// event. Arming from inside the timer's own callback is allowed and
+// schedules the next firing (the firing incarnation was already retired by
+// the engine).
 func (t *Timer) Reset(at Time) {
+	owner := t.eng.curDom
 	if t.active() {
-		t.eng.Reschedule(t.ev, at)
-		return
+		owner = t.ev.owner
+		t.eng.cancel(t.ev)
 	}
-	t.ev = t.eng.At(at, t.fn)
+	t.ev = t.eng.schedule(owner, at, t.fn)
 	t.gen = t.ev.gen
 }
 
@@ -61,6 +63,6 @@ func (t *Timer) Stop() bool {
 	if !t.active() {
 		return false
 	}
-	t.eng.Cancel(t.ev)
+	t.eng.cancel(t.ev)
 	return true
 }

@@ -23,9 +23,6 @@ func (w *Waiter) Wait(p *Proc) {
 	p.park()
 }
 
-// Waiting reports how many processes are parked on w.
-func (w *Waiter) Waiting() int { return len(w.queue) }
-
 // WakeOne releases the longest-waiting process, if any, and reports
 // whether one was released. The process resumes at the current virtual
 // time once the currently-running work yields.
@@ -51,33 +48,4 @@ func (w *Waiter) WakeAll() {
 	}
 	clear(w.queue)
 	w.queue = w.queue[:0]
-}
-
-// WaitTimeout parks p until woken or until d elapses. It reports true if
-// woken, false on timeout.
-func (w *Waiter) WaitTimeout(p *Proc, d Time) bool {
-	p.checkContext()
-	woken := false
-	fired := false
-	w.queue = append(w.queue, p)
-	timer := p.eng.After(d, func() {
-		fired = true
-		// Remove p from the queue so a later Wake doesn't resume a
-		// process that already timed out.
-		for i, q := range w.queue {
-			if q == p {
-				w.queue = append(w.queue[:i], w.queue[i+1:]...)
-				break
-			}
-		}
-		p.eng.step(p)
-	})
-	// Mark the entry so a Wake cancels the timer. We detect wake-vs-timeout
-	// by whether the timer is still pending when we resume.
-	p.park()
-	if !fired && timer.Pending() {
-		p.eng.Cancel(timer)
-		woken = true
-	}
-	return woken
 }
