@@ -142,6 +142,8 @@ func TestBadFlagsAreUsageErrors(t *testing.T) {
 		{"coll -collectives barrier,bcast", "unknown collective"},
 		{"coll -nodes 0", "bad system size"},
 		{"coll -fabric ring", "unknown fabric"},
+		{"coll -collectives allgather -nodes 4096", "exceeds the eager limit"},
+		{"coll -collectives allreduce -veclen 3000", "exceeds the eager limit"},
 		{"gm -fig 3 -iters -3 -maxsize 2", "-iters -3"},
 		{"gm -fig 3 -iters 1 -warmup -5 -maxsize 2", "-warmup -5"},
 		{"gm -fig 3 -iters 0", "-iters 0"},

@@ -165,6 +165,9 @@ func runColl(args []string, stdout, stderr io.Writer) int {
 			return c.usage("unknown collective %q (have %s)", name, strings.Join(harness.CollNames, ", "))
 		}
 		for _, n := range nodes {
+			if err := harness.CollFits(name, n, *veclen); err != nil {
+				return c.usage("%v", err)
+			}
 			pts = append(pts, harness.Point{Collective: name, Nodes: n, Size: *veclen})
 		}
 	}

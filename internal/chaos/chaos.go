@@ -55,11 +55,11 @@ func MatchSwitch(label string) Match {
 	}
 }
 
-// MatchData matches data-bearing frames (unicast, directed, multicast),
+// MatchData matches data-bearing frames (unicast and multicast),
 // leaving control traffic untouched.
 func MatchData(p *fabric.Packet, _ *fabric.Link) bool {
 	k, ok := gm.KindOf(p)
-	return ok && (k == gm.KindData || k == gm.KindDirected || k == gm.KindMcastData)
+	return ok && (k == gm.KindData || k == gm.KindMcastData)
 }
 
 // MatchAcks matches acknowledgment and nack frames — losing these

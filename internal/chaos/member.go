@@ -149,7 +149,7 @@ func (j *ChurnJob) Drive(env *Env) (sim.Time, []string) {
 // membership ground truth prescribes: acked-as-dropped rejections must not
 // leak into the accepted count.
 func (j *ChurnJob) Check(env *Env, d metrics.Snapshot) ([]string, []Stat) {
-	gmc := env.Cluster.Cfg.GM
+	gmc := &env.Cluster.Cfg.GM
 	var v []string
 	for i, p := range j.ctrl {
 		if got, want := p.FreeSendTokens(), gmc.SendTokens; got != want {

@@ -451,7 +451,7 @@ func (cfg *Config) HostMemcpyTime(n int) sim.Time {
 // significantly different from the binomial tree".
 func (cfg *Config) Postal(size int) tree.PostalParams {
 	fab := cfg.backend()
-	g, lp := cfg.GM, fab.Links
+	g, lp := &cfg.GM, fab.Links
 	npkts := g.Packets(size)
 	first := size
 	if first > g.MTU {
@@ -497,7 +497,7 @@ func (cfg *Config) OptimalTree(root fabric.NodeID, members []fabric.NodeID, size
 // root emits f replicas of each packet (serialization plus header rewrite
 // per replica), and each tree level adds one per-packet forwarding delay.
 func (cfg *Config) pipelinedFinish(n, f, size int) sim.Time {
-	g, lp := cfg.GM, cfg.backend().Links
+	g, lp := &cfg.GM, cfg.backend().Links
 	npkts := g.Packets(size)
 	chunk := size
 	if chunk > g.MTU {

@@ -12,7 +12,7 @@ func TestKindStrings(t *testing.T) {
 		KindData: "DATA", KindAck: "ACK", KindMcastData: "MCAST",
 		KindMcastAck: "MACK", KindNack: "NACK", KindMcastNack: "MNACK",
 		KindBarrier: "BARR", KindBarrierAck: "BARRACK",
-		KindReduce: "RED", KindReduceAck: "REDACK", KindDirected: "DSEND",
+		KindReduce: "RED", KindReduceAck: "REDACK",
 		Kind(200): "Kind(200)",
 	}
 	for k, want := range cases {

@@ -109,11 +109,11 @@ func DefaultConfig() Config {
 }
 
 // AckCoalescing reports whether cumulative delayed acknowledgments are on.
-func (c Config) AckCoalescing() bool { return c.AckEvery > 1 }
+func (c *Config) AckCoalescing() bool { return c.AckEvery > 1 }
 
 // EffectiveAckDelay reports the delayed-ack flush bound: AckDelay when
 // set, else RetransmitTimeout/8.
-func (c Config) EffectiveAckDelay() sim.Time {
+func (c *Config) EffectiveAckDelay() sim.Time {
 	if c.AckDelay > 0 {
 		return c.AckDelay
 	}
@@ -122,11 +122,11 @@ func (c Config) EffectiveAckDelay() sim.Time {
 
 // ackEconomy reports whether any ack-economy feature is active; the fused
 // ack dispatch path keys off it.
-func (c Config) ackEconomy() bool { return c.AckCoalescing() || c.PiggybackAcks }
+func (c *Config) ackEconomy() bool { return c.AckCoalescing() || c.PiggybackAcks }
 
 // Packets reports how many MTU-sized packets a message of n bytes needs.
 // A zero-byte message still takes one (header-only) packet.
-func (c Config) Packets(n int) int {
+func (c *Config) Packets(n int) int {
 	if n <= 0 {
 		return 1
 	}
@@ -135,4 +135,4 @@ func (c Config) Packets(n int) int {
 
 // WireSize reports the on-wire size of a data packet with the given
 // payload length.
-func (c Config) WireSize(payload int) int { return c.HeaderBytes + payload }
+func (c *Config) WireSize(payload int) int { return c.HeaderBytes + payload }

@@ -10,8 +10,8 @@ import (
 )
 
 // Token is the firmware-side descriptor for one outgoing message, translated
-// from a host send event — GM's "send token": a unicast send, a directed
-// write, or a message the extension sends to one of its groups. A NIC owns as
+// from a host send event — GM's "send token": a unicast send or a message
+// the extension sends to one of its groups. A NIC owns as
 // many as its ports have host-level send tokens: a post takes one off the
 // NIC's free list, the token carries the message from the host's post through
 // the LANai's send-event processing into its connection's queue — or, for a
@@ -30,14 +30,6 @@ type Token struct {
 	nextOff int // next byte offset to stage
 	pending int // packets staged or in flight, not yet acked
 	staged  bool
-	// directed marks a remote-DMA put: region names the remote region and
-	// base the starting write offset within it.
-	directed bool
-	region   RegionID
-	base     int
-	// onDone, when non-nil, runs after the host-level send token has been
-	// returned — every packet is acknowledged.
-	onDone func()
 	// onEpoch, when non-nil, is told the group epoch the message stages in.
 	onEpoch func(epoch uint32)
 
@@ -108,13 +100,10 @@ func (t *Token) run() {
 // done completes the message: the host gets its send token back, and the
 // NIC's token returns to its free list.
 func (t *Token) done() {
-	p, onDone := t.port, t.onDone
+	p := t.port
 	*t = Token{step: t.step}
 	p.nic.tokFree = append(p.nic.tokFree, t)
 	p.returnSendToken()
-	if onDone != nil {
-		onDone()
-	}
 }
 
 // conn is the sender-side reliability state for one connection: FIFO send
@@ -187,11 +176,7 @@ func (c *conn) pump() {
 		t := c.queue[0]
 		fr, last := t.NextFrame(c.nic.Cfg.MTU)
 		fr.Kind, fr.SrcPort, fr.DstPort, fr.Seq = KindData, c.key.LocalP, c.key.RemoteP, c.nextSeq
-		if t.directed {
-			fr.Kind = KindDirected
-			fr.MsgID = uint64(t.region)
-			fr.Offset += t.base
-		} else if c.nic.Cfg.PiggybackAcks {
+		if c.nic.Cfg.PiggybackAcks {
 			// Reverse-direction receiver state shares this connection's key
 			// (mirrored port pair); a pending coalesced ack rides out in
 			// this frame's header instead of a standalone ack packet.

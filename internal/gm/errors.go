@@ -16,12 +16,6 @@ var (
 	// ErrTokenExhausted reports posting more receive tokens than the
 	// configured cap allows.
 	ErrTokenExhausted = errors.New("gm: receive token limit exceeded")
-	// ErrSelfSend reports a send (or directed send) addressed to the
-	// sending node itself.
+	// ErrSelfSend reports a send addressed to the sending node itself.
 	ErrSelfSend = errors.New("gm: send to self is not supported")
-	// ErrNotRegistered reports deregistering (or addressing) a memory
-	// region that is not registered.
-	ErrNotRegistered = errors.New("gm: region not registered")
-	// ErrNegativeOffset reports a directed send with a negative offset.
-	ErrNegativeOffset = errors.New("gm: negative directed-send offset")
 )

@@ -41,9 +41,6 @@ func TestSentinelErrorsAreIsable(t *testing.T) {
 	if err := recoverErr(t, func() { n.SetExtension(ext) }); !errors.Is(err, ErrExtensionInstalled) {
 		t.Errorf("double SetExtension: got %v, want ErrExtensionInstalled", err)
 	}
-	if err := recoverErr(t, func() { r.ports[0].DeregisterRegion(RegionID(77)) }); !errors.Is(err, ErrNotRegistered) {
-		t.Errorf("deregister unknown: got %v, want ErrNotRegistered", err)
-	}
 }
 
 func TestTokenExhaustedError(t *testing.T) {

@@ -39,11 +39,6 @@ const (
 	// the operator.
 	KindReduce
 	KindReduceAck
-	// KindDirected is a remote-DMA put into a registered region
-	// (gm_directed_send); MsgID carries the region id, Offset the write
-	// offset. Same reliability as KindData, but no receive token and no
-	// receive event.
-	KindDirected
 	// KindGather carries one chunk of a concatenate-and-forward allgather
 	// batch up the tree: Offset is the byte offset within the batch, MsgLen
 	// the batch total.
@@ -77,8 +72,6 @@ func (k Kind) String() string {
 		return "RED"
 	case KindReduceAck:
 		return "REDACK"
-	case KindDirected:
-		return "DSEND"
 	case KindGather:
 		return "GATH"
 	case KindGatherAck:

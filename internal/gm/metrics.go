@@ -10,22 +10,20 @@ const Component = "gm"
 // block filed under its node in the hardware NIC's registry, or makes a
 // private one when none is wired.
 type instruments struct {
-	dataSent         metrics.Counter
-	dataReceived     metrics.Counter
-	acksSent         metrics.Counter
-	acksReceived     metrics.Counter
-	acksSuppressed   metrics.Counter
-	acksPiggybacked  metrics.Counter
-	retransmits      metrics.Counter
-	timeouts         metrics.Counter
-	duplicates       metrics.Counter
-	oooDrops         metrics.Counter
-	noTokenDrops     metrics.Counter
-	nacksSent        metrics.Counter
-	nacksReceived    metrics.Counter
-	directedReceived metrics.Counter
-	directedRefused  metrics.Counter
-	tokenWaitNs      metrics.Histogram
+	dataSent        metrics.Counter
+	dataReceived    metrics.Counter
+	acksSent        metrics.Counter
+	acksReceived    metrics.Counter
+	acksSuppressed  metrics.Counter
+	acksPiggybacked metrics.Counter
+	retransmits     metrics.Counter
+	timeouts        metrics.Counter
+	duplicates      metrics.Counter
+	oooDrops        metrics.Counter
+	noTokenDrops    metrics.Counter
+	nacksSent       metrics.Counter
+	nacksReceived   metrics.Counter
+	tokenWaitNs     metrics.Histogram
 }
 
 func (m *instruments) Each(v *metrics.Visitor) {
@@ -42,7 +40,5 @@ func (m *instruments) Each(v *metrics.Visitor) {
 	v.Counter("no_token_drops", &m.noTokenDrops)
 	v.Counter("nacks_sent", &m.nacksSent)
 	v.Counter("nacks_received", &m.nacksReceived)
-	v.Counter("directed_received", &m.directedReceived)
-	v.Counter("directed_refused", &m.directedRefused)
 	v.Histogram("token_wait_ns", &m.tokenWaitNs)
 }

@@ -258,8 +258,6 @@ func (n *NIC) rxDispatch(pkt *fabric.Packet) {
 	switch {
 	case fr.Kind == KindData || fr.Kind == KindMcastData && n.ext != nil:
 		n.rxData(src, fr)
-	case fr.Kind == KindDirected:
-		n.rxDirected(src, fr)
 	default:
 		panic(fmt.Sprintf("gm: unhandled frame kind %v at %v (no extension?)", fr.Kind, n.ID()))
 	}

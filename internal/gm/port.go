@@ -113,10 +113,6 @@ type Port struct {
 	asms map[asmKey]*Assembly
 	lent *Assembly   // what the last Recv or TryRecv returned; the next takes it back
 	free []*Assembly // taken back or released, reused by MatchAssembly
-
-	// regions are remotely writable registered buffers (directed sends).
-	regions    map[RegionID]*region
-	nextRegion RegionID
 }
 
 func newPort(n *NIC, id PortID) *Port {
@@ -379,7 +375,7 @@ func (p *Port) takeFree(msgLen int) *Assembly {
 // (which this is exported for) names the tree's root, not the forwarder.
 // Matching is best-fit (the smallest posted token that admits the message,
 // oldest on ties), standing in for GM's size-class token matching: a large
-// rendezvous landing token is never consumed by a small eager message. The
+// token is never consumed by a small message that a smaller one admits. The
 // token's capacity is the admission test and nothing else; the host buffer is
 // MsgLen long, taken from the spares when one is large enough. It
 // reports false when no token fits — the caller must then refuse the packet.

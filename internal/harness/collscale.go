@@ -25,6 +25,26 @@ func AllgatherNICEligible(nodes, veclen int) bool {
 	return 8*nodes*veclen <= mpi.EagerMax
 }
 
+// CollFits reports whether the MPI layer accepts one of CollNames at this
+// size, or why not: the host-based allreduce exchanges the whole vector,
+// and the host-based allgather (which a NIC-ineligible size also takes)
+// exchanges up to ⌈nodes/2⌉ vectors at once; either past mpi.EagerMax is
+// mpi.ErrExceedsEager.
+func CollFits(collective string, nodes, veclen int) error {
+	var largest int
+	switch collective {
+	case "allreduce":
+		largest = 8 * veclen
+	case "allgather":
+		largest = 8 * veclen * ((nodes + 1) / 2)
+	}
+	if largest > mpi.EagerMax {
+		return fmt.Errorf("%w: %s of veclen %d on %d nodes exchanges %d bytes, limit %d",
+			mpi.ErrExceedsEager, collective, veclen, nodes, largest, mpi.EagerMax)
+	}
+	return nil
+}
+
 // CollLatency measures the average latency of one collective at the MPI
 // layer: every rank runs Warmup+Iters back-to-back operations (the
 // collective itself keeps the ranks synchronized) and the per-call time is
@@ -37,6 +57,9 @@ func (o Options) CollLatency(collective string, nodes, veclen int, useNB bool) f
 		// Checked before the cluster spins up: a panic inside a rank's
 		// process goroutine would be unrecoverable for the caller.
 		panic(fmt.Sprintf("harness: unknown collective %q", collective))
+	}
+	if err := CollFits(collective, nodes, veclen); err != nil {
+		panic(err)
 	}
 	c := o.build(nodes)
 	w := mpi.NewWorld(c, useNB)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -96,6 +97,28 @@ func TestCollLatencyUnknownPanics(t *testing.T) {
 		}
 	}()
 	collFast().CollLatency("alltoall", 4, 1, false)
+}
+
+// A size the MPI layer would refuse fails the same way, before a cluster
+// is built: an allreduce vector past EagerMax, and an allgather whose
+// largest host exchange (⌈n/2⌉ vectors) is past it.
+func TestCollLatencyExceedsEagerPanics(t *testing.T) {
+	for _, c := range []struct {
+		collective    string
+		nodes, veclen int
+	}{{"allreduce", 4, mpi.EagerMax/8 + 1}, {"allgather", 4096, 1}} {
+		err := func() (err error) {
+			defer func() { err, _ = recover().(error) }()
+			collFast().CollLatency(c.collective, c.nodes, c.veclen, false)
+			return nil
+		}()
+		if !errors.Is(err, mpi.ErrExceedsEager) {
+			t.Errorf("%s on %d nodes, veclen %d: got %v, want ErrExceedsEager", c.collective, c.nodes, c.veclen, err)
+		}
+	}
+	if err := CollFits("allgather", 2048, 1); err != nil {
+		t.Errorf("the 2048-host allgather's host fallback is refused: %v", err)
+	}
 }
 
 // Barrier skew-tolerance signature: time inside the barrier grows with

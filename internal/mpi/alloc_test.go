@@ -12,7 +12,7 @@ import "testing"
 func TestAllocEnvelopeReusesSendBuffers(t *testing.T) {
 	r := newWorld(t, 2, false).ranks[0]
 	word, msg := pattern(4), pattern(EagerMax)
-	e := envelope{kEager, 1, 1}
+	e := envelope{kEager, 1}
 	encode := func() {
 		if b := r.encodeEnvelope(e, word); cap(b) != envelopeBytes+len(word) {
 			t.Fatalf("a %d-byte envelope landed in a %d-byte buffer", len(b), cap(b))

@@ -12,19 +12,19 @@ import (
 // in/out, as MPI_Bcast's is: the root's is sent, every other rank's is
 // overwritten with the root's message and returned. Every rank must pass a
 // same-length buffer (MPI_Bcast's consistent count); one that differs
-// panics with ErrCountMismatch. With the world's UseNB set and an
-// eager-sized message it uses the NIC-based multicast, creating the (root,
-// size-class) group context on first use; otherwise — including all
-// rendezvous-sized messages, which MPICH-GM moves by remote DMA — it runs
-// the traditional host-based binomial broadcast.
+// panics with ErrCountMismatch, and one past EagerMax with ErrExceedsEager.
+// With the world's UseNB set it uses the NIC-based multicast, creating the
+// (root, size-class) group context on first use; otherwise it runs the
+// traditional host-based binomial broadcast.
 func (r *Rank) Bcast(root int, data []byte) []byte {
+	checkEager(len(data))
 	if r.Size() == 1 {
 		return data
 	}
 	if data == nil {
 		data = []byte{} // a zero count, not a request for a fresh buffer
 	}
-	if r.w.UseNB && len(data) <= EagerMax {
+	if r.w.UseNB {
 		return r.bcastNB(root, data)
 	}
 	return r.bcastHB(root, data)
@@ -121,11 +121,11 @@ func (r *Rank) createGroupContext(key bcastKey) gm.GroupID {
 		r.installGroup(gid, tr)
 		for dst := 0; dst < r.Size(); dst++ {
 			if dst != key.root {
-				r.replenish(r.awaitMatch(dst, tagCtl, 0, kCtlAck))
+				r.replenish(r.awaitMatch(dst, tagCtl, kCtlAck))
 			}
 		}
 	} else {
-		ev := r.awaitMatch(key.root, tagCtl, 0, kCtlGroup)
+		ev := r.awaitMatch(key.root, tagCtl, kCtlGroup)
 		_, body := decodeEnvelope(ev.Data)
 		wireGid, tr := decodeTree(body)
 		if gm.GroupID(wireGid) != gid {

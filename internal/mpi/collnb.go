@@ -124,23 +124,12 @@ func (r *Rank) collResult(gid gm.GroupID) []int64 {
 }
 
 // allreduceVecHB is MPICH's host recursive doubling with the pre/post
-// fold that reduces a non-power-of-two rank count to the nearest power
-// (large vectors reduce to rank 0 and broadcast instead, keeping every
-// exchange acyclic under the rendezvous protocol).
+// fold that reduces a non-power-of-two rank count to the nearest power.
+// Every exchange is the whole vector, so one past EagerMax is refused
+// with ErrExceedsEager.
 func (r *Rank) allreduceVecHB(vec []int64, op coll.ReduceOp) []int64 {
+	checkEager(8 * len(vec))
 	n := r.Size()
-	if 8*len(vec) > EagerMax {
-		fold := func(acc, child []byte) []byte {
-			a := coll.DecodeVec(acc)
-			foldVec(a, coll.DecodeVec(child), op)
-			return coll.EncodeVec(a)
-		}
-		acc := r.toRoot(tagAllreduce, coll.EncodeVec(vec), fold)
-		if acc == nil {
-			acc = make([]byte, 8*len(vec))
-		}
-		return coll.DecodeVec(r.Bcast(0, acc))
-	}
 	acc := append([]int64(nil), vec...)
 	pof2 := 1
 	for pof2*2 <= n {
@@ -187,29 +176,12 @@ func foldVec(acc, other []int64, op coll.ReduceOp) {
 	}
 }
 
-// toRoot runs a binomial tree toward rank 0 on tag, the first half of the
-// rendezvous-sized host collectives: each rank merges its children's
-// messages into its own, nearest child first, and sends the result to its
-// parent. Rank 0 returns the merge of every rank's message, the others nil.
-func (r *Rank) toRoot(tag int32, mine []byte, merge func(acc, child []byte) []byte) []byte {
-	acc := mine
-	for mask := 1; mask < r.Size(); mask <<= 1 {
-		if r.id&mask != 0 {
-			r.send(r.id-mask, tag, acc)
-			return nil
-		}
-		if r.id+mask < r.Size() {
-			acc = merge(acc, r.recv(r.id+mask, tag, nil))
-		}
-	}
-	return acc
-}
-
 // AllgatherVec gathers every rank's equal-length vector and returns the
 // concatenation in rank order on every rank. Under UseNB (result fitting
 // the eager limit) the NICs concatenate-and-forward up the tree and
 // multicast the assembled result down; otherwise the hosts run Bruck's
-// algorithm (or, for rendezvous-sized results, a gather plus broadcast).
+// algorithm, whose largest exchange, 8·len(mine)·⌈n/2⌉ bytes, must fit
+// EagerMax (ErrExceedsEager).
 func (r *Rank) AllgatherVec(mine []int64) []int64 {
 	n := r.Size()
 	if n == 1 {
@@ -225,22 +197,10 @@ func (r *Rank) AllgatherVec(mine []int64) []int64 {
 
 // allgatherVecHB is Bruck's algorithm: ceil(log2 n) exchange steps, each
 // doubling the span of collected blocks, then a rotation into rank order.
-// Rendezvous-sized transfers fall back to gather+broadcast, whose
-// exchanges are acyclic (Bruck's ring of simultaneous sends would
-// deadlock blocking rendezvous handshakes).
 func (r *Rank) allgatherVecHB(mine []int64) []int64 {
 	n := r.Size()
 	veclen := len(mine)
-	if 8*veclen*((n+1)/2) > EagerMax {
-		// Children's spans arrive nearest first, so appending them keeps
-		// the gathered blocks in rank order.
-		buf := append(make([]byte, 0, 8*veclen*n), coll.EncodeVec(mine)...)
-		blob := r.toRoot(tagGather, buf, func(acc, child []byte) []byte { return append(acc, child...) })
-		if blob == nil {
-			blob = make([]byte, 8*veclen*n)
-		}
-		return coll.DecodeVec(r.Bcast(0, blob))
-	}
+	checkEager(8 * veclen * ((n + 1) / 2))
 	// Collected blocks, relative order: block k is rank (id+k)%n's vector.
 	buf := append(make([]int64, 0, n*veclen), mine...)
 	for pof2 := 1; pof2 < n; pof2 <<= 1 {

@@ -69,57 +69,43 @@ func TestAllreduceVecMinMax(t *testing.T) {
 	}
 }
 
-// The rooted half of each allreduce: on the NIC path the engine's reduce
-// up the collective tree completes at rank 0 with the result; on the host
-// path the binomial reduce toward rank 0 does. Either way only rank 0
-// holds a result.
+// The rooted half of the NIC allreduce: the engine's reduce up the
+// collective tree completes at rank 0 with the result, and only rank 0
+// holds one.
 func TestReduceVecBothPaths(t *testing.T) {
-	fold := func(acc, child []byte) []byte {
-		a := coll.DecodeVec(acc)
-		foldVec(a, coll.DecodeVec(child), coll.OpSum)
-		return coll.EncodeVec(a)
-	}
-	for name, useNB := range map[string]bool{"nic": true, "host": false} {
-		t.Run(name, func(t *testing.T) {
-			const nodes, veclen = 6, 2
-			w := newWorld(t, nodes, useNB)
-			results := make([][]int64, nodes)
-			w.Run(func(r *Rank) {
-				vec := rankVec(r.ID(), veclen)
-				if !useNB {
-					if res := r.toRoot(tagAllreduce, coll.EncodeVec(vec), fold); res != nil {
-						results[r.ID()] = coll.DecodeVec(res)
-					}
-					return
-				}
-				gid := r.ensureCollTree()
-				r.collEngine().PostReduce(r.proc, r.port, gid, vec, coll.OpSum)
-				if r.ID() == 0 {
-					results[0] = coll.DecodeVec(r.awaitGroup(gid).Data)
-				}
-			})
-			want := wantAllreduceSum(nodes, veclen)
-			if len(results[0]) != veclen {
-				t.Fatalf("root reduce has %d elements, want %d", len(results[0]), veclen)
-			}
-			for j := range want {
-				if results[0][j] != want[j] {
-					t.Fatalf("root reduce[%d] = %d, want %d", j, results[0][j], want[j])
-				}
-			}
-			for i := 1; i < nodes; i++ {
-				if results[i] != nil {
-					t.Fatalf("non-root %d got a reduce result", i)
-				}
+	t.Run("nic", func(t *testing.T) {
+		const nodes, veclen = 6, 2
+		w := newWorld(t, nodes, true)
+		results := make([][]int64, nodes)
+		w.Run(func(r *Rank) {
+			gid := r.ensureCollTree()
+			r.collEngine().PostReduce(r.proc, r.port, gid, rankVec(r.ID(), veclen), coll.OpSum)
+			if r.ID() == 0 {
+				results[0] = coll.DecodeVec(r.awaitGroup(gid).Data)
 			}
 		})
-	}
+		want := wantAllreduceSum(nodes, veclen)
+		if len(results[0]) != veclen {
+			t.Fatalf("root reduce has %d elements, want %d", len(results[0]), veclen)
+		}
+		for j := range want {
+			if results[0][j] != want[j] {
+				t.Fatalf("root reduce[%d] = %d, want %d", j, results[0][j], want[j])
+			}
+		}
+		for i := 1; i < nodes; i++ {
+			if results[i] != nil {
+				t.Fatalf("non-root %d got a reduce result", i)
+			}
+		}
+	})
 }
 
 func TestAllreduceVecLargeFallsBackToHost(t *testing.T) {
-	// A rendezvous-sized vector must take the host path on both worlds and
-	// still be correct (a binomial reduce to rank 0, then a broadcast).
-	const nodes, veclen = 5, 2100 // 2100*8 = 16800 bytes > EagerMax
+	// A vector past one packet must take the host path on both worlds and
+	// still be correct: 600*8 = 4800 bytes is more than the 4096-byte MTU
+	// the NIC reduce carries, and within EagerMax for recursive doubling.
+	const nodes, veclen = 5, 600
 	for _, useNB := range []bool{false, true} {
 		w := newWorld(t, nodes, useNB)
 		results := make([][]int64, nodes)
@@ -135,7 +121,7 @@ func TestAllreduceVecLargeFallsBackToHost(t *testing.T) {
 		if useNB {
 			for _, n := range w.C.Nodes {
 				if n.Coll.Groups() != 0 {
-					t.Fatalf("node %v made a collective entry for a rendezvous-sized vector", n.ID)
+					t.Fatalf("node %v made a collective entry for a multi-packet vector", n.ID)
 				}
 			}
 		}
@@ -169,8 +155,9 @@ func TestAllgatherVecBothPaths(t *testing.T) {
 
 func TestAllgatherVecLargeFallsBackToHost(t *testing.T) {
 	// A result past the eager limit must take the host path and still be
-	// correct (gather+bcast for rendezvous sizes).
-	const nodes, veclen = 4, 1200 // 4*1200*8 = 38400 bytes > EagerMax
+	// correct: 4*600*8 = 19200 bytes is too large for the NIC path, and
+	// Bruck's largest exchange, 2*600*8 = 9600 bytes, fits.
+	const nodes, veclen = 4, 600
 	w := newWorld(t, nodes, true)
 	results := make([][]int64, nodes)
 	w.Run(func(r *Rank) {

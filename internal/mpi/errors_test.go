@@ -3,6 +3,8 @@ package mpi
 import (
 	"errors"
 	"testing"
+
+	"repro/internal/coll"
 )
 
 // recoverErr runs f and returns the recovered panic value as an error.
@@ -39,6 +41,45 @@ func TestSentinelErrorsAreIsable(t *testing.T) {
 			t.Errorf("self send: got %v, want ErrSelfSend", err)
 		}
 	})
+}
+
+// Every path that would send more than EagerMax bytes in one message
+// refuses up front, on every rank: a point-to-point send, a broadcast on
+// either world, an allreduce vector on either world, and an allgather
+// whose largest Bruck exchange (2 blocks of 1100 elements on 4 ranks,
+// 17,600 bytes) is past the limit.
+func TestExceedsEagerPanics(t *testing.T) {
+	big := pattern(EagerMax + 1)
+	vec := make([]int64, EagerMax/8+1)
+	for _, tc := range []struct {
+		name  string
+		useNB bool
+		op    func(r *Rank)
+	}{
+		{"send", false, func(r *Rank) { r.Send((r.ID()+1)%r.Size(), 1, big) }},
+		{"bcast-host", false, func(r *Rank) { r.Bcast(0, big) }},
+		{"bcast-nic", true, func(r *Rank) { r.Bcast(0, big) }},
+		{"allreduce-host", false, func(r *Rank) { r.AllreduceVec(vec, coll.OpSum) }},
+		{"allreduce-nic", true, func(r *Rank) { r.AllreduceVec(vec, coll.OpSum) }},
+		{"allgather", true, func(r *Rank) { r.AllgatherVec(make([]int64, 1100)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, 4, tc.useNB)
+			refused := make([]bool, w.Size())
+			w.Run(func(r *Rank) {
+				err := recoverErr(t, func() { tc.op(r) })
+				refused[r.ID()] = errors.Is(err, ErrExceedsEager)
+				if !refused[r.ID()] {
+					t.Errorf("rank %d: got %v, want ErrExceedsEager", r.ID(), err)
+				}
+			})
+			for id, ok := range refused {
+				if !ok {
+					t.Errorf("rank %d did not refuse", id)
+				}
+			}
+		})
+	}
 }
 
 // An eager Bcast into a buffer of another length is an error on both

@@ -1,8 +1,9 @@
 // Package mpi is an MPICH-GM-like message-passing layer over the GM
 // substrate, cut to what the paper's figures call. There is one
 // communicator, MPI_COMM_WORLD, and a Rank carries its operations itself:
-// tagged point-to-point sends with an eager protocol up to 16,287 bytes and
-// a rendezvous protocol above it; MPI_Bcast in both its traditional
+// tagged point-to-point sends with MPICH-GM's eager protocol, up to 16,287
+// bytes (a larger message or collective exchange is refused with
+// ErrExceedsEager); MPI_Bcast in both its traditional
 // host-based binomial form and the modified, NIC-based-multicast form with
 // demand-driven group creation (Figure 4, and Figures 6 and 7 under skew);
 // and MPI_Barrier, AllreduceVec and AllgatherVec, each host-based or on the
@@ -19,8 +20,9 @@ import (
 )
 
 // EagerMax is the largest eager-mode message, the MPICH-GM constant the
-// paper cites: broadcasts above it fall back to the host-based algorithm
-// (rendezvous transfers use remote DMA in MPICH-GM).
+// paper cites, and the largest message this layer sends: the paper's NIC
+// multicast serves broadcasts up to it, and MPICH-GM's remote-DMA
+// rendezvous above it is not modelled.
 const EagerMax = 16287
 
 // mpiPort is the GM port number the MPI library opens on every node.
@@ -36,7 +38,6 @@ const (
 	tagBarrier   int32 = -100
 	tagBcast     int32 = -101
 	tagCtl       int32 = -102
-	tagGather    int32 = -103
 	tagAllreduce int32 = -106
 	tagAllgather int32 = -107
 )
@@ -105,17 +106,11 @@ type Rank struct {
 	proc *sim.Proc
 
 	unexpected  []*gm.RecvEvent
-	sendHeld    [][]byte // encoded envelopes a posted send may still read
-	sendSpare   [][]byte // envelope buffers free for reuse (encodeEnvelope)
-	sendSeq     map[sendSeqKey]uint32
+	sendHeld    [][]byte                // encoded envelopes a posted send may still read
+	sendSpare   [][]byte                // envelope buffers free for reuse (encodeEnvelope)
 	bcastGroups map[bcastKey]gm.GroupID // the group contexts created so far
 	collGroup   gm.GroupID              // the NIC collective group, 0 until first used
 	collTree    bool                    // whether collGroup's multicast tree is installed
-}
-
-type sendSeqKey struct {
-	peer int
-	tag  int32
 }
 
 // ID reports the rank number; Size the world size.
@@ -138,15 +133,6 @@ func (r *Rank) nodes() []fabric.NodeID {
 		out[i] = r.node(i)
 	}
 	return out
-}
-
-func (r *Rank) nextSeq(peer int, tag int32) uint32 {
-	if r.sendSeq == nil {
-		r.sendSeq = make(map[sendSeqKey]uint32)
-	}
-	k := sendSeqKey{peer: peer, tag: tag}
-	r.sendSeq[k]++
-	return r.sendSeq[k]
 }
 
 // replenish hands a consumed eager message's bounce buffer back to the port

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/cluster"
@@ -55,40 +56,27 @@ func TestEagerSendRecv(t *testing.T) {
 	}
 }
 
-func TestRendezvousLargeMessage(t *testing.T) {
+// EagerMax bytes is the largest message that goes through; one byte more
+// is refused before anything is posted.
+func TestEagerMaxBoundary(t *testing.T) {
 	w := newWorld(t, 2, false)
-	msg := pattern(100_000) // far beyond EagerMax
+	msg := pattern(EagerMax)
 	var got []byte
+	var err error
 	w.Run(func(r *Rank) {
 		switch r.ID() {
 		case 0:
-			r.Send(1, 9, msg)
+			r.Send(1, 1, msg)
+			err = recoverErr(t, func() { r.Send(1, 1, pattern(EagerMax+1)) })
 		case 1:
-			got = r.Recv(0, 9)
+			got = r.Recv(0, 1)
 		}
 	})
 	if !bytes.Equal(got, msg) {
-		t.Fatal("rendezvous message corrupted")
+		t.Fatalf("an EagerMax message arrived corrupted")
 	}
-}
-
-func TestEagerMaxBoundary(t *testing.T) {
-	for _, size := range []int{EagerMax, EagerMax + 1} {
-		size := size
-		w := newWorld(t, 2, false)
-		msg := pattern(size)
-		var got []byte
-		w.Run(func(r *Rank) {
-			switch r.ID() {
-			case 0:
-				r.Send(1, 1, msg)
-			case 1:
-				got = r.Recv(0, 1)
-			}
-		})
-		if !bytes.Equal(got, msg) {
-			t.Fatalf("size %d corrupted across the eager/rendezvous boundary", size)
-		}
+	if !errors.Is(err, ErrExceedsEager) {
+		t.Fatalf("an EagerMax+1 send: got %v, want ErrExceedsEager", err)
 	}
 }
 
@@ -189,32 +177,6 @@ func TestIrecvOverlapsComputation(t *testing.T) {
 	}
 }
 
-// A rendezvous Send cannot complete on its own: it returns only after the
-// receiver has posted the Recv that clears it to put the data.
-func TestIsendRendezvousCompletesInWait(t *testing.T) {
-	w := newWorld(t, 2, false)
-	msg := pattern(40_000)
-	var got []byte
-	var sendDone, recvPosted sim.Time
-	w.Run(func(r *Rank) {
-		switch r.ID() {
-		case 0:
-			r.Send(1, 2, msg)
-			sendDone = r.Now()
-		case 1:
-			r.Proc().Sleep(200 * sim.Microsecond)
-			recvPosted = r.Now()
-			got = r.Recv(0, 2)
-		}
-	})
-	if !bytes.Equal(got, msg) {
-		t.Fatal("rendezvous transfer corrupted")
-	}
-	if sendDone <= recvPosted {
-		t.Fatalf("rendezvous Send returned at %v, before the Recv was posted at %v", sendDone, recvPosted)
-	}
-}
-
 // A receive with a negative (internal) tag is refused.
 func TestIrecvNegativeTagPanics(t *testing.T) {
 	w := newWorld(t, 2, false)
@@ -298,36 +260,6 @@ func TestBcastNICBased(t *testing.T) {
 func TestBcastNonZeroRoot(t *testing.T) {
 	testBcast(t, 8, 512, 5, false)
 	testBcast(t, 8, 512, 5, true)
-}
-
-func TestBcastRendezvousFallsBackToHostBased(t *testing.T) {
-	w := newWorld(t, 4, true)
-	msg := pattern(50_000)
-	results := make([][]byte, 4)
-	bufs := make([][]byte, 4)
-	w.Run(func(r *Rank) {
-		buf := msg
-		if r.ID() != 0 {
-			buf = make([]byte, len(msg))
-		}
-		bufs[r.ID()] = buf
-		results[r.ID()] = r.Bcast(0, buf)
-	})
-	for i := range results {
-		if !bytes.Equal(results[i], msg) {
-			t.Fatalf("rank %d large bcast corrupted", i)
-		}
-		// The remote DMA lands in the caller's buffer, as eager data does.
-		if &results[i][0] != &bufs[i][0] {
-			t.Fatalf("rank %d large bcast returned a buffer other than its own", i)
-		}
-	}
-	// No group contexts should have been created.
-	for _, n := range w.C.Nodes {
-		if n.Ext.Groups() != 0 {
-			t.Fatal("rendezvous-size bcast created a multicast group")
-		}
-	}
 }
 
 func TestBcastGroupContextReused(t *testing.T) {
@@ -490,33 +422,6 @@ func TestAlltoallBcast(t *testing.T) {
 	}
 }
 
-// The binomial gather toward rank 0 that the rendezvous-sized allgather
-// rides on: rank 0 ends with every rank's part in rank order, the others
-// with nothing, at every tree shape.
-func TestGather(t *testing.T) {
-	for _, nodes := range []int{2, 3, 5, 8, 13} {
-		w := newWorld(t, nodes, false)
-		var got []byte
-		w.Run(func(r *Rank) {
-			mine := []byte{byte(r.ID()), byte(r.ID() * 3)}
-			res := r.toRoot(tagGather, mine, func(acc, child []byte) []byte { return append(acc, child...) })
-			if r.ID() == 0 {
-				got = res
-			} else if res != nil {
-				t.Errorf("non-root %d got a gather result", r.ID())
-			}
-		})
-		if len(got) != 2*nodes {
-			t.Fatalf("nodes=%d: gathered %d bytes, want %d", nodes, len(got), 2*nodes)
-		}
-		for i := 0; i < nodes; i++ {
-			if got[2*i] != byte(i) || got[2*i+1] != byte(i*3) {
-				t.Fatalf("nodes=%d: slot %d holds %v", nodes, i, got[2*i:2*i+2])
-			}
-		}
-	}
-}
-
 func TestNegativeUserTagPanics(t *testing.T) {
 	w := newWorld(t, 2, false)
 	var panicked bool
@@ -547,13 +452,15 @@ func TestSingletonWorld(t *testing.T) {
 	})
 }
 
-// The envelope keeps MPICH-GM's layout: kind, communicator id (always
-// MPI_COMM_WORLD's 0), tag, sequence number, then the payload.
+// The envelope keeps MPICH-GM's 13-byte layout: kind, communicator id
+// (always MPI_COMM_WORLD's 0), tag, a sequence slot (always 0), then the
+// payload.
 func TestWireEnvelopeRoundTrip(t *testing.T) {
-	e := envelope{kRTS, 1234, 56}
+	e := envelope{kCtlGroup, 1234}
 	enc := newWorld(t, 2, false).ranks[0].encodeEnvelope(e, []byte("payload"))
-	if len(enc) != envelopeBytes+len("payload") || enc[1]|enc[2]|enc[3]|enc[4] != 0 {
-		t.Fatalf("envelope layout: % x", enc[:envelopeBytes])
+	want := []byte{byte(kCtlGroup), 0, 0, 0, 0, 0xd2, 0x04, 0, 0, 0, 0, 0, 0}
+	if envelopeBytes != 13 || len(enc) != envelopeBytes+len("payload") || !bytes.Equal(enc[:envelopeBytes], want) {
+		t.Fatalf("envelope layout: % x, want % x", enc[:min(len(enc), envelopeBytes)], want)
 	}
 	got, body := decodeEnvelope(enc)
 	if got != e || string(body) != "payload" {

@@ -14,27 +14,24 @@ import (
 
 type msgKind uint8
 
+// The message kinds. They ride the wire, so each keeps its value.
 const (
-	kEager    msgKind = iota + 1 // eager data: envelope + payload
-	kRTS                         // rendezvous request-to-send: envelope + length
-	kCTS                         // rendezvous clear-to-send: envelope
-	kRData                       // rendezvous data: envelope + payload
-	kCtlGroup                    // group-creation control: envelope + tree
-	kCtlAck                      // group-creation acknowledgment
-	kFin                         // rendezvous completion: the directed write landed
+	kEager    msgKind = 1 // eager data: envelope + payload
+	kCtlGroup msgKind = 5 // group-creation control: envelope + tree
+	kCtlAck   msgKind = 6 // group-creation acknowledgment
 )
 
-const envelopeBytes = 1 + 4 + 4 + 4 // kind, comm, tag, seq-within-(src,tag)
+const envelopeBytes = 1 + 4 + 4 + 4 // kind, comm, tag, seq
 
 // worldCommID is MPI_COMM_WORLD's communicator id, the one every envelope
-// carries: the layout keeps MPICH-GM's communicator field.
+// carries: the layout keeps MPICH-GM's communicator field. The sequence
+// slot is kept the same way, always zero: wire bytes set every MPI timing.
 const worldCommID uint32 = 0
 
 // envelope is the MPI matching header.
 type envelope struct {
 	kind msgKind
 	tag  int32
-	seq  uint32 // per (sender, tag) counter; pairs RTS/CTS/RData legs
 }
 
 // encodeEnvelope writes e and body into one of the rank's send buffers for
@@ -68,7 +65,7 @@ func (r *Rank) encodeEnvelope(e envelope, body []byte) []byte {
 	out[0] = byte(e.kind)
 	binary.LittleEndian.PutUint32(out[1:], worldCommID)
 	binary.LittleEndian.PutUint32(out[5:], uint32(e.tag))
-	binary.LittleEndian.PutUint32(out[9:], e.seq)
+	binary.LittleEndian.PutUint32(out[9:], 0)
 	copy(out[envelopeBytes:], body)
 	return out
 }
@@ -80,25 +77,8 @@ func decodeEnvelope(data []byte) (envelope, []byte) {
 	return envelope{
 		kind: msgKind(data[0]),
 		tag:  int32(binary.LittleEndian.Uint32(data[5:])),
-		seq:  binary.LittleEndian.Uint32(data[9:]),
 	}, data[envelopeBytes:]
 }
-
-func encodeU32(v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return b[:]
-}
-
-func decodeU32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
-
-func encodeU64(v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return b[:]
-}
-
-func decodeU64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
 // encodeTree flattens a spanning tree into (root, count, [node, parent]...)
 // for the group-creation control message.
