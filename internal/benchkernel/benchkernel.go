@@ -137,7 +137,7 @@ func PacketStorm(b *testing.B) {
 		}
 		eng.Run()
 	}
-	wave() // warm the route cache, arena, and transit pool
+	wave() // warm the arena and transit pool
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wave()

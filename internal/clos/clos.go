@@ -100,7 +100,12 @@ func NewToR(eng *sim.Engine, hosts int, params fabric.LinkParams) *fabric.Networ
 	for i := 0; i < hosts; i++ {
 		n.AddHost(fabric.NodeID(i), tor)
 	}
-	n.UseBFSRoute()
+	n.SetRoute(func(r []int32, src, dst fabric.NodeID) []int32 {
+		if src == dst {
+			panic("clos: route to self")
+		}
+		return append(r, n.Iface(src).Uplink().ID(), n.Iface(dst).Downlink().ID())
+	})
 	n.SetMetrics(nil)
 	return n
 }
@@ -128,38 +133,38 @@ func NewLeafSpine(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *
 		leafV[i] = n.AddSwitch("leaf" + strconv.Itoa(i))
 	}
 	spines := ports / 2
-	up := make([][]*fabric.Link, leaves)
-	down := make([][]*fabric.Link, spines)
+	up := make([][]int32, leaves)
+	down := make([][]int32, spines)
 	for s := range down {
-		down[s] = make([]*fabric.Link, leaves)
+		down[s] = make([]int32, leaves)
 	}
 	for l := range up {
-		up[l] = make([]*fabric.Link, spines)
+		up[l] = make([]int32, spines)
 	}
 	for s := 0; s < spines; s++ {
 		sv := n.AddSwitch("spine" + strconv.Itoa(s))
 		for l := 0; l < leaves; l++ {
 			u, d := n.Connect(leafV[l], sv)
-			up[l][s] = u
-			down[s][l] = d
+			up[l][s] = u.ID()
+			down[s][l] = d.ID()
 		}
 	}
-	hostUp := make([]*fabric.Link, hosts)
-	hostDown := make([]*fabric.Link, hosts)
+	hostUp := make([]int32, hosts)
+	hostDown := make([]int32, hosts)
 	for i := 0; i < hosts; i++ {
 		_, u, d := n.AddHost(fabric.NodeID(i), leafV[i/hostsPerLeaf])
-		hostUp[i], hostDown[i] = u, d
+		hostUp[i], hostDown[i] = u.ID(), d.ID()
 	}
-	n.SetRoute(func(src, dst fabric.NodeID) []*fabric.Link {
+	n.SetRoute(func(r []int32, src, dst fabric.NodeID) []int32 {
 		if src == dst {
 			panic("clos: route to self")
 		}
 		sl, dl := int(src)/hostsPerLeaf, int(dst)/hostsPerLeaf
 		if sl == dl {
-			return []*fabric.Link{hostUp[src], hostDown[dst]}
+			return append(r, hostUp[src], hostDown[dst])
 		}
 		s := int(ecmp(src, dst, 0) % uint64(spines))
-		return []*fabric.Link{hostUp[src], up[sl][s], down[s][dl], hostDown[dst]}
+		return append(r, hostUp[src], up[sl][s], down[s][dl], hostDown[dst])
 	})
 	n.SetMetrics(nil)
 	return n
@@ -188,88 +193,85 @@ func NewThreeTier(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *
 
 	leaves := make([][]*fabric.Vertex, pods)
 	spines := make([][]*fabric.Vertex, pods)
-	leafUp := make([][][]*fabric.Link, pods)    // [p][l][s]
-	spineDown := make([][][]*fabric.Link, pods) // [p][s][l]
+	leafUp := make([][][]int32, pods)    // [p][l][s]
+	spineDown := make([][][]int32, pods) // [p][s][l]
 	for p := 0; p < pods; p++ {
 		leaves[p] = make([]*fabric.Vertex, half)
 		spines[p] = make([]*fabric.Vertex, half)
-		leafUp[p] = make([][]*fabric.Link, half)
-		spineDown[p] = make([][]*fabric.Link, half)
+		leafUp[p] = make([][]int32, half)
+		spineDown[p] = make([][]int32, half)
 		for l := 0; l < half; l++ {
 			leaves[p][l] = n.AddSwitch("leaf" + strconv.Itoa(p) + "." + strconv.Itoa(l))
-			leafUp[p][l] = make([]*fabric.Link, half)
+			leafUp[p][l] = make([]int32, half)
 		}
 		for s := 0; s < half; s++ {
 			spines[p][s] = n.AddSwitch("spine" + strconv.Itoa(p) + "." + strconv.Itoa(s))
-			spineDown[p][s] = make([]*fabric.Link, half)
+			spineDown[p][s] = make([]int32, half)
 		}
 		for l := 0; l < half; l++ {
 			for s := 0; s < half; s++ {
 				u, d := n.Connect(leaves[p][l], spines[p][s])
-				leafUp[p][l][s] = u
-				spineDown[p][s][l] = d
+				leafUp[p][l][s] = u.ID()
+				spineDown[p][s][l] = d.ID()
 			}
 		}
 	}
 
 	// Core plane: pod spine s connects to cores [s*half, (s+1)*half).
 	cores := make([]*fabric.Vertex, half*half)
-	spineUp := make([][][]*fabric.Link, pods) // [p][s][j] to core s*half+j
-	coreDown := make([][]*fabric.Link, len(cores))
+	spineUp := make([][][]int32, pods) // [p][s][j] to core s*half+j
+	coreDown := make([][]int32, len(cores))
 	for c := range cores {
 		cores[c] = n.AddSwitch("core" + strconv.Itoa(c))
-		coreDown[c] = make([]*fabric.Link, pods)
+		coreDown[c] = make([]int32, pods)
 	}
 	for p := 0; p < pods; p++ {
-		spineUp[p] = make([][]*fabric.Link, half)
+		spineUp[p] = make([][]int32, half)
 		for s := 0; s < half; s++ {
-			spineUp[p][s] = make([]*fabric.Link, half)
+			spineUp[p][s] = make([]int32, half)
 			for j := 0; j < half; j++ {
 				c := s*half + j
 				u, d := n.Connect(spines[p][s], cores[c])
-				spineUp[p][s][j] = u
-				coreDown[c][p] = d
+				spineUp[p][s][j] = u.ID()
+				coreDown[c][p] = d.ID()
 			}
 		}
 	}
 
-	hostUp := make([]*fabric.Link, hosts)
-	hostDown := make([]*fabric.Link, hosts)
-	for i := 0; i < hosts; i++ {
+	// Each host's links and place: a route looks both up rather than
+	// dividing for them.
+	type attach struct{ up, down, pod, leaf int32 }
+	at := make([]attach, hosts)
+	for i := range at {
 		p := i / hostsPerPod
 		l := (i % hostsPerPod) / hostsPerLeaf
 		_, u, d := n.AddHost(fabric.NodeID(i), leaves[p][l])
-		hostUp[i], hostDown[i] = u, d
+		at[i] = attach{u.ID(), d.ID(), int32(p), int32(l)}
 	}
 
-	podOf := func(h fabric.NodeID) int { return int(h) / hostsPerPod }
-	leafOf := func(h fabric.NodeID) int { return (int(h) % hostsPerPod) / hostsPerLeaf }
-
-	n.SetRoute(func(src, dst fabric.NodeID) []*fabric.Link {
+	n.SetRoute(func(r []int32, src, dst fabric.NodeID) []int32 {
 		if src == dst {
 			panic("clos: route to self")
 		}
-		sp, sl := podOf(src), leafOf(src)
-		dp, dl := podOf(dst), leafOf(dst)
+		sa, da := &at[src], &at[dst]
+		if sa.pod == da.pod && sa.leaf == da.leaf {
+			return append(r, sa.up, da.down)
+		}
 		h := ecmp(src, dst, 0)
-		if sp == dp && sl == dl {
-			return []*fabric.Link{hostUp[src], hostDown[dst]}
-		}
-		if sp == dp {
-			s := int(h % uint64(half))
-			return []*fabric.Link{hostUp[src], leafUp[sp][sl][s], spineDown[sp][s][dl], hostDown[dst]}
-		}
 		s := int(h % uint64(half))
+		if sa.pod == da.pod {
+			return append(r, sa.up, leafUp[sa.pod][sa.leaf][s], spineDown[sa.pod][s][da.leaf], da.down)
+		}
 		j := int((h >> 32) % uint64(half))
 		c := s*half + j
-		return []*fabric.Link{
-			hostUp[src],
-			leafUp[sp][sl][s],
-			spineUp[sp][s][j],
-			coreDown[c][dp],
-			spineDown[dp][s][dl],
-			hostDown[dst],
-		}
+		return append(r,
+			sa.up,
+			leafUp[sa.pod][sa.leaf][s],
+			spineUp[sa.pod][s][j],
+			coreDown[c][da.pod],
+			spineDown[da.pod][s][da.leaf],
+			da.down,
+		)
 	})
 	n.SetMetrics(nil)
 	return n

@@ -40,7 +40,7 @@ func TestAllocInjectDeliverIsFree(t *testing.T) {
 			n.Iface(0).Inject(&pkt)
 			eng.Run()
 		}
-		trip() // the route cache, the event arena and the transit pool exist now
+		trip() // the event arena and the transit pool exist now
 		if allocs := testing.AllocsPerRun(200, trip); allocs != 0 {
 			t.Errorf("%s: a warm Inject → Deliver round trip allocates %.1f objects, want 0", c.name, allocs)
 		}
@@ -52,8 +52,9 @@ func TestAllocInjectDeliverIsFree(t *testing.T) {
 
 // The packet rides by value in every pooled traversal record and cross-shard
 // message, so its size is live heap: 48 bytes of routing, payload and callback
-// plus the 32-byte control header. A field added to either shows here before
-// it shows as a size-class jump of the record (160 is a class; 161 is 176).
+// plus the 32-byte control header. The record adds the route, MaxHops link
+// numbers in 24 bytes. A field added to either shows here before it shows as
+// a size-class jump of the record (160 is a class; 161 is 176).
 func TestAllocPacketSize(t *testing.T) {
 	if got := unsafe.Sizeof(Packet{}); got != 80 {
 		t.Errorf("a Packet is %d bytes, was 80", got)
@@ -63,12 +64,14 @@ func TestAllocPacketSize(t *testing.T) {
 	}
 }
 
-// A Link is 176 B, its sim.Facility (32 B) held inside, and a cable is the
-// two directions in one 352 B allocation (ConnectWith); every host costs one
-// cable and every trunk another. A field added to either shows here.
+// A Link is 192 B, its sim.Facility (32 B) held inside, and a cable is the
+// two directions in one 384 B allocation (ConnectWith), exactly a size
+// class; every host costs one cable and every trunk another. A field added
+// to either shows here, and one more word would put a cable in the 416 B
+// class.
 func TestAllocLinkSize(t *testing.T) {
-	if got := unsafe.Sizeof(Link{}); got != 176 {
-		t.Errorf("a Link is %d bytes, was 176", got)
+	if got := unsafe.Sizeof(Link{}); got != 192 {
+		t.Errorf("a Link is %d bytes, was 192", got)
 	}
 }
 

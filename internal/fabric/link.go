@@ -53,11 +53,29 @@ type Vertex struct {
 
 // Link is a directed physical channel between two vertices. Each link is a
 // FIFO resource: one packet serializes onto it at a time. The two directions
-// of a cable share one allocation (ConnectWith).
+// of a cable share one allocation (ConnectWith). A link is known by its
+// number, its index in Network.Links, and a route is a list of numbers.
+//
+// The fields a hop reads lead the struct, so a transit touches one record
+// per hop: the facility, the timing, the wire and port counters, and the
+// shard and event domains of the link's two ends, copied in from the
+// vertices (domains at ConnectWith, the to-vertex's shard at ApplyPlan).
 type Link struct {
+	fac    sim.Facility
+	params LinkParams
+
+	// The link's groups of its owners' blocks, set by Network.SetMetrics:
+	// wire is this link's class at its host (or the trunks' one), port the
+	// from-vertex's output contention.
+	wire *wireInstruments
+	port *portInstruments
+
+	toShard    int32
+	toDomain   uint32
+	fromDomain uint32
+	id         int32
+
 	from, to *Vertex
-	fac      sim.Facility
-	params   LinkParams
 	// Drops counts packets lost on this link (fault injection).
 	Drops uint64
 
@@ -73,13 +91,11 @@ type Link struct {
 	qHead    int
 	waiters  []*transit
 	drainFn  func()
-
-	// The link's groups of its owners' blocks, set by Network.SetMetrics:
-	// wire is this link's class at its host (or the trunks' one), port the
-	// from-vertex's output contention.
-	wire *wireInstruments
-	port *portInstruments
 }
+
+// ID reports the link's number: its index in Network.Links, and what a
+// route function appends for it.
+func (l *Link) ID() int32 { return l.id }
 
 // String labels the link for diagnostics.
 func (l *Link) String() string { return l.from.label + "->" + l.to.label }

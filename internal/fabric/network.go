@@ -16,10 +16,11 @@ import (
 //
 // A fabric always runs partitioned into shards — one by default, several
 // after ApplyPlan — with every vertex's events firing on its shard's
-// engine. All mutable per-packet state (transit pools, route caches,
-// cross-shard outboxes) lives in per-shard slots touched only by that
-// shard's goroutine, so a multi-shard run needs no locks: the coordinator's
-// window barrier is the only synchronization.
+// engine. All mutable per-packet state (transit pools, cross-shard
+// outboxes) lives in per-shard slots touched only by that shard's
+// goroutine, so a multi-shard run needs no locks: the coordinator's window
+// barrier is the only synchronization. Routes are not state: each packet's
+// is computed into its transit record and never cached.
 type Network struct {
 	eng    *sim.Engine
 	params LinkParams
@@ -27,7 +28,7 @@ type Network struct {
 	verts  []*Vertex
 	links  []*Link
 
-	routeFn func(src, dst NodeID) []*Link
+	routeFn func(route []int32, src, dst NodeID) []int32
 
 	shards    int
 	lookahead sim.Time
@@ -79,6 +80,7 @@ type Iface struct {
 	net     *Network
 	id      NodeID
 	up      *Link // host -> first switch
+	down    *Link // first switch -> host
 	Deliver func(*Packet)
 }
 
@@ -87,6 +89,10 @@ func (ifc *Iface) ID() NodeID { return ifc.id }
 
 // Uplink reports the host's injection link into the fabric.
 func (ifc *Iface) Uplink() *Link { return ifc.up }
+
+// Downlink reports the link that delivers into the host, the last of every
+// route to it.
+func (ifc *Iface) Downlink() *Link { return ifc.down }
 
 // Engine returns the simulation engine driving the network.
 func (n *Network) Engine() *sim.Engine { return n.eng }
@@ -121,25 +127,29 @@ func (n *Network) SetLossRate(rate float64) error {
 // diagnostics; the slice is the network's own — do not mutate).
 func (n *Network) Links() []*Link { return n.links }
 
-// Route returns the link path from src to dst, caching computed routes.
+// MaxHops bounds a route: the six links of an up-down path through a
+// three-level fabric, the deepest any backend builds.
+const MaxHops = 6
+
+// Route returns the link path from src to dst, computed afresh (the packet
+// path computes each packet's route into its transit record instead).
 // Routes are deterministic for a given topology.
 func (n *Network) Route(src, dst NodeID) []*Link {
-	return n.routeShard(n.sh[0], src, dst)
+	ids := n.route(make([]int32, 0, MaxHops), src, dst)
+	route := make([]*Link, len(ids))
+	for i, id := range ids {
+		route[i] = n.links[id]
+	}
+	return route
 }
 
-// routeShard is Route against one shard's private cache. Each shard caches
-// the routes it forwards for, so the hot path never shares a map across
-// goroutines; the underlying []*Link values are shared read-only.
-func (n *Network) routeShard(sh *shardState, src, dst NodeID) []*Link {
-	key := [2]NodeID{src, dst}
-	if r, ok := sh.routeCache[key]; ok {
-		return r
+// route appends the link numbers from src to dst to r, which has room for
+// MaxHops of them.
+func (n *Network) route(r []int32, src, dst NodeID) []int32 {
+	r = n.routeFn(r, src, dst)
+	if len(r) == 0 || len(r) > MaxHops {
+		panic(fmt.Sprintf("fabric: route %v -> %v has %d links, want 1 to %d", src, dst, len(r), MaxHops))
 	}
-	r := n.routeFn(src, dst)
-	if r == nil {
-		panic(fmt.Sprintf("fabric: no route %v -> %v", src, dst))
-	}
-	sh.routeCache[key] = r
 	return r
 }
 
@@ -165,7 +175,7 @@ func (ifc *Iface) Inject(p *Packet) {
 	sh.m.injected.Inc()
 	tr := sh.newTransit(n)
 	tr.p = *p
-	tr.route = n.routeShard(sh, p.Src, p.Dst)
+	tr.setRoute()
 	tr.i = 0
 	tr.headAt = sh.eng.Now()
 	tr.delivering = false
@@ -174,10 +184,11 @@ func (ifc *Iface) Inject(p *Packet) {
 
 // transit is the traversal state of one packet in flight: the packet
 // itself (by value — the pointer hooks and Deliver see is into this
-// record), which hop it is on and when its head arrives there. Exactly one event is outstanding per
-// transit at any instant — except while parked under PFC backpressure,
-// when the link's drain event owns the wakeup — so the state advances in
-// place and the same pre-bound step callback serves every hop. A transit
+// record), its route as link numbers, which hop it is on and when its head
+// arrives there. Exactly one event is outstanding per transit at any
+// instant — except while parked under PFC backpressure, when the link's
+// drain event owns the wakeup — so the state advances in place and the
+// same pre-bound step callback serves every hop. A transit
 // never migrates: when the packet's next hop belongs to another shard, the
 // record is released here and the destination shard re-materializes one
 // from its own pool.
@@ -185,8 +196,8 @@ type transit struct {
 	net        *Network
 	sh         *shardState
 	p          Packet
-	route      []*Link
-	i          int
+	route      [MaxHops]int32
+	hops, i    int32 // route length, and the hop the packet is on
 	headAt     sim.Time
 	parkedAt   sim.Time // park timestamp under PFC, for pause_ns accounting
 	delivering bool     // final store-and-forward delivery scheduled
@@ -207,10 +218,14 @@ func (sh *shardState) newTransit(n *Network) *transit {
 	return tr
 }
 
+// setRoute computes the packet's route into the record.
+func (tr *transit) setRoute() {
+	tr.hops = int32(copy(tr.route[:], tr.net.route(tr.route[:0], tr.p.Src, tr.p.Dst)))
+}
+
 // release drops the packet references and returns tr to its shard's pool.
 func (tr *transit) release() {
 	scrub(&tr.p)
-	tr.route = nil
 	tr.sh.transitFree = append(tr.sh.transitFree, tr)
 }
 
@@ -228,7 +243,7 @@ func (tr *transit) run() {
 		tr.release()
 		return
 	}
-	p, l := &tr.p, tr.route[tr.i]
+	p, l := &tr.p, n.links[tr.route[tr.i]]
 	if l.params.PauseBytes > 0 && (len(l.waiters) > 0 || l.queued >= l.params.PauseBytes) {
 		// PFC pause: the link's backlog is past the pause threshold (or
 		// earlier senders are already parked, whom FIFO fairness must not
@@ -252,7 +267,7 @@ func (tr *transit) run() {
 	if l.params.PauseBytes > 0 {
 		l.queued += p.Size
 		l.inflight = append(l.inflight, p.Size)
-		tr.sh.eng.AtDomain(l.from.domain, start+ser, l.drainFn)
+		tr.sh.eng.AtDomain(l.fromDomain, start+ser, l.drainFn)
 	}
 	if tr.i == 0 && p.TxDone != nil {
 		// The source NIC's transmit engine finishes with the packet
@@ -267,14 +282,15 @@ func (tr *transit) run() {
 		return
 	}
 	headOut := start + l.params.Latency
-	if tr.i+1 < len(tr.route) {
-		next := tr.route[tr.i+1].from
-		if next.shard == tr.sh.id {
+	local := int(l.toShard) == tr.sh.id
+	if tr.i+1 < tr.hops {
+		// The next hop starts at l's far end.
+		if local {
 			tr.i++
 			tr.headAt = headOut
-			tr.sh.eng.AtDomain(next.domain, headOut, tr.step)
+			tr.sh.eng.AtDomain(l.toDomain, headOut, tr.step)
 		} else {
-			tr.post(next, headOut, crossHop, int32(tr.i+1))
+			tr.post(l, headOut, crossHop, tr.i+1)
 		}
 		return
 	}
@@ -284,29 +300,29 @@ func (tr *transit) run() {
 			tailIn += d
 		}
 	}
-	dstV := n.hosts[p.Dst].up.from
+	// The last link ends at the destination host.
 	if n.DupFn != nil && n.DupFn(p, l) {
 		// A duplicate copy trails the original by one serialization time,
 		// as if a retransmitting switch stage emitted the packet twice.
 		// Duplication keeps per-packet state in the injector, so sharded
 		// runs reject it up front (cluster validation); the boundary check
 		// here is the backstop.
-		if dstV.shard != tr.sh.id {
+		if !local {
 			panic("fabric: duplicate injection across shard boundary unsupported")
 		}
 		dup := *p // the original's transit is recycled before the copy lands
 		m := tr.sh.m
-		tr.sh.eng.AtDomain(dstV.domain, tailIn+ser, func() {
+		tr.sh.eng.AtDomain(l.toDomain, tailIn+ser, func() {
 			m.duplicated.Inc()
 			m.delivered.Inc()
 			n.deliver(&dup)
 		})
 	}
-	if dstV.shard == tr.sh.id {
+	if local {
 		tr.delivering = true
-		tr.sh.eng.AtDomain(dstV.domain, tailIn, tr.step)
+		tr.sh.eng.AtDomain(l.toDomain, tailIn, tr.step)
 	} else {
-		tr.post(dstV, tailIn, crossDeliver, 0)
+		tr.post(l, tailIn, crossDeliver, 0)
 	}
 }
 
@@ -338,15 +354,16 @@ func (l *Link) drain() {
 	}
 }
 
-// post queues the packet's next event for another shard and retires this
-// transit. The tiebreak key is drawn here, on the source engine, from the
-// same domain sequence a serial run would use — that key is what makes the
-// destination's replay land in exactly the serial position.
-func (tr *transit) post(v *Vertex, when sim.Time, kind uint8, hop int32) {
+// post queues the packet's next event, at l's far end, for the shard that
+// owns it and retires this transit. The tiebreak key is drawn here, on the
+// source engine, from the same domain sequence a serial run would use —
+// that key is what makes the destination's replay land in exactly the
+// serial position.
+func (tr *transit) post(l *Link, when sim.Time, kind uint8, hop int32) {
 	sh := tr.sh
-	key := sh.eng.AllocKey(v.domain)
-	sh.out[v.shard] = append(sh.out[v.shard], crossMsg{
-		when: when, key: key, owner: v.domain, kind: kind, hop: hop, p: tr.p,
+	key := sh.eng.AllocKey(l.toDomain)
+	sh.out[l.toShard] = append(sh.out[l.toShard], crossMsg{
+		when: when, key: key, owner: l.toDomain, kind: kind, hop: hop, p: tr.p,
 	})
 	sh.outPending++
 	tr.release()
@@ -417,12 +434,11 @@ func (n *Network) DrainCross() int {
 			tr := dst.newTransit(n)
 			tr.p = m.p
 			if m.kind == crossHop {
-				tr.route = n.routeShard(dst, m.p.Src, m.p.Dst)
-				tr.i = int(m.hop)
+				tr.setRoute()
+				tr.i = m.hop
 				tr.headAt = m.when
 				tr.delivering = false
 			} else {
-				tr.route = nil
 				tr.delivering = true
 			}
 			dst.eng.AtKey(m.when, m.key, m.owner, tr.step)
@@ -474,7 +490,6 @@ type shardState struct {
 	eng         *sim.Engine
 	m           *shardInstruments // this shard's copy of the fabric-wide counters
 	transitFree []*transit
-	routeCache  map[[2]NodeID][]*Link
 	out         [][]crossMsg // outboxes, indexed by destination shard
 	outPending  int          // total messages queued across out, reset at drains
 }
@@ -513,16 +528,15 @@ func (s *crossSorter) Less(i, j int) bool {
 }
 
 // New allocates the network shell on eng; topology builders fill it in with
-// AddSwitch/AddHost/Connect and install routing with SetRoute (or
-// UseBFSRoute), then call SetMetrics(nil) to arm the accounting
-// instruments.
+// AddSwitch/AddHost/Connect and install routing with SetRoute, then call
+// SetMetrics(nil) to arm the accounting instruments.
 func New(eng *sim.Engine, params LinkParams) *Network {
 	n := &Network{
 		eng:    eng,
 		params: params,
 		shards: 1,
 	}
-	n.sh = []*shardState{{eng: eng, routeCache: make(map[[2]NodeID][]*Link)}}
+	n.sh = []*shardState{{eng: eng}}
 	return n
 }
 
@@ -543,7 +557,7 @@ func (n *Network) AddHost(id NodeID, sw *Vertex) (ifc *Iface, up, down *Link) {
 	hv.host = true
 	hv.hostID = id
 	up, down = n.Connect(hv, sw)
-	ifc = &Iface{net: n, id: id, up: up}
+	ifc = &Iface{net: n, id: id, up: up, down: down}
 	n.hosts = append(n.hosts, ifc)
 	return ifc, up, down
 }
@@ -567,9 +581,10 @@ func (n *Network) Connect(a, b *Vertex) (ab, ba *Link) {
 // per-link latency, so its lookahead matrix and the lookahead-maximizing
 // objective work per link, not per fabric.
 func (n *Network) ConnectWith(a, b *Vertex, params LinkParams) (ab, ba *Link) {
+	id := int32(len(n.links))
 	pair := &[2]Link{
-		{from: a, to: b, params: params, fac: sim.NewFacility(n.eng)},
-		{from: b, to: a, params: params, fac: sim.NewFacility(n.eng)},
+		{from: a, to: b, params: params, fac: sim.NewFacility(n.eng), toDomain: b.domain, fromDomain: a.domain, id: id},
+		{from: b, to: a, params: params, fac: sim.NewFacility(n.eng), toDomain: a.domain, fromDomain: b.domain, id: id + 1},
 	}
 	ab, ba = &pair[0], &pair[1]
 	if params.PauseBytes > 0 {
@@ -582,13 +597,11 @@ func (n *Network) ConnectWith(a, b *Vertex, params LinkParams) (ab, ba *Link) {
 	return ab, ba
 }
 
-// SetRoute installs the topology's routing function. The function must be
-// deterministic; the fabric caches its results per (src, dst).
-func (n *Network) SetRoute(fn func(src, dst NodeID) []*Link) { n.routeFn = fn }
-
-// UseBFSRoute installs deterministic shortest-path routing computed by BFS
-// over the fabric graph — sufficient for topologies without path diversity.
-func (n *Network) UseBFSRoute() { n.routeFn = n.bfsRoute }
+// SetRoute installs the topology's routing function: fn appends the link
+// numbers (Link.ID) from src to dst, at most MaxHops of them, to route and
+// returns the result. It must be deterministic and must not keep route: the
+// fabric calls it for every packet, into the packet's transit record.
+func (n *Network) SetRoute(fn func(route []int32, src, dst NodeID) []int32) { n.routeFn = fn }
 
 // SingleSwitch builds a fabric with all hosts on one crossbar — the shape
 // of the paper's 16-node testbed (one Myrinet-2000 Xbar16), and the
@@ -602,7 +615,12 @@ func SingleSwitch(eng *sim.Engine, hosts int, params LinkParams) *Network {
 	for i := 0; i < hosts; i++ {
 		n.AddHost(NodeID(i), sw)
 	}
-	n.UseBFSRoute()
+	n.SetRoute(func(r []int32, src, dst NodeID) []int32 {
+		if src == dst {
+			panic("fabric: route to self")
+		}
+		return append(r, n.hosts[src].up.id, n.hosts[dst].down.id)
+	})
 	n.SetMetrics(nil)
 	return n
 }
@@ -614,43 +632,4 @@ func (n *Network) addVertex(label string) *Vertex {
 	// and sharded runs draw identical keys.
 	n.eng.GrowDomains(len(n.verts))
 	return v
-}
-
-// bfsRoute computes the deterministic shortest link path between hosts.
-func (n *Network) bfsRoute(src, dst NodeID) []*Link {
-	from := n.hosts[src].up.from
-	goal := n.hosts[dst].up.from
-	if from == goal {
-		panic("fabric: route to self")
-	}
-	prev := make([]*Link, len(n.verts))
-	seen := make([]bool, len(n.verts))
-	seen[from.idx] = true
-	queue := []*Vertex{from}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if v == goal {
-			break
-		}
-		for _, l := range v.out {
-			if !seen[l.to.idx] {
-				seen[l.to.idx] = true
-				prev[l.to.idx] = l
-				queue = append(queue, l.to)
-			}
-		}
-	}
-	if !seen[goal.idx] {
-		return nil
-	}
-	var rev []*Link
-	for v := goal; v != from; v = prev[v.idx].from {
-		rev = append(rev, prev[v.idx])
-	}
-	route := make([]*Link, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		route = append(route, rev[i])
-	}
-	return route
 }

@@ -187,11 +187,12 @@ func (n *Network) Partition(shards int) Plan {
 
 // ApplyPlan binds the fabric to one engine per shard: every link facility
 // moves to the engine firing its reservations (the shard of the link's
-// source vertex), and per-shard transit pools, route caches, and cross-
-// shard mailboxes replace the single-engine ones. engines[0] must be the
-// engine the network was built on; ApplyPlan must run before any traffic.
-// Each engine is grown to the fabric's domain space so tiebreak keys agree
-// with a serial run no matter where an event fires.
+// source vertex), every link learns the shard of its to-vertex, and
+// per-shard transit pools and cross-shard mailboxes replace the
+// single-engine ones. engines[0] must be the engine the network was built
+// on; ApplyPlan must run before any traffic. Each engine is grown to the
+// fabric's domain space so tiebreak keys agree with a serial run no matter
+// where an event fires.
 func (n *Network) ApplyPlan(plan Plan, engines []*sim.Engine) {
 	if len(engines) != plan.Shards {
 		panic(fmt.Sprintf("fabric: plan wants %d shards, got %d engines", plan.Shards, len(engines)))
@@ -212,16 +213,16 @@ func (n *Network) ApplyPlan(plan Plan, engines []*sim.Engine) {
 		if s := l.from.shard; s != 0 {
 			l.fac.Rebind(engines[s])
 		}
+		l.toShard = int32(l.to.shard)
 	}
 	n.shards = plan.Shards
 	n.lookahead = plan.Lookahead
 	n.sh = make([]*shardState, plan.Shards)
 	for s := range n.sh {
 		n.sh[s] = &shardState{
-			id:         s,
-			eng:        engines[s],
-			routeCache: make(map[[2]NodeID][]*Link),
-			out:        make([][]crossMsg, plan.Shards),
+			id:  s,
+			eng: engines[s],
+			out: make([][]crossMsg, plan.Shards),
 		}
 	}
 	n.bindShards()

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -33,7 +34,7 @@ func dumbbell(fast, slow sim.Time) *Network {
 	slowP := LinkParams{Latency: slow, NsPerByte: 4.0}
 	n.ConnectWith(m, l1, slowP)
 	n.ConnectWith(m, l1, slowP)
-	n.UseBFSRoute()
+	useBFSRoute(n)
 	n.SetMetrics(nil)
 	return n
 }
@@ -96,10 +97,14 @@ func TestPartitionUniformLatencyObjectivesAgree(t *testing.T) {
 }
 
 // TestObjectiveString pins the cut placement link by link: on the dumbbell
-// every cut link is a slow trunk and the fast pair stays interior.
+// every cut link is a slow trunk and the fast pair stays interior, and a
+// route across it takes the fast pair and the first slow one.
 func TestObjectiveString(t *testing.T) {
 	const fast, slow = 100 * sim.Nanosecond, 1000 * sim.Nanosecond
 	n := dumbbell(fast, slow)
+	if got, want := fmt.Sprint(n.Route(0, 2)), "[host0->L0 L0->M M->L1 L1->host2]"; got != want {
+		t.Fatalf("route host0 -> host2 is %s, want %s", got, want)
+	}
 	plan := n.Partition(2)
 	for _, l := range n.links {
 		cut := plan.VertexShard[l.from.idx] != plan.VertexShard[l.to.idx]
@@ -129,7 +134,7 @@ func TestPartitionHeterogeneousBalanceTieBreak(t *testing.T) {
 	n.Connect(l0, x)
 	n.Connect(l0, m)
 	n.Connect(m, l1)
-	n.UseBFSRoute()
+	useBFSRoute(n)
 	n.SetMetrics(nil)
 	plan := n.Partition(2)
 	// M has one equal-latency link to each side; shard 0 holds an extra
@@ -137,4 +142,38 @@ func TestPartitionHeterogeneousBalanceTieBreak(t *testing.T) {
 	if got := plan.VertexShard[m.idx]; got != 1 {
 		t.Fatalf("tied switch joined shard %d, want 1 (balance tie-break)", got)
 	}
+}
+
+// useBFSRoute routes the hand-built fabrics above along deterministic
+// shortest paths, found by BFS over the fabric graph.
+func useBFSRoute(n *Network) {
+	n.SetRoute(func(r []int32, src, dst NodeID) []int32 {
+		from, goal := n.hosts[src].up.from, n.hosts[dst].up.from
+		if from == goal {
+			panic("fabric: route to self")
+		}
+		prev := make([]*Link, len(n.verts))
+		seen := make([]bool, len(n.verts))
+		seen[from.idx] = true
+		for queue := []*Vertex{from}; len(queue) > 0 && !seen[goal.idx]; queue = queue[1:] {
+			for _, l := range queue[0].out {
+				if !seen[l.to.idx] {
+					seen[l.to.idx] = true
+					prev[l.to.idx] = l
+					queue = append(queue, l.to)
+				}
+			}
+		}
+		if !seen[goal.idx] {
+			return r
+		}
+		var rev []int32
+		for v := goal; v != from; v = prev[v.idx].from {
+			rev = append(rev, prev[v.idx].id)
+		}
+		for i := len(rev) - 1; i >= 0; i-- {
+			r = append(r, rev[i])
+		}
+		return r
+	})
 }

@@ -28,15 +28,15 @@ func AllgatherNICEligible(nodes, veclen int) bool {
 // CollFits reports whether the MPI layer accepts one of CollNames at this
 // size, or why not: the host-based allreduce exchanges the whole vector,
 // and the host-based allgather (which a NIC-ineligible size also takes)
-// exchanges up to ⌈nodes/2⌉ vectors at once; either past mpi.EagerMax is
-// mpi.ErrExceedsEager.
+// exchanges mpi.BruckLargestExchange bytes at most; either past
+// mpi.EagerMax is mpi.ErrExceedsEager.
 func CollFits(collective string, nodes, veclen int) error {
 	var largest int
 	switch collective {
 	case "allreduce":
 		largest = 8 * veclen
 	case "allgather":
-		largest = 8 * veclen * ((nodes + 1) / 2)
+		largest = mpi.BruckLargestExchange(nodes, veclen)
 	}
 	if largest > mpi.EagerMax {
 		return fmt.Errorf("%w: %s of veclen %d on %d nodes exchanges %d bytes, limit %d",

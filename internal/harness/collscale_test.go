@@ -101,7 +101,7 @@ func TestCollLatencyUnknownPanics(t *testing.T) {
 
 // A size the MPI layer would refuse fails the same way, before a cluster
 // is built: an allreduce vector past EagerMax, and an allgather whose
-// largest host exchange (⌈n/2⌉ vectors) is past it.
+// largest host exchange (mpi.BruckLargestExchange) is past it.
 func TestCollLatencyExceedsEagerPanics(t *testing.T) {
 	for _, c := range []struct {
 		collective    string
@@ -116,8 +116,19 @@ func TestCollLatencyExceedsEagerPanics(t *testing.T) {
 			t.Errorf("%s on %d nodes, veclen %d: got %v, want ErrExceedsEager", c.collective, c.nodes, c.veclen, err)
 		}
 	}
-	if err := CollFits("allgather", 2048, 1); err != nil {
-		t.Errorf("the 2048-host allgather's host fallback is refused: %v", err)
+	for _, c := range []struct {
+		nodes, veclen int
+		fits          bool
+	}{
+		{2048, 1, true},
+		{4, 1017, true},  // 2 vectors, 16 272 bytes
+		{4, 1018, false}, // 16 288 bytes
+		{5, 700, true},   // 2 vectors, 11 200 bytes: step 4 sends 1
+		{7, 700, false},  // 3 vectors, 16 800 bytes
+	} {
+		if err := CollFits("allgather", c.nodes, c.veclen); (err == nil) != c.fits {
+			t.Errorf("allgather on %d nodes, veclen %d: CollFits = %v, want fits %v", c.nodes, c.veclen, err, c.fits)
+		}
 	}
 }
 

@@ -180,7 +180,7 @@ func foldVec(acc, other []int64, op coll.ReduceOp) {
 // concatenation in rank order on every rank. Under UseNB (result fitting
 // the eager limit) the NICs concatenate-and-forward up the tree and
 // multicast the assembled result down; otherwise the hosts run Bruck's
-// algorithm, whose largest exchange, 8·len(mine)·⌈n/2⌉ bytes, must fit
+// algorithm, whose largest exchange (BruckLargestExchange) must fit
 // EagerMax (ErrExceedsEager).
 func (r *Rank) AllgatherVec(mine []int64) []int64 {
 	n := r.Size()
@@ -195,12 +195,24 @@ func (r *Rank) AllgatherVec(mine []int64) []int64 {
 	return r.allgatherVecHB(mine)
 }
 
+// BruckLargestExchange reports the bytes of the largest exchange in Bruck's
+// allgather of veclen-element vectors over n ranks: step 2^k sends
+// min(2^k, n−2^k) blocks, so the largest is n/2 blocks for a power of two
+// and fewer otherwise (2 for n = 5, not ⌈5/2⌉).
+func BruckLargestExchange(n, veclen int) int {
+	blocks := 0
+	for pof2 := 1; pof2 < n; pof2 <<= 1 {
+		blocks = max(blocks, min(pof2, n-pof2))
+	}
+	return 8 * veclen * blocks
+}
+
 // allgatherVecHB is Bruck's algorithm: ceil(log2 n) exchange steps, each
 // doubling the span of collected blocks, then a rotation into rank order.
 func (r *Rank) allgatherVecHB(mine []int64) []int64 {
 	n := r.Size()
 	veclen := len(mine)
-	checkEager(8 * veclen * ((n + 1) / 2))
+	checkEager(BruckLargestExchange(n, veclen))
 	// Collected blocks, relative order: block k is rank (id+k)%n's vector.
 	buf := append(make([]int64, 0, n*veclen), mine...)
 	for pof2 := 1; pof2 < n; pof2 <<= 1 {

@@ -175,6 +175,37 @@ func TestAllgatherVecLargeFallsBackToHost(t *testing.T) {
 	}
 }
 
+// Bruck's largest exchange is n/2 vectors for a power of two but fewer
+// otherwise, so a size that fits runs: 5 ranks of veclen 700 exchange at
+// most 2 vectors (11 200 bytes), under EagerMax, though ⌈5/2⌉ = 3 vectors
+// would not be.
+func TestAllgatherVecBruckNonPowerOfTwo(t *testing.T) {
+	for n := 2; n <= 4096; n <<= 1 {
+		if got, want := BruckLargestExchange(n, 3), 8*3*(n/2); got != want {
+			t.Errorf("%d ranks: largest exchange %d bytes, want %d", n, got, want)
+		}
+	}
+	const nodes, veclen = 5, 700
+	if got := BruckLargestExchange(nodes, veclen); got != 8*veclen*2 {
+		t.Fatalf("%d ranks: largest exchange %d bytes, want %d", nodes, got, 8*veclen*2)
+	}
+	w := newWorld(t, nodes, true)
+	results := make([][]int64, nodes)
+	w.Run(func(r *Rank) {
+		results[r.ID()] = r.AllgatherVec(rankVec(r.ID(), veclen))
+	})
+	for i, res := range results {
+		if len(res) != nodes*veclen {
+			t.Fatalf("rank %d got %d elements", i, len(res))
+		}
+		for m := 0; m < nodes; m++ {
+			if res[m*veclen] != int64(100*m) || res[(m+1)*veclen-1] != int64(100*m+veclen-1) {
+				t.Fatalf("rank %d block %d corrupted", i, m)
+			}
+		}
+	}
+}
+
 func TestNBBarrierRepeated(t *testing.T) {
 	// Repeated NIC barriers with skewed ranks must all complete; the first
 	// creates the collective context on demand.

@@ -41,26 +41,26 @@ func NewFatTree(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *fa
 	edges := make([][]*fabric.Vertex, pods)
 	aggs := make([][]*fabric.Vertex, pods)
 	// Intra-pod links: edgeUp[p][e][a], aggDown[p][a][e].
-	edgeUp := make([][][]*fabric.Link, pods)
-	aggDown := make([][][]*fabric.Link, pods)
+	edgeUp := make([][][]int32, pods)
+	aggDown := make([][][]int32, pods)
 	for p := 0; p < pods; p++ {
 		edges[p] = make([]*fabric.Vertex, half)
 		aggs[p] = make([]*fabric.Vertex, half)
-		edgeUp[p] = make([][]*fabric.Link, half)
-		aggDown[p] = make([][]*fabric.Link, half)
+		edgeUp[p] = make([][]int32, half)
+		aggDown[p] = make([][]int32, half)
 		for e := 0; e < half; e++ {
 			edges[p][e] = n.AddSwitch("edge" + strconv.Itoa(p) + "." + strconv.Itoa(e))
-			edgeUp[p][e] = make([]*fabric.Link, half)
+			edgeUp[p][e] = make([]int32, half)
 		}
 		for a := 0; a < half; a++ {
 			aggs[p][a] = n.AddSwitch("agg" + strconv.Itoa(p) + "." + strconv.Itoa(a))
-			aggDown[p][a] = make([]*fabric.Link, half)
+			aggDown[p][a] = make([]int32, half)
 		}
 		for e := 0; e < half; e++ {
 			for a := 0; a < half; a++ {
 				up, down := n.Connect(edges[p][e], aggs[p][a])
-				edgeUp[p][e][a] = up
-				aggDown[p][a][e] = down
+				edgeUp[p][e][a] = up.ID()
+				aggDown[p][a][e] = down.ID()
 			}
 		}
 	}
@@ -68,63 +68,59 @@ func NewFatTree(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *fa
 	// Core switches: agg index a in every pod connects to cores
 	// [a*half, (a+1)*half).
 	cores := make([]*fabric.Vertex, half*half)
-	aggUp := make([][][]*fabric.Link, pods) // [p][a][j] to core a*half+j
-	coreDown := make([][]*fabric.Link, len(cores))
+	aggUp := make([][][]int32, pods) // [p][a][j] to core a*half+j
+	coreDown := make([][]int32, len(cores))
 	for c := range cores {
 		cores[c] = n.AddSwitch("core" + strconv.Itoa(c))
-		coreDown[c] = make([]*fabric.Link, pods)
+		coreDown[c] = make([]int32, pods)
 	}
 	for p := 0; p < pods; p++ {
-		aggUp[p] = make([][]*fabric.Link, half)
+		aggUp[p] = make([][]int32, half)
 		for a := 0; a < half; a++ {
-			aggUp[p][a] = make([]*fabric.Link, half)
+			aggUp[p][a] = make([]int32, half)
 			for j := 0; j < half; j++ {
 				c := a*half + j
 				up, down := n.Connect(aggs[p][a], cores[c])
-				aggUp[p][a][j] = up
-				coreDown[c][p] = down
+				aggUp[p][a][j] = up.ID()
+				coreDown[c][p] = down.ID()
 			}
 		}
 	}
 
-	// Hosts.
-	hostUp := make([]*fabric.Link, hosts)
-	hostDown := make([]*fabric.Link, hosts)
-	for i := 0; i < hosts; i++ {
+	// Hosts, each with its links and place: a route looks both up rather
+	// than dividing for them.
+	type attach struct{ up, down, pod, edge int32 }
+	at := make([]attach, hosts)
+	for i := range at {
 		p := i / hostsPerPod
 		e := (i % hostsPerPod) / hostsPerEdge
 		_, up, down := n.AddHost(fabric.NodeID(i), edges[p][e])
-		hostUp[i], hostDown[i] = up, down
+		at[i] = attach{up.ID(), down.ID(), int32(p), int32(e)}
 	}
 
-	podOf := func(h fabric.NodeID) int { return int(h) / hostsPerPod }
-	edgeOf := func(h fabric.NodeID) int { return (int(h) % hostsPerPod) / hostsPerEdge }
-
-	n.SetRoute(func(src, dst fabric.NodeID) []*fabric.Link {
+	n.SetRoute(func(r []int32, src, dst fabric.NodeID) []int32 {
 		if src == dst {
 			panic("myrinet: route to self")
 		}
-		sp, se := podOf(src), edgeOf(src)
-		dp, de := podOf(dst), edgeOf(dst)
+		s, d := &at[src], &at[dst]
 		h := int(src)*31 + int(dst)
-		if sp == dp && se == de {
-			return []*fabric.Link{hostUp[src], hostDown[dst]}
-		}
-		if sp == dp {
-			a := h % half
-			return []*fabric.Link{hostUp[src], edgeUp[sp][se][a], aggDown[sp][a][de], hostDown[dst]}
+		if s.pod == d.pod && s.edge == d.edge {
+			return append(r, s.up, d.down)
 		}
 		a := h % half
+		if s.pod == d.pod {
+			return append(r, s.up, edgeUp[s.pod][s.edge][a], aggDown[s.pod][a][d.edge], d.down)
+		}
 		j := (h / half) % half
 		c := a*half + j
-		return []*fabric.Link{
-			hostUp[src],
-			edgeUp[sp][se][a],
-			aggUp[sp][a][j],
-			coreDown[c][dp],
-			aggDown[dp][a][de],
-			hostDown[dst],
-		}
+		return append(r,
+			s.up,
+			edgeUp[s.pod][s.edge][a],
+			aggUp[s.pod][a][j],
+			coreDown[c][d.pod],
+			aggDown[d.pod][a][d.edge],
+			d.down,
+		)
 	})
 	n.SetMetrics(nil)
 	return n

@@ -108,8 +108,8 @@ func TestPartitionLookahead(t *testing.T) {
 }
 
 // TestCrossShardHandoffAllocs gates the boundary-handoff hot path at zero
-// allocations per packet: transits come from per-shard pools, routes from
-// per-shard caches, drained messages land in a reused buffer sorted by a
+// allocations per packet: transits come from per-shard pools, routes are
+// computed into them, drained messages land in a reused buffer sorted by a
 // pre-boxed sorter, and tiebreak keys are plain counter draws. The engines
 // are driven by hand — inject, run source shard, drain mailboxes, run
 // destination shard — so the measurement isolates the per-packet path from
@@ -156,7 +156,7 @@ func TestCrossShardHandoffAllocs(t *testing.T) {
 		e0.RunUntil(t)
 		e1.RunUntil(t)
 	}
-	// Warm up pools, route caches, and mailbox capacity.
+	// Warm up pools and mailbox capacity.
 	for i := 0; i < 8; i++ {
 		cycle()
 	}

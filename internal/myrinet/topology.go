@@ -35,38 +35,38 @@ func NewClos(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *fabri
 	}
 	spines := ports / 2
 	// up[l][s] is the leaf->spine link, down[s][l] the reverse.
-	up := make([][]*fabric.Link, leaves)
-	down := make([][]*fabric.Link, spines)
+	up := make([][]int32, leaves)
+	down := make([][]int32, spines)
 	for s := 0; s < spines; s++ {
-		down[s] = make([]*fabric.Link, leaves)
+		down[s] = make([]int32, leaves)
 	}
 	for l := 0; l < leaves; l++ {
-		up[l] = make([]*fabric.Link, spines)
+		up[l] = make([]int32, spines)
 	}
 	for s := 0; s < spines; s++ {
 		sv := n.AddSwitch("spine" + strconv.Itoa(s))
 		for l := 0; l < leaves; l++ {
 			u, d := n.Connect(leafV[l], sv)
-			up[l][s] = u
-			down[s][l] = d
+			up[l][s] = u.ID()
+			down[s][l] = d.ID()
 		}
 	}
-	hostUp := make([]*fabric.Link, hosts)
-	hostDown := make([]*fabric.Link, hosts)
+	hostUp := make([]int32, hosts)
+	hostDown := make([]int32, hosts)
 	for i := 0; i < hosts; i++ {
 		_, u, d := n.AddHost(fabric.NodeID(i), leafV[i/hostsPerLeaf])
-		hostUp[i], hostDown[i] = u, d
+		hostUp[i], hostDown[i] = u.ID(), d.ID()
 	}
-	n.SetRoute(func(src, dst fabric.NodeID) []*fabric.Link {
+	n.SetRoute(func(r []int32, src, dst fabric.NodeID) []int32 {
 		if src == dst {
 			panic("myrinet: route to self")
 		}
 		sl, dl := int(src)/hostsPerLeaf, int(dst)/hostsPerLeaf
 		if sl == dl {
-			return []*fabric.Link{hostUp[src], hostDown[dst]}
+			return append(r, hostUp[src], hostDown[dst])
 		}
 		spine := (int(src)*31 + int(dst)) % spines
-		return []*fabric.Link{hostUp[src], up[sl][spine], down[spine][dl], hostDown[dst]}
+		return append(r, hostUp[src], up[sl][spine], down[spine][dl], hostDown[dst])
 	})
 	n.SetMetrics(nil)
 	return n
