@@ -144,3 +144,23 @@ func TestAllocOpenPortsPerPort(t *testing.T) {
 		t.Errorf("a port costs %.1f objects and %.0f B to open, over 2.2 and 390", objects, bytes)
 	}
 }
+
+// The NICs of an engine share one pool of spare host buffers, so a buffer a
+// receive loop has taken back serves the next message at any host: 64
+// receivers of four 1 KB multicasts, each loop only receiving and providing,
+// land the 256 messages in 14 buffers, as many as were being assembled or
+// read at once. With a pool per port every receiver made its own, 64 in all,
+// and each run made them anew.
+func TestAllocReceiveBuffersPerEngine(t *testing.T) {
+	const want = 14
+	_, seen := receiveBuffers(t, 65, 4, 1<<10)
+	distinct := map[*byte]bool{}
+	for _, bufs := range seen {
+		for _, b := range bufs {
+			distinct[b] = true
+		}
+	}
+	if got := len(distinct); got != want {
+		t.Errorf("256 deliveries to 64 receivers landed in %d distinct buffers, want %d", got, want)
+	}
+}

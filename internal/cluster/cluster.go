@@ -197,9 +197,13 @@ func build(cfg *Config) *Cluster {
 		c.sh = sim.NewShardedMatrix(engines, plan.PairLookahead, net.DrainCross)
 		c.sh.SetPending(net.CrossPending)
 	}
+	// The NICs of a shard share one pool of spare host buffers: a buffer
+	// one host has taken back serves the next message at any host there.
+	first := make([]*gm.NIC, len(engines))
 	for i := 0; i < cfg.Nodes; i++ {
 		id := fabric.NodeID(i)
-		eng := engines[plan.HostShard[i]]
+		shard := plan.HostShard[i]
+		eng := engines[shard]
 		var node *Node
 		// Construction runs under the host's domain so any keys it draws
 		// are attributed to the node, not the ambient domain — ambient
@@ -209,6 +213,11 @@ func build(cfg *Config) *Cluster {
 			hw.SetMetrics(reg)
 			nic := gm.NewNIC(hw, cfg.GM)
 			nic.Trace = cfg.Trace
+			if first[shard] == nil {
+				first[shard] = nic
+			} else {
+				nic.ShareSpares(first[shard])
+			}
 			node = &Node{ID: id, HW: hw, NIC: nic}
 			if !cfg.noExt {
 				node.Ext = core.Install(nic, cfg.Mcast)

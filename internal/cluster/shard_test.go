@@ -397,3 +397,68 @@ func TestShardOptionValidation(t *testing.T) {
 		cluster.New(8, cluster.WithShards(2), cluster.WithLossRate(0.01))
 	})
 }
+
+// receiveBuffers runs msgs one-message multicasts of size bytes, one after
+// the other, from node 0 to every other node of an n-node cluster, in one
+// Run. Each receive loop only receives and provides, and gives its last
+// event back. It returns the cluster and, per node, the host buffer each
+// message landed in.
+func receiveBuffers(t *testing.T, nodes, msgs, size int, opts ...cluster.Option) (*cluster.Cluster, [][]*byte) {
+	t.Helper()
+	c := cluster.New(nodes, opts...)
+	ports := c.OpenPorts(1)
+	ready := c.InstallGroup(5, tree.Binomial(0, c.Members()), 1, 1)
+	seen := make([][]*byte, nodes) // per node, so shards record race-free
+	for n := 1; n < nodes; n++ {
+		c.SpawnOn(fabric.NodeID(n), "recv", func(p *sim.Proc) {
+			ports[n].Provide(size)
+			for range msgs {
+				seen[n] = append(seen[n], &ports[n].Recv(p).Data[0])
+				ports[n].Provide(size)
+			}
+			ports[n].TryRecv()
+		})
+	}
+	c.Run()
+	if !ready() {
+		t.Fatal("group install did not settle")
+	}
+	c.SpawnOn(0, "root", func(p *sim.Proc) {
+		for range msgs {
+			c.Nodes[0].Ext.McastSync(p, ports[0], 5, make([]byte, size))
+		}
+	})
+	c.Run()
+	for n := 1; n < nodes; n++ {
+		if len(seen[n]) != msgs {
+			t.Fatalf("node %d received %d messages, want %d", n, len(seen[n]), msgs)
+		}
+	}
+	return c, seen
+}
+
+// Each shard keeps its own pool of spare host buffers: a buffer taken back on
+// one shard serves the next message at any port there (63 receivers use
+// fewer buffers than ports, or the test would show nothing) and never one on
+// another shard, whose engine runs on another goroutine.
+func TestShardedSparesStayOnTheirShard(t *testing.T) {
+	const nodes, msgs = 64, 6
+	c, seen := receiveBuffers(t, nodes, msgs, 1<<10, cluster.WithShards(2))
+	if c.Shards() != 2 {
+		t.Fatalf("built %d shards, want 2", c.Shards())
+	}
+	shardOf := map[*byte]*sim.Engine{}
+	for n := 1; n < nodes; n++ {
+		eng := c.EngineOf(fabric.NodeID(n))
+		for _, b := range seen[n] {
+			if other, ok := shardOf[b]; ok && other != eng {
+				t.Fatalf("node %d received in a buffer another shard had used", n)
+			}
+			shardOf[b] = eng
+		}
+	}
+	if len(shardOf) >= nodes-1 {
+		t.Errorf("%d receivers landed their messages in %d distinct buffers: no port took another's spare", nodes-1, len(shardOf))
+	}
+	c.Kill()
+}

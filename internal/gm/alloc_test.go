@@ -16,7 +16,7 @@ import (
 // On a warm port the whole receive cycle — match a token, deposit, deliver
 // the event, Recv, Provide — allocates nothing: each Recv takes back the
 // event the previous one lent, so the assembly, the event and the buffer
-// come back from the port's spares, and the delivery closure was bound when
+// come back from the NIC's spares, and the delivery closure was bound when
 // the assembly was made.
 func TestAllocReceiveCycleIsFree(t *testing.T) {
 	r := newRig(t, 2, nil)

@@ -19,7 +19,7 @@ type rig struct {
 	ports []*Port
 }
 
-func newRig(t *testing.T, nodes int, mut func(*Config)) *rig {
+func newRig(t testing.TB, nodes int, mut func(*Config)) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	net := fabric.SingleSwitch(eng, nodes, fabric.DefaultLinkParams())

@@ -75,6 +75,11 @@ type NIC struct {
 	groupEvents []groupEvent
 	groupPost   func()
 
+	// spares are the host buffers its ports have taken back or released,
+	// made with the first one; ShareSpares points it at a pool another
+	// NIC on the engine made.
+	spares *spares
+
 	nextMsgID uint64
 }
 
@@ -115,7 +120,9 @@ func (n *NIC) Extension() Extension { return n.ext }
 
 // OpenPort creates a host communication endpoint. Each simulated process
 // opens its own port; GM's memory protection between ports is implicit in
-// the model (ports share nothing).
+// the model: a port reads and writes only the buffers of the events it
+// receives. A buffer another port has taken back may serve its next message
+// (see ShareSpares), but only once no holder can still read it.
 func (n *NIC) OpenPort(id PortID) *Port {
 	if n.port(id) != nil {
 		panic(fmt.Errorf("%w: port %d on %v", ErrPortInUse, id, n.ID()))
@@ -125,12 +132,33 @@ func (n *NIC) OpenPort(id PortID) *Port {
 	return p
 }
 
+// ShareSpares makes n keep its spare host buffers in with's pool, so every
+// port of either NIC lands messages in buffers a port of the other has taken
+// back. The two must run on one engine: the pool is touched without a lock,
+// by that engine's events and processes alone.
+func (n *NIC) ShareSpares(with *NIC) {
+	if n.Engine() != with.Engine() {
+		panic(fmt.Sprintf("gm: %v and %v run on different engines and cannot share spares", n.ID(), with.ID()))
+	}
+	n.spares = with.pool()
+}
+
+// pool returns the NIC's spares, made on first use.
+func (n *NIC) pool() *spares {
+	if n.spares == nil {
+		n.spares = new(spares)
+	}
+	return n.spares
+}
+
 // DropHostBuffers makes each port forget its lent event, never to reuse it,
-// and its spares: for when nothing is in flight, as at the end of a run.
+// and empties the NIC's pool of spares, which NICs sharing it lose too: for
+// when nothing is in flight, as at the end of a run.
 func (n *NIC) DropHostBuffers() {
 	for _, p := range n.ports {
-		p.lent, p.free = nil, nil
+		p.lent = nil
 	}
+	n.spares.drop()
 }
 
 // Port returns an open port.

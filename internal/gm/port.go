@@ -1,6 +1,7 @@
 package gm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -25,14 +26,21 @@ type RecvEvent struct {
 	Group   GroupID
 	Data    []byte
 
-	asm *Assembly // what the port recycles; nil on a firmware-generated event
+	asm *Assembly // what the spares recycle; nil on a firmware-generated event
 }
 
-// recvToken is one host-posted receive token awaiting a message: a
-// capacity, the largest message it admits. The buffer is the port's business
-// (MatchAssembly), sized to the message that claims the token.
-type recvToken struct {
-	capacity int
+// tokenRun is count host-posted receive tokens of one capacity, the largest
+// message each admits. A token is nothing but its capacity, so equal ones
+// are interchangeable and a count stands for them all. The buffer is the
+// NIC's business (MatchAssembly), sized to the message that claims the token.
+type tokenRun struct {
+	capacity, count int
+}
+
+// findRun returns the index of the first run whose capacity is at least c,
+// and whether its capacity is exactly c.
+func findRun(runs []tokenRun, c int) (int, bool) {
+	return slices.BinarySearchFunc(runs, c, func(r tokenRun, c int) int { return cmp.Compare(r.capacity, c) })
 }
 
 // asmKey identifies an in-progress message assembly.
@@ -46,7 +54,7 @@ type asmKey struct {
 // exported (with accessor methods) because the multicast extension
 // deposits forwarded packets into assemblies. The assembly embeds the
 // receive event it becomes, so assembly, event and buffer reach the host
-// and come back to the port as one object.
+// and come back to the spares as one object.
 type Assembly struct {
 	ev       RecvEvent // ev.Data is the host buffer, the message long
 	port     *Port
@@ -106,13 +114,15 @@ type Port struct {
 	recvEvents []*RecvEvent
 	recvWaiter sim.Waiter
 
-	recvTokens []recvToken
+	// recvTokens are the posted receive tokens, in runs sorted by capacity,
+	// none empty; nTokens counts them.
+	recvTokens []tokenRun
+	nTokens    int
 	// asms holds the assemblies of multi-packet messages, made when the
 	// port opens the first one: a port that only receives whole-message
 	// packets never builds the table.
 	asms map[asmKey]*Assembly
-	lent *Assembly   // what the last Recv or TryRecv returned; the next takes it back
-	free []*Assembly // taken back or released, reused by MatchAssembly
+	lent *Assembly // what the last Recv or TryRecv returned; the next takes it back
 }
 
 func newPort(n *NIC, id PortID) *Port {
@@ -130,28 +140,31 @@ func (p *Port) Node() fabric.NodeID { return p.nic.ID() }
 
 // Provide posts a receive token: permission to deliver one message of up
 // to capacity bytes. Like GM, receiving is impossible without posted tokens.
-// The token carries no memory — the port lands the message in a buffer of
-// the message's own length, one it has taken back (see RecvEvent) when one
-// is large enough — so a receive loop provides a token for each event and
-// does nothing else to recycle the buffers.
-func (p *Port) Provide(capacity int) {
-	if max := p.nic.Cfg.RecvTokensMax; max > 0 && len(p.recvTokens) >= max {
+// The token carries no memory — the NIC lands the message in a buffer of
+// the message's own length, a spare (see RecvEvent) when one is large
+// enough — so a receive loop provides a token for each event and does
+// nothing else to recycle the buffers.
+func (p *Port) Provide(capacity int) { p.ProvideN(1, capacity) }
+
+// ProvideN posts n receive tokens of the given capacity at once. Past
+// Config.RecvTokensMax it panics with ErrTokenExhausted and posts none.
+func (p *Port) ProvideN(n, capacity int) {
+	if n <= 0 {
+		return
+	}
+	if max := p.nic.Cfg.RecvTokensMax; max > 0 && p.nTokens+n > max {
 		panic(fmt.Errorf("%w: port %d exceeds %d", ErrTokenExhausted, p.id, max))
 	}
-	p.recvTokens = append(p.recvTokens, recvToken{capacity: capacity})
-}
-
-// ProvideN posts n receive buffers of the given capacity, growing the token
-// list once rather than by doubling.
-func (p *Port) ProvideN(n, capacity int) {
-	p.recvTokens = slices.Grow(p.recvTokens, max(n, 0))
-	for i := 0; i < n; i++ {
-		p.Provide(capacity)
+	i, ok := findRun(p.recvTokens, capacity)
+	if !ok {
+		p.recvTokens = slices.Insert(p.recvTokens, i, tokenRun{capacity: capacity})
 	}
+	p.recvTokens[i].count += n
+	p.nTokens += n
 }
 
-// RecvTokens reports how many receive buffers are currently posted.
-func (p *Port) RecvTokens() int { return len(p.recvTokens) }
+// RecvTokens reports how many receive tokens are currently posted.
+func (p *Port) RecvTokens() int { return p.nTokens }
 
 // FreeSendTokens reports the host-level send tokens currently available —
 // back to Config.SendTokens once every posted send has completed.
@@ -263,11 +276,11 @@ func (p *Port) TryRecv() (*RecvEvent, bool) {
 	return ev, true
 }
 
-// spare puts a on the free list, poisoned in -race builds.
+// spare hands a to the NIC's spares, poisoned in -race builds.
 func (p *Port) spare(a *Assembly) {
 	poison(a.ev.Data)
 	a.kept = false
-	p.free = append(p.free, a)
+	p.nic.pool().put(a)
 }
 
 // PendingRecvs reports the receive-event queue depth.
@@ -320,7 +333,7 @@ func (p *Port) Keep(ev *RecvEvent) {
 	}
 }
 
-// Release hands a kept event and its buffer back to the port for the next
+// Release hands a kept event and its buffer to the spares for the next
 // message that fits, so the caller must be finished with both. Releasing an
 // event not kept on this port (a lent one above all: the port takes that back
 // by itself) or releasing twice panics; a firmware-generated event has no
@@ -343,41 +356,16 @@ func (p *Port) asmOf(ev *RecvEvent) *Assembly {
 	return a
 }
 
-// takeFree removes and returns the spare assembly whose buffer fits
-// msgLen most tightly. When none is large enough it returns the last one on
-// the list anyway, to be given a new buffer, so a port never holds more
-// assemblies than it had messages outstanding at once; nil when it has no
-// spare.
-func (p *Port) takeFree(msgLen int) *Assembly {
-	n := len(p.free)
-	if n == 0 {
-		return nil
-	}
-	best := -1
-	for i, a := range p.free {
-		if c := cap(a.ev.Data); c >= msgLen && (best == -1 || c < cap(p.free[best].ev.Data)) {
-			best = i
-		}
-	}
-	if best == -1 {
-		best = n - 1
-	}
-	a := p.free[best]
-	p.free[best] = p.free[n-1]
-	p.free[n-1] = nil
-	p.free = p.free[:n-1]
-	return a
-}
-
 // MatchAssembly finds the in-progress assembly for the message fr is a packet
 // of, or matches a new receive token and opens one. src is the message's
 // source: the NIC the packet came from for unicast; the multicast extension
 // (which this is exported for) names the tree's root, not the forwarder.
-// Matching is best-fit (the smallest posted token that admits the message,
-// oldest on ties), standing in for GM's size-class token matching: a large
-// token is never consumed by a small message that a smaller one admits. The
-// token's capacity is the admission test and nothing else; the host buffer is
-// MsgLen long, taken from the spares when one is large enough. It
+// Matching is best-fit (the smallest posted capacity that admits the
+// message), standing in for GM's size-class token matching: a large token is
+// never consumed by a small message that a smaller one admits. A binary
+// search over the capacity runs finds it. The token's capacity is the
+// admission test and nothing else; the host buffer is MsgLen long, the
+// tightest-fitting spare of the NIC's engine when one is large enough. It
 // reports false when no token fits — the caller must then refuse the packet.
 //
 // A packet that carries its whole message never enters the assembly table:
@@ -395,28 +383,24 @@ func (p *Port) MatchAssembly(src fabric.NodeID, fr *Frame) (*Assembly, bool) {
 			return a, true
 		}
 	}
-	best := -1
-	for i, t := range p.recvTokens {
-		if t.capacity < msgLen {
-			continue
-		}
-		if best == -1 || t.capacity < p.recvTokens[best].capacity {
-			best = i
-		}
-	}
-	if best == -1 {
+	i, _ := findRun(p.recvTokens, msgLen)
+	if i == len(p.recvTokens) {
 		return nil, false
 	}
-	p.recvTokens = append(p.recvTokens[:best], p.recvTokens[best+1:]...)
-	a := p.takeFree(msgLen)
+	if p.recvTokens[i].count--; p.recvTokens[i].count == 0 {
+		p.recvTokens = slices.Delete(p.recvTokens, i, i+1)
+	}
+	p.nTokens--
+	a := p.nic.spares.take(msgLen)
 	if a == nil {
-		a = &Assembly{port: p}
+		a = new(Assembly)
 		a.post = a.deliver
 	}
 	if cap(a.ev.Data) < msgLen {
 		// Grow's capacity is the whole size class: room for a longer next message.
 		a.ev.Data = slices.Grow([]byte(nil), msgLen)
 	}
+	a.port = p
 	a.ev = RecvEvent{Src: src, SrcPort: fr.SrcPort, MsgID: fr.MsgID, Group: fr.Group, Data: a.ev.Data[:msgLen], asm: a}
 	a.received, a.done, a.tabled = 0, false, !whole
 	if a.tabled {

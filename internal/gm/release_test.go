@@ -226,3 +226,26 @@ func TestReceiveLoopReusesOneBuffer(t *testing.T) {
 		t.Errorf("%d messages landed in %d distinct buffers, want the first one reused throughout", msgs, len(seen))
 	}
 }
+
+// NICs that share spares hand a buffer one port took back to the next message
+// at another; NICs on different engines cannot share, since nothing orders
+// two engines' touches of one pool.
+func TestShareSpares(t *testing.T) {
+	r := newRig(t, 3, nil)
+	r.nics[2].ShareSpares(r.nics[1])
+	r.ports[1].ProvideN(2, 64)
+	r.ports[2].ProvideN(2, 64)
+	ev := land(t, r, r.ports[1], 1, 8)
+	r.ports[1].TryRecv() // takes ev back into the shared pool
+	if got := land(t, r, r.ports[2], 2, 8); got != ev {
+		t.Error("a spare of one NIC did not serve the next message at the NIC sharing its pool")
+	}
+	r.ports[2].TryRecv()
+	r.ports[0].Provide(64)
+	if got := land(t, r, r.ports[0], 3, 8); got == ev {
+		t.Error("a NIC that shares nothing got another NIC's buffer")
+	}
+
+	other := newRig(t, 2, nil)
+	mustPanic(t, "sharing spares across engines", "different engines", func() { other.nics[0].ShareSpares(r.nics[1]) })
+}
