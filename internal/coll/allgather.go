@@ -234,10 +234,10 @@ func (g *Group) pumpGather(seq uint32, gs *gatherSend, parent fabric.NodeID) {
 		n := min(len(gs.batch)-gs.off, mtu)
 		e.m.gatherSent.Inc()
 		e.m.bytesForwarded.Add(uint64(n))
-		g.send(parent, &gm.Frame{
-			Kind: gm.KindGather, MsgID: uint64(seq),
-			Offset: gs.off, MsgLen: len(gs.batch), Payload: gs.batch[gs.off : gs.off+n],
-		})
+		fr := e.nic.NewFrame()
+		fr.Kind, fr.MsgID = gm.KindGather, uint64(seq)
+		fr.Offset, fr.MsgLen, fr.Payload = gs.off, len(gs.batch), gs.batch[gs.off:gs.off+n]
+		g.send(parent, fr)
 		gs.off += n
 	}
 }
@@ -272,8 +272,10 @@ func (e *Engine) rxGather(src fabric.NodeID, fr *gm.Frame) {
 		nic.HW.CountRxNoBuffer()
 		return
 	}
+	fr.Hold()
 	nic.HW.CPUDo(nic.Cfg.RecvProcCost, func() {
 		defer buf.Release()
+		defer fr.Release()
 		_, _, children, _, ok := e.treeView(fr.Group)
 		if !ok {
 			// No group entry yet: stay silent so the child retransmits
@@ -374,7 +376,9 @@ func (g *Group) pumpRing(seq uint32, st *ringInst) {
 	e.m.ringSent.Inc()
 	e.m.bytesForwarded.Add(uint64(8 * st.veclen))
 	chunk := st.flat[idx*st.veclen : (idx+1)*st.veclen]
-	g.send(succ, &gm.Frame{Kind: gm.KindRing, MsgID: uint64(seq), Offset: idx, Payload: EncodeVec(chunk)})
+	fr := e.nic.NewFrame()
+	fr.Kind, fr.MsgID, fr.Offset, fr.Payload = gm.KindRing, uint64(seq), idx, EncodeVec(chunk)
+	g.send(succ, fr)
 }
 
 // ringHopAcked releases the next hop after the previous one is
@@ -413,8 +417,10 @@ func (e *Engine) rxRing(src fabric.NodeID, fr *gm.Frame) {
 		nic.HW.CountRxNoBuffer()
 		return
 	}
+	fr.Hold()
 	nic.HW.CPUDo(nic.Cfg.RecvProcCost, func() {
 		defer buf.Release()
+		defer fr.Release()
 		g, ok := e.groups[fr.Group]
 		if !ok || g.members == nil {
 			e.m.notMemberDrops.Inc()

@@ -133,7 +133,9 @@ func (g *Group) treeRelease() {
 // sendBarrier sends the current instance's message at offset (a round or a
 // tree-sweep marker) to one peer.
 func (g *Group) sendBarrier(to fabric.NodeID, offset int) {
-	g.send(to, &gm.Frame{Kind: gm.KindBarrier, MsgID: uint64(g.barSeq), Offset: offset})
+	fr := g.eng.nic.NewFrame()
+	fr.Kind, fr.MsgID, fr.Offset = gm.KindBarrier, uint64(g.barSeq), offset
+	g.send(to, fr)
 }
 
 // completeBarrier posts the zero-byte completion event to the host.
@@ -152,11 +154,12 @@ func (g *Group) completeBarrier() {
 // most one instance ahead (see Group.recvdNext), so a message is for the
 // current instance or the next.
 func (e *Engine) rxBarrier(src fabric.NodeID, fr *gm.Frame) {
+	fr.Hold()
 	e.queues().barriers.do(e.nic, e.nic.Cfg.AckProcCost, barrierTask{e, src, fr})
 }
 
 // barrierTask is one arrived barrier message awaiting its turn on the
-// LANai.
+// LANai, holding its frame until then.
 type barrierTask struct {
 	e   *Engine
 	src fabric.NodeID
@@ -164,6 +167,11 @@ type barrierTask struct {
 }
 
 func (t barrierTask) run() {
+	t.handle()
+	t.fr.Release()
+}
+
+func (t barrierTask) handle() {
 	e, fr := t.e, t.fr
 	g, ok := e.groups[fr.Group]
 	if !ok || g.members == nil {

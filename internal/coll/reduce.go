@@ -166,7 +166,9 @@ func (t combineTask) run() {
 	}
 	e.m.reduceSent.Inc()
 	e.m.bytesForwarded.Add(uint64(8 * len(st.acc)))
-	g.send(t.parent, &gm.Frame{Kind: gm.KindReduce, MsgID: uint64(t.seq), Offset: int(st.op), Payload: EncodeVec(st.acc)})
+	fr := e.nic.NewFrame()
+	fr.Kind, fr.MsgID, fr.Offset, fr.Payload = gm.KindReduce, uint64(t.seq), int(st.op), EncodeVec(st.acc)
+	g.send(t.parent, fr)
 }
 
 // rxReduce handles a child's combined contribution.
@@ -177,8 +179,10 @@ func (e *Engine) rxReduce(src fabric.NodeID, fr *gm.Frame) {
 		nic.HW.CountRxNoBuffer()
 		return
 	}
+	fr.Hold()
 	nic.HW.CPUDo(nic.Cfg.RecvProcCost, func() {
 		defer buf.Release()
+		defer fr.Release()
 		_, _, children, _, ok := e.treeView(fr.Group)
 		if !ok {
 			e.m.notMemberDrops.Inc()

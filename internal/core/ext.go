@@ -448,13 +448,16 @@ func (e *Ext) Left(d *gm.Desc) {
 	last := i+1 == len(g.children)
 	if tok != nil && e.cfg.Multisend == ModeTokens {
 		// The replicas go in child order (every stage on the way is FIFO),
-		// so the last child's is the last to leave.
+		// so the last child's is the last to leave; its descriptor may be
+		// the frame's last holder.
+		fr.Hold()
 		d.Done()
 		if last {
 			g.snd.staging--
 			g.file(fr, mcastSent{tok: tok})
 			g.pump()
 		}
+		fr.Release()
 		return
 	}
 	if last {
@@ -465,7 +468,8 @@ func (e *Ext) Left(d *gm.Desc) {
 	d.SendAfter(e.cfg.HeaderRewriteCost, i+1, g.children[i+1])
 }
 
-// sfState gathers a message's packets in the store-and-forward ablation.
+// sfState gathers a message's packets in the store-and-forward ablation,
+// holding each frame until it is staged again.
 type sfState struct {
 	frames []*gm.Frame
 	got    int
@@ -484,6 +488,7 @@ func (e *Ext) storeAndForward(g *group, fr *gm.Frame) {
 		st = &sfState{}
 		s.sf[fr.MsgID] = st
 	}
+	fr.Hold()
 	st.frames = append(st.frames, fr)
 	st.got += len(fr.Payload)
 	if st.got < fr.MsgLen {
@@ -494,6 +499,7 @@ func (e *Ext) storeAndForward(g *group, fr *gm.Frame) {
 		s.sendSeq = f.Seq
 		s.staging++
 		e.nic.Stage(f, nil, e.cfg.ForwardSetupCost)
+		f.Release()
 	}
 }
 

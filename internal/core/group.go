@@ -280,9 +280,11 @@ func (g *group) startChain(d *gm.Desc) {
 // next chain run. A packet forwarded from the wire gives up the chain's use
 // of the receive buffer — unless the RetransmitHoldBuffer ablation pins it
 // until every child has acknowledged, in which case the send record takes
-// that use over.
+// that use over. The descriptor may be the frame's last holder, so the frame
+// is held across its hand-over to the record.
 func (g *group) lastReplicaLeft(d *gm.Desc) {
 	fr, tok, fwd := d.Frame(), d.Token(), d.Forwarded()
+	fr.Hold()
 	g.snd.staging--
 	sent := mcastSent{tok: tok}
 	if fwd && g.ext.cfg.Retransmit == RetransmitHoldBuffer {
@@ -291,6 +293,7 @@ func (g *group) lastReplicaLeft(d *gm.Desc) {
 		d.Done()
 	}
 	g.file(fr, sent)
+	fr.Release()
 	if !fwd {
 		g.nextChain()
 	}

@@ -45,6 +45,28 @@ type Packet struct {
 	TxDone   func()
 }
 
+// Shared is a Payload that counts its holders, among them every packet in
+// flight that carries it (package gm's frames, which a pool recycles once
+// the last lets go). The fabric tells it the two things that happen to a
+// packet out of its sender's and receiver's sight. It calls Release when it
+// drops the packet, whose hold ends there; without that, every lost packet
+// would keep its payload from the pool for good. It calls Pin when it
+// copies the packet — a duplicate (Network.DupFn), or a hand-off to another
+// shard's engine — since the copy is a holder nobody counts, perhaps on
+// another engine: the payload must then never be recycled. Both are rare; a
+// packet that arrives is its receiver's to release.
+type Shared interface {
+	Pin()
+	Release()
+}
+
+// pin pins p's payload if it is Shared.
+func pin(p *Packet) {
+	if s, ok := p.Payload.(Shared); ok {
+		s.Pin()
+	}
+}
+
 // Ctl is the whole content of a control packet: one that carries a header
 // and no payload, which is every acknowledgment of the protocols above. It
 // rides in the Packet by value, so sending one allocates nothing and nobody

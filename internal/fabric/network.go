@@ -159,22 +159,30 @@ func (n *Network) HopCount(src, dst NodeID) int { return len(n.Route(src, dst)) 
 // Inject begins transmitting p from its source interface. The caller is
 // the NIC transmit engine; the injection link's FIFO discipline serializes
 // concurrent transmissions from one NIC. Delivery (or silent loss) happens
-// entirely through scheduled events. The packet is copied into the
+// entirely through scheduled events. The packet's fields are copied into the
 // traversal record, so p may live on the caller's stack and be reused as
 // soon as Inject returns.
 func (ifc *Iface) Inject(p *Packet) {
-	n := ifc.net
 	if p.Src != ifc.id {
 		panic(fmt.Sprintf("fabric: packet src %v injected at %v", p.Src, ifc.id))
 	}
-	if p.Size <= 0 {
+	ifc.Send(p.Dst, p.Size, p.Payload, p.Ctl, p.TxDone)
+}
+
+// Send is Inject with the packet given as its fields, from this interface
+// to dst: they are written straight into the traversal record, so the
+// caller builds no Packet and none is copied.
+func (ifc *Iface) Send(dst NodeID, size int, payload any, ctl Ctl, txDone func()) {
+	n := ifc.net
+	if size <= 0 {
 		panic("fabric: packet with nonpositive size")
 	}
 	srcV := ifc.up.from
 	sh := n.sh[srcV.shard]
 	sh.m.injected.Inc()
 	tr := sh.newTransit(n)
-	tr.p = *p
+	p := &tr.p
+	p.Src, p.Dst, p.Size, p.Payload, p.Ctl, p.TxDone = ifc.id, dst, size, payload, ctl, txDone
 	tr.setRoute()
 	tr.i = 0
 	tr.headAt = sh.eng.Now()
@@ -278,6 +286,9 @@ func (tr *transit) run() {
 		l.Drops++
 		l.wire.drops.Inc()
 		tr.sh.m.dropped.Inc()
+		if s, ok := p.Payload.(Shared); ok {
+			s.Release()
+		}
 		tr.release()
 		return
 	}
@@ -311,6 +322,7 @@ func (tr *transit) run() {
 			panic("fabric: duplicate injection across shard boundary unsupported")
 		}
 		dup := *p // the original's transit is recycled before the copy lands
+		pin(p)
 		m := tr.sh.m
 		tr.sh.eng.AtDomain(l.toDomain, tailIn+ser, func() {
 			m.duplicated.Inc()
@@ -361,6 +373,7 @@ func (l *Link) drain() {
 // serial position.
 func (tr *transit) post(l *Link, when sim.Time, kind uint8, hop int32) {
 	sh := tr.sh
+	pin(&tr.p)
 	key := sh.eng.AllocKey(l.toDomain)
 	sh.out[l.toShard] = append(sh.out[l.toShard], crossMsg{
 		when: when, key: key, owner: l.toDomain, kind: kind, hop: hop, p: tr.p,

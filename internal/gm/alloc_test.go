@@ -4,6 +4,7 @@ package gm
 
 import (
 	"runtime"
+	"runtime/pprof"
 	"testing"
 	"unsafe"
 
@@ -78,11 +79,11 @@ func TestAllocSmallMessageOnLargeTokenIsSmall(t *testing.T) {
 
 // A warm unicast message — host post, send-event processing, buffer, SDMA,
 // wire, receive processing, RDMA, event; and back: ack, window, send-done —
-// allocates one object: the data frame, made on one NIC, kept by its send
-// window until the ack and read on the other, so it has no free list to go
-// back to. The ack is no object at all — its header crosses the wire inside
-// the fabric's packet, by value (the test keeps the name it had when the ack
-// was a frame too). Every firmware step in between runs on a pooled
+// allocates nothing. The data frame comes from the engine's pool and goes
+// back there when its last holder, the send record, retires at the ack; the
+// ack is no object at all — its header crosses the wire inside the fabric's
+// packet, by value (the test keeps the name it had when both were frames
+// made per packet). Every firmware step in between runs on a pooled
 // descriptor.
 func TestAllocUnicastCycleIsTwoFrames(t *testing.T) {
 	r := newRig(t, 2, nil)
@@ -105,21 +106,23 @@ func TestAllocUnicastCycleIsTwoFrames(t *testing.T) {
 		})
 	})
 	r.run(t)
-	if allocs != 1 {
-		t.Errorf("a warm unicast send → ack → done cycle allocates %.1f objects, want 1 (the data frame)", allocs)
+	if allocs != 0 {
+		t.Errorf("a warm unicast send → ack → done cycle allocates %.1f objects, want 0", allocs)
 	}
 	if free := len(r.nics[0].descFree) + len(r.nics[1].descFree); free == 0 || len(r.nics[0].tokFree) != 1 {
 		t.Errorf("free lists hold %d packet and %d send descriptors, want some and 1", free, len(r.nics[0].tokFree))
 	}
 }
 
-// Frames are the one per-packet allocation left and descriptors are pooled
-// per NIC at their high-water mark, so their sizes are heap: a Frame fills the
-// 96-byte class exactly (it was 112 with the two node IDs that now live in
-// the fabric's packet), a descriptor 104 bytes of the 112-byte class — the
-// one descriptor unicast and the multicast extension share, a group ack's
-// header, the replica being sent and the set-up cost included. It was two: 80
-// bytes for unicast's, 104 for the extension's.
+// Frames are pooled per engine and descriptors per NIC, each at its
+// high-water mark, so their sizes are heap: a Frame fills the 96-byte class
+// exactly (it was 112 with the two node IDs that now live in the fabric's
+// packet; its holder count and pin share the word its kind leads, and its
+// pool pointer took what the header's padding gave back), a descriptor 104
+// bytes of the 112-byte class — the one descriptor unicast and the multicast
+// extension share, a group ack's header, the replica being sent and the
+// set-up cost included. It was two: 80 bytes for unicast's, 104 for the
+// extension's.
 func TestAllocFrameAndDescriptorSize(t *testing.T) {
 	if got := unsafe.Sizeof(Frame{}); got != 96 {
 		t.Errorf("a Frame is %d bytes, was 96", got)
@@ -136,5 +139,36 @@ func TestAllocFrameAndDescriptorSize(t *testing.T) {
 func TestAllocInstrumentsSize(t *testing.T) {
 	if got := unsafe.Sizeof(instruments{}); got != 152 {
 		t.Errorf("the gm block is %d bytes, was 152", got)
+	}
+}
+
+// A steady unicast stream allocates nothing per packet once warm: each
+// frame, descriptor, send token and receive event comes off its free list
+// and goes back. The stream's processes cost a fixed few objects whatever
+// its length, so two streams on the same warm rig that differ by 200
+// messages (400 packets) allocate the same, but for a few of the runtime's
+// own objects landing in one run and not the other (a fresh frame per
+// packet was one object a packet).
+func TestAllocUnicastStreamIsFree(t *testing.T) {
+	r := newRig(t, 2, nil)
+	size := 2 * r.nics[0].Cfg.MTU
+	streamUnicast(t, r, 64, size)
+	objects := func(msgs int) uint64 {
+		for {
+			// A run during which the runtime started an OS thread is
+			// measured again: the thread's records are not the stream's.
+			threads := pprof.Lookup("threadcreate").Count()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			streamUnicast(t, r, msgs, size)
+			runtime.ReadMemStats(&after)
+			if pprof.Lookup("threadcreate").Count() == threads {
+				return after.Mallocs - before.Mallocs
+			}
+		}
+	}
+	short, long := objects(100), objects(300)
+	if per := (float64(long) - float64(short)) / 400; per > 0.02 {
+		t.Errorf("a warm unicast stream allocates %.3f objects per packet (%d objects for 100 messages, %d for 300), want 0", per, short, long)
 	}
 }

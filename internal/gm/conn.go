@@ -51,12 +51,13 @@ func (t *Token) StagesIn(epoch uint32) {
 }
 
 // NextFrame cuts the message's next packet of at most mtu bytes, counts it
-// pending, and reports whether it was the last; the frame carries the
-// message framing (MsgID, MsgLen, Offset, Payload) and the caller fills in
-// the rest.
+// pending, and reports whether it was the last; the frame, from the NIC's
+// pool (NIC.NewFrame), carries the message framing (MsgID, MsgLen, Offset,
+// Payload) and the caller fills in the rest.
 func (t *Token) NextFrame(mtu int) (fr *Frame, last bool) {
 	chunk := min(len(t.data)-t.nextOff, mtu)
-	fr = &Frame{MsgID: t.msgID, MsgLen: len(t.data), Offset: t.nextOff}
+	fr = t.port.nic.NewFrame()
+	fr.MsgID, fr.MsgLen, fr.Offset = t.msgID, len(t.data), t.nextOff
 	if chunk > 0 {
 		fr.Payload = t.data[t.nextOff : t.nextOff+chunk]
 	}

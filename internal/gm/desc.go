@@ -62,7 +62,7 @@ const (
 )
 
 // newDesc takes a descriptor off the free list, or makes one, for fr (nil
-// for an acknowledgment) at stage st.
+// for an acknowledgment) at stage st. The descriptor holds fr until free.
 func (n *NIC) newDesc(fr *Frame, st stage) *Desc {
 	var d *Desc
 	if k := len(n.descFree); k > 0 {
@@ -73,6 +73,9 @@ func (n *NIC) newDesc(fr *Frame, st stage) *Desc {
 		d.step = d.run
 		n.descMade++
 	}
+	if fr != nil {
+		fr.Hold()
+	}
 	d.fr, d.stage = fr, st
 	return d
 }
@@ -81,9 +84,12 @@ func (n *NIC) newDesc(fr *Frame, st stage) *Desc {
 // and how many it ever made: equal on an idle NIC, whatever the packets were.
 func (n *NIC) Descriptors() (free, made int) { return len(n.descFree), n.descMade }
 
-// free returns the descriptor to the NIC, blank but for its binding. Its
-// buffer must already be back.
+// free returns the descriptor to the NIC, blank but for its binding, and
+// releases its frame. Its buffer must already be back.
 func (d *Desc) free() {
+	if d.fr != nil {
+		d.fr.Release()
+	}
 	*d = Desc{nic: d.nic, step: d.step}
 	d.nic.descFree = append(d.nic.descFree, d)
 }
@@ -244,15 +250,22 @@ func (d *Desc) run() {
 			n.ext.Left(d)
 			return
 		}
-		fr, tok, resend := d.fr, d.tok, d.resend
-		d.Done()
-		if resend {
-			c.win.Restamp(fr.Seq)
+		fr, tok := d.fr, d.tok
+		if d.resend {
+			seq := fr.Seq
+			d.Done()
+			c.win.Restamp(seq)
 			return
 		}
+		// The descriptor may be the frame's last holder (the packet can
+		// have been dropped already), so the frame is held across its
+		// hand-over to the send record.
+		fr.Hold()
+		d.Done()
 		n.m.dataSent.Inc()
 		c.staging--
 		c.win.File(fr, tok)
+		fr.Release()
 		c.pump()
 	}
 }

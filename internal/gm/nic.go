@@ -152,8 +152,8 @@ func (n *NIC) pool() *spares {
 }
 
 // DropHostBuffers makes each port forget its lent event, never to reuse it,
-// and empties the NIC's pool of spares, which NICs sharing it lose too: for
-// when nothing is in flight, as at the end of a run.
+// and empties the NIC's pool of spare buffers and frames, which NICs sharing
+// it lose too: for when nothing is in flight, as at the end of a run.
 func (n *NIC) DropHostBuffers() {
 	for _, p := range n.ports {
 		p.lent = nil
@@ -222,19 +222,21 @@ func (n *NIC) newMsgID() uint64 {
 	return n.nextMsgID
 }
 
-// Inject wraps fr in a wire packet for dst and starts transmitting it.
-// txDone (optional) fires when the transmit engine releases the packet
-// buffer. The frame must not be written again: the receiver, the send window
-// and — for a multicast frame — every NIC further down the tree hold this
-// same pointer. Exposed for the collective engine, which transmits through
-// the same engine.
+// Inject puts fr on the wire to dst; txDone (optional) fires when the
+// transmit engine releases the packet buffer. The frame is written once and
+// read-only from here on: the receiver, the send window and — for a
+// multicast frame — every NIC further down the tree hold this same *Frame.
+// The packet is one of its holders (see Frame), from here until the
+// receiving NIC's dispatch returns or the fabric drops it; a fabric that
+// copies the packet pins the frame. Exposed for the collective engine,
+// which transmits through the same engine.
 func (n *NIC) Inject(fr *Frame, dst fabric.NodeID, txDone func()) {
+	fr.Hold()
 	fr.seal(n.ID())
 	if n.Trace.Enabled() {
 		n.Trace.Log(n.Engine().Now(), n.ID(), trace.TX, "%s", fr.Wire(n.ID(), dst))
 	}
-	pkt := fabric.Packet{Src: n.ID(), Dst: dst, Size: fr.wireSize(&n.Cfg), Payload: fr, TxDone: txDone}
-	n.HW.Ifc.Inject(&pkt)
+	n.HW.Ifc.Send(dst, fr.wireSize(&n.Cfg), fr, fabric.Ctl{}, txDone)
 }
 
 // InjectCtl transmits a control packet — an acknowledgment — to dst. Its
@@ -248,14 +250,14 @@ func (n *NIC) InjectCtl(dst fabric.NodeID, c fabric.Ctl) {
 	if n.Trace.Enabled() {
 		n.Trace.Log(n.Engine().Now(), n.ID(), trace.TX, "%s", ctlWire(&c, n.ID(), dst))
 	}
-	pkt := fabric.Packet{Src: n.ID(), Dst: dst, Size: n.Cfg.AckBytes, Ctl: c}
-	n.HW.Ifc.Inject(&pkt)
+	n.HW.Ifc.Send(dst, n.Cfg.AckBytes, nil, c, nil)
 }
 
 // rxDispatch is the wire entry point: every arriving packet lands here. The
 // packet is the fabric's and valid only during the call; what the receive
-// path keeps is the frame (the sender's, read-only) or a copy of the control
-// header, and the packet's source.
+// path keeps is the frame (the sender's, read-only, under a hold of its own)
+// or a copy of the control header, and the packet's source. The packet's
+// hold on its frame ends when the dispatch returns.
 func (n *NIC) rxDispatch(pkt *fabric.Packet) {
 	src := pkt.Src
 	if pkt.Payload == nil {
@@ -280,15 +282,14 @@ func (n *NIC) rxDispatch(pkt *fabric.Packet) {
 		panic(fmt.Sprintf("gm: non-frame payload %T at %v", pkt.Payload, n.ID()))
 	}
 	fr.verify(n.ID())
-	if n.ext != nil && n.ext.HandleRx(src, fr) {
-		return
-	}
 	switch {
+	case n.ext != nil && n.ext.HandleRx(src, fr):
 	case fr.Kind == KindData || fr.Kind == KindMcastData && n.ext != nil:
 		n.rxData(src, fr)
 	default:
 		panic(fmt.Sprintf("gm: unhandled frame kind %v at %v (no extension?)", fr.Kind, n.ID()))
 	}
+	fr.Release()
 }
 
 // sendConn returns (creating on demand) the sender-side connection for the

@@ -15,9 +15,32 @@ import (
 // checksum of the header; every later Inject and every delivery verifies it,
 // so the -race test and smoke runs fail at the first NIC that sees the
 // damage instead of computing on a frame that changed under them.
+//
+// It also marks a frame its last holder has released (Frame.Release): the
+// frame is scrubbed to kindFreed with freed set, so a holder that kept it
+// without a hold of its own — and delivers it, re-injects it or holds it
+// again — panics at that NIC instead of reading whatever packet the pool
+// gives the frame to next.
 type frameSeal struct {
 	sum    uint64
 	sealed bool
+	freed  bool
+}
+
+// kindFreed is the Kind of a released frame, one no NIC handles.
+const kindFreed Kind = 0xff
+
+// scrub blanks a released frame but for its pool and marks it freed.
+func (f *Frame) scrub() { *f = Frame{Kind: kindFreed, pool: f.pool, guard: frameSeal{freed: true}} }
+
+// unscrub blanks a frame NewFrame takes from its pool.
+func (f *Frame) unscrub() { *f = Frame{pool: f.pool} }
+
+// checkLive panics if f has been released since NewFrame gave it out.
+func (f *Frame) checkLive() {
+	if f.guard.freed {
+		panic("gm: hold of a released frame")
+	}
 }
 
 // seal records f's header checksum on the frame's first Inject and verifies
@@ -31,9 +54,12 @@ func (f *Frame) seal(at fabric.NodeID) {
 	f.guard = frameSeal{sum: f.headerSum(), sealed: true}
 }
 
-// verify panics if f has been written since it was sealed; every delivery
-// runs it.
+// verify panics if f has been written since it was sealed, or released;
+// every delivery runs it.
 func (f *Frame) verify(at fabric.NodeID) {
+	if f.guard.freed {
+		panic(fmt.Sprintf("gm: released frame delivered at %v", at))
+	}
 	if f.guard.sealed && f.headerSum() != f.guard.sum {
 		panic(fmt.Sprintf("gm: frame written after it was injected, seen at %v: now %s", at, f.Wire(at, at)))
 	}

@@ -40,3 +40,35 @@ func TestFrameWrittenAfterInjectIsCaught(t *testing.T) {
 		}
 	}
 }
+
+// The negative control for the release mark: a sender that releases its
+// frame once too often while a packet carrying it is in flight — the seeded
+// extra release — sends the frame back to the pool under the packet, and
+// the delivery panics at the receiving NIC instead of landing whatever the
+// pool's next packet writes there. A new hold of a released frame panics
+// too, as a stale pointer's re-injection would.
+func TestReleasedFrameIsCaught(t *testing.T) {
+	r := newRig(t, 2, nil)
+	r.ports[1].Provide(64)
+	fr := r.nics[0].NewFrame()
+	fr.Kind, fr.SrcPort, fr.DstPort, fr.Seq, fr.MsgID, fr.MsgLen, fr.Payload = KindData, 1, 1, 1, 1, 4, []byte{1, 2, 3, 4}
+	r.eng.At(0, func() {
+		r.nics[0].Inject(fr, 1, nil)
+		fr.Release() // the bug: the packet's hold was the only one
+	})
+	var caught string
+	func() {
+		defer func() { caught = fmt.Sprint(recover()) }()
+		r.run(t)
+	}()
+	if want := "released frame delivered at n1"; !strings.Contains(caught, want) {
+		t.Errorf("the run ended with %q, want a panic saying %q", caught, want)
+	}
+	func() {
+		defer func() { caught = fmt.Sprint(recover()) }()
+		fr.Hold()
+	}()
+	if want := "hold of a released frame"; !strings.Contains(caught, want) {
+		t.Errorf("a new hold ended with %q, want a panic saying %q", caught, want)
+	}
+}

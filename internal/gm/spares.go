@@ -14,8 +14,14 @@ import (
 // The pool is bucketed by buffer capacity, which slices.Grow made an
 // allocator size class, so a pool sees few distinct capacities and a take
 // is a binary search, not a scan over the assemblies.
+//
+// The same pool keeps the engine's released frames (Frame.Release), blank,
+// for NIC.NewFrame; framesMade counts the frames it has made and not
+// dropped.
 type spares struct {
-	classes []spareClass // sorted by capacity; emptied ones stay for reuse
+	classes    []spareClass // sorted by capacity; emptied ones stay for reuse
+	frames     []*Frame
+	framesMade int
 }
 
 // spareClass holds the spares of one buffer capacity.
@@ -66,7 +72,7 @@ func (s *spares) take(msgLen int) *Assembly {
 	return a
 }
 
-// drop forgets every spare.
+// drop forgets every spare, frames included.
 func (s *spares) drop() {
 	if s == nil {
 		return
@@ -75,4 +81,7 @@ func (s *spares) drop() {
 		clear(s.classes[i].asms)
 		s.classes[i].asms = s.classes[i].asms[:0]
 	}
+	s.framesMade -= len(s.frames)
+	clear(s.frames)
+	s.frames = s.frames[:0]
 }

@@ -112,9 +112,11 @@ func (w *Window[T]) Floor(bound uint32) uint32 {
 // Owed reports whether any child has yet to acknowledge seq.
 func (w *Window[T]) Owed(seq uint32) bool { return w.Floor(seq) != seq }
 
-// File records a packet that has just left the NIC and arms the timer.
-// Packets are filed in sequence order.
+// File records a packet that has just left the NIC and arms the timer; the
+// record holds the frame until it retires. Packets are filed in sequence
+// order.
 func (w *Window[T]) File(fr *Frame, data T) {
+	fr.Hold()
 	w.records = append(w.records, SendRecord[T]{
 		Frame: fr, Data: data, sentAt: w.eng.Now(),
 	})
@@ -122,7 +124,8 @@ func (w *Window[T]) File(fr *Frame, data T) {
 }
 
 // Ack folds in a cumulative acknowledgment from one child and retires the
-// records no child owes any more, reporting how many. Stale acks and acks
+// records no child owes any more, reporting how many; each record releases
+// its frame once retire has run. Stale acks and acks
 // from a node that is not a child (index out of range) change nothing.
 // Forward progress — and only that, or duplicate-ack chatter would defeat
 // the backoff during congestion — resets the backoff. Re-arming the timer
@@ -136,6 +139,7 @@ func (w *Window[T]) Ack(child int, ack uint32) int {
 	n := 0
 	for n < len(w.records) && SeqLEQ(w.records[n].Frame.Seq, floor) {
 		w.retire(&w.records[n])
+		w.records[n].Frame.Release()
 		n++
 	}
 	if n == 0 {
